@@ -8,8 +8,8 @@
 //!   condition/body or in a helper the exit test calls.
 //! - **W002 missing delay** — no `sleep` is reachable on the retry path,
 //!   including transitively through helpers called from the catch block
-//!   (the interprocedural upgrade that kills the single-file
-//!   false-positive mode of [`when`](crate::when)).
+//!   (so a backoff delegated to a helper, however deep, is not a
+//!   single-file false positive).
 //! - **W003 different exception** — a call retried by the loop may
 //!   transitively throw an exception no catch clause of the loop matches,
 //!   so one attempt can abort the whole retry policy.
@@ -48,7 +48,6 @@ use crate::lattice::{ExcLattice, Transience};
 use crate::loops::{find_retry_loops, LoopQueryOptions, RetryLoop};
 use crate::resolve::{LoopSite, ProjectIndex};
 use crate::summaries::{AttemptBound, MethodSummary, Summaries};
-use crate::when::loop_has_cap;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use wasabi_lang::ast::{BinOp, Expr, Literal, Stmt};
 use wasabi_lang::index::{ClassId, ExcId, LExpr, ProgramIndex};
@@ -580,11 +579,7 @@ fn helper_cap(
     let mut capped = false;
     wasabi_lang::ast::walk_stmts(body, &mut |stmt| {
         if let Stmt::If { cond, then_blk, else_blk, .. } = stmt {
-            let exits = crate::when::block_exits(then_blk)
-                || else_blk
-                    .as_ref()
-                    .map(crate::when::block_exits)
-                    .unwrap_or(false);
+            let exits = block_exits(then_blk) || else_blk.as_ref().is_some_and(block_exits);
             if exits {
                 wasabi_lang::ast::walk_expr(cond, &mut |e| {
                     if let Expr::Call { id, .. } = e {
@@ -604,6 +599,57 @@ fn helper_cap(
         true
     });
     capped
+}
+
+/// Whether the loop is syntactically bounded: a comparison in its condition,
+/// or an in-body comparison guarding an exit (`break`/`return`/`throw`).
+fn loop_has_cap(loop_stmt: &Stmt) -> bool {
+    let (cond, body) = match loop_stmt {
+        Stmt::While { cond, body, .. } => (Some(cond), body),
+        Stmt::For { cond, body, .. } => (cond.as_ref(), body),
+        _ => return false,
+    };
+    if cond.is_some_and(expr_has_comparison) {
+        return true;
+    }
+    // Look for `if (<comparison>) { ...exit... }` inside the body.
+    let mut capped = false;
+    wasabi_lang::ast::walk_stmts(body, &mut |stmt| {
+        if let Stmt::If { cond, then_blk, else_blk, .. } = stmt {
+            if expr_has_comparison(cond)
+                && (block_exits(then_blk) || else_blk.as_ref().is_some_and(block_exits))
+            {
+                capped = true;
+            }
+        }
+        true
+    });
+    capped
+}
+
+fn expr_has_comparison(expr: &Expr) -> bool {
+    let mut found = false;
+    wasabi_lang::ast::walk_expr(expr, &mut |e| {
+        if let Expr::Binary { op, .. } = e {
+            if matches!(op, BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq) {
+                found = true;
+            }
+        }
+    });
+    found
+}
+
+/// Whether a block contains an exit statement (`break`/`return`/`throw`)
+/// anywhere.
+fn block_exits(block: &wasabi_lang::ast::Block) -> bool {
+    let mut exits = false;
+    wasabi_lang::ast::walk_stmts(block, &mut |stmt| {
+        if matches!(stmt, Stmt::Break { .. } | Stmt::Return { .. } | Stmt::Throw { .. }) {
+            exits = true;
+        }
+        true
+    });
+    exits
 }
 
 /// Extracts the loop's worst-case attempt bound from its header.
@@ -738,14 +784,88 @@ mod tests {
         assert_eq!(codes(&diags), vec!["W001", "W002"]);
     }
 
+    /// `loop_has_cap` on the single retry loop in `src`.
+    fn has_cap(src: &str) -> bool {
+        let p = Project::compile("t", vec![("t.jav", src)]).expect("compile");
+        let pindex = crate::resolve::ProjectIndex::build(&p);
+        let loops = find_retry_loops(&pindex, &LoopQueryOptions::default());
+        assert_eq!(loops.len(), 1);
+        loop_has_cap(find_site(&pindex, &loops[0]).expect("loop site").stmt)
+    }
+
+    #[test]
+    fn for_guard_counts_as_cap() {
+        assert!(has_cap(
+            "exception E;\n\
+             class C {\n\
+               method op() throws E { return 1; }\n\
+               method run() {\n\
+                 for (var retry = 0; retry < 5; retry = retry + 1) {\n\
+                   try { return this.op(); } catch (E e) { sleep(100); }\n\
+                 }\n\
+                 return null;\n\
+               }\n\
+             }",
+        ));
+        assert!(!has_cap(
+            "exception E;\n\
+             class C {\n\
+               method op() throws E { return 1; }\n\
+               method run() {\n\
+                 while (true) {\n\
+                   try { return this.op(); } catch (E e) { log(\"retry\"); }\n\
+                 }\n\
+               }\n\
+             }",
+        ));
+    }
+
+    #[test]
+    fn in_body_attempt_check_counts_as_cap() {
+        assert!(has_cap(
+            "exception E;\n\
+             class C {\n\
+               method op() throws E { return 1; }\n\
+               method run(maxRetries) {\n\
+                 var attempts = 0;\n\
+                 while (true) {\n\
+                   try { return this.op(); } catch (E e) {\n\
+                     attempts = attempts + 1;\n\
+                     if (attempts > maxRetries) { throw new E(\"gave up\"); }\n\
+                     sleep(50);\n\
+                   }\n\
+                 }\n\
+               }\n\
+             }",
+        ));
+    }
+
+    #[test]
+    fn negative_config_cap_shape_still_counts_as_capped() {
+        // The HDFS-15439 shape: the comparison exists, so static analysis
+        // sees a cap; the bug (negative config ⇒ never equal) only manifests
+        // dynamically.
+        assert!(has_cap(
+            "exception E;\n\
+             class C {\n\
+               method op() throws E { return 1; }\n\
+               method run() {\n\
+                 var max = getConfig(\"mover.retry.max\");\n\
+                 for (var retry = 0; retry < max; retry = retry + 1) {\n\
+                   try { return this.op(); } catch (E e) { sleep(10); }\n\
+                 }\n\
+                 return null;\n\
+               }\n\
+             }",
+        ));
+    }
+
     #[test]
     fn sleep_two_helpers_deep_flips_the_old_missing_delay_verdict() {
-        // The known false-positive class in `when`: the catch block
-        // delegates its backoff to a helper that delegates again, so even
-        // one-level resolution misses the sleep and (wrongly) reports a
-        // missing delay. The summary-based checker follows the whole
-        // chain and stays quiet — pin both verdicts so the flip is
-        // explicit.
+        // The catch block delegates its backoff to a helper that delegates
+        // again, so even a one-level helper lookup misses the sleep and
+        // (wrongly) reports a missing delay. The summary-based checker
+        // follows the whole chain and stays quiet.
         let src = "exception E;\n\
              class C {\n\
                method op() throws E { return 1; }\n\
@@ -758,18 +878,7 @@ mod tests {
                  return null;\n\
                }\n\
              }";
-        let p = Project::compile("t", vec![("t.jav", src)]).expect("compile");
-        let pindex = crate::resolve::ProjectIndex::build(&p);
-        let loops = find_retry_loops(&pindex, &LoopQueryOptions::default());
-        assert_eq!(loops.len(), 1);
-        let old = crate::when::check_when(
-            &pindex,
-            &loops[0],
-            crate::when::DelayScope::OneLevelInterprocedural,
-        )
-        .expect("loop found");
-        assert!(!old.has_delay, "old check misses the two-level helper sleep");
-        let diags = lint_project(&p, &LintOptions::default()).diagnostics;
+        let diags = lint(src);
         assert!(diags.is_empty(), "summary-based check finds it: {diags:?}");
     }
 

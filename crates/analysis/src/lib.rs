@@ -8,7 +8,6 @@
 //!   over-approximate, syntactic edges;
 //! - [`loops`] — the retry-loop query (catch-reaches-header + naming
 //!   conventions) and retry-location triplet extraction;
-//! - [`when`] — static missing-delay / missing-cap checks on retry loops;
 //! - [`ifratio`] — application-wide retry-ratio analysis flagging
 //!   inconsistent IF-retry policies;
 //! - [`absint`] — per-method interval abstract interpretation of attempt
@@ -71,7 +70,6 @@ pub mod loops;
 pub mod patchsite;
 pub mod resolve;
 pub mod summaries;
-pub mod when;
 
 pub use absint::{analyze_method, Interval, LoopObs, MethodAbs};
 pub use callgraph::{sccs, CallGraph, ResolvedCall, Sccs};
@@ -84,4 +82,3 @@ pub use loops::{
 };
 pub use resolve::ProjectIndex;
 pub use summaries::{AttemptBound, MethodSummary, Summaries};
-pub use when::{check_when, DelayScope, WhenVerdict};

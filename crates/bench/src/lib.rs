@@ -1,9 +1,8 @@
 #![forbid(unsafe_code)]
-//! Experiment-reproduction support: plain-text table rendering, the
+//! Experiment-reproduction support: plain-text table rendering and the
 //! paper's reference numbers (shared by the `repro` binary and the
-//! integration tests), and a dependency-free statistical harness for the
-//! bench targets.
+//! integration tests). Timing lives in the outside-in benchmark under
+//! `examples/perf`, which includes `paper.rs` by path.
 
-pub mod harness;
 pub mod paper;
 pub mod tables;

@@ -308,8 +308,9 @@ pub fn run_dynamic_with_observer(
     observer: &mut dyn EngineObserver,
 ) -> DynamicResult {
     // Each pipeline step is bracketed by phase events so a metrics
-    // observer (`--trace-out`, `wasabi bench`) can attribute wall time to
-    // phases; the phase sum tiles the whole pipeline.
+    // observer (`--trace-out`, the `examples/perf` benchmark) can
+    // attribute wall time to phases; the phase sum tiles the whole
+    // pipeline.
     let phase = |name: &'static str, observer: &mut dyn EngineObserver| {
         observer.on_event(&EngineEvent::PhaseStarted { name });
         name

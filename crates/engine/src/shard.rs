@@ -331,7 +331,7 @@ pub fn write_manifest(dir: &Path, manifest: &ShardManifest) -> Result<(), String
         ("source_digest", Json::from(format!("{:016x}", manifest.source_digest))),
         ("files", Json::arr(manifest.files.iter().map(|f| Json::from(f.as_str())))),
     ]);
-    std::fs::write(&path, value.pretty())
+    wasabi_util::write_atomic(&path, value.pretty().as_bytes())
         .map_err(|err| format!("write manifest {}: {err}", path.display()))
 }
 

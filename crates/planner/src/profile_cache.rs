@@ -218,8 +218,8 @@ pub fn load(options: &ProfileCacheOptions, locations_fp: u64) -> Option<Coverage
 }
 
 /// Writes a freshly computed profile into the cache (creating the
-/// directory), atomically: write to a temp sibling, then rename, so a
-/// concurrent reader never sees a torn file.
+/// directory) with [`wasabi_util::write_atomic`], so a concurrent reader
+/// never sees a torn file.
 pub fn store(
     options: &ProfileCacheOptions,
     locations_fp: u64,
@@ -227,10 +227,8 @@ pub fn store(
 ) -> io::Result<()> {
     std::fs::create_dir_all(&options.dir)?;
     let path = cache_path(&options.dir, options.digest);
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, to_json(options.digest, locations_fp, profile).pretty())?;
-    std::fs::rename(&tmp, &path)?;
-    Ok(())
+    let json = to_json(options.digest, locations_fp, profile).pretty();
+    wasabi_util::write_atomic(&path, json.as_bytes())
 }
 
 #[cfg(test)]

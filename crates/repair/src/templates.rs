@@ -195,8 +195,8 @@ fn loop_body(stmt: &Stmt) -> Result<&Block, String> {
 
 /// Whether a block exits the loop on *every* path: a top-level `break`/
 /// `return`/`throw`, or an `if` whose branches both always exit. This is
-/// deliberately stricter than the analysis crate's `block_exits` (any
-/// exit anywhere): a
+/// deliberately stricter than the lint's cap check in
+/// `wasabi_analysis::checkers` (any exit anywhere): a
 /// catch that only exits down one branch — like a previously inserted
 /// `retryGuard` cap — still retries in the common case and still needs
 /// the next template's edit.

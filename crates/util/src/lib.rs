@@ -20,11 +20,16 @@
 //!   by the campaign engine, the shard supervisor, and the submit client
 //!   (callers keep their own jitter-seed derivations).
 
+//! - [`atomic`] — temp-then-rename file replacement for the profile
+//!   cache, the shard manifest, and the repair report.
+
+pub mod atomic;
 pub mod backoff;
 pub mod json;
 pub mod metrics;
 pub mod rng;
 
+pub use atomic::write_atomic;
 pub use backoff::equal_jitter_backoff;
 pub use json::Json;
 pub use metrics::{saturating_ms, saturating_us, Histogram};

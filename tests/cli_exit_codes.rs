@@ -54,6 +54,10 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 fn no_arguments_and_unknown_command_are_usage_errors() {
     assert_eq!(code(&run(&[])), 2);
     assert_eq!(code(&run(&["frobnicate"])), 2);
+    // Timing lives in the outside-in benchmark (examples/perf), not the CLI.
+    let bench = run(&["bench"]);
+    assert_eq!(code(&bench), 2, "bench is not a command");
+    assert!(String::from_utf8_lossy(&bench.stderr).contains("usage:"), "bench prints the usage text");
     assert_eq!(code(&run(&["test"])), 2, "no input files");
     assert_eq!(code(&run(&["test", "--jobs", "0", "x.jav"])), 2, "bad flag value");
 }
