@@ -25,7 +25,6 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use wasabi_analysis::loops::{find_retry_loops, LoopQueryOptions};
-use wasabi_engine::campaign::RetryPolicy;
 use wasabi_engine::journal;
 use wasabi_analysis::resolve::ProjectIndex;
 use wasabi_bench::paper;
@@ -133,14 +132,13 @@ fn main() {
                 }
             }
         }
-        let base_options = DynamicOptions {
+        let mut base_options = DynamicOptions {
             jobs,
-            retry: match max_attempts {
-                Some(attempts) => RetryPolicy::with_max_attempts(attempts),
-                None => RetryPolicy::default(),
-            },
             ..DynamicOptions::default()
         };
+        if let Some(attempts) = max_attempts {
+            base_options.retry.attempts = u32::from(attempts);
+        }
         let mut aggregate = Aggregate::default();
         for spec in paper_apps() {
             if !quiet {
@@ -387,11 +385,7 @@ fn table6(aggregate: &Aggregate) {
         .iter()
         .enumerate()
         .map(|(i, app)| {
-            let reduction = if app.runs_planned > 0 {
-                app.runs_naive / app.runs_planned
-            } else {
-                0
-            };
+            let reduction = app.runs_naive.checked_div(app.runs_planned).unwrap_or(0);
             let paper_reduction = paper::TABLE6_NAIVE[i] / paper::TABLE6_PLANNED[i];
             vec![
                 app.app.clone(),
@@ -571,8 +565,10 @@ fn ablation_keyword(scale: Scale) {
         let project = compile_app(&app);
         let index = ProjectIndex::build(&project);
         with_filter += find_retry_loops(&index, &LoopQueryOptions::default()).len();
-        let mut no_filter = LoopQueryOptions::default();
-        no_filter.keyword_filter = false;
+        let no_filter = LoopQueryOptions {
+            keyword_filter: false,
+            ..LoopQueryOptions::default()
+        };
         without_filter += find_retry_loops(&index, &no_filter).len();
     }
     println!(

@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 use wasabi_analysis::loops::RetryLocation;
 use wasabi_engine::campaign::{
-    run_campaign, CampaignOptions, CampaignResult, CampaignStats, ChaosConfig, RetryPolicy,
-    RunOutcome, RunRecord,
+    run_campaign, CampaignOptions, CampaignResult, CampaignStats, ChaosConfig, RunOutcome,
+    RunRecord,
 };
 use wasabi_engine::metrics::CampaignMetrics;
 use wasabi_engine::observer::{outcome_kind, EngineEvent, EngineObserver, NullObserver};
@@ -24,6 +24,7 @@ use wasabi_planner::configfix::{restore_retry_configs, ConfigRestoration};
 use wasabi_planner::coverage::{profile_coverage_jobs, CoverageProfile};
 use wasabi_planner::plan::{expand_plan, naive_run_count, plan, InjectionRun, RunKey, TestPlan};
 use wasabi_planner::profile_cache::{self, ProfileCacheOptions};
+use wasabi_util::backoff::Policy;
 use wasabi_vm::runner::RunOptions;
 use wasabi_vm::trace::TestOutcome;
 
@@ -44,8 +45,9 @@ pub struct DynamicOptions {
     /// [`DynamicStats::timed_out`].
     pub run_budget_ms: Option<u64>,
     /// Retry policy for transient run failures (crashes, timeouts); see
-    /// [`RetryPolicy`]. The default retries twice with jittered backoff.
-    pub retry: RetryPolicy,
+    /// [`wasabi_engine::campaign::retry_delay`]. The default,
+    /// [`Policy::ENGINE`], retries twice with jittered backoff.
+    pub retry: Policy,
     /// Journal completed runs to this path for checkpoint/resume.
     pub journal: Option<PathBuf>,
     /// Records recovered from a previous journal (`--resume`); their keys
@@ -80,13 +82,6 @@ pub struct DynamicOptions {
     /// refuses the combination and this module ignores `adaptive` when a
     /// shard range is set).
     pub adaptive: bool,
-    /// Coordinator method names the static↔LLM cross-check put in a
-    /// disagreement tier (`wasabi lint --cross-check`). Retry sites
-    /// anchored in these methods get a large probe-priority boost in the
-    /// adaptive campaign (see
-    /// [`wasabi_planner::adaptive::boost_disagreement_sites`]). Pure
-    /// scheduling, never report-bearing; ignored without `adaptive`.
-    pub disagreement_hints: BTreeSet<String>,
     /// Persist the coverage profile keyed by source digest
     /// (`--profile-cache`); repeat campaigns over unchanged sources skip
     /// the profiling pass. See [`wasabi_planner::profile_cache`].
@@ -101,7 +96,7 @@ impl Default for DynamicOptions {
             oracle: OracleConfig::default(),
             jobs: 1,
             run_budget_ms: None,
-            retry: RetryPolicy::default(),
+            retry: Policy::ENGINE,
             journal: None,
             resume_records: Vec::new(),
             chaos: None,
@@ -109,7 +104,6 @@ impl Default for DynamicOptions {
             stream: false,
             shard_range: None,
             adaptive: false,
-            disagreement_hints: BTreeSet::new(),
             profile_cache: None,
         }
     }
@@ -351,7 +345,6 @@ pub fn run_dynamic_with_observer(
         chaos: options.chaos.clone(),
         capture_timing: options.capture_timing,
         stream: options.stream,
-        ..CampaignOptions::default()
     };
     let name = phase("run", observer);
     let (campaign, adaptive_summary) = if options.adaptive && options.shard_range.is_none() {
@@ -362,7 +355,6 @@ pub fn run_dynamic_with_observer(
             &options.ks,
             &campaign_options,
             &options.resume_records,
-            &options.disagreement_hints,
             observer,
         );
         (campaign, Some(summary))
@@ -558,7 +550,6 @@ fn merge_stats(first: CampaignStats, second: &CampaignStats) -> CampaignStats {
 /// key). Since resumed records are byte-identical to the executed runs
 /// they replace, the widen selection — and therefore the report — is
 /// byte-identical across a resume split.
-#[allow(clippy::too_many_arguments)]
 fn run_adaptive_campaign(
     project: &Project,
     runs: &[InjectionRun],
@@ -566,13 +557,10 @@ fn run_adaptive_campaign(
     ks: &[u32],
     base: &CampaignOptions,
     resume: &[RunRecord],
-    hints: &BTreeSet<String>,
     observer: &mut dyn EngineObserver,
 ) -> (CampaignResult, AdaptiveSummary) {
     let kmax = adaptive::probe_k(ks);
     let plan = adaptive::split_waves(runs.to_vec(), kmax);
-    let mut sites = adaptive::site_priorities(locations);
-    adaptive::boost_disagreement_sites(&mut sites, locations, hints);
     let structures = adaptive::site_structures(locations);
 
     let mut signals: BTreeMap<RunKey, ProbeSignal> = BTreeMap::new();
@@ -587,13 +575,11 @@ fn run_adaptive_campaign(
         }
     }
 
-    // Wave 1: probe every group at max K, hot sites (most catch-paths)
-    // first. Both waves share the journal path (`Journal::open` appends),
-    // so checkpoint/resume and the streaming report phase see one
-    // campaign.
+    // Wave 1: probe every group at max K. Both waves share the journal
+    // path (`Journal::open` appends), so checkpoint/resume and the
+    // streaming report phase see one campaign.
     let mut probe_options = base.clone();
     probe_options.resume = probe_resume;
-    probe_options.schedule_priority = Some(adaptive::run_priorities(&plan.probe, &sites));
     let probe_runs = plan.probe.len();
     let wave1 = {
         let mut wave = AdaptiveWaveObserver {
@@ -608,7 +594,6 @@ fn run_adaptive_campaign(
     let selection = adaptive::select_widen_runs(plan.widen, kmax, &signals, &structures);
     let mut widen_options = base.clone();
     widen_options.resume = widen_resume;
-    widen_options.schedule_priority = Some(adaptive::run_priorities(&selection.runs, &sites));
     let wave2 = {
         let mut wave = AdaptiveWaveObserver {
             inner: observer,

@@ -12,9 +12,10 @@
 //! mutually-checking detectors (the CERBERUS arbitration idea: when two
 //! imperfect detectors agree, confidence rises; when they disagree, that
 //! is exactly where scrutiny should go). Every finding becomes a
-//! [`CrossCheckCell`] in one of three [`Tier`]s, the matrix renders
-//! deterministically, and [`CrossCheck::disagreement_methods`] feeds the
-//! adaptive planner so disagreement-tier methods get probe priority.
+//! [`CrossCheckCell`] in one of three [`Tier`]s and the matrix renders
+//! deterministically (`wasabi lint --cross-check`, text and JSON). The
+//! matrix is a report for the reader; it does not steer the dynamic
+//! campaign, which always dispatches in key order.
 
 use std::collections::BTreeSet;
 use wasabi_analysis::checkers::{lint_project, LintOptions, LintResult};
@@ -117,17 +118,6 @@ impl CrossCheck {
     /// Total distinct findings across both detectors.
     pub fn total(&self) -> usize {
         self.both + self.static_only + self.llm_only
-    }
-
-    /// Coordinator method names in a disagreement tier (exactly one
-    /// detector spoke). The adaptive planner boosts probe priority for
-    /// retry sites anchored in these methods.
-    pub fn disagreement_methods(&self) -> BTreeSet<String> {
-        self.cells
-            .iter()
-            .filter(|cell| cell.tier != Tier::BothAgree)
-            .map(|cell| cell.method.clone())
-            .collect()
     }
 
     /// Renders the matrix as stable text: one header, one row per cell,
@@ -359,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_check_matrix_and_hints_are_deterministic() {
+    fn cross_check_matrix_is_deterministic() {
         let src = "exception E;\n\
              class C {\n\
                method op() throws E { return 1; }\n\
@@ -411,8 +401,6 @@ mod tests {
         let w006: Vec<_> = check.cells.iter().filter(|c| c.code == "W006").collect();
         assert!(!w006.is_empty(), "bound of one should produce W006");
         assert!(w006.iter().all(|c| c.tier == Tier::StaticOnly));
-        // And every disagreement cell's method shows up in the hint set.
-        let hints = check.disagreement_methods();
-        assert!(hints.contains("run"));
+        assert!(w006.iter().all(|c| c.method == "run"));
     }
 }

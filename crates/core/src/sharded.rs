@@ -9,7 +9,7 @@
 //! records to its journal with bounded memory.
 //!
 //! Crashed children are restarted by [`supervise_shard`] with the
-//! bounded, jittered backoff of [`SupervisorPolicy`], resuming from the
+//! bounded, jittered backoff of [`Policy::SUPERVISOR`], resuming from the
 //! shard journal (journaled runs never re-execute); runs that repeatedly
 //! kill their child are bisected out into `dlq.jsonl`. When every shard
 //! is done, [`merge_records`] key-order-merges the journals into a report
@@ -29,10 +29,11 @@ use wasabi_engine::metrics::CampaignMetrics;
 use wasabi_engine::observer::NullObserver;
 use wasabi_engine::shard::{
     dead_letters_for, dlq_path, partition, shard_journal_path, supervise_shard, write_manifest,
-    ShardExit, ShardManifest, ShardMerge, ShardRunner, SupervisorPolicy,
+    ShardExit, ShardManifest, ShardMerge, ShardRunner,
 };
 use wasabi_oracles::dedup::dedup_reports;
 use wasabi_planner::plan::RunKey;
+use wasabi_util::backoff::Policy;
 
 /// Options for a sharded campaign.
 #[derive(Debug, Clone)]
@@ -53,7 +54,7 @@ pub struct ShardedOptions {
     /// `--max-attempts` forwarded to children (None = default policy).
     pub max_attempts: Option<u8>,
     /// Restart/backoff/bisection policy.
-    pub policy: SupervisorPolicy,
+    pub policy: Policy,
     /// Chaos: pass `--chaos-exit-after` to the *first* spawn of this
     /// shard, so it dies mid-flight exactly once and recovery is
     /// deterministic (restarts never carry the flag).
@@ -73,7 +74,7 @@ impl Default for ShardedOptions {
             cwd: None,
             jobs: 1,
             max_attempts: None,
-            policy: SupervisorPolicy::default(),
+            policy: Policy::SUPERVISOR,
             chaos_kill_shard: None,
             chaos_exit_after: 3,
             quiet: false,

@@ -28,7 +28,7 @@
 //!   poisoning the worker pool — nothing from the broken attempt reaches
 //!   the report because every attempt rebuilds its interpreter from
 //!   scratch (per-run isolation is what makes the unwind safe);
-//! - **retries are seeded**: the [`RetryPolicy`] re-executes
+//! - **retries are seeded**: the retry [`Policy`] re-executes
 //!   `Crashed`/`TimedOut` runs with exponential backoff whose jitter is
 //!   drawn from a SplitMix64 stream keyed on `(jitter_seed, RunKey,
 //!   attempt)`, so the attempt count and final outcome of every run are
@@ -62,6 +62,7 @@ use wasabi_inject::InjectionHandler;
 use wasabi_lang::project::Project;
 use wasabi_oracles::judge::{judge_run, judge_run_timed, OracleConfig, OracleReport};
 use wasabi_planner::plan::{InjectionRun, RunKey};
+use wasabi_util::backoff::Policy;
 use wasabi_util::rng::{fnv1a64, Rng};
 use wasabi_util::{saturating_ms, saturating_us};
 use wasabi_vm::runner::{run_test, RunOptions};
@@ -84,75 +85,20 @@ pub(crate) fn key_hash(key: &RunKey, salt: u64) -> u64 {
     ])
 }
 
-/// Bounded, jittered, capped retry policy for transient run failures
-/// (`Crashed` and `TimedOut` outcomes) — the paper's §2 *HOW* best
-/// practice (exponential backoff with a cap) applied to the engine itself.
+/// The backoff delay after `failed_attempt` (1-based) of `key` failed
+/// under `policy` — the paper's §2 *HOW* best practice (exponential
+/// backoff with a cap) applied to the engine's own transient failures
+/// (`Crashed` and `TimedOut` outcomes).
 ///
-/// Jitter is drawn from [`wasabi_util::rng::Rng`] seeded on
-/// `(jitter_seed, RunKey, attempt)`, so the delay sequence of a run — and
-/// therefore a rerun of the whole campaign — is deterministic regardless
-/// of which worker executes it.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts per run, including the first (minimum 1;
-    /// 1 disables retries).
-    pub max_attempts: u8,
-    /// Backoff before the second attempt; doubles (times `multiplier`)
-    /// per further attempt. Zero disables sleeping entirely.
-    pub base_delay: Duration,
-    /// Exponential growth factor between attempts.
-    pub multiplier: f64,
-    /// Upper bound on any single backoff delay.
-    pub cap: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(5),
-            multiplier: 2.0,
-            cap: Duration::from_millis(100),
-            jitter_seed: 0x5741_5341_4249, // "WASABI"
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (single attempt per run).
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The default policy with a different attempt bound.
-    pub fn with_max_attempts(max_attempts: u8) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The backoff delay after `failed_attempt` (1-based) failed:
-    /// `base_delay * multiplier^(failed_attempt-1)`, capped, with equal
-    /// jitter (uniform in `[d/2, d)`) drawn deterministically from the
-    /// run key.
-    pub fn backoff(&self, key: &RunKey, failed_attempt: u8) -> Duration {
-        // Only the jitter-seed derivation is ours (keyed on the run so the
-        // schedule is scheduling-independent); the delay math is the
-        // workspace-shared formula.
-        wasabi_util::equal_jitter_backoff(
-            self.base_delay,
-            self.multiplier,
-            self.cap,
-            u32::from(failed_attempt),
-            key_hash(key, self.jitter_seed ^ u64::from(failed_attempt)),
-        )
-    }
+/// Only the jitter stream is ours: it is keyed on `(jitter_seed, RunKey,
+/// attempt)`, so the delay sequence of a run — and therefore a rerun of
+/// the whole campaign — is deterministic regardless of which worker
+/// executes it.
+pub fn retry_delay(policy: &Policy, key: &RunKey, failed_attempt: u8) -> Duration {
+    policy.delay(
+        u32::from(failed_attempt),
+        key_hash(key, policy.jitter_seed ^ u64::from(failed_attempt)),
+    )
 }
 
 /// Deterministic fault injection into the engine itself — the chaos
@@ -229,8 +175,9 @@ pub struct CampaignOptions {
     /// few thousand steps) and recorded as [`RunOutcome::TimedOut`];
     /// the campaign itself never hangs on one stuck run.
     pub run_budget: Option<Duration>,
-    /// Retry policy for transient failures (`Crashed`/`TimedOut`).
-    pub retry: RetryPolicy,
+    /// Retry policy for transient failures (`Crashed`/`TimedOut`); see
+    /// [`retry_delay`]. Attempts beyond 255 clamp to 255.
+    pub retry: Policy,
     /// Chaos self-test hook; `None` in production campaigns.
     pub chaos: Option<ChaosConfig>,
     /// Durable journal path: every finished record is appended as one
@@ -251,14 +198,6 @@ pub struct CampaignOptions {
     /// Never affects [`CampaignResult::records`] — timings live only in
     /// the metrics/observer layer.
     pub capture_timing: bool,
-    /// Optional execution-order hint: runs whose key maps to a larger
-    /// value are dispatched to workers first (ties keep key order; keys
-    /// absent from the map rank lowest). Pure scheduling — records still
-    /// land in key-addressed slots and merge in key order, so the result
-    /// is byte-identical with or without a priority map. The adaptive
-    /// planner uses this to front-load injection sites with the most
-    /// uncovered catch-paths.
-    pub schedule_priority: Option<BTreeMap<RunKey, u64>>,
     /// Bounded-memory streaming: finished records are appended to the
     /// journal and **dropped from RAM** instead of accumulating in
     /// [`CampaignResult::records`] (which comes back empty); the caller's
@@ -278,12 +217,11 @@ impl Default for CampaignOptions {
             run_options: RunOptions::default(),
             oracle: OracleConfig::default(),
             run_budget: None,
-            retry: RetryPolicy::default(),
+            retry: Policy::ENGINE,
             chaos: None,
             journal: None,
             resume: Vec::new(),
             capture_timing: true,
-            schedule_priority: None,
             stream: false,
         }
     }
@@ -547,14 +485,8 @@ pub fn run_campaign(
             }
         }
     }
-    let mut pending: Vec<usize> = (0..slots.len()).filter(|&s| !done[s]).collect();
-    // Priority is a dispatch-order hint only: slots are key-addressed, so
-    // reordering `pending` cannot change the merged records.
-    if let Some(priority) = options.schedule_priority.as_ref() {
-        pending.sort_by_cached_key(|&slot| {
-            std::cmp::Reverse(priority.get(&runs[order[slot]].key()).copied().unwrap_or(0))
-        });
-    }
+    // Dispatch in key order.
+    let pending: Vec<usize> = (0..slots.len()).filter(|&s| !done[s]).collect();
 
     let jobs = options.jobs.max(1).min(pending.len().max(1));
     observer.on_event(&EngineEvent::Started {
@@ -967,7 +899,8 @@ fn execute_run(
     notify_retry: &mut dyn FnMut(u8, Duration),
 ) -> (RunRecord, RunTiming) {
     let run_started = options.capture_timing.then(Instant::now);
-    let max_attempts = options.retry.max_attempts.max(1);
+    // Clamped into the `u8` attempt counter a record carries.
+    let max_attempts = u8::try_from(options.retry.attempts.max(1)).unwrap_or(u8::MAX);
     // Clone the run options (pinned-config list included) once per run, not
     // once per attempt; only the wall-clock deadline varies between attempts.
     let mut run_options = options.run_options.clone();
@@ -993,7 +926,7 @@ fn execute_run(
         record.attempts = attempt;
         let transient = record.outcome.is_transient_failure();
         if transient && attempt < max_attempts {
-            let delay = options.retry.backoff(&record.key, attempt);
+            let delay = retry_delay(&options.retry, &record.key, attempt);
             timing.backoff_ms = timing.backoff_ms.saturating_add(saturating_ms(delay));
             notify_retry(attempt, delay);
             if !delay.is_zero() {
@@ -1151,11 +1084,11 @@ class Solid {\n\
     }
 
     /// Fast-backoff options so retry-heavy tests don't sleep.
-    fn fast_retry(max_attempts: u8) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts,
-            base_delay: Duration::ZERO,
-            ..RetryPolicy::default()
+    fn fast_retry(attempts: u32) -> Policy {
+        Policy {
+            attempts,
+            base: Duration::ZERO,
+            ..Policy::ENGINE
         }
     }
 
@@ -1449,7 +1382,7 @@ class Solid {\n\
 
     #[test]
     fn backoff_is_deterministic_bounded_and_grows() {
-        let policy = RetryPolicy::default();
+        let policy = Policy::ENGINE;
         let runs_key = RunKey {
             test: wasabi_lang::project::MethodId::new("C", "t"),
             site: wasabi_lang::project::CallSite {
@@ -1459,21 +1392,21 @@ class Solid {\n\
             exception: "E".to_string(),
             k: 1,
         };
-        let d1 = policy.backoff(&runs_key, 1);
-        let d2 = policy.backoff(&runs_key, 2);
-        assert_eq!(d1, policy.backoff(&runs_key, 1), "jitter is seeded");
+        let d1 = retry_delay(&policy, &runs_key, 1);
+        let d2 = retry_delay(&policy, &runs_key, 2);
+        assert_eq!(d1, retry_delay(&policy, &runs_key, 1), "jitter is seeded");
         // Equal jitter keeps each delay in [d/2, d).
-        assert!(d1 >= policy.base_delay / 2 && d1 < policy.base_delay);
-        assert!(d2 >= policy.base_delay, "attempt 2 backs off further");
+        assert!(d1 >= policy.base / 2 && d1 < policy.base);
+        assert!(d2 >= policy.base, "attempt 2 backs off further");
         // A huge attempt number stays under the cap.
-        let capped = policy.backoff(&runs_key, 40);
+        let capped = retry_delay(&policy, &runs_key, 40);
         assert!(capped < policy.cap);
         // Zero base delay disables sleeping regardless of attempt.
-        let zero = RetryPolicy {
-            base_delay: Duration::ZERO,
-            ..RetryPolicy::default()
+        let zero = Policy {
+            base: Duration::ZERO,
+            ..Policy::ENGINE
         };
-        assert_eq!(zero.backoff(&runs_key, 3), Duration::ZERO);
+        assert_eq!(retry_delay(&zero, &runs_key, 3), Duration::ZERO);
     }
 
     #[test]

@@ -932,7 +932,8 @@ pub fn load_dead_letters(path: &Path) -> Result<Vec<DeadLetter>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignOptions, ChaosConfig, RetryPolicy};
+    use crate::campaign::{run_campaign, CampaignOptions, ChaosConfig};
+    use wasabi_util::backoff::Policy;
     use crate::observer::NullObserver;
     use std::collections::BTreeSet;
     use std::time::Duration;
@@ -993,10 +994,10 @@ class Solid {\n\
         // Chaos at 30% so the fixture covers Crashed, quarantined, and
         // retried records, not just clean completions.
         let options = CampaignOptions {
-            retry: RetryPolicy {
-                max_attempts: 2,
-                base_delay: Duration::ZERO,
-                ..RetryPolicy::default()
+            retry: Policy {
+                attempts: 2,
+                base: Duration::ZERO,
+                ..Policy::ENGINE
             },
             chaos: Some(ChaosConfig::panics(0.3, 99)),
             ..CampaignOptions::default()

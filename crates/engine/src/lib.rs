@@ -14,7 +14,8 @@
 //!   merge that orders results by [`wasabi_planner::plan::RunKey`] so
 //!   reports are byte-identical for any `jobs` value;
 //! - a **resilience layer**: per-run panic containment
-//!   ([`RunOutcome::Crashed`]), a deterministic [`campaign::RetryPolicy`]
+//!   ([`RunOutcome::Crashed`]), deterministic retries under a
+//!   [`wasabi_util::backoff::Policy`] (see [`campaign::retry_delay`])
 //!   with quarantine for runs that exhaust it, worker supervision
 //!   (a dead worker's shard is drained by survivors), and a durable
 //!   [`journal`] for checkpoint/resume — a resumed campaign's report is
@@ -40,8 +41,8 @@ pub mod shard;
 pub mod spans;
 
 pub use campaign::{
-    run_campaign, CampaignOptions, CampaignResult, CampaignStats, ChaosConfig, RetryPolicy,
-    RunOutcome, RunRecord,
+    run_campaign, CampaignOptions, CampaignResult, CampaignStats, ChaosConfig, RunOutcome,
+    RunRecord,
 };
 pub use metrics::{CampaignMetrics, MetricsObserver, RunTiming};
 pub use observer::{EngineEvent, EngineObserver, FanOut, NullObserver, StderrProgress, Tee};

@@ -19,10 +19,11 @@
 //!   the *sample count* is deterministic, and resumed records contribute
 //!   nothing (no host time was spent on them this session).
 
-use crate::campaign::{CampaignStats, RetryPolicy, RunRecord};
+use crate::campaign::{retry_delay, CampaignStats, RunRecord};
 use crate::observer::{outcome_kind, EngineEvent, EngineObserver};
 use crate::spans::{PhaseSpan, RunSpan};
 use std::collections::HashMap;
+use wasabi_util::backoff::Policy;
 use wasabi_util::metrics::{Clock, WallClock};
 use wasabi_util::{saturating_ms, Histogram, Json};
 
@@ -100,7 +101,7 @@ impl CampaignMetrics {
     /// backoff distribution is recomputed from the policy rather than
     /// measured, so resumed records (no sleep happened this session)
     /// still contribute their deterministic delays.
-    pub fn from_records(records: &[RunRecord], retry: &RetryPolicy) -> Self {
+    pub fn from_records(records: &[RunRecord], retry: &Policy) -> Self {
         let mut metrics = CampaignMetrics::default();
         for record in records {
             metrics.steps.record(record.steps);
@@ -108,7 +109,7 @@ impl CampaignMetrics {
             metrics.attempts.record(u64::from(record.attempts));
             metrics.virtual_ms.record(record.virtual_ms);
             let backoff: u64 = (1..record.attempts)
-                .map(|failed| saturating_ms(retry.backoff(&record.key, failed)))
+                .map(|failed| saturating_ms(retry_delay(retry, &record.key, failed)))
                 .fold(0, u64::saturating_add);
             metrics.backoff_ms.record(backoff);
         }
@@ -383,10 +384,10 @@ mod tests {
             attempts: 3,
             quarantined: false,
         };
-        let retry = RetryPolicy::default();
+        let retry = Policy::ENGINE;
         let metrics = CampaignMetrics::from_records(std::slice::from_ref(&record), &retry);
         let expected: u64 = (1..3u8)
-            .map(|a| saturating_ms(retry.backoff(&key, a)))
+            .map(|a| saturating_ms(retry_delay(&retry, &key, a)))
             .sum();
         assert_eq!(metrics.backoff_ms.sum(), expected);
         assert!(expected > 0, "default policy sleeps between attempts");

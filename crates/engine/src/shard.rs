@@ -6,8 +6,8 @@
 //! This module owns everything above the child processes:
 //!
 //! - [`partition`] — the deterministic range split;
-//! - [`SupervisorPolicy`] — the restart policy, deliberately shaped like
-//!   the engine's own [`RetryPolicy`](crate::campaign::RetryPolicy) so it
+//! - [`restart_delay`] — the restart backoff: the supervisor retries under
+//!   the same [`Policy`] type as the engine's own per-run retries, so it
 //!   passes the paper's WHEN/HOW rules (bounded attempts, exponential
 //!   backoff with a cap, SplitMix64 jitter): a crashed shard is restarted,
 //!   resuming from its own journal, so already-journaled runs are never
@@ -38,6 +38,7 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use wasabi_planner::plan::RunKey;
+use wasabi_util::backoff::Policy;
 use wasabi_util::rng::fnv1a64;
 use wasabi_util::Json;
 
@@ -53,56 +54,17 @@ pub fn partition(total: usize, shards: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Restart policy for crashed shard processes. Mirrors the engine's
-/// per-run `RetryPolicy` — bounded attempts, exponential backoff with a
-/// cap, equal jitter from a seeded SplitMix64 stream — because the
-/// supervisor's own retries must pass the same WHEN/HOW rules the linter
-/// enforces on analyzed code.
-#[derive(Debug, Clone)]
-pub struct SupervisorPolicy {
-    /// Total restarts allowed per shard (across plain restarts and
-    /// bisection probes). Exhausting the budget dead-letters everything
-    /// the shard has not yet completed.
-    pub max_restarts: u32,
-    /// Backoff before the first restart.
-    pub base_delay: Duration,
-    /// Multiplier per additional restart.
-    pub multiplier: f64,
-    /// Upper bound on the un-jittered backoff.
-    pub cap: Duration,
-    /// Seed for the jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        SupervisorPolicy {
-            max_restarts: 16,
-            base_delay: Duration::from_millis(25),
-            multiplier: 2.0,
-            cap: Duration::from_secs(1),
-            // "SHARD" in ASCII.
-            jitter_seed: 0x53_4841_5244,
-        }
-    }
-}
-
-impl SupervisorPolicy {
-    /// Backoff before restart number `restart` (1-based) of `shard`.
-    /// Exponential with a cap, then equal jitter in `[d/2, d)` drawn from
-    /// a stream keyed on `(jitter_seed, shard, restart)` — deterministic
-    /// for a given policy, never synchronized across shards.
-    pub fn backoff(&self, shard: usize, restart: u32) -> Duration {
-        // Only the jitter-seed derivation is ours (keyed on the shard so
-        // sibling shards never sync up); the delay math is the
-        // workspace-shared formula.
-        let seed = fnv1a64([
-            &(shard as u64).to_le_bytes()[..],
-            &self.jitter_seed.to_le_bytes()[..],
-            &u64::from(restart).to_le_bytes()[..],
-        ]);
-        wasabi_util::equal_jitter_backoff(self.base_delay, self.multiplier, self.cap, restart, seed)
-    }
+/// Backoff before restart number `restart` (1-based) of `shard` under
+/// `policy` ([`Policy::SUPERVISOR`] by default). Only the jitter stream is
+/// ours: it is keyed on `(jitter_seed, shard, restart)` — deterministic
+/// for a given policy, never synchronized across shards.
+pub fn restart_delay(policy: &Policy, shard: usize, restart: u32) -> Duration {
+    let seed = fnv1a64([
+        &(shard as u64).to_le_bytes()[..],
+        &policy.jitter_seed.to_le_bytes()[..],
+        &u64::from(restart).to_le_bytes()[..],
+    ]);
+    policy.delay(restart, seed)
 }
 
 /// How a shard child exited.
@@ -165,7 +127,10 @@ pub struct ShardReport {
 }
 
 /// Runs `shard`'s range to completion through `runner`, restarting crashed
-/// children with the policy's backoff and bisecting out poison runs.
+/// children with the policy's backoff and bisecting out poison runs. The
+/// first spawn is attempt one, so the shard gets `policy.attempts - 1`
+/// restarts (across plain restarts and bisection probes); exhausting them
+/// dead-letters everything the shard has not yet completed.
 ///
 /// The loop maintains a queue of segments (initially the whole range).
 /// After every child exit it re-reads the shard's completed set:
@@ -184,11 +149,12 @@ pub struct ShardReport {
 ///   the shard, wholesale, and return (the campaign completes with the
 ///   loss accounted, rather than restarting forever).
 pub fn supervise_shard(
-    policy: &SupervisorPolicy,
+    policy: &Policy,
     shard: usize,
     range: (usize, usize),
     runner: &mut dyn ShardRunner,
 ) -> Result<ShardReport, String> {
+    let max_restarts = policy.attempts.saturating_sub(1);
     let mut report = ShardReport { shard, ..ShardReport::default() };
     let mut segments: VecDeque<(usize, usize)> = VecDeque::new();
     segments.push_back(range);
@@ -207,7 +173,7 @@ pub fn supervise_shard(
             };
             let progressed = now_remaining.len() < remaining.len();
             remaining = now_remaining;
-            if report.restarts >= policy.max_restarts {
+            if report.restarts >= max_restarts {
                 // Budget exhausted: quarantine everything left, in this
                 // segment and every queued one.
                 let reason = "restart cap exhausted";
@@ -219,7 +185,7 @@ pub fn supervise_shard(
                 return Ok(report);
             }
             report.restarts += 1;
-            runner.sleep(policy.backoff(shard, report.restarts));
+            runner.sleep(restart_delay(policy, shard, report.restarts));
             if progressed {
                 continue;
             }

@@ -382,6 +382,7 @@ pub fn render_stats(traces: &[TraceFile]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wasabi_util::Rng;
 
     fn phase(name: &str, start_us: u64, end_us: u64) -> PhaseSpan {
         PhaseSpan {
@@ -495,6 +496,54 @@ mod tests {
         assert!(problems.iter().any(|p| p.contains("no run span")));
         let problems = validate_trace(&trace, Some(&[]));
         assert!(problems.iter().any(|p| p.contains("no journal record")));
+    }
+
+    /// Garbage for the totality sweep: JSON punctuation, trace keywords,
+    /// digits, and a few multi-byte chars, so some inputs get deep into
+    /// the span decoders before failing.
+    fn gen_garbage(rng: &mut Rng, max_len: usize) -> String {
+        #[rustfmt::skip]
+        const POOL: &[&str] = &[
+            "{", "}", "[", "]", ":", ",", "\"", "\\", " ", "\n", "0", "7", "-", ".", "e",
+            "18446744073709551616", "true", "null", "\"span\"", "\"phase\"", "\"run\"",
+            "\"kind\"", "\"wasabi-trace\"", "\"schema_version\"", "1", "\"start_us\"",
+            "\"end_us\"", "\"attempts\"", "\u{e9}", "\u{1f980}",
+        ];
+        let len = rng.below(max_len as u64 + 1) as usize;
+        (0..len).map(|_| *rng.pick(POOL)).collect()
+    }
+
+    /// Parsing (and validating and rendering whatever parses) never panics:
+    /// arbitrary garbage, a valid trace with garbage lines appended, a
+    /// valid trace cut at any byte, and a valid trace with one byte flipped
+    /// all end in `Ok` or `Err`.
+    #[test]
+    fn parse_trace_is_total_on_garbage_truncation_and_bit_flips() {
+        let phases = vec![phase("plan", 0, 100), phase("run", 100, 900)];
+        let runs = vec![run_span("C.t", 1), run_span("C.u", 255)];
+        let valid = render_trace("HD", &phases, &runs);
+        let exercise = |text: &str| {
+            if let Ok(trace) = parse_trace(text) {
+                let _ = validate_trace(&trace, Some(&[]));
+                let _ = render_stats(std::slice::from_ref(&trace));
+            }
+        };
+        for case in 0..256u64 {
+            let mut rng = Rng::new(0x7ace_0000 + case);
+            exercise(&gen_garbage(&mut rng, 200));
+            exercise(&format!("{valid}{}", gen_garbage(&mut rng, 120)));
+
+            let cut = rng.below(valid.len() as u64 + 1) as usize;
+            exercise(&String::from_utf8_lossy(&valid.as_bytes()[..cut]));
+
+            let mut flipped = valid.clone().into_bytes();
+            let at = rng.below(flipped.len() as u64) as usize;
+            flipped[at] ^= 1 << rng.below(8);
+            exercise(&String::from_utf8_lossy(&flipped));
+        }
+        // The unmutated fixture itself parses: the sweep starts from a
+        // valid trace, not from something the parser already rejects.
+        assert!(parse_trace(&valid).is_ok());
     }
 
     #[test]

@@ -7,11 +7,12 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 use wasabi_analysis::loops::{all_retry_locations, LoopQueryOptions};
 use wasabi_analysis::resolve::ProjectIndex;
-use wasabi_engine::campaign::{run_campaign, CampaignOptions, ChaosConfig, RetryPolicy};
+use wasabi_engine::campaign::{run_campaign, CampaignOptions, ChaosConfig};
 use wasabi_engine::{MetricsObserver, StderrProgress, Tee};
 use wasabi_lang::project::Project;
 use wasabi_planner::coverage::profile_coverage;
 use wasabi_planner::plan::{expand_plan, plan, InjectionRun};
+use wasabi_util::backoff::Policy;
 use wasabi_vm::runner::RunOptions;
 
 const SOURCE: &str = "\
@@ -58,10 +59,10 @@ fn campaign_fixture() -> (Project, Vec<InjectionRun>) {
 fn options(jobs: usize) -> CampaignOptions {
     CampaignOptions {
         jobs,
-        retry: RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(1),
-            ..RetryPolicy::default()
+        retry: Policy {
+            attempts: 3,
+            base: Duration::from_millis(1),
+            ..Policy::ENGINE
         },
         chaos: Some(ChaosConfig::panics(0.3, 99)),
         ..CampaignOptions::default()

@@ -11,11 +11,12 @@ use std::time::Duration;
 use wasabi_engine::campaign::{RunOutcome, RunRecord};
 use wasabi_engine::journal::Journal;
 use wasabi_engine::shard::{
-    partition, supervise_shard, ShardExit, ShardMerge, ShardRunner, SupervisorPolicy,
+    partition, restart_delay, supervise_shard, ShardExit, ShardMerge, ShardRunner,
 };
 use wasabi_lang::ast::CallId;
 use wasabi_lang::project::{CallSite, FileId, MethodId};
 use wasabi_planner::plan::RunKey;
+use wasabi_util::backoff::Policy;
 use wasabi_vm::trace::TestOutcome;
 
 fn key(k: u32) -> RunKey {
@@ -81,12 +82,12 @@ fn partition_covers_the_range_with_balanced_contiguous_slices() {
 
 #[test]
 fn backoff_schedule_is_deterministic_jittered_and_capped() {
-    let policy = SupervisorPolicy::default();
+    let policy = Policy::SUPERVISOR;
     for restart in 1..=20u32 {
-        let a = policy.backoff(3, restart);
-        let b = policy.backoff(3, restart);
+        let a = restart_delay(&policy, 3, restart);
+        let b = restart_delay(&policy, 3, restart);
         assert_eq!(a, b, "same (shard, restart) must give the same delay");
-        let raw = policy.base_delay.as_secs_f64() * policy.multiplier.powi(restart as i32 - 1);
+        let raw = policy.base.as_secs_f64() * policy.multiplier.powi(restart as i32 - 1);
         let capped = raw.min(policy.cap.as_secs_f64());
         let secs = a.as_secs_f64();
         assert!(
@@ -97,10 +98,10 @@ fn backoff_schedule_is_deterministic_jittered_and_capped() {
         );
     }
     // Different shards draw from different jitter streams.
-    assert_ne!(policy.backoff(0, 5), policy.backoff(1, 5));
+    assert_ne!(restart_delay(&policy, 0, 5), restart_delay(&policy, 1, 5));
     // A zero base disables backoff entirely.
-    let instant = SupervisorPolicy { base_delay: Duration::ZERO, ..SupervisorPolicy::default() };
-    assert_eq!(instant.backoff(0, 3), Duration::ZERO);
+    let instant = Policy { base: Duration::ZERO, ..Policy::SUPERVISOR };
+    assert_eq!(restart_delay(&instant, 0, 3), Duration::ZERO);
 }
 
 // ---- scripted supervisor runs -----------------------------------------
@@ -170,7 +171,7 @@ impl ShardRunner for ScriptedRunner {
 
 #[test]
 fn uneventful_shard_completes_without_restarts_or_sleeps() {
-    let policy = SupervisorPolicy::default();
+    let policy = Policy::SUPERVISOR;
     let mut runner = ScriptedRunner::new([]);
     let report = supervise_shard(&policy, 0, (0, 10), &mut runner).expect("supervise");
     assert_eq!(report.restarts, 0);
@@ -181,7 +182,7 @@ fn uneventful_shard_completes_without_restarts_or_sleeps() {
 
 #[test]
 fn crash_with_progress_restarts_with_policy_backoff_and_never_reruns_completed_runs() {
-    let policy = SupervisorPolicy::default();
+    let policy = Policy::SUPERVISOR;
     let mut runner = ScriptedRunner::new([]);
     runner.flaky_crashes = 3;
     let report = supervise_shard(&policy, 2, (0, 12), &mut runner).expect("supervise");
@@ -190,13 +191,13 @@ fn crash_with_progress_restarts_with_policy_backoff_and_never_reruns_completed_r
     // Every run executed exactly once — the journal contract.
     assert_eq!(runner.executed, (0..12).collect::<Vec<_>>());
     // The sleep schedule is exactly the policy's backoff sequence.
-    let expected: Vec<Duration> = (1..=3).map(|r| policy.backoff(2, r)).collect();
+    let expected: Vec<Duration> = (1..=3).map(|r| restart_delay(&policy, 2, r)).collect();
     assert_eq!(runner.sleeps, expected);
 }
 
 #[test]
 fn single_poison_run_is_bisected_out_and_the_rest_completes() {
-    let policy = SupervisorPolicy { base_delay: Duration::ZERO, ..SupervisorPolicy::default() };
+    let policy = Policy { base: Duration::ZERO, ..Policy::SUPERVISOR };
     let mut runner = ScriptedRunner::new([5]);
     let report = supervise_shard(&policy, 0, (0, 16), &mut runner).expect("supervise");
     assert_eq!(report.dead.len(), 1, "exactly the poison run is lost: {:?}", report.dead);
@@ -217,7 +218,7 @@ fn single_poison_run_is_bisected_out_and_the_rest_completes() {
 
 #[test]
 fn two_poison_runs_are_both_bisected_out() {
-    let policy = SupervisorPolicy { base_delay: Duration::ZERO, ..SupervisorPolicy::default() };
+    let policy = Policy { base: Duration::ZERO, ..Policy::SUPERVISOR };
     let mut runner = ScriptedRunner::new([2, 6]);
     let report = supervise_shard(&policy, 1, (0, 8), &mut runner).expect("supervise");
     let mut dead: Vec<usize> = report.dead.iter().map(|d| d.index).collect();
@@ -232,10 +233,11 @@ fn two_poison_runs_are_both_bisected_out() {
 
 #[test]
 fn restart_cap_exhaustion_dead_letters_everything_remaining() {
-    let policy = SupervisorPolicy {
-        max_restarts: 2,
-        base_delay: Duration::ZERO,
-        ..SupervisorPolicy::default()
+    // Three attempts: the first spawn plus two restarts.
+    let policy = Policy {
+        attempts: 3,
+        base: Duration::ZERO,
+        ..Policy::SUPERVISOR
     };
     // Poison at the very first index: no spawn ever makes progress.
     let mut runner = ScriptedRunner::new([0]);

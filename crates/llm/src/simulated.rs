@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn policy_definition_does_not_read_like_retry() {
         let s = TextSignals::extract(
-            "class RetryPolicyBuilder { method build(maxRetries) { return new Policy(maxRetries); } }",
+            "class RetrySettingsBuilder { method build(maxRetries) { return new Policy(maxRetries); } }",
         );
         assert!(s.retry_keyword);
         assert!(!s.has_catch);

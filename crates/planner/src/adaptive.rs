@@ -60,63 +60,6 @@ pub fn split_waves(runs: Vec<InjectionRun>, probe_k: u32) -> AdaptivePlan {
     plan
 }
 
-/// Priority of each injection site: the number of catch-paths (retry
-/// locations — `(site, exception)` triplets) anchored there. Before any
-/// injection run executes, every catch-path is uncovered, so sites with
-/// more of them have the most unexplored behaviour and probe first.
-pub fn site_priorities(locations: &[RetryLocation]) -> BTreeMap<CallSite, u64> {
-    let mut priorities: BTreeMap<CallSite, u64> = BTreeMap::new();
-    for location in locations {
-        *priorities.entry(location.site).or_insert(0) += 1;
-    }
-    priorities
-}
-
-/// Expands site priorities into a per-run dispatch-order hint for the
-/// engine (`CampaignOptions::schedule_priority` — pure scheduling, never
-/// report-bearing).
-pub fn run_priorities(
-    runs: &[InjectionRun],
-    sites: &BTreeMap<CallSite, u64>,
-) -> BTreeMap<RunKey, u64> {
-    runs.iter()
-        .map(|run| {
-            let key = run.key();
-            let priority = sites.get(&key.site).copied().unwrap_or(0);
-            (key, priority)
-        })
-        .collect()
-}
-
-/// Priority boost applied per disagreement-tier catch-path. Far above any
-/// realistic catch-path count, so disagreement sites always dispatch
-/// before unanimous ones while preserving the catch-path order *within*
-/// each band.
-pub const DISAGREEMENT_BOOST: u64 = 1 << 20;
-
-/// CERBERUS-style arbitration hint (`wasabi lint --cross-check`): sites
-/// whose coordinator method landed in a disagreement tier (static-only or
-/// llm-only — exactly one detector flagged it) get a large priority boost,
-/// so the probe wave spends its earliest runs where the two detectors
-/// contradict each other. Pure scheduling, never report-bearing: the
-/// executed run *set* is unchanged, only its dispatch order moves.
-pub fn boost_disagreement_sites(
-    sites: &mut BTreeMap<CallSite, u64>,
-    locations: &[RetryLocation],
-    methods: &BTreeSet<String>,
-) {
-    if methods.is_empty() {
-        return;
-    }
-    for location in locations {
-        if methods.contains(&location.coordinator.name) {
-            if let Some(priority) = sites.get_mut(&location.site) {
-                *priority += DISAGREEMENT_BOOST;
-            }
-        }
-    }
-}
-
 /// The structure key of each site, for equivalence-class bucketing. When
 /// several locations share a site they share a structure, so the first
 /// wins.
@@ -433,41 +376,5 @@ mod tests {
         let widen = vec![run("t1", 1, "E", 1)];
         let sel = select_widen_runs(widen, 100, &BTreeMap::new(), &BTreeMap::new());
         assert_eq!(sel.runs.len(), 1);
-    }
-
-    #[test]
-    fn disagreement_hints_boost_matching_sites_only() {
-        let locations = vec![location(1, "E"), location(2, "E")];
-        let mut sites = site_priorities(&locations);
-        let baseline = sites.clone();
-
-        // No hints: nothing moves.
-        boost_disagreement_sites(&mut sites, &locations, &BTreeSet::new());
-        assert_eq!(sites, baseline);
-
-        // A hint naming the coordinator method boosts every site it
-        // anchors; "run" covers both locations here.
-        let hints: BTreeSet<String> = ["run".to_string()].into_iter().collect();
-        boost_disagreement_sites(&mut sites, &locations, &hints);
-        assert_eq!(sites[&site(1)], baseline[&site(1)] + DISAGREEMENT_BOOST);
-        assert_eq!(sites[&site(2)], baseline[&site(2)] + DISAGREEMENT_BOOST);
-
-        // A hint naming no coordinator leaves priorities alone.
-        let mut fresh = site_priorities(&locations);
-        let miss: BTreeSet<String> = ["nothing".to_string()].into_iter().collect();
-        boost_disagreement_sites(&mut fresh, &locations, &miss);
-        assert_eq!(fresh, baseline);
-    }
-
-    #[test]
-    fn priorities_count_catch_paths_per_site() {
-        let locations = vec![location(1, "E"), location(1, "F"), location(2, "E")];
-        let sites = site_priorities(&locations);
-        assert_eq!(sites[&site(1)], 2);
-        assert_eq!(sites[&site(2)], 1);
-        let runs = vec![run("t", 1, "E", 100), run("t", 2, "E", 100)];
-        let by_run = run_priorities(&runs, &sites);
-        assert_eq!(by_run[&runs[0].key()], 2);
-        assert_eq!(by_run[&runs[1].key()], 1);
     }
 }

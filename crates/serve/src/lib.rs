@@ -17,7 +17,7 @@
 //! - [`protocol`]: wire frames (requests, responses, events);
 //! - [`daemon`]: threads and sockets around all of the above;
 //! - [`client`]: the blocking client the CLI and tests use;
-//! - [`retry`]: the client-side bounded/jittered submit retry policy.
+//! - [`retry`]: the client-side bounded/jittered submit retry loop.
 //!
 //! The determinism contract carries over from the engine: a submitted
 //! job's report is byte-identical to `wasabi test --json` on the same
@@ -35,6 +35,6 @@ pub use cache::IndexCache;
 pub use client::Connection;
 pub use daemon::{spawn, Bind, DaemonHandle, ServeOptions};
 pub use protocol::{parse_request, render_request, Request, PROTOCOL_KIND, PROTOCOL_VERSION};
-pub use retry::{retry_submit, Attempt, RetryConfig};
+pub use retry::{retry_submit, Attempt};
 pub use scheduler::{Admission, CancelOutcome, JobState, Scheduler, SchedulerConfig};
 pub use wheel::TimerWheel;

@@ -13,39 +13,13 @@
 //!   Retrying cannot help and only re-sends the same doomed bytes.
 //!
 //! Connect failures sit with rejections (the daemon may be restarting).
-//! The backoff schedule is exponential with a cap and *equal jitter* —
-//! delay drawn from `[cap/2, cap)` of the capped exponential — from a
-//! seeded [`Rng`], so tests can pin the exact schedule.
+//! The schedule is the workspace's one backoff [`Policy`]
+//! ([`Policy::SUBMIT`] by default): exponential with a cap and *equal
+//! jitter*, from a seeded stream, so tests can pin the exact schedule.
 
 use std::time::Duration;
+use wasabi_util::backoff::Policy;
 use wasabi_util::rng::fnv1a64;
-
-/// Bounded-retry configuration for `wasabi submit`.
-#[derive(Debug, Clone)]
-pub struct RetryConfig {
-    /// Total attempts, including the first (1 = no retry).
-    pub attempts: u32,
-    /// First retry's base delay.
-    pub base: Duration,
-    /// Exponential growth factor per retry.
-    pub multiplier: f64,
-    /// Ceiling on the un-jittered delay.
-    pub cap: Duration,
-    /// Jitter seed; attempts draw deterministically from it.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            attempts: 1,
-            base: Duration::from_millis(50),
-            multiplier: 2.0,
-            cap: Duration::from_secs(2),
-            jitter_seed: 0x5355_424D_4954, // "SUBMIT"
-        }
-    }
-}
 
 /// One attempt's verdict, as classified by the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,31 +34,26 @@ pub enum Attempt<T> {
     Fatal(String),
 }
 
-/// The delay before retry number `retry` (1-based): capped exponential
-/// with equal jitter, deterministic in `(config.jitter_seed, retry)`.
-///
-/// The math is the workspace-shared formula, which carries the exponent
-/// clamp, the non-negative guard, and the zero-base early return this
-/// copy used to lack — extreme `retry`/`multiplier` values fed a wrapped
-/// or NaN/negative value into `Duration::from_secs_f64`, which panics.
-pub fn backoff_delay(config: &RetryConfig, retry: u32) -> Duration {
+/// The delay before retry number `retry` (1-based) under `policy`. Only
+/// the jitter stream is ours: it is keyed on `(jitter_seed, retry)`.
+pub fn backoff_delay(policy: &Policy, retry: u32) -> Duration {
     let seed = fnv1a64([
-        &config.jitter_seed.to_le_bytes()[..],
+        &policy.jitter_seed.to_le_bytes()[..],
         &retry.to_le_bytes()[..],
     ]);
-    wasabi_util::equal_jitter_backoff(config.base, config.multiplier, config.cap, retry, seed)
+    policy.delay(retry, seed)
 }
 
-/// Drives `operation` up to `config.attempts` times, sleeping the
+/// Drives `operation` up to `policy.attempts` times, sleeping the
 /// jittered backoff between retryable failures via `sleep` (injectable so
 /// tests never wall-block). Returns the success value, or the last
 /// failure message once attempts are exhausted or a fatal verdict lands.
 pub fn retry_submit<T>(
-    config: &RetryConfig,
+    policy: &Policy,
     mut operation: impl FnMut(u32) -> Attempt<T>,
     mut sleep: impl FnMut(Duration),
 ) -> Result<T, String> {
-    let attempts = config.attempts.max(1);
+    let attempts = policy.attempts.max(1);
     let mut last = String::new();
     for attempt in 0..attempts {
         match operation(attempt) {
@@ -93,7 +62,7 @@ pub fn retry_submit<T>(
             Attempt::Retryable(message) => {
                 last = message;
                 if attempt + 1 < attempts {
-                    sleep(backoff_delay(config, attempt + 1));
+                    sleep(backoff_delay(policy, attempt + 1));
                 }
             }
         }
@@ -105,58 +74,11 @@ pub fn retry_submit<T>(
 mod tests {
     use super::*;
 
-    fn config(attempts: u32) -> RetryConfig {
-        RetryConfig {
+    fn config(attempts: u32) -> Policy {
+        Policy {
             attempts,
-            ..RetryConfig::default()
+            ..Policy::SUBMIT
         }
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_capped_and_jittered() {
-        let config = config(8);
-        let first: Vec<Duration> = (1..=8).map(|r| backoff_delay(&config, r)).collect();
-        let again: Vec<Duration> = (1..=8).map(|r| backoff_delay(&config, r)).collect();
-        assert_eq!(first, again, "same seed, same schedule");
-        for (retry, delay) in first.iter().enumerate() {
-            let retry = retry as u32 + 1;
-            let capped = (0.05 * 2.0_f64.powi(retry as i32 - 1)).min(2.0);
-            let secs = delay.as_secs_f64();
-            assert!(
-                secs >= capped * 0.5 && secs < capped,
-                "retry {retry}: {secs}s outside equal-jitter window of {capped}s"
-            );
-        }
-        // Deep retries pin to the cap's jitter window, not the raw curve.
-        assert!(backoff_delay(&config, 30) < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn extreme_retry_and_multiplier_values_never_panic() {
-        // Regression: the old copy cast the exponent `u32 as i32` without a
-        // clamp and skipped the non-negative guard, so retry counts past
-        // i32::MAX wrapped negative and hostile multipliers drove
-        // `Duration::from_secs_f64` into its panic cases.
-        for retry in [0, 1, u32::MAX] {
-            for multiplier in [0.1, 0.5, 1.0, 2.0, 1e308, -3.0, f64::NAN, f64::INFINITY] {
-                let config = RetryConfig {
-                    attempts: 3,
-                    multiplier,
-                    ..RetryConfig::default()
-                };
-                let delay = backoff_delay(&config, retry);
-                assert!(
-                    delay <= config.cap,
-                    "retry {retry} x{multiplier}: {delay:?} above cap"
-                );
-            }
-        }
-        // Zero base disables backoff outright.
-        let zero = RetryConfig {
-            base: Duration::ZERO,
-            ..RetryConfig::default()
-        };
-        assert_eq!(backoff_delay(&zero, u32::MAX), Duration::ZERO);
     }
 
     #[test]

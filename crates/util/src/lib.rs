@@ -16,9 +16,10 @@
 //!   `Duration` → ms/us conversions, and a clock abstraction for the
 //!   campaign observability layer (deterministic under test).
 
-//! - [`backoff`] — the capped-exponential-with-equal-jitter delay shared
-//!   by the campaign engine, the shard supervisor, and the submit client
-//!   (callers keep their own jitter-seed derivations).
+//! - [`backoff`] — the one retry [`backoff::Policy`] (capped exponential
+//!   with equal jitter) shared by the campaign engine, the shard
+//!   supervisor, and the submit client (callers keep their own
+//!   jitter-stream derivations).
 
 //! - [`atomic`] — temp-then-rename file replacement for the profile
 //!   cache, the shard manifest, and the repair report.
@@ -30,7 +31,6 @@ pub mod metrics;
 pub mod rng;
 
 pub use atomic::write_atomic;
-pub use backoff::equal_jitter_backoff;
 pub use json::Json;
 pub use metrics::{saturating_ms, saturating_us, Histogram};
 pub use rng::Rng;

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# CI entry point. Ten stages:
+# CI entry point. Stages 1-4 and 6-10 (the old stage 5, the lint-baseline
+# check, now runs inside stage 10):
 #
 #   1. tier-1: the gate every change must pass — release build + full test
 #      suite with default features, exactly what `cargo tier1` runs. Also
-#      runs `cargo clippy --all-targets -- -D warnings`: the workspace is
-#      lint-clean and stays that way.
+#      runs `cargo clippy --workspace --all-targets -- -D warnings`: every
+#      crate of the workspace is lint-clean and stays that way.
 #   2. all-features: compile check with every optional feature enabled
 #      (json-reports, proptest-suite) plus the
 #      feature-gated test suites, so gated code can never rot.
@@ -22,10 +23,6 @@
 #      short traced run of the outside-in benchmark (examples/perf, the
 #      command BENCHMARK.json names) must pass: every workload's verdict
 #      checks hold and each job's spans tile at least 90% of the job.
-#   5. lint gate: `wasabi lint` over the pinned corpus apps (amplification
-#      seeds included) must be byte-identical between --jobs 1 and
-#      --jobs 4 and must report nothing outside the checked-in baseline
-#      (scripts/lint_baseline.txt).
 #   6. serve smoke: a `wasabi serve` daemon on a loopback port must
 #      answer two submissions of the seed app with byte-identical
 #      reports whose digest equals the batch value pinned in
@@ -44,12 +41,14 @@
 #      fixable seeded W001/W002/A001 bugs — in aggregate and per class —
 #      within the default 3 attempts, with byte-identical reports for
 #      --jobs 1 and --jobs 4 (writes BENCH_PR9.json).
-#  10. lint gate (retry-policy abstract interpretation): `wasabi lint
-#      --json --cross-check` over all eight corpus apps (small scale,
-#      amplification and policy seeds included) must be byte-identical
-#      between --jobs 1 and --jobs 4, and the W004/W005/W006 findings
-#      must score at least 0.9 precision and recall per code against the
-#      policy_truth.json sidecars (writes BENCH_PR10.json).
+#  10. lint gate: `wasabi lint --json --cross-check` over all eight
+#      corpus apps (small scale, amplification and policy seeds included)
+#      must be byte-identical between --jobs 1 and --jobs 4, the
+#      W004/W005/W006 findings must score at least 0.9 precision and
+#      recall per code against the policy_truth.json sidecars, and HD and
+#      MA with the amplification seeds alone must report nothing outside
+#      the checked-in baseline (scripts/lint_baseline.txt; writes
+#      BENCH_PR10.json).
 #
 # Everything resolves offline: the workspace has no registry dependencies.
 set -euo pipefail
@@ -58,7 +57,7 @@ cd "$(dirname "$0")/.."
 echo "== stage 1: tier-1 (default features + clippy) =="
 cargo build --release
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== stage 2: all features =="
 cargo build --all-features
@@ -70,9 +69,6 @@ cargo xtask smoke
 echo "== stage 4: report digest + short traced benchmark run =="
 cargo xtask digest
 cargo run --release --offline --quiet --manifest-path examples/perf/Cargo.toml -- --seconds 1 --trace 1
-
-echo "== stage 5: lint gate (static diagnostics vs baseline) =="
-cargo xtask lint
 
 echo "== stage 6: serve smoke (daemon vs batch digest, cache hit) =="
 cargo xtask serve-smoke
@@ -86,7 +82,7 @@ cargo xtask adaptive-gate
 echo "== stage 9: repair gate (auto-repair fix rate vs seeded ground truth) =="
 cargo xtask repair-gate
 
-echo "== stage 10: lint gate (W004-W006 precision/recall, cross-check matrix) =="
+echo "== stage 10: lint gate (W004-W006 precision/recall, cross-check matrix, baseline) =="
 cargo xtask lint-gate
 
 echo "== ci: all stages passed =="

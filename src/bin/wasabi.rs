@@ -29,7 +29,6 @@
 //! (retry bugs, lint diagnostics, trace mismatches), 2 = usage, input,
 //! or I/O errors.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use wasabi::analysis::checkers::LintOptions;
@@ -40,7 +39,7 @@ use wasabi::core::dynamic::{run_dynamic_with_observer, DynamicOptions};
 use wasabi::core::identify::identify;
 use wasabi::core::lint::{cross_check, lint_with_overlap};
 use wasabi::core::{report_json, source_digest, ProfileCacheOptions};
-use wasabi::engine::campaign::{ChaosConfig, RetryPolicy};
+use wasabi::engine::campaign::ChaosConfig;
 use wasabi::engine::{
     journal, load_trace, render_stats, validate_trace, write_trace, EngineEvent, EngineObserver,
     MetricsObserver, NullObserver, StderrProgress, Tee,
@@ -49,9 +48,10 @@ use wasabi::lang::project::Project;
 use wasabi::llm::simulated::SimulatedLlm;
 use wasabi::serve::daemon::{Bind, ServeOptions};
 use wasabi::serve::protocol::Request;
-use wasabi::serve::retry::{Attempt as SubmitAttempt, RetryConfig};
+use wasabi::serve::retry::Attempt as SubmitAttempt;
 use wasabi::serve::scheduler::SchedulerConfig;
 use wasabi::serve::Connection;
+use wasabi::util::backoff::Policy;
 use wasabi::util::Json;
 
 const USAGE: &str = "usage:
@@ -617,26 +617,8 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
         config.exit_after_appends = Some(appends);
         chaos = Some(config);
     }
-    // CERBERUS-style arbitration hints: under --adaptive, arbitrate the
-    // static checkers against the LLM sweep and let disagreement-tier
-    // methods probe first. Pure scheduling — the executed run set and the
-    // report bytes are unchanged.
-    let disagreement_hints = if flags.adaptive {
-        let lint_report = lint_with_overlap(
-            project,
-            &mut SimulatedLlm::with_seed(0),
-            &LintOptions::default(),
-        );
-        cross_check(&lint_report.lint, &lint_report.sweep).disagreement_methods()
-    } else {
-        BTreeSet::new()
-    };
-    let options = DynamicOptions {
+    let mut options = DynamicOptions {
         jobs: flags.jobs,
-        retry: match flags.max_attempts {
-            Some(attempts) => RetryPolicy::with_max_attempts(attempts),
-            None => RetryPolicy::default(),
-        },
         journal: flags.journal.clone(),
         resume_records,
         chaos,
@@ -649,10 +631,12 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
         // carries timing, so output bytes cannot change).
         capture_timing: flags.trace_out.is_some(),
         adaptive: flags.adaptive,
-        disagreement_hints,
         profile_cache: profile_cache_options(flags, project),
         ..DynamicOptions::default()
     };
+    if let Some(attempts) = flags.max_attempts {
+        options.retry.attempts = u32::from(attempts);
+    }
     // Progress goes to stderr, so `--json` output on stdout stays clean.
     let mut progress: Box<dyn EngineObserver> = if flags.quiet {
         Box::new(NullObserver)
@@ -753,7 +737,7 @@ fn test_sharded(files: &[String], json: bool, flags: &CampaignFlags) -> ExitCode
         cwd: None,
         jobs: flags.jobs,
         max_attempts: flags.max_attempts,
-        policy: Default::default(),
+        policy: Policy::SUPERVISOR,
         chaos_kill_shard: flags.chaos_kill_shard,
         chaos_exit_after: flags.chaos_exit_after.unwrap_or(3),
         quiet: flags.quiet,
@@ -947,7 +931,7 @@ fn submit(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
     let shutdown_op = take_flag(&mut args, "--shutdown");
     let drain = take_flag(&mut args, "--drain");
     // (addr, priority, cancel, status, retry, drain_deadline).
-    type SubmitArgs = (String, u8, Option<u64>, Option<u64>, RetryConfig, Option<u64>);
+    type SubmitArgs = (String, u8, Option<u64>, Option<u64>, Policy, Option<u64>);
     let parsed = (|| -> Result<SubmitArgs, String> {
         let addr = take_value_flag(&mut args, "--addr")?
             .ok_or("submit requires --addr (from the serve banner)")?;
@@ -975,7 +959,7 @@ fn submit(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
                     .map_err(|_| format!("invalid --status job id `{value}`"))?,
             ),
         };
-        let mut retry = RetryConfig::default();
+        let mut retry = Policy::SUBMIT;
         if let Some(value) = take_value_flag(&mut args, "--retry-attempts")? {
             retry.attempts = value
                 .parse::<u32>()

@@ -291,6 +291,77 @@ fn profile_cache_hit_reproduces_byte_identical_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Nothing untraced may run between the phases of an adaptive campaign:
+/// the union of phase spans must cover at least 90% of the trace's
+/// extent (first span start to last span end), so `--trace-out` answers
+/// where the time went.
+#[test]
+fn adaptive_trace_phases_tile_the_trace() {
+    let dir = temp_dir("tiling");
+    let app = dir.join("HD");
+    let output = Command::new(env!("CARGO_BIN_EXE_wasabi"))
+        .arg("corpus")
+        .arg("HD")
+        .arg(&app)
+        .output()
+        .expect("wasabi corpus runs");
+    assert!(output.status.success(), "wasabi corpus HD failed");
+    fn collect_jav(dir: &Path, files: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).expect("corpus dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                collect_jav(&path, files);
+            } else if path.extension().is_some_and(|ext| ext == "jav") {
+                files.push(path.to_string_lossy().into_owned());
+            }
+        }
+    }
+    let mut files = Vec::new();
+    collect_jav(&app, &mut files);
+    files.sort();
+    assert!(!files.is_empty(), "corpus produced no sources");
+    let trace_path = dir.join("trace.jsonl");
+    let trace_arg = trace_path.to_string_lossy().into_owned();
+    test_json(&files, &["--adaptive", "--trace-out", &trace_arg]);
+
+    let text = std::fs::read_to_string(&trace_path).expect("trace written");
+    let trace = wasabi::engine::spans::parse_trace(&text).expect("trace parses");
+    assert!(!trace.runs.is_empty(), "the campaign executed runs");
+    let mut phases: Vec<(u64, u64)> = trace
+        .phases
+        .iter()
+        .map(|p| (p.start_us, p.end_us))
+        .collect();
+    let runs = trace.runs.iter().map(|r| (r.start_us, r.end_us));
+    let spans = || phases.iter().copied().chain(runs.clone());
+    let first = spans().map(|(start, _)| start).min().expect("spans");
+    let last = spans().map(|(_, end)| end).max().expect("spans");
+
+    phases.sort_unstable();
+    let mut covered = 0u64;
+    let mut open: Option<(u64, u64)> = None;
+    for (start, end) in phases {
+        open = match open {
+            Some((s, e)) if start <= e => Some((s, e.max(end))),
+            Some((s, e)) => {
+                covered += e - s;
+                Some((start, end))
+            }
+            None => Some((start, end)),
+        };
+    }
+    if let Some((s, e)) = open {
+        covered += e - s;
+    }
+    let extent = (last - first).max(1);
+    assert!(
+        covered * 10 >= extent * 9,
+        "phases cover {covered} of {extent} us ({}%)",
+        covered * 100 / extent
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn adaptive_refuses_sharding() {
     for combo in [

@@ -8,7 +8,8 @@ use wasabi::core::dynamic::{run_dynamic, DynamicOptions, DynamicResult};
 use wasabi::core::identify::identify;
 use wasabi::corpus::spec::{paper_apps, Scale};
 use wasabi::corpus::synth::{compile_app, generate_app};
-use wasabi::engine::campaign::{ChaosConfig, RetryPolicy};
+use wasabi::engine::campaign::ChaosConfig;
+use wasabi::util::backoff::Policy;
 use wasabi::engine::journal;
 use wasabi::lang::project::Project;
 use wasabi::llm::simulated::SimulatedLlm;
@@ -146,10 +147,10 @@ fn quarantined_chaos_campaign_is_byte_identical_for_any_job_count() {
     let run = |jobs: usize| {
         let options = DynamicOptions {
             jobs,
-            retry: RetryPolicy {
-                max_attempts: 2,
-                base_delay: std::time::Duration::ZERO,
-                ..RetryPolicy::default()
+            retry: Policy {
+                attempts: 2,
+                base: std::time::Duration::ZERO,
+                ..Policy::ENGINE
             },
             chaos: Some(ChaosConfig::panics(0.6, 7)),
             ..DynamicOptions::default()
