@@ -21,7 +21,7 @@ use wasabi_oracles::dedup::{dedup_reports, DistinctBug};
 use wasabi_oracles::judge::{OracleConfig, OracleReport};
 use wasabi_planner::adaptive::{self, ProbeSignal};
 use wasabi_planner::configfix::{restore_retry_configs, ConfigRestoration};
-use wasabi_planner::coverage::{profile_coverage_jobs, CoverageProfile};
+use wasabi_planner::coverage::{prefilter_suite, profile_tests, site_set, CoverageProfile};
 use wasabi_planner::plan::{expand_plan, naive_run_count, plan, InjectionRun, RunKey, TestPlan};
 use wasabi_planner::profile_cache::{self, ProfileCacheOptions};
 use wasabi_util::backoff::Policy;
@@ -243,32 +243,29 @@ pub fn prepare_campaign(
     run_options.pinned_configs = restoration.pinned.clone();
     close(name, observer);
 
-    // 2. Profile which test covers which retry location. Baseline runs
-    //    are independent, so the profile parallelizes across the same
-    //    worker count as the campaign (byte-identical merge; see
-    //    `profile_coverage_jobs`).
-    //    When a profile cache is configured, a fresh (non-bypassed,
-    //    non-stale) entry for this digest + location fingerprint skips
-    //    the pass entirely; a miss re-profiles and writes back.
+    // 2. Profile which test covers which retry location (see
+    //    `profile_suite`). When a profile cache is configured, a fresh
+    //    (non-bypassed, non-stale) entry for this digest + location
+    //    fingerprint skips the pass entirely; a miss re-profiles and
+    //    writes back.
     let name = phase("profile", observer);
-    let profile = match &options.profile_cache {
-        Some(cache) => {
-            let fp = profile_cache::locations_fingerprint(locations);
-            match profile_cache::load(cache, fp) {
-                Some(profile) => profile,
-                None => {
-                    let profile =
-                        profile_coverage_jobs(project, locations, &run_options, options.jobs);
-                    if let Err(err) = profile_cache::store(cache, fp, &profile) {
-                        // Degrade, don't die: the profile is correct, only
-                        // the next campaign's warm start is lost.
-                        eprintln!("[core] profile cache write failed: {err}");
-                    }
-                    profile
+    let cache = options
+        .profile_cache
+        .as_ref()
+        .map(|cache| (cache, profile_cache::locations_fingerprint(locations)));
+    let profile = match cache.and_then(|(cache, fp)| profile_cache::load(cache, fp)) {
+        Some(profile) => profile,
+        None => {
+            let profile = profile_suite(project, locations, &run_options, options.jobs, observer);
+            if let Some((cache, fp)) = cache {
+                if let Err(err) = profile_cache::store(cache, fp, &profile) {
+                    // Degrade, don't die: the profile is correct, only
+                    // the next campaign's warm start is lost.
+                    eprintln!("[core] profile cache write failed: {err}");
                 }
             }
+            profile
         }
-        None => profile_coverage_jobs(project, locations, &run_options, options.jobs),
     };
     close(name, observer);
 
@@ -291,6 +288,39 @@ pub fn prepare_campaign(
         runs,
         runs_naive,
     }
+}
+
+/// The uncached profiling pass as two traced steps: listing the suite and
+/// the static reachability prefilter (`profile.prefilter`), then one
+/// instrumented baseline execution of every surviving test
+/// (`profile.baseline-exec`). Baseline runs are independent, so they
+/// parallelize across the same worker count as the campaign
+/// (byte-identical merge; see [`profile_tests`]).
+fn profile_suite(
+    project: &Project,
+    locations: &[RetryLocation],
+    run_options: &RunOptions,
+    jobs: usize,
+    observer: &mut dyn EngineObserver,
+) -> CoverageProfile {
+    observer.on_event(&EngineEvent::StepStarted {
+        name: "profile.prefilter",
+    });
+    let sites = site_set(locations);
+    let suite = project.tests();
+    let tests_total = suite.len();
+    let tests = prefilter_suite(project, &sites, suite);
+    observer.on_event(&EngineEvent::StepFinished {
+        name: "profile.prefilter",
+    });
+    observer.on_event(&EngineEvent::StepStarted {
+        name: "profile.baseline-exec",
+    });
+    let profile = profile_tests(project, &sites, &tests, tests_total, run_options, jobs);
+    observer.on_event(&EngineEvent::StepFinished {
+        name: "profile.baseline-exec",
+    });
+    profile
 }
 
 /// Runs the full dynamic workflow, streaming campaign progress into

@@ -287,11 +287,13 @@ impl MetricsObserver {
 impl EngineObserver for MetricsObserver {
     fn on_event(&mut self, event: &EngineEvent<'_>) {
         match event {
-            EngineEvent::PhaseStarted { name } => {
+            // A step is recorded like a phase; its dotted name nests it
+            // under its phase in the trace (see `spans::render_stats`).
+            EngineEvent::PhaseStarted { name } | EngineEvent::StepStarted { name } => {
                 let now = self.clock.now_us();
                 self.open_phases.push((name.to_string(), now));
             }
-            EngineEvent::PhaseFinished { name } => {
+            EngineEvent::PhaseFinished { name } | EngineEvent::StepFinished { name } => {
                 let end_us = self.clock.now_us();
                 // Close the innermost open phase with this name; an
                 // unmatched finish degrades to a zero-length span rather
@@ -414,6 +416,30 @@ mod tests {
             .collect();
         assert_eq!(spans, vec![("plan", 100, 200), ("run", 300, 400)]);
         assert_eq!(observer.phase_total_us(), 200);
+    }
+
+    #[test]
+    fn steps_are_recorded_inside_their_phase() {
+        let mut observer = MetricsObserver::with_clock(Box::new(ManualClock::with_step(10)));
+        observer.on_event(&EngineEvent::PhaseStarted { name: "profile" });
+        for name in ["profile.prefilter", "profile.baseline-exec"] {
+            observer.on_event(&EngineEvent::StepStarted { name });
+            observer.on_event(&EngineEvent::StepFinished { name });
+        }
+        observer.on_event(&EngineEvent::PhaseFinished { name: "profile" });
+        let spans: Vec<(&str, u64, u64)> = observer
+            .phases()
+            .iter()
+            .map(|p| (p.name.as_str(), p.start_us, p.end_us))
+            .collect();
+        assert_eq!(
+            spans,
+            vec![
+                ("profile.prefilter", 20, 30),
+                ("profile.baseline-exec", 40, 50),
+                ("profile", 10, 60),
+            ]
+        );
     }
 
     #[test]

@@ -26,6 +26,20 @@ pub enum EngineEvent<'a> {
         /// Phase name.
         name: &'a str,
     },
+    /// A step inside the open phase began. Its name is `<phase>.<step>`
+    /// (the profile phase has `profile.prefilter` and
+    /// `profile.baseline-exec`). Trace recorders nest steps under their
+    /// phase; a flat per-phase breakdown ignores them, so no time is
+    /// counted twice.
+    StepStarted {
+        /// Step name, `<phase>.<step>`.
+        name: &'a str,
+    },
+    /// The matching step ended.
+    StepFinished {
+        /// Step name, `<phase>.<step>`.
+        name: &'a str,
+    },
     /// The campaign is about to execute `total_runs` runs on `jobs` workers.
     Started {
         /// Number of runs in the campaign.
@@ -205,8 +219,10 @@ impl EngineObserver for StderrProgress {
         match event {
             // Phase transitions are the metrics layer's concern; progress
             // output stays per-run.
-            EngineEvent::PhaseStarted { .. } => {}
-            EngineEvent::PhaseFinished { .. } => {}
+            EngineEvent::PhaseStarted { .. }
+            | EngineEvent::PhaseFinished { .. }
+            | EngineEvent::StepStarted { .. }
+            | EngineEvent::StepFinished { .. } => {}
             EngineEvent::Started {
                 total_runs,
                 jobs,

@@ -8,6 +8,10 @@
 //! {"span":"run","test":"C.t","site":"0:3","exc":"E","k":1,...}
 //! ```
 //!
+//! A step inside a phase is a phase span with a dotted name
+//! (`profile.prefilter`, `profile.baseline-exec`); it lies within its
+//! phase's span and `wasabi stats` shows it indented under the phase.
+//!
 //! Spans are written only after they close, so a well-formed trace never
 //! contains a dangling open span; `wasabi stats` re-reads the file and
 //! [`validate_trace`] cross-checks run spans against a campaign journal
@@ -24,7 +28,8 @@ pub const TRACE_KIND: &str = "wasabi-trace";
 /// Trace schema version; bump on any incompatible line-shape change.
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
 
-/// One closed phase span (compile/restore/profile/plan/run/report).
+/// One closed phase span (compile/restore/profile/plan/run/report), or
+/// a step inside one (`<phase>.<step>`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSpan {
     /// Phase name.
@@ -332,30 +337,55 @@ fn us_to_ms_str(us: u64) -> String {
     format!("{}.{:03}", us / 1000, us % 1000)
 }
 
+/// Whether a phase span is a step inside another phase: steps are named
+/// `<phase>.<step>` (e.g. `profile.prefilter`) and lie within their
+/// phase's span.
+fn is_step(span: &PhaseSpan) -> bool {
+    span.name.contains('.')
+}
+
 /// Renders the `wasabi stats` table for one or more traces: a per-phase
-/// wall-time breakdown per app, then run aggregates.
+/// wall-time breakdown per app, with each phase's steps indented under
+/// it, then run aggregates. The total and the shares count phases only,
+/// since a step's time is already part of its phase.
 pub fn render_stats(traces: &[TraceFile]) -> String {
     let mut out = String::new();
     for trace in traces {
         let app = if trace.app.is_empty() { "?" } else { &trace.app };
-        let total: u64 = trace.phases.iter().map(PhaseSpan::wall_us).sum();
-        let _ = writeln!(out, "app {app}: {} phase(s), {} run span(s)", trace.phases.len(), trace.runs.len());
-        let _ = writeln!(out, "  {:<10} {:>12} {:>7}", "phase", "wall_ms", "share");
-        for span in &trace.phases {
+        let total: u64 = trace
+            .phases
+            .iter()
+            .filter(|span| !is_step(span))
+            .map(PhaseSpan::wall_us)
+            .sum();
+        let steps = trace.phases.iter().filter(|span| is_step(span)).count();
+        let _ = writeln!(
+            out,
+            "app {app}: {} phase(s), {steps} step(s), {} run span(s)",
+            trace.phases.len() - steps,
+            trace.runs.len()
+        );
+        let _ = writeln!(out, "  {:<24} {:>12} {:>7}", "phase", "wall_ms", "share");
+        // Spans are written in completion order, so a step precedes its
+        // phase in the file; start order puts it after.
+        let mut rows: Vec<&PhaseSpan> = trace.phases.iter().collect();
+        rows.sort_by_key(|span| (span.start_us, is_step(span)));
+        for span in rows {
             let share = if total == 0 {
                 0.0
             } else {
                 span.wall_us() as f64 * 100.0 / total as f64
             };
+            let indent = if is_step(span) { "  " } else { "" };
             let _ = writeln!(
                 out,
-                "  {:<10} {:>12} {:>6.1}%",
-                span.name,
+                "  {:<24} {:>12} {:>6.1}%",
+                format!("{indent}{}", span.name),
                 us_to_ms_str(span.wall_us()),
                 share
             );
         }
-        let _ = writeln!(out, "  {:<10} {:>12}", "total", us_to_ms_str(total));
+        let _ = writeln!(out, "  {:<24} {:>12}", "total", us_to_ms_str(total));
         if !trace.runs.is_empty() {
             let runs = trace.runs.len() as u64;
             let sum = |f: fn(&RunSpan) -> u64| trace.runs.iter().map(f).sum::<u64>();
@@ -544,6 +574,33 @@ mod tests {
         // The unmutated fixture itself parses: the sweep starts from a
         // valid trace, not from something the parser already rejects.
         assert!(parse_trace(&valid).is_ok());
+    }
+
+    #[test]
+    fn stats_nest_steps_under_their_phase_and_total_phases_only() {
+        // Completion order, as the recorder writes them: steps first.
+        let trace = TraceFile {
+            app: "HI".into(),
+            phases: vec![
+                phase("restore", 0, 1000),
+                phase("profile.prefilter", 1000, 3000),
+                phase("profile.baseline-exec", 3000, 4000),
+                phase("profile", 1000, 4000),
+            ],
+            runs: Vec::new(),
+        };
+        let table = render_stats(std::slice::from_ref(&trace));
+        assert!(table.contains("2 phase(s), 2 step(s)"), "{table}");
+        let rows: Vec<&str> = table.lines().skip(2).collect();
+        assert!(rows[0].starts_with("  restore "), "{table}");
+        assert!(rows[1].starts_with("  profile "), "{table}");
+        assert!(rows[2].starts_with("    profile.prefilter "), "{table}");
+        assert!(rows[3].starts_with("    profile.baseline-exec "), "{table}");
+        assert!(rows[2].ends_with("50.0%"), "{table}");
+        assert!(
+            rows[4].contains("total") && rows[4].ends_with("4.000"),
+            "{table}"
+        );
     }
 
     #[test]

@@ -8,7 +8,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use wasabi_analysis::loops::RetryLocation;
 use wasabi_inject::CoverageRecorder;
 use wasabi_lang::index::{ClassId, LExpr, LStmt};
-use wasabi_lang::intern::Symbol;
 use wasabi_lang::project::{CallSite, FileId, MethodId, Project};
 use wasabi_vm::runner::{run_test, RunOptions};
 
@@ -37,59 +36,80 @@ impl CoverageProfile {
     }
 }
 
-/// Runs every test once with coverage instrumentation on `locations`.
+/// Runs every test that may reach a site of `locations` once, serially,
+/// with coverage instrumentation on those sites: the suite is
+/// [prefiltered](prefilter_suite) and the surviving tests
+/// [profiled](profile_tests). The dynamic pipeline makes the same calls
+/// itself, on its worker count and with each step traced.
 pub fn profile_coverage(
     project: &Project,
     locations: &[RetryLocation],
     options: &RunOptions,
 ) -> CoverageProfile {
-    profile_coverage_jobs(project, locations, options, 1)
+    let sites = site_set(locations);
+    let suite = project.tests();
+    let tests_total = suite.len();
+    let tests = prefilter_suite(project, &sites, suite);
+    profile_tests(project, &sites, &tests, tests_total, options, 1)
 }
 
-/// [`profile_coverage`] on `jobs` worker threads. Baseline executions are
-/// independent (each test runs in its own interpreter with its own
-/// recorder), so the suite is split into contiguous chunks and the
-/// per-chunk results concatenated back in suite order — the resulting
-/// profile is byte-identical to the serial one for any `jobs` value.
-pub fn profile_coverage_jobs(
+/// The instrumented call sites of `locations`.
+pub fn site_set(locations: &[RetryLocation]) -> BTreeSet<CallSite> {
+    locations.iter().map(|l| l.site).collect()
+}
+
+/// Static reachability prefilter: drops the tests of `suite` whose call
+/// graph provably cannot reach any site in `sites`. Such a test would
+/// record empty coverage — exactly what [`profile_tests`] drops from
+/// `per_test` — so executing it buys nothing. Large generated suites are
+/// mostly such filler (app HI at paper scale: 35k tests, 1.5k of them
+/// covering), so skipping it is most of what keeps the profile phase
+/// cheap. When the walk cannot model the program (see
+/// [`reachable_test_mask`]) the whole suite is kept.
+pub fn prefilter_suite(
     project: &Project,
-    locations: &[RetryLocation],
-    options: &RunOptions,
-    jobs: usize,
-) -> CoverageProfile {
-    let sites: BTreeSet<CallSite> = locations.iter().map(|l| l.site).collect();
-    let tests = project.tests();
-    let mut profile = CoverageProfile {
-        tests_total: tests.len(),
-        ..CoverageProfile::default()
-    };
-    // Static reachability prefilter: a test whose call graph provably
-    // cannot reach any instrumented site would record empty coverage —
-    // exactly what `per_test` drops below — so executing it buys nothing.
-    // Large generated suites are mostly such filler (app HI: ~35k tests
-    // for a handful of sites), which made the profile phase the dominant
-    // cost of every campaign.
-    let tests: Vec<(FileId, MethodId)> = match reachable_test_mask(project, &sites, &tests) {
-        Some(mask) => tests
+    sites: &BTreeSet<CallSite>,
+    suite: Vec<(FileId, MethodId)>,
+) -> Vec<(FileId, MethodId)> {
+    match reachable_test_mask(project, sites, &suite) {
+        Some(mask) => suite
             .into_iter()
             .zip(mask)
             .filter_map(|(test, keep)| keep.then_some(test))
             .collect(),
-        None => tests,
+        None => suite,
+    }
+}
+
+/// Executes `tests` once each with coverage instrumentation on `sites`,
+/// on `jobs` worker threads. Baseline executions are independent (each
+/// test runs in its own interpreter with its own recorder), so the tests
+/// are split into contiguous chunks and the per-chunk results
+/// concatenated back in suite order — the resulting profile is
+/// byte-identical to the serial one for any `jobs` value. `tests_total`
+/// is the size of the whole suite, before any prefilter.
+pub fn profile_tests(
+    project: &Project,
+    sites: &BTreeSet<CallSite>,
+    tests: &[(FileId, MethodId)],
+    tests_total: usize,
+    options: &RunOptions,
+    jobs: usize,
+) -> CoverageProfile {
+    let mut profile = CoverageProfile {
+        tests_total,
+        ..CoverageProfile::default()
     };
     let jobs = jobs.max(1).min(tests.len().max(1));
     let per_test: Vec<(MethodId, Vec<CallSite>, u64)> = if jobs == 1 {
-        profile_chunk(project, &sites, &tests, options)
+        profile_chunk(project, sites, tests, options)
     } else {
         let chunk_len = tests.len().div_ceil(jobs);
         let mut merged = Vec::with_capacity(tests.len());
         std::thread::scope(|scope| {
             let handles: Vec<_> = tests
                 .chunks(chunk_len)
-                .map(|chunk| {
-                    let sites = &sites;
-                    scope.spawn(move || profile_chunk(project, sites, chunk, options))
-                })
+                .map(|chunk| scope.spawn(move || profile_chunk(project, sites, chunk, options)))
                 .collect();
             for handle in handles {
                 merged.extend(handle.join().expect("profile worker panicked"));
@@ -135,8 +155,7 @@ fn profile_chunk(
 
 /// Which suite tests can possibly reach one of the instrumented sites,
 /// decided by a *maximally over-approximate* static walk; `None` disables
-/// the prefilter entirely (every test executes, the pre-existing
-/// behaviour).
+/// the prefilter entirely (every test executes).
 ///
 /// Soundness is the whole game here — a skipped test that dynamically
 /// covered a site would change the plan and therefore the report bytes —
@@ -155,6 +174,14 @@ fn profile_chunk(
 ///   bodies, so if **any** class's initialiser expression contains a call
 ///   or an instantiation the prefilter refuses (`None`) rather than model
 ///   it. (Corpus and example programs initialise fields with literals.)
+///
+/// The reverse walk runs over names, not name-expanded edges: reaching
+/// any method named `m` reaches the *name* `m` once, and reaching a name
+/// reaches every method that calls it. Linking each caller of `m` to
+/// each method named `m` instead is quadratic in the popular names of a
+/// generated suite (HI at paper scale: ~2 s for this walk alone). Both
+/// formulations reach exactly the same methods; the work here is linear
+/// in methods, call expressions and instantiations.
 fn reachable_test_mask(
     project: &Project,
     sites: &BTreeSet<CallSite>,
@@ -169,57 +196,63 @@ fn reachable_test_mask(
         }
     }
 
-    // Per-method facts from one body walk: called names, instantiated
-    // classes, and whether the body contains a target call site.
-    let n = index.methods.len();
-    let mut called_names: Vec<BTreeSet<Symbol>> = vec![BTreeSet::new(); n];
-    let mut instantiated: Vec<BTreeSet<ClassId>> = vec![BTreeSet::new(); n];
-    let mut hits_target = vec![false; n];
-    let mut methods_by_name: BTreeMap<Symbol, Vec<u32>> = BTreeMap::new();
+    // One body walk collects, per called name and per instantiated class,
+    // the methods that call or instantiate it (each caller once: bodies
+    // are walked one method at a time, so a repeat is always the last
+    // entry), and marks the methods containing a target call site. Call
+    // names and class ids are dense ids of the frozen program index.
+    let mut reach = vec![false; index.methods.len()];
+    let mut name_callers: Vec<Vec<u32>> = vec![Vec::new(); index.interner.len()];
+    let mut class_callers: Vec<Vec<u32>> = vec![Vec::new(); index.classes.len()];
+    let push_caller = |callers: &mut Vec<u32>, m: u32| {
+        if callers.last() != Some(&m) {
+            callers.push(m);
+        }
+    };
     for (m, method) in index.methods.iter().enumerate() {
-        methods_by_name
-            .entry(method.name)
-            .or_default()
-            .push(m as u32);
         walk_stmts(&method.body, &mut |expr| match expr {
             LExpr::Call { site, method, .. } => {
-                called_names[m].insert(*method);
+                push_caller(&mut name_callers[method.index()], m as u32);
                 if sites.contains(site) {
-                    hits_target[m] = true;
+                    reach[m] = true;
                 }
             }
             LExpr::NewObj { class, .. } => {
-                instantiated[m].insert(*class);
+                push_caller(&mut class_callers[class.0 as usize], m as u32);
             }
             _ => {}
         });
     }
-
-    // Reverse-reachability BFS from the site-bearing methods over the
-    // reversed name/constructor edges.
-    let mut reverse: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for m in 0..n {
-        for name in &called_names[m] {
-            if let Some(targets) = methods_by_name.get(name) {
-                for &t in targets {
-                    reverse[t as usize].push(m as u32);
-                }
-            }
-        }
-        for &class in &instantiated[m] {
-            if let Some(ctor) = index.resolve_dispatch(class, index.wk.init) {
-                reverse[ctor as usize].push(m as u32);
-            }
+    // The classes whose `new` runs each method as its constructor.
+    let mut ctor_classes: Vec<Vec<ClassId>> = vec![Vec::new(); index.methods.len()];
+    for class in 0..index.classes.len() {
+        let class = ClassId(class as u32);
+        if let Some(ctor) = index.resolve_dispatch(class, index.wk.init) {
+            ctor_classes[ctor as usize].push(class);
         }
     }
-    let mut reach = hits_target;
+
+    // Reverse BFS from the site-bearing methods. Every method is popped
+    // at most once, so its name and its constructor classes each release
+    // their callers at most once.
+    let mut name_reached = vec![false; name_callers.len()];
     let mut frontier: Vec<u32> = reach
         .iter()
         .enumerate()
         .filter_map(|(m, &r)| r.then_some(m as u32))
         .collect();
     while let Some(m) = frontier.pop() {
-        for &caller in &reverse[m as usize] {
+        let name = index.methods[m as usize].name.index();
+        let by_name: &[u32] = if name_reached[name] {
+            &[]
+        } else {
+            name_reached[name] = true;
+            &name_callers[name]
+        };
+        let by_ctor = ctor_classes[m as usize]
+            .iter()
+            .flat_map(|class| &class_callers[class.0 as usize]);
+        for &caller in by_name.iter().chain(by_ctor) {
             if !reach[caller as usize] {
                 reach[caller as usize] = true;
                 frontier.push(caller);
@@ -525,6 +558,122 @@ mod tests {
         );
     }
 
+    /// The name-fan-out formulation the linear walk replaced: every method
+    /// named `m` gets a reverse edge to every caller of `m`. Quadratic,
+    /// but the literal reading of the reachability rules, so it is the
+    /// oracle for the randomized differential below.
+    fn fan_out_mask(
+        p: &Project,
+        sites: &BTreeSet<CallSite>,
+        tests: &[(FileId, MethodId)],
+    ) -> Vec<bool> {
+        let index = &p.index;
+        let n = index.methods.len();
+        let mut reverse: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        let mut reach = vec![false; n];
+        for (m, method) in index.methods.iter().enumerate() {
+            walk_stmts(&method.body, &mut |expr| match expr {
+                LExpr::Call { site, method, .. } => {
+                    reach[m] |= sites.contains(site);
+                    for (t, target) in index.methods.iter().enumerate() {
+                        if target.name == *method {
+                            reverse[t].insert(m);
+                        }
+                    }
+                }
+                LExpr::NewObj { class, .. } => {
+                    if let Some(ctor) = index.resolve_dispatch(*class, index.wk.init) {
+                        reverse[ctor as usize].insert(m);
+                    }
+                }
+                _ => {}
+            });
+        }
+        let mut frontier: Vec<usize> = (0..n).filter(|&m| reach[m]).collect();
+        while let Some(m) = frontier.pop() {
+            for &caller in &reverse[m] {
+                if !reach[caller] {
+                    reach[caller] = true;
+                    frontier.push(caller);
+                }
+            }
+        }
+        tests
+            .iter()
+            .map(|(_, test)| {
+                let resolved = index
+                    .class_by_name(&test.class)
+                    .zip(index.interner.lookup(&test.name))
+                    .and_then(|(class, name)| index.resolve_dispatch(class, name));
+                match resolved {
+                    Some(m) => reach[m as usize],
+                    None => true,
+                }
+            })
+            .collect()
+    }
+
+    /// A random program over a five-name pool, so names collide across
+    /// classes: calls by name, instantiations (some classes inherit a
+    /// constructor), retry loops, and tests that enter anywhere.
+    fn random_program(rng: &mut wasabi_util::Rng) -> String {
+        const NAMES: &[&str] = &["a", "b", "c", "d", "init"];
+        let classes = 2 + rng.below(6);
+        let stmt = |rng: &mut wasabi_util::Rng| match rng.below(4) {
+            0 => format!("var o = new K{}();", rng.below(classes)),
+            1 => format!(
+                "for (var retry = 0; retry < 3; retry = retry + 1) {{ \
+                 try {{ return this.{}(); }} catch (E e) {{ sleep(1); }} }}",
+                rng.pick(NAMES)
+            ),
+            _ => format!("this.{}();", rng.pick(NAMES)),
+        };
+        let body = |rng: &mut wasabi_util::Rng| -> String {
+            (0..rng.below(3)).map(|_| stmt(rng) + " ").collect()
+        };
+        let mut src = String::from("exception E;\n");
+        for c in 0..classes {
+            let parent = if c > 0 && rng.chance(0.3) {
+                format!(" extends K{}", rng.below(c))
+            } else {
+                String::new()
+            };
+            src += &format!("class K{c}{parent} {{\n");
+            for name in NAMES {
+                if rng.chance(0.5) {
+                    src += &format!("  method {name}() throws E {{ {}return 1; }}\n", body(rng));
+                }
+            }
+            for t in 0..rng.below(3) {
+                src += &format!("  test t{t}() {{ {}assert(true); }}\n", body(rng));
+            }
+            src += "}\n";
+        }
+        src
+    }
+
+    #[test]
+    fn linear_walk_matches_the_name_fan_out_oracle_on_random_programs() {
+        let (mut kept, mut skipped) = (0, 0);
+        for case in 0..300u64 {
+            let mut rng = wasabi_util::Rng::new(0x9e37_0000 + case);
+            let src = random_program(&mut rng);
+            let p = Project::compile("r", vec![("r.jav", src.as_str())])
+                .unwrap_or_else(|errors| panic!("case {case}: {errors:?}\n{src}"));
+            let sites = site_set(&locations_of(&p));
+            let tests = p.tests();
+            let mask = reachable_test_mask(&p, &sites, &tests).expect("literal initialisers");
+            assert_eq!(
+                mask,
+                fan_out_mask(&p, &sites, &tests),
+                "case {case}:\n{src}"
+            );
+            kept += mask.iter().filter(|&&k| k).count();
+            skipped += mask.iter().filter(|&&k| !k).count();
+        }
+        assert!(kept > 50 && skipped > 50, "{kept} kept, {skipped} skipped");
+    }
+
     #[test]
     fn parallel_profile_is_identical_to_serial() {
         let p = project();
@@ -535,9 +684,11 @@ mod tests {
                 .flat_map(|(_, locs)| locs)
                 .collect();
         let serial = profile_coverage(&p, &locations, &RunOptions::default());
+        let sites = site_set(&locations);
+        let tests = prefilter_suite(&p, &sites, p.tests());
         // jobs beyond the suite size must clamp, not spawn idle workers.
         for jobs in [2, 3, 4, 16] {
-            let parallel = profile_coverage_jobs(&p, &locations, &RunOptions::default(), jobs);
+            let parallel = profile_tests(&p, &sites, &tests, 3, &RunOptions::default(), jobs);
             assert_eq!(
                 format!("{serial:?}"),
                 format!("{parallel:?}"),

@@ -1,14 +1,14 @@
 //! Digest-keyed persistence for [`CoverageProfile`]s.
 //!
-//! The profiling pass dominates campaign wall time (it executes the whole
-//! unit-test suite once), yet its result is a pure function of the
-//! project's sources and retry locations. This module caches that result
-//! on disk, keyed by the same FNV-1a source digest the serve daemon's
-//! compiled-app LRU uses — and for the same reason: the digest hashes
-//! **relative** file paths alongside contents, because the simulated LLM
-//! draws are keyed on paths, so two checkouts of identical sources under
-//! different absolute roots must still share a cache entry (and two
-//! layouts of the same bytes must not).
+//! The profiling pass executes every test that may reach a retry site
+//! once, yet its result is a pure function of the project's sources and
+//! retry locations. This module caches that result on disk, keyed by the
+//! same FNV-1a source digest the serve daemon's compiled-app LRU uses —
+//! and for the same reason: the digest hashes **relative** file paths
+//! alongside contents, because the simulated LLM draws are keyed on
+//! paths, so two checkouts of identical sources under different absolute
+//! roots must still share a cache entry (and two layouts of the same
+//! bytes must not).
 //!
 //! Staleness is refused, never repaired silently: a cache file whose
 //! schema version, source digest, or retry-location fingerprint does not
@@ -310,6 +310,46 @@ mod tests {
         store(&opts, 7, &profile).unwrap();
         opts.bypass = true;
         assert!(load(&opts, 7).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The reader is total: garbage, a valid cache file cut at any byte,
+    /// and a valid cache file with one bit flipped each end in a profile
+    /// or a refusal, never a panic. A cut file is always refused.
+    #[test]
+    fn load_is_total_on_garbage_truncation_and_bit_flips() {
+        #[rustfmt::skip]
+        const POOL: &[&str] = &[
+            "{", "}", "[", "]", ":", ",", "\"", "\\", " ", "\n", "0", "7", "-", ".", "e",
+            "18446744073709551616", "true", "null", "\"schema_version\"", "1",
+            "\"digest\"", "\"000000000000d1ce\"", "\"locations_fp\"", "\"0000000000000007\"",
+            "\"per_test\"", "\"site_to_tests\"", "\"tests_total\"", "\u{e9}", "\u{1f980}",
+        ];
+        let dir = std::env::temp_dir().join(format!("wasabi-pc-total-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = options(&dir, 0xD1CE);
+        store(&opts, 7, &sample_profile()).unwrap();
+        let path = cache_path(&dir, 0xD1CE);
+        let valid = std::fs::read(&path).unwrap();
+        assert!(load(&opts, 7).is_some(), "the fixture itself loads");
+        let body = valid.trim_ascii_end().len();
+        for case in 0..256u64 {
+            let mut rng = wasabi_util::Rng::new(0xcac4_0000 + case);
+            let len = rng.below(300);
+            let garbage: String = (0..len).map(|_| *rng.pick(POOL)).collect();
+            std::fs::write(&path, garbage).unwrap();
+            let _ = load(&opts, 7);
+
+            let cut = rng.below(body as u64) as usize;
+            std::fs::write(&path, &valid[..cut]).unwrap();
+            assert!(load(&opts, 7).is_none(), "file cut at byte {cut} loaded");
+
+            let mut flipped = valid.clone();
+            let at = rng.below(flipped.len() as u64) as usize;
+            flipped[at] ^= 1 << rng.below(8);
+            std::fs::write(&path, flipped).unwrap();
+            let _ = load(&opts, 7);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -294,7 +294,8 @@ fn profile_cache_hit_reproduces_byte_identical_report() {
 /// Nothing untraced may run between the phases of an adaptive campaign:
 /// the union of phase spans must cover at least 90% of the trace's
 /// extent (first span start to last span end), so `--trace-out` answers
-/// where the time went.
+/// where the time went. The profile phase carries its prefilter and
+/// baseline-execution steps.
 #[test]
 fn adaptive_trace_phases_tile_the_trace() {
     let dir = temp_dir("tiling");
@@ -327,6 +328,16 @@ fn adaptive_trace_phases_tile_the_trace() {
     let text = std::fs::read_to_string(&trace_path).expect("trace written");
     let trace = wasabi::engine::spans::parse_trace(&text).expect("trace parses");
     assert!(!trace.runs.is_empty(), "the campaign executed runs");
+    // The profile phase is split into its two steps, both inside it.
+    let span = |name: &str| {
+        let found = trace.phases.iter().find(|p| p.name == name);
+        found.unwrap_or_else(|| panic!("no `{name}` span"))
+    };
+    let profile = span("profile");
+    for step in ["profile.prefilter", "profile.baseline-exec"] {
+        let step = span(step);
+        assert!(profile.start_us <= step.start_us && step.end_us <= profile.end_us);
+    }
     let mut phases: Vec<(u64, u64)> = trace
         .phases
         .iter()
