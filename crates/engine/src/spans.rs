@@ -147,14 +147,15 @@ pub fn render_trace(app: &str, phases: &[PhaseSpan], runs: &[RunSpan]) -> String
     text
 }
 
-/// Writes a trace file atomically enough for our purposes (single write).
+/// Writes a trace file atomically (temp file, then rename), so a killed
+/// writer never leaves a torn trace for `wasabi stats` to read.
 pub fn write_trace(
     path: &Path,
     app: &str,
     phases: &[PhaseSpan],
     runs: &[RunSpan],
 ) -> Result<(), String> {
-    std::fs::write(path, render_trace(app, phases, runs))
+    wasabi_util::write_atomic(path, render_trace(app, phases, runs).as_bytes())
         .map_err(|err| format!("cannot write trace {}: {err}", path.display()))
 }
 

@@ -64,10 +64,10 @@ impl Usage {
 /// implement this trait without any other change to the pipeline.
 pub trait LanguageModel {
     /// Answers a yes/no prompt (Q1–Q4).
-    fn ask_yes_no(&mut self, prompt: &Prompt) -> Answer;
+    fn ask_yes_no(&mut self, prompt: &Prompt<'_>) -> Answer;
 
     /// Answers the Q1 follow-up: method names implementing retry.
-    fn ask_methods(&mut self, prompt: &Prompt) -> Vec<String>;
+    fn ask_methods(&mut self, prompt: &Prompt<'_>) -> Vec<String>;
 
     /// Cumulative usage so far.
     fn usage(&self) -> Usage;

@@ -33,19 +33,20 @@ impl fmt::Display for Question {
 }
 
 /// A fully-rendered prompt: question text plus the source file it is about.
-#[derive(Debug, Clone)]
-pub struct Prompt {
+/// It borrows all three texts, so sending a file copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Prompt<'a> {
     /// The question asked.
     pub question: Question,
     /// Path of the file under discussion.
-    pub file_path: String,
+    pub file_path: &'a str,
     /// The question text (without the file contents).
-    pub instruction: String,
+    pub instruction: &'a str,
     /// The file contents sent along with the question.
-    pub file_contents: String,
+    pub file_contents: &'a str,
 }
 
-impl Prompt {
+impl Prompt<'_> {
     /// Total characters sent for this prompt (instruction + contents).
     pub fn chars_sent(&self) -> usize {
         self.instruction.len() + self.file_contents.len()
@@ -53,71 +54,66 @@ impl Prompt {
 }
 
 /// Q1 — retry identification (sent with the whole file).
-pub fn q1_performs_retry(file_path: &str, contents: &str) -> Prompt {
+pub fn q1_performs_retry<'a>(file_path: &'a str, contents: &'a str) -> Prompt<'a> {
     Prompt {
         question: Question::PerformsRetry,
-        file_path: file_path.to_string(),
+        file_path,
         instruction: "Q1. Does the following code perform retry anywhere? Answer (Yes) or (No).\n\
             - Say NO if the file only _defines_ or _creates_ retry policies, or only passes \
             retry parameters to other builders/constructors.\n\
             - Say NO if the file does not check for exceptions or errors before retry.\n\
             **Remember that retry mechanisms can be implemented through for or while loops \
-            or data structures like state machines and queues.**"
-            .to_string(),
-        file_contents: contents.to_string(),
+            or data structures like state machines and queues.**",
+        file_contents: contents,
     }
 }
 
 /// Q1 follow-up — which methods implement the retry (conversation continues,
 /// the file is already in context, so only the question is re-sent).
-pub fn q1_which_methods(file_path: &str) -> Prompt {
+pub fn q1_which_methods(file_path: &str) -> Prompt<'_> {
     Prompt {
         question: Question::WhichMethods,
-        file_path: file_path.to_string(),
+        file_path,
         instruction: "Which methods in this file implement the retry behaviour? \
-            List the method names only."
-            .to_string(),
-        file_contents: String::new(),
+            List the method names only.",
+        file_contents: "",
     }
 }
 
 /// Q2 — delay detection.
-pub fn q2_sleeps_before_retry(file_path: &str) -> Prompt {
+pub fn q2_sleeps_before_retry(file_path: &str) -> Prompt<'_> {
     Prompt {
         question: Question::SleepsBeforeRetry,
-        file_path: file_path.to_string(),
+        file_path,
         instruction: "Q2. Does the code sleep before retrying or resubmitting the request? \
             Answer (Yes) or (No).\n\
             **Remember that delay might be implemented through scheduling after an interval \
-            or some other mechanism.**"
-            .to_string(),
-        file_contents: String::new(),
+            or some other mechanism.**",
+        file_contents: "",
     }
 }
 
 /// Q3 — cap detection.
-pub fn q3_has_cap(file_path: &str) -> Prompt {
+pub fn q3_has_cap(file_path: &str) -> Prompt<'_> {
     Prompt {
         question: Question::HasCap,
-        file_path: file_path.to_string(),
+        file_path,
         instruction: "Q3. Does the code have a cap OR time limit on the number of times a \
             request is retried or resubmitted? Answer (Yes) or (No).\n\
             **Remember that timeouts or caps should be specifically applied to retry and \
-            not other behaviors.**"
-            .to_string(),
-        file_contents: String::new(),
+            not other behaviors.**",
+        file_contents: "",
     }
 }
 
 /// Q4 — poll / spin-lock exclusion.
-pub fn q4_poll_or_spin(file_path: &str) -> Prompt {
+pub fn q4_poll_or_spin(file_path: &str) -> Prompt<'_> {
     Prompt {
         question: Question::PollOrSpin,
-        file_path: file_path.to_string(),
+        file_path,
         instruction: "Q4. Do any of the retry-containing methods either call \
-            \"compareAndSet\" or contain poll-related behavior? Answer (Yes) or (No)."
-            .to_string(),
-        file_contents: String::new(),
+            \"compareAndSet\" or contain poll-related behavior? Answer (Yes) or (No).",
+        file_contents: "",
     }
 }
 

@@ -54,6 +54,12 @@
 //!   rewritten with `lint-gate --record`). Writes `BENCH_PR10.json` with
 //!   per-app diagnostic counts and the per-code score table. Wired into
 //!   `ci`.
+//! - `paper-gate` — the paper-numbers gate: the stdout of `repro --scale
+//!   paper all` must equal `repro_paper_output.txt` byte for byte, which
+//!   pins the §4.3 cost table (calls, data, tokens, cost) and Tables 3–6
+//!   that EXPERIMENTS.md quotes. A deliberate change re-records the file
+//!   with `paper-gate --record` and updates EXPERIMENTS.md with it. Wired
+//!   into `ci`.
 //!
 //! None of these tasks reads a clock: timing lives in the outside-in
 //! benchmark under `examples/perf` (see `BENCHMARK.json`).
@@ -65,7 +71,7 @@ use std::process::{exit, Command};
 
 fn main() {
     let task = env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: cargo xtask <tier1|ci|smoke|digest|serve-smoke|chaos-shard-smoke|adaptive-gate|repair-gate|lint-gate>");
+        eprintln!("usage: cargo xtask <tier1|ci|smoke|digest|serve-smoke|chaos-shard-smoke|adaptive-gate|repair-gate|lint-gate|paper-gate>");
         exit(2);
     });
     let flags: Vec<String> = env::args().skip(2).collect();
@@ -88,6 +94,11 @@ fn main() {
             smoke();
             digest(false);
             lint_gate(false);
+            run_stage(
+                "build --release -p wasabi-bench",
+                &["build", "--release", "-p", "wasabi-bench"],
+            );
+            paper_gate(false);
             eprintln!("ci: OK");
         }
         "smoke" => {
@@ -118,9 +129,16 @@ fn main() {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
             lint_gate(flags.iter().any(|f| f == "--record"));
         }
+        "paper-gate" => {
+            run_stage(
+                "build --release -p wasabi-bench",
+                &["build", "--release", "-p", "wasabi-bench"],
+            );
+            paper_gate(flags.iter().any(|f| f == "--record"));
+        }
         other => {
             eprintln!(
-                "unknown task `{other}`; expected tier1, ci, smoke, digest, serve-smoke, chaos-shard-smoke, adaptive-gate, repair-gate, or lint-gate"
+                "unknown task `{other}`; expected tier1, ci, smoke, digest, serve-smoke, chaos-shard-smoke, adaptive-gate, repair-gate, lint-gate, or paper-gate"
             );
             exit(2);
         }
@@ -270,6 +288,7 @@ const LINT_BASELINE_PATH: &str = "scripts/lint_baseline.txt";
 const ADAPTIVE_BENCH_OUT: &str = "BENCH_PR8.json";
 const REPAIR_BENCH_OUT: &str = "BENCH_PR9.json";
 const POLICY_BENCH_OUT: &str = "BENCH_PR10.json";
+const PAPER_OUTPUT_PATH: &str = "repro_paper_output.txt";
 /// Aggregate and per-class fix-rate floor (percent) for the repair gate.
 const REPAIR_RATE_FLOOR: u64 = 80;
 /// Apps whose `wasabi test --json` reports are digest-pinned.
@@ -1100,6 +1119,52 @@ fn lint_gate(record: bool) {
     fs::write(POLICY_BENCH_OUT, doc)
         .unwrap_or_else(|e| fail(&format!("write {POLICY_BENCH_OUT}: {e}")));
     eprintln!("lint gate: OK (wrote {POLICY_BENCH_OUT})");
+}
+
+/// Compares the stdout of `repro --scale paper all` with (or, with
+/// `record`, writes it to) `repro_paper_output.txt`. Assumes
+/// `target/release/repro` is built.
+fn paper_gate(record: bool) {
+    eprintln!("==> paper gate: repro --scale paper all vs {PAPER_OUTPUT_PATH}");
+    let repro = PathBuf::from("target/release/repro");
+    if !repro.exists() {
+        fail(&format!("{} not built", repro.display()));
+    }
+    let output = Command::new(&repro)
+        .args(["--scale", "paper", "all"])
+        .output()
+        .unwrap_or_else(|e| fail(&format!("spawn repro: {e}")));
+    if !output.status.success() {
+        eprintln!("{}", String::from_utf8_lossy(&output.stderr));
+        fail(&format!("repro exited with {}", output.status));
+    }
+    if record {
+        fs::write(PAPER_OUTPUT_PATH, &output.stdout)
+            .unwrap_or_else(|e| fail(&format!("write {PAPER_OUTPUT_PATH}: {e}")));
+        eprintln!("paper gate: recorded {PAPER_OUTPUT_PATH}");
+        return;
+    }
+    let recorded = fs::read(PAPER_OUTPUT_PATH)
+        .unwrap_or_else(|e| fail(&format!("read {PAPER_OUTPUT_PATH}: {e}")));
+    if recorded != output.stdout {
+        let recorded = String::from_utf8_lossy(&recorded);
+        let computed = String::from_utf8_lossy(&output.stdout);
+        let line = recorded
+            .lines()
+            .zip(computed.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| recorded.lines().count().min(computed.lines().count()));
+        eprintln!(
+            "recorded: {:?}\ncomputed: {:?}",
+            recorded.lines().nth(line).unwrap_or("<end>"),
+            computed.lines().nth(line).unwrap_or("<end>")
+        );
+        fail(&format!(
+            "paper gate: repro output differs from {PAPER_OUTPUT_PATH} at line {}",
+            line + 1
+        ));
+    }
+    eprintln!("paper gate: OK ({} bytes identical)", recorded.len());
 }
 
 /// Parses the first `<key> "<string>"` after `doc`'s start (an empty key

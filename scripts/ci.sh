@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point. Stages 1-4 and 6-10 (the old stage 5, the lint-baseline
+# CI entry point. Stages 1-4 and 6-11 (the old stage 5, the lint-baseline
 # check, now runs inside stage 10):
 #
 #   1. tier-1: the gate every change must pass — release build + full test
@@ -7,8 +7,8 @@
 #      runs `cargo clippy --workspace --all-targets -- -D warnings`: every
 #      crate of the workspace is lint-clean and stays that way.
 #   2. all-features: compile check with every optional feature enabled
-#      (json-reports, proptest-suite) plus the
-#      feature-gated test suites, so gated code can never rot.
+#      (json-reports) plus the feature-gated tests, so gated code can
+#      never rot.
 #   3. resilience smoke: a chaos campaign (10% injected run panics,
 #      --jobs 4) must report byte-identically to the serial run, a
 #      kill-and-resume round-trip (journal cut mid-line, then --resume)
@@ -49,6 +49,10 @@
 #      MA with the amplification seeds alone must report nothing outside
 #      the checked-in baseline (scripts/lint_baseline.txt; writes
 #      BENCH_PR10.json).
+#  11. paper gate: the stdout of `repro --scale paper all` must equal
+#      repro_paper_output.txt byte for byte, so the paper numbers that
+#      EXPERIMENTS.md quotes (Tables 3-6, the section 4.3 cost table)
+#      cannot drift.
 #
 # Everything resolves offline: the workspace has no registry dependencies.
 set -euo pipefail
@@ -84,5 +88,8 @@ cargo xtask repair-gate
 
 echo "== stage 10: lint gate (W004-W006 precision/recall, cross-check matrix, baseline) =="
 cargo xtask lint-gate
+
+echo "== stage 11: paper gate (repro --scale paper all vs repro_paper_output.txt) =="
+cargo xtask paper-gate
 
 echo "== ci: all stages passed =="

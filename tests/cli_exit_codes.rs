@@ -26,6 +26,21 @@ class Buggy {\n\
   test tRun() { assert(this.run() == \"ok\"); }\n\
 }\n";
 
+/// A valid app whose comment holds `€`, then 46 ASCII bytes, then `<`: the
+/// simulated LLM once cut its 48-byte cap window through the `€` and
+/// panicked (exit 101) in both `lint` and `test`.
+fn euro_app() -> String {
+    format!(
+        "exception E;\n\
+         class Euro {{\n\
+           // €{}<\n\
+           method op() {{ return \"ok\"; }}\n\
+           test tOp() {{ assert(this.op() == \"ok\"); }}\n\
+         }}\n",
+        "x".repeat(46)
+    )
+}
+
 fn wasabi() -> Command {
     Command::new(env!("CARGO_BIN_EXE_wasabi"))
 }
@@ -91,6 +106,17 @@ fn clean_app_is_0_and_findings_are_1() {
     assert_eq!(code(&run(&["analyze", &clean])), 0);
     assert_eq!(code(&run(&["lint", "--quiet", &clean])), 0, "no diagnostics");
     assert_eq!(code(&run(&["lint", "--quiet", &buggy])), 1, "lint diagnostics");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_ascii_text_is_a_normal_exit() {
+    let dir = temp_dir("utf8");
+    let euro = write_app(&dir, "euro.jav", &euro_app());
+    for command in ["lint", "test"] {
+        let status = code(&run(&[command, "--quiet", &euro]));
+        assert!(status == 0 || status == 1, "{command} exited {status}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,12 +1,16 @@
-//! Randomized property tests over the language front end, the CFG, and the
-//! planner, driven by the in-repo seeded PRNG (`wasabi::util::Rng`) so the
-//! suite needs no external framework and every failure is reproducible
-//! from the printed seed.
-//!
-//! Gated behind the `proptest-suite` feature:
-//! `cargo test --features proptest-suite --test property_tests`.
+//! Randomized property tests over the language front end, the CFG, the
+//! planner, and the simulated LLM's text reader, driven by the in-repo
+//! seeded PRNG (`wasabi::util::Rng`) so the suite needs no external
+//! framework and every failure is reproducible from the printed seed.
+//! Part of the default `cargo test` run.
 
+use wasabi::llm::simulated::{read, TextSignals};
 use wasabi::util::Rng;
+
+/// The simulated LLM's reader before the one-pass scanner, kept as the
+/// test oracle; it reaches `read` and `TextSignals` through this module.
+#[path = "../crates/llm/src/simulated/oracle.rs"]
+mod oracle;
 
 // ---- Source generators -----------------------------------------------------
 
@@ -793,6 +797,115 @@ fn may_throw_over_approximates_vm_exceptions() {
                     }
                 }
             }
+        }
+    }
+}
+
+// ---- Simulated-LLM text reader ---------------------------------------------
+
+/// Every word the simulated LLM's reader looks for, in one case or another.
+const READER_WORDS: &[&str] = &[
+    "retry", "retries", "retrying", "reattempt", "resubmit", "reschedule", "catch", "catch (",
+    "catch(", "while (", "while(", "for (", "for(", ".put(", ".putDelayed(", "switch (",
+    "switch(", "sleep(", "schedule", "backoff(", "delay(", "pause(", "waitQuietly(",
+    "method backoff", "method delay(", "method pause", "method waitQuietly", "poll",
+    "compareAndSet", "spinlock", "spin_", "busywait", "max", "limit", "cap", "attempt", "budget",
+    "error code", "errcode", "err_", "<", ">",
+];
+
+fn mixed_case(rng: &mut Rng, word: &str) -> String {
+    word.chars()
+        .map(|c| if rng.below(3) == 0 { c.to_ascii_uppercase() } else { c })
+        .collect()
+}
+
+/// Up to `max` bytes that spell none of the reader's words.
+fn filler(rng: &mut Rng, max: u64) -> String {
+    const POOL: &[u8] = b"xyz_ {}();.=\n";
+    (0..rng.below(max + 1)).map(|_| *rng.pick(POOL) as char).collect()
+}
+
+/// A method declaration as the reader sees it, sometimes malformed (no
+/// name, no parenthesis, wrong case) so that it starts no region.
+fn gen_decl(rng: &mut Rng) -> String {
+    let keyword = *rng.pick(&["method ", "test ", "method ", "test ", "Method ", "TEST ", "method"]);
+    let name = *rng.pick(&["run", "m$1", "t_x", "", "retry"]);
+    let open = *rng.pick(&["(", " (", "\n(", "", " x("]);
+    format!("{keyword}{name}{open}")
+}
+
+/// An ASCII text built to stress the one-pass reader: mixed-case words,
+/// declarations, words cut by a region edge (a word ending in `t` whose
+/// `t` starts `test NAME(`), and a cap-ish word with a `<`/`>` at some
+/// distance around the 48-byte window, often with a region edge between.
+fn gen_reader_text(rng: &mut Rng) -> String {
+    let mut text = String::new();
+    for _ in 0..rng.range(1, 40) {
+        match rng.below(10) {
+            0..=2 => {
+                let word = *rng.pick(READER_WORDS);
+                text.push_str(&mixed_case(rng, word));
+            }
+            3 | 4 => text.push_str(&gen_decl(rng)),
+            5 => {
+                let word = *rng.pick(&["attempt", "limit", "budget", "resubmit", "compareAndSet"]);
+                text.push_str(&word[..word.len() - 1]);
+                text.push_str("test t(");
+            }
+            6 | 7 => {
+                let cap = *rng.pick(&["max", "limit", "cap", "attempt", "retries", "budget"]);
+                let angle = *rng.pick(&["<", ">"]);
+                let (first, second) = if rng.below(2) == 0 { (cap, angle) } else { (angle, cap) };
+                let before = filler(rng, 50);
+                let decl = if rng.below(2) == 0 { gen_decl(rng) } else { String::new() };
+                let after = filler(rng, 50);
+                text.push_str(&format!("{first}{before}{decl}{after}{second}"));
+            }
+            _ => text.push_str(&filler(rng, 12)),
+        }
+    }
+    text
+}
+
+/// The one-pass reader agrees with the oracle on random ASCII texts: the
+/// whole-file signals, every region's name and text, and every region's
+/// signals.
+#[test]
+fn reader_matches_the_oracle_on_random_ascii_texts() {
+    for case in 0..600u64 {
+        let mut rng = Rng::new(0x5ca7_0000 + case);
+        let text = gen_reader_text(&mut rng);
+        oracle::assert_agrees(&format!("[case {case}] {text:?}"), &text);
+    }
+}
+
+/// The reader never panics on UTF-8 text, and its regions tile the text
+/// from the first declaration to the end on char boundaries. The cases mix
+/// multi-byte characters into reader words, with `€` followed by 46 ASCII
+/// bytes and a `<` (which once split the `€` when cutting the cap window)
+/// pinned as case 0.
+#[test]
+fn reader_is_total_on_arbitrary_utf8() {
+    const POOL: &[&str] = &[
+        "\u{20ac}", "\u{e9}", "\u{212a}", "\u{130}", "\u{1f980}", "<", ">", "max", "method m(",
+        "test t(", "catch (", "retry", ".put(", " ", "x", "\n",
+    ];
+    for case in 0..400u64 {
+        let mut rng = Rng::new(0x7e47_0000 + case);
+        let text = if case == 0 {
+            format!("// \u{20ac}{}<\nclass C {{ method m() {{ }} }}", "x".repeat(46))
+        } else {
+            (0..rng.below(120)).map(|_| *rng.pick(POOL)).collect()
+        };
+        let reading = read(&text);
+        assert_eq!(reading.signals.bytes, text.len(), "[case {case}] {text:?}");
+        for (k, method) in reading.methods.iter().enumerate() {
+            let region = text.get(method.span.clone());
+            assert!(region.is_some_and(|r| r.starts_with("method ") || r.starts_with("test ")));
+            assert!(!method.name.is_empty(), "[case {case}] {text:?}");
+            assert_eq!(method.signals.bytes, method.span.len(), "[case {case}] {text:?}");
+            let end = reading.methods.get(k + 1).map_or(text.len(), |next| next.span.start);
+            assert_eq!(method.span.end, end, "[case {case}] regions tile the text");
         }
     }
 }
