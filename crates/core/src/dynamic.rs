@@ -558,8 +558,6 @@ fn merge_stats(first: CampaignStats, second: &CampaignStats) -> CampaignStats {
     for (slot, runs) in second.worker_runs.iter().enumerate() {
         stats.worker_runs[slot] += runs;
     }
-    stats.supervisor_runs += second.supervisor_runs;
-    stats.workers_lost += second.workers_lost;
     stats.resumed += second.resumed;
     stats.wall_ms += second.wall_ms;
     stats.peak_resident_records = stats.peak_resident_records.max(second.peak_resident_records);

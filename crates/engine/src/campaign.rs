@@ -1,22 +1,23 @@
-//! Campaign execution: a fixed-size worker pool over a sharded run queue,
-//! with panic containment, bounded retries, worker supervision,
+//! Campaign execution: a fixed-size worker pool that claims runs in key
+//! order from one shared cursor, with panic containment, bounded retries,
 //! checkpoint/resume, and a deterministic merge of results.
 //!
 //! # Determinism contract
 //!
 //! The engine guarantees that [`CampaignResult::records`] is a pure
 //! function of `(project, runs, options)` — independent of `jobs`, of how
-//! the OS schedules the workers, of lost worker threads, and of whether
-//! the campaign ran in one piece or was resumed from a journal:
+//! the OS schedules the workers, and of whether the campaign ran in one
+//! piece or was resumed from a journal:
 //!
 //! - runs execute in **isolated interpreters**: each worker constructs its
 //!   own `Interp` (own virtual clock, config store, trace buffer) and its
 //!   own `InjectionHandler` per attempt, so no state crosses runs or
 //!   attempts;
 //! - results land in **key-addressed slots**: the engine orders runs by
-//!   [`RunKey`] up front and each worker writes its record into the slot
-//!   for that key, so the merged vector has the same order no matter which
-//!   worker finished first;
+//!   [`RunKey`] up front, workers claim the pending slots in that order
+//!   from one shared cursor, and each worker writes its record into the
+//!   slot for that key, so the merged vector has the same order no matter
+//!   which worker finished first;
 //! - **timed-out runs are normalized**: a run aborted by the wall-clock
 //!   budget records a bare [`RunOutcome::TimedOut`] with zeroed
 //!   nondeterministic fields (virtual time, steps, injections) and is never
@@ -33,28 +34,26 @@
 //!   drawn from a SplitMix64 stream keyed on `(jitter_seed, RunKey,
 //!   attempt)`, so the attempt count and final outcome of every run are
 //!   reproducible; runs that exhaust the policy are *quarantined*
-//!   ([`RunRecord::quarantined`]), never dropped;
-//! - **lost workers degrade gracefully**: a worker thread that dies is
-//!   detected by the coordinator, its in-flight run is re-queued for the
-//!   survivors, and any run still unexecuted when the pool drains is run
-//!   inline by the coordinator — the campaign always reports every
-//!   planned key exactly once.
+//!   ([`RunRecord::quarantined`]), never dropped.
+//!
+//! A panic *outside* per-run containment is an engine bug, not a run
+//! outcome: it propagates out of the worker pool and ends the process.
+//! Recovering from a dead process is the shard supervisor's job
+//! ([`crate::shard`]), which restarts the child from its journal.
 //!
 //! Scheduling-dependent observations (per-worker run counts, wall time,
-//! workers lost, resumed-run count) are confined to
-//! [`CampaignStats::worker_runs`] / [`CampaignStats::wall_ms`] /
-//! [`CampaignStats::workers_lost`] / [`CampaignStats::resumed`] /
-//! [`CampaignStats::supervisor_runs`] and the observer event stream;
-//! nothing in `records` derives from them.
+//! resumed-run count) are confined to [`CampaignStats::worker_runs`] /
+//! [`CampaignStats::wall_ms`] / [`CampaignStats::resumed`] and the
+//! observer event stream; nothing in `records` derives from them.
 
 use crate::journal::Journal;
 use crate::metrics::{CampaignMetrics, RunTiming, WorkerTimings};
 use crate::observer::{EngineEvent, EngineObserver};
-use crate::queue::ShardedQueue;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Once};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -118,10 +117,6 @@ pub struct ChaosConfig {
     pub max_delay_ms: u64,
     /// Seed for the decision stream.
     pub seed: u64,
-    /// If set, this worker index dies (thread exits without completing
-    /// its current run) on its first pop — exercises the supervisor's
-    /// requeue-and-degrade path.
-    pub kill_worker: Option<usize>,
     /// If set, the whole *process* exits (code 86) once this many records
     /// have been appended to the journal — the crash point the shard
     /// supervisor's chaos CI stage uses to kill a child mid-flight at a
@@ -137,7 +132,6 @@ impl ChaosConfig {
             panic_rate,
             max_delay_ms: 0,
             seed,
-            kill_worker: None,
             exit_after_appends: None,
         }
     }
@@ -164,7 +158,7 @@ struct ChaosDraw {
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Worker count. `1` executes serially through the same code path as
-    /// any other value (one worker thread, one shard).
+    /// any other value (one worker thread).
     pub jobs: usize,
     /// Per-run interpreter options (limits, pinned configs).
     pub run_options: RunOptions,
@@ -282,9 +276,8 @@ pub struct RunRecord {
 
 /// Aggregate campaign statistics.
 ///
-/// All fields except `worker_runs`, `supervisor_runs`, `workers_lost`,
-/// `resumed`, and `wall_ms` are deterministic given the same runs and
-/// options.
+/// All fields except `worker_runs`, `resumed`, and `wall_ms` are
+/// deterministic given the same runs and options.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignStats {
     /// Total runs reported (executed + resumed).
@@ -319,11 +312,6 @@ pub struct CampaignStats {
     pub jobs: usize,
     /// Runs executed per worker (scheduling-dependent; utilization only).
     pub worker_runs: Vec<usize>,
-    /// Runs the coordinator executed inline after the pool drained with
-    /// work left over (only non-zero when workers were lost).
-    pub supervisor_runs: usize,
-    /// Worker threads that died mid-campaign (scheduling-dependent).
-    pub workers_lost: usize,
     /// Runs recovered from the resume journal instead of executed.
     pub resumed: usize,
     /// Campaign wall time in milliseconds (scheduling-dependent).
@@ -378,9 +366,6 @@ enum Message {
         record: RunRecord,
         timing: RunTiming,
     },
-    /// The worker thread is dead (panic outside the per-run containment,
-    /// or a chaos kill). Its in-flight run, if any, must be re-queued.
-    WorkerDied { worker: usize },
 }
 
 thread_local! {
@@ -452,10 +437,6 @@ pub fn run_campaign(
 
     let mut slots: Vec<Option<RunRecord>> = Vec::new();
     slots.resize_with(runs.len(), || None);
-    // Completion is tracked separately from the slot payload: a streaming
-    // campaign spills each record to the journal and drops it, leaving the
-    // slot empty but done.
-    let mut done: Vec<bool> = vec![false; runs.len()];
     let mut det_stats = CampaignStats::default();
     let mut resident = 0usize;
     let mut peak_resident = 0usize;
@@ -465,28 +446,30 @@ pub fn run_campaign(
     // are identical anyway). Keys outside the plan are ignored. In
     // streaming mode the record's stats are absorbed and the record
     // dropped — the journal it was recovered from still holds it for the
-    // caller's report phase.
+    // caller's report phase. Every other slot is pending, in key order.
     let mut resumed = 0usize;
-    if !options.resume.is_empty() {
+    let mut pending: Vec<usize> = Vec::with_capacity(runs.len());
+    if options.resume.is_empty() {
+        pending.extend(0..runs.len());
+    } else {
         let mut by_key: BTreeMap<&RunKey, &RunRecord> = BTreeMap::new();
         for record in &options.resume {
             by_key.entry(&record.key).or_insert(record);
         }
         for (slot, &run_index) in order.iter().enumerate() {
-            if let Some(record) = by_key.get(&runs[run_index].key()) {
-                absorb_record_stats(&mut det_stats, record);
-                done[slot] = true;
-                resumed += 1;
-                if !options.stream {
-                    slots[slot] = Some((*record).clone());
-                    resident += 1;
-                    peak_resident = peak_resident.max(resident);
-                }
+            let Some(record) = by_key.get(&runs[run_index].key()) else {
+                pending.push(slot);
+                continue;
+            };
+            absorb_record_stats(&mut det_stats, record);
+            resumed += 1;
+            if !options.stream {
+                slots[slot] = Some((*record).clone());
+                resident += 1;
+                peak_resident = peak_resident.max(resident);
             }
         }
     }
-    // Dispatch in key order.
-    let pending: Vec<usize> = (0..slots.len()).filter(|&s| !done[s]).collect();
 
     let jobs = options.jobs.max(1).min(pending.len().max(1));
     observer.on_event(&EngineEvent::Started {
@@ -508,37 +491,29 @@ pub fn run_campaign(
 
     let chaos_exit_after = options.chaos.as_ref().and_then(|c| c.exit_after_appends);
     let mut worker_runs = vec![0usize; jobs];
-    let mut workers_lost = 0usize;
-    let mut supervisor_runs = 0usize;
-    // One timing collector per worker, plus one (the last) for inline
-    // supervisor runs; merged into the metrics in index order at the end.
-    let mut worker_timings = vec![WorkerTimings::default(); jobs + 1];
+    // One timing collector per worker, merged into the metrics in index
+    // order at the end.
+    let mut worker_timings = vec![WorkerTimings::default(); jobs];
 
     if !pending.is_empty() {
-        let queue = ShardedQueue::prefilled(pending, jobs);
+        // Workers claim pending slots from one shared cursor, so runs
+        // start in key order for any worker count.
+        let cursor = AtomicUsize::new(0);
         let (sender, receiver) = mpsc::channel::<Message>();
+        // A panic outside per-run containment kills its worker; the scope
+        // re-raises it once the survivors drain, ending the campaign.
         thread::scope(|scope| {
-            let (queue, order) = (&queue, &order);
+            let (cursor, pending, order) = (&cursor, &pending, &order);
             for worker in 0..jobs {
                 let sender = sender.clone();
                 scope.spawn(move || {
-                    // Worker supervision: the loop body contains per-run
-                    // panics itself, so an unwind reaching this frame means
-                    // the engine (not a run) is broken — report the death
-                    // instead of silently shrinking the pool.
-                    let exit = panic::catch_unwind(AssertUnwindSafe(|| {
-                        worker_loop(worker, queue, order, project, runs, options, &sender, started_at)
-                    }));
-                    if !matches!(exit, Ok(WorkerExit::Drained)) {
-                        let _ = sender.send(Message::WorkerDied { worker });
-                    }
+                    worker_loop(worker, cursor, pending, order, project, runs, options, &sender, started_at)
                 });
             }
             drop(sender);
             // Replay worker messages into the observer on this thread, so
             // observers need no locking; the receive loop ends when every
             // worker has dropped its sender.
-            let mut in_flight: Vec<Option<(usize, RunKey)>> = vec![None; jobs];
             for message in receiver {
                 match message {
                     Message::Started { slot, worker, key } => {
@@ -547,7 +522,6 @@ pub fn run_campaign(
                             key: &key,
                             worker,
                         });
-                        in_flight[worker] = Some((slot, key));
                     }
                     Message::Retried {
                         slot,
@@ -570,101 +544,80 @@ pub fn run_campaign(
                         record,
                         timing,
                     } => {
-                        in_flight[worker] = None;
                         worker_runs[worker] += 1;
                         worker_timings[worker].record(&timing);
-                        complete_slot(
-                            slot,
+                        // The record in hand is resident until spilled or the
+                        // campaign ends — this counter is the memory bound the
+                        // streaming test pins.
+                        resident += 1;
+                        peak_resident = peak_resident.max(resident);
+                        observer.on_event(&EngineEvent::RunFinished {
+                            index: slot,
+                            key: &record.key,
                             worker,
-                            record,
-                            &timing,
-                            observer,
-                            &mut journal,
-                            &mut CompletionSink {
-                                slots: &mut slots,
-                                done: &mut done,
-                                det_stats: &mut det_stats,
-                                resident: &mut resident,
-                                peak_resident: &mut peak_resident,
-                                stream: options.stream,
-                                chaos_exit: chaos_exit_after,
-                            },
-                        );
-                    }
-                    Message::WorkerDied { worker } => {
-                        workers_lost += 1;
-                        let lost = in_flight[worker].take();
-                        if let Some((slot, _)) = lost {
-                            if !done[slot] {
-                                // Hand the orphaned run to the survivors;
-                                // if they have already drained and exited,
-                                // the inline fallback below picks it up.
-                                queue.push(worker.wrapping_add(1), slot);
-                            }
-                        }
-                        observer.on_event(&EngineEvent::WorkerLost {
-                            worker,
-                            requeued: lost.as_ref().map(|(_, key)| key),
+                            outcome: &record.outcome,
+                            injections: record.injections,
+                            reports: record.reports.len(),
+                            attempts: record.attempts,
+                            steps: record.steps,
+                            timing: &timing,
                         });
+                        if let RunOutcome::Crashed { message } = &record.outcome {
+                            observer.on_event(&EngineEvent::RunCrashed {
+                                index: slot,
+                                key: &record.key,
+                                worker,
+                                message,
+                            });
+                        }
+                        if record.quarantined {
+                            observer.on_event(&EngineEvent::RunQuarantined {
+                                index: slot,
+                                key: &record.key,
+                                attempts: record.attempts,
+                                outcome: &record.outcome,
+                            });
+                        }
+                        // Full-record feedback for planners, emitted before any
+                        // streaming spill so it fires even when the record never
+                        // reaches RAM.
+                        observer.on_event(&EngineEvent::RunRecorded {
+                            index: slot,
+                            record: &record,
+                        });
+                        let mut spilled = false;
+                        if let Some(journal) = journal.as_mut() {
+                            if let Some(completed) = journal.append(&record) {
+                                observer.on_event(&EngineEvent::CheckpointWritten { completed });
+                            }
+                            // Chaos crash point: die *after* the append, so the
+                            // journal holds exactly `limit` records — the shard
+                            // supervisor must observe progress and plain-restart,
+                            // never bisect.
+                            if let Some(limit) = chaos_exit_after {
+                                if journal.appended() as u64 >= limit {
+                                    eprintln!(
+                                        "[engine] chaos: exiting after {limit} journal append(s)"
+                                    );
+                                    std::process::exit(86);
+                                }
+                            }
+                            // Streaming spill: the journal write went through (the
+                            // journal is still active), so the record is durable
+                            // and RAM can drop it. A dead journal falls back to the
+                            // slot — bounded memory degrades, data does not.
+                            spilled = options.stream && journal.active();
+                        }
+                        absorb_record_stats(&mut det_stats, &record);
+                        if spilled {
+                            resident -= 1;
+                        } else {
+                            slots[slot] = Some(record);
+                        }
                     }
                 }
             }
         });
-    }
-
-    // Graceful degradation, last line of defence: anything the pool did
-    // not finish (every worker died, or a re-queued run raced the
-    // survivors' exit) is executed inline, so the campaign always
-    // completes with a record for every planned key.
-    for slot in 0..slots.len() {
-        if done[slot] {
-            continue;
-        }
-        let run = &runs[order[slot]];
-        let key = run.key();
-        observer.on_event(&EngineEvent::RunStarted {
-            index: slot,
-            key: &key,
-            worker: jobs,
-        });
-        let queue_wait_us = if options.capture_timing {
-            saturating_us(started_at.elapsed())
-        } else {
-            0
-        };
-        let (record, mut timing) = {
-            let observer_cell = std::cell::RefCell::new(&mut *observer);
-            let mut notify = |attempt: u8, delay: Duration| {
-                observer_cell.borrow_mut().on_event(&EngineEvent::RunRetried {
-                    index: slot,
-                    key: &key,
-                    worker: jobs,
-                    attempt,
-                    delay_ms: saturating_ms(delay),
-                });
-            };
-            execute_run(project, run, options, &mut notify)
-        };
-        timing.queue_wait_us = queue_wait_us;
-        supervisor_runs += 1;
-        worker_timings[jobs].record(&timing);
-        complete_slot(
-            slot,
-            jobs,
-            record,
-            &timing,
-            observer,
-            &mut journal,
-            &mut CompletionSink {
-                slots: &mut slots,
-                done: &mut done,
-                det_stats: &mut det_stats,
-                resident: &mut resident,
-                peak_resident: &mut peak_resident,
-                stream: options.stream,
-                chaos_exit: chaos_exit_after,
-            },
-        );
     }
 
     if let Some(journal) = journal.as_mut() {
@@ -688,8 +641,6 @@ pub fn run_campaign(
     stats.runs_total = runs.len();
     stats.jobs = jobs;
     stats.worker_runs = worker_runs;
-    stats.supervisor_runs = supervisor_runs;
-    stats.workers_lost = workers_lost;
     stats.resumed = resumed;
     stats.wall_ms = saturating_ms(started_at.elapsed());
     stats.peak_resident_records = peak_resident;
@@ -706,26 +657,19 @@ pub fn run_campaign(
     }
 }
 
-enum WorkerExit {
-    /// The queue is drained; normal exit.
-    Drained,
-    /// Chaos killed this worker (simulates a thread death the supervisor
-    /// must absorb).
-    Killed,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     worker: usize,
-    queue: &ShardedQueue<usize>,
+    cursor: &AtomicUsize,
+    pending: &[usize],
     order: &[usize],
     project: &Project,
     runs: &[InjectionRun],
     options: &CampaignOptions,
     sender: &mpsc::Sender<Message>,
     campaign_started: Instant,
-) -> WorkerExit {
-    while let Some(slot) = queue.pop(worker) {
+) {
+    while let Some(&slot) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
         let queue_wait_us = if options.capture_timing {
             saturating_us(campaign_started.elapsed())
         } else {
@@ -741,14 +685,7 @@ fn worker_loop(
             })
             .is_err()
         {
-            return WorkerExit::Drained;
-        }
-        if options
-            .chaos
-            .as_ref()
-            .is_some_and(|chaos| chaos.kill_worker == Some(worker))
-        {
-            return WorkerExit::Killed;
+            return;
         }
         let mut notify = |attempt: u8, delay: Duration| {
             let _ = sender.send(Message::Retried {
@@ -770,10 +707,9 @@ fn worker_loop(
             })
             .is_err()
         {
-            return WorkerExit::Drained;
+            return;
         }
     }
-    WorkerExit::Drained
 }
 
 /// Folds one record into the deterministic half of the campaign stats.
@@ -798,94 +734,6 @@ fn absorb_record_stats(stats: &mut CampaignStats, record: &RunRecord) {
     stats.injections += u64::from(record.injections);
     stats.virtual_ms += record.virtual_ms;
     stats.steps += record.steps;
-}
-
-/// Where a finished record lands: the slot vector (non-streaming), or the
-/// journal alone (streaming spill), plus the completion/stats trackers.
-struct CompletionSink<'a> {
-    slots: &'a mut [Option<RunRecord>],
-    done: &'a mut [bool],
-    det_stats: &'a mut CampaignStats,
-    resident: &'a mut usize,
-    peak_resident: &'a mut usize,
-    stream: bool,
-    chaos_exit: Option<u64>,
-}
-
-/// Finalizes one record: observer events, journal append, spill-or-store.
-fn complete_slot(
-    slot: usize,
-    worker: usize,
-    record: RunRecord,
-    timing: &RunTiming,
-    observer: &mut dyn EngineObserver,
-    journal: &mut Option<Journal>,
-    sink: &mut CompletionSink<'_>,
-) {
-    // The record in hand is resident until spilled or the campaign ends —
-    // this counter is the memory bound the streaming test pins.
-    *sink.resident += 1;
-    *sink.peak_resident = (*sink.peak_resident).max(*sink.resident);
-    observer.on_event(&EngineEvent::RunFinished {
-        index: slot,
-        key: &record.key,
-        worker,
-        outcome: &record.outcome,
-        injections: record.injections,
-        reports: record.reports.len(),
-        attempts: record.attempts,
-        steps: record.steps,
-        timing,
-    });
-    if let RunOutcome::Crashed { message } = &record.outcome {
-        observer.on_event(&EngineEvent::RunCrashed {
-            index: slot,
-            key: &record.key,
-            worker,
-            message,
-        });
-    }
-    if record.quarantined {
-        observer.on_event(&EngineEvent::RunQuarantined {
-            index: slot,
-            key: &record.key,
-            attempts: record.attempts,
-            outcome: &record.outcome,
-        });
-    }
-    // Full-record feedback for planners, emitted before any streaming
-    // spill so it fires even when the record never reaches RAM.
-    observer.on_event(&EngineEvent::RunRecorded {
-        index: slot,
-        record: &record,
-    });
-    let mut spilled = false;
-    if let Some(journal) = journal.as_mut() {
-        if let Some(completed) = journal.append(&record) {
-            observer.on_event(&EngineEvent::CheckpointWritten { completed });
-        }
-        // Chaos crash point: die *after* the append, so the journal holds
-        // exactly `chaos_exit` records — the supervisor must observe
-        // progress and plain-restart, never bisect.
-        if let Some(limit) = sink.chaos_exit {
-            if journal.appended() as u64 >= limit {
-                eprintln!("[engine] chaos: exiting after {limit} journal append(s)");
-                std::process::exit(86);
-            }
-        }
-        // Streaming spill: the journal write went through (the journal is
-        // still active), so the record is durable and RAM can drop it. A
-        // dead journal falls back to the slot — bounded memory degrades,
-        // data does not.
-        spilled = sink.stream && journal.active();
-    }
-    absorb_record_stats(sink.det_stats, &record);
-    sink.done[slot] = true;
-    if spilled {
-        *sink.resident -= 1;
-    } else {
-        sink.slots[slot] = Some(record);
-    }
 }
 
 /// Executes one run under the retry policy. Each attempt runs in a fresh,
@@ -1067,6 +915,10 @@ class Solid {\n\
 }\n";
 
     fn campaign_runs(project: &Project) -> Vec<InjectionRun> {
+        campaign_runs_at(project, &[1, 100])
+    }
+
+    fn campaign_runs_at(project: &Project, ks: &[u32]) -> Vec<InjectionRun> {
         let index = ProjectIndex::build(project);
         let locations: Vec<_> = all_retry_locations(&index, &LoopQueryOptions::default())
             .into_iter()
@@ -1076,7 +928,7 @@ class Solid {\n\
         let profile = profile_coverage(project, &locations, &run_options);
         let all_sites: BTreeSet<_> = locations.iter().map(|l| l.site).collect();
         let test_plan = plan(&profile, &all_sites);
-        expand_plan(&test_plan, &locations, &[1, 100])
+        expand_plan(&test_plan, &locations, ks)
     }
 
     fn render(records: &[RunRecord]) -> Vec<String> {
@@ -1202,44 +1054,56 @@ class Solid {\n\
     #[test]
     fn observer_sees_every_run_start_and_finish() {
         #[derive(Default)]
-        struct Counter {
-            started: usize,
-            finished: usize,
+        struct Recorder {
+            started: Vec<usize>,
+            finished: Vec<usize>,
             campaign_started: usize,
             campaign_finished: usize,
         }
-        impl EngineObserver for Counter {
+        impl EngineObserver for Recorder {
             fn on_event(&mut self, event: &EngineEvent<'_>) {
                 match event {
                     EngineEvent::Started { .. } => self.campaign_started += 1,
-                    EngineEvent::RunStarted { .. } => self.started += 1,
-                    EngineEvent::RunFinished { .. } => self.finished += 1,
+                    EngineEvent::RunStarted { index, .. } => self.started.push(*index),
+                    EngineEvent::RunFinished { index, .. } => self.finished.push(*index),
                     EngineEvent::Finished { .. } => self.campaign_finished += 1,
                     _ => {}
                 }
             }
         }
         let project = Project::compile("t", vec![("t.jav", SOURCE)]).expect("compile");
-        let runs = campaign_runs(&project);
-        let mut counter = Counter::default();
-        let result = run_campaign(
-            &project,
-            &runs,
-            &CampaignOptions {
-                jobs: 3,
-                ..CampaignOptions::default()
-            },
-            &mut counter,
-        );
-        assert_eq!(counter.campaign_started, 1);
-        assert_eq!(counter.campaign_finished, 1);
-        assert_eq!(counter.started, runs.len());
-        assert_eq!(counter.finished, runs.len());
-        assert_eq!(
-            result.stats.worker_runs.iter().sum::<usize>(),
-            runs.len(),
-            "worker utilization accounts for every run"
-        );
+        // Enough runs that eight workers contend for the cursor.
+        let ks: Vec<u32> = (1..=24).collect();
+        let runs = campaign_runs_at(&project, &ks);
+        assert!(runs.len() >= 32, "expected >= 32 runs, got {}", runs.len());
+        let every_index: Vec<usize> = (0..runs.len()).collect();
+        for jobs in [1, 3, 8] {
+            let mut recorder = Recorder::default();
+            let result = run_campaign(
+                &project,
+                &runs,
+                &CampaignOptions {
+                    jobs,
+                    ..CampaignOptions::default()
+                },
+                &mut recorder,
+            );
+            assert_eq!(recorder.campaign_started, 1);
+            assert_eq!(recorder.campaign_finished, 1);
+            if jobs == 1 {
+                assert_eq!(recorder.started, every_index, "one worker starts runs in key order");
+            }
+            let (mut started, mut finished) = (recorder.started, recorder.finished);
+            started.sort_unstable();
+            finished.sort_unstable();
+            assert_eq!(started, every_index, "every run starts exactly once at jobs={jobs}");
+            assert_eq!(finished, every_index, "every run finishes exactly once at jobs={jobs}");
+            assert_eq!(
+                result.stats.worker_runs.iter().sum::<usize>(),
+                runs.len(),
+                "worker utilization accounts for every run at jobs={jobs}"
+            );
+        }
     }
 
     // ---- Resilience: chaos self-tests --------------------------------------
@@ -1338,49 +1202,6 @@ class Solid {\n\
     }
 
     #[test]
-    fn killed_worker_degrades_gracefully_and_campaign_completes() {
-        let project = Project::compile("t", vec![("t.jav", SOURCE)]).expect("compile");
-        let runs = campaign_runs(&project);
-        for jobs in [1usize, 2, 4] {
-            let options = CampaignOptions {
-                jobs,
-                chaos: Some(ChaosConfig {
-                    panic_rate: 0.0,
-                    max_delay_ms: 0,
-                    seed: 0,
-                    kill_worker: Some(0),
-                    exit_after_appends: None,
-                }),
-                ..CampaignOptions::default()
-            };
-            let result = run_campaign(&project, &runs, &options, &mut NullObserver);
-            assert_eq!(result.stats.workers_lost, 1, "worker 0 dies at jobs={jobs}");
-            assert_eq!(
-                result.records.len(),
-                runs.len(),
-                "campaign completes with fewer workers at jobs={jobs}"
-            );
-            let clean = run_campaign(
-                &project,
-                &runs,
-                &CampaignOptions::default(),
-                &mut NullObserver,
-            );
-            assert_eq!(
-                render(&result.records),
-                render(&clean.records),
-                "lost worker must not change records at jobs={jobs}"
-            );
-            if jobs == 1 {
-                assert!(
-                    result.stats.supervisor_runs > 0,
-                    "with the only worker dead, the coordinator drains the queue inline"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn backoff_is_deterministic_bounded_and_grows() {
         let policy = Policy::ENGINE;
         let runs_key = RunKey {
@@ -1433,7 +1254,7 @@ class Solid {\n\
         );
         assert_eq!(resumed.stats.resumed, half);
         assert_eq!(
-            resumed.stats.worker_runs.iter().sum::<usize>() + resumed.stats.supervisor_runs,
+            resumed.stats.worker_runs.iter().sum::<usize>(),
             runs.len() - half,
             "resume executes strictly fewer runs than the full plan"
         );

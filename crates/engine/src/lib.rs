@@ -6,23 +6,21 @@
 //! `{unit test, retry location, exception, K}` injection run is an
 //! independent interpreter execution — and this crate owns running them:
 //!
-//! - [`queue::ShardedQueue`] — a work queue sharded per worker with
-//!   stealing, built only on `std::sync::{Mutex, Condvar}`;
 //! - [`campaign::run_campaign`] — a fixed-size `std::thread` worker pool
-//!   with per-run interpreter isolation, an optional per-run wall-clock
-//!   budget (graceful cancellation → [`RunOutcome::TimedOut`]), and a
-//!   merge that orders results by [`wasabi_planner::plan::RunKey`] so
+//!   whose workers claim runs in [`wasabi_planner::plan::RunKey`] order
+//!   from one shared cursor, with per-run interpreter isolation, an
+//!   optional per-run wall-clock budget (graceful cancellation →
+//!   [`RunOutcome::TimedOut`]), and a merge that orders results by key so
 //!   reports are byte-identical for any `jobs` value;
 //! - a **resilience layer**: per-run panic containment
 //!   ([`RunOutcome::Crashed`]), deterministic retries under a
 //!   [`wasabi_util::backoff::Policy`] (see [`campaign::retry_delay`])
-//!   with quarantine for runs that exhaust it, worker supervision
-//!   (a dead worker's shard is drained by survivors), and a durable
-//!   [`journal`] for checkpoint/resume — a resumed campaign's report is
-//!   byte-identical to an uninterrupted one;
+//!   with quarantine for runs that exhaust it, and a durable [`journal`]
+//!   for checkpoint/resume — a resumed campaign's report is
+//!   byte-identical to an uninterrupted one. Whole-process crashes are
+//!   the [`shard`] supervisor's to recover;
 //! - [`observer::EngineObserver`] — structured progress events, with a
-//!   stderr reporter ([`StderrProgress`]) and, behind the `json-reports`
-//!   feature, a JSON summary sink ([`observer::JsonSummarySink`]);
+//!   stderr reporter ([`StderrProgress`]);
 //! - an **observability layer**: per-run host timings ([`RunTiming`]),
 //!   log2-bucketed mergeable histograms ([`CampaignMetrics`], merged from
 //!   per-worker collectors in index order), phase/run span recording
@@ -36,7 +34,6 @@ pub mod campaign;
 pub mod journal;
 pub mod metrics;
 pub mod observer;
-pub mod queue;
 pub mod shard;
 pub mod spans;
 
@@ -45,8 +42,5 @@ pub use campaign::{
     RunRecord,
 };
 pub use metrics::{CampaignMetrics, MetricsObserver, RunTiming};
-pub use observer::{EngineEvent, EngineObserver, FanOut, NullObserver, StderrProgress, Tee};
+pub use observer::{EngineEvent, EngineObserver, NullObserver, StderrProgress, Tee};
 pub use spans::{load_trace, render_stats, validate_trace, write_trace, TraceFile};
-
-#[cfg(feature = "json-reports")]
-pub use observer::JsonSummarySink;

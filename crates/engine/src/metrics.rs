@@ -25,15 +25,15 @@ use crate::spans::{PhaseSpan, RunSpan};
 use std::collections::HashMap;
 use wasabi_util::backoff::Policy;
 use wasabi_util::metrics::{Clock, WallClock};
-use wasabi_util::{saturating_ms, Histogram, Json};
+use wasabi_util::{saturating_ms, Histogram};
 
 /// Host-time measurements for one run (summed over all its attempts).
 /// Carried alongside the record in `RunFinished` events; never part of
 /// the record itself (it is scheduling-dependent).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunTiming {
-    /// Campaign-relative time at which a worker popped this run, in
-    /// microseconds — how long the run sat behind others in the queue.
+    /// Campaign-relative time at which a worker claimed this run, in
+    /// microseconds — how long the run sat behind others in key order.
     pub queue_wait_us: u64,
     /// Wall time of the whole run: every attempt plus backoff sleeps.
     pub run_wall_us: u64,
@@ -48,8 +48,8 @@ pub struct RunTiming {
 }
 
 /// One worker's timing histograms. Owned by the campaign coordinator —
-/// one per worker plus one for inline supervisor runs — and merged into
-/// [`CampaignMetrics`] in worker index order when the campaign finishes.
+/// one per worker — and merged into [`CampaignMetrics`] in worker index
+/// order when the campaign finishes.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerTimings {
     /// Queue-wait distribution (us).
@@ -135,8 +135,7 @@ impl CampaignMetrics {
     }
 
     /// Merges per-worker timing histograms, in the order given (the
-    /// campaign passes worker index order: workers `0..jobs`, then the
-    /// supervisor's inline runs).
+    /// campaign passes worker index order).
     pub fn absorb_worker_timings(&mut self, workers: &[WorkerTimings]) {
         for w in workers {
             self.queue_wait_us.merge(&w.queue_wait_us);
@@ -167,27 +166,6 @@ impl CampaignMetrics {
             ("interp_us", &self.interp_us),
             ("judge_us", &self.judge_us),
         ]
-    }
-
-    /// Integer-only JSON summary of every histogram (no floats, so the
-    /// document is byte-stable for a given metrics value).
-    pub fn to_json(&self) -> Json {
-        let one = |h: &Histogram| {
-            Json::obj([
-                ("count", Json::from(h.count())),
-                ("sum", Json::from(h.sum())),
-                ("min", Json::from(h.min())),
-                ("max", Json::from(h.max())),
-                ("p50", Json::from(h.approx_percentile(0.5))),
-                ("p95", Json::from(h.approx_percentile(0.95))),
-            ])
-        };
-        let fields = self
-            .deterministic()
-            .into_iter()
-            .chain(self.timing())
-            .map(|(name, h)| (name, one(h)));
-        Json::obj(fields)
     }
 }
 

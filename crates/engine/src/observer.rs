@@ -133,14 +133,6 @@ pub enum EngineEvent<'a> {
         /// The completed record.
         record: &'a crate::campaign::RunRecord,
     },
-    /// A worker thread died (its run panicked through containment, or the
-    /// thread itself was killed); survivors drain its shard.
-    WorkerLost {
-        /// The dead worker.
-        worker: usize,
-        /// The run it was executing, if any — re-queued for the survivors.
-        requeued: Option<&'a RunKey>,
-    },
     /// The journal flushed an epoch marker to disk; `completed` records
     /// are now durable.
     CheckpointWritten {
@@ -178,10 +170,9 @@ impl EngineObserver for NullObserver {
 
 /// Prints campaign progress to stderr, rate-limited by *completed-run
 /// count* rather than per-event: a million-run campaign prints a bounded
-/// number of progress lines, not a million. Exceptional events (a lost
-/// worker) are printed immediately; per-run noise (timeouts, crashes,
-/// retries) is only counted and folded into the periodic line and the
-/// final summary.
+/// number of progress lines, not a million. Per-run noise (timeouts,
+/// crashes, retries) is only counted and folded into the periodic line
+/// and the final summary.
 #[derive(Debug)]
 pub struct StderrProgress {
     every: usize,
@@ -244,13 +235,6 @@ impl EngineObserver for StderrProgress {
             EngineEvent::RunCrashed { .. } => self.crashed += 1,
             EngineEvent::RunQuarantined { .. } => self.quarantined += 1,
             EngineEvent::CheckpointWritten { .. } => {}
-            EngineEvent::WorkerLost { worker, requeued } => {
-                let requeue_note = match requeued {
-                    Some(key) => format!("; re-queued {} @ {} K={}", key.test, key.site, key.k),
-                    None => String::new(),
-                };
-                eprintln!("[engine] worker {worker} lost{requeue_note}");
-            }
             EngineEvent::RunFinished { key, reports, .. } => {
                 self.completed += 1;
                 self.reports += reports;
@@ -273,7 +257,7 @@ impl EngineObserver for StderrProgress {
             }
             EngineEvent::Finished { stats, .. } => {
                 eprintln!(
-                    "[engine] done: {} runs ({} resumed), {} timed out, {} failed, {} crashed, {} retried, {} quarantined, {} worker(s) lost, {} report(s), {} injections, {} ms wall",
+                    "[engine] done: {} runs ({} resumed), {} timed out, {} failed, {} crashed, {} retried, {} quarantined, {} report(s), {} injections, {} ms wall",
                     stats.runs_total,
                     stats.resumed,
                     stats.timed_out,
@@ -281,7 +265,6 @@ impl EngineObserver for StderrProgress {
                     stats.crashed,
                     stats.retried,
                     stats.quarantined,
-                    stats.workers_lost,
                     stats.reports,
                     stats.injections,
                     stats.wall_ms
@@ -291,21 +274,8 @@ impl EngineObserver for StderrProgress {
     }
 }
 
-/// Collects the final campaign statistics as a JSON document
-/// (`wasabi-util`'s writer; no external dependencies). The document
-/// carries `schema_version` ([`crate::journal::SCHEMA_VERSION`]) so
-/// downstream consumers can detect format changes, and a `quarantine`
-/// section listing runs that exhausted the retry policy, sorted by
-/// `RunKey` so the document is deterministic regardless of scheduling.
-#[cfg(feature = "json-reports")]
-#[derive(Debug, Default)]
-pub struct JsonSummarySink {
-    quarantined: Vec<(RunKey, u8, &'static str)>,
-    summary: Option<String>,
-}
-
 /// A [`RunOutcome`]'s stable kind string — the vocabulary shared by the
-/// journal, the JSON summary, trace run spans, and the adaptive planner's
+/// journal, trace run spans, and the adaptive planner's
 /// probe signals (`wasabi-core` builds `ProbeSignal`s from `RunRecorded`
 /// events with it).
 pub fn outcome_kind(outcome: &RunOutcome) -> &'static str {
@@ -323,80 +293,8 @@ pub fn outcome_kind(outcome: &RunOutcome) -> &'static str {
     }
 }
 
-#[cfg(feature = "json-reports")]
-impl JsonSummarySink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        JsonSummarySink::default()
-    }
-
-    /// The JSON summary, available once the campaign finished.
-    pub fn summary(&self) -> Option<&str> {
-        self.summary.as_deref()
-    }
-}
-
-#[cfg(feature = "json-reports")]
-impl EngineObserver for JsonSummarySink {
-    fn on_event(&mut self, event: &EngineEvent<'_>) {
-        use wasabi_util::Json;
-        match event {
-            EngineEvent::RunQuarantined {
-                key,
-                attempts,
-                outcome,
-                ..
-            } => {
-                self.quarantined
-                    .push(((*key).clone(), *attempts, outcome_kind(outcome)));
-            }
-            EngineEvent::Finished { stats, metrics } => {
-                self.quarantined.sort_by(|a, b| a.0.cmp(&b.0));
-                let quarantine = Json::arr(self.quarantined.iter().map(|(key, attempts, kind)| {
-                    Json::obj([
-                        ("test", Json::from(key.test.to_string())),
-                        ("site", Json::from(key.site.to_string())),
-                        ("exception", Json::from(key.exception.as_str())),
-                        ("k", Json::from(key.k)),
-                        ("attempts", Json::from(u32::from(*attempts))),
-                        ("outcome", Json::from(*kind)),
-                    ])
-                }));
-                let value = Json::obj([
-                    ("schema_version", Json::from(crate::journal::SCHEMA_VERSION)),
-                    ("runs_total", Json::from(stats.runs_total)),
-                    ("completed", Json::from(stats.completed)),
-                    ("timed_out", Json::from(stats.timed_out)),
-                    ("failed", Json::from(stats.failed)),
-                    ("crashed", Json::from(stats.crashed)),
-                    ("retried", Json::from(stats.retried)),
-                    ("quarantined", Json::from(stats.quarantined)),
-                    ("rethrow_filtered", Json::from(stats.rethrow_filtered)),
-                    ("not_a_trigger", Json::from(stats.not_a_trigger)),
-                    ("reports", Json::from(stats.reports)),
-                    ("injections", Json::from(stats.injections as i64)),
-                    ("virtual_ms", Json::from(stats.virtual_ms as i64)),
-                    ("wall_ms", Json::from(stats.wall_ms as i64)),
-                    ("jobs", Json::from(stats.jobs)),
-                    (
-                        "worker_runs",
-                        Json::arr(stats.worker_runs.iter().map(|&n| Json::from(n))),
-                    ),
-                    ("supervisor_runs", Json::from(stats.supervisor_runs)),
-                    ("workers_lost", Json::from(stats.workers_lost)),
-                    ("resumed", Json::from(stats.resumed)),
-                    ("quarantine", quarantine),
-                    ("metrics", metrics.to_json()),
-                ]);
-                self.summary = Some(value.pretty());
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Fans one event stream out to two observers, so a caller can have both
-/// progress lines and a JSON summary without writing a combinator.
+/// progress lines and a metrics recorder without writing a combinator.
 pub struct Tee<'a, 'b> {
     /// First observer.
     pub first: &'a mut dyn EngineObserver,
@@ -408,30 +306,5 @@ impl EngineObserver for Tee<'_, '_> {
     fn on_event(&mut self, event: &EngineEvent<'_>) {
         self.first.on_event(event);
         self.second.on_event(event);
-    }
-}
-
-/// Fans one event stream out to any number of observers, in registration
-/// order. The N-way generalization of [`Tee`] for callers whose observer
-/// set is dynamic — the serve daemon attaches one bridge per live
-/// subscriber on top of its own progress recorder.
-#[derive(Default)]
-pub struct FanOut<'a> {
-    /// Observers, invoked in order for every event.
-    pub observers: Vec<&'a mut dyn EngineObserver>,
-}
-
-impl<'a> FanOut<'a> {
-    /// A fan-out over `observers`.
-    pub fn new(observers: Vec<&'a mut dyn EngineObserver>) -> Self {
-        FanOut { observers }
-    }
-}
-
-impl EngineObserver for FanOut<'_> {
-    fn on_event(&mut self, event: &EngineEvent<'_>) {
-        for observer in self.observers.iter_mut() {
-            observer.on_event(event);
-        }
     }
 }

@@ -354,9 +354,27 @@ pub fn load_manifest(dir: &Path) -> Result<ShardManifest, String> {
                 .ok_or_else(|| context("file entries must be strings"))
         })
         .collect::<Result<Vec<_>, _>>()?;
+    let shards = usize_field("shards")?;
+    let total_runs = usize_field("total_runs")?;
+    // Readers size work by these fields (`wasabi merge` opens one journal
+    // per shard), so a manifest that disagrees with itself is refused here.
+    if shards != ranges.len() {
+        return Err(context(&format!(
+            "shards is {shards} but {} ranges are listed",
+            ranges.len()
+        )));
+    }
+    if let Some(&(start, end)) = ranges
+        .iter()
+        .find(|&&(start, end)| start > end || end > total_runs)
+    {
+        return Err(context(&format!(
+            "range [{start}, {end}) does not fit in {total_runs} runs"
+        )));
+    }
     Ok(ShardManifest {
-        shards: usize_field("shards")?,
-        total_runs: usize_field("total_runs")?,
+        shards,
+        total_runs,
         ranges,
         source_digest,
         files,

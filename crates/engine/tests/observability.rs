@@ -146,21 +146,3 @@ fn metrics_observer_composes_with_stderr_progress() {
     assert_eq!(metrics.steps.count(), result.metrics.steps.count());
     assert_eq!(metrics.attempts.sum(), result.metrics.attempts.sum());
 }
-
-#[cfg(feature = "json-reports")]
-#[test]
-fn metrics_observer_composes_with_json_summary_sink() {
-    use wasabi_engine::JsonSummarySink;
-    let (project, runs) = campaign_fixture();
-    let mut recorder = MetricsObserver::new();
-    let mut sink = JsonSummarySink::new();
-    let mut tee = Tee {
-        first: &mut sink,
-        second: &mut recorder,
-    };
-    let result = run_campaign(&project, &runs, &options(2), &mut tee);
-    let summary = sink.summary().expect("summary after Finished").to_string();
-    assert!(summary.contains("\"metrics\""), "summary carries the metrics block");
-    assert!(summary.contains("\"steps\""));
-    assert_eq!(recorder.runs().len(), result.records.len());
-}

@@ -611,13 +611,16 @@ fn handle_request<S: Read + Write>(
         } => {
             let response = {
                 let mut state = shared.state.lock().expect("serve state lock");
-                if state.shutdown {
-                    error_response("daemon is shutting down")
-                } else if state.draining {
+                // Draining is checked first: a drain ends by flipping
+                // `shutdown`, and a client of a draining daemon keeps
+                // getting the same retryable answer until it exits.
+                if state.draining {
                     // A rejection, not an error: like a full queue, this
                     // is backpressure the client may retry elsewhere (or
                     // later, against a restarted daemon).
                     rejected_response("draining")
+                } else if state.shutdown {
+                    error_response("daemon is shutting down")
                 } else {
                     shared.tick_locked(&mut state);
                     let now = shared.clock.now_us();

@@ -334,6 +334,62 @@ mod tests {
         assert!(parse_request(no_files).unwrap_err().contains("one file"));
     }
 
+    /// Garbage from JSON punctuation, protocol keys and values, numbers
+    /// beyond the integer range, multi-byte text, and deep nesting.
+    fn gen_garbage(rng: &mut wasabi_util::Rng, max_len: usize) -> String {
+        #[rustfmt::skip]
+        const POOL: &[&str] = &[
+            "{", "}", "[", "]", ":", ",", "\"", "\\", " ", "0", "7", "-", ".", "e",
+            "18446744073709551616", "true", "null", "\"kind\"", "\"wasabi-serve\"", "\"v\"",
+            "1", "\"op\"", "\"submit\"", "\"files\"", "\"priority\"", "\"jobs\"",
+            "\"shards\"", "\"id\"", "\"drain\"", "\u{e9}", "\u{1f980}",
+        ];
+        // A deep run leads, so the parser descends into it before any error.
+        let mut text = String::new();
+        if rng.chance(0.1) {
+            let depth = 1 + rng.below(20_000) as usize;
+            text.push_str(&rng.pick(&["[", "{\"files\":"]).repeat(depth));
+        }
+        let len = rng.below(max_len as u64 + 1) as usize;
+        text.extend((0..len).map(|_| *rng.pick(POOL)));
+        text
+    }
+
+    /// `parse_request` answers every frame with `Ok` or `Err`: garbage,
+    /// deep nesting, every prefix of a valid submit frame, and bit flips
+    /// of one. A panic here would kill the daemon session thread; a
+    /// stack overflow would kill the daemon.
+    #[test]
+    fn parse_request_is_total_on_garbage_truncation_and_bit_flips() {
+        let valid = render_request(&Request::Submit {
+            name: "cli".to_string(),
+            priority: 3,
+            files: vec![
+                ("a.jav".to_string(), "class A {}\n\"quoted\" \u{e9}".to_string()),
+                ("b/b.jav".to_string(), "class B {}".to_string()),
+            ],
+            jobs: Some(4),
+            shards: Some(2),
+        });
+        assert!(parse_request(&valid).is_ok());
+        for depth in [wasabi_util::json::MAX_DEPTH + 1, 20_000] {
+            assert!(parse_request(&"[".repeat(depth)).is_err());
+        }
+        let mut rng = wasabi_util::Rng::new(0x5e4e_0001);
+        for _ in 0..256 {
+            let _ = parse_request(&gen_garbage(&mut rng, 200));
+            let _ = parse_request(&format!("{valid}{}", gen_garbage(&mut rng, 120)));
+            let mut flipped = valid.clone().into_bytes();
+            let at = rng.below(flipped.len() as u64) as usize;
+            flipped[at] ^= 1 << rng.below(8);
+            let _ = parse_request(&String::from_utf8_lossy(&flipped));
+        }
+        for cut in 0..valid.len() {
+            let prefix = String::from_utf8_lossy(&valid.as_bytes()[..cut]);
+            assert!(parse_request(&prefix).is_err(), "a cut frame is never a request: {prefix}");
+        }
+    }
+
     #[test]
     fn default_priority_applies_when_absent() {
         let line = "{\"kind\":\"wasabi-serve\",\"v\":1,\"op\":\"submit\",\"name\":\"x\",\"files\":[[\"a.jav\",\"c\"]]}";

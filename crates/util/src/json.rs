@@ -9,10 +9,16 @@
 //! deterministic-merge contract in `wasabi-engine`.
 //!
 //! The parser ([`Json::parse`]) accepts exactly what the writer emits
-//! (plus arbitrary standard JSON); it exists because a resumed campaign
-//! must read its own journal back.
+//! (plus arbitrary standard JSON nested at most [`MAX_DEPTH`] deep); it
+//! exists because a resumed campaign must read its own journal back.
 
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a line of `[` bytes would
+/// overflow the reading thread's stack and abort the process (a daemon
+/// session included). Nothing WASABI writes nests more than a few levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,11 +129,12 @@ impl Json {
     /// Parses a JSON document. Returns an error describing the first
     /// offending byte offset on malformed input; trailing garbage after
     /// the top-level value is an error (the journal reader depends on a
-    /// half-written line being rejected, not silently truncated).
+    /// half-written line being rejected, not silently truncated), and so
+    /// is nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -220,8 +227,16 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing arrays
+/// and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -237,7 +252,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -265,7 +280,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected `:` at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -321,8 +336,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             let hex2 = bytes.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
                             let hex2 = std::str::from_utf8(hex2).map_err(|_| "bad \\u escape")?;
                             let low = u32::from_str_radix(hex2, 16).map_err(|_| "bad \\u escape")?;
-                            let combined =
-                                0x10000 + ((code - 0xD800) << 10) + low.wrapping_sub(0xDC00);
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err("bad surrogate pair".to_string());
+                            }
+                            let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                             out.push(char::from_u32(combined).ok_or("bad surrogate pair")?);
                             *pos += 3; // loop tail adds 1
                         } else {
@@ -547,6 +564,10 @@ mod tests {
             // A journal line cut mid-write must be an error, never a
             // silently truncated value.
             r#"{"key":{"class":"C","method":"t"},"outco"#,
+            // A high surrogate must pair with a low one.
+            r#""\ud800\u0000""#,
+            r#""\ud800\ud800""#,
+            r#""\udc00""#,
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed `{bad}`");
         }
@@ -561,6 +582,37 @@ mod tests {
             v.get("a").unwrap().as_arr().unwrap()[2].as_str(),
             Some("A😀")
         );
+    }
+
+    /// Deep nesting is an error at [`MAX_DEPTH`], not a stack overflow.
+    /// Runs on a spawned thread, whose default stack is the size a daemon
+    /// session thread gets.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        std::thread::spawn(|| {
+            for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+                let nested =
+                    |depth: usize| format!("{}0{}", open.repeat(depth), close.repeat(depth));
+                assert!(
+                    Json::parse(&nested(MAX_DEPTH)).is_ok(),
+                    "{open} x {MAX_DEPTH} parses"
+                );
+                let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+                assert!(err.contains("nesting deeper than 128"), "{err}");
+                for depth in [10_000, 100_000] {
+                    assert!(
+                        Json::parse(&open.repeat(depth)).is_err(),
+                        "{open} x {depth}"
+                    );
+                    assert!(
+                        Json::parse(&nested(depth)).is_err(),
+                        "{open}0{close} x {depth}"
+                    );
+                }
+            }
+        })
+        .join()
+        .expect("deep input never overflows the stack");
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   followed by `cargo test -q --workspace`, then the resilience smoke
 //!   and the seed-corpus report digest. Fails fast on the first failing
 //!   stage.
-//! - `ci`    — tier1 plus `cargo build --all-features` and the
-//!   all-features test suite (every feature is offline-safe in this
-//!   workspace, so both extra stages must pass too).
+//! - `ci`    — the release build and test suite, then the resilience
+//!   smoke, the report digest, the lint gate and the paper gate.
 //! - `smoke` — the resilience smoke on its own: a chaos campaign
 //!   (10% injected run panics, `--jobs 4`) whose `--json` report must be
 //!   byte-identical to the serial run's, and a kill-and-resume round-trip
@@ -68,6 +67,8 @@ use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{exit, Command};
+use wasabi_util::rng::fnv1a64;
+use wasabi_util::Json;
 
 fn main() {
     let task = env::args().nth(1).unwrap_or_else(|| {
@@ -86,11 +87,6 @@ fn main() {
         "ci" => {
             run_stage("build --release", &["build", "--release"]);
             run_stage("test -q --workspace", &["test", "-q", "--workspace"]);
-            run_stage("build --all-features", &["build", "--all-features"]);
-            run_stage(
-                "test -q --workspace --all-features",
-                &["test", "-q", "--workspace", "--all-features"],
-            );
             smoke();
             digest(false);
             lint_gate(false);
@@ -417,7 +413,7 @@ fn digest(record: bool) {
         if report.is_empty() {
             fail(&format!("digest: empty report for {app}"));
         }
-        lines.push_str(&format!("{app} {:016x}\n", fnv1a64(report.as_bytes())));
+        lines.push_str(&format!("{app} {:016x}\n", fnv1a64([report.as_bytes()])));
     }
     let _ = fs::remove_dir_all(&work);
     if record {
@@ -482,7 +478,7 @@ fn chaos_shard_smoke() {
         .lines()
         .find_map(|line| line.strip_prefix("HD "))
         .unwrap_or_else(|| fail(&format!("no HD line in {DIGEST_PATH}")));
-    let computed = format!("{:016x}", fnv1a64(single.as_bytes()));
+    let computed = format!("{:016x}", fnv1a64([single.as_bytes()]));
     if computed != pinned {
         fail(&format!(
             "chaos shard smoke: single-process digest {computed} != pinned {pinned}"
@@ -582,12 +578,7 @@ fn serve_smoke() {
     std::io::BufReader::new(daemon.stdout.take().expect("piped stdout"))
         .read_line(&mut banner)
         .unwrap_or_else(|e| fail(&format!("read serve banner: {e}")));
-    let addr = banner
-        .split("\"addr\":\"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .unwrap_or_else(|| fail(&format!("serve banner carried no addr: {banner}")))
-        .to_string();
+    let addr = str_at(&parse_json(&banner, "serve banner"), &["addr"], "serve banner").to_string();
     eprintln!("    daemon on {addr}");
 
     let submit = |extra: &[&str], files: &[PathBuf]| -> (i32, String) {
@@ -623,7 +614,7 @@ fn serve_smoke() {
         .lines()
         .find_map(|line| line.strip_prefix(&format!("{app} ")))
         .unwrap_or_else(|| fail(&format!("{DIGEST_PATH} has no {app} line")));
-    let computed = format!("{:016x}", fnv1a64(first.as_bytes()));
+    let computed = format!("{:016x}", fnv1a64([first.as_bytes()]));
     if computed != pinned {
         fail(&format!(
             "serve smoke: daemon report digest {computed} != batch digest {pinned}"
@@ -635,8 +626,8 @@ fn serve_smoke() {
     if stats_code != 0 {
         fail(&format!("submit --stats exited with code {stats_code}"));
     }
-    let cache_hits = extract_number(&stats, "\"cache_hits\":");
-    if cache_hits < 1.0 {
+    let cache_hits = u64_at(&parse_json(&stats, "submit --stats"), &["cache_hits"], "submit --stats");
+    if cache_hits < 1 {
         fail(&format!("serve smoke: expected a cache hit, stats were {stats}"));
     }
     eprintln!("    repeat submission was a cache hit ({cache_hits} hit(s))");
@@ -672,17 +663,18 @@ fn adaptive_gate() {
     let work = env::temp_dir().join(format!("wasabi-adaptive-gate-{}", std::process::id()));
     let _ = fs::remove_dir_all(&work);
 
-    // The bug list from `"bugs":` onward, minus the grouped-report
-    // counts (the only field fingerprint dedup may legitimately shrink).
-    let bug_list = |report: &str| -> String {
-        let start = report
-            .find("\"bugs\":")
-            .unwrap_or_else(|| fail("adaptive gate: report has no bugs array"));
-        report[start..]
-            .lines()
-            .filter(|line| !line.contains("\"reports\""))
-            .collect::<Vec<_>>()
-            .join("\n")
+    // The bug list, minus each bug's grouped-report count (the only field
+    // fingerprint dedup may legitimately shrink).
+    let bug_list = |report: &Json, what: &str| -> Vec<Json> {
+        arr_at(report, &["bugs"], what)
+            .iter()
+            .map(|bug| {
+                let fields = bug
+                    .as_obj()
+                    .unwrap_or_else(|| fail(&format!("{what}: a bug is not an object")));
+                Json::Obj(fields.iter().filter(|(key, _)| key != "reports").cloned().collect())
+            })
+            .collect()
     };
 
     let mut app_docs = Vec::new();
@@ -706,26 +698,40 @@ fn adaptive_gate() {
             .iter()
             .map(|f| f.strip_prefix(&work).expect("file under work dir").to_path_buf())
             .collect();
-        let fixed = run_wasabi_test_in(&wasabi, &work, &["--quiet", "--json", "--jobs", "2"], &rel);
-        let adaptive = run_wasabi_test_in(
-            &wasabi,
-            &work,
-            &["--quiet", "--json", "--jobs", "2", "--adaptive"],
-            &rel,
+        let fixed_what = format!("adaptive gate: {app} fixed-grid report");
+        let adaptive_what = format!("adaptive gate: {app} adaptive report");
+        let fixed = parse_json(
+            &run_wasabi_test_in(&wasabi, &work, &["--quiet", "--json", "--jobs", "2"], &rel),
+            &fixed_what,
         );
-        if bug_list(&fixed) != bug_list(&adaptive) {
-            eprintln!("fixed bugs:\n{}\nadaptive bugs:\n{}", bug_list(&fixed), bug_list(&adaptive));
+        let adaptive = parse_json(
+            &run_wasabi_test_in(
+                &wasabi,
+                &work,
+                &["--quiet", "--json", "--jobs", "2", "--adaptive"],
+                &rel,
+            ),
+            &adaptive_what,
+        );
+        let fixed_bugs = bug_list(&fixed, &fixed_what);
+        let adaptive_bugs = bug_list(&adaptive, &adaptive_what);
+        if fixed_bugs != adaptive_bugs {
+            eprintln!(
+                "fixed bugs:\n{}adaptive bugs:\n{}",
+                Json::Arr(fixed_bugs).pretty(),
+                Json::Arr(adaptive_bugs).pretty()
+            );
             fail(&format!("adaptive gate: {app} adaptive bug set differs from the fixed grid"));
         }
-        let fixed_runs = extract_number(&fixed, "\"runs_planned\":") as u64;
-        let adaptive_runs = extract_number(&adaptive, "\"runs_planned\":") as u64;
+        let fixed_runs = u64_at(&fixed, &["runs_planned"], &fixed_what);
+        let adaptive_runs = u64_at(&adaptive, &["runs_planned"], &adaptive_what);
         if adaptive_runs > fixed_runs {
             fail(&format!(
                 "adaptive gate: {app} executed more runs than the fixed grid \
                  ({adaptive_runs} vs {fixed_runs})"
             ));
         }
-        let bugs = bug_list(&fixed).matches("\"kind\":").count();
+        let bugs = fixed_bugs.len();
         let cut = 100.0 * (1.0 - adaptive_runs as f64 / fixed_runs.max(1) as f64);
         eprintln!(
             "    {app}: {bugs} bugs at {adaptive_runs}/{fixed_runs} runs ({cut:.1}% fewer)"
@@ -793,31 +799,6 @@ fn repair_gate() {
         }
     };
 
-    // `(attempts, fixed)` buckets of the report's attempts histogram.
-    let histogram_entries = |report: &str| -> Vec<(u64, u64)> {
-        let start = report
-            .find("\"attempts_histogram\":")
-            .unwrap_or_else(|| fail("repair gate: report has no attempts histogram"));
-        let section = &report[start..];
-        let end = section
-            .find(']')
-            .unwrap_or_else(|| fail("repair gate: malformed attempts histogram"));
-        section[..end]
-            .split("\"attempts\":")
-            .skip(1)
-            .map(|chunk| {
-                let attempts = chunk
-                    .trim_start()
-                    .chars()
-                    .take_while(char::is_ascii_digit)
-                    .collect::<String>()
-                    .parse::<u64>()
-                    .unwrap_or_else(|e| fail(&format!("repair gate: bad histogram bucket: {e}")));
-                (attempts, extract_number(chunk, "\"fixed\":") as u64)
-            })
-            .collect()
-    };
-
     let mut class_agg: Vec<(&str, u64, u64)> =
         vec![("W001", 0, 0), ("W002", 0, 0), ("A001", 0, 0)];
     let mut histogram: Vec<(u64, u64)> = Vec::new();
@@ -847,20 +828,21 @@ fn repair_gate() {
         if one != four {
             fail(&format!("repair gate: {app} report differs between --jobs 1 and --jobs 4"));
         }
+        let what = format!("repair gate: {app} report");
         let report = String::from_utf8(one)
             .unwrap_or_else(|e| fail(&format!("{app} report not utf-8: {e}")));
+        let report = parse_json(&report, &what);
 
-        // Per-class `fixable`/`fixed` from the ground-truth section (the
-        // class objects directly follow their `"code"` key).
-        let truth = extract_section(&report, "truth");
+        // Per-class `fixable`/`fixed` from the ground-truth section.
+        let classes = arr_at(&report, &["truth", "classes"], &what);
         let (mut app_fixable, mut app_fixed) = (0u64, 0u64);
         for (code, fixable, fixed) in &mut class_agg {
-            let at = truth
-                .find(&format!("\"code\": \"{code}\""))
+            let class = classes
+                .iter()
+                .find(|class| class.get("code").and_then(Json::as_str) == Some(*code))
                 .unwrap_or_else(|| fail(&format!("repair gate: {app} truth has no {code} class")));
-            let class = &truth[at..];
-            let class_fixable = extract_number(class, "\"fixable\":") as u64;
-            let class_fixed = extract_number(class, "\"fixed\":") as u64;
+            let class_fixable = u64_at(class, &["fixable"], &what);
+            let class_fixed = u64_at(class, &["fixed"], &what);
             *fixable += class_fixable;
             *fixed += class_fixed;
             app_fixable += class_fixable;
@@ -869,16 +851,17 @@ fn repair_gate() {
         // Lint reports more targets than the seeded ground truth (clean
         // structures can still lack a delay, say); the histogram counts
         // *targets*, so the curve is scored over that population.
-        let summary = extract_section(&report, "summary");
-        total_targets += extract_number(summary, "\"targets\":") as u64;
-        total_targets_fixed += extract_number(summary, "\"fixed\":") as u64;
-        for (attempts, fixed) in histogram_entries(&report) {
+        total_targets += u64_at(&report, &["summary", "targets"], &what);
+        total_targets_fixed += u64_at(&report, &["summary", "fixed"], &what);
+        for bucket in arr_at(&report, &["summary", "attempts_histogram"], &what) {
+            let attempts = u64_at(bucket, &["attempts"], &what);
+            let fixed = u64_at(bucket, &["fixed"], &what);
             match histogram.iter_mut().find(|(n, _)| *n == attempts) {
                 Some((_, total)) => *total += fixed,
                 None => histogram.push((attempts, fixed)),
             }
         }
-        let rate = extract_number(truth, "\"fix_rate_percent\":") as u64;
+        let rate = u64_at(&report, &["truth", "fix_rate_percent"], &what);
         eprintln!("    {app}: {app_fixed}/{app_fixable} fixable bugs fixed ({rate}%)");
         total_fixable += app_fixable;
         total_fixed += app_fixed;
@@ -1008,43 +991,45 @@ fn lint_gate(record: bool) {
                 "lint gate: {app} cross-check report differs between --jobs 1 and --jobs 4"
             ));
         }
-        let report = serial.1;
-        if !report.contains("\"cross_check\"") || !report.contains("static-only") {
+        let what = format!("lint gate: {app} report");
+        let report = parse_json(&serial.1, &what);
+        let matrix = arr_at(&report, &["cross_check", "cells"], &what);
+        if !matrix
+            .iter()
+            .any(|cell| str_at(cell, &["tier"], &what) == "static-only")
+        {
             fail(&format!("lint gate: {app} report is missing the agreement matrix"));
         }
 
-        // The diagnostics array ends at the "suppressed" counter that
-        // follows it; the cross_check section repeats codes and files and
-        // must not leak into the scoring.
-        let diag_end = report
-            .find("\"suppressed\"")
-            .unwrap_or_else(|| fail(&format!("lint gate: {app} report has no diagnostics")));
-        let diags: Vec<(String, String, String)> = report[..diag_end]
-            .split("\"code\":")
-            .skip(1)
-            .map(|chunk| {
+        let diags: Vec<(&str, &str, &str)> = arr_at(&report, &["diagnostics"], &what)
+            .iter()
+            .map(|diag| {
                 (
-                    extract_string(chunk, ""),
-                    extract_string(chunk, "\"file\":"),
-                    extract_string(chunk, "\"coordinator\":"),
+                    str_at(diag, &["code"], &what),
+                    str_at(diag, &["file"], &what),
+                    str_at(diag, &["coordinator"], &what),
                 )
             })
             .collect();
 
+        let truth_what = format!("lint gate: {app} policy_truth.json");
         let truth = fs::read_to_string(app_dir.join("policy_truth.json"))
             .unwrap_or_else(|e| fail(&format!("read {app} policy_truth.json: {e}")));
+        let truth = parse_json(&truth, &truth_what);
         let mut seeded = 0usize;
         let mut policy_files = Vec::new();
         let mut seeds = Vec::new();
-        for chunk in truth.split("\"id\":").skip(1) {
-            let code = extract_string(chunk, "\"code\":");
+        for seed in truth
+            .as_arr()
+            .unwrap_or_else(|| fail(&format!("{truth_what}: not an array of seeds")))
+        {
+            let code = str_at(seed, &["code"], &truth_what);
             // Diagnostics anchor on the CLI-relative path `<APP>/<file>`.
-            let file = format!("{app}/{}", extract_string(chunk, "\"file\":"));
-            let coordinator = extract_string(chunk, "\"coordinator\":");
-            let genuine = chunk
-                .find("\"genuine\":")
-                .map(|at| chunk[at..].contains("true"))
-                .unwrap_or_else(|| fail(&format!("lint gate: {app} seed lacks genuine flag")));
+            let file = format!("{app}/{}", str_at(seed, &["file"], &truth_what));
+            let coordinator = str_at(seed, &["coordinator"], &truth_what);
+            let genuine = field(seed, &["genuine"], &truth_what)
+                .as_bool()
+                .unwrap_or_else(|| mistyped(&["genuine"], "a boolean", &truth_what));
             seeded += 1;
             policy_files.push(file.clone());
             seeds.push((code, file, coordinator, genuine));
@@ -1057,7 +1042,7 @@ fn lint_gate(record: bool) {
         for (code, tp, genuine_total, reported) in &mut scores {
             let found: Vec<_> = diags
                 .iter()
-                .filter(|(c, f, _)| c == code && policy_files.contains(f))
+                .filter(|(c, f, _)| c == code && policy_files.iter().any(|p| p == f))
                 .collect();
             *reported += found.len() as u64;
             app_diags += found.len() as u64;
@@ -1167,23 +1152,6 @@ fn paper_gate(record: bool) {
     eprintln!("paper gate: OK ({} bytes identical)", recorded.len());
 }
 
-/// Parses the first `<key> "<string>"` after `doc`'s start (an empty key
-/// reads the first quoted string).
-fn extract_string(doc: &str, key: &str) -> String {
-    let start = doc
-        .find(key)
-        .unwrap_or_else(|| fail(&format!("lint gate: no {key} in report")));
-    let rest = &doc[start + key.len()..];
-    let open = rest
-        .find('"')
-        .unwrap_or_else(|| fail(&format!("lint gate: malformed {key} value")));
-    rest[open + 1..]
-        .split('"')
-        .next()
-        .unwrap_or_default()
-        .to_string()
-}
-
 fn release_wasabi() -> PathBuf {
     let wasabi = PathBuf::from("target/release/wasabi");
     if !wasabi.exists() {
@@ -1192,38 +1160,42 @@ fn release_wasabi() -> PathBuf {
     wasabi
 }
 
-/// FNV-1a 64-bit, matching `wasabi_util::fnv` (xtask stays dependency-free).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
+/// Parses a document a gate reads, failing the gate loudly if it is not
+/// JSON.
+fn parse_json(text: &str, what: &str) -> Json {
+    Json::parse(text).unwrap_or_else(|e| fail(&format!("{what}: not valid JSON ({e})")))
 }
 
-/// The tail of a report starting at its first `"<section>":` key
-/// (first key match; good enough for our own format).
-fn extract_section<'a>(doc: &'a str, section: &str) -> &'a str {
-    let key = format!("\"{section}\":");
-    let start = doc
-        .find(&key)
-        .unwrap_or_else(|| fail(&format!("no `{section}` section in report")));
-    &doc[start..]
+/// The value at `path` (object keys, outermost first) in `doc`, failing the
+/// gate loudly if a key is missing.
+fn field<'a>(doc: &'a Json, path: &[&str], what: &str) -> &'a Json {
+    path.iter().fold(doc, |value, key| {
+        value
+            .get(key)
+            .unwrap_or_else(|| fail(&format!("{what}: no `{}` field", path.join("."))))
+    })
 }
 
-/// Parses the first `<key> <number>` after `doc`'s start.
-fn extract_number(doc: &str, key: &str) -> f64 {
-    let start = doc
-        .find(key)
-        .unwrap_or_else(|| fail(&format!("no {key} in report")));
-    let rest = doc[start + key.len()..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && c != '+' && c != 'e' && c != 'E' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .unwrap_or_else(|e| fail(&format!("bad {key} value `{}`: {e}", &rest[..end])))
+fn mistyped(path: &[&str], expected: &str, what: &str) -> ! {
+    fail(&format!("{what}: `{}` is not {expected}", path.join(".")))
+}
+
+fn u64_at(doc: &Json, path: &[&str], what: &str) -> u64 {
+    field(doc, path, what)
+        .as_u64()
+        .unwrap_or_else(|| mistyped(path, "an unsigned integer", what))
+}
+
+fn str_at<'a>(doc: &'a Json, path: &[&str], what: &str) -> &'a str {
+    field(doc, path, what)
+        .as_str()
+        .unwrap_or_else(|| mistyped(path, "a string", what))
+}
+
+fn arr_at<'a>(doc: &'a Json, path: &[&str], what: &str) -> &'a [Json] {
+    field(doc, path, what)
+        .as_arr()
+        .unwrap_or_else(|| mistyped(path, "an array", what))
 }
 
 /// Runs `wasabi test <flags> <files>` and returns stdout. Exit code 1

@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
-# CI entry point. Stages 1-4 and 6-11 (the old stage 5, the lint-baseline
-# check, now runs inside stage 10):
+# CI entry point. Stages 1, 3-4 and 6-11: the workspace has no cargo
+# features, so there is no all-features stage 2, and the lint-baseline
+# check that was stage 5 runs inside stage 10.
 #
 #   1. tier-1: the gate every change must pass — release build + full test
-#      suite with default features, exactly what `cargo tier1` runs. Also
-#      runs `cargo clippy --workspace --all-targets -- -D warnings`: every
-#      crate of the workspace is lint-clean and stays that way.
-#   2. all-features: compile check with every optional feature enabled
-#      (json-reports) plus the feature-gated tests, so gated code can
-#      never rot.
+#      suite, exactly what `cargo tier1` runs. Also runs `cargo clippy
+#      --workspace --all-targets -- -D warnings`: every crate of the
+#      workspace is lint-clean and stays that way.
 #   3. resilience smoke: a chaos campaign (10% injected run panics,
 #      --jobs 4) must report byte-identically to the serial run, a
 #      kill-and-resume round-trip (journal cut mid-line, then --resume)
@@ -58,14 +56,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== stage 1: tier-1 (default features + clippy) =="
+echo "== stage 1: tier-1 (build, tests, clippy) =="
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== stage 2: all features =="
-cargo build --all-features
-cargo test -q --workspace --all-features
 
 echo "== stage 3: resilience smoke =="
 cargo xtask smoke

@@ -26,8 +26,8 @@ fn hdfs_small() -> (Project, Vec<RetryLocation>) {
 
 /// Everything in the result that callers consume, rendered to one string.
 /// Scheduling-dependent engine fields (per-worker utilization, wall time,
-/// lost workers, resume bookkeeping) are deliberately excluded — they are
-/// the only values allowed to vary.
+/// resume bookkeeping) are deliberately excluded — they are the only
+/// values allowed to vary.
 fn render(result: &DynamicResult) -> String {
     format!(
         "reports: {:#?}\nbugs: {:#?}\nstats: {:?}\nplanned: {} naive: {}\ntested: {:?}\n\
@@ -218,8 +218,7 @@ fn resumed_campaign_matches_uninterrupted_run_byte_for_byte() {
             ..DynamicOptions::default()
         },
     );
-    let executed: usize =
-        resumed.campaign.worker_runs.iter().sum::<usize>() + resumed.campaign.supervisor_runs;
+    let executed: usize = resumed.campaign.worker_runs.iter().sum();
     assert_eq!(
         executed,
         uninterrupted.campaign.runs_total - resumed_from,

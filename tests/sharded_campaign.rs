@@ -147,6 +147,21 @@ fn merge_refuses_changed_sources_and_missing_directories() {
     let stderr = String::from_utf8_lossy(&changed.stderr);
     assert!(stderr.contains("sources changed"), "unexpected stderr: {stderr}");
 
+    // `merge` opens one journal per claimed shard, so a manifest whose
+    // shard count disagrees with its ranges must be refused before any
+    // allocation is sized by that count.
+    let manifest = dir.join("shards").join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    assert!(text.contains("\"shards\": 2"), "fixture drifted: {text}");
+    for shards in ["1000000000000000", "3"] {
+        let bad = text.replace("\"shards\": 2", &format!("\"shards\": {shards}"));
+        std::fs::write(&manifest, bad).expect("rewrite manifest");
+        let refused = wasabi_in(&dir, &["merge", "--json", "shards"]);
+        assert_eq!(refused.status.code(), Some(2), "shards {shards} is an input error");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(stderr.contains("ranges are listed"), "unexpected stderr: {stderr}");
+    }
+
     let missing = wasabi_in(&dir, &["merge", "no-such-dir"]);
     assert_eq!(missing.status.code(), Some(2), "missing shard dir is an input error");
 
