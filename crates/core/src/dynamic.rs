@@ -14,7 +14,6 @@ use wasabi_engine::campaign::{
     run_campaign, CampaignOptions, CampaignResult, CampaignStats, ChaosConfig, RunOutcome,
     RunRecord,
 };
-use wasabi_engine::metrics::CampaignMetrics;
 use wasabi_engine::observer::{outcome_kind, EngineEvent, EngineObserver, NullObserver};
 use wasabi_lang::project::Project;
 use wasabi_oracles::dedup::{dedup_reports, DistinctBug};
@@ -23,7 +22,6 @@ use wasabi_planner::adaptive::{self, ProbeSignal};
 use wasabi_planner::configfix::{restore_retry_configs, ConfigRestoration};
 use wasabi_planner::coverage::{prefilter_suite, profile_tests, site_set, CoverageProfile};
 use wasabi_planner::plan::{expand_plan, naive_run_count, plan, InjectionRun, RunKey, TestPlan};
-use wasabi_planner::profile_cache::{self, ProfileCacheOptions};
 use wasabi_util::backoff::Policy;
 use wasabi_vm::runner::RunOptions;
 use wasabi_vm::trace::TestOutcome;
@@ -82,10 +80,6 @@ pub struct DynamicOptions {
     /// refuses the combination and this module ignores `adaptive` when a
     /// shard range is set).
     pub adaptive: bool,
-    /// Persist the coverage profile keyed by source digest
-    /// (`--profile-cache`); repeat campaigns over unchanged sources skip
-    /// the profiling pass. See [`wasabi_planner::profile_cache`].
-    pub profile_cache: Option<ProfileCacheOptions>,
 }
 
 impl Default for DynamicOptions {
@@ -104,7 +98,6 @@ impl Default for DynamicOptions {
             stream: false,
             shard_range: None,
             adaptive: false,
-            profile_cache: None,
         }
     }
 }
@@ -183,9 +176,6 @@ pub struct DynamicResult {
     pub tested_structures: BTreeSet<String>,
     /// The engine's campaign statistics (includes per-worker utilization).
     pub campaign: CampaignStats,
-    /// The engine's per-run distributions (deterministic histograms plus
-    /// host timings; see [`CampaignMetrics`]).
-    pub campaign_metrics: CampaignMetrics,
     /// Adaptive-planner accounting, when [`DynamicOptions::adaptive`] was
     /// in effect.
     pub adaptive: Option<AdaptiveSummary>,
@@ -244,29 +234,9 @@ pub fn prepare_campaign(
     close(name, observer);
 
     // 2. Profile which test covers which retry location (see
-    //    `profile_suite`). When a profile cache is configured, a fresh
-    //    (non-bypassed, non-stale) entry for this digest + location
-    //    fingerprint skips the pass entirely; a miss re-profiles and
-    //    writes back.
+    //    `profile_suite`).
     let name = phase("profile", observer);
-    let cache = options
-        .profile_cache
-        .as_ref()
-        .map(|cache| (cache, profile_cache::locations_fingerprint(locations)));
-    let profile = match cache.and_then(|(cache, fp)| profile_cache::load(cache, fp)) {
-        Some(profile) => profile,
-        None => {
-            let profile = profile_suite(project, locations, &run_options, options.jobs, observer);
-            if let Some((cache, fp)) = cache {
-                if let Err(err) = profile_cache::store(cache, fp, &profile) {
-                    // Degrade, don't die: the profile is correct, only
-                    // the next campaign's warm start is lost.
-                    eprintln!("[core] profile cache write failed: {err}");
-                }
-            }
-            profile
-        }
-    };
+    let profile = profile_suite(project, locations, &run_options, options.jobs, observer);
     close(name, observer);
 
     // 3. Plan one {test, location} pair per coverable location, and pin
@@ -290,7 +260,7 @@ pub fn prepare_campaign(
     }
 }
 
-/// The uncached profiling pass as two traced steps: listing the suite and
+/// The profiling pass as two traced steps: listing the suite and
 /// the static reachability prefilter (`profile.prefilter`), then one
 /// instrumented baseline execution of every surviving test
 /// (`profile.baseline-exec`). Baseline runs are independent, so they
@@ -480,7 +450,6 @@ pub fn run_dynamic_with_observer(
         stats,
         tested_structures,
         campaign: campaign.stats,
-        campaign_metrics: campaign.metrics,
         adaptive: adaptive_summary,
     }
 }
@@ -567,8 +536,8 @@ fn merge_stats(first: CampaignStats, second: &CampaignStats) -> CampaignStats {
 /// Executes the adaptive two-wave campaign (see
 /// [`wasabi_planner::adaptive`] for the selection semantics) and merges
 /// the waves into one campaign result: records re-sorted by key, stats
-/// added elementwise, metrics histogram-merged, and exactly one
-/// `Finished` event emitted with the merged aggregates.
+/// added elementwise, and exactly one `Finished` event emitted with the
+/// merged stats.
 ///
 /// Resume records are split by K: probe-wave records (`k == probe_k`)
 /// prefill wave 1 *and* feed the signal registry directly — prefilled
@@ -634,12 +603,7 @@ fn run_adaptive_campaign(
     records.extend(wave2.records);
     records.sort_by(|a, b| a.key.cmp(&b.key));
     let stats = merge_stats(wave1.stats, &wave2.stats);
-    let mut metrics = wave1.metrics;
-    metrics.merge_campaign(&wave2.metrics);
-    observer.on_event(&EngineEvent::Finished {
-        stats: &stats,
-        metrics: &metrics,
-    });
+    observer.on_event(&EngineEvent::Finished { stats: &stats });
 
     let summary = AdaptiveSummary {
         probe_runs,
@@ -649,14 +613,7 @@ fn run_adaptive_campaign(
         skipped_dedup: selection.skipped_dedup,
         classes: selection.classes,
     };
-    (
-        CampaignResult {
-            records,
-            stats,
-            metrics,
-        },
-        summary,
-    )
+    (CampaignResult { records, stats }, summary)
 }
 
 #[cfg(test)]

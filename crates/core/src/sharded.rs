@@ -25,7 +25,6 @@ use std::sync::Mutex;
 use std::time::Duration;
 use wasabi_engine::campaign::{CampaignStats, RunOutcome, RunRecord};
 use wasabi_engine::journal::{self, DeadLetter};
-use wasabi_engine::metrics::CampaignMetrics;
 use wasabi_engine::observer::NullObserver;
 use wasabi_engine::shard::{
     dead_letters_for, dlq_path, partition, shard_journal_path, supervise_shard, write_manifest,
@@ -386,7 +385,6 @@ fn merge_records(
         .map(|run| run.spec.location.structure_key())
         .collect();
     let bugs_count = bugs.len();
-    let retry = DynamicOptions::default().retry;
     let result = DynamicResult {
         restoration: prepared.restoration,
         profile: prepared.profile,
@@ -398,7 +396,6 @@ fn merge_records(
         stats,
         tested_structures,
         campaign,
-        campaign_metrics: CampaignMetrics::from_records(&[], &retry),
         adaptive: None,
     };
     let report = report_json_with(&job.identified, &result, dead.len());

@@ -47,7 +47,7 @@
 //! observer event stream; nothing in `records` derives from them.
 
 use crate::journal::Journal;
-use crate::metrics::{CampaignMetrics, RunTiming, WorkerTimings};
+use crate::metrics::RunTiming;
 use crate::observer::{EngineEvent, EngineObserver};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -190,7 +190,7 @@ pub struct CampaignOptions {
     /// record traces (`wasabi test` without `--trace-out`) turn it off so
     /// the hot loop carries no clock reads beyond the interpreter's own.
     /// Never affects [`CampaignResult::records`] — timings live only in
-    /// the metrics/observer layer.
+    /// the observer layer.
     pub capture_timing: bool,
     /// Bounded-memory streaming: finished records are appended to the
     /// journal and **dropped from RAM** instead of accumulating in
@@ -331,9 +331,6 @@ pub struct CampaignResult {
     pub records: Vec<RunRecord>,
     /// Aggregate statistics.
     pub stats: CampaignStats,
-    /// Per-run distributions (deterministic half + host-timing half; see
-    /// [`CampaignMetrics`]).
-    pub metrics: CampaignMetrics,
 }
 
 impl CampaignResult {
@@ -491,9 +488,6 @@ pub fn run_campaign(
 
     let chaos_exit_after = options.chaos.as_ref().and_then(|c| c.exit_after_appends);
     let mut worker_runs = vec![0usize; jobs];
-    // One timing collector per worker, merged into the metrics in index
-    // order at the end.
-    let mut worker_timings = vec![WorkerTimings::default(); jobs];
 
     if !pending.is_empty() {
         // Workers claim pending slots from one shared cursor, so runs
@@ -545,7 +539,6 @@ pub fn run_campaign(
                         timing,
                     } => {
                         worker_runs[worker] += 1;
-                        worker_timings[worker].record(&timing);
                         // The record in hand is resident until spilled or the
                         // campaign ends — this counter is the memory bound the
                         // streaming test pins.
@@ -644,17 +637,8 @@ pub fn run_campaign(
     stats.resumed = resumed;
     stats.wall_ms = saturating_ms(started_at.elapsed());
     stats.peak_resident_records = peak_resident;
-    let mut metrics = CampaignMetrics::from_records(&records, &options.retry);
-    metrics.absorb_worker_timings(&worker_timings);
-    observer.on_event(&EngineEvent::Finished {
-        stats: &stats,
-        metrics: &metrics,
-    });
-    CampaignResult {
-        records,
-        stats,
-        metrics,
-    }
+    observer.on_event(&EngineEvent::Finished { stats: &stats });
+    CampaignResult { records, stats }
 }
 
 #[allow(clippy::too_many_arguments)]

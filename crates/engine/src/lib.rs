@@ -22,10 +22,9 @@
 //! - [`observer::EngineObserver`] — structured progress events, with a
 //!   stderr reporter ([`StderrProgress`]);
 //! - an **observability layer**: per-run host timings ([`RunTiming`]),
-//!   log2-bucketed mergeable histograms ([`CampaignMetrics`], merged from
-//!   per-worker collectors in index order), phase/run span recording
-//!   ([`MetricsObserver`]), and a schema-versioned JSON-lines trace
-//!   format ([`spans`]) behind `--trace-out` and `wasabi stats`.
+//!   phase/run span recording ([`MetricsObserver`]), and a
+//!   schema-versioned JSON-lines trace format ([`spans`]) behind
+//!   `--trace-out` and `wasabi stats`.
 //!
 //! `wasabi-core`'s `run_dynamic` delegates here; serial execution is just
 //! `jobs = 1` through the same code path.
@@ -41,6 +40,6 @@ pub use campaign::{
     run_campaign, CampaignOptions, CampaignResult, CampaignStats, ChaosConfig, RunOutcome,
     RunRecord,
 };
-pub use metrics::{CampaignMetrics, MetricsObserver, RunTiming};
+pub use metrics::{MetricsObserver, RunTiming};
 pub use observer::{EngineEvent, EngineObserver, NullObserver, StderrProgress, Tee};
 pub use spans::{load_trace, render_stats, validate_trace, write_trace, TraceFile};

@@ -1,31 +1,16 @@
-//! Campaign metrics: per-run timing, mergeable histograms, and an
-//! [`EngineObserver`] that turns the event stream into spans.
+//! Campaign metrics: per-run host timing, and an [`EngineObserver`] that
+//! turns the event stream into spans.
 //!
-//! # Determinism split
-//!
-//! The metrics in a [`CampaignMetrics`] come in two halves with different
-//! guarantees:
-//!
-//! - the **deterministic half** (`steps`, `injections`, `attempts`,
-//!   `virtual_ms`, `backoff_ms`) is computed at campaign end as a pure
-//!   function of the merged record vector (plus the retry policy, whose
-//!   backoff is itself a pure function of `(key, attempt)`). It is
-//!   byte-identical for any `jobs` value and covers resumed records too;
-//! - the **timing half** (`queue_wait_us`, `run_wall_us`, `interp_us`,
-//!   `judge_us`) measures host wall time. Each worker's samples accumulate
-//!   in its own [`WorkerTimings`] (no locks — the coordinator owns them
-//!   and fills them from the serialized message stream), merged in worker
-//!   index order at campaign end. Values are scheduling-dependent; only
-//!   the *sample count* is deterministic, and resumed records contribute
-//!   nothing (no host time was spent on them this session).
+//! A run span's key, outcome, counters and `timing.backoff_ms` are a pure
+//! function of the run (the backoff jitter is seeded on the run key), so
+//! they agree for any `jobs` value. Its worker, start/end times and the
+//! other [`RunTiming`] fields measure the host and depend on scheduling;
+//! the trace records them and `wasabi stats` renders them.
 
-use crate::campaign::{retry_delay, CampaignStats, RunRecord};
 use crate::observer::{outcome_kind, EngineEvent, EngineObserver};
 use crate::spans::{PhaseSpan, RunSpan};
 use std::collections::HashMap;
-use wasabi_util::backoff::Policy;
 use wasabi_util::metrics::{Clock, WallClock};
-use wasabi_util::{saturating_ms, Histogram};
 
 /// Host-time measurements for one run (summed over all its attempts).
 /// Carried alongside the record in `RunFinished` events; never part of
@@ -47,131 +32,9 @@ pub struct RunTiming {
     pub backoff_ms: u64,
 }
 
-/// One worker's timing histograms. Owned by the campaign coordinator —
-/// one per worker — and merged into [`CampaignMetrics`] in worker index
-/// order when the campaign finishes.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerTimings {
-    /// Queue-wait distribution (us).
-    pub queue_wait_us: Histogram,
-    /// Whole-run wall-time distribution (us).
-    pub run_wall_us: Histogram,
-    /// Interpreter wall-time distribution (us).
-    pub interp_us: Histogram,
-    /// Oracle wall-time distribution (us).
-    pub judge_us: Histogram,
-}
-
-impl WorkerTimings {
-    /// Records one run's timing.
-    pub fn record(&mut self, timing: &RunTiming) {
-        self.queue_wait_us.record(timing.queue_wait_us);
-        self.run_wall_us.record(timing.run_wall_us);
-        self.interp_us.record(timing.interp_us);
-        self.judge_us.record(timing.judge_us);
-    }
-}
-
-/// Merged per-run distributions for a finished campaign.
-#[derive(Debug, Clone, Default)]
-pub struct CampaignMetrics {
-    /// Interpreter steps per run (deterministic).
-    pub steps: Histogram,
-    /// Faults injected per run (deterministic).
-    pub injections: Histogram,
-    /// Attempts consumed per run (deterministic).
-    pub attempts: Histogram,
-    /// Virtual milliseconds per run (deterministic).
-    pub virtual_ms: Histogram,
-    /// Backoff milliseconds per run, recomputed from the policy
-    /// (deterministic — covers resumed records too).
-    pub backoff_ms: Histogram,
-    /// Queue wait per run in us (host timing).
-    pub queue_wait_us: Histogram,
-    /// Whole-run wall time in us (host timing).
-    pub run_wall_us: Histogram,
-    /// Interpreter wall time per run in us (host timing).
-    pub interp_us: Histogram,
-    /// Oracle wall time per run in us (host timing).
-    pub judge_us: Histogram,
-}
-
-impl CampaignMetrics {
-    /// Builds the deterministic half from the merged record vector. The
-    /// backoff distribution is recomputed from the policy rather than
-    /// measured, so resumed records (no sleep happened this session)
-    /// still contribute their deterministic delays.
-    pub fn from_records(records: &[RunRecord], retry: &Policy) -> Self {
-        let mut metrics = CampaignMetrics::default();
-        for record in records {
-            metrics.steps.record(record.steps);
-            metrics.injections.record(u64::from(record.injections));
-            metrics.attempts.record(u64::from(record.attempts));
-            metrics.virtual_ms.record(record.virtual_ms);
-            let backoff: u64 = (1..record.attempts)
-                .map(|failed| saturating_ms(retry_delay(retry, &record.key, failed)))
-                .fold(0, u64::saturating_add);
-            metrics.backoff_ms.record(backoff);
-        }
-        metrics
-    }
-
-    /// Merges another campaign's distributions into this one, histogram
-    /// by histogram. [`Histogram::merge`] is commutative and
-    /// order-independent, so merging two waves of an adaptive campaign
-    /// yields the same metrics as one combined campaign would have — for
-    /// the deterministic half exactly, and for the timing half with the
-    /// same sample counts.
-    pub fn merge_campaign(&mut self, other: &CampaignMetrics) {
-        self.steps.merge(&other.steps);
-        self.injections.merge(&other.injections);
-        self.attempts.merge(&other.attempts);
-        self.virtual_ms.merge(&other.virtual_ms);
-        self.backoff_ms.merge(&other.backoff_ms);
-        self.queue_wait_us.merge(&other.queue_wait_us);
-        self.run_wall_us.merge(&other.run_wall_us);
-        self.interp_us.merge(&other.interp_us);
-        self.judge_us.merge(&other.judge_us);
-    }
-
-    /// Merges per-worker timing histograms, in the order given (the
-    /// campaign passes worker index order).
-    pub fn absorb_worker_timings(&mut self, workers: &[WorkerTimings]) {
-        for w in workers {
-            self.queue_wait_us.merge(&w.queue_wait_us);
-            self.run_wall_us.merge(&w.run_wall_us);
-            self.interp_us.merge(&w.interp_us);
-            self.judge_us.merge(&w.judge_us);
-        }
-    }
-
-    /// The deterministic histograms, named — byte-identical across `jobs`
-    /// values and resume splits (what the determinism tests compare).
-    pub fn deterministic(&self) -> [(&'static str, &Histogram); 5] {
-        [
-            ("steps", &self.steps),
-            ("injections", &self.injections),
-            ("attempts", &self.attempts),
-            ("virtual_ms", &self.virtual_ms),
-            ("backoff_ms", &self.backoff_ms),
-        ]
-    }
-
-    /// The host-timing histograms, named (scheduling-dependent values;
-    /// deterministic sample counts).
-    pub fn timing(&self) -> [(&'static str, &Histogram); 4] {
-        [
-            ("queue_wait_us", &self.queue_wait_us),
-            ("run_wall_us", &self.run_wall_us),
-            ("interp_us", &self.interp_us),
-            ("judge_us", &self.judge_us),
-        ]
-    }
-}
-
-/// An [`EngineObserver`] that turns the event stream into phase spans,
-/// run spans, and the final metrics — the in-process recorder behind
-/// `--trace-out`, `wasabi stats`, and the bench per-phase breakdown.
+/// An [`EngineObserver`] that turns the event stream into phase spans and
+/// run spans — the in-process recorder behind `--trace-out` and
+/// `wasabi stats`.
 ///
 /// Timestamps are read through a [`Clock`], so tests substitute a
 /// [`ManualClock`](wasabi_util::metrics::ManualClock) and get
@@ -183,8 +46,6 @@ pub struct MetricsObserver {
     phases: Vec<PhaseSpan>,
     open_runs: HashMap<usize, u64>,
     runs: Vec<RunSpan>,
-    stats: Option<CampaignStats>,
-    metrics: Option<CampaignMetrics>,
 }
 
 impl Default for MetricsObserver {
@@ -198,7 +59,6 @@ impl std::fmt::Debug for MetricsObserver {
         f.debug_struct("MetricsObserver")
             .field("phases", &self.phases.len())
             .field("runs", &self.runs.len())
-            .field("finished", &self.metrics.is_some())
             .finish()
     }
 }
@@ -217,8 +77,6 @@ impl MetricsObserver {
             phases: Vec::new(),
             open_runs: HashMap::new(),
             runs: Vec::new(),
-            stats: None,
-            metrics: None,
         }
     }
 
@@ -230,35 +88,6 @@ impl MetricsObserver {
     /// Completed run spans, in completion (arrival) order.
     pub fn runs(&self) -> &[RunSpan] {
         &self.runs
-    }
-
-    /// Final campaign statistics, once `Finished` has been observed.
-    pub fn stats(&self) -> Option<&CampaignStats> {
-        self.stats.as_ref()
-    }
-
-    /// Final campaign metrics, once `Finished` has been observed.
-    pub fn metrics(&self) -> Option<&CampaignMetrics> {
-        self.metrics.as_ref()
-    }
-
-    /// Records an externally-timed phase (e.g. `compile`, which runs
-    /// before any observer exists) as a closed span ending now.
-    pub fn record_phase(&mut self, name: &str, wall_us: u64) {
-        let end_us = self.clock.now_us();
-        self.phases.push(PhaseSpan {
-            name: name.to_string(),
-            start_us: end_us.saturating_sub(wall_us),
-            end_us,
-        });
-    }
-
-    /// Sum of recorded phase wall times, in microseconds.
-    pub fn phase_total_us(&self) -> u64 {
-        self.phases
-            .iter()
-            .map(|p| p.end_us.saturating_sub(p.start_us))
-            .fold(0, u64::saturating_add)
     }
 }
 
@@ -321,10 +150,6 @@ impl EngineObserver for MetricsObserver {
                     timing: (*timing).clone(),
                 });
             }
-            EngineEvent::Finished { stats, metrics } => {
-                self.stats = Some((*stats).clone());
-                self.metrics = Some((*metrics).clone());
-            }
             _ => {}
         }
     }
@@ -334,51 +159,6 @@ impl EngineObserver for MetricsObserver {
 mod tests {
     use super::*;
     use wasabi_util::metrics::ManualClock;
-
-    #[test]
-    fn from_records_recomputes_deterministic_backoff() {
-        use crate::campaign::RunOutcome;
-        use wasabi_lang::ast::CallId;
-        use wasabi_lang::project::{CallSite, FileId, MethodId};
-        use wasabi_planner::plan::RunKey;
-        use wasabi_vm::trace::TestOutcome;
-
-        let key = RunKey {
-            test: MethodId::new("C", "t"),
-            site: CallSite {
-                file: FileId(0),
-                call: CallId(1),
-            },
-            exception: "E".to_string(),
-            k: 1,
-        };
-        let record = RunRecord {
-            key: key.clone(),
-            outcome: RunOutcome::Completed(TestOutcome::Passed),
-            reports: Vec::new(),
-            rethrow_filtered: false,
-            not_a_trigger: false,
-            virtual_ms: 10,
-            steps: 100,
-            injections: 1,
-            attempts: 3,
-            quarantined: false,
-        };
-        let retry = Policy::ENGINE;
-        let metrics = CampaignMetrics::from_records(std::slice::from_ref(&record), &retry);
-        let expected: u64 = (1..3u8)
-            .map(|a| saturating_ms(retry_delay(&retry, &key, a)))
-            .sum();
-        assert_eq!(metrics.backoff_ms.sum(), expected);
-        assert!(expected > 0, "default policy sleeps between attempts");
-        assert_eq!(metrics.steps.count(), 1);
-        assert_eq!(metrics.attempts.max(), 3);
-        // Rebuilding from the same records is bit-identical.
-        let again = CampaignMetrics::from_records(std::slice::from_ref(&record), &retry);
-        for ((_, a), (_, b)) in metrics.deterministic().iter().zip(again.deterministic()) {
-            assert_eq!(**a, *b);
-        }
-    }
 
     #[test]
     fn manual_clock_produces_deterministic_phase_spans() {
@@ -393,7 +173,6 @@ mod tests {
             .map(|p| (p.name.as_str(), p.start_us, p.end_us))
             .collect();
         assert_eq!(spans, vec![("plan", 100, 200), ("run", 300, 400)]);
-        assert_eq!(observer.phase_total_us(), 200);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! locking and may hold mutable state (`&mut self` methods).
 
 use crate::campaign::{CampaignStats, RunOutcome};
-use crate::metrics::{CampaignMetrics, RunTiming};
+use crate::metrics::RunTiming;
 use wasabi_planner::plan::RunKey;
 
 /// One progress event from a running campaign.
@@ -143,9 +143,6 @@ pub enum EngineEvent<'a> {
     Finished {
         /// Final campaign statistics.
         stats: &'a CampaignStats,
-        /// Merged per-run distributions (see [`CampaignMetrics`] for the
-        /// deterministic/timing split).
-        metrics: &'a CampaignMetrics,
     },
 }
 

@@ -20,8 +20,6 @@ pub struct CoverageProfile {
     pub site_to_tests: BTreeMap<CallSite, Vec<MethodId>>,
     /// Total number of tests in the suite.
     pub tests_total: usize,
-    /// Total virtual milliseconds spent profiling.
-    pub profile_virtual_ms: u64,
 }
 
 impl CoverageProfile {
@@ -101,7 +99,7 @@ pub fn profile_tests(
         ..CoverageProfile::default()
     };
     let jobs = jobs.max(1).min(tests.len().max(1));
-    let per_test: Vec<(MethodId, Vec<CallSite>, u64)> = if jobs == 1 {
+    let per_test: Vec<(MethodId, Vec<CallSite>)> = if jobs == 1 {
         profile_chunk(project, sites, tests, options)
     } else {
         let chunk_len = tests.len().div_ceil(jobs);
@@ -117,8 +115,7 @@ pub fn profile_tests(
         });
         merged
     };
-    for (test, covered, virtual_ms) in per_test {
-        profile.profile_virtual_ms += virtual_ms;
+    for (test, covered) in per_test {
         if covered.is_empty() {
             continue;
         }
@@ -141,14 +138,14 @@ fn profile_chunk(
     sites: &BTreeSet<CallSite>,
     tests: &[(FileId, MethodId)],
     options: &RunOptions,
-) -> Vec<(MethodId, Vec<CallSite>, u64)> {
+) -> Vec<(MethodId, Vec<CallSite>)> {
     let mut recorder = CoverageRecorder::new(sites.iter().copied());
     tests
         .iter()
         .map(|(_, test)| {
             recorder.reset();
-            let run = run_test(project, test, &mut recorder, options);
-            (test.clone(), recorder.covered(), run.virtual_ms)
+            run_test(project, test, &mut recorder, options);
+            (test.clone(), recorder.covered())
         })
         .collect()
 }

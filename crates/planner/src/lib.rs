@@ -16,10 +16,8 @@ pub mod adaptive;
 pub mod configfix;
 pub mod coverage;
 pub mod plan;
-pub mod profile_cache;
 
 pub use adaptive::{probe_k, select_widen_runs, split_waves, AdaptivePlan, ProbeSignal};
 pub use configfix::{is_retry_key, restore_retry_configs, ConfigRestoration};
 pub use coverage::{profile_coverage, CoverageProfile};
 pub use plan::{expand_plan, naive_run_count, plan, targeted_runs, InjectionRun, PlanEntry, TestPlan};
-pub use profile_cache::ProfileCacheOptions;

@@ -32,7 +32,6 @@
 
 use crate::templates::{synthesize, templates_for, PatchedFile, Template};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 use wasabi_analysis::checkers::{lint_project, LintOptions, LintResult};
 use wasabi_analysis::diag::Diagnostic;
 use wasabi_analysis::loops::LoopQueryOptions;
@@ -44,7 +43,6 @@ use wasabi_engine::observer::outcome_kind;
 use wasabi_engine::NullObserver;
 use wasabi_oracles::OracleConfig;
 use wasabi_planner::plan::{targeted_runs, RunKey};
-use wasabi_planner::profile_cache::ProfileCacheOptions;
 
 /// Configuration for one repair session.
 #[derive(Debug, Clone)]
@@ -63,9 +61,6 @@ pub struct RepairOptions {
     pub ks: Vec<u32>,
     /// Retry-loop query options for lint and site resolution.
     pub loops: LoopQueryOptions,
-    /// Profile-cache directory; validation campaigns re-profile each
-    /// candidate, so caching by source digest pays off across attempts.
-    pub profile_cache: Option<PathBuf>,
 }
 
 impl Default for RepairOptions {
@@ -77,7 +72,6 @@ impl Default for RepairOptions {
             oracle: OracleConfig::default(),
             ks: vec![1, 100],
             loops: LoopQueryOptions::default(),
-            profile_cache: None,
         }
     }
 }
@@ -192,17 +186,12 @@ fn compile_and_lint(
     Ok(Compiled { job, lint })
 }
 
-fn dynamic_options(job: &AppJob, options: &RepairOptions) -> DynamicOptions {
+fn dynamic_options(options: &RepairOptions) -> DynamicOptions {
     DynamicOptions {
         ks: options.ks.clone(),
         jobs: options.jobs,
         oracle: options.oracle,
         capture_timing: false,
-        profile_cache: options.profile_cache.as_ref().map(|dir| ProfileCacheOptions {
-            dir: dir.clone(),
-            digest: job.digest,
-            bypass: false,
-        }),
         ..DynamicOptions::default()
     }
 }
@@ -330,7 +319,7 @@ fn validate_candidate(
         return Err((format!("patch introduces a new finding: {first}"), String::new()));
     }
 
-    let dyn_opts = dynamic_options(&compiled.job, options);
+    let dyn_opts = dynamic_options(options);
     let prepared = prepare_campaign(
         &compiled.job.project,
         &compiled.job.identified.locations,
@@ -406,7 +395,7 @@ pub fn repair(
 
     // Baseline campaign: outcome kinds and report keys per run key, the
     // reference every validation compares against.
-    let dyn_opts = dynamic_options(&compiled.job, options);
+    let dyn_opts = dynamic_options(options);
     let prepared = prepare_campaign(
         &compiled.job.project,
         &compiled.job.identified.locations,

@@ -29,9 +29,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
-use wasabi_core::{
-    compile_app, report_json, run_app_job, source_digest, DynamicOptions, ProfileCacheOptions,
-};
+use wasabi_core::{compile_app, report_json, run_app_job, source_digest, DynamicOptions};
 use wasabi_engine::observer::{EngineEvent, EngineObserver};
 use wasabi_util::metrics::{Clock, WallClock};
 use wasabi_util::Json;
@@ -60,12 +58,6 @@ pub struct ServeOptions {
     /// Per-frame size cap; oversized frames get an error and the
     /// connection is dropped.
     pub max_frame_bytes: usize,
-    /// Persist coverage profiles in this directory, keyed by each
-    /// submission's source digest — the same key the compiled-app LRU
-    /// uses — so resubmissions of unchanged sources skip the profiling
-    /// pass even across daemon restarts. `None` (the default) profiles
-    /// every job.
-    pub profile_cache: Option<PathBuf>,
 }
 
 impl Default for ServeOptions {
@@ -76,7 +68,6 @@ impl Default for ServeOptions {
             cache_capacity: 8,
             campaign_jobs: 2,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            profile_cache: None,
         }
     }
 }
@@ -120,7 +111,6 @@ struct Shared {
     done: Condvar,
     clock: WallClock,
     campaign_jobs: usize,
-    profile_cache: Option<PathBuf>,
 }
 
 impl Shared {
@@ -293,7 +283,6 @@ pub fn spawn(options: ServeOptions) -> io::Result<DaemonHandle> {
         done: Condvar::new(),
         clock: WallClock::new(),
         campaign_jobs: options.campaign_jobs.max(1),
-        profile_cache: options.profile_cache.clone(),
     });
 
     let mut threads = Vec::with_capacity(max_inflight + 1);
@@ -431,15 +420,6 @@ fn execute_job(shared: &Shared, id: u64, payload: JobPayload) {
 
     let mut options = DynamicOptions {
         jobs: payload.jobs.unwrap_or(shared.campaign_jobs),
-        // The cache key is the job's source digest (relative paths +
-        // contents), so a resubmission of the same sources — including
-        // one that missed the compiled-app LRU after eviction — reuses
-        // the persisted profile.
-        profile_cache: shared.profile_cache.as_ref().map(|dir| ProfileCacheOptions {
-            dir: dir.clone(),
-            digest: job.digest,
-            bypass: false,
-        }),
         ..DynamicOptions::default()
     };
     // Timing capture only matters to subscribers watching span events;

@@ -10,9 +10,8 @@
 //! report, or subscribe to a live span/progress event stream.
 //!
 //! Layering:
-//! - [`wheel`]: a slotted timer wheel driven by an external clock — the
-//!   deadline primitive, deterministic under `ManualClock`;
-//! - [`scheduler`]: the pure admission/priority/timeout state machine;
+//! - [`scheduler`]: the pure admission/priority/timeout state machine,
+//!   driven by an external clock and deterministic under `ManualClock`;
 //! - [`cache`]: the compiled-app LRU;
 //! - [`protocol`]: wire frames (requests, responses, events);
 //! - [`daemon`]: threads and sockets around all of the above;
@@ -29,7 +28,6 @@ pub mod daemon;
 pub mod protocol;
 pub mod retry;
 pub mod scheduler;
-pub mod wheel;
 
 pub use cache::IndexCache;
 pub use client::Connection;
@@ -37,4 +35,3 @@ pub use daemon::{spawn, Bind, DaemonHandle, ServeOptions};
 pub use protocol::{parse_request, render_request, Request, PROTOCOL_KIND, PROTOCOL_VERSION};
 pub use retry::{retry_submit, Attempt};
 pub use scheduler::{Admission, CancelOutcome, JobState, Scheduler, SchedulerConfig};
-pub use wheel::TimerWheel;

@@ -13,9 +13,12 @@
 //! daemon turns that into an explicit `Rejected` response instead of
 //! buffering without bound. At most [`SchedulerConfig::max_inflight`]
 //! jobs run concurrently; the rest wait in priority order.
+//!
+//! Queue-wait deadlines are exact: a job submitted at `t` with timeout `d`
+//! expires on the first [`Scheduler::tick`] at or after `t + d`, if it is
+//! still queued then.
 
-use crate::wheel::TimerWheel;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Scheduler policy knobs.
 #[derive(Debug, Clone)]
@@ -27,7 +30,8 @@ pub struct SchedulerConfig {
     pub max_inflight: usize,
     /// Optional queue-wait deadline: a job still queued this many
     /// microseconds after submission expires (reported to the client as
-    /// an error, not silently dropped).
+    /// an error, not silently dropped). The CLI refuses 0, which would
+    /// expire every job before a runner could start it.
     pub queue_timeout_us: Option<u64>,
 }
 
@@ -135,7 +139,9 @@ pub struct Scheduler<T> {
     queue: BTreeMap<(u8, u64), u64>,
     jobs: BTreeMap<u64, JobEntry<T>>,
     running: usize,
-    deadlines: TimerWheel<u64>,
+    /// `(deadline_us, id)`: ids grow in submission order, so equal
+    /// deadlines expire FIFO.
+    deadlines: BTreeSet<(u64, u64)>,
     /// Monotonic counters for the `stats` protocol op.
     pub counters: Counters,
 }
@@ -165,9 +171,7 @@ impl<T> Scheduler<T> {
             queue: BTreeMap::new(),
             jobs: BTreeMap::new(),
             running: 0,
-            // 256 slots of 10ms: 2.56s per revolution; longer deadlines
-            // park with round counting.
-            deadlines: TimerWheel::new(10_000, 256),
+            deadlines: BTreeSet::new(),
             counters: Counters::default(),
         }
     }
@@ -214,7 +218,7 @@ impl<T> Scheduler<T> {
             },
         );
         if let Some(timeout) = self.config.queue_timeout_us {
-            self.deadlines.schedule(now_us, timeout, id);
+            self.deadlines.insert((now_us.saturating_add(timeout), id));
         }
         self.counters.submitted += 1;
         Admission::Queued { id, position }
@@ -273,11 +277,15 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Advances the deadline wheel to `now_us`, expiring jobs still
-    /// queued past their queue-wait deadline. Returns the expired ids.
+    /// Pops every deadline at or before `now_us`, expiring the jobs
+    /// still queued. Returns the expired ids.
     pub fn tick(&mut self, now_us: u64) -> Vec<u64> {
         let mut expired = Vec::new();
-        for id in self.deadlines.advance(now_us) {
+        while let Some(&(deadline, id)) = self.deadlines.first() {
+            if deadline > now_us {
+                break;
+            }
+            self.deadlines.pop_first();
             let Some(entry) = self.jobs.get_mut(&id) else {
                 continue;
             };
@@ -380,12 +388,20 @@ mod tests {
         let waiting = id_of(s.submit(clock.now_us(), 5, "waiting"));
         let (id, _) = s.start_next().expect("one slot free");
         assert_eq!(id, started);
-        clock.advance(100_000);
+        // Same deadline, higher priority: expiry still follows submission.
+        let urgent = id_of(s.submit(clock.now_us(), 0, "urgent"));
+        clock.advance(49_999);
+        assert!(
+            s.tick(clock.now_us()).is_empty(),
+            "1 us early expires nothing"
+        );
+        assert_eq!(s.state(waiting), Some(JobState::Queued));
+        clock.advance(1);
         let expired = s.tick(clock.now_us());
-        assert_eq!(expired, vec![waiting], "only the queued job expires");
+        assert_eq!(expired, vec![waiting, urgent], "only queued jobs expire, FIFO");
         assert_eq!(s.state(waiting), Some(JobState::Expired));
         assert_eq!(s.state(started), Some(JobState::Running));
-        assert_eq!(s.counters.expired, 1);
+        assert_eq!(s.counters.expired, 2);
         assert!(s.start_next().is_none(), "expired job never dispatches");
     }
 

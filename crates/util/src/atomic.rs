@@ -1,5 +1,5 @@
-//! Crash-safe file replacement for persistent artifacts (profile-cache
-//! entries, shard manifests, repair reports).
+//! Crash-safe file replacement for persistent artifacts (shard
+//! manifests, traces, repair reports, lint baselines).
 
 use std::io;
 use std::path::Path;

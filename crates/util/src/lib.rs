@@ -12,17 +12,17 @@
 //! - [`json`] — a minimal JSON value model and writer replacing
 //!   `serde`/`serde_json` for report emission.
 
-//! - [`metrics`] — log2-bucketed mergeable histograms, saturating
-//!   `Duration` → ms/us conversions, and a clock abstraction for the
-//!   campaign observability layer (deterministic under test).
+//! - [`metrics`] — saturating `Duration` → ms/us conversions and a clock
+//!   abstraction for the campaign observability layer (deterministic
+//!   under test).
 
 //! - [`backoff`] — the one retry [`backoff::Policy`] (capped exponential
 //!   with equal jitter) shared by the campaign engine, the shard
 //!   supervisor, and the submit client (callers keep their own
 //!   jitter-stream derivations).
 
-//! - [`atomic`] — temp-then-rename file replacement for the profile
-//!   cache, the shard manifest, and the repair report.
+//! - [`atomic`] — temp-then-rename file replacement for the shard
+//!   manifest, traces, the repair report and lint baselines.
 
 pub mod atomic;
 pub mod backoff;
@@ -32,5 +32,5 @@ pub mod rng;
 
 pub use atomic::write_atomic;
 pub use json::Json;
-pub use metrics::{saturating_ms, saturating_us, Histogram};
+pub use metrics::{saturating_ms, saturating_us};
 pub use rng::Rng;

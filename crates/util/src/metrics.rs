@@ -1,11 +1,7 @@
 //! Dep-free metrics core for the campaign observability layer.
 //!
-//! Three pieces, all deterministic and allocation-light:
+//! Two pieces:
 //!
-//! - [`Histogram`] — a log2-bucketed value distribution. Recording is a
-//!   few integer ops (no floats, no locks); merging is bucket-wise
-//!   addition, which is commutative and associative, so a set of
-//!   per-worker histograms merges to the same result in any order.
 //! - saturating time conversions ([`saturating_ms`], [`saturating_us`]) —
 //!   the single checked `Duration`/`u128` → `u64` path every exported
 //!   timing goes through, so durations saturate at `u64::MAX` instead of
@@ -31,153 +27,6 @@ pub fn saturating_ms(duration: Duration) -> u64 {
 /// Converts a duration to whole microseconds, saturating at `u64::MAX`.
 pub fn saturating_us(duration: Duration) -> u64 {
     u64::try_from(duration.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Number of log2 buckets: values `0, 1, 2..3, 4..7, …, 2^62..` — enough
-/// for any `u64`.
-const BUCKETS: usize = 64;
-
-/// A log2-bucketed histogram of `u64` samples.
-///
-/// Bucket `0` holds the value `0`; bucket `i > 0` holds values in
-/// `[2^(i-1), 2^i)`. Alongside the buckets it tracks exact count, sum,
-/// min, and max, so means are exact and only percentiles are bucket-
-/// approximate. `record` and `merge` never allocate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        }
-        .min(BUCKETS - 1)
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Adds every sample of `other` into `self`. Bucket-wise addition:
-    /// commutative and associative, so per-worker histograms merge to an
-    /// order-independent result.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest recorded sample, or 0 if empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample, or 0 if empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Exact arithmetic mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate percentile (`p` in `[0, 1]`): the *upper bound* of the
-    /// bucket containing the p-th sample, clamped to the recorded max.
-    /// Exact for 0-valued samples, within 2x above otherwise.
-    pub fn approx_percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (index, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let upper = if index == 0 { 0 } else { 1u64 << index.min(63) };
-                return upper.min(self.max).max(self.min());
-            }
-        }
-        self.max
-    }
-
-    /// Non-empty buckets as `(lower, upper_exclusive, count)` triples, in
-    /// ascending value order. `upper_exclusive` is `u64::MAX` for the
-    /// final bucket.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(index, &n)| {
-                let lower = if index == 0 { 0 } else { 1u64 << (index - 1) };
-                let upper = if index == 0 {
-                    1
-                } else if index >= 63 {
-                    u64::MAX
-                } else {
-                    1u64 << index
-                };
-                (lower, upper, n)
-            })
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
 }
 
 /// A monotonic microsecond clock. The span recorder and metrics observer
@@ -260,70 +109,6 @@ mod tests {
         // overflows u64 in both units and must pin, not wrap.
         assert_eq!(saturating_ms(Duration::MAX), u64::MAX);
         assert_eq!(saturating_us(Duration::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_records_and_summarizes() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 1, 3, 8, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1013);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 1013.0 / 6.0).abs() < 1e-9);
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
-        // 0 -> bucket [0,1); 1,1 -> [1,2); 3 -> [2,4); 8 -> [8,16);
-        // 1000 -> [512,1024).
-        assert_eq!(
-            buckets,
-            vec![(0, 1, 1), (1, 2, 2), (2, 4, 1), (8, 16, 1), (512, 1024, 1)]
-        );
-    }
-
-    #[test]
-    fn empty_histogram_is_all_zeroes() {
-        let h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!((h.count(), h.sum(), h.min(), h.max()), (0, 0, 0, 0));
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.approx_percentile(0.5), 0);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for (i, v) in [5u64, 0, 123, 77, 2, 900000, 1].iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(*v);
-            } else {
-                b.record(*v);
-            }
-            all.record(*v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must be commutative");
-        assert_eq!(ab, all, "merge must equal recording everything");
-    }
-
-    #[test]
-    fn percentile_is_bucket_bounded() {
-        let mut h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let p50 = h.approx_percentile(0.5);
-        assert!((50..=64).contains(&p50), "p50 = {p50}");
-        assert_eq!(h.approx_percentile(1.0), 100, "p100 clamps to max");
-        // Extreme values: max bucket still indexes safely.
-        h.record(u64::MAX);
-        assert_eq!(h.max(), u64::MAX);
     }
 
     #[test]

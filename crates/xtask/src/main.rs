@@ -350,12 +350,14 @@ fn check_lint_baseline(wasabi: &Path, work: &Path, record: bool) {
         eprintln!("    {app} (--amp): no diagnostics outside the baseline");
     }
     if record {
-        fs::write(LINT_BASELINE_PATH, &baseline_out)
+        wasabi_util::write_atomic(Path::new(LINT_BASELINE_PATH), baseline_out.as_bytes())
             .unwrap_or_else(|e| fail(&format!("write {LINT_BASELINE_PATH}: {e}")));
-        eprintln!(
-            "    recorded {} fingerprints to {LINT_BASELINE_PATH}",
-            baseline_out.lines().count()
-        );
+        // Each app's file opens with a `#` header; count fingerprints only.
+        let fingerprints = baseline_out
+            .lines()
+            .filter(|line| !line.trim().is_empty() && !line.starts_with('#'))
+            .count();
+        eprintln!("    recorded {fingerprints} fingerprints to {LINT_BASELINE_PATH}");
     }
 }
 
@@ -651,8 +653,7 @@ fn serve_smoke() {
 /// same order, same details; only the grouped per-bug `reports` counts
 /// may shrink, since a deduped widen run would merely have re-witnessed
 /// a bug the probe already proved), and the aggregate executed-run count
-/// must drop by ≥ 40%. Warm-cache byte identity is pinned by
-/// `tests/adaptive.rs`.
+/// must drop by ≥ 40%.
 ///
 /// Writes `BENCH_PR8.json` with the per-app run counts.
 fn adaptive_gate() {
@@ -781,8 +782,6 @@ fn repair_gate() {
     let work = env::temp_dir().join(format!("wasabi-repair-gate-{}", std::process::id()));
     let _ = fs::remove_dir_all(&work);
     fs::create_dir_all(&work).unwrap_or_else(|e| fail(&format!("create work dir: {e}")));
-    let cache = work.join("profile-cache");
-    let cache_arg = cache.to_string_lossy().into_owned();
 
     // Runs `wasabi repair <args>` tolerating exit 1 (unfixed targets
     // remain — the gate scores the fix rate itself, not the exit code).
@@ -817,8 +816,6 @@ fn repair_gate() {
                 "small",
                 "--jobs",
                 jobs,
-                "--profile-cache",
-                &cache_arg,
                 "--report",
                 &path.to_string_lossy(),
             ]);

@@ -17,17 +17,18 @@
 //! wasabi stats   <trace.jsonl>... [--journal PATH] # per-phase/per-run trace tables
 //! wasabi corpus  <APP> <out-dir> [--amp]           # write a synthetic app to disk
 //! wasabi repair  [--json] [--jobs N] [--max-fix-attempts N] [--report PATH]
-//!                [--out DIR] [--profile-cache DIR]
-//!                (--corpus APP [--amp] [--scale S] | <file.jav>...)
+//!                [--out DIR] (--corpus APP [--amp] [--scale S] | <file.jav>...)
 //! wasabi serve   [--addr HOST:PORT] [--unix PATH] [--max-queued N] [--max-inflight N]
-//!                [--cache N] [--jobs N]            # campaign-as-a-service daemon
+//!                [--queue-timeout-ms N] [--cache N] [--jobs N]
+//!                                                  # campaign-as-a-service daemon
 //! wasabi submit  --addr ADDR [--priority N] [--jobs N] [--subscribe] <file.jav>...
 //! wasabi submit  --addr ADDR (--stats | --shutdown | --cancel ID | --status ID)
 //! ```
 //!
 //! Exit codes, uniform across subcommands: 0 = success, 1 = findings
 //! (retry bugs, lint diagnostics, trace mismatches), 2 = usage, input,
-//! or I/O errors.
+//! or I/O errors. A `--flag` no parser recognizes is a usage error, never
+//! an input path.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,7 +39,7 @@ use wasabi::analysis::resolve::ProjectIndex;
 use wasabi::core::dynamic::{run_dynamic_with_observer, DynamicOptions};
 use wasabi::core::identify::identify;
 use wasabi::core::lint::{cross_check, lint_with_overlap};
-use wasabi::core::{report_json, source_digest, ProfileCacheOptions};
+use wasabi::core::report_json;
 use wasabi::engine::campaign::ChaosConfig;
 use wasabi::engine::{
     journal, load_trace, render_stats, validate_trace, write_trace, EngineEvent, EngineObserver,
@@ -61,18 +62,16 @@ const USAGE: &str = "usage:
                  [--cross-check] [--no-ifratio] <file.jav>...
   wasabi test    [--json] [--jobs N] [--max-attempts N] [--journal PATH]
                  [--resume PATH] [--quiet] [--chaos-panic RATE]
-                 [--trace-out PATH] [--adaptive] [--profile-cache DIR]
-                 [--profile-cache-bypass] <file.jav>...
+                 [--trace-out PATH] [--adaptive] <file.jav>...
   wasabi test    --shards N [--shard-dir DIR] [--chaos-kill-shard I]
                  [--chaos-exit-after N] <file.jav>...
   wasabi merge   [--json] <shard-dir>
   wasabi stats   <trace.jsonl>... [--journal PATH]
   wasabi corpus  <APP> <out-dir> [--amp] [--policy]   (APP = HA HD MA YA HB HI CA EL)
   wasabi repair  [--json] [--jobs N] [--max-fix-attempts N] [--report PATH]
-                 [--out DIR] [--profile-cache DIR]
-                 (--corpus APP [--amp] [--scale tiny|small|paper] | <file.jav>...)
+                 [--out DIR] (--corpus APP [--amp] [--scale tiny|small|paper] | <file.jav>...)
   wasabi serve   [--addr HOST:PORT] [--unix PATH] [--max-queued N] [--max-inflight N]
-                 [--cache N] [--jobs N] [--profile-cache DIR]
+                 [--queue-timeout-ms N] [--cache N] [--jobs N]
   wasabi submit  --addr ADDR [--priority N] [--jobs N] [--shards N] [--subscribe]
                  [--retry-attempts N] [--retry-base-ms MS] <file.jav>...
   wasabi submit  --addr ADDR (--stats | --shutdown [--drain [--drain-deadline-ms MS]]
@@ -112,11 +111,6 @@ struct CampaignFlags {
     /// probe wave first, widen only where inconclusive. Off by default;
     /// report digests are pinned only for the fixed grid.
     adaptive: bool,
-    /// Directory for digest-keyed coverage-profile persistence
-    /// (`--profile-cache DIR`), shared by `test`, `repair`, and `serve`.
-    profile_cache: Option<PathBuf>,
-    /// Skip the cache read side (always re-profile, still write back).
-    profile_cache_bypass: bool,
 }
 
 fn main() -> ExitCode {
@@ -136,6 +130,14 @@ fn main() -> ExitCode {
         }
     };
 
+    // These take no flags of their own; `lint`, `repair` and `submit`
+    // make the same check once they have taken theirs.
+    if matches!(command.as_str(), "analyze" | "sweep" | "test") {
+        if let Err(code) = refuse_unknown_flags(&args) {
+            return code;
+        }
+    }
+
     match command.as_str() {
         "analyze" => with_project(&args, |project| analyze(project, json)),
         "sweep" => with_project(&args, |project| sweep(project, json)),
@@ -153,6 +155,17 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Refuses a `--flag` that no parser took: once a subcommand has taken
+/// its own flags, everything left must be an input path.
+fn refuse_unknown_flags(args: &[String]) -> Result<(), ExitCode> {
+    let Some(arg) = args.iter().find(|arg| arg.starts_with("--")) else {
+        return Ok(());
+    };
+    let flag = arg.split_once('=').map_or(arg.as_str(), |(flag, _)| flag);
+    eprintln!("unknown flag `{flag}`\n{USAGE}");
+    Err(ExitCode::from(2))
 }
 
 /// Extracts a boolean `--flag` from the argument list.
@@ -256,11 +269,6 @@ fn take_campaign_flags(args: &mut Vec<String>) -> Result<CampaignFlags, String> 
         flags.chaos_panic = Some(rate);
     }
     flags.adaptive = take_flag(args, "--adaptive");
-    flags.profile_cache = take_value_flag(args, "--profile-cache")?.map(PathBuf::from);
-    flags.profile_cache_bypass = take_flag(args, "--profile-cache-bypass");
-    if flags.profile_cache_bypass && flags.profile_cache.is_none() {
-        return Err("--profile-cache-bypass requires --profile-cache".to_string());
-    }
     // Shard slices index the *fixed* key-sorted grid; an adaptive child
     // would execute a different (probe-dependent) run set, so the
     // combination is refused rather than silently ignored.
@@ -450,6 +458,11 @@ fn lint(args: &mut Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let want_cross = take_flag(args, "--cross-check");
+    let no_ifratio = take_flag(args, "--no-ifratio");
+    if let Err(code) = refuse_unknown_flags(args) {
+        return code;
+    }
     let baseline = match &baseline_path {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(contents) => Some(wasabi::analysis::diag::parse_baseline(&contents)),
@@ -460,8 +473,6 @@ fn lint(args: &mut Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode {
         },
         None => None,
     };
-    let want_cross = take_flag(args, "--cross-check");
-    let no_ifratio = take_flag(args, "--no-ifratio");
     let jobs = flags.jobs;
     with_project(args, move |project| {
         let mut llm = SimulatedLlm::with_seed(0);
@@ -477,14 +488,13 @@ fn lint(args: &mut Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode {
         let cross = want_cross.then(|| cross_check(&report.lint, &report.sweep));
         if let Some(path) = &write_baseline {
             let rendered = wasabi::analysis::diag::render_baseline(&report.lint.diagnostics);
-            if let Err(err) = std::fs::write(path, rendered) {
+            // Diagnostics that share a fingerprint collapse to one line.
+            let written = wasabi::analysis::diag::parse_baseline(&rendered).len();
+            if let Err(err) = wasabi::util::write_atomic(path.as_ref(), rendered.as_bytes()) {
                 eprintln!("cannot write baseline {path}: {err}");
                 return ExitCode::from(2);
             }
-            println!(
-                "wrote {} fingerprints to {path}",
-                report.lint.diagnostics.len()
-            );
+            println!("wrote {written} fingerprints to {path}");
             return ExitCode::SUCCESS;
         }
         let (diags, suppressed) = match &baseline {
@@ -568,24 +578,6 @@ fn lint(args: &mut Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode {
     })
 }
 
-/// Builds the profile-cache options for a compiled project, keyed by the
-/// same relative-path source digest the serve daemon's caches use (see
-/// DESIGN.md §15 for why paths, not just contents, participate).
-fn profile_cache_options(flags: &CampaignFlags, project: &Project) -> Option<ProfileCacheOptions> {
-    flags.profile_cache.as_ref().map(|dir| {
-        let sources: Vec<(String, String)> = project
-            .files
-            .iter()
-            .map(|file| (file.path.clone(), file.source.clone()))
-            .collect();
-        ProfileCacheOptions {
-            dir: dir.clone(),
-            digest: source_digest(&project.name, &sources),
-            bypass: flags.profile_cache_bypass,
-        }
-    })
-}
-
 fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
     // With `--trace-out`, a metrics recorder rides along via `Tee`; the
     // identify step runs before the dynamic pipeline, so bracket it here
@@ -631,7 +623,6 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
         // carries timing, so output bytes cannot change).
         capture_timing: flags.trace_out.is_some(),
         adaptive: flags.adaptive,
-        profile_cache: profile_cache_options(flags, project),
         ..DynamicOptions::default()
     };
     if let Some(attempts) = flags.max_attempts {
@@ -861,13 +852,14 @@ fn serve(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
         if let Some(value) = take_value_flag(&mut args, "--queue-timeout-ms")? {
             let ms = value
                 .parse::<u64>()
-                .map_err(|_| format!("invalid --queue-timeout-ms value `{value}`"))?;
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| format!("invalid --queue-timeout-ms value `{value}`"))?;
             scheduler.queue_timeout_us = Some(ms.saturating_mul(1000));
         }
         let mut options = ServeOptions {
             scheduler,
             campaign_jobs: flags.jobs,
-            profile_cache: flags.profile_cache.clone(),
             ..ServeOptions::default()
         };
         if let Some(value) = take_value_flag(&mut args, "--cache")? {
@@ -992,6 +984,9 @@ fn submit(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(code) = refuse_unknown_flags(&args) {
+        return code;
+    }
 
     // Control ops: one connection, one request, print the response line.
     let control = if stats_op {
@@ -1273,6 +1268,9 @@ fn repair(mut args: Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode 
             return ExitCode::from(2);
         }
     };
+    if let Err(code) = refuse_unknown_flags(&args) {
+        return code;
+    }
 
     // Corpus mode generates the app in-memory (with ground truth for
     // scoring); file mode reads the argument paths.
@@ -1321,7 +1319,6 @@ fn repair(mut args: Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode 
         jobs: flags.jobs,
         max_fix_attempts,
         llm_seed,
-        profile_cache: flags.profile_cache.clone(),
         ..wasabi::repair::RepairOptions::default()
     };
     let outcome = match wasabi::repair::repair(&name, sources, &options) {

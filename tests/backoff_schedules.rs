@@ -1,9 +1,9 @@
 //! The three retry loops of the workspace — campaign engine, shard
 //! supervisor, submit client — share one `wasabi_util::backoff::Policy`
 //! but each keys its own jitter stream. Their default schedules are
-//! pinned here to the nanosecond: engine backoff feeds the backoff
-//! histograms of resumed campaigns, and any drift in a stream derivation
-//! or in the shared delay math shows up as a changed table entry.
+//! pinned here to the nanosecond: engine backoff feeds every run span's
+//! `backoff_ms`, and any drift in a stream derivation or in the shared
+//! delay math shows up as a changed table entry.
 
 use std::time::Duration;
 use wasabi::engine::campaign::retry_delay;

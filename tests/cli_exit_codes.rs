@@ -26,6 +26,23 @@ class Buggy {\n\
   test tRun() { assert(this.run() == \"ok\"); }\n\
 }\n";
 
+/// Two identical uncapped, undelayed retry loops in one method: four
+/// diagnostics (W001 + W002 per loop) that share two fingerprints.
+const TWIN_LOOPS_APP: &str = "\
+exception E;\n\
+class Twin {\n\
+  method op() throws E { return \"ok\"; }\n\
+  method run() {\n\
+    while (true) {\n\
+      try { return this.op(); } catch (E e) { log(\"retrying\"); }\n\
+    }\n\
+    while (true) {\n\
+      try { return this.op(); } catch (E e) { log(\"retrying\"); }\n\
+    }\n\
+  }\n\
+  test tRun() { assert(this.run() == \"ok\"); }\n\
+}\n";
+
 /// A valid app whose comment holds `€`, then 46 ASCII bytes, then `<`: the
 /// simulated LLM once cut its 48-byte cap window through the `€` and
 /// panicked (exit 101) in both `lint` and `test`.
@@ -75,6 +92,40 @@ fn no_arguments_and_unknown_command_are_usage_errors() {
     assert!(String::from_utf8_lossy(&bench.stderr).contains("usage:"), "bench prints the usage text");
     assert_eq!(code(&run(&["test"])), 2, "no input files");
     assert_eq!(code(&run(&["test", "--jobs", "0", "x.jav"])), 2, "bad flag value");
+    // A zero queue timeout would expire every job before it could start.
+    // The unbindable socket path keeps a regression from serving forever.
+    let zero_timeout = run(&[
+        "serve",
+        "--queue-timeout-ms",
+        "0",
+        "--unix",
+        "/nonexistent/wasabi.sock",
+    ]);
+    assert_eq!(code(&zero_timeout), 2, "zero queue timeout");
+    assert!(
+        String::from_utf8_lossy(&zero_timeout.stderr).contains("--queue-timeout-ms"),
+        "the refusal names the flag"
+    );
+    // An unrecognized `--flag` is a usage error, never an input path.
+    for (args, flag) in [
+        (
+            &["test", "--profile-cache", "d", "x.jav"][..],
+            "--profile-cache",
+        ),
+        (&["lint", "--bogus", "x.jav"][..], "--bogus"),
+        (
+            &["repair", "--corpus", "HD", "--profile-cache", "d"][..],
+            "--profile-cache",
+        ),
+    ] {
+        let output = run(args);
+        assert_eq!(code(&output), 2, "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -106,6 +157,36 @@ fn clean_app_is_0_and_findings_are_1() {
     assert_eq!(code(&run(&["analyze", &clean])), 0);
     assert_eq!(code(&run(&["lint", "--quiet", &clean])), 0, "no diagnostics");
     assert_eq!(code(&run(&["lint", "--quiet", &buggy])), 1, "lint diagnostics");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--write-baseline` reports the fingerprints it wrote, not the
+/// diagnostics behind them, and the baseline then suppresses every one of
+/// those diagnostics.
+#[test]
+fn lint_baseline_counts_written_fingerprints_and_suppresses_all_diagnostics() {
+    let dir = temp_dir("baseline");
+    let app = write_app(&dir, "twin.jav", TWIN_LOOPS_APP);
+    let baseline = dir.join("b.txt").to_string_lossy().into_owned();
+    let linted = run(&["lint", &app]);
+    assert_eq!(code(&linted), 1);
+    assert!(
+        String::from_utf8_lossy(&linted.stdout).contains("4 diagnostics"),
+        "fixture drifted: {}",
+        String::from_utf8_lossy(&linted.stdout)
+    );
+    let written = run(&["lint", "--write-baseline", &baseline, &app]);
+    assert_eq!(code(&written), 0);
+    let lines = std::fs::read_to_string(&baseline).expect("baseline written");
+    let fingerprints = lines.lines().filter(|l| !l.starts_with('#')).count();
+    assert_eq!(fingerprints, 2, "baseline:\n{lines}");
+    assert_eq!(
+        String::from_utf8_lossy(&written.stdout).trim(),
+        format!("wrote {fingerprints} fingerprints to {baseline}")
+    );
+    let suppressed = run(&["lint", "--baseline", &baseline, &app]);
+    assert_eq!(code(&suppressed), 0, "every diagnostic is in the baseline");
+    assert!(String::from_utf8_lossy(&suppressed.stdout).contains("(4 suppressed by baseline)"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,7 +1,10 @@
 //! End-to-end crash tolerance: `wasabi test --shards N` must produce a
 //! report byte-identical to the single-process run — uninterrupted, after
 //! a chaos-killed shard recovers, and again when the shard directory is
-//! re-merged offline with `wasabi merge`. The simulated LLM keys on
+//! re-merged offline with `wasabi merge`. The crash-point sweeps kill a
+//! campaign after *every* journal append it can make (single-process,
+//! adaptive, and one shard of a sharded run) and require the recovered
+//! report to be byte-identical each time. The simulated LLM keys on
 //! relative source paths, so every invocation here runs from the same
 //! working directory with the same relative arguments.
 
@@ -57,6 +60,20 @@ fn wasabi_in(dir: &Path, args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("wasabi runs")
+}
+
+/// Runs planned for [`APP`]: three sites, K = 1 and K = 100.
+const PLANNED_RUNS: usize = 6;
+
+/// Asserts that a `--chaos-exit-after N` process really died at its crash
+/// point, after `appends` journal appends — so a sweep can never pass
+/// without killing anything.
+fn assert_killed(output: &Output, appends: usize, what: &str) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(&format!("chaos: exiting after {appends} journal append(s)")),
+        "{what}: the kill did not fire, stderr:\n{stderr}"
+    );
 }
 
 fn report(output: &Output, what: &str) -> String {
@@ -165,5 +182,74 @@ fn merge_refuses_changed_sources_and_missing_directories() {
     let missing = wasabi_in(&dir, &["merge", "no-such-dir"]);
     assert_eq!(missing.status.code(), Some(2), "missing shard dir is an input error");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Kills a single-process campaign after each of its journal appends, for
+/// the fixed grid and for `--adaptive` (whose probe wave holds one max-K
+/// run per site), then resumes from the torn journal: every resumed report
+/// must equal the uninterrupted one.
+#[test]
+fn every_single_process_kill_point_resumes_to_the_identical_report() {
+    let dir = temp_dir("crash-points");
+    std::fs::write(dir.join("app.jav"), APP).expect("write app");
+    for (mode, kill_points) in [("fixed", PLANNED_RUNS), ("adaptive", 3)] {
+        let run = |args: &[&str]| {
+            let mut all = vec!["test", "--quiet", "--json"];
+            if mode == "adaptive" {
+                all.push("--adaptive");
+            }
+            all.extend_from_slice(args);
+            all.push("app.jav");
+            wasabi_in(&dir, &all)
+        };
+        let uninterrupted = report(&run(&[]), "uninterrupted");
+        if mode == "fixed" {
+            let planned = format!("\"runs_planned\": {PLANNED_RUNS}");
+            assert!(uninterrupted.contains(&planned), "fixture drifted: {uninterrupted}");
+        }
+        for appends in 1..=kill_points {
+            let journal = format!("{mode}-{appends}.jsonl");
+            let what = format!("{mode} campaign killed after {appends}");
+            let killed = run(&["--journal", &journal, "--chaos-exit-after", &appends.to_string()]);
+            assert_eq!(killed.status.code(), Some(86), "{what}: wrong exit");
+            assert_killed(&killed, appends, &what);
+            let loaded = wasabi::engine::journal::load(&dir.join(&journal)).expect("load journal");
+            assert_eq!(loaded.records.len(), appends, "{what}: journal length");
+            let resumed = report(&run(&["--journal", &journal, "--resume", &journal]), &what);
+            assert_eq!(resumed, uninterrupted, "{what}: resumed report differs");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Kills shard 0 of a two-shard campaign after each append of its
+/// three-run slice: the supervisor's recovery and an offline `wasabi
+/// merge` of the shard directory must both give the single-process
+/// report.
+#[test]
+fn every_shard_kill_point_recovers_and_merges_to_the_identical_report() {
+    let dir = temp_dir("shard-crash-points");
+    std::fs::write(dir.join("app.jav"), APP).expect("write app");
+    let single = report(
+        &wasabi_in(&dir, &["test", "--quiet", "--json", "app.jav"]),
+        "single-process",
+    );
+    for appends in 1..=PLANNED_RUNS / 2 {
+        let shard_dir = format!("shards-{appends}");
+        let what = format!("shard 0 killed after {appends}");
+        // Not `--quiet`: the killed child's stderr is the proof it died.
+        let recovered = wasabi_in(
+            &dir,
+            &[
+                "test", "--json", "--shards", "2", "--chaos-kill-shard", "0",
+                "--chaos-exit-after", &appends.to_string(), "--shard-dir", &shard_dir, "app.jav",
+            ],
+        );
+        assert_killed(&recovered, appends, &what);
+        assert_eq!(report(&recovered, &what), single, "{what}: recovered report differs");
+        let merged = report(&wasabi_in(&dir, &["merge", "--json", &shard_dir]), &what);
+        assert_eq!(merged, single, "{what}: merged report differs");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
