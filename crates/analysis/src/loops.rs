@@ -9,7 +9,7 @@
 //! non-retry).
 
 use crate::cfg::{Atom, Cfg};
-use crate::resolve::ProjectIndex;
+use crate::resolve::{LoopSite, ProjectIndex};
 use std::collections::HashMap;
 use wasabi_lang::ast::{Expr, Literal, LoopId, Stmt};
 use wasabi_lang::project::{CallSite, FileId, MethodId};
@@ -89,11 +89,21 @@ impl RetryLocation {
 
 /// Finds retry loops across the whole project.
 pub fn find_retry_loops(index: &ProjectIndex<'_>, options: &LoopQueryOptions) -> Vec<RetryLoop> {
+    find_retry_loops_where(index, options, |_| true)
+}
+
+/// [`find_retry_loops`] over only the loops `keep` accepts; the result is
+/// the whole-project result's subsequence of those loops.
+pub fn find_retry_loops_where(
+    index: &ProjectIndex<'_>,
+    options: &LoopQueryOptions,
+    keep: impl Fn(&LoopSite<'_>) -> bool,
+) -> Vec<RetryLoop> {
     let mut out = Vec::new();
     // Cache CFGs per (class, method) to avoid rebuilding for multi-loop
     // methods.
     let mut cfgs: HashMap<(String, String), Cfg> = HashMap::new();
-    for site in index.loops() {
+    for site in index.loops().iter().filter(|site| keep(site)) {
         let key = (site.class.to_string(), site.method.name.clone());
         let cfg = cfgs
             .entry(key)

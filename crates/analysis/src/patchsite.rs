@@ -4,7 +4,8 @@
 //! `(file, line, col)` plus a coordinator method string. To synthesize a
 //! patch we need the thing the diagnostic is *about*: the retry loop's
 //! statement span inside its source file. This module re-runs the loop
-//! query and matches diagnostics back to concrete loops:
+//! query over the diagnostic's own methods only (every loop a diagnostic
+//! can match lies in them) and matches it back to a concrete loop:
 //!
 //! - **W001/W002** anchor at the retry loop's own span, so the match is
 //!   coordinator string + anchor position ([`patch_site_for`]).
@@ -15,8 +16,8 @@
 //!   loop whose span sits strictly inside the outer's in the same method.
 
 use crate::diag::Diagnostic;
-use crate::loops::{find_retry_loops, LoopQueryOptions, RetryLoop};
-use crate::resolve::ProjectIndex;
+use crate::loops::{find_retry_loops_where, LoopQueryOptions, RetryLoop};
+use crate::resolve::{LoopSite, ProjectIndex};
 use wasabi_lang::ast::LoopId;
 use wasabi_lang::project::{FileId, MethodId, Project};
 use wasabi_lang::span::Span;
@@ -46,18 +47,25 @@ fn site_from(project: &Project, rl: &RetryLoop) -> PatchSite {
     }
 }
 
-/// All retry loops, with the keyword filter relaxed as a fallback so
-/// inner loops of interprocedural findings still resolve even when their
-/// own naming evidence is weaker than the anchor loop's.
-fn query_loops(project: &Project, options: &LoopQueryOptions) -> Vec<RetryLoop> {
+/// The retry loops of `methods` (each `Class.method`), with the keyword
+/// filter relaxed as a fallback so inner loops of interprocedural findings
+/// still resolve even when their own naming evidence is weaker than the
+/// anchor loop's. The order is the whole-project query's, restricted to
+/// `methods`.
+fn query_loops(project: &Project, options: &LoopQueryOptions, methods: &[&str]) -> Vec<RetryLoop> {
     let index = ProjectIndex::build(project);
-    let mut loops = find_retry_loops(&index, options);
+    let in_scope = |site: &LoopSite<'_>| {
+        methods
+            .iter()
+            .any(|m| m.split_once('.') == Some((site.class, site.method.name.as_str())))
+    };
+    let mut loops = find_retry_loops_where(&index, options, in_scope);
     if options.keyword_filter {
         let relaxed = LoopQueryOptions {
             keyword_filter: false,
             ..options.clone()
         };
-        for rl in find_retry_loops(&index, &relaxed) {
+        for rl in find_retry_loops_where(&index, &relaxed, in_scope) {
             let dup = loops
                 .iter()
                 .any(|have| have.file == rl.file && have.loop_id == rl.loop_id);
@@ -89,7 +97,7 @@ pub fn patch_site_for(
     diag: &Diagnostic,
     options: &LoopQueryOptions,
 ) -> Option<PatchSite> {
-    query_loops(project, options)
+    query_loops(project, options, &[&diag.coordinator])
         .iter()
         .find(|rl| anchor_matches(project, rl, diag))
         .map(|rl| site_from(project, rl))
@@ -108,7 +116,9 @@ pub fn amp_sites_for(
     diag: &Diagnostic,
     options: &LoopQueryOptions,
 ) -> Option<(PatchSite, PatchSite)> {
-    let loops = query_loops(project, options);
+    let mut methods = vec![diag.coordinator.as_str()];
+    methods.extend(diag.chain.last().map(String::as_str));
+    let loops = query_loops(project, options, &methods);
     let outer = loops.iter().find(|rl| anchor_matches(project, rl, diag))?;
     let same_method = diag.chain.len() >= 2 && diag.chain.iter().all(|hop| *hop == diag.chain[0]);
     let inner = if same_method {

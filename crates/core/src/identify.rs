@@ -27,6 +27,12 @@ pub struct Identified {
 
 /// Runs both identification techniques and merges their locations.
 pub fn identify(project: &Project, llm: &mut dyn LanguageModel) -> Identified {
+    identify_with_sweep(project, sweep_project(project, llm))
+}
+
+/// [`identify`] with the LLM sweep already run: the control-flow query,
+/// then the merge with `llm_sweep`'s flagged methods.
+pub fn identify_with_sweep(project: &Project, llm_sweep: LlmSweep) -> Identified {
     let index = ProjectIndex::build(project);
 
     // Technique 1: control-flow analysis + naming conventions.
@@ -42,7 +48,6 @@ pub fn identify(project: &Project, llm: &mut dyn LanguageModel) -> Identified {
 
     // Technique 2: LLM identification, then a follow-up query for callees
     // and their exceptions.
-    let llm_sweep = sweep_project(project, llm);
     let mut llm_coordinators = Vec::new();
     for report in &llm_sweep.retry_files {
         if report.poll_excluded {

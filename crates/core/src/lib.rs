@@ -48,6 +48,6 @@ pub mod sharded;
 
 pub use api::{compile_app, report_json, run_app_job, source_digest, AppJob};
 pub use dynamic::{run_dynamic, AdaptiveSummary, DynamicOptions, DynamicResult};
-pub use identify::{identify, Identified};
+pub use identify::{identify, identify_with_sweep, Identified};
 pub use lint::{cross_check, lint_with_overlap, CrossCheck, CrossCheckCell, LintReport, Tier, WhenOverlap};
 pub use score::{evaluate_app, Aggregate, AppEvaluation, Cell};

@@ -288,7 +288,7 @@ impl ProgramIndex {
     /// Builds the index for a validated project. Must only be called after
     /// validation succeeded: lowering relies on its invariants (catch and
     /// instanceof types declared, no duplicate methods, known parents).
-    pub fn build(files: &[SourceFile], symbols: &SymbolTable) -> ProgramIndex {
+    pub fn build(files: &[Arc<SourceFile>], symbols: &SymbolTable) -> ProgramIndex {
         Builder::run(files, symbols)
     }
 }
@@ -547,7 +547,7 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn run(files: &[SourceFile], symbols: &'a SymbolTable) -> ProgramIndex {
+    fn run(files: &[Arc<SourceFile>], symbols: &'a SymbolTable) -> ProgramIndex {
         let mut b = Builder {
             symbols,
             interner: Interner::new(),

@@ -7,6 +7,7 @@ use crate::parser::parse_file;
 use crate::span::{LineMap, Span};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a source file within a [`Project`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,6 +49,23 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
+    /// Parses one file. A parse error carries the file's path.
+    pub fn parse(
+        path: impl Into<String>,
+        source: impl Into<String>,
+    ) -> Result<SourceFile, Diagnostic> {
+        let path = path.into();
+        let source = source.into();
+        match parse_file(&source) {
+            Ok(items) => Ok(SourceFile {
+                path,
+                source,
+                items,
+            }),
+            Err(err) => Err(err.with_path(&path)),
+        }
+    }
+
     /// Builds a line map for rendering spans in this file.
     pub fn line_map(&self) -> LineMap {
         LineMap::new(&self.source)
@@ -202,13 +220,15 @@ impl SymbolTable {
 pub struct Project {
     /// Project (application) name, e.g. `"hdfs"`.
     pub name: String,
-    /// Source files in compilation order.
-    pub files: Vec<SourceFile>,
+    /// Source files in compilation order. Parsed files are immutable and
+    /// shared: a project relinked with one file replaced keeps the others'
+    /// `Arc`s.
+    pub files: Vec<Arc<SourceFile>>,
     /// Project-wide symbol table.
     pub symbols: SymbolTable,
     /// The compile-once execution index (interned names, lowered bodies,
     /// resolution tables). Built after validation; shared across workers.
-    pub index: std::sync::Arc<crate::index::ProgramIndex>,
+    pub index: Arc<crate::index::ProgramIndex>,
 }
 
 impl Project {
@@ -223,32 +243,36 @@ impl Project {
         let mut files = Vec::new();
         let mut errors = Vec::new();
         for (path, source) in sources {
-            let path = path.into();
-            let source = source.into();
-            match parse_file(&source) {
-                Ok(items) => files.push(SourceFile {
-                    path,
-                    source,
-                    items,
-                }),
-                Err(err) => errors.push(err.with_path(&path)),
+            match SourceFile::parse(path, source) {
+                Ok(file) => files.push(Arc::new(file)),
+                Err(err) => errors.push(err),
             }
         }
         if !errors.is_empty() {
             return Err(errors);
         }
+        Project::link(name, files)
+    }
+
+    /// Links parsed files into a project: the symbol table, validation,
+    /// then the execution index.
+    pub fn link(
+        name: impl Into<String>,
+        files: Vec<Arc<SourceFile>>,
+    ) -> Result<Project, Vec<Diagnostic>> {
+        let mut errors = Vec::new();
         let symbols = build_symbols(&files, &mut errors);
         let mut project = Project {
             name: name.into(),
             files,
             symbols,
-            index: std::sync::Arc::new(crate::index::ProgramIndex::default()),
+            index: Arc::new(crate::index::ProgramIndex::default()),
         };
         project.validate(&mut errors);
         if errors.is_empty() {
             // The index builder relies on validation invariants (declared
             // catch/instanceof types, unique methods), so build it last.
-            project.index = std::sync::Arc::new(crate::index::ProgramIndex::build(
+            project.index = Arc::new(crate::index::ProgramIndex::build(
                 &project.files,
                 &project.symbols,
             ));
@@ -389,7 +413,7 @@ impl Project {
     }
 }
 
-fn build_symbols(files: &[SourceFile], errors: &mut Vec<Diagnostic>) -> SymbolTable {
+fn build_symbols(files: &[Arc<SourceFile>], errors: &mut Vec<Diagnostic>) -> SymbolTable {
     let mut symbols = SymbolTable::default();
     for (name, parent) in BUILTIN_EXCEPTIONS {
         symbols.exceptions.insert(

@@ -1,14 +1,19 @@
 //! The LLM static-checking workflow (§3.2.1): retry identification plus
 //! WHEN-bug detection across a whole project.
 //!
-//! Per file: Q1 (performs retry?) → Q4 (poll/spin exclusion) → Q1 follow-up
-//! (which methods) → Q2 (delay?) → Q3 (cap?). A flagged retry method in a
-//! file answering No to Q2 yields a missing-delay finding; No to Q3 yields a
-//! missing-cap finding.
+//! Per file ([`sweep_file`]): Q1 (performs retry?) → Q4 (poll/spin
+//! exclusion) → Q1 follow-up (which methods) → Q2 (delay?) → Q3 (cap?). A
+//! flagged retry method in a file answering No to Q2 yields a
+//! missing-delay finding; No to Q3 yields a missing-cap finding.
+//! [`sweep_project`] is a fold of [`sweep_file`] over the files in order.
+//! Every prompt about a file names that file, so a model whose answers
+//! depend only on the file's own path and text (as
+//! [`SimulatedLlm`](crate::simulated::SimulatedLlm)'s do) answers a file
+//! the same way whether it sweeps the whole project or that file alone.
 
 use crate::model::{LanguageModel, Usage};
 use crate::prompts;
-use wasabi_lang::project::{FileId, Project};
+use wasabi_lang::project::{FileId, Project, SourceFile};
 
 /// WHEN-bug categories the LLM detector reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,7 +34,7 @@ impl std::fmt::Display for LlmWhenKind {
 }
 
 /// The per-file answers gathered by the sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileReport {
     /// File id in the project.
     pub file: FileId,
@@ -61,7 +66,7 @@ pub struct LlmWhenFinding {
 }
 
 /// The result of an LLM static sweep over a project.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LlmSweep {
     /// Per-file reports for files where Q1 answered Yes.
     pub retry_files: Vec<FileReport>,
@@ -71,69 +76,35 @@ pub struct LlmSweep {
     pub usage: Usage,
 }
 
-/// Runs the full LLM static-checking workflow over every file.
-pub fn sweep_project(project: &Project, llm: &mut dyn LanguageModel) -> LlmSweep {
-    let usage_before = llm.usage();
-    let mut sweep = LlmSweep::default();
-    for (fidx, file) in project.files.iter().enumerate() {
-        let file_id = FileId(fidx as u32);
-        let q1 = prompts::q1_performs_retry(&file.path, &file.source);
-        if !llm.ask_yes_no(&q1).is_yes() {
-            continue;
+/// Folds per-file answers, given in project file order, into a sweep.
+impl FromIterator<FileSweep> for LlmSweep {
+    fn from_iter<I: IntoIterator<Item = FileSweep>>(files: I) -> Self {
+        let mut sweep = LlmSweep::default();
+        for file in files {
+            sweep.retry_files.extend(file.report);
+            sweep.findings.extend(file.findings);
+            sweep.usage.absorb(&file.usage);
         }
-        let poll_excluded = llm
-            .ask_yes_no(&prompts::q4_poll_or_spin(&file.path))
-            .is_yes();
-        if poll_excluded {
-            sweep.retry_files.push(FileReport {
-                file: file_id,
-                path: file.path.clone(),
-                performs_retry: true,
-                poll_excluded: true,
-                retry_methods: Vec::new(),
-                sleeps_before_retry: false,
-                has_cap: false,
-            });
-            continue;
-        }
-        let mut retry_methods = llm.ask_methods(&prompts::q1_which_methods(&file.path));
-        if retry_methods.is_empty() {
-            // The model said "this file performs retry" but could not name a
-            // method — attribute the finding to the file as a whole.
-            retry_methods.push(format!("<file:{}>", file.path));
-        }
-        let sleeps = llm
-            .ask_yes_no(&prompts::q2_sleeps_before_retry(&file.path))
-            .is_yes();
-        let has_cap = llm.ask_yes_no(&prompts::q3_has_cap(&file.path)).is_yes();
-        for method in &retry_methods {
-            if !sleeps {
-                sweep.findings.push(LlmWhenFinding {
-                    file: file_id,
-                    path: file.path.clone(),
-                    method: method.clone(),
-                    kind: LlmWhenKind::MissingDelay,
-                });
-            }
-            if !has_cap {
-                sweep.findings.push(LlmWhenFinding {
-                    file: file_id,
-                    path: file.path.clone(),
-                    method: method.clone(),
-                    kind: LlmWhenKind::MissingCap,
-                });
-            }
-        }
-        sweep.retry_files.push(FileReport {
-            file: file_id,
-            path: file.path.clone(),
-            performs_retry: true,
-            poll_excluded: false,
-            retry_methods,
-            sleeps_before_retry: sleeps,
-            has_cap,
-        });
+        sweep
     }
+}
+
+/// The sweep's answers for one file.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FileSweep {
+    /// The file's report when Q1 answered Yes.
+    pub report: Option<FileReport>,
+    /// WHEN-bug findings in the file.
+    pub findings: Vec<LlmWhenFinding>,
+    /// API usage for the file's prompts.
+    pub usage: Usage,
+}
+
+/// Runs the LLM static-checking workflow over one file.
+pub fn sweep_file(file_id: FileId, file: &SourceFile, llm: &mut dyn LanguageModel) -> FileSweep {
+    let usage_before = llm.usage();
+    let mut sweep = FileSweep::default();
+    sweep.report = ask_file(file_id, file, llm, &mut sweep.findings);
     let usage_after = llm.usage();
     sweep.usage = Usage {
         calls: usage_after.calls - usage_before.calls,
@@ -141,6 +112,82 @@ pub fn sweep_project(project: &Project, llm: &mut dyn LanguageModel) -> LlmSweep
         tokens: usage_after.tokens - usage_before.tokens,
     };
     sweep
+}
+
+/// Asks Q1–Q4 about one file, pushing its WHEN findings; returns its
+/// report when Q1 answered Yes.
+fn ask_file(
+    file_id: FileId,
+    file: &SourceFile,
+    llm: &mut dyn LanguageModel,
+    findings: &mut Vec<LlmWhenFinding>,
+) -> Option<FileReport> {
+    let q1 = prompts::q1_performs_retry(&file.path, &file.source);
+    if !llm.ask_yes_no(&q1).is_yes() {
+        return None;
+    }
+    let poll_excluded = llm
+        .ask_yes_no(&prompts::q4_poll_or_spin(&file.path))
+        .is_yes();
+    if poll_excluded {
+        return Some(FileReport {
+            file: file_id,
+            path: file.path.clone(),
+            performs_retry: true,
+            poll_excluded: true,
+            retry_methods: Vec::new(),
+            sleeps_before_retry: false,
+            has_cap: false,
+        });
+    }
+    let mut retry_methods = llm.ask_methods(&prompts::q1_which_methods(&file.path));
+    if retry_methods.is_empty() {
+        // The model said "this file performs retry" but could not name a
+        // method — attribute the finding to the file as a whole.
+        retry_methods.push(format!("<file:{}>", file.path));
+    }
+    let sleeps = llm
+        .ask_yes_no(&prompts::q2_sleeps_before_retry(&file.path))
+        .is_yes();
+    let has_cap = llm.ask_yes_no(&prompts::q3_has_cap(&file.path)).is_yes();
+    for method in &retry_methods {
+        if !sleeps {
+            findings.push(LlmWhenFinding {
+                file: file_id,
+                path: file.path.clone(),
+                method: method.clone(),
+                kind: LlmWhenKind::MissingDelay,
+            });
+        }
+        if !has_cap {
+            findings.push(LlmWhenFinding {
+                file: file_id,
+                path: file.path.clone(),
+                method: method.clone(),
+                kind: LlmWhenKind::MissingCap,
+            });
+        }
+    }
+    Some(FileReport {
+        file: file_id,
+        path: file.path.clone(),
+        performs_retry: true,
+        poll_excluded: false,
+        retry_methods,
+        sleeps_before_retry: sleeps,
+        has_cap,
+    })
+}
+
+/// Runs the full LLM static-checking workflow over every file: a fold of
+/// [`sweep_file`] in file order with one model.
+pub fn sweep_project(project: &Project, llm: &mut dyn LanguageModel) -> LlmSweep {
+    project
+        .files
+        .iter()
+        .enumerate()
+        .map(|(fidx, file)| sweep_file(FileId(fidx as u32), file, llm))
+        .collect()
 }
 
 #[cfg(test)]

@@ -29,18 +29,28 @@
 //! so a diagnostic that disappears as a side effect of an earlier fix
 //! (e.g. one flatten killing two amplification chains) is recorded as
 //! fixed with zero attempts.
+//!
+//! Every candidate splices exactly one file, so validation re-parses and
+//! re-sweeps only that file ([`Compiled::patched`]): the other files'
+//! parses and LLM answers carry over from the current state, and linking,
+//! identification and lint then run over the whole patched project as a
+//! full compile would.
 
 use crate::templates::{synthesize, templates_for, PatchedFile, Template};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use wasabi_analysis::checkers::{lint_project, LintOptions, LintResult};
 use wasabi_analysis::diag::Diagnostic;
 use wasabi_analysis::loops::LoopQueryOptions;
 use wasabi_analysis::patchsite::{amp_sites_for, patch_site_for, PatchSite};
-use wasabi_core::api::{compile_app, AppJob};
 use wasabi_core::dynamic::{prepare_campaign, DynamicOptions, PreparedCampaign};
+use wasabi_core::identify::{identify_with_sweep, Identified};
 use wasabi_engine::campaign::{run_campaign, CampaignOptions, RunRecord};
 use wasabi_engine::observer::outcome_kind;
 use wasabi_engine::NullObserver;
+use wasabi_lang::project::{FileId, Project, SourceFile};
+use wasabi_llm::detector::{sweep_file, FileSweep};
+use wasabi_llm::simulated::SimulatedLlm;
 use wasabi_oracles::OracleConfig;
 use wasabi_planner::plan::{targeted_runs, RunKey};
 
@@ -120,7 +130,8 @@ pub struct RepairOutcome {
     pub app: String,
     /// Per-target results, in baseline diagnostic order.
     pub targets: Vec<TargetResult>,
-    /// Final sources with all accepted patches applied.
+    /// Final `(path, source)` pairs, in input order, with all accepted
+    /// patches applied.
     pub sources: Vec<(String, String)>,
     /// Runs in the baseline campaign.
     pub baseline_runs: usize,
@@ -163,27 +174,87 @@ fn is_retry_code(code: &str) -> bool {
     matches!(code, "W001" | "W002" | "A001")
 }
 
-/// Compiled state for the current source set.
+/// Compiled state for the current source set: the project, each file's
+/// LLM answers, and the identification and lint results over them.
 struct Compiled {
-    job: AppJob,
+    project: Project,
+    sweeps: Vec<FileSweep>,
+    identified: Identified,
     lint: LintResult,
 }
 
-fn compile_and_lint(
-    name: &str,
-    sources: &[(String, String)],
-    options: &RepairOptions,
-    lint_opts: &LintOptions,
-) -> Result<Compiled, String> {
-    let job = compile_app(name, sources.to_vec(), options.llm_seed).map_err(|diags| {
-        let first = diags
-            .first()
-            .map(|d| d.to_string())
-            .unwrap_or_else(|| "unknown error".to_string());
-        format!("candidate does not compile: {first}")
-    })?;
-    let lint = lint_project(&job.project, lint_opts);
-    Ok(Compiled { job, lint })
+fn compile_error(diags: Vec<wasabi_lang::error::Diagnostic>) -> String {
+    let first = diags
+        .first()
+        .map(|d| d.to_string())
+        .unwrap_or_else(|| "unknown error".to_string());
+    format!("candidate does not compile: {first}")
+}
+
+impl Compiled {
+    /// Compiles and sweeps every file, as `wasabi_core::compile_app`
+    /// does, then lints.
+    fn full(
+        name: &str,
+        sources: Vec<(String, String)>,
+        llm_seed: u64,
+        lint_opts: &LintOptions,
+    ) -> Result<Compiled, String> {
+        let project = Project::compile(name, sources).map_err(compile_error)?;
+        let mut llm = SimulatedLlm::with_seed(llm_seed);
+        let sweeps = project
+            .files
+            .iter()
+            .enumerate()
+            .map(|(fidx, file)| sweep_file(FileId(fidx as u32), file, &mut llm))
+            .collect();
+        Ok(Compiled::identify_and_lint(project, sweeps, lint_opts))
+    }
+
+    /// This state with `patch` applied. Only the patched file is parsed
+    /// and swept again; the project relinks the other files' shared
+    /// parses. A fresh model answers the file as the shared one did: the
+    /// simulated LLM's draws and memory are per file path.
+    fn patched(
+        &self,
+        patch: &PatchedFile,
+        llm_seed: u64,
+        lint_opts: &LintOptions,
+    ) -> Result<Compiled, String> {
+        let fidx = self
+            .project
+            .files
+            .iter()
+            .position(|file| file.path == patch.path)
+            .expect("templates patch a file of the project");
+        let file = SourceFile::parse(patch.path.as_str(), patch.source.as_str())
+            .map_err(|err| compile_error(vec![err]))?;
+        let mut files = self.project.files.clone();
+        files[fidx] = Arc::new(file);
+        let project = Project::link(self.project.name.as_str(), files).map_err(compile_error)?;
+        let mut sweeps = self.sweeps.clone();
+        sweeps[fidx] = sweep_file(
+            FileId(fidx as u32),
+            &project.files[fidx],
+            &mut SimulatedLlm::with_seed(llm_seed),
+        );
+        Ok(Compiled::identify_and_lint(project, sweeps, lint_opts))
+    }
+
+    fn identify_and_lint(
+        project: Project,
+        sweeps: Vec<FileSweep>,
+        lint_opts: &LintOptions,
+    ) -> Compiled {
+        let identified = identify_with_sweep(&project, sweeps.iter().cloned().collect());
+        let lint = lint_project(&project, lint_opts);
+        Compiled {
+            project,
+            sweeps,
+            identified,
+            lint,
+        }
+    }
 }
 
 fn dynamic_options(options: &RepairOptions) -> DynamicOptions {
@@ -252,17 +323,18 @@ fn select_template(code: &str, tried: &[TemplateAttempt], trace: &str) -> Option
     remaining.first().copied()
 }
 
-fn apply_patch(sources: &[(String, String)], patch: &PatchedFile) -> Vec<(String, String)> {
-    sources
-        .iter()
-        .map(|(path, text)| {
-            if *path == patch.path {
-                (path.clone(), patch.source.clone())
-            } else {
-                (path.clone(), text.clone())
-            }
-        })
-        .collect()
+/// The loop(s) a target's patch splices around: the anchor loop, plus
+/// the inner loop for `A001`.
+fn patch_sites(
+    project: &Project,
+    diag: &Diagnostic,
+    loops: &LoopQueryOptions,
+) -> Option<(PatchSite, Option<PatchSite>)> {
+    if diag.code == "A001" {
+        amp_sites_for(project, diag, loops).map(|(outer, inner)| (outer, Some(inner)))
+    } else {
+        patch_site_for(project, diag, loops).map(|site| (site, None))
+    }
 }
 
 /// W/A-class fingerprints of a lint result — the set the no-new-findings
@@ -280,21 +352,23 @@ struct Validated {
     runs_executed: usize,
 }
 
-/// Validates one candidate. `Err` carries `(reason, failing-run trace)`.
+/// Validates `patch` applied to `current`. `Err` carries `(reason,
+/// failing-run trace)`.
 #[allow(clippy::too_many_arguments)]
 fn validate_candidate(
-    name: &str,
-    candidate: &[(String, String)],
+    current: &Compiled,
+    patch: &PatchedFile,
     target: &TargetKey,
     coordinators: &BTreeSet<String>,
     options: &RepairOptions,
     lint_opts: &LintOptions,
-    pre_patch_fingerprints: &BTreeSet<String>,
     baseline_outcomes: &BTreeMap<RunKey, String>,
     baseline_reports: &BTreeSet<(String, String)>,
 ) -> Result<Validated, (String, String)> {
-    let compiled = compile_and_lint(name, candidate, options, lint_opts)
+    let compiled = current
+        .patched(patch, options.llm_seed, lint_opts)
         .map_err(|e| (e, String::new()))?;
+    let pre_patch_fingerprints = retry_fingerprints(&current.lint);
 
     if compiled
         .lint
@@ -321,14 +395,14 @@ fn validate_candidate(
 
     let dyn_opts = dynamic_options(options);
     let prepared = prepare_campaign(
-        &compiled.job.project,
-        &compiled.job.identified.locations,
+        &compiled.project,
+        &compiled.identified.locations,
         &dyn_opts,
         &mut NullObserver,
     );
     let runs = targeted_runs(&prepared.runs, coordinators);
     let result = run_campaign(
-        &compiled.job.project,
+        &compiled.project,
         &runs,
         &campaign_options(&prepared, options),
         &mut NullObserver,
@@ -389,21 +463,20 @@ pub fn repair(
         // just be recomputed on every candidate for nothing.
         ifratio: false,
     };
-    let mut current = sources;
-    let mut compiled = compile_and_lint(name, &current, options, &lint_opts)
+    let mut compiled = Compiled::full(name, sources, options.llm_seed, &lint_opts)
         .map_err(|e| e.replace("candidate does not compile", "sources do not compile"))?;
 
     // Baseline campaign: outcome kinds and report keys per run key, the
     // reference every validation compares against.
     let dyn_opts = dynamic_options(options);
     let prepared = prepare_campaign(
-        &compiled.job.project,
-        &compiled.job.identified.locations,
+        &compiled.project,
+        &compiled.identified.locations,
         &dyn_opts,
         &mut NullObserver,
     );
     let baseline = run_campaign(
-        &compiled.job.project,
+        &compiled.project,
         &prepared.runs,
         &campaign_options(&prepared, options),
         &mut NullObserver,
@@ -482,19 +555,12 @@ pub fn repair(
 
             // Resolve the patch site(s) against the *current* sources —
             // positions move as earlier fixes land.
-            let resolved: Option<(PatchSite, Option<PatchSite>)> = if target.code == "A001" {
-                amp_sites_for(&compiled.job.project, &diag, &options.loops)
-                    .map(|(outer, inner)| (outer, Some(inner)))
-            } else {
-                patch_site_for(&compiled.job.project, &diag, &options.loops)
-                    .map(|site| (site, None))
-            };
-            let Some((site, inner)) = resolved else {
+            let Some((site, inner)) = patch_sites(&compiled.project, &diag, &options.loops) else {
                 reason = "could not resolve the diagnostic to a loop".to_string();
                 break;
             };
 
-            match synthesize(template, &compiled.job.project, &site, inner.as_ref()) {
+            match synthesize(template, &compiled.project, &site, inner.as_ref()) {
                 Err(why) => {
                     tried.push(TemplateAttempt {
                         template: template.name(),
@@ -504,20 +570,18 @@ pub fn repair(
                 }
                 Ok(patch) => {
                     attempts += 1;
-                    let candidate = apply_patch(&current, &patch);
                     let mut coordinators = BTreeSet::new();
                     coordinators.insert(target.coordinator.clone());
                     if let Some(inner) = &inner {
                         coordinators.insert(inner.method.to_string());
                     }
                     match validate_candidate(
-                        name,
-                        &candidate,
+                        &compiled,
+                        &patch,
                         &target,
                         &coordinators,
                         options,
                         &lint_opts,
-                        &retry_fingerprints(&compiled.lint),
                         &baseline_outcomes,
                         &baseline_reports,
                     ) {
@@ -528,7 +592,6 @@ pub fn repair(
                                 accepted: true,
                                 reason: String::new(),
                             });
-                            current = candidate;
                             compiled = validated.compiled;
                             fixed = true;
                             break;
@@ -567,7 +630,12 @@ pub fn repair(
     Ok(RepairOutcome {
         app: name.to_string(),
         targets: results,
-        sources: current,
+        sources: compiled
+            .project
+            .files
+            .iter()
+            .map(|file| (file.path.clone(), file.source.clone()))
+            .collect(),
         baseline_runs,
         validation_runs,
         max_fix_attempts: options.max_fix_attempts,
@@ -577,6 +645,113 @@ pub fn repair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wasabi_analysis::diag::render_json;
+    use wasabi_core::api::compile_app;
+    use wasabi_corpus::spec::{paper_apps, Scale};
+    use wasabi_corpus::synth::generate_app_with_amp;
+
+    /// The incremental candidate state against the slow path: on every
+    /// corpus app, for the first applicable template of every retry
+    /// target, replacing the patched file in the baseline state must give
+    /// what compiling, identifying and linting the patched sources anew
+    /// gives. A patch that does not parse fails both ways with
+    /// the same error.
+    #[test]
+    fn patched_state_equals_a_full_compile_of_the_patched_sources() {
+        let options = RepairOptions::default();
+        let lint_opts = LintOptions {
+            ifratio: false,
+            ..LintOptions::default()
+        };
+        let planned = |project: &Project, identified: &Identified| {
+            let prepared = prepare_campaign(
+                project,
+                &identified.locations,
+                &dynamic_options(&options),
+                &mut NullObserver,
+            );
+            format!("{:?}", prepared.runs)
+        };
+        let mut patches = 0;
+        for spec in paper_apps() {
+            let app = generate_app_with_amp(&spec, Scale::Tiny);
+            let seed = spec.seed;
+            let baseline = Compiled::full(spec.short, app.files.clone(), seed, &lint_opts)
+                .expect("corpus compiles");
+            let patched_sources = |patch: &PatchedFile| -> Vec<(String, String)> {
+                app.files
+                    .iter()
+                    .map(|(path, source)| {
+                        let source = if *path == patch.path {
+                            &patch.source
+                        } else {
+                            source
+                        };
+                        (path.clone(), source.clone())
+                    })
+                    .collect()
+            };
+            for diag in baseline
+                .lint
+                .diagnostics
+                .iter()
+                .filter(|d| is_retry_code(d.code))
+            {
+                let Some((site, inner)) = patch_sites(&baseline.project, diag, &options.loops)
+                else {
+                    continue;
+                };
+                let Some(patch) = templates_for(diag.code).iter().find_map(|template| {
+                    synthesize(*template, &baseline.project, &site, inner.as_ref()).ok()
+                }) else {
+                    continue;
+                };
+                patches += 1;
+                let what = format!("{}: {} patched {}", spec.short, diag.render(), patch.path);
+                let incremental = baseline
+                    .patched(&patch, seed, &lint_opts)
+                    .unwrap_or_else(|err| panic!("{what}: {err}"));
+                let full = compile_app(spec.short, patched_sources(&patch), seed)
+                    .unwrap_or_else(|err| panic!("{what}: {err:?}"));
+                let full_lint = lint_project(&full.project, &lint_opts);
+                assert_eq!(
+                    incremental.identified.locations, full.identified.locations,
+                    "{what}: locations"
+                );
+                assert_eq!(
+                    incremental.identified.llm_sweep, full.identified.llm_sweep,
+                    "{what}: sweep"
+                );
+                assert_eq!(
+                    render_json(&incremental.lint.diagnostics),
+                    render_json(&full_lint.diagnostics),
+                    "{what}: lint"
+                );
+                assert_eq!(
+                    planned(&incremental.project, &incremental.identified),
+                    planned(&full.project, &full.identified),
+                    "{what}: planned runs"
+                );
+            }
+
+            let (path, source) = &app.files[0];
+            let broken = PatchedFile {
+                path: path.clone(),
+                source: format!("{source}\nclass {{"),
+            };
+            let incremental = baseline.patched(&broken, seed, &lint_opts).err();
+            let full = compile_app(spec.short, patched_sources(&broken), seed)
+                .err()
+                .map(compile_error);
+            assert!(
+                incremental.is_some(),
+                "{}: broken patch compiles",
+                spec.short
+            );
+            assert_eq!(incremental, full, "{}: broken patch", spec.short);
+        }
+        assert!(patches >= 80, "only {patches} patches exercised");
+    }
 
     #[test]
     fn template_selection_skips_rejected_and_honors_trace() {

@@ -41,8 +41,10 @@
 //!   fix at least 80% of the fixable seeded W001/W002/A001 bugs within
 //!   the default 3 attempts, fix at least one bug in every class that
 //!   seeds any, and emit byte-identical reports for `--jobs 1` and
-//!   `--jobs 4`. Writes `BENCH_PR9.json` with the per-app and per-class
-//!   fix rates and the attempts-vs-fix-rate curve.
+//!   `--jobs 4`. Each app's `--jobs 1` report must also hash (fnv1a64, as
+//!   in `digest`) to its line in `scripts/repair_report_digest.txt`
+//!   (`--record` rewrites the file). Writes `BENCH_PR9.json` with the
+//!   per-app and per-class fix rates and the attempts-vs-fix-rate curve.
 //! - `lint-gate` — the static-analysis gate: over all eight corpus apps
 //!   (small scale, amplification AND policy seeds included), `wasabi
 //!   lint --json --cross-check` must be byte-identical between `--jobs 1`
@@ -119,7 +121,7 @@ fn main() {
         }
         "repair-gate" => {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
-            repair_gate();
+            repair_gate(flags.iter().any(|f| f == "--record"));
         }
         "lint-gate" => {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
@@ -280,6 +282,7 @@ fn smoke() {
 }
 
 const DIGEST_PATH: &str = "scripts/seed_report_digest.txt";
+const REPAIR_DIGEST_PATH: &str = "scripts/repair_report_digest.txt";
 const LINT_BASELINE_PATH: &str = "scripts/lint_baseline.txt";
 const ADAPTIVE_BENCH_OUT: &str = "BENCH_PR8.json";
 const REPAIR_BENCH_OUT: &str = "BENCH_PR9.json";
@@ -775,8 +778,11 @@ fn adaptive_gate() {
 /// (small scale, amplification seeds included) must fix at least
 /// [`REPAIR_RATE_FLOOR`]% of the fixable seeded bugs — in aggregate and
 /// per class — within the default 3 attempts, and the report must be
-/// byte-identical between `--jobs 1` and `--jobs 4`.
-fn repair_gate() {
+/// byte-identical between `--jobs 1` and `--jobs 4`. The `--jobs 1`
+/// reports' digests must equal `scripts/repair_report_digest.txt` (or,
+/// with `record`, rewrite it): the jobs comparison alone cannot see a
+/// change that alters a verdict the same way on every worker count.
+fn repair_gate(record: bool) {
     eprintln!("==> repair gate: auto-repair fix rate over the seeded corpus");
     let wasabi = release_wasabi();
     let work = env::temp_dir().join(format!("wasabi-repair-gate-{}", std::process::id()));
@@ -804,6 +810,7 @@ fn repair_gate() {
     let mut app_docs = Vec::new();
     let (mut total_fixable, mut total_fixed) = (0u64, 0u64);
     let (mut total_targets, mut total_targets_fixed) = (0u64, 0u64);
+    let mut digests = String::new();
     for app in ADAPTIVE_APPS {
         let jobs1 = work.join(format!("{app}-jobs1.json"));
         let jobs4 = work.join(format!("{app}-jobs4.json"));
@@ -825,6 +832,7 @@ fn repair_gate() {
         if one != four {
             fail(&format!("repair gate: {app} report differs between --jobs 1 and --jobs 4"));
         }
+        digests.push_str(&format!("{app} {:016x}\n", fnv1a64([one.as_slice()])));
         let what = format!("repair gate: {app} report");
         let report = String::from_utf8(one)
             .unwrap_or_else(|e| fail(&format!("{app} report not utf-8: {e}")));
@@ -866,6 +874,23 @@ fn repair_gate() {
             "{{\"app\": \"{app}\", \"fixable\": {app_fixable}, \"fixed\": {app_fixed}, \
              \"fix_rate_percent\": {rate}}}"
         ));
+    }
+
+    if record {
+        wasabi_util::write_atomic(Path::new(REPAIR_DIGEST_PATH), digests.as_bytes())
+            .unwrap_or_else(|e| fail(&format!("write {REPAIR_DIGEST_PATH}: {e}")));
+        eprintln!("    recorded {REPAIR_DIGEST_PATH}:\n{digests}");
+    } else {
+        let recorded = fs::read_to_string(REPAIR_DIGEST_PATH).unwrap_or_else(|_| {
+            fail(&format!(
+                "{REPAIR_DIGEST_PATH} missing — record one with `cargo xtask repair-gate --record`"
+            ))
+        });
+        if recorded != digests {
+            eprintln!("recorded:\n{recorded}\ncomputed:\n{digests}");
+            fail("repair gate: repair report digests changed — a repair verdict is no longer byte-identical");
+        }
+        eprintln!("    repair report digests unchanged ({} apps)", ADAPTIVE_APPS.len());
     }
 
     let aggregate_rate = (total_fixed * 100)

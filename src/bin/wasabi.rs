@@ -1302,6 +1302,19 @@ fn repair(mut args: Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode 
             eprintln!("no input files\n{USAGE}");
             return ExitCode::from(2);
         }
+        // A `..` input would map outside the output directory, up to the
+        // input itself.
+        if out_dir.is_some() {
+            let escaping = args.iter().find(|path| {
+                std::path::Path::new(path)
+                    .components()
+                    .any(|c| c == std::path::Component::ParentDir)
+            });
+            if let Some(path) = escaping {
+                eprintln!("--out input paths must not contain `..`: {path:?}");
+                return ExitCode::from(2);
+            }
+        }
         let mut sources = Vec::new();
         for path in &args {
             match std::fs::read_to_string(path) {
@@ -1347,7 +1360,7 @@ fn repair(mut args: Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode 
                     return ExitCode::from(2);
                 }
             }
-            if let Err(err) = std::fs::write(&full, source) {
+            if let Err(err) = wasabi::util::write_atomic(&full, source.as_bytes()) {
                 eprintln!("cannot write {}: {err}", full.display());
                 return ExitCode::from(2);
             }

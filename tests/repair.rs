@@ -103,6 +103,30 @@ fn repair_cli_fixes_file_mode_project_and_leaves_clean_files_alone() {
 }
 
 #[test]
+fn repair_out_refuses_inputs_that_climb_out_of_the_output_directory() {
+    let dir = temp_dir("escape");
+    let sub = dir.join("sub");
+    std::fs::create_dir_all(&sub).expect("sub dir");
+    std::fs::write(dir.join("x.jav"), FLAKY).expect("write input");
+
+    // From `sub/`, `../x.jav` under `--out .` is the input itself.
+    let output = Command::new(env!("CARGO_BIN_EXE_wasabi"))
+        .current_dir(&sub)
+        .args(["repair", "../x.jav", "--out", "."])
+        .output()
+        .expect("wasabi runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("../x.jav"), "names the path: {stderr}");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("x.jav")).expect("input"),
+        FLAKY,
+        "input left byte-identical"
+    );
+    assert_eq!(std::fs::read_dir(&sub).expect("sub").count(), 0, "nothing written");
+}
+
+#[test]
 fn repair_report_is_byte_identical_across_jobs() {
     let dir = temp_dir("jobs");
     for jobs in ["1", "4"] {
