@@ -341,10 +341,32 @@ impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Literal::Int(v) => write!(f, "{v}"),
-            Literal::Str(s) => write!(f, "{s:?}"),
+            Literal::Str(s) => Quoted(s).fmt(f),
             Literal::Bool(b) => write!(f, "{b}"),
             Literal::Null => write!(f, "null"),
         }
+    }
+}
+
+/// A string in Javelin source form: quoted, with only the escapes the
+/// lexer reads (`\"`, `\\`, `\n`, `\t`) and every other character, control
+/// and multi-byte ones included, copied as is, so the lexer reads it back
+/// unchanged.
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("\"")?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                c => fmt::Write::write_char(f, c)?,
+            }
+        }
+        f.write_str("\"")
     }
 }
 

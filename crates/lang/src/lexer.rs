@@ -183,12 +183,21 @@ impl<'a> Lexer<'a> {
     fn lex_string(&mut self, start: u32) -> Result<TokenKind, Diagnostic> {
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"`, `\` or newline whole: all
+            // three are ASCII, so the run ends on a character boundary and
+            // multi-byte text passes through intact.
+            let run = self.pos;
+            while self.pos < self.src.len() && !matches!(self.src[self.pos], b'"' | b'\\' | b'\n') {
+                self.pos += 1;
+            }
             if self.pos >= self.src.len() {
                 return Err(Diagnostic::new(
                     Span::new(start, self.pos as u32),
                     "unterminated string literal",
                 ));
             }
+            let run = std::str::from_utf8(&self.src[run..self.pos]);
+            out.push_str(run.expect("a run of a str between ASCII bytes is UTF-8"));
             match self.bump() {
                 b'"' => return Ok(TokenKind::Str(out)),
                 b'\\' => {
@@ -206,13 +215,12 @@ impl<'a> Lexer<'a> {
                         }
                     }
                 }
-                b'\n' => {
+                _ => {
                     return Err(Diagnostic::new(
                         Span::new(start, self.pos as u32),
                         "newline in string literal",
                     ));
                 }
-                other => out.push(other as char),
             }
         }
     }
@@ -319,6 +327,30 @@ mod tests {
                 TokenKind::Eof,
             ]
         );
+    }
+
+    #[test]
+    fn lexes_non_ascii_string_literals_intact() {
+        let toks = Lexer::tokenize("x = \"h\u{e9}llo \\\"\u{2603}\\\" \u{1f980}\\n\";").unwrap();
+        assert_eq!(
+            toks[2].kind,
+            TokenKind::Str("h\u{e9}llo \"\u{2603}\" \u{1f980}\n".into())
+        );
+        assert_eq!(toks[2].span, Span::new(4, 27));
+        assert_eq!(toks[3].kind, TokenKind::Semi);
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages_and_spans() {
+        for (src, message, span) in [
+            ("\"ab\u{e9}", "unterminated string literal", Span::new(0, 5)),
+            ("\"a\ncd\"", "newline in string literal", Span::new(0, 3)),
+            ("\"\u{e9}\\q\"", "unknown escape `\\q`", Span::new(0, 5)),
+            ("\"a\\", "unknown escape `\\\0`", Span::new(0, 4)),
+        ] {
+            let err = Lexer::tokenize(src).unwrap_err();
+            assert_eq!((err.message.as_str(), err.span), (message, span), "{src:?}");
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Printer {
                 self.line(&format!("exception {}{parent};", d.name));
             }
             Item::ConfigDecl(d) => {
-                self.line(&format!("config {:?} default {};", d.key, d.default));
+                self.line(&format!("config {} default {};", Quoted(&d.key), d.default));
             }
             Item::Class(c) => self.class(c),
         }

@@ -1,4 +1,5 @@
-//! LRU cache of compiled apps, keyed by source digest.
+//! LRU cache of compiled apps, keyed by
+//! [`app_key`](crate::protocol::app_key).
 //!
 //! Compilation plus identification is the expensive front half of a
 //! campaign (interning, lowering, the LLM sweep); a repeat submission of
@@ -12,7 +13,7 @@ use wasabi_core::AppJob;
 
 /// A small LRU over compiled apps. Linear scans are fine: the capacity is
 /// single digits (the daemon default is 8) and entries are compared by
-/// `u64` digest.
+/// `u64` key.
 #[derive(Debug)]
 pub struct IndexCache {
     capacity: usize,
@@ -20,7 +21,7 @@ pub struct IndexCache {
     entries: VecDeque<(u64, Arc<AppJob>)>,
     /// Lookups that found a compiled app.
     pub hits: u64,
-    /// Lookups that missed (the caller compiled and inserted).
+    /// Compiled apps inserted, each after a lookup that missed.
     pub misses: u64,
     /// Entries evicted to stay within capacity.
     pub evicted: u64,
@@ -48,29 +49,25 @@ impl IndexCache {
         self.entries.is_empty()
     }
 
-    /// Looks up a compiled app by digest, marking it most-recently-used.
-    pub fn get(&mut self, digest: u64) -> Option<Arc<AppJob>> {
-        if let Some(index) = self.entries.iter().position(|(d, _)| *d == digest) {
-            let entry = self.entries.remove(index).expect("index from position");
-            let job = Arc::clone(&entry.1);
-            self.entries.push_back(entry);
-            self.hits += 1;
-            Some(job)
-        } else {
-            self.misses += 1;
-            None
-        }
+    /// Looks up a compiled app by key, marking it most-recently-used.
+    pub fn get(&mut self, key: u64) -> Option<Arc<AppJob>> {
+        let index = self.entries.iter().position(|(k, _)| *k == key)?;
+        let entry = self.entries.remove(index).expect("index from position");
+        let job = Arc::clone(&entry.1);
+        self.entries.push_back(entry);
+        self.hits += 1;
+        Some(job)
     }
 
-    /// Inserts a freshly compiled app, evicting the least-recently-used
-    /// entry if over capacity. Re-inserting an existing digest refreshes
-    /// its position.
-    pub fn insert(&mut self, job: Arc<AppJob>) {
-        let digest = job.digest;
-        if let Some(index) = self.entries.iter().position(|(d, _)| *d == digest) {
+    /// Inserts a freshly compiled app under `key`, evicting the
+    /// least-recently-used entry if over capacity. Re-inserting an
+    /// existing key refreshes its position.
+    pub fn insert(&mut self, key: u64, job: Arc<AppJob>) {
+        if let Some(index) = self.entries.iter().position(|(k, _)| *k == key) {
             self.entries.remove(index);
         }
-        self.entries.push_back((digest, job));
+        self.entries.push_back((key, job));
+        self.misses += 1;
         while self.entries.len() > self.capacity {
             self.entries.pop_front();
             self.evicted += 1;
@@ -81,24 +78,30 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{app_key, file_digests};
     use wasabi_core::compile_app;
 
-    fn job(tag: &str) -> Arc<AppJob> {
+    /// A compiled one-file app and its cache key.
+    fn job(tag: &str) -> (u64, Arc<AppJob>) {
         // Distinct sources per tag → distinct digests.
+        let path = format!("{tag}.jav");
         let src = format!(
             "exception E;\nclass C{tag} {{\n  method op() throws E {{ return \"ok\"; }}\n  test t() {{ assert(this.op() == \"ok\"); }}\n}}\n"
         );
-        Arc::new(compile_app("cli", vec![(format!("{tag}.jav"), src)], 0).expect("compile"))
+        let digest = file_digests([src.as_str()])[0];
+        let key = app_key("cli", &[(path.clone(), digest)]);
+        let job = compile_app("cli", vec![(path, src)], 0).expect("compile");
+        (key, Arc::new(job))
     }
 
     #[test]
     fn get_hits_after_insert_and_counts() {
         let mut cache = IndexCache::new(2);
-        let a = job("A");
-        assert!(cache.get(a.digest).is_none());
-        cache.insert(Arc::clone(&a));
-        let hit = cache.get(a.digest).expect("hit");
-        assert_eq!(hit.digest, a.digest);
+        let (key, a) = job("A");
+        assert!(cache.get(key).is_none());
+        cache.insert(key, Arc::clone(&a));
+        let hit = cache.get(key).expect("hit");
+        assert!(Arc::ptr_eq(&hit, &a));
         assert_eq!((cache.hits, cache.misses), (1, 1));
     }
 
@@ -106,15 +109,15 @@ mod tests {
     fn evicts_least_recently_used() {
         let mut cache = IndexCache::new(2);
         let (a, b, c) = (job("A"), job("B"), job("C"));
-        cache.insert(Arc::clone(&a));
-        cache.insert(Arc::clone(&b));
+        cache.insert(a.0, Arc::clone(&a.1));
+        cache.insert(b.0, Arc::clone(&b.1));
         // Touch A so B becomes the LRU entry.
-        cache.get(a.digest).expect("a cached");
-        cache.insert(Arc::clone(&c));
+        cache.get(a.0).expect("a cached");
+        cache.insert(c.0, Arc::clone(&c.1));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(b.digest).is_none(), "B was evicted");
-        assert!(cache.get(a.digest).is_some());
-        assert!(cache.get(c.digest).is_some());
+        assert!(cache.get(b.0).is_none(), "B was evicted");
+        assert!(cache.get(a.0).is_some());
+        assert!(cache.get(c.0).is_some());
         assert_eq!(cache.evicted, 1);
     }
 }

@@ -11,25 +11,35 @@
 //! `wasabi test --json`, so daemon output is byte-identical to batch
 //! output for the same sources — cached or freshly compiled, whatever
 //! the submission order or worker count.
+//!
+//! Admission has one path, `offer`: a v1 `submit` frame stages all its
+//! files as a `put` would and then offers them. Each session stages its
+//! own uploads, under one bound on the bytes staged by all sessions
+//! together; the compiled-app cache is keyed by
+//! [`app_key`](crate::protocol::app_key), so a cached app is admitted
+//! with its `Arc<AppJob>` in the queued payload and the runner neither
+//! re-hashes nor recompiles it.
 
 use crate::cache::IndexCache;
 use crate::protocol::{
-    error_response, ok_response, parse_request, rejected_response, Request, DEFAULT_MAX_FRAME_BYTES,
-    PROTOCOL_KIND, PROTOCOL_VERSION,
+    app_key, digest_hex, error_response, file_digests, ok_response, parse_request,
+    rejected_response, Request, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_KIND, PROTOCOL_VERSION,
 };
 use crate::scheduler::{Admission, CancelOutcome, JobState, Scheduler, SchedulerConfig};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
-use wasabi_core::{compile_app, report_json, run_app_job, source_digest, DynamicOptions};
+use wasabi_core::{compile_app, report_json, run_app_job, AppJob, DynamicOptions};
 use wasabi_engine::observer::{EngineEvent, EngineObserver};
 use wasabi_util::metrics::{Clock, WallClock};
 use wasabi_util::Json;
@@ -56,7 +66,8 @@ pub struct ServeOptions {
     /// Default campaign worker count for jobs that don't override it.
     pub campaign_jobs: usize,
     /// Per-frame size cap; oversized frames get an error and the
-    /// connection is dropped.
+    /// connection is dropped. Times `cache_capacity`, it also bounds the
+    /// bytes all connections together may hold staged from `put`.
     pub max_frame_bytes: usize,
 }
 
@@ -76,11 +87,65 @@ impl Default for ServeOptions {
 #[derive(Debug)]
 struct JobPayload {
     name: String,
-    files: Vec<(String, String)>,
+    /// The compiled-app cache key of `name` and the files.
+    key: u64,
+    source: JobSource,
     jobs: Option<usize>,
     /// `Some(n)` runs the campaign as a sharded multi-process campaign
     /// with `n` child processes (re-execing this daemon's own binary).
     shards: Option<usize>,
+}
+
+/// What a queued job runs on.
+#[derive(Debug)]
+enum JobSource {
+    /// The compiled app, found in the cache at admission.
+    Cached(Arc<AppJob>),
+    /// `(path, contents)` pairs, for a compile.
+    Files(Vec<(String, String)>),
+}
+
+/// Upload counters for the `stats` op.
+#[derive(Debug, Default)]
+struct Uploads {
+    /// Files received in `put` frames (and v1 `submit` frames).
+    files: u64,
+    /// Their bytes.
+    bytes: u64,
+    /// Files of admitted jobs that needed no upload of their own: those
+    /// of cache hits, and repeats of contents offered under another path.
+    reused: u64,
+}
+
+/// One connection's uploads that no offer has consumed yet, keyed by the
+/// daemon's own digest of each file. Their bytes count in `staged`, the
+/// daemon-wide total, until an offer takes them or the session ends.
+struct Staging<'a> {
+    staged: &'a AtomicUsize,
+    files: HashMap<u64, String>,
+}
+
+impl Staging<'_> {
+    fn take(&mut self, digest: u64) -> Option<String> {
+        let contents = self.files.remove(&digest)?;
+        self.staged.fetch_sub(contents.len(), Ordering::Relaxed);
+        Some(contents)
+    }
+
+    /// Drops the staged uploads `files` names; returns how many there were.
+    fn discard(&mut self, files: &[(String, u64)]) -> usize {
+        files
+            .iter()
+            .filter(|(_, digest)| self.take(*digest).is_some())
+            .count()
+    }
+}
+
+impl Drop for Staging<'_> {
+    fn drop(&mut self) {
+        let held: usize = self.files.values().map(String::len).sum();
+        self.staged.fetch_sub(held, Ordering::Relaxed);
+    }
 }
 
 /// A finished job's product.
@@ -97,6 +162,7 @@ struct State {
     cache: IndexCache,
     results: BTreeMap<u64, Result<JobDone, String>>,
     subscribers: BTreeMap<u64, Vec<mpsc::Sender<String>>>,
+    uploads: Uploads,
     shutdown: bool,
     /// Graceful drain: refuse new admissions (retryable `"draining"`
     /// rejection), finish what was admitted, then flip `shutdown`.
@@ -111,6 +177,11 @@ struct Shared {
     done: Condvar,
     clock: WallClock,
     campaign_jobs: usize,
+    max_frame: usize,
+    /// Bytes staged by all sessions and not yet taken by an offer.
+    staged: AtomicUsize,
+    /// The most bytes `staged` may reach.
+    max_staged: usize,
 }
 
 impl Shared {
@@ -276,6 +347,7 @@ pub fn spawn(options: ServeOptions) -> io::Result<DaemonHandle> {
             cache: IndexCache::new(options.cache_capacity),
             results: BTreeMap::new(),
             subscribers: BTreeMap::new(),
+            uploads: Uploads::default(),
             shutdown: false,
             draining: false,
         }),
@@ -283,6 +355,11 @@ pub fn spawn(options: ServeOptions) -> io::Result<DaemonHandle> {
         done: Condvar::new(),
         clock: WallClock::new(),
         campaign_jobs: options.campaign_jobs.max(1),
+        max_frame: options.max_frame_bytes,
+        staged: AtomicUsize::new(0),
+        max_staged: options
+            .max_frame_bytes
+            .saturating_mul(options.cache_capacity.max(1)),
     });
 
     let mut threads = Vec::with_capacity(max_inflight + 1);
@@ -293,7 +370,6 @@ pub fn spawn(options: ServeOptions) -> io::Result<DaemonHandle> {
 
     let accept_shared = Arc::clone(&shared);
     let accept_addr = addr.clone();
-    let max_frame = options.max_frame_bytes;
     threads.push(thread::spawn(move || match listener {
         ListenerKind::Tcp(listener) => {
             for stream in listener.incoming() {
@@ -305,7 +381,7 @@ pub fn spawn(options: ServeOptions) -> io::Result<DaemonHandle> {
                 let shared = Arc::clone(&accept_shared);
                 let addr = accept_addr.clone();
                 // Detached: a lingering connection must not block shutdown.
-                thread::spawn(move || run_session(stream, &shared, &addr, max_frame));
+                thread::spawn(move || run_session(stream, &shared, &addr));
             }
         }
         #[cfg(unix)]
@@ -317,7 +393,7 @@ pub fn spawn(options: ServeOptions) -> io::Result<DaemonHandle> {
                 let Ok(stream) = stream else { continue };
                 let shared = Arc::clone(&accept_shared);
                 let addr = accept_addr.clone();
-                thread::spawn(move || run_session(stream, &shared, &addr, max_frame));
+                thread::spawn(move || run_session(stream, &shared, &addr));
             }
         }
     }));
@@ -363,59 +439,60 @@ fn runner_loop(shared: &Shared) {
 }
 
 fn execute_job(shared: &Shared, id: u64, payload: JobPayload) {
-    if let Some(shards) = payload.shards {
-        let result = execute_sharded_job(shared, id, shards, &payload);
-        let mut state = shared.state.lock().expect("serve state lock");
-        let was_cancelled = state.scheduler.state(id) == Some(JobState::Cancelled);
-        state.scheduler.finish(id, result.is_ok());
-        if was_cancelled {
-            finish_subscribers(&mut state, id, "cancelled");
-        } else {
-            let terminal = if result.is_ok() { "done" } else { "failed" };
-            state.results.insert(id, result);
-            finish_subscribers(&mut state, id, terminal);
-        }
-        shared.done.notify_all();
-        shared.work.notify_all();
-        return;
+    let result = match payload.shards {
+        Some(shards) => execute_sharded_job(shared, id, shards, &payload),
+        None => execute_in_process(shared, id, payload),
+    };
+    let mut state = shared.state.lock().expect("serve state lock");
+    let was_cancelled = state.scheduler.state(id) == Some(JobState::Cancelled);
+    state.scheduler.finish(id, result.is_ok());
+    if was_cancelled {
+        // The cancel won: the computed result is discarded.
+        finish_subscribers(&mut state, id, "cancelled");
+    } else {
+        let terminal = if result.is_ok() { "done" } else { "failed" };
+        state.results.insert(id, result);
+        finish_subscribers(&mut state, id, terminal);
     }
-    let digest = source_digest(&payload.name, &payload.files);
-    let cached_job = shared
-        .state
-        .lock()
-        .expect("serve state lock")
-        .cache
-        .get(digest);
-    let (job, cached) = match cached_job {
-        Some(job) => (job, true),
-        // Compile outside the lock: other sessions keep submitting and
-        // querying while this runner compiles.
-        None => match compile_app(&payload.name, payload.files, 0) {
-            Ok(job) => {
-                let job = Arc::new(job);
-                shared
-                    .state
-                    .lock()
-                    .expect("serve state lock")
-                    .cache
-                    .insert(Arc::clone(&job));
-                (job, false)
+    shared.done.notify_all();
+    shared.work.notify_all();
+}
+
+fn execute_in_process(shared: &Shared, id: u64, payload: JobPayload) -> Result<JobDone, String> {
+    let (job, cached) = match payload.source {
+        JobSource::Cached(job) => (job, true),
+        JobSource::Files(files) => {
+            // An equal job admitted earlier may have compiled since.
+            let cached_job = shared
+                .state
+                .lock()
+                .expect("serve state lock")
+                .cache
+                .get(payload.key);
+            match cached_job {
+                Some(job) => (job, true),
+                // Compile outside the lock: other sessions keep submitting
+                // and querying while this runner compiles.
+                None => {
+                    let job = compile_app(&payload.name, files, 0).map_err(|diagnostics| {
+                        let message = diagnostics
+                            .iter()
+                            .map(|d| d.to_string())
+                            .collect::<Vec<_>>()
+                            .join("; ");
+                        format!("compile failed: {message}")
+                    })?;
+                    let job = Arc::new(job);
+                    shared
+                        .state
+                        .lock()
+                        .expect("serve state lock")
+                        .cache
+                        .insert(payload.key, Arc::clone(&job));
+                    (job, false)
+                }
             }
-            Err(diagnostics) => {
-                let message = diagnostics
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                let mut state = shared.state.lock().expect("serve state lock");
-                state.scheduler.finish(id, false);
-                state.results.insert(id, Err(format!("compile failed: {message}")));
-                finish_subscribers(&mut state, id, "failed");
-                shared.done.notify_all();
-                shared.work.notify_all();
-                return;
-            }
-        },
+        }
     };
 
     let mut options = DynamicOptions {
@@ -432,21 +509,11 @@ fn execute_job(shared: &Shared, id: u64, payload: JobPayload) {
 
     let mut bridge = SubscriberBridge { shared, id };
     let result = run_app_job(&job, &options, &mut bridge);
-    let report = report_json(&job.identified, &result);
-    let bugs = result.bugs.len();
-
-    let mut state = shared.state.lock().expect("serve state lock");
-    let was_cancelled = state.scheduler.state(id) == Some(JobState::Cancelled);
-    state.scheduler.finish(id, true);
-    if was_cancelled {
-        // The cancel won: the computed result is discarded.
-        finish_subscribers(&mut state, id, "cancelled");
-    } else {
-        state.results.insert(id, Ok(JobDone { report, bugs, cached }));
-        finish_subscribers(&mut state, id, "done");
-    }
-    shared.done.notify_all();
-    shared.work.notify_all();
+    Ok(JobDone {
+        report: report_json(&job.identified, &result),
+        bugs: result.bugs.len(),
+        cached,
+    })
 }
 
 /// Runs a submission as a crash-tolerant multi-process sharded campaign:
@@ -460,19 +527,32 @@ fn execute_sharded_job(
     shards: usize,
     payload: &JobPayload,
 ) -> Result<JobDone, String> {
-    for (path, _) in &payload.files {
+    let from_cache: Vec<(String, String)>;
+    let files = match &payload.source {
+        JobSource::Files(files) => files,
+        JobSource::Cached(job) => {
+            from_cache = job
+                .project
+                .files
+                .iter()
+                .map(|file| (file.path.clone(), file.source.clone()))
+                .collect();
+            &from_cache
+        }
+    };
+    for (path, _) in files {
         // Submitted paths are digest keys in the in-process pipeline, but
         // here they touch the filesystem: keep them inside the scratch dir.
         if std::path::Path::new(path).is_absolute() || path.split('/').any(|seg| seg == "..") {
             return Err(format!("sharded submission paths must be relative: {path:?}"));
         }
     }
-    let digest = source_digest(&payload.name, &payload.files);
-    let scratch = std::env::temp_dir().join(format!("wasabi-serve-shard-{digest:016x}-{id}"));
+    let scratch =
+        std::env::temp_dir().join(format!("wasabi-serve-shard-{:016x}-{id}", payload.key));
     std::fs::create_dir_all(&scratch)
         .map_err(|err| format!("create scratch dir {}: {err}", scratch.display()))?;
     let write = (|| -> Result<(), String> {
-        for (path, contents) in &payload.files {
+        for (path, contents) in files {
             let full = scratch.join(path);
             if let Some(parent) = full.parent() {
                 std::fs::create_dir_all(parent)
@@ -495,8 +575,8 @@ fn execute_sharded_job(
             quiet: true,
             ..wasabi_core::sharded::ShardedOptions::default()
         };
-        let files: Vec<String> = payload.files.iter().map(|(path, _)| path.clone()).collect();
-        wasabi_core::sharded::run_sharded(&files, &options).map(|outcome| JobDone {
+        let paths: Vec<String> = files.iter().map(|(path, _)| path.clone()).collect();
+        wasabi_core::sharded::run_sharded(&paths, &options).map(|outcome| JobDone {
             report: outcome.report,
             bugs: outcome.bugs,
             cached: false,
@@ -523,7 +603,10 @@ fn read_frame<R: BufRead>(reader: &mut R, max_frame: usize) -> io::Result<Option
     while line.last() == Some(&b'\n') || line.last() == Some(&b'\r') {
         line.pop();
     }
-    Ok(Some(Ok(String::from_utf8_lossy(&line).into_owned())))
+    // Invalid UTF-8 is rare; only it pays for the lossy copy.
+    Ok(Some(Ok(String::from_utf8(line).unwrap_or_else(|err| {
+        String::from_utf8_lossy(err.as_bytes()).into_owned()
+    }))))
 }
 
 fn write_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
@@ -536,8 +619,13 @@ fn write_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
     writer.flush()
 }
 
-fn run_session<S: Read + Write>(stream: S, shared: &Arc<Shared>, addr: &str, max_frame: usize) {
+fn run_session<S: Read + Write>(stream: S, shared: &Arc<Shared>, addr: &str) {
+    let max_frame = shared.max_frame;
     let mut reader = BufReader::new(stream);
+    let mut staging = Staging {
+        staged: &shared.staged,
+        files: HashMap::new(),
+    };
     loop {
         let frame = match read_frame(&mut reader, max_frame) {
             Ok(Some(Ok(frame))) => frame,
@@ -566,7 +654,7 @@ fn run_session<S: Read + Write>(stream: S, shared: &Arc<Shared>, addr: &str, max
                 continue;
             }
         };
-        let keep_going = handle_request(request, &mut reader, shared, addr);
+        let keep_going = handle_request(request, &mut reader, &mut staging, shared, addr);
         if !keep_going {
             return;
         }
@@ -578,6 +666,7 @@ fn run_session<S: Read + Write>(stream: S, shared: &Arc<Shared>, addr: &str, max
 fn handle_request<S: Read + Write>(
     request: Request,
     reader: &mut BufReader<S>,
+    staging: &mut Staging,
     shared: &Arc<Shared>,
     addr: &str,
 ) -> bool {
@@ -589,41 +678,30 @@ fn handle_request<S: Read + Write>(
             jobs,
             shards,
         } => {
-            let response = {
-                let mut state = shared.state.lock().expect("serve state lock");
-                // Draining is checked first: a drain ends by flipping
-                // `shutdown`, and a client of a draining daemon keeps
-                // getting the same retryable answer until it exits.
-                if state.draining {
-                    // A rejection, not an error: like a full queue, this
-                    // is backpressure the client may retry elsewhere (or
-                    // later, against a restarted daemon).
-                    rejected_response("draining")
-                } else if state.shutdown {
-                    error_response("daemon is shutting down")
-                } else {
-                    shared.tick_locked(&mut state);
-                    let now = shared.clock.now_us();
-                    match state.scheduler.submit(
-                        now,
-                        priority,
-                        JobPayload {
-                            name,
-                            files,
-                            jobs,
-                            shards,
-                        },
-                    ) {
-                        Admission::Queued { id, position } => {
-                            shared.work.notify_all();
-                            ok_response([
-                                ("id", Json::from(id)),
-                                ("position", Json::from(position)),
-                            ])
-                        }
-                        Admission::Rejected { reason } => rejected_response(&reason),
-                    }
+            let (paths, contents): (Vec<String>, Vec<String>) = files.into_iter().unzip();
+            let response = match stage(shared, staging, contents) {
+                Ok(digests) => {
+                    let files = paths.into_iter().zip(digests).collect();
+                    offer(shared, staging, name, priority, files, jobs, shards)
                 }
+                Err(message) => error_response(&message),
+            };
+            write_line(reader.get_mut(), &response).is_ok()
+        }
+        Request::Offer {
+            name,
+            priority,
+            files,
+            jobs,
+            shards,
+        } => {
+            let response = offer(shared, staging, name, priority, files, jobs, shards);
+            write_line(reader.get_mut(), &response).is_ok()
+        }
+        Request::Put { files } => {
+            let response = match stage(shared, staging, files) {
+                Ok(digests) => ok_response([("stored", Json::from(digests.len()))]),
+                Err(message) => error_response(&message),
             };
             write_line(reader.get_mut(), &response).is_ok()
         }
@@ -734,6 +812,9 @@ fn handle_request<S: Read + Write>(
                     ("cache_hits", Json::from(state.cache.hits)),
                     ("cache_misses", Json::from(state.cache.misses)),
                     ("cache_evicted", Json::from(state.cache.evicted)),
+                    ("uploaded_files", Json::from(state.uploads.files)),
+                    ("uploaded_bytes", Json::from(state.uploads.bytes)),
+                    ("reused_files", Json::from(state.uploads.reused)),
                 ])
             };
             write_line(reader.get_mut(), &response).is_ok()
@@ -772,6 +853,144 @@ fn handle_request<S: Read + Write>(
             false
         }
     }
+}
+
+/// Hashes uploaded files and stages them for this connection; refuses
+/// the whole upload if it would take the bytes staged by all connections
+/// past the bound. Returns each file's digest.
+fn stage(shared: &Shared, staging: &mut Staging, files: Vec<String>) -> Result<Vec<u64>, String> {
+    let bytes: usize = files.iter().map(String::len).sum();
+    shared
+        .staged
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
+            held.checked_add(bytes).filter(|&total| total <= shared.max_staged)
+        })
+        .map_err(|held| {
+            format!(
+                "upload refused: the daemon stages at most {} bytes across connections (the frame cap times the cache capacity) and holds {held}",
+                shared.max_staged
+            )
+        })?;
+    let count = files.len();
+    let digests = file_digests(files.iter().map(String::as_str));
+    for (&digest, contents) in digests.iter().zip(files) {
+        match staging.files.entry(digest) {
+            Entry::Vacant(slot) => {
+                // A compiled app keeps its sources for as long as it is
+                // cached, so keep an exact-size copy rather than the
+                // parsed string and its ~40% growth slack.
+                slot.insert(contents.as_str().to_owned());
+            }
+            // Already staged: only one copy counts.
+            Entry::Occupied(_) => {
+                shared.staged.fetch_sub(contents.len(), Ordering::Relaxed);
+            }
+        }
+    }
+    let mut state = shared.state.lock().expect("serve state lock");
+    state.uploads.files += count as u64;
+    state.uploads.bytes += bytes as u64;
+    Ok(digests)
+}
+
+/// Admits an offered job if the daemon holds every file: the compiled app
+/// itself when its key is cached, or else each file among this
+/// connection's staged uploads. Otherwise replies with the digests it
+/// lacks and the frame cap their uploads must fit. An offer that is
+/// admitted or refused drops the staged files it names.
+fn offer(
+    shared: &Shared,
+    staging: &mut Staging,
+    name: String,
+    priority: u8,
+    files: Vec<(String, u64)>,
+    jobs: Option<usize>,
+    shards: Option<usize>,
+) -> String {
+    let key = app_key(&name, &files);
+    let mut state = shared.state.lock().expect("serve state lock");
+    // Draining is checked first: a drain ends by flipping `shutdown`, and
+    // a client of a draining daemon keeps getting the same retryable
+    // answer until it exits.
+    if state.draining {
+        staging.discard(&files);
+        // A rejection, not an error: like a full queue, this is
+        // backpressure the client may retry elsewhere (or later, against
+        // a restarted daemon).
+        return rejected_response("draining");
+    }
+    if state.shutdown {
+        staging.discard(&files);
+        return error_response("daemon is shutting down");
+    }
+    let (source, uploaded) = match state.cache.get(key) {
+        // A v1 frame staged contents the cache already had.
+        Some(job) => (JobSource::Cached(job), staging.discard(&files)),
+        None => match resolve(&files, staging) {
+            Ok(resolved) => resolved,
+            Err(missing) => {
+                let missing = missing.into_iter().map(|d| Json::from(digest_hex(d)));
+                return ok_response([
+                    ("missing", Json::arr(missing)),
+                    ("max_frame", Json::from(shared.max_frame)),
+                ]);
+            }
+        },
+    };
+    let reused = files.len() - uploaded;
+    shared.tick_locked(&mut state);
+    let now = shared.clock.now_us();
+    let payload = JobPayload {
+        name,
+        key,
+        source,
+        jobs,
+        shards,
+    };
+    match state.scheduler.submit(now, priority, payload) {
+        Admission::Queued { id, position } => {
+            state.uploads.reused += reused as u64;
+            shared.work.notify_all();
+            ok_response([
+                ("id", Json::from(id)),
+                ("position", Json::from(position)),
+                ("uploaded", Json::from(uploaded)),
+            ])
+        }
+        Admission::Rejected { reason } => rejected_response(&reason),
+    }
+}
+
+/// Takes the offered files' contents from the staged uploads, copying
+/// contents offered under more than one path, and counts the uploads it
+/// took. Takes nothing unless every file is staged; otherwise returns the
+/// digests not staged, each once, in file order.
+fn resolve(
+    files: &[(String, u64)],
+    staging: &mut Staging,
+) -> Result<(JobSource, usize), Vec<u64>> {
+    let mut seen = HashSet::new();
+    let missing: Vec<u64> = files
+        .iter()
+        .map(|&(_, digest)| digest)
+        .filter(|&digest| !staging.files.contains_key(&digest) && seen.insert(digest))
+        .collect();
+    if !missing.is_empty() {
+        return Err(missing);
+    }
+    let mut first: HashMap<u64, usize> = HashMap::new();
+    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
+    for (path, digest) in files {
+        let contents = match first.entry(*digest) {
+            Entry::Occupied(at) => sources[*at.get()].1.clone(),
+            Entry::Vacant(slot) => {
+                slot.insert(sources.len());
+                staging.take(*digest).expect("staged, checked above")
+            }
+        };
+        sources.push((path.clone(), contents));
+    }
+    Ok((JobSource::Files(sources), first.len()))
 }
 
 /// Waits out a graceful drain: once every admitted job is terminal (or

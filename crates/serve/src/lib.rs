@@ -3,10 +3,11 @@
 //!
 //! The batch CLI recompiles an app for every invocation; the daemon
 //! keeps a process warm, caches compiled [`wasabi_core::AppJob`]s by
-//! source digest, and schedules submitted campaigns across a bounded
-//! runner pool with per-client priorities and explicit backpressure.
-//! Clients speak a schema-versioned JSON-lines protocol over TCP or a
-//! unix socket: submit sources, poll status, cancel, wait for the
+//! the digests of their files, and schedules submitted campaigns across
+//! a bounded runner pool with per-client priorities and explicit
+//! backpressure. Clients speak a schema-versioned JSON-lines protocol
+//! over TCP or a unix socket: submit sources by digest (uploading only
+//! the files the daemon lacks), poll status, cancel, wait for the
 //! report, or subscribe to a live span/progress event stream.
 //!
 //! Layering:

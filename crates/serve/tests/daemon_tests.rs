@@ -1,14 +1,20 @@
 //! End-to-end daemon tests over real TCP connections on a loopback
 //! port. These cover protocol robustness (malformed frames, oversized
-//! payloads, disconnects, double-cancel) and the determinism contract
+//! payloads, disconnects, double-cancel), the determinism contract
 //! (reports independent of arrival order; cache hits byte-identical to
-//! fresh compiles). Scheduling *policy* is tested on `ManualClock` in
-//! the scheduler module; nothing here asserts on timing.
+//! fresh compiles), and submit-by-digest (`Connection::request` offers
+//! digests and uploads only what the daemon lacks). Scheduling *policy*
+//! is tested on `ManualClock` in the scheduler module; nothing here
+//! asserts on timing.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::sync::mpsc;
 use std::thread;
+use wasabi_core::{compile_app, report_json, run_app_job, DynamicOptions};
+use wasabi_engine::NullObserver;
 use wasabi_serve::daemon::{spawn, Bind, DaemonHandle, ServeOptions};
-use wasabi_serve::protocol::Request;
+use wasabi_serve::protocol::{render_request, Request, DEFAULT_MAX_FRAME_BYTES};
 use wasabi_serve::scheduler::SchedulerConfig;
 use wasabi_serve::Connection;
 use wasabi_util::Json;
@@ -259,7 +265,8 @@ fn admission_control_rejects_with_reason_when_queue_is_full() {
     let mut conn = Connection::connect(&handle.addr).expect("connect");
     // Submit until the first rejection. How many get in first depends on
     // how fast the single runner dequeues, so nothing asserts on the
-    // count; the bound only stops a daemon that never pushes back.
+    // count; the bound only stops a daemon that never pushes back. The
+    // rejection answers an offer, with or without uploads before it.
     let mut kept = Vec::new();
     let mut rejection = None;
     for _ in 0..64 {
@@ -387,7 +394,8 @@ fn graceful_drain_refuses_new_work_and_finishes_admitted_jobs() {
     assert_eq!(ack.get("draining").and_then(Json::as_bool), Some(true), "{ack:?}");
 
     // New admissions are refused with a retryable rejection, not an
-    // error, even if the admitted jobs have already finished.
+    // error, even if the admitted jobs have already finished. The refusal
+    // answers the submission's first offer.
     let refused = late
         .request(&Request::Submit {
             name: "cli".to_string(),
@@ -430,4 +438,260 @@ fn unix_socket_round_trip() {
     shutdown(handle);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
+}
+
+fn submission(name: &str, files: &[(&str, &str)]) -> Request {
+    Request::Submit {
+        name: name.to_string(),
+        priority: 5,
+        files: files
+            .iter()
+            .map(|&(path, source)| (path.to_string(), source.to_string()))
+            .collect(),
+        jobs: None,
+        shards: None,
+    }
+}
+
+/// Submits through the offer path; returns the job id and how many
+/// uploads the admission consumed.
+fn offer(conn: &mut Connection, request: &Request) -> (u64, u64) {
+    let response = conn.request(request).expect("submit response");
+    assert_eq!(
+        response.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{response:?}"
+    );
+    let id = response.get("id").and_then(Json::as_u64).expect("job id");
+    let uploaded = response
+        .get("uploaded")
+        .and_then(Json::as_u64)
+        .expect("uploaded count");
+    (id, uploaded)
+}
+
+fn stat(conn: &mut Connection, key: &str) -> u64 {
+    let stats = conn.request(&Request::Stats).expect("stats");
+    stats
+        .get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no {key} in {stats:?}"))
+}
+
+/// `wasabi test --json`'s report for the same sources.
+fn batch_report(request: &Request) -> String {
+    let Request::Submit { name, files, .. } = request else {
+        panic!("not a submission: {request:?}")
+    };
+    let job = compile_app(name, files.clone(), 0).expect("batch compile");
+    let result = run_app_job(&job, &DynamicOptions::default(), &mut NullObserver);
+    report_json(&job.identified, &result)
+}
+
+/// MA, the smallest paper-scale app, makes a v1 frame larger than the
+/// default cap; by digest a default daemon takes it, reports it byte for
+/// byte like batch mode, and takes a warm resubmission with no uploads.
+#[test]
+fn default_daemon_accepts_a_paper_scale_app_by_digest() {
+    use wasabi_corpus::spec::{paper_apps, Scale};
+    let spec = paper_apps()
+        .into_iter()
+        .find(|spec| spec.short == "MA")
+        .expect("MA spec");
+    let app = wasabi_corpus::synth::generate_app(&spec, Scale::Paper);
+    let request = Request::Submit {
+        name: spec.short.to_string(),
+        priority: 5,
+        files: app.files,
+        jobs: None,
+        shards: None,
+    };
+    let v1_frame = render_request(&request).len() + 1;
+    assert!(
+        v1_frame > DEFAULT_MAX_FRAME_BYTES,
+        "MA's v1 frame is {v1_frame} bytes"
+    );
+
+    let handle = default_daemon();
+    let mut conn = Connection::connect(&handle.addr).expect("connect");
+    let (id, uploaded) = offer(&mut conn, &request);
+    assert!(uploaded > 0);
+    let (report, cached) = wait_report(&mut conn, id);
+    assert!(!cached);
+    assert_eq!(
+        report,
+        batch_report(&request),
+        "daemon and batch reports differ"
+    );
+
+    let before = stat(&mut conn, "uploaded_files");
+    let (again, uploaded) = offer(&mut conn, &request);
+    assert_eq!(uploaded, 0);
+    assert_eq!(
+        stat(&mut conn, "uploaded_files"),
+        before,
+        "a warm resubmission uploads nothing"
+    );
+    assert_eq!(wait_report(&mut conn, again), (report, true));
+    shutdown(handle);
+}
+
+/// An edited app has a new cache key and takes no file from the cached
+/// one, so all its files upload; contents offered under two paths upload
+/// once.
+#[test]
+fn an_edited_app_uploads_every_file_and_shared_contents_upload_once() {
+    let handle = default_daemon();
+    let mut conn = Connection::connect(&handle.addr).expect("connect");
+    let first = submission("cli", &[("x.jav", APP_X), ("y.jav", APP_Y)]);
+    let (id, uploaded) = offer(&mut conn, &first);
+    assert_eq!(uploaded, 2);
+    wait_report(&mut conn, id);
+
+    let edited_y = format!("{APP_Y}// edited\n");
+    let edited = submission("cli", &[("x.jav", APP_X), ("y.jav", &edited_y)]);
+    let files = stat(&mut conn, "uploaded_files");
+    let (id, uploaded) = offer(&mut conn, &edited);
+    assert_eq!(uploaded, 2);
+    assert_eq!(stat(&mut conn, "uploaded_files"), files + 2);
+    let (report, cached) = wait_report(&mut conn, id);
+    assert!(!cached);
+    assert_eq!(report, batch_report(&edited));
+
+    let note = "// shared by two paths\n";
+    let shared = submission(
+        "cli",
+        &[("x.jav", APP_X), ("a/note.jav", note), ("b/note.jav", note)],
+    );
+    let (files, reused) = (
+        stat(&mut conn, "uploaded_files"),
+        stat(&mut conn, "reused_files"),
+    );
+    let (id, uploaded) = offer(&mut conn, &shared);
+    assert_eq!(uploaded, 2);
+    assert_eq!(stat(&mut conn, "uploaded_files"), files + 2);
+    assert_eq!(
+        stat(&mut conn, "reused_files"),
+        reused + 1,
+        "b/note.jav reused the upload of a/note.jav"
+    );
+    assert_eq!(wait_report(&mut conn, id).0, batch_report(&shared));
+    shutdown(handle);
+}
+
+/// A raw v1 `submit` frame carries every file; the daemon still admits it
+/// (its files count as uploads) and reports like the offer path.
+#[test]
+fn a_raw_v1_submit_frame_still_works() {
+    let handle = default_daemon();
+    let mut conn = Connection::connect(&handle.addr).expect("connect");
+    let request = submission("cli", &[("x.jav", APP_X)]);
+    let (id, _) = offer(&mut conn, &request);
+    let (by_digest, _) = wait_report(&mut conn, id);
+    conn.send_line(&render_request(&request))
+        .expect("send v1 frame");
+    let line = conn.read_line().expect("read").expect("reply");
+    let reply = Json::parse(&line).expect("json reply");
+    let id = reply
+        .get("id")
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("{line}"));
+    assert_eq!(
+        reply.get("uploaded").and_then(Json::as_u64),
+        Some(1),
+        "{line}"
+    );
+    assert_eq!(wait_report(&mut conn, id), (by_digest, true));
+    shutdown(handle);
+}
+
+/// A client facing a daemon that predates v2 falls back to one v1 frame,
+/// and sends later submissions as v1 frames straight away.
+#[test]
+fn client_falls_back_to_v1_frames_for_an_old_daemon() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().expect("stub addr").to_string();
+    let stub = thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut writer = stream.try_clone().expect("clone stream");
+        let mut frames = Vec::new();
+        for line in BufReader::new(stream).lines() {
+            let frame = line.expect("frame");
+            let reply = if frame.contains("\"v\":2") {
+                "{\"ok\":false,\"error\":\"unsupported protocol version 2 (daemon speaks 1)\"}"
+            } else {
+                "{\"ok\":true,\"id\":1,\"position\":0}"
+            };
+            writer
+                .write_all(format!("{reply}\n").as_bytes())
+                .expect("reply");
+            frames.push(frame);
+        }
+        frames
+    });
+    let request = submission("cli", &[("x.jav", APP_X)]);
+    {
+        let mut conn = Connection::connect(&addr).expect("connect to stub");
+        for _ in 0..2 {
+            let reply = conn.request(&request).expect("reply");
+            assert_eq!(reply.get("id").and_then(Json::as_u64), Some(1), "{reply:?}");
+        }
+    }
+    let frames = stub.join().expect("stub thread");
+    let v1 = render_request(&request);
+    assert_eq!(frames.len(), 3, "{frames:?}");
+    assert!(frames[0].contains("\"op\":\"offer\""), "{}", frames[0]);
+    assert_eq!(frames[1..], [v1.clone(), v1]);
+}
+
+fn put(conn: &mut Connection, contents: &str) -> Json {
+    conn.send_line(&render_request(&Request::Put {
+        files: vec![contents.to_string()],
+    }))
+    .expect("send put");
+    Json::parse(&conn.read_line().expect("read").expect("reply")).expect("json")
+}
+
+/// All connections together may stage at most the frame cap times the
+/// cache capacity. A put past that is refused whole and its connection
+/// stays usable; staged bytes come free when an offer takes them or when
+/// their connection closes.
+#[test]
+fn puts_past_the_daemon_wide_staging_bound_are_errors() {
+    let handle = start(ServeOptions {
+        max_frame_bytes: 4096,
+        cache_capacity: 1,
+        ..ServeOptions::default()
+    });
+    let mut first = Connection::connect(&handle.addr).expect("connect");
+    let mut second = Connection::connect(&handle.addr).expect("connect");
+    let a = format!("{APP_X}// {}\n", "a".repeat(3000));
+    let b = format!("{APP_Y}// {}\n", "b".repeat(3000));
+    assert_eq!(put(&mut first, &a).get("stored").and_then(Json::as_u64), Some(1));
+    let refused = put(&mut second, &b);
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+    let error = refused.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("at most 4096 bytes"), "{refused:?}");
+    assert_eq!(stat(&mut second, "uploaded_files"), 1);
+
+    // Admitting the first connection's app takes its staged upload.
+    let (_, uploaded) = offer(&mut first, &submission("cli", &[("x.jav", &a)]));
+    assert_eq!(uploaded, 1);
+    assert_eq!(put(&mut second, &b).get("stored").and_then(Json::as_u64), Some(1));
+    let refused = put(&mut first, &a);
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false), "{refused:?}");
+
+    // Closing the second connection frees what it staged; its session
+    // thread notices the close on its own schedule, so poll.
+    drop(second);
+    let stored = (0..500).any(|_| {
+        let reply = put(&mut first, &a);
+        if reply.get("ok").and_then(Json::as_bool) == Some(true) {
+            return true;
+        }
+        thread::sleep(std::time::Duration::from_millis(10));
+        false
+    });
+    assert!(stored, "a closed connection's staged bytes were never freed");
+    shutdown(handle);
 }

@@ -464,23 +464,36 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string. Runs of characters that
+/// need no escape are copied whole; every byte that does (`"`, `\` and
+/// the controls below 0x20) is ASCII, so the run boundaries fall on
+/// character boundaries.
+pub fn write_escaped(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (at, &b) in bytes.iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -613,6 +626,50 @@ mod tests {
         })
         .join()
         .expect("deep input never overflows the stack");
+    }
+
+    /// The escaper before it copied whole runs, one `char` at a time.
+    fn write_escaped_by_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn run_copying_escaper_matches_the_per_char_escaper() {
+        let mut rng = crate::Rng::new(0xe5ca_9e00);
+        let controls: Vec<char> = (0u8..0x20).map(char::from).collect();
+        let pool: Vec<char> = controls
+            .iter()
+            .copied()
+            .chain(['"', '\\', 'a', ' ', '/', '\u{7f}', '\u{e9}', '\u{2603}', '\u{1f980}'])
+            .collect();
+        let mut cases: Vec<String> = vec![String::new(), controls.iter().collect()];
+        for _ in 0..500 {
+            let len = rng.below(40) as usize;
+            cases.push((0..len).map(|_| *rng.pick(&pool)).collect());
+        }
+        for case in cases {
+            let (mut fast, mut slow) = (String::from("x"), String::from("x"));
+            write_escaped(&mut fast, &case);
+            write_escaped_by_char(&mut slow, &case);
+            assert_eq!(fast, slow, "{case:?}");
+            assert_eq!(Json::parse(&fast[1..]).unwrap(), Json::from(case.as_str()));
+        }
     }
 
     #[test]

@@ -79,14 +79,47 @@ impl Rng {
 /// on; it lives here so every crate that needs a stable string→u64 mapping
 /// uses the same one.
 pub fn fnv1a64<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &byte in chunk {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    chunks
+        .into_iter()
+        .fold(FNV_OFFSET, |hash, chunk| chunk.iter().fold(hash, fnv_step))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv_step(hash: u64, byte: &u8) -> u64 {
+    (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// [`fnv1a64`] of each input on its own. FNV-1a is one chain of
+/// dependent multiplies, so hashing four inputs in lockstep keeps four
+/// chains in flight and runs several times faster than one at a time.
+/// Inputs go in length order, so each shares its lockstep run with
+/// inputs of about its length and little is left to hash alone.
+pub fn fnv1a64_each(inputs: &[&[u8]]) -> Vec<u64> {
+    let mut order: Vec<usize> = (0..inputs.len()).collect();
+    order.sort_by_key(|&index| inputs[index].len());
+    let mut hashes = vec![FNV_OFFSET; inputs.len()];
+    for group in order.chunks(4) {
+        let mut lanes = [FNV_OFFSET; 4];
+        let mut shared = 0;
+        if let [a, b, c, d] = *group {
+            // The group is in length order: `a` is its shortest input.
+            shared = inputs[a].len();
+            let [a, b, c, d] = [a, b, c, d].map(|index| &inputs[index][..shared]);
+            for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+                lanes = [
+                    fnv_step(lanes[0], a),
+                    fnv_step(lanes[1], b),
+                    fnv_step(lanes[2], c),
+                    fnv_step(lanes[3], d),
+                ];
+            }
+        }
+        for (&lane, &index) in lanes.iter().zip(group) {
+            hashes[index] = inputs[index][shared..].iter().fold(lane, fnv_step);
         }
     }
-    hash
+    hashes
 }
 
 #[cfg(test)]
@@ -151,6 +184,19 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
         assert_ne!(v, sorted, "astronomically unlikely to be identity");
+    }
+
+    #[test]
+    fn fnv_each_matches_fnv_one_at_a_time() {
+        let mut r = Rng::new(0xf1e5);
+        for count in 0..12 {
+            let inputs: Vec<Vec<u8>> = (0..count)
+                .map(|_| (0..r.below(300)).map(|_| r.below(256) as u8).collect())
+                .collect();
+            let slices: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+            let one_at_a_time: Vec<u64> = slices.iter().map(|s| fnv1a64([*s])).collect();
+            assert_eq!(fnv1a64_each(&slices), one_at_a_time, "{count} inputs");
+        }
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //! - `serve-smoke` — the campaign-as-a-service gate: start a `wasabi
 //!   serve` daemon on a loopback port, submit the seed app twice, and
 //!   require (a) both submissions return byte-identical reports, (b) the
-//!   second is a ProgramIndex cache hit, and (c) the report digest equals
-//!   the batch digest pinned in `scripts/seed_report_digest.txt`.
+//!   second is a ProgramIndex cache hit that uploaded no file, and (c)
+//!   the report digest equals the batch digest pinned in
+//!   `scripts/seed_report_digest.txt`, as does the report for the same
+//!   app sent as one raw protocol-v1 `submit` frame.
 //! - `chaos-shard-smoke` — the crash-tolerance gate: run the seed app as
 //!   a 4-shard multi-process campaign with one shard chaos-killed
 //!   mid-flight; the supervisor must recover it and the merged report
@@ -603,7 +605,18 @@ fn serve_smoke() {
     if first_code != 0 && first_code != 1 {
         fail(&format!("first submit exited with code {first_code}"));
     }
+    let uploaded_files = |when: &str| -> u64 {
+        let (code, stats) = submit(&["--stats"], &[]);
+        if code != 0 {
+            fail(&format!("submit --stats exited with code {code}"));
+        }
+        u64_at(&parse_json(&stats, when), &["uploaded_files"], when)
+    };
+    let uploaded_first = uploaded_files("stats after the first submit");
     let (second_code, second) = submit(&[], &rel);
+    if uploaded_files("stats after the repeat submit") != uploaded_first {
+        fail("serve smoke: the repeat submission uploaded files");
+    }
     if second_code != first_code {
         fail(&format!("repeat submit exit code drifted: {first_code} -> {second_code}"));
     }
@@ -635,7 +648,13 @@ fn serve_smoke() {
     if cache_hits < 1 {
         fail(&format!("serve smoke: expected a cache hit, stats were {stats}"));
     }
-    eprintln!("    repeat submission was a cache hit ({cache_hits} hit(s))");
+    eprintln!("    repeat submission was a cache hit ({cache_hits} hit(s)) that uploaded no file");
+
+    let v1 = v1_submit_report(&addr, &work, &rel);
+    if format!("{:016x}", fnv1a64([v1.as_bytes()])) != pinned {
+        fail("serve smoke: the report for a raw v1 submit frame differs from the batch digest");
+    }
+    eprintln!("    a raw v1 submit frame yields the same report");
 
     let (shutdown_code, _) = submit(&["--shutdown"], &[]);
     if shutdown_code != 0 {
@@ -649,6 +668,46 @@ fn serve_smoke() {
     }
     let _ = fs::remove_dir_all(&work);
     eprintln!("serve smoke: OK");
+}
+
+/// Sends the app as one protocol-v1 `submit` frame carrying every file,
+/// as clients that predate submit-by-digest do, waits for the job and
+/// returns its report.
+fn v1_submit_report(addr: &str, work: &Path, rel: &[PathBuf]) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let stream = std::net::TcpStream::connect(addr)
+        .unwrap_or_else(|e| fail(&format!("connect to the daemon: {e}")));
+    let mut writer = stream.try_clone().unwrap_or_else(|e| fail(&format!("clone stream: {e}")));
+    let mut reader = BufReader::new(stream);
+    let mut round_trip = |frame: Json, what: &str| -> Json {
+        writer
+            .write_all(format!("{frame}\n").as_bytes())
+            .unwrap_or_else(|e| fail(&format!("send {what}: {e}")));
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .unwrap_or_else(|e| fail(&format!("read the {what} reply: {e}")));
+        parse_json(&line, what)
+    };
+    let files = rel.iter().map(|path| {
+        let contents = fs::read_to_string(work.join(path))
+            .unwrap_or_else(|e| fail(&format!("read {}: {e}", path.display())));
+        Json::arr([Json::from(path.to_string_lossy().as_ref()), Json::from(contents)])
+    });
+    let header = |op: &str| {
+        vec![
+            ("kind", Json::from("wasabi-serve")),
+            ("v", Json::from(1u64)),
+            ("op", Json::from(op)),
+        ]
+    };
+    let mut submit = header("submit");
+    submit.push(("name", Json::from("cli")));
+    submit.push(("files", Json::arr(files)));
+    let id = u64_at(&round_trip(Json::obj(submit), "v1 submit"), &["id"], "v1 submit");
+    let mut wait = header("wait");
+    wait.push(("id", Json::from(id)));
+    str_at(&round_trip(Json::obj(wait), "wait"), &["report"], "wait").to_string()
 }
 
 /// The adaptive-planner gate: for every corpus app, the `--adaptive`

@@ -828,7 +828,7 @@ fn stats(paths: &[String], flags: &CampaignFlags) -> ExitCode {
 
 /// `wasabi serve`: run the campaign-as-a-service daemon until a client
 /// sends the `shutdown` op. Prints one startup banner line to stdout —
-/// `{"kind":"wasabi-serve","version":1,"addr":"..."}` — so scripts can
+/// `{"kind":"wasabi-serve","version":2,"addr":"..."}` — so scripts can
 /// discover the bound port when `--addr` ends in `:0`.
 fn serve(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
     let parsed = (|| -> Result<ServeOptions, String> {
@@ -1076,14 +1076,16 @@ fn submit(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
                     SubmitAttempt::Fatal(format!("submission failed: {message}"))
                 };
             }
+            // A daemon that predates submit-by-digest reports no uploads.
+            let uploaded = submitted.get("uploaded").and_then(Json::as_u64);
             match submitted.get("id").and_then(Json::as_u64) {
-                Some(id) => SubmitAttempt::Ok((conn, id)),
+                Some(id) => SubmitAttempt::Ok((conn, id, uploaded)),
                 None => SubmitAttempt::Fatal("daemon response carried no job id".to_string()),
             }
         },
         std::thread::sleep,
     );
-    let (mut conn, id) = match attempted {
+    let (mut conn, id, uploaded) = match attempted {
         Ok(accepted) => accepted,
         Err(message) => {
             eprintln!("{message}");
@@ -1091,7 +1093,8 @@ fn submit(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
         }
     };
     if !flags.quiet {
-        eprintln!("[submit] job {id} queued on {addr}");
+        let uploads = uploaded.map(|n| format!(" ({n} file(s) uploaded)")).unwrap_or_default();
+        eprintln!("[submit] job {id} queued on {addr}{uploads}");
     }
 
     if subscribe {

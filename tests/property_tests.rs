@@ -160,6 +160,66 @@ fn printer_roundtrip_fixed_point() {
     }
 }
 
+/// A string literal's value: any Unicode scalar, weighted towards quotes,
+/// backslashes, control characters, combining marks and multi-byte text.
+fn gen_literal(rng: &mut Rng) -> String {
+    let len = rng.below(24);
+    (0..len)
+        .map(|_| match rng.below(4) {
+            0 => *rng.pick(&['"', '\\', '\n', '\t', '\r', '\0', '\u{1b}', '\u{7f}']),
+            1 => *rng.pick(&['\u{e9}', '\u{301}', '\u{2603}', '\u{200b}', '\u{1f980}', '\u{10ffff}']),
+            2 => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            _ => char::from(b' ' + rng.below(95) as u8),
+        })
+        .collect()
+}
+
+/// The values of every string literal in `source`, in order.
+fn string_literals(source: &str) -> Vec<String> {
+    use wasabi::lang::lexer::Lexer;
+    use wasabi::lang::token::TokenKind;
+    Lexer::tokenize(source)
+        .unwrap_or_else(|e| panic!("{e}\n{source}"))
+        .into_iter()
+        .filter_map(|token| match token.kind {
+            TokenKind::Str(value) => Some(value),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A literal holding arbitrary UTF-8 lexes to exactly its value, and
+/// printing then re-parsing the file keeps that value.
+#[test]
+fn string_literals_survive_print_and_parse() {
+    use wasabi::lang::parser::parse_file;
+    use wasabi::lang::printer::print_items;
+    for case in 0..256u64 {
+        let mut rng = Rng::new(0x5_7a1e_0000 + case);
+        let value = gen_literal(&mut rng);
+        // The lexer's own escapes, written independently of the printer.
+        let mut quoted = String::new();
+        for c in value.chars() {
+            match c {
+                '"' => quoted.push_str("\\\""),
+                '\\' => quoted.push_str("\\\\"),
+                '\n' => quoted.push_str("\\n"),
+                c => quoted.push(c),
+            }
+        }
+        let source = format!(
+            "config \"{quoted}\" default \"{quoted}\";\nclass C {{\n  method m() {{\n    log(\"{quoted}\");\n  }}\n}}\n"
+        );
+        let expected = vec![value.clone(); 3];
+        assert_eq!(string_literals(&source), expected, "[case {case}] lexed {value:?}");
+        let items = parse_file(&source).unwrap_or_else(|e| panic!("[case {case}] {e}"));
+        let printed = print_items(&items);
+        assert_eq!(string_literals(&printed), expected, "[case {case}] printed:\n{printed}");
+        let reparsed = parse_file(&printed).unwrap_or_else(|e| panic!("[case {case}] {e}"));
+        assert_eq!(print_items(&reparsed), printed, "[case {case}] printer not a fixed point");
+    }
+}
+
 /// CFG construction is total on generated programs, every edge targets a
 /// valid block, and loop headers are unique per loop id.
 #[test]
