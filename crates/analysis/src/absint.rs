@@ -31,7 +31,9 @@
 //! callees are not modelled.
 
 use std::collections::BTreeMap;
-use wasabi_lang::ast::{BinOp, Block, Expr, LValue, Literal, LoopId, MethodDecl, Stmt, UnOp};
+use wasabi_lang::ast::{
+    Ast, BinOp, Block, Expr, ExprId, LValue, Lit, Literal, LoopId, MethodDecl, Stmt, UnOp,
+};
 use wasabi_lang::index::{ClassId, LExpr, ProgramIndex};
 use wasabi_lang::span::Span;
 
@@ -314,11 +316,17 @@ pub struct MethodAbs {
     pub loops: BTreeMap<LoopId, LoopObs>,
 }
 
-/// Runs the interval fixpoint over `method` of `class`.
-pub fn analyze_method(index: &ProgramIndex, class: &str, method: &MethodDecl) -> MethodAbs {
+/// Runs the interval fixpoint over `method` of `class`, declared in `ast`.
+pub fn analyze_method(
+    index: &ProgramIndex,
+    class: &str,
+    ast: &Ast,
+    method: &MethodDecl,
+) -> MethodAbs {
     let mut interp = Interp {
         index,
         class,
+        ast,
         loops: BTreeMap::new(),
         sleep_sink: Vec::new(),
         pending_sleeps: BTreeMap::new(),
@@ -346,6 +354,7 @@ struct Frame {
 struct Interp<'a> {
     index: &'a ProgramIndex,
     class: &'a str,
+    ast: &'a Ast,
     loops: BTreeMap<LoopId, LoopObs>,
     /// Loops currently running their final collection pass; sleeps and
     /// growth updates are recorded into each of them.
@@ -364,23 +373,25 @@ impl<'a> Interp<'a> {
     /// threw, broke, or continued).
     fn block(&mut self, env: Option<Env>, block: &Block, frames: &mut Vec<Frame>) -> Option<Env> {
         let mut env = env?;
-        for stmt in &block.stmts {
+        let ast = self.ast;
+        for stmt in ast.stmts_in(block) {
             env = self.stmt(env, stmt, frames)?;
         }
         Some(env)
     }
 
     fn stmt(&mut self, mut env: Env, stmt: &Stmt, frames: &mut Vec<Frame>) -> Option<Env> {
+        let ast = self.ast;
         match stmt {
             Stmt::Var { name, init, .. } => {
-                let value = self.eval(&env, init);
-                env.insert(name.clone(), value);
+                let value = self.eval(&env, *init);
+                env.insert(ast[*name].to_string(), value);
                 Some(env)
             }
             Stmt::Assign { target, value, .. } => {
-                let interval = self.eval(&env, value);
-                if let Some(key) = lvalue_key(target) {
-                    self.note_growth(&env, &key, value);
+                let interval = self.eval(&env, *value);
+                if let Some(key) = lvalue_key(ast, target) {
+                    self.note_growth(&env, &key, *value);
                     env.insert(key, interval);
                 }
                 Some(env)
@@ -391,8 +402,8 @@ impl<'a> Interp<'a> {
                 else_blk,
                 ..
             } => {
-                let then_in = refine(env.clone(), cond, true, self);
-                let else_in = refine(env, cond, false, self);
+                let then_in = refine(env.clone(), *cond, true, self);
+                let else_in = refine(env, *cond, false, self);
                 let then_out = then_in.and_then(|e| self.block(Some(e), then_blk, frames));
                 let else_out = match else_blk {
                     Some(blk) => else_in.and_then(|e| self.block(Some(e), blk, frames)),
@@ -401,7 +412,7 @@ impl<'a> Interp<'a> {
                 join_opt(then_out, else_out)
             }
             Stmt::While { id, cond, body, .. } => {
-                self.fixpoint(env, *id, Some(cond), None, body, frames)
+                self.fixpoint(env, *id, Some(*cond), None, body, frames)
             }
             Stmt::For {
                 id,
@@ -412,9 +423,9 @@ impl<'a> Interp<'a> {
                 ..
             } => {
                 if let Some(init) = init {
-                    env = self.stmt(env, init, frames)?;
+                    env = self.stmt(env, &ast[*init], frames)?;
                 }
-                self.fixpoint(env, *id, cond.as_ref(), update.as_deref(), body, frames)
+                self.fixpoint(env, *id, *cond, update.map(|u| &ast[u]), body, frames)
             }
             Stmt::Switch { cases, default, .. } => {
                 frames.push(Frame {
@@ -422,8 +433,8 @@ impl<'a> Interp<'a> {
                     breaks: Vec::new(),
                 });
                 let mut out: Option<Env> = None;
-                for (_, case_blk) in cases {
-                    let arm = self.block(Some(env.clone()), case_blk, frames);
+                for case in &ast[*cases] {
+                    let arm = self.block(Some(env.clone()), &case.body, frames);
                     out = join_opt(out, arm);
                 }
                 match default {
@@ -458,10 +469,10 @@ impl<'a> Interp<'a> {
                     None => before,
                 };
                 let mut out = after_body;
-                for catch in catches {
+                for catch in &ast[*catches] {
                     let mut handler_env = catch_in.clone();
                     // The binding is an exception reference, not an int.
-                    handler_env.remove(&catch.binding);
+                    handler_env.remove(&ast[catch.binding]);
                     let handler_out = self.block(Some(handler_env), &catch.body, frames);
                     out = join_opt(out, handler_out);
                 }
@@ -486,9 +497,9 @@ impl<'a> Interp<'a> {
             }
             Stmt::Sleep { ms, .. } => {
                 if !self.sleep_sink.is_empty() {
-                    let interval = self.eval(&env, ms);
+                    let interval = self.eval(&env, *ms);
                     let mut vars = Vec::new();
-                    collect_vars(ms, &mut vars);
+                    collect_vars(ast, *ms, &mut vars);
                     vars.sort();
                     vars.dedup();
                     let obs = SleepObs {
@@ -515,11 +526,12 @@ impl<'a> Interp<'a> {
         &mut self,
         entry: Env,
         id: LoopId,
-        cond: Option<&Expr>,
+        cond: Option<ExprId>,
         update: Option<&Stmt>,
         body: &Block,
         frames: &mut Vec<Frame>,
     ) -> Option<Env> {
+        let ast = self.ast;
         let one_pass = |interp: &mut Self, head: &Env, frames: &mut Vec<Frame>| -> (Option<Env>, Vec<Env>) {
             let body_in = match cond {
                 Some(cond) => refine(head.clone(), cond, true, interp),
@@ -579,11 +591,11 @@ impl<'a> Interp<'a> {
             Some(cond) => refine(entry.clone(), cond, true, self).is_none(),
             None => false,
         };
-        let guard = cond.and_then(loop_guard);
+        let guard = cond.and_then(|cond| loop_guard(ast, cond));
         let counter = guard.map(|(var, _, _)| var.to_string());
         let counter_updated = counter
             .as_deref()
-            .map(|var| assigns_var(body, update, var))
+            .map(|var| assigns_var(ast, body, update, var))
             .unwrap_or(false);
         let attempts = self.attempt_interval(
             &entry,
@@ -630,7 +642,7 @@ impl<'a> Interp<'a> {
     fn attempt_interval(
         &self,
         entry: &Env,
-        guard: Option<(&str, BinOp, &Expr)>,
+        guard: Option<(&str, BinOp, ExprId)>,
         counter_updated: bool,
         guard_unreachable: bool,
         body: &Block,
@@ -686,7 +698,7 @@ impl<'a> Interp<'a> {
 
     /// Records `key = .. key * k ..` updates with `k ≥ 2` during the
     /// collection pass.
-    fn note_growth(&mut self, env: &Env, key: &str, value: &Expr) {
+    fn note_growth(&mut self, env: &Env, key: &str, value: ExprId) {
         if self.sleep_sink.is_empty() {
             return;
         }
@@ -706,13 +718,15 @@ impl<'a> Interp<'a> {
     }
 
     /// Evaluates an expression to an interval.
-    fn eval(&self, env: &Env, expr: &Expr) -> Interval {
-        match expr {
-            Expr::Literal(Literal::Int(n), _) => Interval::constant(*n),
+    fn eval(&self, env: &Env, expr: ExprId) -> Interval {
+        let ast = self.ast;
+        match ast[expr] {
+            Expr::Literal(Lit::Int(n), _) => Interval::constant(n),
             Expr::Literal(..) => Interval::top(),
-            Expr::Ident(name, _) => env.get(name).copied().unwrap_or_else(Interval::top),
+            Expr::Ident(name, _) => env.get(&ast[name]).copied().unwrap_or_else(Interval::top),
             Expr::This(_) | Expr::New { .. } | Expr::InstanceOf { .. } => Interval::top(),
-            Expr::Field { recv, name, .. } if matches!(recv.as_ref(), Expr::This(_)) => {
+            Expr::Field { recv, name, .. } if matches!(ast[recv], Expr::This(_)) => {
+                let name = &ast[name];
                 let key = format!("this.{name}");
                 if let Some(interval) = env.get(&key) {
                     return *interval;
@@ -732,27 +746,27 @@ impl<'a> Interp<'a> {
                 method,
                 args,
                 ..
-            } if method == "min" && args.len() == 2 => self
-                .eval(env, &args[0])
-                .min_of(self.eval(env, &args[1])),
+            } if &ast[method] == "min" && args.len() == 2 => self
+                .eval(env, ast[args][0])
+                .min_of(self.eval(env, ast[args][1])),
             Expr::Call {
                 recv: None,
                 method,
                 args,
                 ..
-            } if method == "max" && args.len() == 2 => self
-                .eval(env, &args[0])
-                .max_of(self.eval(env, &args[1])),
+            } if &ast[method] == "max" && args.len() == 2 => self
+                .eval(env, ast[args][0])
+                .max_of(self.eval(env, ast[args][1])),
             Expr::Call {
                 recv: None,
                 method,
                 args,
                 ..
-            } if method == "getConfig" && args.len() == 1 => {
-                let Expr::Literal(Literal::Str(key), _) = &args[0] else {
+            } if &ast[method] == "getConfig" && args.len() == 1 => {
+                let Expr::Literal(Lit::Str(key), _) = ast[ast[args][0]] else {
                     return Interval::top();
                 };
-                match self.index.config_by_name(key) {
+                match self.index.config_by_name(&ast[key]) {
                     Some(id) => match &self.index.configs[id as usize].default {
                         Literal::Int(n) => Interval::constant(*n),
                         _ => Interval::top(),
@@ -782,24 +796,22 @@ impl<'a> Interp<'a> {
 }
 
 /// The environment key an assignment writes, when tracked.
-fn lvalue_key(target: &LValue) -> Option<String> {
-    match target {
-        LValue::Var(name, _) => Some(name.clone()),
-        LValue::Field {
-            recv: Expr::This(_),
-            name,
-            ..
-        } => Some(format!("this.{name}")),
+fn lvalue_key(ast: &Ast, target: &LValue) -> Option<String> {
+    match *target {
+        LValue::Var(name, _) => Some(ast[name].to_string()),
+        LValue::Field { recv, name, .. } if matches!(ast[recv], Expr::This(_)) => {
+            Some(format!("this.{}", &ast[name]))
+        }
         LValue::Field { .. } => None,
     }
 }
 
 /// Variables (locals and `this.*` keys) mentioned by an expression.
-fn collect_vars(expr: &Expr, out: &mut Vec<String>) {
-    wasabi_lang::ast::walk_expr(expr, &mut |e| match e {
-        Expr::Ident(name, _) => out.push(name.clone()),
-        Expr::Field { recv, name, .. } if matches!(recv.as_ref(), Expr::This(_)) => {
-            out.push(format!("this.{name}"));
+fn collect_vars(ast: &Ast, expr: ExprId, out: &mut Vec<String>) {
+    ast.walk_expr(expr, &mut |e| match *e {
+        Expr::Ident(name, _) => out.push(ast[name].to_string()),
+        Expr::Field { recv, name, .. } if matches!(ast[recv], Expr::This(_)) => {
+            out.push(format!("this.{}", &ast[name]));
         }
         _ => {}
     });
@@ -807,9 +819,10 @@ fn collect_vars(expr: &Expr, out: &mut Vec<String>) {
 
 /// Finds a `v * k` (or `k * v`) factor with `k ≥ 2` for `key` inside the
 /// assigned expression.
-fn growth_factor(interp: &Interp<'_>, env: &Env, key: &str, value: &Expr) -> Option<Interval> {
+fn growth_factor(interp: &Interp<'_>, env: &Env, key: &str, value: ExprId) -> Option<Interval> {
+    let ast = interp.ast;
     let mut found: Option<Interval> = None;
-    wasabi_lang::ast::walk_expr(value, &mut |e| {
+    ast.walk_expr(value, &mut |e| {
         if found.is_some() {
             return;
         }
@@ -818,13 +831,13 @@ fn growth_factor(interp: &Interp<'_>, env: &Env, key: &str, value: &Expr) -> Opt
             lhs,
             rhs,
             ..
-        } = e
+        } = *e
         else {
             return;
         };
-        let factor = if refers_to(lhs, key) {
+        let factor = if refers_to(ast, lhs, key) {
             interp.eval(env, rhs)
-        } else if refers_to(rhs, key) {
+        } else if refers_to(ast, rhs, key) {
             interp.eval(env, lhs)
         } else {
             return;
@@ -837,11 +850,11 @@ fn growth_factor(interp: &Interp<'_>, env: &Env, key: &str, value: &Expr) -> Opt
 }
 
 /// Whether an expression is exactly the variable `key` refers to.
-fn refers_to(expr: &Expr, key: &str) -> bool {
-    match expr {
-        Expr::Ident(name, _) => name == key,
-        Expr::Field { recv, name, .. } if matches!(recv.as_ref(), Expr::This(_)) => {
-            key.strip_prefix("this.") == Some(name.as_str())
+fn refers_to(ast: &Ast, expr: ExprId, key: &str) -> bool {
+    match ast[expr] {
+        Expr::Ident(name, _) => &ast[name] == key,
+        Expr::Field { recv, name, .. } if matches!(ast[recv], Expr::This(_)) => {
+            key.strip_prefix("this.") == Some(&ast[name])
         }
         _ => false,
     }
@@ -849,18 +862,18 @@ fn refers_to(expr: &Expr, key: &str) -> bool {
 
 /// Extracts a `counter <op> bound` guard with the counter on one side.
 /// `&&`-conjunctions are searched left to right.
-fn loop_guard(cond: &Expr) -> Option<(&str, BinOp, &Expr)> {
-    match cond {
+fn loop_guard(ast: &Ast, cond: ExprId) -> Option<(&str, BinOp, ExprId)> {
+    match ast[cond] {
         Expr::Binary {
             op: BinOp::And,
             lhs,
             rhs,
             ..
-        } => loop_guard(lhs).or_else(|| loop_guard(rhs)),
-        Expr::Binary { op, lhs, rhs, .. } => match (op, lhs.as_ref(), rhs.as_ref()) {
-            (BinOp::Lt | BinOp::LtEq, Expr::Ident(v, _), bound) => Some((v.as_str(), *op, bound)),
-            (BinOp::Gt, bound, Expr::Ident(v, _)) => Some((v.as_str(), BinOp::Lt, bound)),
-            (BinOp::GtEq, bound, Expr::Ident(v, _)) => Some((v.as_str(), BinOp::LtEq, bound)),
+        } => loop_guard(ast, lhs).or_else(|| loop_guard(ast, rhs)),
+        Expr::Binary { op, lhs, rhs, .. } => match (op, ast[lhs], ast[rhs]) {
+            (BinOp::Lt | BinOp::LtEq, Expr::Ident(v, _), _) => Some((&ast[v], op, rhs)),
+            (BinOp::Gt, _, Expr::Ident(v, _)) => Some((&ast[v], BinOp::Lt, lhs)),
+            (BinOp::GtEq, _, Expr::Ident(v, _)) => Some((&ast[v], BinOp::LtEq, lhs)),
             _ => None,
         },
         _ => None,
@@ -868,17 +881,17 @@ fn loop_guard(cond: &Expr) -> Option<(&str, BinOp, &Expr)> {
 }
 
 /// Whether any statement in the body (or the `for` update) assigns `var`.
-fn assigns_var(body: &Block, update: Option<&Stmt>, var: &str) -> bool {
+fn assigns_var(ast: &Ast, body: &Block, update: Option<&Stmt>, var: &str) -> bool {
     let is_assign = |stmt: &Stmt| -> bool {
-        matches!(stmt,
+        matches!(*stmt,
             Stmt::Assign { target: LValue::Var(name, _), .. } | Stmt::Var { name, .. }
-                if name == var)
+                if &ast[name] == var)
     };
     if update.map(is_assign).unwrap_or(false) {
         return true;
     }
     let mut assigned = false;
-    wasabi_lang::ast::walk_stmts(body, &mut |stmt| {
+    ast.walk_stmts(body, &mut |stmt| {
         if is_assign(stmt) {
             assigned = true;
         }
@@ -897,6 +910,7 @@ fn additive_step(
     update: Option<&Stmt>,
     var: &str,
 ) -> Option<Interval> {
+    let ast = interp.ast;
     let mut step: Option<Interval> = None;
     let mut irregular = false;
     let mut inspect = |stmt: &Stmt| {
@@ -904,26 +918,27 @@ fn additive_step(
             target: LValue::Var(name, _),
             value,
             ..
-        } = stmt
+        } = *stmt
         else {
-            if matches!(stmt, Stmt::Var { name, .. } if name == var) {
+            if matches!(*stmt, Stmt::Var { name, .. } if &ast[name] == var) {
                 irregular = true;
             }
             return;
         };
-        if name != var {
+        if &ast[name] != var {
             return;
         }
-        let delta = match value {
+        let is_var = |e: ExprId| matches!(ast[e], Expr::Ident(n, _) if &ast[n] == var);
+        let delta = match ast[value] {
             Expr::Binary {
                 op: BinOp::Add,
                 lhs,
                 rhs,
                 ..
             } => {
-                if matches!(lhs.as_ref(), Expr::Ident(n, _) if n == var) {
+                if is_var(lhs) {
                     Some(interp.eval(env, rhs))
-                } else if matches!(rhs.as_ref(), Expr::Ident(n, _) if n == var) {
+                } else if is_var(rhs) {
                     Some(interp.eval(env, lhs))
                 } else {
                     None
@@ -939,7 +954,7 @@ fn additive_step(
     if let Some(update) = update {
         inspect(update);
     }
-    wasabi_lang::ast::walk_stmts(body, &mut |stmt| {
+    ast.walk_stmts(body, &mut |stmt| {
         inspect(stmt);
         true
     });
@@ -999,9 +1014,9 @@ fn join_opt(a: Option<Env>, b: Option<Env>) -> Option<Env> {
 
 /// Refines `env` by assuming `cond` evaluates to `truth`; `None` when the
 /// assumption is contradictory (the branch is unreachable).
-fn refine(env: Env, cond: &Expr, truth: bool, interp: &Interp<'_>) -> Option<Env> {
-    match cond {
-        Expr::Literal(Literal::Bool(b), _) => (*b == truth).then_some(env),
+fn refine(env: Env, cond: ExprId, truth: bool, interp: &Interp<'_>) -> Option<Env> {
+    match interp.ast[cond] {
+        Expr::Literal(Lit::Bool(b), _) => (b == truth).then_some(env),
         Expr::Unary {
             op: UnOp::Not,
             expr,
@@ -1020,7 +1035,7 @@ fn refine(env: Env, cond: &Expr, truth: bool, interp: &Interp<'_>) -> Option<Env
             ..
         } if !truth => refine(env, lhs, false, interp).and_then(|e| refine(e, rhs, false, interp)),
         Expr::Binary { op, lhs, rhs, .. } => {
-            let Some(op) = comparison(*op, truth) else {
+            let Some(op) = comparison(op, truth) else {
                 return Some(env);
             };
             refine_cmp(env, lhs, op, rhs, interp)
@@ -1055,9 +1070,9 @@ fn comparison(op: BinOp, truth: bool) -> Option<BinOp> {
 /// Applies `lhs <op> rhs` to the tracked sides.
 fn refine_cmp(
     mut env: Env,
-    lhs: &Expr,
+    lhs: ExprId,
     op: BinOp,
-    rhs: &Expr,
+    rhs: ExprId,
     interp: &Interp<'_>,
 ) -> Option<Env> {
     let l = interp.eval(&env, lhs);
@@ -1085,7 +1100,7 @@ fn refine_cmp(
         // skipped for simplicity.
         _ => return Some(env),
     };
-    if let Some(key) = expr_key(lhs) {
+    if let Some(key) = expr_key(interp.ast, lhs) {
         match l.meet(l_bound) {
             Some(refined) => {
                 env.insert(key, refined);
@@ -1095,7 +1110,7 @@ fn refine_cmp(
     } else if l.meet(l_bound).is_none() {
         return None;
     }
-    if let Some(key) = expr_key(rhs) {
+    if let Some(key) = expr_key(interp.ast, rhs) {
         match r.meet(r_bound) {
             Some(refined) => {
                 env.insert(key, refined);
@@ -1110,11 +1125,11 @@ fn refine_cmp(
 
 /// The environment key an expression reads, when it is a plain variable
 /// or `this.field`.
-fn expr_key(expr: &Expr) -> Option<String> {
-    match expr {
-        Expr::Ident(name, _) => Some(name.clone()),
-        Expr::Field { recv, name, .. } if matches!(recv.as_ref(), Expr::This(_)) => {
-            Some(format!("this.{name}"))
+fn expr_key(ast: &Ast, expr: ExprId) -> Option<String> {
+    match ast[expr] {
+        Expr::Ident(name, _) => Some(ast[name].to_string()),
+        Expr::Field { recv, name, .. } if matches!(ast[recv], Expr::This(_)) => {
+            Some(format!("this.{}", &ast[name]))
         }
         _ => None,
     }
@@ -1123,26 +1138,13 @@ fn expr_key(expr: &Expr) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wasabi_lang::ast::Item;
     use wasabi_lang::project::Project;
 
     /// Analyses the single method `C.run` of `src`.
     fn analyze(src: &str) -> MethodAbs {
         let p = Project::compile("t", vec![("t.jav", src)]).expect("compile");
-        for file in &p.files {
-            for item in &file.items {
-                let Item::Class(class) = item else { continue };
-                if class.name != "C" {
-                    continue;
-                }
-                for method in &class.methods {
-                    if method.name == "run" {
-                        return analyze_method(&p.index, "C", method);
-                    }
-                }
-            }
-        }
-        panic!("C.run not found");
+        let (_, file, method) = p.resolve_method("C", "run").expect("C.run");
+        analyze_method(&p.index, "C", file, method)
     }
 
     fn only_loop(abs: &MethodAbs) -> &LoopObs {

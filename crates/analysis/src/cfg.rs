@@ -8,7 +8,7 @@
 //! "reaches the loop header" here, reproducing the paper's known IF-analysis
 //! false positive (§4.3).
 
-use wasabi_lang::ast::{Block as AstBlock, CallId, Expr, LoopId, Stmt};
+use wasabi_lang::ast::{Ast, Block as AstBlock, CallId, Expr, ExprId, LoopId, Stmt};
 use wasabi_lang::span::Span;
 
 /// Index of a basic block within a [`Cfg`].
@@ -68,9 +68,10 @@ pub struct Cfg {
 }
 
 impl Cfg {
-    /// Builds the CFG of a method body.
-    pub fn build(body: &AstBlock) -> Cfg {
+    /// Builds the CFG of a method body of `ast`.
+    pub fn build(ast: &Ast, body: &AstBlock) -> Cfg {
         let mut builder = Builder {
+            ast,
             blocks: vec![BasicBlock::default()],
         };
         let entry = BlockId(0);
@@ -159,11 +160,12 @@ struct Ctx {
     loops: Vec<LoopId>,
 }
 
-struct Builder {
+struct Builder<'a> {
+    ast: &'a Ast,
     blocks: Vec<BasicBlock>,
 }
 
-impl Builder {
+impl Builder<'_> {
     fn new_block(&mut self, ctx: &Ctx) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(BasicBlock {
@@ -185,8 +187,9 @@ impl Builder {
     }
 
     /// Collects call and sleep atoms from an expression into `block`.
-    fn expr_atoms(&mut self, block: BlockId, expr: &Expr) {
-        wasabi_lang::ast::walk_expr(expr, &mut |e| {
+    fn expr_atoms(&mut self, block: BlockId, expr: ExprId) {
+        let ast = self.ast;
+        ast.walk_expr(expr, &mut |e| {
             if let Expr::Call {
                 id,
                 recv,
@@ -195,10 +198,13 @@ impl Builder {
                 ..
             } = e
             {
-                let recv_this = matches!(recv.as_deref(), None | Some(Expr::This(_)));
+                let recv_this = match recv {
+                    None => true,
+                    Some(r) => matches!(ast[*r], Expr::This(_)),
+                };
                 self.blocks[block.0 as usize].atoms.push(Atom::Call {
                     id: *id,
-                    method: method.clone(),
+                    method: ast[*method].to_string(),
                     recv_this,
                     span: *span,
                 });
@@ -208,23 +214,23 @@ impl Builder {
 
     fn stmt_atoms(&mut self, block: BlockId, stmt: &Stmt) {
         match stmt {
-            Stmt::Var { init, .. } => self.expr_atoms(block, init),
-            Stmt::Assign { value, .. } => self.expr_atoms(block, value),
+            Stmt::Var { init, .. } => self.expr_atoms(block, *init),
+            Stmt::Assign { value, .. } => self.expr_atoms(block, *value),
             Stmt::Sleep { ms, span } => {
-                self.expr_atoms(block, ms);
+                self.expr_atoms(block, *ms);
                 self.push_atom(block, Atom::Sleep { span: *span });
             }
-            Stmt::Log { expr, .. } | Stmt::Expr { expr, .. } => self.expr_atoms(block, expr),
+            Stmt::Log { expr, .. } | Stmt::Expr { expr, .. } => self.expr_atoms(block, *expr),
             Stmt::Assert { cond, msg, .. } => {
-                self.expr_atoms(block, cond);
+                self.expr_atoms(block, *cond);
                 if let Some(msg) = msg {
-                    self.expr_atoms(block, msg);
+                    self.expr_atoms(block, *msg);
                 }
             }
             Stmt::Throw { expr, span } => {
-                self.expr_atoms(block, expr);
-                let exc_type = match expr {
-                    Expr::New { class, .. } => Some(class.clone()),
+                self.expr_atoms(block, *expr);
+                let exc_type = match self.ast[*expr] {
+                    Expr::New { class, .. } => Some(self.ast[class].to_string()),
                     _ => None,
                 };
                 self.push_atom(block, Atom::Throw {
@@ -232,7 +238,7 @@ impl Builder {
                     span: *span,
                 });
             }
-            Stmt::Return { expr: Some(expr), .. } => self.expr_atoms(block, expr),
+            Stmt::Return { expr: Some(expr), .. } => self.expr_atoms(block, *expr),
             _ => {}
         }
     }
@@ -240,13 +246,15 @@ impl Builder {
     /// Lowers `stmts` starting in `current`; returns the block where control
     /// continues (possibly a fresh unreachable block after a terminator).
     fn lower_block(&mut self, block: &AstBlock, mut current: BlockId, ctx: &Ctx) -> BlockId {
-        for stmt in &block.stmts {
+        let ast = self.ast;
+        for stmt in ast.stmts_in(block) {
             current = self.lower_stmt(stmt, current, ctx);
         }
         current
     }
 
     fn lower_stmt(&mut self, stmt: &Stmt, current: BlockId, ctx: &Ctx) -> BlockId {
+        let ast = self.ast;
         match stmt {
             Stmt::If {
                 cond,
@@ -254,7 +262,7 @@ impl Builder {
                 else_blk,
                 ..
             } => {
-                self.expr_atoms(current, cond);
+                self.expr_atoms(current, *cond);
                 let then_entry = self.new_block(ctx);
                 let join = self.new_block(ctx);
                 self.edge(current, then_entry);
@@ -280,7 +288,7 @@ impl Builder {
                 };
                 let header = self.new_block(&header_ctx);
                 self.blocks[header.0 as usize].loop_header = Some(*id);
-                self.expr_atoms(header, cond);
+                self.expr_atoms(header, *cond);
                 let after = self.new_block(ctx);
                 let body_entry = self.new_block(&header_ctx);
                 self.edge(current, header);
@@ -304,7 +312,7 @@ impl Builder {
                 ..
             } => {
                 if let Some(init) = init {
-                    self.stmt_atoms(current, init);
+                    self.stmt_atoms(current, &ast[*init]);
                 }
                 let mut loops = ctx.loops.clone();
                 loops.push(*id);
@@ -315,13 +323,13 @@ impl Builder {
                 let header = self.new_block(&header_ctx);
                 self.blocks[header.0 as usize].loop_header = Some(*id);
                 if let Some(cond) = cond {
-                    self.expr_atoms(header, cond);
+                    self.expr_atoms(header, *cond);
                 }
                 let after = self.new_block(ctx);
                 let body_entry = self.new_block(&header_ctx);
                 let latch = self.new_block(&header_ctx);
                 if let Some(update) = update {
-                    self.stmt_atoms(latch, update);
+                    self.stmt_atoms(latch, &ast[*update]);
                 }
                 self.edge(current, header);
                 self.edge(header, body_entry);
@@ -342,12 +350,12 @@ impl Builder {
                 default,
                 ..
             } => {
-                self.expr_atoms(current, scrutinee);
+                self.expr_atoms(current, *scrutinee);
                 let join = self.new_block(ctx);
-                for (_, case_blk) in cases {
+                for case in &ast[*cases] {
                     let entry = self.new_block(ctx);
                     self.edge(current, entry);
-                    let end = self.lower_block(case_blk, entry, ctx);
+                    let end = self.lower_block(&case.body, entry, ctx);
                     self.edge(end, join);
                 }
                 match default {
@@ -372,9 +380,9 @@ impl Builder {
                 let join = self.new_block(ctx);
                 let body_end = self.lower_block(body, body_entry, ctx);
                 self.edge(body_end, join);
-                for catch in catches {
+                for catch in &ast[*catches] {
                     let entry = self.new_block(ctx);
-                    self.blocks[entry.0 as usize].catch_entry = Some(catch.exc_type.clone());
+                    self.blocks[entry.0 as usize].catch_entry = Some(ast[catch.exc_type].to_string());
                     // Over-approximate exceptional edge: the whole try body
                     // may transfer to the handler.
                     self.edge(body_entry, entry);
@@ -427,11 +435,11 @@ mod tests {
     use wasabi_lang::parser::parse_file;
 
     fn method_cfg(src: &str) -> Cfg {
-        let items = parse_file(src).expect("parse");
-        let Item::Class(class) = &items[items.len() - 1] else {
+        let ast = parse_file(src).expect("parse");
+        let Some(Item::Class(class)) = ast.items().last() else {
             panic!("last item should be a class");
         };
-        Cfg::build(&class.methods[0].body)
+        Cfg::build(&ast, &ast[class.methods][0].body)
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::loops::{find_retry_loops, LoopQueryOptions, RetryLoop};
 use crate::resolve::{LoopSite, ProjectIndex};
 use crate::summaries::{AttemptBound, MethodSummary, Summaries};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use wasabi_lang::ast::{BinOp, Expr, Literal, Stmt};
+use wasabi_lang::ast::{Ast, BinOp, Block, Expr, ExprId, Lit, Literal, Stmt};
 use wasabi_lang::index::{ClassId, ExcId, LExpr, ProgramIndex};
 use wasabi_lang::project::{CallSite, Project};
 
@@ -155,14 +155,14 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
     for &(li, midx, bound) in &loop_info {
         let rl = &retry_loops[li];
         let site = find_site(&pindex, rl).expect("site resolved above");
-        let key = (site.class.to_string(), site.method.name.clone());
+        let key = (site.class.to_string(), site.method_name().to_string());
         let abs = abss
             .entry(key.clone())
-            .or_insert_with(|| absint::analyze_method(index, site.class, site.method));
+            .or_insert_with(|| absint::analyze_method(index, site.class, site.ast, site.method));
         let obs = abs.loops.get(&rl.loop_id).cloned();
         let cfg = cfgs
             .entry(key)
-            .or_insert_with(|| Cfg::build(&site.method.body));
+            .or_insert_with(|| Cfg::build(site.ast, &site.method.body));
         let site_targets: HashMap<CallSite, &[u32]> = cg.calls[idx(midx, "coordinator method")]
             .iter()
             .map(|c| (c.site, c.targets.as_slice()))
@@ -194,8 +194,8 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
                 }
             }
         }
-        let has_cap = loop_has_cap(site.stmt)
-            || helper_cap(site.stmt, rl.file, &site_targets, &summaries);
+        let has_cap = loop_has_cap(site.ast, site.stmt)
+            || helper_cap(site.ast, site.stmt, rl.file, &site_targets, &summaries);
         let anchor = || anchor_at(project, rl);
 
         if !has_cap {
@@ -391,7 +391,7 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
             }
             let inner = &retry_loops[lj];
             let site = find_site(&pindex, outer).expect("site resolved above");
-            let cfg = Cfg::build(&site.method.body);
+            let cfg = Cfg::build(site.ast, &site.method.body);
             let nested = cfg
                 .blocks_in_loop(inner.loop_id)
                 .iter()
@@ -567,6 +567,7 @@ fn reachable_retries(
 /// `if (this.policy.exceeded(n)) { throw ... }` counts when the helper's
 /// body contains a comparison.
 fn helper_cap(
+    ast: &Ast,
     loop_stmt: &Stmt,
     file: wasabi_lang::project::FileId,
     site_targets: &HashMap<CallSite, &[u32]>,
@@ -577,11 +578,12 @@ fn helper_cap(
         _ => return false,
     };
     let mut capped = false;
-    wasabi_lang::ast::walk_stmts(body, &mut |stmt| {
+    ast.walk_stmts(body, &mut |stmt| {
         if let Stmt::If { cond, then_blk, else_blk, .. } = stmt {
-            let exits = block_exits(then_blk) || else_blk.as_ref().is_some_and(block_exits);
+            let exits = block_exits(ast, then_blk)
+                || else_blk.as_ref().is_some_and(|b| block_exits(ast, b));
             if exits {
-                wasabi_lang::ast::walk_expr(cond, &mut |e| {
+                ast.walk_expr(*cond, &mut |e| {
                     if let Expr::Call { id, .. } = e {
                         let call_site = CallSite { file, call: *id };
                         if let Some(targets) = site_targets.get(&call_site) {
@@ -603,21 +605,22 @@ fn helper_cap(
 
 /// Whether the loop is syntactically bounded: a comparison in its condition,
 /// or an in-body comparison guarding an exit (`break`/`return`/`throw`).
-fn loop_has_cap(loop_stmt: &Stmt) -> bool {
+fn loop_has_cap(ast: &Ast, loop_stmt: &Stmt) -> bool {
     let (cond, body) = match loop_stmt {
-        Stmt::While { cond, body, .. } => (Some(cond), body),
-        Stmt::For { cond, body, .. } => (cond.as_ref(), body),
+        Stmt::While { cond, body, .. } => (Some(*cond), body),
+        Stmt::For { cond, body, .. } => (*cond, body),
         _ => return false,
     };
-    if cond.is_some_and(expr_has_comparison) {
+    if cond.is_some_and(|cond| expr_has_comparison(ast, cond)) {
         return true;
     }
     // Look for `if (<comparison>) { ...exit... }` inside the body.
     let mut capped = false;
-    wasabi_lang::ast::walk_stmts(body, &mut |stmt| {
+    ast.walk_stmts(body, &mut |stmt| {
         if let Stmt::If { cond, then_blk, else_blk, .. } = stmt {
-            if expr_has_comparison(cond)
-                && (block_exits(then_blk) || else_blk.as_ref().is_some_and(block_exits))
+            if expr_has_comparison(ast, *cond)
+                && (block_exits(ast, then_blk)
+                    || else_blk.as_ref().is_some_and(|b| block_exits(ast, b)))
             {
                 capped = true;
             }
@@ -627,9 +630,9 @@ fn loop_has_cap(loop_stmt: &Stmt) -> bool {
     capped
 }
 
-fn expr_has_comparison(expr: &Expr) -> bool {
+fn expr_has_comparison(ast: &Ast, expr: ExprId) -> bool {
     let mut found = false;
-    wasabi_lang::ast::walk_expr(expr, &mut |e| {
+    ast.walk_expr(expr, &mut |e| {
         if let Expr::Binary { op, .. } = e {
             if matches!(op, BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq) {
                 found = true;
@@ -641,9 +644,9 @@ fn expr_has_comparison(expr: &Expr) -> bool {
 
 /// Whether a block contains an exit statement (`break`/`return`/`throw`)
 /// anywhere.
-fn block_exits(block: &wasabi_lang::ast::Block) -> bool {
+fn block_exits(ast: &Ast, block: &Block) -> bool {
     let mut exits = false;
-    wasabi_lang::ast::walk_stmts(block, &mut |stmt| {
+    ast.walk_stmts(block, &mut |stmt| {
         if matches!(stmt, Stmt::Break { .. } | Stmt::Return { .. } | Stmt::Throw { .. }) {
             exits = true;
         }
@@ -655,16 +658,16 @@ fn block_exits(block: &wasabi_lang::ast::Block) -> bool {
 /// Extracts the loop's worst-case attempt bound from its header.
 fn loop_bound(index: &ProgramIndex, site: &LoopSite<'_>) -> AttemptBound {
     let cond = match site.stmt {
-        Stmt::While { cond, .. } => Some(cond),
-        Stmt::For { cond, .. } => cond.as_ref(),
+        Stmt::While { cond, .. } => Some(*cond),
+        Stmt::For { cond, .. } => *cond,
         _ => None,
     };
     if let Some(cond) = cond {
-        if let Some(bound) = comparison_bound(index, site.class, cond) {
+        if let Some(bound) = comparison_bound(index, site.class, site.ast, cond) {
             return bound;
         }
     }
-    if loop_has_cap(site.stmt) {
+    if loop_has_cap(site.ast, site.stmt) {
         return AttemptBound::Capped;
     }
     AttemptBound::Unbounded
@@ -673,9 +676,14 @@ fn loop_bound(index: &ProgramIndex, site: &LoopSite<'_>) -> AttemptBound {
 /// The first comparison in `expr`, turned into a bound when one side is a
 /// statically known integer (literal, `this.field` initialiser, or
 /// `getConfig` default).
-fn comparison_bound(index: &ProgramIndex, class: &str, expr: &Expr) -> Option<AttemptBound> {
+fn comparison_bound(
+    index: &ProgramIndex,
+    class: &str,
+    ast: &Ast,
+    expr: ExprId,
+) -> Option<AttemptBound> {
     let mut found: Option<AttemptBound> = None;
-    wasabi_lang::ast::walk_expr(expr, &mut |e| {
+    ast.walk_expr(expr, &mut |e| {
         if found.is_some() {
             return;
         }
@@ -687,7 +695,7 @@ fn comparison_bound(index: &ProgramIndex, class: &str, expr: &Expr) -> Option<At
                 BinOp::GtEq => (lhs, true),
                 _ => return,
             };
-            let value = static_int(index, class, limit);
+            let value = static_int(index, class, ast, *limit);
             found = Some(match value {
                 Some(v) => {
                     let v = if inclusive { v.saturating_add(1) } else { v };
@@ -702,17 +710,17 @@ fn comparison_bound(index: &ProgramIndex, class: &str, expr: &Expr) -> Option<At
 
 /// Statically evaluates an integer expression: literals, `this.field`
 /// with a literal initialiser, and `getConfig("key")` defaults.
-fn static_int(index: &ProgramIndex, class: &str, expr: &Expr) -> Option<i64> {
-    match expr {
-        Expr::Literal(Literal::Int(n), _) => Some(*n),
-        Expr::Field { recv, name, .. } if matches!(recv.as_ref(), Expr::This(_)) => {
-            field_int(index, index.class_by_name(class)?, name)
+fn static_int(index: &ProgramIndex, class: &str, ast: &Ast, expr: ExprId) -> Option<i64> {
+    match ast[expr] {
+        Expr::Literal(Lit::Int(n), _) => Some(n),
+        Expr::Field { recv, name, .. } if matches!(ast[recv], Expr::This(_)) => {
+            field_int(index, index.class_by_name(class)?, &ast[name])
         }
-        Expr::Call { method, args, .. } if method == "getConfig" && args.len() == 1 => {
-            let Expr::Literal(Literal::Str(key), _) = &args[0] else {
+        Expr::Call { method, args, .. } if &ast[method] == "getConfig" && args.len() == 1 => {
+            let Expr::Literal(Lit::Str(key), _) = ast[ast[args][0]] else {
                 return None;
             };
-            let id = index.config_by_name(key)?;
+            let id = index.config_by_name(&ast[key])?;
             match &index.configs[idx(id, "config")].default {
                 Literal::Int(n) => Some(*n),
                 _ => None,
@@ -790,7 +798,8 @@ mod tests {
         let pindex = crate::resolve::ProjectIndex::build(&p);
         let loops = find_retry_loops(&pindex, &LoopQueryOptions::default());
         assert_eq!(loops.len(), 1);
-        loop_has_cap(find_site(&pindex, &loops[0]).expect("loop site").stmt)
+        let site = find_site(&pindex, &loops[0]).expect("loop site");
+        loop_has_cap(site.ast, site.stmt)
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn loop_exceptions(
     else {
         return Vec::new();
     };
-    let cfg = Cfg::build(&loop_site.method.body);
+    let cfg = Cfg::build(loop_site.ast, &loop_site.method.body);
     let symbols = &index.project().symbols;
     let mut thrown: Vec<String> = Vec::new();
     for block in cfg.blocks_in_loop(retry_loop.loop_id) {
@@ -171,7 +171,7 @@ fn loop_exceptions(
                     if let Some((_, decl)) =
                         index.resolve_callee(loop_site.class, method, *recv_this)
                     {
-                        thrown.extend(decl.throws.iter().cloned());
+                        thrown.extend(decl.throws().map(str::to_string));
                     }
                 }
                 Atom::Throw {

@@ -11,7 +11,7 @@
 use crate::cfg::{Atom, Cfg};
 use crate::resolve::{LoopSite, ProjectIndex};
 use std::collections::HashMap;
-use wasabi_lang::ast::{Expr, Literal, LoopId, Stmt};
+use wasabi_lang::ast::{Ast, Expr, LValue, Lit, LoopId, Stmt};
 use wasabi_lang::project::{CallSite, FileId, MethodId};
 use wasabi_lang::span::Span;
 
@@ -104,10 +104,10 @@ pub fn find_retry_loops_where(
     // methods.
     let mut cfgs: HashMap<(String, String), Cfg> = HashMap::new();
     for site in index.loops().iter().filter(|site| keep(site)) {
-        let key = (site.class.to_string(), site.method.name.clone());
+        let key = (site.class.to_string(), site.method_name().to_string());
         let cfg = cfgs
             .entry(key)
-            .or_insert_with(|| Cfg::build(&site.method.body));
+            .or_insert_with(|| Cfg::build(site.ast, &site.method.body));
         let reaching: Vec<String> = cfg
             .catches_in_loop(site.loop_id)
             .into_iter()
@@ -117,13 +117,13 @@ pub fn find_retry_loops_where(
         if reaching.is_empty() {
             continue;
         }
-        let keyword_evidence = has_keyword_evidence(site.stmt, &options.keywords);
+        let keyword_evidence = has_keyword_evidence(site.ast, site.stmt, &options.keywords);
         if options.keyword_filter && !keyword_evidence {
             continue;
         }
         out.push(RetryLoop {
             file: site.file,
-            coordinator: MethodId::new(site.class, &site.method.name),
+            coordinator: MethodId::new(site.class, site.method_name()),
             loop_id: site.loop_id,
             span: site.stmt.span(),
             keyword_evidence,
@@ -147,7 +147,7 @@ pub fn retry_locations(
     else {
         return Vec::new();
     };
-    let cfg = Cfg::build(&loop_site.method.body);
+    let cfg = Cfg::build(loop_site.ast, &loop_site.method.body);
     let symbols = &index.project().symbols;
     let mut out = Vec::new();
     for block in cfg.blocks_in_loop(retry_loop.loop_id) {
@@ -164,7 +164,7 @@ pub fn retry_locations(
             // All dispatch-consistent targets: a `this` call may reach a
             // subclass override whose `throws` differ from the base's.
             for (callee, decl) in index.resolve_targets(loop_site.class, method, *recv_this) {
-                for thrown in &decl.throws {
+                for thrown in decl.throws() {
                     let covered = retry_loop.reaching_catches.iter().any(|caught| {
                         symbols.is_exception_subtype(thrown, caught)
                             || symbols.is_exception_subtype(caught, thrown)
@@ -177,7 +177,7 @@ pub fn retry_locations(
                             },
                             coordinator: retry_loop.coordinator.clone(),
                             retried: callee.clone(),
-                            exception: thrown.clone(),
+                            exception: thrown.to_string(),
                             mechanism: Mechanism::Loop(retry_loop.loop_id),
                         });
                     }
@@ -206,39 +206,38 @@ pub fn all_retry_locations(
 
 /// Whether the loop statement carries naming-convention evidence: a string
 /// literal, variable name, or called-method name containing a keyword.
-pub fn has_keyword_evidence(loop_stmt: &Stmt, keywords: &[String]) -> bool {
+pub fn has_keyword_evidence(ast: &Ast, loop_stmt: &Stmt, keywords: &[String]) -> bool {
     let lowered: Vec<String> = keywords.iter().map(|k| k.to_lowercase()).collect();
     let matches = |text: &str| {
         let text = text.to_lowercase();
         lowered.iter().any(|k| text.contains(k.as_str()))
     };
     let mut found = false;
-    let mut check_expr = |expr: &Expr| match expr {
-        Expr::Literal(Literal::Str(s), _) if matches(s) => found = true,
-        Expr::Ident(name, _) if matches(name) => found = true,
-        Expr::Field { name, .. } if matches(name) => found = true,
-        Expr::Call { method, .. } if matches(method) => found = true,
+    let mut check_expr = |expr: &Expr| match *expr {
+        Expr::Literal(Lit::Str(s), _) if matches(&ast[s]) => found = true,
+        Expr::Ident(name, _) if matches(&ast[name]) => found = true,
+        Expr::Field { name, .. } if matches(&ast[name]) => found = true,
+        Expr::Call { method, .. } if matches(&ast[method]) => found = true,
         _ => {}
     };
-    // Wrap the loop statement in a synthetic block so the generic walkers
-    // cover the header (condition, init, update) and the body uniformly.
-    let block = wasabi_lang::ast::Block {
-        stmts: vec![loop_stmt.clone()],
-        span: loop_stmt.span(),
-    };
-    wasabi_lang::ast::walk_exprs(&block, &mut check_expr);
+    // The walkers cover the loop's header (condition, init, update) and
+    // its body uniformly.
+    ast.walk_stmt(loop_stmt, &mut |stmt| {
+        ast.stmt_exprs(stmt, &mut check_expr);
+        true
+    });
     if found {
         return true;
     }
     // `var retry = ...` declarations bind through statement names, not
     // expressions; check those too.
-    wasabi_lang::ast::walk_stmts(&block, &mut |stmt| {
-        match stmt {
-            Stmt::Var { name, .. } if matches(name) => found = true,
+    ast.walk_stmt(loop_stmt, &mut |stmt| {
+        match *stmt {
+            Stmt::Var { name, .. } if matches(&ast[name]) => found = true,
             Stmt::Assign {
-                target: wasabi_lang::ast::LValue::Var(name, _),
+                target: LValue::Var(name, _),
                 ..
-            } if matches(name) => found = true,
+            } if matches(&ast[name]) => found = true,
             _ => {}
         }
         true

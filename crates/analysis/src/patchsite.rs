@@ -57,7 +57,7 @@ fn query_loops(project: &Project, options: &LoopQueryOptions, methods: &[&str]) 
     let in_scope = |site: &LoopSite<'_>| {
         methods
             .iter()
-            .any(|m| m.split_once('.') == Some((site.class, site.method.name.as_str())))
+            .any(|m| m.split_once('.') == Some((site.class, site.method_name())))
     };
     let mut loops = find_retry_loops_where(&index, options, in_scope);
     if options.keyword_filter {

@@ -16,15 +16,35 @@
 //! runtime.
 
 use std::collections::HashMap;
-use wasabi_lang::ast::{Item, LoopId, MethodDecl, Stmt};
+use wasabi_lang::ast::{Ast, Expr, LoopId, MethodDecl, Stmt};
 use wasabi_lang::index::{ClassId, ProgramIndex};
-use wasabi_lang::project::{FileId, MethodId, Project};
+use wasabi_lang::project::{CallSite, FileId, MethodId, Project};
+
+/// A method declaration together with the file AST that resolves its ids
+/// and names.
+#[derive(Debug, Clone, Copy)]
+pub struct MethodRef<'p> {
+    /// The declaring file's AST.
+    pub ast: &'p Ast,
+    /// The declaration.
+    pub decl: &'p MethodDecl,
+}
+
+impl<'p> MethodRef<'p> {
+    /// The declared `throws` clause, in source order.
+    pub fn throws(&self) -> impl Iterator<Item = &'p str> + 'p {
+        let ast = self.ast;
+        ast[self.decl.throws].iter().map(move |&name| &ast[name])
+    }
+}
 
 /// Where a loop lives: file, enclosing class/method, and the loop statement.
 #[derive(Debug, Clone, Copy)]
 pub struct LoopSite<'p> {
     /// File the loop is in.
     pub file: FileId,
+    /// That file's AST, which resolves `method` and `stmt`.
+    pub ast: &'p Ast,
     /// Enclosing (coordinator) method.
     pub method: &'p MethodDecl,
     /// Enclosing class name.
@@ -35,11 +55,18 @@ pub struct LoopSite<'p> {
     pub loop_id: LoopId,
 }
 
+impl<'p> LoopSite<'p> {
+    /// The enclosing method's name.
+    pub fn method_name(&self) -> &'p str {
+        &self.ast[self.method.name]
+    }
+}
+
 /// Precomputed project-wide lookup structures.
 pub struct ProjectIndex<'p> {
     project: &'p Project,
-    /// Method name → declaring (class, decl) pairs.
-    by_name: HashMap<&'p str, Vec<(&'p str, &'p MethodDecl)>>,
+    /// Method name → declaring (class, method) pairs.
+    by_name: HashMap<&'p str, Vec<(&'p str, MethodRef<'p>)>>,
     /// All loops in the project.
     loops: Vec<LoopSite<'p>>,
 }
@@ -47,23 +74,25 @@ pub struct ProjectIndex<'p> {
 impl<'p> ProjectIndex<'p> {
     /// Builds the index by walking every method in the project.
     pub fn build(project: &'p Project) -> Self {
-        let mut by_name: HashMap<&str, Vec<(&str, &MethodDecl)>> = HashMap::new();
+        let mut by_name: HashMap<&str, Vec<(&str, MethodRef<'p>)>> = HashMap::new();
         let mut loops = Vec::new();
         for (fidx, file) in project.files.iter().enumerate() {
-            for item in &file.items {
-                let Item::Class(class) = item else { continue };
-                for method in &class.methods {
+            let ast: &Ast = file;
+            for class in ast.classes() {
+                let class_name = &ast[class.name];
+                for decl in &ast[class.methods] {
                     by_name
-                        .entry(method.name.as_str())
+                        .entry(&ast[decl.name])
                         .or_default()
-                        .push((class.name.as_str(), method));
-                    wasabi_lang::ast::walk_stmts(&method.body, &mut |stmt| {
+                        .push((class_name, MethodRef { ast, decl }));
+                    ast.walk_stmts(&decl.body, &mut |stmt| {
                         match stmt {
                             Stmt::While { id, .. } | Stmt::For { id, .. } => {
                                 loops.push(LoopSite {
                                     file: FileId(fidx as u32),
-                                    method,
-                                    class: class.name.as_str(),
+                                    ast,
+                                    method: decl,
+                                    class: class_name,
                                     stmt,
                                     loop_id: *id,
                                 });
@@ -93,7 +122,7 @@ impl<'p> ProjectIndex<'p> {
     }
 
     /// Maps a compiled method index back to its AST declaration.
-    fn compiled_target(&self, midx: u32) -> Option<(MethodId, &'p MethodDecl)> {
+    fn compiled_target(&self, midx: u32) -> Option<(MethodId, MethodRef<'p>)> {
         let index: &ProgramIndex = &self.project.index;
         let compiled = &index.methods[midx as usize];
         let owner = index.classes[compiled.owner.0 as usize].name_str.as_str();
@@ -137,7 +166,7 @@ impl<'p> ProjectIndex<'p> {
         enclosing_class: &str,
         method: &str,
         recv_this: bool,
-    ) -> Option<(MethodId, &'p MethodDecl)> {
+    ) -> Option<(MethodId, MethodRef<'p>)> {
         let index: &ProgramIndex = &self.project.index;
         if recv_this {
             let cid = index.class_by_name(enclosing_class)?;
@@ -158,7 +187,7 @@ impl<'p> ProjectIndex<'p> {
         enclosing_class: &str,
         method: &str,
         recv_this: bool,
-    ) -> Vec<(MethodId, &'p MethodDecl)> {
+    ) -> Vec<(MethodId, MethodRef<'p>)> {
         let index: &ProgramIndex = &self.project.index;
         let mut mids: Vec<u32> = Vec::new();
         if recv_this {
@@ -189,27 +218,28 @@ impl<'p> ProjectIndex<'p> {
     pub fn invoked_with_throws(
         &self,
         class: &str,
-        method: &MethodDecl,
-    ) -> Vec<(wasabi_lang::project::CallSite, MethodId, Vec<String>)> {
+        method: MethodRef<'_>,
+    ) -> Vec<(CallSite, MethodId, Vec<String>)> {
         let file = match self.project.symbols.class(class) {
             Some(info) => info.file,
             None => return Vec::new(),
         };
+        let ast = method.ast;
         let mut out = Vec::new();
-        wasabi_lang::ast::walk_exprs(&method.body, &mut |expr| {
-            if let wasabi_lang::ast::Expr::Call {
+        ast.walk_exprs(&method.decl.body, &mut |expr| {
+            if let Expr::Call {
                 id, recv, method, ..
             } = expr
             {
-                let recv_this = matches!(
-                    recv.as_deref(),
-                    None | Some(wasabi_lang::ast::Expr::This(_))
-                );
-                for (callee, decl) in self.resolve_targets(class, method, recv_this) {
+                let recv_this = match recv {
+                    None => true,
+                    Some(r) => matches!(ast[*r], Expr::This(_)),
+                };
+                for (callee, decl) in self.resolve_targets(class, &ast[*method], recv_this) {
                     out.push((
-                        wasabi_lang::project::CallSite { file, call: *id },
+                        CallSite { file, call: *id },
                         callee,
-                        decl.throws.clone(),
+                        decl.throws().map(str::to_string).collect(),
                     ));
                 }
             }
@@ -293,7 +323,7 @@ mod tests {
         let index = ProjectIndex::build(&p);
         let (id, decl) = index.resolve_callee("Base", "process", true).expect("resolved");
         assert_eq!(id, MethodId::new("Base", "process"));
-        assert_eq!(decl.throws, vec!["BaseError"]);
+        assert_eq!(decl.throws().collect::<Vec<_>>(), vec!["BaseError"]);
         let targets: Vec<MethodId> = index
             .resolve_targets("Base", "process", true)
             .into_iter()
@@ -323,8 +353,8 @@ mod tests {
              }",
         );
         let index = ProjectIndex::build(&p);
-        let run = p.resolve_method("C", "run").unwrap().1;
-        let invoked = index.invoked_with_throws("C", run);
+        let (_, ast, decl) = p.resolve_method("C", "run").unwrap();
+        let invoked = index.invoked_with_throws("C", MethodRef { ast, decl });
         assert_eq!(invoked.len(), 3);
         assert_eq!(invoked[0].1, MethodId::new("C", "connect"));
         assert_eq!(invoked[0].2, vec!["ConnectException"]);

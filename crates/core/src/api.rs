@@ -7,8 +7,10 @@
 //! - [`compile_app`] is the *cacheable* unit: source → compiled
 //!   [`Project`] (interned symbols, `Arc<ProgramIndex>`) → [`identify`]
 //!   pass. Everything downstream is a pure function of its output plus
-//!   run options, which is what lets the daemon key an LRU cache on
-//!   [`source_digest`] and skip compilation for repeat submissions.
+//!   run options, which is what lets the daemon cache it (keyed on the
+//!   digests of the files it was compiled from) and skip compilation for
+//!   repeat submissions. It hashes nothing itself: the daemon has already
+//!   hashed each upload, and a batch compile needs no key.
 //! - [`run_app_job`] runs the dynamic workflow on a compiled job. The
 //!   engine's determinism contract makes the result independent of the
 //!   worker count, so cached and fresh submissions judge identically.
@@ -32,21 +34,19 @@ use wasabi_util::Json;
 /// threads.
 #[derive(Debug)]
 pub struct AppJob {
-    /// Project name (the CLI compiles everything as `"cli"`; the digest
-    /// includes it, so differently named submissions never collide).
+    /// Project name (the CLI compiles everything as `"cli"`).
     pub name: String,
-    /// [`source_digest`] of the inputs — the cache key.
-    pub digest: u64,
     /// The compiled project.
     pub project: Project,
     /// The identification pass (retry locations, LLM sweep).
     pub identified: Identified,
 }
 
-/// FNV-1a digest over `(name, path, contents)*` — the serve cache key.
-/// Paths are part of the digest because the simulated LLM draws its error
-/// modes from file paths, so the same bytes under different paths can
-/// identify (and therefore report) differently.
+/// FNV-1a digest over `(name, path, contents)*`, which a sharded
+/// campaign's manifest records so `wasabi merge` can refuse changed
+/// sources. Paths are part of the digest because the simulated LLM draws
+/// its error modes from file paths, so the same bytes under different
+/// paths can identify (and therefore report) differently.
 pub fn source_digest(name: &str, sources: &[(String, String)]) -> u64 {
     let mut chunks: Vec<&[u8]> = Vec::with_capacity(2 + sources.len() * 4);
     chunks.push(name.as_bytes());
@@ -68,13 +68,11 @@ pub fn compile_app(
     sources: Vec<(String, String)>,
     llm_seed: u64,
 ) -> Result<AppJob, Vec<Diagnostic>> {
-    let digest = source_digest(name, &sources);
     let project = Project::compile(name, sources)?;
     let mut llm = SimulatedLlm::with_seed(llm_seed);
     let identified = identify(&project, &mut llm);
     Ok(AppJob {
         name: name.to_string(),
-        digest,
         project,
         identified,
     })
@@ -193,7 +191,6 @@ class C {\n\
         // A cache hit replays the same AppJob; a fresh compile of the same
         // sources must agree byte-for-byte.
         let again = compile_app("cli", sources(), 0).expect("compile");
-        assert_eq!(job.digest, again.digest);
         let second = {
             let result = run_app_job(&again, &DynamicOptions::default(), &mut NullObserver);
             report_json(&again.identified, &result)

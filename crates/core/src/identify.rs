@@ -4,8 +4,7 @@
 use wasabi_analysis::loops::{
     all_retry_locations, LoopQueryOptions, Mechanism, RetryLocation, RetryLoop,
 };
-use wasabi_analysis::resolve::ProjectIndex;
-use wasabi_lang::ast::Item;
+use wasabi_analysis::resolve::{MethodRef, ProjectIndex};
 use wasabi_lang::project::{FileId, MethodId, Project};
 use wasabi_llm::detector::{sweep_project, LlmSweep};
 use wasabi_llm::model::LanguageModel;
@@ -59,22 +58,26 @@ pub fn identify_with_sweep(project: &Project, llm_sweep: LlmSweep) -> Identified
             }
             // Resolve the named method within the flagged file.
             let file = &project.files[report.file.0 as usize];
-            for item in &file.items {
-                let Item::Class(class) = item else { continue };
-                let Some(decl) = class.methods.iter().find(|m| m.name == *method_name) else {
+            for class in file.classes() {
+                let class_name = &file[class.name];
+                let Some(decl) = file[class.methods]
+                    .iter()
+                    .find(|m| &file[m.name] == method_name)
+                else {
                     continue;
                 };
                 llm_coordinators.push((
                     report.file,
-                    MethodId::new(&class.name, method_name),
+                    MethodId::new(class_name, method_name),
                 ));
-                for (site, callee, throws) in index.invoked_with_throws(&class.name, decl) {
+                let method = MethodRef { ast: file, decl };
+                for (site, callee, throws) in index.invoked_with_throws(class_name, method) {
                     for exception in throws {
                         merged
                             .entry((site, exception.clone()))
                             .or_insert_with(|| RetryLocation {
                                 site,
-                                coordinator: MethodId::new(&class.name, method_name),
+                                coordinator: MethodId::new(class_name, method_name),
                                 retried: callee.clone(),
                                 exception,
                                 mechanism: Mechanism::LlmFlagged,

@@ -16,7 +16,7 @@
 //! byte-identical to a single-process run — and `wasabi merge <dir>`
 //! ([`merge_dir`]) can do the same later, standalone.
 
-use crate::api::{compile_app, report_json_with, AppJob};
+use crate::api::{compile_app, report_json_with, source_digest, AppJob};
 use crate::dynamic::{prepare_campaign, DynamicOptions, DynamicResult, DynamicStats, PreparedCampaign};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -115,8 +115,12 @@ fn read_sources(files: &[String], cwd: Option<&Path>) -> Result<Vec<(String, Str
         .collect()
 }
 
+/// The project name every CLI compile uses; the manifest's source digest
+/// covers it.
+const APP_NAME: &str = "cli";
+
 fn compile_sources(sources: Vec<(String, String)>) -> Result<AppJob, String> {
-    compile_app("cli", sources, 0).map_err(|diagnostics| {
+    compile_app(APP_NAME, sources, 0).map_err(|diagnostics| {
         let mut message = String::from("compile failed:");
         for diagnostic in diagnostics {
             message.push_str(&format!("\n  {diagnostic}"));
@@ -223,6 +227,7 @@ pub fn run_sharded(files: &[String], options: &ShardedOptions) -> Result<Sharded
         return Err("--shards must be at least 1".to_string());
     }
     let sources = read_sources(files, options.cwd.as_deref())?;
+    let digest = source_digest(APP_NAME, &sources);
     let job = compile_sources(sources)?;
     let dynamic_options = DynamicOptions {
         jobs: options.jobs,
@@ -245,7 +250,7 @@ pub fn run_sharded(files: &[String], options: &ShardedOptions) -> Result<Sharded
             shards: options.shards,
             total_runs: prepared.runs.len(),
             ranges: ranges.clone(),
-            source_digest: job.digest,
+            source_digest: digest,
             files: files.to_vec(),
         },
     )?;
@@ -313,11 +318,12 @@ pub fn run_sharded(files: &[String], options: &ShardedOptions) -> Result<Sharded
 pub fn merge_dir(dir: &Path, cwd: Option<&Path>) -> Result<ShardedOutcome, String> {
     let manifest = wasabi_engine::shard::load_manifest(dir)?;
     let sources = read_sources(&manifest.files, cwd)?;
+    let digest = source_digest(APP_NAME, &sources);
     let job = compile_sources(sources)?;
-    if job.digest != manifest.source_digest {
+    if digest != manifest.source_digest {
         return Err(format!(
             "sources changed since the campaign: digest {:016x} != manifest {:016x}",
-            job.digest, manifest.source_digest
+            digest, manifest.source_digest
         ));
     }
     let prepared = prepare_campaign(

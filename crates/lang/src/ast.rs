@@ -1,4 +1,20 @@
-//! The Javelin abstract syntax tree.
+//! The Javelin abstract syntax tree, stored flat per file.
+//!
+//! A parsed file is an [`Ast`]: a handful of vectors rather than a tree of
+//! boxes. Statements and expressions live in per-file vectors and refer to
+//! one another by `u32` ids ([`StmtId`], [`ExprId`]); the children of a
+//! block, the arguments of a call, a method's parameters and `throws`
+//! clause, a `try`'s catches and a `switch`'s cases are runs ([`List`]) in
+//! per-file list vectors. Identifiers and string-literal contents are
+//! interned when the file is lexed into its name table ([`Names`]); nodes
+//! carry them as `Copy` [`Name`] ids, and within one file two names are
+//! equal exactly when their text is. Every node is `Copy`, no node owns a
+//! `Box` or `Vec`, and a file frees in as many deallocations as it has
+//! vectors.
+//!
+//! The parser appends a node only once it is part of the tree, so every
+//! statement and expression is reachable exactly once from the file's
+//! items, and ids are assigned bottom-up (children before parents).
 //!
 //! Every call site carries a [`CallId`] and every loop (and switch) a
 //! [`LoopId`]; both are unique within a file and stable for a given source
@@ -8,6 +24,8 @@
 
 use crate::span::Span;
 use std::fmt;
+use std::marker::PhantomData;
+use std::ops::Index;
 
 /// Identifier of a call or `new` expression, unique within one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,8 +47,374 @@ impl fmt::Display for LoopId {
     }
 }
 
+/// An identifier or string-literal text, interned in its file's [`Names`].
+/// Dense, starting at 0, in order of first appearance in the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Name(pub u32);
+
+/// A statement of one file: an index into its statement vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct StmtId(pub u32);
+
+/// An expression of one file: an index into its expression vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ExprId(pub u32);
+
+/// A run of consecutive entries in one of a file's list vectors: the
+/// statements of a block, the arguments of a call, a method's parameters,
+/// and so on. Index the file's [`Ast`] with it to get the slice.
+pub struct List<T> {
+    start: u32,
+    len: u32,
+    marker: PhantomData<fn() -> T>,
+}
+
+impl<T> List<T> {
+    pub(crate) fn new(start: usize, len: usize) -> Self {
+        List {
+            start: start as u32,
+            len: len as u32,
+            marker: PhantomData,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the run is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The half-open index range of the run in its list vector.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+impl<T> Clone for List<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for List<T> {}
+
+impl<T> PartialEq for List<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.start, self.len) == (other.start, other.len)
+    }
+}
+
+impl<T> fmt::Debug for List<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[{}; {}]", self.start, self.len)
+    }
+}
+
+/// A file's name table: the text of every [`Name`], back to back.
+#[derive(Debug, Clone, Default)]
+pub struct Names {
+    text: String,
+    /// `ends[i]` is the end offset of name `i` in `text`.
+    ends: Vec<u32>,
+}
+
+impl Names {
+    /// The text of `name`.
+    ///
+    /// Panics if `name` is not from this table.
+    pub fn get(&self, name: Name) -> &str {
+        let i = name.0 as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// Number of distinct names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Appends `text` as a new name (the caller has checked it is new).
+    pub(crate) fn push(&mut self, text: &str) -> Name {
+        let name = Name(self.ends.len() as u32);
+        self.text.push_str(text);
+        self.ends.push(self.text.len() as u32);
+        name
+    }
+}
+
+/// A parsed file: its items plus the vectors every node lives in.
+#[derive(Debug, Clone, Default)]
+pub struct Ast {
+    pub(crate) items: Vec<Item>,
+    pub(crate) fields: Vec<FieldDecl>,
+    pub(crate) methods: Vec<MethodDecl>,
+    pub(crate) stmts: Vec<Stmt>,
+    pub(crate) exprs: Vec<Expr>,
+    pub(crate) stmt_lists: Vec<StmtId>,
+    pub(crate) expr_lists: Vec<ExprId>,
+    pub(crate) name_lists: Vec<Name>,
+    pub(crate) catches: Vec<CatchClause>,
+    pub(crate) cases: Vec<Case>,
+    pub(crate) names: Names,
+}
+
+impl Ast {
+    /// Drops the vectors' growth slack: a parsed file lives as long as its
+    /// project.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.items.shrink_to_fit();
+        self.fields.shrink_to_fit();
+        self.methods.shrink_to_fit();
+        self.stmts.shrink_to_fit();
+        self.exprs.shrink_to_fit();
+        self.stmt_lists.shrink_to_fit();
+        self.expr_lists.shrink_to_fit();
+        self.name_lists.shrink_to_fit();
+        self.catches.shrink_to_fit();
+        self.cases.shrink_to_fit();
+        self.names.text.shrink_to_fit();
+        self.names.ends.shrink_to_fit();
+    }
+
+    /// Top-level items in source order.
+    pub fn items(&self) -> &[Item] {
+        &self.items
+    }
+
+    /// The classes among the items, in source order.
+    pub fn classes(&self) -> impl Iterator<Item = &ClassDecl> + '_ {
+        self.items.iter().filter_map(|item| match item {
+            Item::Class(class) => Some(class),
+            _ => None,
+        })
+    }
+
+    /// The file's name table.
+    pub fn names(&self) -> &Names {
+        &self.names
+    }
+
+    /// Number of statements in the file.
+    pub fn stmt_count(&self) -> usize {
+        self.stmts.len()
+    }
+
+    /// Number of expressions in the file.
+    pub fn expr_count(&self) -> usize {
+        self.exprs.len()
+    }
+
+    /// The statements of `block`, in order.
+    pub fn stmts_in(&self, block: &Block) -> impl ExactSizeIterator<Item = &Stmt> + '_ {
+        self[block.stmts].iter().map(|&id| &self[id])
+    }
+
+    /// The owned form of a literal, as the symbol table and lowered IR keep
+    /// it.
+    pub fn literal(&self, lit: Lit) -> Literal {
+        match lit {
+            Lit::Int(v) => Literal::Int(v),
+            Lit::Str(s) => Literal::Str(self[s].to_string()),
+            Lit::Bool(b) => Literal::Bool(b),
+            Lit::Null => Literal::Null,
+        }
+    }
+
+    /// Visits every statement of a block in pre-order, including nested
+    /// blocks. The callback returns `true` to descend into the statement's
+    /// sub-blocks. `for` headers are not visited as statements.
+    pub fn walk_stmts<'a>(&'a self, block: &Block, visit: &mut dyn FnMut(&'a Stmt) -> bool) {
+        for &id in &self[block.stmts] {
+            self.walk_stmt(&self[id], visit);
+        }
+    }
+
+    /// [`Ast::walk_stmts`] from one statement: visits `stmt`, then (if the
+    /// callback returns `true`) the statements of its sub-blocks.
+    pub fn walk_stmt<'a>(&'a self, stmt: &'a Stmt, visit: &mut dyn FnMut(&'a Stmt) -> bool) {
+        if !visit(stmt) {
+            return;
+        }
+        match stmt {
+            Stmt::If {
+                then_blk, else_blk, ..
+            } => {
+                self.walk_stmts(then_blk, visit);
+                if let Some(else_blk) = else_blk {
+                    self.walk_stmts(else_blk, visit);
+                }
+            }
+            Stmt::While { body, .. } | Stmt::For { body, .. } => self.walk_stmts(body, visit),
+            Stmt::Switch { cases, default, .. } => {
+                for case in &self[*cases] {
+                    self.walk_stmts(&case.body, visit);
+                }
+                if let Some(default) = default {
+                    self.walk_stmts(default, visit);
+                }
+            }
+            Stmt::Try {
+                body,
+                catches,
+                finally,
+                ..
+            } => {
+                self.walk_stmts(body, visit);
+                for catch in &self[*catches] {
+                    self.walk_stmts(&catch.body, visit);
+                }
+                if let Some(finally) = finally {
+                    self.walk_stmts(finally, visit);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Visits every expression in a block, in evaluation-ish pre-order.
+    pub fn walk_exprs<'a>(&'a self, block: &Block, visit: &mut dyn FnMut(&'a Expr)) {
+        self.walk_stmts(block, &mut |stmt| {
+            self.stmt_exprs(stmt, visit);
+            true
+        });
+    }
+
+    /// Visits the expressions a statement holds directly (a `for` header's
+    /// included, sub-blocks excluded), each with its sub-expressions.
+    pub fn stmt_exprs<'a>(&'a self, stmt: &'a Stmt, visit: &mut dyn FnMut(&'a Expr)) {
+        match stmt {
+            Stmt::Var { init, .. } => self.walk_expr(*init, visit),
+            Stmt::Assign { target, value, .. } => {
+                if let LValue::Field { recv, .. } = target {
+                    self.walk_expr(*recv, visit);
+                }
+                self.walk_expr(*value, visit);
+            }
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } => self.walk_expr(*cond, visit),
+            Stmt::For {
+                init, cond, update, ..
+            } => {
+                if let Some(init) = init {
+                    self.header_exprs(&self[*init], visit);
+                }
+                if let Some(cond) = cond {
+                    self.walk_expr(*cond, visit);
+                }
+                if let Some(update) = update {
+                    self.header_exprs(&self[*update], visit);
+                }
+            }
+            Stmt::Switch { scrutinee, .. } => self.walk_expr(*scrutinee, visit),
+            Stmt::Throw { expr, .. }
+            | Stmt::Return {
+                expr: Some(expr), ..
+            }
+            | Stmt::Log { expr, .. }
+            | Stmt::Expr { expr, .. } => self.walk_expr(*expr, visit),
+            Stmt::Sleep { ms, .. } => self.walk_expr(*ms, visit),
+            Stmt::Assert { cond, msg, .. } => {
+                self.walk_expr(*cond, visit);
+                if let Some(msg) = msg {
+                    self.walk_expr(*msg, visit);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn header_exprs<'a>(&'a self, stmt: &'a Stmt, visit: &mut dyn FnMut(&'a Expr)) {
+        if matches!(
+            stmt,
+            Stmt::Var { .. } | Stmt::Assign { .. } | Stmt::Expr { .. }
+        ) {
+            self.stmt_exprs(stmt, visit);
+        }
+    }
+
+    /// Visits `expr` and all sub-expressions in pre-order.
+    pub fn walk_expr<'a>(&'a self, expr: ExprId, visit: &mut dyn FnMut(&'a Expr)) {
+        let node = &self[expr];
+        visit(node);
+        match node {
+            Expr::Field { recv, .. } => self.walk_expr(*recv, visit),
+            Expr::Call { recv, args, .. } => {
+                if let Some(recv) = recv {
+                    self.walk_expr(*recv, visit);
+                }
+                for &arg in &self[*args] {
+                    self.walk_expr(arg, visit);
+                }
+            }
+            Expr::New { args, .. } => {
+                for &arg in &self[*args] {
+                    self.walk_expr(arg, visit);
+                }
+            }
+            Expr::Binary { lhs, rhs, .. } => {
+                self.walk_expr(*lhs, visit);
+                self.walk_expr(*rhs, visit);
+            }
+            Expr::Unary { expr, .. } | Expr::InstanceOf { expr, .. } => {
+                self.walk_expr(*expr, visit)
+            }
+            Expr::Literal(..) | Expr::Ident(..) | Expr::This(..) => {}
+        }
+    }
+}
+
+impl Index<StmtId> for Ast {
+    type Output = Stmt;
+    fn index(&self, id: StmtId) -> &Stmt {
+        &self.stmts[id.0 as usize]
+    }
+}
+
+impl Index<ExprId> for Ast {
+    type Output = Expr;
+    fn index(&self, id: ExprId) -> &Expr {
+        &self.exprs[id.0 as usize]
+    }
+}
+
+impl Index<Name> for Ast {
+    type Output = str;
+    fn index(&self, name: Name) -> &str {
+        self.names.get(name)
+    }
+}
+
+macro_rules! list_index {
+    ($($elem:ty => $field:ident),* $(,)?) => {$(
+        impl Index<List<$elem>> for Ast {
+            type Output = [$elem];
+            fn index(&self, list: List<$elem>) -> &[$elem] {
+                &self.$field[list.range()]
+            }
+        }
+    )*};
+}
+
+list_index! {
+    StmtId => stmt_lists,
+    ExprId => expr_lists,
+    Name => name_lists,
+    CatchClause => catches,
+    Case => cases,
+    FieldDecl => fields,
+    MethodDecl => methods,
+}
+
 /// A top-level item in a source file.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Item {
     /// `exception Name extends Parent;`
     ExceptionDecl(ExceptionDecl),
@@ -41,62 +425,62 @@ pub enum Item {
 }
 
 /// Declaration of an exception type and its parent in the hierarchy.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExceptionDecl {
     /// Exception type name.
-    pub name: String,
+    pub name: Name,
     /// Parent exception type; defaults to `Exception` when omitted.
-    pub parent: Option<String>,
+    pub parent: Option<Name>,
     /// Source span of the declaration.
     pub span: Span,
 }
 
 /// Declaration of an application configuration key with its default value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfigDecl {
     /// Configuration key, e.g. `"dfs.mover.retry.max.attempts"`.
-    pub key: String,
+    pub key: Name,
     /// Default value.
-    pub default: Literal,
+    pub default: Lit,
     /// Source span of the declaration.
     pub span: Span,
 }
 
 /// A class with fields and methods.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassDecl {
     /// Class name.
-    pub name: String,
+    pub name: Name,
     /// Superclass, if any.
-    pub parent: Option<String>,
+    pub parent: Option<Name>,
     /// Field declarations.
-    pub fields: Vec<FieldDecl>,
+    pub fields: List<FieldDecl>,
     /// Method and test declarations.
-    pub methods: Vec<MethodDecl>,
+    pub methods: List<MethodDecl>,
     /// Source span of the whole class.
     pub span: Span,
 }
 
 /// A field declaration with an optional initializer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FieldDecl {
     /// Field name.
-    pub name: String,
+    pub name: Name,
     /// Initializer expression; fields default to `null` when omitted.
-    pub init: Option<Expr>,
+    pub init: Option<ExprId>,
     /// Source span.
     pub span: Span,
 }
 
 /// A method or unit-test declaration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MethodDecl {
     /// Method name.
-    pub name: String,
+    pub name: Name,
     /// Parameter names.
-    pub params: Vec<String>,
+    pub params: List<Name>,
     /// Declared thrown exception types (the `throws` clause).
-    pub throws: Vec<String>,
+    pub throws: List<Name>,
     /// Method body.
     pub body: Block,
     /// Whether this was declared with `test` instead of `method`.
@@ -106,35 +490,25 @@ pub struct MethodDecl {
 }
 
 /// A `{ ... }` sequence of statements.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Block {
     /// Statements in order.
-    pub stmts: Vec<Stmt>,
+    pub stmts: List<StmtId>,
     /// Source span including the braces.
     pub span: Span,
 }
 
-impl Block {
-    /// An empty block with a dummy span, for synthesized code.
-    pub fn empty() -> Self {
-        Block {
-            stmts: Vec::new(),
-            span: Span::dummy(),
-        }
-    }
-}
-
 /// An assignment target.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LValue {
     /// A local variable or parameter.
-    Var(String, Span),
+    Var(Name, Span),
     /// A field of an object: `recv.name`.
     Field {
         /// Receiver expression.
-        recv: Expr,
+        recv: ExprId,
         /// Field name.
-        name: String,
+        name: Name,
         /// Source span.
         span: Span,
     },
@@ -151,14 +525,14 @@ impl LValue {
 }
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stmt {
     /// `var name = init;`
     Var {
         /// Variable name.
-        name: String,
+        name: Name,
         /// Initializer.
-        init: Expr,
+        init: ExprId,
         /// Source span.
         span: Span,
     },
@@ -167,14 +541,14 @@ pub enum Stmt {
         /// Assignment target.
         target: LValue,
         /// Value expression.
-        value: Expr,
+        value: ExprId,
         /// Source span.
         span: Span,
     },
     /// `if (cond) { .. } else { .. }`
     If {
         /// Condition.
-        cond: Expr,
+        cond: ExprId,
         /// Then branch.
         then_blk: Block,
         /// Optional else branch.
@@ -187,7 +561,7 @@ pub enum Stmt {
         /// Loop id, unique within the file.
         id: LoopId,
         /// Condition.
-        cond: Expr,
+        cond: ExprId,
         /// Body.
         body: Block,
         /// Source span.
@@ -198,11 +572,11 @@ pub enum Stmt {
         /// Loop id, unique within the file.
         id: LoopId,
         /// Initializer (a `var` or assignment).
-        init: Option<Box<Stmt>>,
+        init: Option<StmtId>,
         /// Condition; `true` when omitted.
-        cond: Option<Expr>,
+        cond: Option<ExprId>,
         /// Update statement (an assignment).
-        update: Option<Box<Stmt>>,
+        update: Option<StmtId>,
         /// Body.
         body: Block,
         /// Source span.
@@ -213,9 +587,9 @@ pub enum Stmt {
         /// Switch id (shares the loop id space; state-machine structures).
         id: LoopId,
         /// Scrutinee expression.
-        scrutinee: Expr,
-        /// `(literal, body)` arms; no fallthrough.
-        cases: Vec<(Literal, Block)>,
+        scrutinee: ExprId,
+        /// `case` arms; no fallthrough.
+        cases: List<Case>,
         /// Optional default arm.
         default: Option<Block>,
         /// Source span.
@@ -226,7 +600,7 @@ pub enum Stmt {
         /// Protected body.
         body: Block,
         /// Catch clauses, tried in order.
-        catches: Vec<CatchClause>,
+        catches: List<CatchClause>,
         /// Optional finally block.
         finally: Option<Block>,
         /// Source span.
@@ -235,14 +609,14 @@ pub enum Stmt {
     /// `throw expr;`
     Throw {
         /// Exception value.
-        expr: Expr,
+        expr: ExprId,
         /// Source span.
         span: Span,
     },
     /// `return expr?;`
     Return {
         /// Optional return value.
-        expr: Option<Expr>,
+        expr: Option<ExprId>,
         /// Source span.
         span: Span,
     },
@@ -259,30 +633,30 @@ pub enum Stmt {
     /// `sleep(ms);` — advances the virtual clock.
     Sleep {
         /// Milliseconds to sleep.
-        ms: Expr,
+        ms: ExprId,
         /// Source span.
         span: Span,
     },
     /// `log(expr);` — appends to the trace log.
     Log {
         /// Logged value.
-        expr: Expr,
+        expr: ExprId,
         /// Source span.
         span: Span,
     },
     /// `assert(cond, msg?);` — throws `AssertionError` when false.
     Assert {
         /// Asserted condition.
-        cond: Expr,
+        cond: ExprId,
         /// Optional message.
-        msg: Option<Expr>,
+        msg: Option<ExprId>,
         /// Source span.
         span: Span,
     },
     /// A bare expression statement (usually a call).
     Expr {
         /// The expression.
-        expr: Expr,
+        expr: ExprId,
         /// Source span.
         span: Span,
     },
@@ -311,20 +685,44 @@ impl Stmt {
     }
 }
 
+/// One `case LIT: { .. }` arm of a switch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Case {
+    /// The matched literal.
+    pub lit: Lit,
+    /// Arm body.
+    pub body: Block,
+}
+
 /// One `catch (Type name) { .. }` clause.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatchClause {
     /// Caught exception type; matches subtypes too.
-    pub exc_type: String,
+    pub exc_type: Name,
     /// Name the exception value is bound to.
-    pub binding: String,
+    pub binding: Name,
     /// Handler body.
     pub body: Block,
     /// Source span.
     pub span: Span,
 }
 
-/// A literal value.
+/// A literal as the AST stores it: strings are [`Name`]s of the file.
+/// [`Ast::literal`] gives the owned [`Literal`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lit {
+    /// Integer.
+    Int(i64),
+    /// String (its unescaped text).
+    Str(Name),
+    /// Boolean.
+    Bool(bool),
+    /// The null reference.
+    Null,
+}
+
+/// A literal value with owned text, as the symbol table and the lowered IR
+/// keep it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     /// Integer.
@@ -429,20 +827,20 @@ impl UnOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Expr {
     /// A literal.
-    Literal(Literal, Span),
+    Literal(Lit, Span),
     /// A variable or parameter reference.
-    Ident(String, Span),
+    Ident(Name, Span),
     /// The `this` reference.
     This(Span),
     /// Field access: `recv.name`.
     Field {
         /// Receiver.
-        recv: Box<Expr>,
+        recv: ExprId,
         /// Field name.
-        name: String,
+        name: Name,
         /// Source span.
         span: Span,
     },
@@ -452,11 +850,11 @@ pub enum Expr {
         /// Call id, unique within the file.
         id: CallId,
         /// Receiver, if syntactically present.
-        recv: Option<Box<Expr>>,
+        recv: Option<ExprId>,
         /// Method name.
-        method: String,
+        method: Name,
         /// Arguments.
-        args: Vec<Expr>,
+        args: List<ExprId>,
         /// Source span.
         span: Span,
     },
@@ -465,9 +863,9 @@ pub enum Expr {
         /// Call id, unique within the file (shares the call id space).
         id: CallId,
         /// Class or exception type name.
-        class: String,
+        class: Name,
         /// Constructor arguments.
-        args: Vec<Expr>,
+        args: List<ExprId>,
         /// Source span.
         span: Span,
     },
@@ -476,9 +874,9 @@ pub enum Expr {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: ExprId,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: ExprId,
         /// Source span.
         span: Span,
     },
@@ -487,16 +885,16 @@ pub enum Expr {
         /// Operator.
         op: UnOp,
         /// Operand.
-        expr: Box<Expr>,
+        expr: ExprId,
         /// Source span.
         span: Span,
     },
     /// `expr instanceof Type` (classes and exception types).
     InstanceOf {
         /// Tested expression.
-        expr: Box<Expr>,
+        expr: ExprId,
         /// Type name.
-        ty: String,
+        ty: Name,
         /// Source span.
         span: Span,
     },
@@ -517,138 +915,6 @@ impl Expr {
     }
 }
 
-/// Visits every statement of a block in pre-order, including nested blocks.
-///
-/// The callback returns `true` to descend into the statement's sub-blocks.
-pub fn walk_stmts<'a>(block: &'a Block, visit: &mut dyn FnMut(&'a Stmt) -> bool) {
-    for stmt in &block.stmts {
-        if !visit(stmt) {
-            continue;
-        }
-        match stmt {
-            Stmt::If {
-                then_blk, else_blk, ..
-            } => {
-                walk_stmts(then_blk, visit);
-                if let Some(else_blk) = else_blk {
-                    walk_stmts(else_blk, visit);
-                }
-            }
-            Stmt::While { body, .. } => walk_stmts(body, visit),
-            Stmt::For { body, .. } => walk_stmts(body, visit),
-            Stmt::Switch { cases, default, .. } => {
-                for (_, case_blk) in cases {
-                    walk_stmts(case_blk, visit);
-                }
-                if let Some(default) = default {
-                    walk_stmts(default, visit);
-                }
-            }
-            Stmt::Try {
-                body,
-                catches,
-                finally,
-                ..
-            } => {
-                walk_stmts(body, visit);
-                for catch in catches {
-                    walk_stmts(&catch.body, visit);
-                }
-                if let Some(finally) = finally {
-                    walk_stmts(finally, visit);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Visits every expression in a block, in evaluation-ish pre-order.
-pub fn walk_exprs<'a>(block: &'a Block, visit: &mut dyn FnMut(&'a Expr)) {
-    walk_stmts(block, &mut |stmt| {
-        match stmt {
-            Stmt::Var { init, .. } => walk_expr(init, visit),
-            Stmt::Assign { target, value, .. } => {
-                if let LValue::Field { recv, .. } = target {
-                    walk_expr(recv, visit);
-                }
-                walk_expr(value, visit);
-            }
-            Stmt::If { cond, .. } => walk_expr(cond, visit),
-            Stmt::While { cond, .. } => walk_expr(cond, visit),
-            Stmt::For {
-                init, cond, update, ..
-            } => {
-                if let Some(init) = init {
-                    walk_stmt_exprs(init, visit);
-                }
-                if let Some(cond) = cond {
-                    walk_expr(cond, visit);
-                }
-                if let Some(update) = update {
-                    walk_stmt_exprs(update, visit);
-                }
-            }
-            Stmt::Switch { scrutinee, .. } => walk_expr(scrutinee, visit),
-            Stmt::Throw { expr, .. } => walk_expr(expr, visit),
-            Stmt::Return { expr: Some(expr), .. } => walk_expr(expr, visit),
-            Stmt::Sleep { ms, .. } => walk_expr(ms, visit),
-            Stmt::Log { expr, .. } => walk_expr(expr, visit),
-            Stmt::Assert { cond, msg, .. } => {
-                walk_expr(cond, visit);
-                if let Some(msg) = msg {
-                    walk_expr(msg, visit);
-                }
-            }
-            Stmt::Expr { expr, .. } => walk_expr(expr, visit),
-            _ => {}
-        }
-        true
-    });
-}
-
-fn walk_stmt_exprs<'a>(stmt: &'a Stmt, visit: &mut dyn FnMut(&'a Expr)) {
-    match stmt {
-        Stmt::Var { init, .. } => walk_expr(init, visit),
-        Stmt::Assign { target, value, .. } => {
-            if let LValue::Field { recv, .. } = target {
-                walk_expr(recv, visit);
-            }
-            walk_expr(value, visit);
-        }
-        Stmt::Expr { expr, .. } => walk_expr(expr, visit),
-        _ => {}
-    }
-}
-
-/// Visits `expr` and all sub-expressions in pre-order.
-pub fn walk_expr<'a>(expr: &'a Expr, visit: &mut dyn FnMut(&'a Expr)) {
-    visit(expr);
-    match expr {
-        Expr::Field { recv, .. } => walk_expr(recv, visit),
-        Expr::Call { recv, args, .. } => {
-            if let Some(recv) = recv {
-                walk_expr(recv, visit);
-            }
-            for arg in args {
-                walk_expr(arg, visit);
-            }
-        }
-        Expr::New { args, .. } => {
-            for arg in args {
-                walk_expr(arg, visit);
-            }
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, visit);
-            walk_expr(rhs, visit);
-        }
-        Expr::Unary { expr, .. } => walk_expr(expr, visit),
-        Expr::InstanceOf { expr, .. } => walk_expr(expr, visit),
-        Expr::Literal(..) | Expr::Ident(..) | Expr::This(..) => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,6 +931,19 @@ mod tests {
         assert_eq!(Literal::Str("a\"b".into()).to_string(), "\"a\\\"b\"");
         assert_eq!(Literal::Bool(true).to_string(), "true");
         assert_eq!(Literal::Null.to_string(), "null");
+    }
+
+    #[test]
+    fn names_resolve_back_to_back_text() {
+        let mut names = Names::default();
+        let a = names.push("retry");
+        let empty = names.push("");
+        let b = names.push("h\u{e9}llo");
+        assert_eq!(
+            (names.get(a), names.get(empty), names.get(b)),
+            ("retry", "", "h\u{e9}llo")
+        );
+        assert_eq!(names.len(), 3);
     }
 
     #[test]

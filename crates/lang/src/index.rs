@@ -24,8 +24,14 @@
 //! sites ([`CallSite`]) baked in — so the interpreter's observable output
 //! (fault messages, traces, fuel accounting) is byte-identical to the
 //! pre-index tree walker.
+//!
+//! Each file's names were interned once, per file, when it was lexed. The
+//! builder maps them into the global interner through a per-file
+//! `Name → Symbol` memo, interning a name the first time the walk below
+//! needs it. The walk is the one that used to intern every AST string, in
+//! the same order, so every symbol keeps its number.
 
-use crate::ast::{Block, Expr, Item, LValue, Literal, MethodDecl, Stmt, UnOp};
+use crate::ast::{Block, Expr, LValue, Literal, MethodDecl, Name, Stmt, UnOp};
 use crate::intern::{Interner, Symbol};
 use crate::project::{CallSite, FileId, SourceFile, SymbolTable};
 use std::collections::HashMap;
@@ -541,16 +547,38 @@ pub fn is_global_builtin(name: &str) -> bool {
 
 struct Builder<'a> {
     symbols: &'a SymbolTable,
+    files: &'a [Arc<SourceFile>],
     interner: Interner,
+    /// Per file, the symbol of each of its names, or [`UNMAPPED`].
+    memo: Vec<Vec<u32>>,
     exc_ids: HashMap<String, ExcId>,
     class_ids: HashMap<String, ClassId>,
 }
 
+const UNMAPPED: u32 = u32::MAX;
+
 impl<'a> Builder<'a> {
-    fn run(files: &[Arc<SourceFile>], symbols: &'a SymbolTable) -> ProgramIndex {
+    /// The global symbol of `name` from `file`, interned on first use.
+    fn sym(&mut self, file: FileId, name: Name) -> Symbol {
+        let slot = &mut self.memo[file.0 as usize][name.0 as usize];
+        if *slot == UNMAPPED {
+            *slot = self
+                .interner
+                .intern(&self.files[file.0 as usize][name])
+                .0;
+        }
+        Symbol(*slot)
+    }
+
+    fn run(files: &'a [Arc<SourceFile>], symbols: &'a SymbolTable) -> ProgramIndex {
         let mut b = Builder {
             symbols,
+            files,
             interner: Interner::new(),
+            memo: files
+                .iter()
+                .map(|file| vec![UNMAPPED; file.names().len()])
+                .collect(),
             exc_ids: HashMap::new(),
             class_ids: HashMap::new(),
         };
@@ -582,17 +610,15 @@ impl<'a> Builder<'a> {
         // Classes in declaration order, with their decls kept at hand.
         let mut decls = Vec::new();
         for (fidx, file) in files.iter().enumerate() {
-            for item in &file.items {
-                if let Item::Class(class) = item {
-                    let id = ClassId(decls.len() as u32);
-                    b.class_ids.insert(class.name.clone(), id);
-                    decls.push((FileId(fidx as u32), class));
-                }
+            for class in file.classes() {
+                let id = ClassId(decls.len() as u32);
+                b.class_ids.insert(file[class.name].to_string(), id);
+                decls.push((FileId(fidx as u32), &**file, class));
             }
         }
         let parents: Vec<Option<ClassId>> = decls
             .iter()
-            .map(|(_, class)| class.parent.as_ref().map(|p| b.class_ids[p]))
+            .map(|(_, file, class)| class.parent.map(|p| b.class_ids[&file[p]]))
             .collect();
         let class_matrix =
             ancestry_matrix(decls.len(), |i| parents[i].map(|p| p.0 as usize));
@@ -601,7 +627,7 @@ impl<'a> Builder<'a> {
         let mut classes: Vec<ClassDef> = Vec::with_capacity(decls.len());
         let mut methods: Vec<CompiledMethod> = Vec::new();
         let mut own_methods: Vec<Vec<(Symbol, u32)>> = Vec::with_capacity(decls.len());
-        for (idx, (file, class)) in decls.iter().enumerate() {
+        for (idx, &(file_id, file, class)) in decls.iter().enumerate() {
             // Superclass chain, base first.
             let mut chain = vec![idx];
             let mut cursor = parents[idx];
@@ -617,8 +643,9 @@ impl<'a> Builder<'a> {
             let mut slots: Vec<(Symbol, u32)> = Vec::new();
             let mut by_name: HashMap<Symbol, u32> = HashMap::new();
             for &ci in &chain {
-                for field in &decls[ci].1.fields {
-                    let sym = b.interner.intern(&field.name);
+                let (decl_file, decl_ast, decl) = decls[ci];
+                for field in &decl_ast[decl.fields] {
+                    let sym = b.sym(decl_file, field.name);
                     if let std::collections::hash_map::Entry::Vacant(e) = by_name.entry(sym) {
                         e.insert(slots.len() as u32);
                         slots.push((sym, slots.len() as u32));
@@ -627,11 +654,12 @@ impl<'a> Builder<'a> {
             }
             let len = slots.len();
             slots.sort_unstable_by_key(|&(sym, _)| sym);
-            let class_sym = b.interner.intern(&class.name);
+            let class_sym = b.sym(file_id, class.name);
+            let class_name = file[class.name].to_string();
             let layout = Arc::new(FieldLayout {
                 class_id: ClassId(idx as u32),
                 class_sym,
-                class_name: class.name.clone(),
+                class_name: class_name.clone(),
                 slots,
                 len,
             });
@@ -641,12 +669,12 @@ impl<'a> Builder<'a> {
             // locals, so they lower with an empty scope.
             let mut inits = Vec::new();
             for &ci in &chain {
-                let (decl_file, decl) = decls[ci];
-                for field in &decl.fields {
-                    if let Some(expr) = &field.init {
-                        let sym = b.interner.intern(&field.name);
+                let (decl_file, decl_ast, decl) = decls[ci];
+                for field in &decl_ast[decl.fields] {
+                    if let Some(expr) = field.init {
+                        let sym = b.sym(decl_file, field.name);
                         let slot = by_name[&sym];
-                        let mut lower = Lowerer::new(&mut b, decl_file);
+                        let mut lower = Lowerer::new(&mut b, decl_file, decl_ast);
                         let expr = lower.expr(expr);
                         inits.push(FieldInit { slot, expr });
                     }
@@ -655,9 +683,10 @@ impl<'a> Builder<'a> {
 
             // This class's own methods.
             let mut own: Vec<(Symbol, u32)> = Vec::new();
-            for method in &class.methods {
+            for method in &file[class.methods] {
                 let midx = methods.len() as u32;
-                let compiled = compile_method(&mut b, *file, ClassId(idx as u32), method);
+                let compiled =
+                    compile_method(&mut b, file_id, file, ClassId(idx as u32), method);
                 own.push((compiled.name, midx));
                 methods.push(compiled);
             }
@@ -665,8 +694,8 @@ impl<'a> Builder<'a> {
 
             classes.push(ClassDef {
                 name: class_sym,
-                name_str: class.name.clone(),
-                file: *file,
+                name_str: class_name,
+                file: file_id,
                 parent: parents[idx],
                 layout,
                 inits,
@@ -762,21 +791,21 @@ fn ancestry_matrix(n: usize, parent: impl Fn(usize) -> Option<usize>) -> Vec<boo
     matrix
 }
 
-fn compile_method(
-    b: &mut Builder<'_>,
+fn compile_method<'a>(
+    b: &mut Builder<'a>,
     file: FileId,
+    ast: &'a SourceFile,
     owner: ClassId,
     method: &MethodDecl,
 ) -> CompiledMethod {
-    let mut throws: Vec<ExcId> = method
-        .throws
+    let mut throws: Vec<ExcId> = ast[method.throws]
         .iter()
-        .filter_map(|t| b.exc_ids.get(t).copied())
+        .filter_map(|&t| b.exc_ids.get(&ast[t]).copied())
         .collect();
     throws.sort_unstable();
     throws.dedup();
-    let mut lower = Lowerer::new(b, file);
-    for param in &method.params {
+    let mut lower = Lowerer::new(b, file, ast);
+    for &param in &ast[method.params] {
         lower.slot_for(param);
     }
     // Pass 1: collect every name that can become a local anywhere in the
@@ -786,7 +815,7 @@ fn compile_method(
     // run time, exactly like the HashMap environment did.
     lower.collect_locals(&method.body);
     let body = lower.block(&method.body);
-    let name = lower.b.interner.intern(&method.name);
+    let name = lower.b.sym(file, method.name);
     CompiledMethod {
         name,
         params: method.params.len() as u32,
@@ -802,46 +831,55 @@ fn compile_method(
 struct Lowerer<'b, 'a> {
     b: &'b mut Builder<'a>,
     file: FileId,
-    scope: HashMap<String, Slot>,
+    ast: &'a SourceFile,
+    /// Local slots by name; names of one file compare by id.
+    scope: HashMap<Name, Slot>,
     n_slots: u32,
 }
 
 impl<'b, 'a> Lowerer<'b, 'a> {
-    fn new(b: &'b mut Builder<'a>, file: FileId) -> Self {
+    fn new(b: &'b mut Builder<'a>, file: FileId, ast: &'a SourceFile) -> Self {
         Lowerer {
             b,
             file,
+            ast,
             scope: HashMap::new(),
             n_slots: 0,
         }
     }
 
-    fn slot_for(&mut self, name: &str) -> Slot {
-        if let Some(&slot) = self.scope.get(name) {
+    fn sym(&mut self, name: Name) -> Symbol {
+        self.b.sym(self.file, name)
+    }
+
+    fn slot_for(&mut self, name: Name) -> Slot {
+        if let Some(&slot) = self.scope.get(&name) {
             return slot;
         }
         let slot = self.n_slots;
         self.n_slots += 1;
-        self.scope.insert(name.to_string(), slot);
+        self.scope.insert(name, slot);
         slot
     }
 
     fn collect_locals(&mut self, block: &Block) {
-        for stmt in &block.stmts {
+        let ast = self.ast;
+        for stmt in ast.stmts_in(block) {
             self.collect_stmt(stmt);
         }
     }
 
     fn collect_stmt(&mut self, stmt: &Stmt) {
+        let ast = self.ast;
         match stmt {
             Stmt::Var { name, .. } => {
-                self.slot_for(name);
+                self.slot_for(*name);
             }
             Stmt::Assign {
                 target: LValue::Var(name, _),
                 ..
             } => {
-                self.slot_for(name);
+                self.slot_for(*name);
             }
             Stmt::Assign { .. } => {}
             Stmt::If {
@@ -857,16 +895,16 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 init, update, body, ..
             } => {
                 if let Some(init) = init {
-                    self.collect_stmt(init);
+                    self.collect_stmt(&ast[*init]);
                 }
                 if let Some(update) = update {
-                    self.collect_stmt(update);
+                    self.collect_stmt(&ast[*update]);
                 }
                 self.collect_locals(body);
             }
             Stmt::Switch { cases, default, .. } => {
-                for (_, body) in cases {
-                    self.collect_locals(body);
+                for case in &ast[*cases] {
+                    self.collect_locals(&case.body);
                 }
                 if let Some(default) = default {
                     self.collect_locals(default);
@@ -879,8 +917,8 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 ..
             } => {
                 self.collect_locals(body);
-                for catch in catches {
-                    self.slot_for(&catch.binding);
+                for catch in &ast[*catches] {
+                    self.slot_for(catch.binding);
                     self.collect_locals(&catch.body);
                 }
                 if let Some(finally) = finally {
@@ -892,26 +930,28 @@ impl<'b, 'a> Lowerer<'b, 'a> {
     }
 
     fn block(&mut self, block: &Block) -> Vec<LStmt> {
-        block.stmts.iter().map(|s| self.stmt(s)).collect()
+        let ast = self.ast;
+        ast.stmts_in(block).map(|s| self.stmt(s)).collect()
     }
 
     fn stmt(&mut self, stmt: &Stmt) -> LStmt {
+        let ast = self.ast;
         match stmt {
             Stmt::Var { name, init, .. } => LStmt::Var {
                 slot: self.scope[name],
-                init: self.expr(init),
+                init: self.expr(*init),
             },
             Stmt::Assign { target, value, .. } => {
-                let value = self.expr(value);
+                let value = self.expr(*value);
                 match target {
                     LValue::Var(name, _) => LStmt::AssignLocal {
                         slot: self.scope[name],
-                        name: self.b.interner.intern(name),
+                        name: self.sym(*name),
                         value,
                     },
                     LValue::Field { recv, name, .. } => LStmt::AssignField {
-                        recv: self.expr(recv),
-                        name: self.b.interner.intern(name),
+                        recv: self.expr(*recv),
+                        name: self.sym(*name),
                         value,
                     },
                 }
@@ -922,12 +962,12 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 else_blk,
                 ..
             } => LStmt::If {
-                cond: self.expr(cond),
+                cond: self.expr(*cond),
                 then_blk: self.block(then_blk),
                 else_blk: else_blk.as_ref().map(|blk| self.block(blk)),
             },
             Stmt::While { cond, body, .. } => LStmt::While {
-                cond: self.expr(cond),
+                cond: self.expr(*cond),
                 body: self.block(body),
             },
             Stmt::For {
@@ -937,9 +977,9 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 body,
                 ..
             } => LStmt::For {
-                init: init.as_ref().map(|s| Box::new(self.stmt(s))),
-                cond: cond.as_ref().map(|e| self.expr(e)),
-                update: update.as_ref().map(|s| Box::new(self.stmt(s))),
+                init: init.map(|s| Box::new(self.stmt(&ast[s]))),
+                cond: cond.map(|e| self.expr(e)),
+                update: update.map(|s| Box::new(self.stmt(&ast[s]))),
                 body: self.block(body),
             },
             Stmt::Switch {
@@ -948,10 +988,10 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 default,
                 ..
             } => LStmt::Switch {
-                scrutinee: self.expr(scrutinee),
-                cases: cases
+                scrutinee: self.expr(*scrutinee),
+                cases: ast[*cases]
                     .iter()
-                    .map(|(lit, body)| (lit.clone(), self.block(body)))
+                    .map(|case| (ast.literal(case.lit), self.block(&case.body)))
                     .collect(),
                 default: default.as_ref().map(|blk| self.block(blk)),
             },
@@ -962,10 +1002,10 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 ..
             } => LStmt::Try {
                 body: self.block(body),
-                catches: catches
+                catches: ast[*catches]
                     .iter()
                     .map(|catch| LCatch {
-                        exc: self.b.exc_ids[&catch.exc_type],
+                        exc: self.b.exc_ids[&ast[catch.exc_type]],
                         binding: self.scope[&catch.binding],
                         body: self.block(&catch.body),
                     })
@@ -973,43 +1013,44 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 finally: finally.as_ref().map(|blk| self.block(blk)),
             },
             Stmt::Throw { expr, .. } => LStmt::Throw {
-                expr: self.expr(expr),
+                expr: self.expr(*expr),
             },
             Stmt::Return { expr, .. } => LStmt::Return {
-                expr: expr.as_ref().map(|e| self.expr(e)),
+                expr: expr.map(|e| self.expr(e)),
             },
             Stmt::Break { .. } => LStmt::Break,
             Stmt::Continue { .. } => LStmt::Continue,
-            Stmt::Sleep { ms, .. } => LStmt::Sleep { ms: self.expr(ms) },
+            Stmt::Sleep { ms, .. } => LStmt::Sleep { ms: self.expr(*ms) },
             Stmt::Log { expr, .. } => LStmt::Log {
-                expr: self.expr(expr),
+                expr: self.expr(*expr),
             },
             Stmt::Assert { cond, msg, .. } => LStmt::Assert {
-                cond: self.expr(cond),
-                msg: msg.as_ref().map(|e| self.expr(e)),
+                cond: self.expr(*cond),
+                msg: msg.map(|e| self.expr(e)),
             },
             Stmt::Expr { expr, .. } => LStmt::Expr {
-                expr: self.expr(expr),
+                expr: self.expr(*expr),
             },
         }
     }
 
-    fn expr(&mut self, expr: &Expr) -> LExpr {
-        match expr {
-            Expr::Literal(lit, _) => LExpr::Literal(lit.clone()),
-            Expr::Ident(name, _) => match self.scope.get(name.as_str()) {
+    fn expr(&mut self, expr: crate::ast::ExprId) -> LExpr {
+        let ast = self.ast;
+        match &ast[expr] {
+            Expr::Literal(lit, _) => LExpr::Literal(ast.literal(*lit)),
+            Expr::Ident(name, _) => match self.scope.get(name) {
                 Some(&slot) => LExpr::Local {
                     slot,
-                    name: self.b.interner.intern(name),
+                    name: self.sym(*name),
                 },
                 None => LExpr::ImplicitField {
-                    name: self.b.interner.intern(name),
+                    name: self.sym(*name),
                 },
             },
             Expr::This(_) => LExpr::This,
             Expr::Field { recv, name, .. } => LExpr::Field {
-                recv: Box::new(self.expr(recv)),
-                name: self.b.interner.intern(name),
+                recv: Box::new(self.expr(*recv)),
+                name: self.sym(*name),
             },
             Expr::Call {
                 id,
@@ -1018,10 +1059,10 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 args,
                 ..
             } => {
-                let args: Vec<LExpr> = args.iter().map(|a| self.expr(a)).collect();
-                if recv.is_none() && is_global_builtin(method) {
+                let args: Vec<LExpr> = ast[*args].iter().map(|&a| self.expr(a)).collect();
+                if recv.is_none() && is_global_builtin(&ast[*method]) {
                     LExpr::GlobalCall {
-                        name: self.b.interner.intern(method),
+                        name: self.sym(*method),
                         args,
                     }
                 } else {
@@ -1030,41 +1071,42 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                             file: self.file,
                             call: *id,
                         },
-                        recv: recv.as_ref().map(|r| Box::new(self.expr(r))),
-                        method: self.b.interner.intern(method),
+                        recv: recv.map(|r| Box::new(self.expr(r))),
+                        method: self.sym(*method),
                         args,
                     }
                 }
             }
             Expr::New { class, args, .. } => {
-                let args: Vec<LExpr> = args.iter().map(|a| self.expr(a)).collect();
+                let args: Vec<LExpr> = ast[*args].iter().map(|&a| self.expr(a)).collect();
+                let class = &ast[*class];
                 // Exception types take precedence over classes, matching the
                 // tree walker's `symbols.exception(..)`-first resolution.
-                if let Some(&exc) = self.b.exc_ids.get(class.as_str()) {
+                if let Some(&exc) = self.b.exc_ids.get(class) {
                     return LExpr::NewExc { exc, args };
                 }
-                match self.b.class_ids.get(class.as_str()) {
+                match self.b.class_ids.get(class) {
                     Some(&class) => LExpr::NewObj { class, args },
                     None => LExpr::NewUnknown {
-                        class: class.clone(),
+                        class: class.to_string(),
                         args,
                     },
                 }
             }
             Expr::Binary { op, lhs, rhs, .. } => LExpr::Binary {
                 op: *op,
-                lhs: Box::new(self.expr(lhs)),
-                rhs: Box::new(self.expr(rhs)),
+                lhs: Box::new(self.expr(*lhs)),
+                rhs: Box::new(self.expr(*rhs)),
             },
             Expr::Unary { op, expr, .. } => LExpr::Unary {
                 op: *op,
-                expr: Box::new(self.expr(expr)),
+                expr: Box::new(self.expr(*expr)),
             },
             Expr::InstanceOf { expr, ty, .. } => LExpr::InstanceOf {
-                expr: Box::new(self.expr(expr)),
-                ty: self.b.interner.intern(ty),
-                exc: self.b.exc_ids.get(ty.as_str()).copied(),
-                class: self.b.class_ids.get(ty.as_str()).copied(),
+                expr: Box::new(self.expr(*expr)),
+                ty: self.sym(*ty),
+                exc: self.b.exc_ids.get(&ast[*ty]).copied(),
+                class: self.b.class_ids.get(&ast[*ty]).copied(),
             },
         }
     }

@@ -1,41 +1,55 @@
-//! Hand-written lexer for Javelin.
+//! Hand-written streaming lexer for Javelin.
+//!
+//! The parser pulls one token at a time ([`Lexer::next_token`]) into a
+//! two-token window; no file is ever held as a token vector. Tokens are
+//! `Copy`: identifier and string-literal text is interned as it is lexed
+//! into the file's name table ([`Lexer::names`]), which the parsed file
+//! keeps, so a repeated name costs one hash probe and no allocation.
 //!
 //! Comments (`// ...` and `/* ... */`) are skipped by the token stream but the
 //! raw source is retained in [`crate::project::SourceFile`] so that the
 //! LLM-based analyses can still see them — the paper observes that comments
-//! and identifier names are the clearest evidence of retry logic.
+//! and identifier names are the clearest evidence of retry logic. Line
+//! comments are skipped eight bytes at a time.
 
+use crate::ast::{Name, Names};
 use crate::error::Diagnostic;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Streaming lexer over a source string.
 pub struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
+    names: Interner,
+    /// Reused buffer for string literals with escapes.
+    unescaped: String,
 }
 
 impl<'a> Lexer<'a> {
     /// Creates a lexer over `source`.
     pub fn new(source: &'a str) -> Self {
         Lexer {
+            text: source,
             src: source.as_bytes(),
             pos: 0,
+            names: Interner::default(),
+            unescaped: String::new(),
         }
     }
 
-    /// Lexes the whole input, ending with an [`TokenKind::Eof`] token.
-    pub fn tokenize(source: &'a str) -> Result<Vec<Token>, Diagnostic> {
-        let mut lexer = Lexer::new(source);
-        let mut tokens = Vec::new();
-        loop {
-            let tok = lexer.next_token()?;
-            let done = tok.kind == TokenKind::Eof;
-            tokens.push(tok);
-            if done {
-                return Ok(tokens);
-            }
-        }
+    /// The names interned so far; resolves the [`Name`]s of the tokens
+    /// returned.
+    pub fn names(&self) -> &Names {
+        &self.names.table
+    }
+
+    /// Ends lexing and hands over the name table.
+    pub fn into_names(self) -> Names {
+        self.names.table
     }
 
     fn peek(&self) -> u8 {
@@ -58,11 +72,7 @@ impl<'a> Lexer<'a> {
                 b' ' | b'\t' | b'\r' | b'\n' => {
                     self.pos += 1;
                 }
-                b'/' if self.peek2() == b'/' => {
-                    while self.pos < self.src.len() && self.peek() != b'\n' {
-                        self.pos += 1;
-                    }
-                }
+                b'/' if self.peek2() == b'/' => self.pos = line_end(self.src, self.pos + 2),
                 b'/' if self.peek2() == b'*' => {
                     let start = self.pos;
                     self.pos += 2;
@@ -85,7 +95,8 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Returns the next token, skipping whitespace and comments.
+    /// Returns the next token, skipping whitespace and comments. At the end
+    /// of input it returns [`TokenKind::Eof`], again on every call.
     pub fn next_token(&mut self) -> Result<Token, Diagnostic> {
         self.skip_trivia()?;
         let start = self.pos as u32;
@@ -181,9 +192,9 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_string(&mut self, start: u32) -> Result<TokenKind, Diagnostic> {
-        let mut out = String::new();
+        let mut escaped = false;
         loop {
-            // Copy the run up to the next `"`, `\` or newline whole: all
+            // Take the run up to the next `"`, `\` or newline whole: all
             // three are ASCII, so the run ends on a character boundary and
             // multi-byte text passes through intact.
             let run = self.pos;
@@ -196,17 +207,28 @@ impl<'a> Lexer<'a> {
                     "unterminated string literal",
                 ));
             }
-            let run = std::str::from_utf8(&self.src[run..self.pos]);
-            out.push_str(run.expect("a run of a str between ASCII bytes is UTF-8"));
+            let text = self.text;
+            let run = &text[run..self.pos];
             match self.bump() {
-                b'"' => return Ok(TokenKind::Str(out)),
+                // Without escapes the literal's text is a slice of the
+                // source and is interned straight from it.
+                b'"' if !escaped => return Ok(TokenKind::Str(self.names.intern(run))),
+                b'"' => {
+                    self.unescaped.push_str(run);
+                    return Ok(TokenKind::Str(self.names.intern(&self.unescaped)));
+                }
                 b'\\' => {
+                    if !escaped {
+                        escaped = true;
+                        self.unescaped.clear();
+                    }
+                    self.unescaped.push_str(run);
                     let esc = self.bump();
                     match esc {
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'\\' => out.push('\\'),
-                        b'"' => out.push('"'),
+                        b'n' => self.unescaped.push('\n'),
+                        b't' => self.unescaped.push('\t'),
+                        b'\\' => self.unescaped.push('\\'),
+                        b'"' => self.unescaped.push('"'),
                         other => {
                             return Err(Diagnostic::new(
                                 Span::new(start, self.pos as u32),
@@ -229,16 +251,13 @@ impl<'a> Lexer<'a> {
         while self.peek().is_ascii_digit() {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.src[start as usize..self.pos])
-            .expect("digits are valid UTF-8");
-        text.parse::<i64>()
-            .map(TokenKind::Int)
-            .map_err(|_| {
-                Diagnostic::new(
-                    Span::new(start, self.pos as u32),
-                    format!("integer literal `{text}` out of range"),
-                )
-            })
+        let text = &self.text[start as usize..self.pos];
+        text.parse::<i64>().map(TokenKind::Int).map_err(|_| {
+            Diagnostic::new(
+                Span::new(start, self.pos as u32),
+                format!("integer literal `{text}` out of range"),
+            )
+        })
     }
 
     fn lex_ident(&mut self, start: u32) -> TokenKind {
@@ -248,9 +267,79 @@ impl<'a> Lexer<'a> {
         } {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.src[start as usize..self.pos])
-            .expect("identifier bytes are valid UTF-8");
-        TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(text.to_string()))
+        let text = &self.text[start as usize..self.pos];
+        TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(self.names.intern(text)))
+    }
+}
+
+/// Offset of the first `\n` at or after `from`, or the end of `src`. Reads
+/// eight bytes at a time: a byte of `word ^ 0x0a..0a` is zero exactly where
+/// `word` holds a newline, and the classic has-zero-byte test flags the
+/// lowest such byte exactly (a borrow only disturbs the bytes above it).
+fn line_end(src: &[u8], from: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut at = from;
+    while let Some(chunk) = src.get(at..at + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte slice"));
+        let x = word ^ (ONES * u64::from(b'\n'));
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return at + (zeros.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    while at < src.len() && src[at] != b'\n' {
+        at += 1;
+    }
+    at
+}
+
+/// The lexer's side of a file's name table: an open-addressing set of
+/// name ids keyed by their text. Dropped when lexing ends; the file keeps
+/// only the [`Names`]. Names come from outside the program, so they hash
+/// with the standard library's randomly keyed hasher: a file crafted to
+/// collide cannot make lexing quadratic.
+#[derive(Default)]
+struct Interner {
+    table: Names,
+    /// `slot = id + 1`, 0 when empty; the length is a power of two at
+    /// least twice the name count.
+    slots: Vec<u32>,
+    state: RandomState,
+}
+
+impl Interner {
+    fn intern(&mut self, text: &str) -> Name {
+        if self.slots.len() < 2 * (self.table.len() + 1) {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.state.hash_one(text) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    let name = self.table.push(text);
+                    self.slots[i] = name.0 + 1;
+                    return name;
+                }
+                slot if self.table.get(Name(slot - 1)) == text => return Name(slot - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(256);
+        self.slots = vec![0; len];
+        let mask = len - 1;
+        for id in 0..self.table.len() as u32 {
+            let mut i = self.state.hash_one(self.table.get(Name(id))) as usize & mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id + 1;
+        }
     }
 }
 
@@ -258,11 +347,30 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        Lexer::tokenize(src)
-            .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
+    /// Drives the stream to the end; the first error ends it.
+    fn lex(src: &str) -> Result<(Vec<Token>, Names), Diagnostic> {
+        let mut lexer = Lexer::new(src);
+        let mut tokens = Vec::new();
+        loop {
+            let tok = lexer.next_token()?;
+            tokens.push(tok);
+            if tok.kind == TokenKind::Eof {
+                return Ok((tokens, lexer.into_names()));
+            }
+        }
+    }
+
+    /// Token kinds, with names rendered as text: `Ident`/`Str` become
+    /// `ident:<text>`/`str:<text>`, everything else its `Debug` form.
+    fn kinds(src: &str) -> Vec<String> {
+        let (tokens, names) = lex(src).unwrap();
+        tokens
+            .iter()
+            .map(|t| match t.kind {
+                TokenKind::Ident(n) => format!("ident:{}", names.get(n)),
+                TokenKind::Str(n) => format!("str:{}", names.get(n)),
+                other => format!("{other:?}"),
+            })
             .collect()
     }
 
@@ -270,31 +378,10 @@ mod tests {
     fn lexes_punctuation_and_operators() {
         assert_eq!(
             kinds("( ) { } , ; : . = == != < <= > >= + - * / % ! && ||"),
-            vec![
-                TokenKind::LParen,
-                TokenKind::RParen,
-                TokenKind::LBrace,
-                TokenKind::RBrace,
-                TokenKind::Comma,
-                TokenKind::Semi,
-                TokenKind::Colon,
-                TokenKind::Dot,
-                TokenKind::Assign,
-                TokenKind::EqEq,
-                TokenKind::NotEq,
-                TokenKind::Lt,
-                TokenKind::LtEq,
-                TokenKind::Gt,
-                TokenKind::GtEq,
-                TokenKind::Plus,
-                TokenKind::Minus,
-                TokenKind::Star,
-                TokenKind::Slash,
-                TokenKind::Percent,
-                TokenKind::Bang,
-                TokenKind::AndAnd,
-                TokenKind::OrOr,
-                TokenKind::Eof,
+            [
+                "LParen", "RParen", "LBrace", "RBrace", "Comma", "Semi", "Colon", "Dot", "Assign",
+                "EqEq", "NotEq", "Lt", "LtEq", "Gt", "GtEq", "Plus", "Minus", "Star", "Slash",
+                "Percent", "Bang", "AndAnd", "OrOr", "Eof",
             ]
         );
     }
@@ -303,13 +390,13 @@ mod tests {
     fn lexes_keywords_and_identifiers() {
         assert_eq!(
             kinds("class retryCount while $tmp _x"),
-            vec![
-                TokenKind::Class,
-                TokenKind::Ident("retryCount".into()),
-                TokenKind::While,
-                TokenKind::Ident("$tmp".into()),
-                TokenKind::Ident("_x".into()),
-                TokenKind::Eof,
+            [
+                "Class",
+                "ident:retryCount",
+                "While",
+                "ident:$tmp",
+                "ident:_x",
+                "Eof"
             ]
         );
     }
@@ -318,24 +405,42 @@ mod tests {
     fn lexes_literals() {
         assert_eq!(
             kinds(r#"42 "hi\n" true false null"#),
-            vec![
-                TokenKind::Int(42),
-                TokenKind::Str("hi\n".into()),
-                TokenKind::True,
-                TokenKind::False,
-                TokenKind::Null,
-                TokenKind::Eof,
-            ]
+            ["Int(42)", "str:hi\n", "True", "False", "Null", "Eof"]
         );
     }
 
     #[test]
+    fn interns_each_distinct_text_once() {
+        let (tokens, names) = lex("retry x retry \"x\" \"re\\ttry\" \"retry\"").unwrap();
+        let ids: Vec<Name> = tokens
+            .iter()
+            .filter_map(|t| match t.kind {
+                TokenKind::Ident(n) | TokenKind::Str(n) => Some(n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ids, [Name(0), Name(1), Name(0), Name(1), Name(2), Name(0)]);
+        assert_eq!(names.len(), 3);
+        assert_eq!(names.get(Name(2)), "re\ttry");
+    }
+
+    #[test]
+    fn interning_survives_table_growth() {
+        let src: String = (0..2000).map(|i| format!("n{i} ")).collect();
+        let (tokens, names) = lex(&format!("{src}{src}")).unwrap();
+        assert_eq!(names.len(), 2000);
+        assert_eq!(tokens[0].kind, tokens[2000].kind);
+        assert_eq!(tokens[1999].kind, tokens[3999].kind);
+        assert_eq!(names.get(Name(1234)), "n1234");
+    }
+
+    #[test]
     fn lexes_non_ascii_string_literals_intact() {
-        let toks = Lexer::tokenize("x = \"h\u{e9}llo \\\"\u{2603}\\\" \u{1f980}\\n\";").unwrap();
-        assert_eq!(
-            toks[2].kind,
-            TokenKind::Str("h\u{e9}llo \"\u{2603}\" \u{1f980}\n".into())
-        );
+        let (toks, names) = lex("x = \"h\u{e9}llo \\\"\u{2603}\\\" \u{1f980}\\n\";").unwrap();
+        let TokenKind::Str(s) = toks[2].kind else {
+            panic!("expected a string, got {:?}", toks[2].kind);
+        };
+        assert_eq!(names.get(s), "h\u{e9}llo \"\u{2603}\" \u{1f980}\n");
         assert_eq!(toks[2].span, Span::new(4, 27));
         assert_eq!(toks[3].kind, TokenKind::Semi);
     }
@@ -348,7 +453,7 @@ mod tests {
             ("\"\u{e9}\\q\"", "unknown escape `\\q`", Span::new(0, 5)),
             ("\"a\\", "unknown escape `\\\0`", Span::new(0, 4)),
         ] {
-            let err = Lexer::tokenize(src).unwrap_err();
+            let err = lex(src).unwrap_err();
             assert_eq!((err.message.as_str(), err.span), (message, span), "{src:?}");
         }
     }
@@ -357,49 +462,72 @@ mod tests {
     fn skips_comments() {
         assert_eq!(
             kinds("a // retry here\n b /* block\ncomment */ c"),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
-                TokenKind::Eof,
-            ]
+            ["ident:a", "ident:b", "ident:c", "Eof"]
         );
     }
 
     #[test]
+    fn line_comments_end_at_the_first_newline_at_any_alignment() {
+        for len in 0..40 {
+            for tail in ["", "\n", "\nx", "\n\n"] {
+                let src = format!("//{}{tail}", "c".repeat(len));
+                let expected = src.find('\n').unwrap_or(src.len());
+                assert_eq!(line_end(src.as_bytes(), 2), expected, "{src:?}");
+            }
+        }
+        // A multi-byte character next to the newline does not hide it.
+        let src = "// \u{e9}\u{2603}\u{1f980}\nx";
+        assert_eq!(line_end(src.as_bytes(), 2), src.find('\n').unwrap());
+        assert_eq!(kinds("// \u{1f980}\u{1f980}\nx"), ["ident:x", "Eof"]);
+    }
+
+    #[test]
     fn spans_are_correct() {
-        let toks = Lexer::tokenize("ab  cd").unwrap();
+        let (toks, _) = lex("ab  cd").unwrap();
         assert_eq!(toks[0].span, Span::new(0, 2));
         assert_eq!(toks[1].span, Span::new(4, 6));
     }
 
     #[test]
+    fn eof_repeats_at_the_end() {
+        let mut lexer = Lexer::new("x");
+        assert!(matches!(
+            lexer.next_token().unwrap().kind,
+            TokenKind::Ident(_)
+        ));
+        for _ in 0..3 {
+            let tok = lexer.next_token().unwrap();
+            assert_eq!((tok.kind, tok.span), (TokenKind::Eof, Span::new(1, 1)));
+        }
+    }
+
+    #[test]
     fn rejects_unterminated_string() {
-        assert!(Lexer::tokenize("\"abc").is_err());
+        assert!(lex("\"abc").is_err());
     }
 
     #[test]
     fn rejects_unterminated_block_comment() {
-        assert!(Lexer::tokenize("/* abc").is_err());
+        assert!(lex("/* abc").is_err());
     }
 
     #[test]
     fn rejects_newline_in_string() {
-        assert!(Lexer::tokenize("\"ab\ncd\"").is_err());
+        assert!(lex("\"ab\ncd\"").is_err());
     }
 
     #[test]
     fn rejects_single_ampersand() {
-        assert!(Lexer::tokenize("a & b").is_err());
+        assert!(lex("a & b").is_err());
     }
 
     #[test]
     fn rejects_unknown_escape() {
-        assert!(Lexer::tokenize(r#""\q""#).is_err());
+        assert!(lex(r#""\q""#).is_err());
     }
 
     #[test]
     fn rejects_unknown_character() {
-        assert!(Lexer::tokenize("a # b").is_err());
+        assert!(lex("a # b").is_err());
     }
 }

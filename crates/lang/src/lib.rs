@@ -10,10 +10,14 @@
 //!
 //! The crate provides:
 //!
-//! - [`lexer::Lexer`] and [`parser::parse_file`] — source text to AST;
-//! - [`ast`] — the abstract syntax tree, with stable [`ast::CallId`]s on every
-//!   call site and [`ast::LoopId`]s on every loop, used by the analysis and
-//!   injection crates to name retry locations;
+//! - [`lexer::Lexer`] and [`parser::parse_file`] — source text to AST, one
+//!   streamed token at a time, with nesting bounded by
+//!   [`parser::MAX_DEPTH`];
+//! - [`ast`] — the abstract syntax tree, stored flat per file (node vectors
+//!   linked by `u32` ids, names interned per file), with stable
+//!   [`ast::CallId`]s on every call site and [`ast::LoopId`]s on every
+//!   loop, used by the analysis and injection crates to name retry
+//!   locations;
 //! - [`printer`] — a pretty-printer whose output re-parses to the same AST;
 //! - [`project::Project`] — a compiled multi-file program with a
 //!   [`project::SymbolTable`] (classes, exception hierarchy, config defaults).

@@ -6,50 +6,62 @@
 //! which the property tests rely on.
 
 use crate::ast::*;
+use std::fmt::Write as _;
 
 /// Pretty-prints a whole file.
-pub fn print_items(items: &[Item]) -> String {
-    let mut p = Printer::new();
-    for item in items {
+pub fn print_items(ast: &Ast) -> String {
+    let mut p = Printer::new(ast);
+    for item in ast.items() {
         p.item(item);
     }
     p.out
 }
 
-/// Pretty-prints a single class.
-pub fn print_class(class: &ClassDecl) -> String {
-    let mut p = Printer::new();
+/// Pretty-prints a single class of `ast`.
+pub fn print_class(ast: &Ast, class: &ClassDecl) -> String {
+    let mut p = Printer::new(ast);
     p.class(class);
     p.out
 }
 
-/// Pretty-prints an expression (mainly for diagnostics and reports).
-pub fn print_expr(expr: &Expr) -> String {
-    let mut p = Printer::new();
+/// Pretty-prints an expression of `ast` (mainly for diagnostics and
+/// reports).
+pub fn print_expr(ast: &Ast, expr: ExprId) -> String {
+    let mut p = Printer::new(ast);
     p.expr(expr);
     p.out
 }
 
-/// Pretty-prints a single statement at indent zero (trailing newline
-/// included, one line per statement). Patch synthesis renders repair
-/// snippets through this so spliced text is canonical printer output.
-pub fn print_stmt(stmt: &Stmt) -> String {
-    let mut p = Printer::new();
+/// Pretty-prints a single statement of `ast` at indent zero (trailing
+/// newline included, one line per statement). Repair's flatten template
+/// renders a loop's init through this, so spliced text is canonical
+/// printer output.
+pub fn print_stmt(ast: &Ast, stmt: &Stmt) -> String {
+    let mut p = Printer::new(ast);
     p.stmt(stmt);
     p.out
 }
 
-struct Printer {
+struct Printer<'a> {
+    ast: &'a Ast,
     out: String,
     indent: usize,
 }
 
-impl Printer {
-    fn new() -> Self {
+impl<'a> Printer<'a> {
+    fn new(ast: &'a Ast) -> Self {
         Printer {
+            ast,
             out: String::new(),
             indent: 0,
         }
+    }
+
+    /// Renders `expr` on its own, for a header or a one-line statement.
+    fn render(&self, expr: ExprId) -> String {
+        let mut p = Printer::new(self.ast);
+        p.expr(expr);
+        p.out
     }
 
     fn line(&mut self, text: &str) {
@@ -70,41 +82,49 @@ impl Printer {
         self.line(&format!("}}{suffix}"));
     }
 
+    fn names(&self, list: List<Name>) -> String {
+        let names: Vec<&str> = self.ast[list].iter().map(|&n| &self.ast[n]).collect();
+        names.join(", ")
+    }
+
     fn item(&mut self, item: &Item) {
+        let ast = self.ast;
         match item {
             Item::ExceptionDecl(d) => {
                 let parent = d
                     .parent
-                    .as_ref()
-                    .map(|p| format!(" extends {p}"))
+                    .map(|p| format!(" extends {}", &ast[p]))
                     .unwrap_or_default();
-                self.line(&format!("exception {}{parent};", d.name));
+                self.line(&format!("exception {}{parent};", &ast[d.name]));
             }
             Item::ConfigDecl(d) => {
-                self.line(&format!("config {} default {};", Quoted(&d.key), d.default));
+                let default = ast.literal(d.default);
+                self.line(&format!(
+                    "config {} default {default};",
+                    Quoted(&ast[d.key])
+                ));
             }
             Item::Class(c) => self.class(c),
         }
     }
 
     fn class(&mut self, class: &ClassDecl) {
+        let ast = self.ast;
         let parent = class
             .parent
-            .as_ref()
-            .map(|p| format!(" extends {p}"))
+            .map(|p| format!(" extends {}", &ast[p]))
             .unwrap_or_default();
-        self.open(&format!("class {}{parent}", class.name));
-        for field in &class.fields {
-            match &field.init {
+        self.open(&format!("class {}{parent}", &ast[class.name]));
+        for field in &ast[class.fields] {
+            match field.init {
                 Some(init) => {
-                    let mut p = Printer::new();
-                    p.expr(init);
-                    self.line(&format!("field {} = {};", field.name, p.out));
+                    let init = self.render(init);
+                    self.line(&format!("field {} = {init};", &ast[field.name]));
                 }
-                None => self.line(&format!("field {};", field.name)),
+                None => self.line(&format!("field {};", &ast[field.name])),
             }
         }
-        for method in &class.methods {
+        for method in &ast[class.methods] {
             self.method(method);
         }
         self.close("");
@@ -112,39 +132,45 @@ impl Printer {
 
     fn method(&mut self, method: &MethodDecl) {
         let kw = if method.is_test { "test" } else { "method" };
-        let params = method.params.join(", ");
+        let params = self.names(method.params);
         let throws = if method.throws.is_empty() {
             String::new()
         } else {
-            format!(" throws {}", method.throws.join(", "))
+            format!(" throws {}", self.names(method.throws))
         };
-        self.open(&format!("{kw} {}({params}){throws}", method.name));
-        for stmt in &method.body.stmts {
+        self.open(&format!(
+            "{kw} {}({params}){throws}",
+            &self.ast[method.name]
+        ));
+        self.stmts(&method.body);
+        self.close("");
+    }
+
+    fn stmts(&mut self, block: &Block) {
+        let ast = self.ast;
+        for stmt in ast.stmts_in(block) {
             self.stmt(stmt);
         }
-        self.close("");
     }
 
     fn block_inline(&mut self, block: &Block, header: &str, suffix: &str) {
         self.open(header);
-        for stmt in &block.stmts {
-            self.stmt(stmt);
-        }
+        self.stmts(block);
         self.close(suffix);
     }
 
     fn stmt(&mut self, stmt: &Stmt) {
+        let ast = self.ast;
         match stmt {
             Stmt::Var { name, init, .. } => {
-                let mut p = Printer::new();
-                p.expr(init);
-                self.line(&format!("var {name} = {};", p.out));
+                let init = self.render(*init);
+                self.line(&format!("var {} = {init};", &ast[*name]));
             }
             Stmt::Assign { target, value, .. } => {
-                let mut p = Printer::new();
+                let mut p = Printer::new(ast);
                 p.lvalue(target);
                 p.out.push_str(" = ");
-                p.expr(value);
+                p.expr(*value);
                 let text = format!("{};", p.out);
                 self.line(&text);
             }
@@ -154,9 +180,8 @@ impl Printer {
                 else_blk,
                 ..
             } => {
-                let mut p = Printer::new();
-                p.expr(cond);
-                self.block_inline(then_blk, &format!("if ({})", p.out), "");
+                let cond = self.render(*cond);
+                self.block_inline(then_blk, &format!("if ({cond})"), "");
                 if let Some(else_blk) = else_blk {
                     // Undo the newline so `else` attaches visually; simplest
                     // canonical form keeps `else` on its own header line.
@@ -164,9 +189,8 @@ impl Printer {
                 }
             }
             Stmt::While { cond, body, .. } => {
-                let mut p = Printer::new();
-                p.expr(cond);
-                self.block_inline(body, &format!("while ({})", p.out), "");
+                let cond = self.render(*cond);
+                self.block_inline(body, &format!("while ({cond})"), "");
             }
             Stmt::For {
                 init,
@@ -178,8 +202,8 @@ impl Printer {
                 let mut header = String::from("for (");
                 match init {
                     Some(stmt) => {
-                        let mut p = Printer::new();
-                        p.header_stmt(stmt);
+                        let mut p = Printer::new(ast);
+                        p.header_stmt(&ast[*stmt]);
                         header.push_str(&p.out);
                         header.push(';');
                     }
@@ -187,14 +211,12 @@ impl Printer {
                 }
                 header.push(' ');
                 if let Some(cond) = cond {
-                    let mut p = Printer::new();
-                    p.expr(cond);
-                    header.push_str(&p.out);
+                    header.push_str(&self.render(*cond));
                 }
                 header.push_str("; ");
                 if let Some(update) = update {
-                    let mut p = Printer::new();
-                    p.header_stmt(update);
+                    let mut p = Printer::new(ast);
+                    p.header_stmt(&ast[*update]);
                     header.push_str(&p.out);
                 }
                 header.push(')');
@@ -206,11 +228,11 @@ impl Printer {
                 default,
                 ..
             } => {
-                let mut p = Printer::new();
-                p.expr(scrutinee);
-                self.open(&format!("switch ({})", p.out));
-                for (lit, body) in cases {
-                    self.block_inline(body, &format!("case {lit}:"), "");
+                let scrutinee = self.render(*scrutinee);
+                self.open(&format!("switch ({scrutinee})"));
+                for case in &ast[*cases] {
+                    let lit = ast.literal(case.lit);
+                    self.block_inline(&case.body, &format!("case {lit}:"), "");
                 }
                 if let Some(default) = default {
                     self.block_inline(default, "default:", "");
@@ -224,10 +246,10 @@ impl Printer {
                 ..
             } => {
                 self.block_inline(body, "try", "");
-                for catch in catches {
+                for catch in &ast[*catches] {
                     self.block_inline(
                         &catch.body,
-                        &format!("catch ({} {})", catch.exc_type, catch.binding),
+                        &format!("catch ({} {})", &ast[catch.exc_type], &ast[catch.binding]),
                         "",
                     );
                 }
@@ -236,46 +258,39 @@ impl Printer {
                 }
             }
             Stmt::Throw { expr, .. } => {
-                let mut p = Printer::new();
-                p.expr(expr);
-                self.line(&format!("throw {};", p.out));
+                let expr = self.render(*expr);
+                self.line(&format!("throw {expr};"));
             }
             Stmt::Return { expr, .. } => match expr {
                 Some(expr) => {
-                    let mut p = Printer::new();
-                    p.expr(expr);
-                    self.line(&format!("return {};", p.out));
+                    let expr = self.render(*expr);
+                    self.line(&format!("return {expr};"));
                 }
                 None => self.line("return;"),
             },
             Stmt::Break { .. } => self.line("break;"),
             Stmt::Continue { .. } => self.line("continue;"),
             Stmt::Sleep { ms, .. } => {
-                let mut p = Printer::new();
-                p.expr(ms);
-                self.line(&format!("sleep({});", p.out));
+                let ms = self.render(*ms);
+                self.line(&format!("sleep({ms});"));
             }
             Stmt::Log { expr, .. } => {
-                let mut p = Printer::new();
-                p.expr(expr);
-                self.line(&format!("log({});", p.out));
+                let expr = self.render(*expr);
+                self.line(&format!("log({expr});"));
             }
             Stmt::Assert { cond, msg, .. } => {
-                let mut p = Printer::new();
-                p.expr(cond);
+                let cond = self.render(*cond);
                 match msg {
                     Some(msg) => {
-                        let mut m = Printer::new();
-                        m.expr(msg);
-                        self.line(&format!("assert({}, {});", p.out, m.out));
+                        let msg = self.render(*msg);
+                        self.line(&format!("assert({cond}, {msg});"));
                     }
-                    None => self.line(&format!("assert({});", p.out)),
+                    None => self.line(&format!("assert({cond});")),
                 }
             }
             Stmt::Expr { expr, .. } => {
-                let mut p = Printer::new();
-                p.expr(expr);
-                self.line(&format!("{};", p.out));
+                let expr = self.render(*expr);
+                self.line(&format!("{expr};"));
             }
         }
     }
@@ -285,14 +300,14 @@ impl Printer {
         match stmt {
             Stmt::Var { name, init, .. } => {
                 self.out.push_str("var ");
-                self.out.push_str(name);
+                self.out.push_str(&self.ast[*name]);
                 self.out.push_str(" = ");
-                self.expr(init);
+                self.expr(*init);
             }
             Stmt::Assign { target, value, .. } => {
                 self.lvalue(target);
                 self.out.push_str(" = ");
-                self.expr(value);
+                self.expr(*value);
             }
             other => panic!("unsupported for-header statement: {other:?}"),
         }
@@ -300,67 +315,76 @@ impl Printer {
 
     fn lvalue(&mut self, lvalue: &LValue) {
         match lvalue {
-            LValue::Var(name, _) => self.out.push_str(name),
+            LValue::Var(name, _) => self.out.push_str(&self.ast[*name]),
             LValue::Field { recv, name, .. } => {
-                self.expr_prec(recv, 100);
+                self.expr_prec(*recv, 100);
                 self.out.push('.');
-                self.out.push_str(name);
+                self.out.push_str(&self.ast[*name]);
             }
         }
     }
 
-    fn expr(&mut self, expr: &Expr) {
+    fn expr(&mut self, expr: ExprId) {
         self.expr_prec(expr, 0);
     }
 
     /// Prints `expr`, parenthesizing when its precedence is below `min_prec`.
-    fn expr_prec(&mut self, expr: &Expr, min_prec: u8) {
+    fn expr_prec(&mut self, expr: ExprId, min_prec: u8) {
+        let ast = self.ast;
+        let expr = &ast[expr];
         let prec = expr_precedence(expr);
         let need_parens = prec < min_prec;
         if need_parens {
             self.out.push('(');
         }
         match expr {
-            Expr::Literal(lit, _) => self.out.push_str(&lit.to_string()),
-            Expr::Ident(name, _) => self.out.push_str(name),
+            Expr::Literal(lit, _) => match lit {
+                Lit::Int(v) => write!(self.out, "{v}").expect("writing to a String"),
+                Lit::Str(s) => {
+                    write!(self.out, "{}", Quoted(&ast[*s])).expect("writing to a String")
+                }
+                Lit::Bool(b) => write!(self.out, "{b}").expect("writing to a String"),
+                Lit::Null => self.out.push_str("null"),
+            },
+            Expr::Ident(name, _) => self.out.push_str(&ast[*name]),
             Expr::This(_) => self.out.push_str("this"),
             Expr::Field { recv, name, .. } => {
-                self.expr_prec(recv, 100);
+                self.expr_prec(*recv, 100);
                 self.out.push('.');
-                self.out.push_str(name);
+                self.out.push_str(&ast[*name]);
             }
             Expr::Call {
                 recv, method, args, ..
             } => {
                 if let Some(recv) = recv {
-                    self.expr_prec(recv, 100);
+                    self.expr_prec(*recv, 100);
                     self.out.push('.');
                 }
-                self.out.push_str(method);
-                self.args(args);
+                self.out.push_str(&ast[*method]);
+                self.args(*args);
             }
             Expr::New { class, args, .. } => {
                 self.out.push_str("new ");
-                self.out.push_str(class);
-                self.args(args);
+                self.out.push_str(&ast[*class]);
+                self.args(*args);
             }
             Expr::Binary { op, lhs, rhs, .. } => {
                 // Left-associative: the right operand needs strictly higher
                 // precedence to avoid reassociation on re-parse.
-                self.expr_prec(lhs, prec);
+                self.expr_prec(*lhs, prec);
                 self.out.push(' ');
                 self.out.push_str(op.symbol());
                 self.out.push(' ');
-                self.expr_prec(rhs, prec + 1);
+                self.expr_prec(*rhs, prec + 1);
             }
             Expr::Unary { op, expr, .. } => {
                 self.out.push_str(op.symbol());
-                self.expr_prec(expr, 90);
+                self.expr_prec(*expr, 90);
             }
             Expr::InstanceOf { expr, ty, .. } => {
-                self.expr_prec(expr, prec + 1);
+                self.expr_prec(*expr, prec + 1);
                 self.out.push_str(" instanceof ");
-                self.out.push_str(ty);
+                self.out.push_str(&ast[*ty]);
             }
         }
         if need_parens {
@@ -368,9 +392,9 @@ impl Printer {
         }
     }
 
-    fn args(&mut self, args: &[Expr]) {
+    fn args(&mut self, args: List<ExprId>) {
         self.out.push('(');
-        for (i, arg) in args.iter().enumerate() {
+        for (i, &arg) in self.ast[args].iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
@@ -402,8 +426,8 @@ mod tests {
     use crate::parser::parse_file;
 
     fn roundtrip(src: &str) {
-        let items = parse_file(src).expect("initial parse");
-        let printed = print_items(&items);
+        let ast = parse_file(src).expect("initial parse");
+        let printed = print_items(&ast);
         let reparsed = parse_file(&printed)
             .unwrap_or_else(|e| panic!("printed source failed to parse: {e}\n{printed}"));
         let reprinted = print_items(&reparsed);
@@ -451,8 +475,8 @@ mod tests {
     #[test]
     fn parenthesization_preserves_structure() {
         let src = "class C { method m(a, b) { return (a + b) * 2 - -a / (b % 3); } }";
-        let items = parse_file(src).unwrap();
-        let printed = print_items(&items);
+        let ast = parse_file(src).unwrap();
+        let printed = print_items(&ast);
         let reparsed = parse_file(&printed).unwrap();
         assert_eq!(print_items(&reparsed), printed);
         assert!(printed.contains("(a + b) * 2"));
@@ -460,7 +484,9 @@ mod tests {
 
     #[test]
     fn unary_on_call_prints() {
-        roundtrip("class C { method m(q) { if (!q.isEmpty() && !(1 == 2)) { return 1; } return 0; } }");
+        roundtrip(
+            "class C { method m(q) { if (!q.isEmpty() && !(1 == 2)) { return 1; } return 0; } }",
+        );
     }
 
     #[test]
@@ -472,28 +498,35 @@ mod tests {
 
     #[test]
     fn print_stmt_renders_single_statements() {
-        let items = parse_file(
-            "class C { method m(e) { if (x >= 3) { throw e; } sleep(50 + 50 * r); } }",
-        )
-        .unwrap();
-        let Item::Class(class) = &items[0] else {
+        let ast =
+            parse_file("class C { method m(e) { if (x >= 3) { throw e; } sleep(50 + 50 * r); } }")
+                .unwrap();
+        let Item::Class(class) = &ast.items()[0] else {
             panic!("expected class");
         };
-        let stmts = &class.methods[0].body.stmts;
-        assert_eq!(print_stmt(&stmts[0]), "if (x >= 3) {\n    throw e;\n}\n");
-        assert_eq!(print_stmt(&stmts[1]), "sleep(50 + 50 * r);\n");
+        let stmts: Vec<&Stmt> = ast.stmts_in(&ast[class.methods][0].body).collect();
+        assert_eq!(
+            print_stmt(&ast, stmts[0]),
+            "if (x >= 3) {\n    throw e;\n}\n"
+        );
+        assert_eq!(print_stmt(&ast, stmts[1]), "sleep(50 + 50 * r);\n");
+        assert_eq!(
+            print_class(&ast, class),
+            "class C {\n    method m(e) {\n        if (x >= 3) {\n            throw e;\n        }\n        sleep(50 + 50 * r);\n    }\n}\n"
+        );
     }
 
     #[test]
     fn print_expr_is_compact() {
-        let items =
-            parse_file("class C { method m(a) { return a.f.g(1, \"x\").h + 2; } }").unwrap();
-        let Item::Class(class) = &items[0] else {
+        let ast = parse_file("class C { method m(a) { return a.f.g(1, \"x\").h + 2; } }").unwrap();
+        let Item::Class(class) = &ast.items()[0] else {
             panic!("expected class");
         };
-        let Stmt::Return { expr: Some(e), .. } = &class.methods[0].body.stmts[0] else {
+        let Some(Stmt::Return { expr: Some(e), .. }) =
+            ast.stmts_in(&ast[class.methods][0].body).next()
+        else {
             panic!("expected return");
         };
-        assert_eq!(print_expr(e), "a.f.g(1, \"x\").h + 2");
+        assert_eq!(print_expr(&ast, *e), "a.f.g(1, \"x\").h + 2");
     }
 }

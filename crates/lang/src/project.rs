@@ -1,12 +1,20 @@
 //! Compiled multi-file programs: source files, symbol tables, and the
 //! exception hierarchy.
+//!
+//! A [`SourceFile`] is its path, its text and its flat [`Ast`]: a handful
+//! of vectors, with names interned per file. Everything that reads the
+//! AST resolves ids and names through the file ([`SourceFile`] derefs to
+//! its [`Ast`]). Linking builds the [`SymbolTable`] with owned names, then
+//! the [`ProgramIndex`](crate::index::ProgramIndex), which maps each
+//! file's names into the global interner.
 
-use crate::ast::{walk_exprs, CallId, ClassDecl, Expr, Item, Literal, MethodDecl};
+use crate::ast::{Ast, CallId, ClassDecl, Expr, Item, Literal, MethodDecl, Stmt};
 use crate::error::Diagnostic;
 use crate::parser::parse_file;
 use crate::span::{LineMap, Span};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Index of a source file within a [`Project`].
@@ -38,14 +46,23 @@ impl fmt::Display for CallSite {
 }
 
 /// A parsed source file plus its raw text (kept for the LLM analyses).
+/// Derefs to its [`Ast`], which resolves every id and name in it.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// File path (used in diagnostics and reports).
     pub path: String,
     /// Raw source text, comments included.
     pub source: String,
-    /// Parsed top-level items.
-    pub items: Vec<Item>,
+    /// The parsed file.
+    pub ast: Ast,
+}
+
+impl Deref for SourceFile {
+    type Target = Ast;
+
+    fn deref(&self) -> &Ast {
+        &self.ast
+    }
 }
 
 impl SourceFile {
@@ -57,11 +74,7 @@ impl SourceFile {
         let path = path.into();
         let source = source.into();
         match parse_file(&source) {
-            Ok(items) => Ok(SourceFile {
-                path,
-                source,
-                items,
-            }),
+            Ok(ast) => Ok(SourceFile { path, source, ast }),
             Err(err) => Err(err.with_path(&path)),
         }
     }
@@ -102,7 +115,7 @@ impl fmt::Display for MethodId {
 pub struct ClassInfo {
     /// File the class is declared in.
     pub file: FileId,
-    /// Index of the class item within the file's `items`.
+    /// Index of the class item within the file's items.
     pub item_idx: usize,
     /// Superclass name, if any.
     pub parent: Option<String>,
@@ -282,45 +295,56 @@ impl Project {
         }
     }
 
-    /// Returns the class declaration for `name`, if declared.
-    pub fn class_decl(&self, name: &str) -> Option<&ClassDecl> {
+    /// Returns the class declaration for `name`, if declared, with the
+    /// file that resolves it.
+    pub fn class_decl(&self, name: &str) -> Option<(&SourceFile, &ClassDecl)> {
         let info = self.symbols.class(name)?;
-        match &self.files[info.file.0 as usize].items[info.item_idx] {
-            Item::Class(class) => Some(class),
+        let file = &self.files[info.file.0 as usize];
+        match &file.items()[info.item_idx] {
+            Item::Class(class) => Some((file, class)),
             _ => None,
         }
     }
 
     /// Resolves a method on `class`, walking the superclass chain.
     ///
-    /// Returns the declaring class name together with the declaration.
-    pub fn resolve_method(&self, class: &str, method: &str) -> Option<(&str, &MethodDecl)> {
+    /// Returns the declaring class name together with the declaration and
+    /// the file that resolves it.
+    pub fn resolve_method(
+        &self,
+        class: &str,
+        method: &str,
+    ) -> Option<(&str, &SourceFile, &MethodDecl)> {
         let mut current = class;
         loop {
-            let decl = self.class_decl(current)?;
-            if let Some(m) = decl.methods.iter().find(|m| m.name == method) {
-                return Some((&decl.name, m));
+            let (file, decl) = self.class_decl(current)?;
+            if let Some(m) = file[decl.methods].iter().find(|m| &file[m.name] == method) {
+                return Some((&file[decl.name], file, m));
             }
-            current = decl.parent.as_deref()?;
+            current = &file[decl.parent?];
         }
     }
 
-    /// Iterates over `(file, class, method)` for every method in the project.
-    pub fn all_methods(&self) -> impl Iterator<Item = (FileId, &ClassDecl, &MethodDecl)> {
+    /// Iterates over `(file, class, method)` for every method in the
+    /// project, with the file that resolves each.
+    pub fn all_methods(
+        &self,
+    ) -> impl Iterator<Item = (FileId, &SourceFile, &ClassDecl, &MethodDecl)> {
         self.files.iter().enumerate().flat_map(|(fidx, file)| {
-            file.items.iter().filter_map(move |item| match item {
-                Item::Class(class) => Some((FileId(fidx as u32), class)),
-                _ => None,
+            let file: &SourceFile = file;
+            file.classes().flat_map(move |class| {
+                file[class.methods]
+                    .iter()
+                    .map(move |m| (FileId(fidx as u32), file, class, m))
             })
         })
-        .flat_map(|(fid, class)| class.methods.iter().map(move |m| (fid, class, m)))
     }
 
     /// All unit tests in the project, as `(file, MethodId)`.
     pub fn tests(&self) -> Vec<(FileId, MethodId)> {
         self.all_methods()
-            .filter(|(_, _, m)| m.is_test)
-            .map(|(fid, class, m)| (fid, MethodId::new(&class.name, &m.name)))
+            .filter(|(_, _, _, m)| m.is_test)
+            .map(|(fid, file, class, m)| (fid, MethodId::new(&file[class.name], &file[m.name])))
             .collect()
     }
 
@@ -339,9 +363,10 @@ impl Project {
 
     fn validate(&self, errors: &mut Vec<Diagnostic>) {
         for file in &self.files {
-            for item in &file.items {
-                let Item::Class(class) = item else { continue };
-                if let Some(parent) = &class.parent {
+            for class in file.classes() {
+                let class_name = &file[class.name];
+                if let Some(parent) = class.parent {
+                    let parent = &file[parent];
                     if self.symbols.class(parent).is_none() {
                         errors.push(
                             Diagnostic::new(
@@ -353,20 +378,21 @@ impl Project {
                     }
                 }
                 let mut seen = HashMap::new();
-                for method in &class.methods {
-                    if let Some(_prev) = seen.insert(&method.name, method.span) {
+                for method in &file[class.methods] {
+                    if let Some(_prev) = seen.insert(method.name, method.span) {
                         errors.push(
                             Diagnostic::new(
                                 method.span,
                                 format!(
-                                    "duplicate method `{}` in class `{}`",
-                                    method.name, class.name
+                                    "duplicate method `{}` in class `{class_name}`",
+                                    &file[method.name]
                                 ),
                             )
                             .with_path(&file.path),
                         );
                     }
-                    for thrown in &method.throws {
+                    for &thrown in &file[method.throws] {
+                        let thrown = &file[thrown];
                         if self.symbols.exception(thrown).is_none() {
                             errors.push(
                                 Diagnostic::new(
@@ -384,14 +410,15 @@ impl Project {
     }
 
     fn validate_body(&self, file: &SourceFile, method: &MethodDecl, errors: &mut Vec<Diagnostic>) {
-        crate::ast::walk_stmts(&method.body, &mut |stmt| {
-            if let crate::ast::Stmt::Try { catches, .. } = stmt {
-                for catch in catches {
-                    if self.symbols.exception(&catch.exc_type).is_none() {
+        file.walk_stmts(&method.body, &mut |stmt| {
+            if let Stmt::Try { catches, .. } = stmt {
+                for catch in &file[*catches] {
+                    let exc_type = &file[catch.exc_type];
+                    if self.symbols.exception(exc_type).is_none() {
                         errors.push(
                             Diagnostic::new(
                                 catch.span,
-                                format!("unknown exception `{}` in catch", catch.exc_type),
+                                format!("unknown exception `{exc_type}` in catch"),
                             )
                             .with_path(&file.path),
                         );
@@ -400,8 +427,9 @@ impl Project {
             }
             true
         });
-        walk_exprs(&method.body, &mut |expr| {
+        file.walk_exprs(&method.body, &mut |expr| {
             if let Expr::InstanceOf { ty, span, .. } = expr {
+                let ty = &file[*ty];
                 if self.symbols.exception(ty).is_none() && self.symbols.class(ty).is_none() {
                     errors.push(
                         Diagnostic::new(*span, format!("unknown type `{ty}` in instanceof"))
@@ -425,51 +453,52 @@ fn build_symbols(files: &[Arc<SourceFile>], errors: &mut Vec<Diagnostic>) -> Sym
         );
     }
     for (fidx, file) in files.iter().enumerate() {
-        for (item_idx, item) in file.items.iter().enumerate() {
+        for (item_idx, item) in file.items().iter().enumerate() {
             match item {
                 Item::ExceptionDecl(decl) => {
+                    let name = &file[decl.name];
                     let info = ExceptionInfo {
-                        parent: Some(
-                            decl.parent.clone().unwrap_or_else(|| "Exception".to_string()),
-                        ),
+                        parent: Some(decl.parent.map_or("Exception", |p| &file[p]).to_string()),
                         builtin: false,
                     };
-                    if symbols.exceptions.insert(decl.name.clone(), info).is_some() {
+                    if symbols.exceptions.insert(name.to_string(), info).is_some() {
                         errors.push(
                             Diagnostic::new(
                                 decl.span,
-                                format!("duplicate exception declaration `{}`", decl.name),
+                                format!("duplicate exception declaration `{name}`"),
                             )
                             .with_path(&file.path),
                         );
                     }
                 }
                 Item::ConfigDecl(decl) => {
+                    let key = &file[decl.key];
                     if symbols
                         .configs
-                        .insert(decl.key.clone(), decl.default.clone())
+                        .insert(key.to_string(), file.literal(decl.default))
                         .is_some()
                     {
                         errors.push(
                             Diagnostic::new(
                                 decl.span,
-                                format!("duplicate config declaration `{}`", decl.key),
+                                format!("duplicate config declaration `{key}`"),
                             )
                             .with_path(&file.path),
                         );
                     }
                 }
                 Item::Class(decl) => {
+                    let name = &file[decl.name];
                     let info = ClassInfo {
                         file: FileId(fidx as u32),
                         item_idx,
-                        parent: decl.parent.clone(),
+                        parent: decl.parent.map(|p| file[p].to_string()),
                     };
-                    if symbols.classes.insert(decl.name.clone(), info).is_some() {
+                    if symbols.classes.insert(name.to_string(), info).is_some() {
                         errors.push(
                             Diagnostic::new(
                                 decl.span,
-                                format!("duplicate class declaration `{}`", decl.name),
+                                format!("duplicate class declaration `{name}`"),
                             )
                             .with_path(&file.path),
                         );
@@ -479,11 +508,10 @@ fn build_symbols(files: &[Arc<SourceFile>], errors: &mut Vec<Diagnostic>) -> Sym
         }
     }
     // Check exception parents after all declarations are collected.
-    for (fidx, file) in files.iter().enumerate() {
-        let _ = fidx;
-        for item in &file.items {
+    for file in files {
+        for item in file.items() {
             if let Item::ExceptionDecl(decl) = item {
-                let parent = decl.parent.as_deref().unwrap_or("Exception");
+                let parent = decl.parent.map_or("Exception", |p| &file[p]);
                 if !symbols.exceptions.contains_key(parent) {
                     errors.push(
                         Diagnostic::new(
@@ -534,9 +562,9 @@ mod tests {
             "class Base { method greet() { return \"hi\"; } }\n\
              class Derived extends Base { method other() { return 1; } }",
         )]);
-        let (owner, m) = p.resolve_method("Derived", "greet").expect("resolved");
+        let (owner, file, m) = p.resolve_method("Derived", "greet").expect("resolved");
         assert_eq!(owner, "Base");
-        assert_eq!(m.name, "greet");
+        assert_eq!(&file[m.name], "greet");
         assert!(p.resolve_method("Derived", "missing").is_none());
     }
 
@@ -637,10 +665,9 @@ mod tests {
     #[test]
     fn locate_renders_path_line_col() {
         let p = compile(&[("dir/a.jav", "class A {\n  method m() { }\n}")]);
-        let Item::Class(class) = &p.files[0].items[0] else {
-            panic!("class expected")
-        };
-        let loc = p.locate(FileId(0), class.methods[0].span);
+        let file = &p.files[0];
+        let class = file.classes().next().expect("class expected");
+        let loc = p.locate(FileId(0), file[class.methods][0].span);
         assert_eq!(loc, "dir/a.jav:2:3");
     }
 }

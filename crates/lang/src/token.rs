@@ -1,10 +1,14 @@
 //! Token kinds produced by the Javelin lexer.
+//!
+//! Tokens are `Copy`: identifiers and string literals carry the [`Name`]
+//! the lexer interned their text under, so the parser's token window never
+//! allocates.
 
+use crate::ast::{Name, Names};
 use crate::span::Span;
-use std::fmt;
 
 /// A lexical token: a kind plus the source span it covers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Token {
     /// What kind of token this is (including any literal payload).
     pub kind: TokenKind,
@@ -13,15 +17,15 @@ pub struct Token {
 }
 
 /// The kind of a lexical token.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     // Literals and identifiers.
     /// An integer literal, e.g. `42`.
     Int(i64),
-    /// A string literal (contents, unescaped), e.g. `"hello"`.
-    Str(String),
-    /// An identifier, e.g. `maxRetries`.
-    Ident(String),
+    /// A string literal (contents, unescaped, interned), e.g. `"hello"`.
+    Str(Name),
+    /// An identifier (interned), e.g. `maxRetries`.
+    Ident(Name),
 
     // Keywords.
     Class,
@@ -120,12 +124,13 @@ impl TokenKind {
         })
     }
 
-    /// A short human-readable description used in parse errors.
-    pub fn describe(&self) -> String {
+    /// A short human-readable description used in parse errors; `names`
+    /// is the table the lexer interned identifiers into.
+    pub fn describe(&self, names: &Names) -> String {
         match self {
             TokenKind::Int(v) => format!("integer `{v}`"),
             TokenKind::Str(_) => "string literal".to_string(),
-            TokenKind::Ident(name) => format!("identifier `{name}`"),
+            TokenKind::Ident(name) => format!("identifier `{}`", names.get(*name)),
             TokenKind::Eof => "end of input".to_string(),
             other => format!("`{}`", other.symbol()),
         }
@@ -193,12 +198,6 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.describe())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,15 +205,21 @@ mod tests {
     #[test]
     fn keyword_lookup() {
         assert_eq!(TokenKind::keyword("class"), Some(TokenKind::Class));
-        assert_eq!(TokenKind::keyword("instanceof"), Some(TokenKind::Instanceof));
+        assert_eq!(
+            TokenKind::keyword("instanceof"),
+            Some(TokenKind::Instanceof)
+        );
         assert_eq!(TokenKind::keyword("retry"), None);
     }
 
     #[test]
     fn describe_is_readable() {
-        assert_eq!(TokenKind::Int(7).describe(), "integer `7`");
-        assert_eq!(TokenKind::Ident("x".into()).describe(), "identifier `x`");
-        assert_eq!(TokenKind::LBrace.describe(), "`{`");
-        assert_eq!(TokenKind::Eof.describe(), "end of input");
+        let mut names = Names::default();
+        let x = names.push("x");
+        assert_eq!(TokenKind::Int(7).describe(&names), "integer `7`");
+        assert_eq!(TokenKind::Ident(x).describe(&names), "identifier `x`");
+        assert_eq!(TokenKind::Str(x).describe(&names), "string literal");
+        assert_eq!(TokenKind::LBrace.describe(&names), "`{`");
+        assert_eq!(TokenKind::Eof.describe(&names), "end of input");
     }
 }

@@ -7,7 +7,7 @@
 //! retry behaviour.
 
 use std::collections::BTreeMap;
-use wasabi_lang::ast::{Expr, Item};
+use wasabi_lang::ast::{Expr, Lit};
 use wasabi_lang::project::{MethodId, Project};
 
 /// Substrings that mark a configuration key as retry-related.
@@ -32,36 +32,31 @@ pub fn is_retry_key(key: &str) -> bool {
 /// Scans every test method for `setConfig("<retry key>", ...)` writes.
 pub fn restore_retry_configs(project: &Project) -> ConfigRestoration {
     let mut restoration = ConfigRestoration::default();
-    for file in &project.files {
-        for item in &file.items {
-            let Item::Class(class) = item else { continue };
-            for method in &class.methods {
-                if !method.is_test {
-                    continue;
-                }
-                let test = MethodId::new(&class.name, &method.name);
-                wasabi_lang::ast::walk_exprs(&method.body, &mut |expr| {
-                    let Expr::Call { recv, method: name, args, .. } = expr else {
-                        return;
-                    };
-                    if recv.is_some() || name != "setConfig" {
-                        return;
-                    }
-                    let Some(Expr::Literal(wasabi_lang::ast::Literal::Str(key), _)) =
-                        args.first()
-                    else {
-                        return;
-                    };
-                    if is_retry_key(key) && project.symbols.config_default(key).is_some() {
-                        restoration
-                            .altered_by
-                            .entry(key.clone())
-                            .or_default()
-                            .push(test.clone());
-                    }
-                });
-            }
+    for (_, file, class, method) in project.all_methods() {
+        if !method.is_test {
+            continue;
         }
+        let test = MethodId::new(&file[class.name], &file[method.name]);
+        file.walk_exprs(&method.body, &mut |expr| {
+            let Expr::Call { recv, method: name, args, .. } = *expr else {
+                return;
+            };
+            if recv.is_some() || &file[name] != "setConfig" {
+                return;
+            }
+            let Some(Expr::Literal(Lit::Str(key), _)) = file[args].first().map(|&a| file[a])
+            else {
+                return;
+            };
+            let key = &file[key];
+            if is_retry_key(key) && project.symbols.config_default(key).is_some() {
+                restoration
+                    .altered_by
+                    .entry(key.to_string())
+                    .or_default()
+                    .push(test.clone());
+            }
+        });
     }
     restoration.pinned = restoration.altered_by.keys().cloned().collect();
     restoration

@@ -24,9 +24,10 @@
 //! simulated LLM's identification error modes key on file byte size, so
 //! reprinting (which drops comments) would silently change what the
 //! pipeline identifies. Splicing keeps every unmodified byte identical,
-//! and the synthesized statements themselves are rendered through the
-//! canonical AST printer ([`wasabi_lang::printer::print_stmt`]), so a
-//! patched file re-parses to exactly the spliced shape.
+//! and the synthesized statements themselves are in the canonical form
+//! of the AST printer ([`wasabi_lang::printer::print_stmt`], which a test
+//! holds them to), so a patched file re-parses to exactly the spliced
+//! shape.
 //!
 //! Validation re-runs the *targeted* slice of the fault-injection
 //! campaign — only the runs whose retry location lives in a patched

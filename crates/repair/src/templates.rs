@@ -3,9 +3,11 @@
 //! Each template maps a resolved [`PatchSite`] to a [`PatchedFile`] — the
 //! complete new text of one source file. Splices only *insert* text (or,
 //! for flattening, replace exactly the loop statement's span), so every
-//! byte outside the edit survives verbatim; synthesized statements are
-//! rendered through [`print_stmt`] so the spliced text is canonical
-//! printer output and re-parses to exactly the intended AST.
+//! byte outside the edit survives verbatim. Synthesized statements are
+//! written in the printer's canonical form (a test checks each is a
+//! [`print_stmt`] fixed point), and a flattened loop's init is rendered
+//! through [`print_stmt`], so spliced text re-parses to exactly the
+//! intended AST.
 //!
 //! Synthesized code deliberately contains no `Call`/`New` expressions:
 //! call ids are assigned in parse order, so an insertion with a call in
@@ -13,12 +15,9 @@
 //! baseline run-key comparison the validator depends on.
 
 use wasabi_analysis::patchsite::PatchSite;
-use wasabi_lang::ast::{
-    BinOp, Block, CatchClause, Expr, LValue, Literal, Stmt,
-};
+use wasabi_lang::ast::{Ast, Block, CatchClause, Stmt};
 use wasabi_lang::printer::print_stmt;
-use wasabi_lang::project::Project;
-use wasabi_lang::span::Span;
+use wasabi_lang::project::{Project, SourceFile};
 
 /// The guard-counter name; contains "retry" on purpose, so a capped loop
 /// keeps the naming-convention evidence the identification pass keys on.
@@ -150,22 +149,22 @@ fn indent_block(text: &str, indent: &str) -> String {
 }
 
 /// Finds the loop statement a patch site names, by loop id within its
-/// coordinator method.
-fn find_loop<'a>(project: &'a Project, site: &PatchSite) -> Result<&'a Stmt, String> {
-    let file = &project.files[site.file.0 as usize];
-    for item in &file.items {
-        let wasabi_lang::ast::Item::Class(class) = item else {
-            continue;
-        };
-        if class.name != site.method.class {
+/// coordinator method, with the file that holds it.
+fn find_loop<'a>(
+    project: &'a Project,
+    site: &PatchSite,
+) -> Result<(&'a SourceFile, &'a Stmt), String> {
+    let file: &SourceFile = &project.files[site.file.0 as usize];
+    for class in file.classes() {
+        if file[class.name] != *site.method.class {
             continue;
         }
-        for method in &class.methods {
-            if method.name != site.method.name {
+        for method in &file[class.methods] {
+            if file[method.name] != *site.method.name {
                 continue;
             }
             let mut found = None;
-            wasabi_lang::ast::walk_stmts(&method.body, &mut |stmt| {
+            file.walk_stmts(&method.body, &mut |stmt| {
                 let id = match stmt {
                     Stmt::While { id, .. } | Stmt::For { id, .. } => Some(*id),
                     _ => None,
@@ -176,7 +175,7 @@ fn find_loop<'a>(project: &'a Project, site: &PatchSite) -> Result<&'a Stmt, Str
                 true
             });
             if let Some(stmt) = found {
-                return Ok(stmt);
+                return Ok((file, stmt));
             }
         }
     }
@@ -186,9 +185,9 @@ fn find_loop<'a>(project: &'a Project, site: &PatchSite) -> Result<&'a Stmt, Str
     ))
 }
 
-fn loop_body(stmt: &Stmt) -> Result<&Block, String> {
+fn loop_body(stmt: &Stmt) -> Result<Block, String> {
     match stmt {
-        Stmt::While { body, .. } | Stmt::For { body, .. } => Ok(body),
+        Stmt::While { body, .. } | Stmt::For { body, .. } => Ok(*body),
         _ => Err("patch site is not a loop".to_string()),
     }
 }
@@ -200,14 +199,14 @@ fn loop_body(stmt: &Stmt) -> Result<&Block, String> {
 /// catch that only exits down one branch — like a previously inserted
 /// `retryGuard` cap — still retries in the common case and still needs
 /// the next template's edit.
-fn always_exits(block: &Block) -> bool {
-    block.stmts.iter().any(|stmt| match stmt {
+fn always_exits(ast: &Ast, block: &Block) -> bool {
+    ast.stmts_in(block).any(|stmt| match stmt {
         Stmt::Break { .. } | Stmt::Return { .. } | Stmt::Throw { .. } => true,
         Stmt::If {
             then_blk,
             else_blk: Some(else_blk),
             ..
-        } => always_exits(then_blk) && always_exits(else_blk),
+        } => always_exits(ast, then_blk) && always_exits(ast, else_blk),
         _ => false,
     })
 }
@@ -216,15 +215,15 @@ fn always_exits(block: &Block) -> bool {
 /// `switch` nesting but stop at nested loops (their catches retry the
 /// inner loop, not ours). Catches that exit on every path never re-enter
 /// the loop, so they need no guard.
-fn retrying_catches<'a>(block: &'a Block, out: &mut Vec<&'a CatchClause>) {
-    for stmt in &block.stmts {
+fn retrying_catches<'a>(ast: &'a Ast, block: &Block, out: &mut Vec<&'a CatchClause>) {
+    for stmt in ast.stmts_in(block) {
         match stmt {
             Stmt::If {
                 then_blk, else_blk, ..
             } => {
-                retrying_catches(then_blk, out);
+                retrying_catches(ast, then_blk, out);
                 if let Some(else_blk) = else_blk {
-                    retrying_catches(else_blk, out);
+                    retrying_catches(ast, else_blk, out);
                 }
             }
             Stmt::Try {
@@ -233,23 +232,23 @@ fn retrying_catches<'a>(block: &'a Block, out: &mut Vec<&'a CatchClause>) {
                 finally,
                 ..
             } => {
-                retrying_catches(body, out);
-                for catch in catches {
-                    if !always_exits(&catch.body) {
+                retrying_catches(ast, body, out);
+                for catch in &ast[*catches] {
+                    if !always_exits(ast, &catch.body) {
                         out.push(catch);
                     }
-                    retrying_catches(&catch.body, out);
+                    retrying_catches(ast, &catch.body, out);
                 }
                 if let Some(finally) = finally {
-                    retrying_catches(finally, out);
+                    retrying_catches(ast, finally, out);
                 }
             }
             Stmt::Switch { cases, default, .. } => {
-                for (_, body) in cases {
-                    retrying_catches(body, out);
+                for case in &ast[*cases] {
+                    retrying_catches(ast, &case.body, out);
                 }
                 if let Some(default) = default {
-                    retrying_catches(default, out);
+                    retrying_catches(ast, default, out);
                 }
             }
             Stmt::While { .. } | Stmt::For { .. } => {}
@@ -258,27 +257,29 @@ fn retrying_catches<'a>(block: &'a Block, out: &mut Vec<&'a CatchClause>) {
     }
 }
 
-fn ident(name: &str) -> Expr {
-    Expr::Ident(name.to_string(), Span::dummy())
+/// `var retryGuard = 0;`
+fn guard_decl() -> String {
+    format!("var {GUARD} = 0;\n")
 }
 
-fn int(value: i64) -> Expr {
-    Expr::Literal(Literal::Int(value), Span::dummy())
+/// `retryGuard = retryGuard + 1;`
+fn guard_bump() -> String {
+    format!("{GUARD} = {GUARD} + 1;\n")
 }
 
-fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-    Expr::Binary {
-        op,
-        lhs: Box::new(lhs),
-        rhs: Box::new(rhs),
-        span: Span::dummy(),
-    }
+/// `if (retryGuard >= 3) { <exit> }`, exiting by rethrowing `binding` or
+/// by `break`.
+fn guard_check(rethrow: Option<&str>) -> String {
+    let exit = match rethrow {
+        Some(binding) => format!("throw {binding};"),
+        None => "break;".to_string(),
+    };
+    format!("if ({GUARD} >= {CAP}) {{\n    {exit}\n}}\n")
 }
 
-fn block_of(stmts: Vec<Stmt>) -> Block {
-    let mut block = Block::empty();
-    block.stmts = stmts;
-    block
+/// `sleep(<ms>);`
+fn sleep_stmt(ms: &str) -> String {
+    format!("sleep({ms});\n")
 }
 
 /// `var retryGuard = 0;` before the loop plus, in every retrying catch,
@@ -287,52 +288,28 @@ fn block_of(stmts: Vec<Stmt>) -> Block {
 /// comparison whose then-block exits), and at run time it bounds the
 /// injection count at 3, far under the oracle's unbounded threshold.
 fn cap_patch(project: &Project, site: &PatchSite, rethrow: bool) -> Result<PatchedFile, String> {
-    let file = &project.files[site.file.0 as usize];
-    let loop_stmt = find_loop(project, site)?;
+    let (file, loop_stmt) = find_loop(project, site)?;
     let body = loop_body(loop_stmt)?;
     let mut catches = Vec::new();
-    retrying_catches(body, &mut catches);
+    retrying_catches(file, &body, &mut catches);
     if catches.is_empty() {
         return Err("no retrying catch clause to guard".to_string());
     }
 
     let loop_indent = line_indent(&file.source, site.span.start as usize);
-    let decl = Stmt::Var {
-        name: GUARD.to_string(),
-        init: int(0),
-        span: Span::dummy(),
-    };
     let mut edits = vec![Edit {
         start: line_start(&file.source, site.span.start as usize),
         end: line_start(&file.source, site.span.start as usize),
-        text: indent_block(&print_stmt(&decl), &loop_indent),
+        text: indent_block(&guard_decl(), &loop_indent),
     }];
 
     for catch in &catches {
-        let bump = Stmt::Assign {
-            target: LValue::Var(GUARD.to_string(), Span::dummy()),
-            value: binary(BinOp::Add, ident(GUARD), int(1)),
-            span: Span::dummy(),
-        };
-        let exit = if rethrow {
-            Stmt::Throw {
-                expr: ident(&catch.binding),
-                span: Span::dummy(),
-            }
-        } else {
-            Stmt::Break { span: Span::dummy() }
-        };
-        let guard = Stmt::If {
-            cond: binary(BinOp::GtEq, ident(GUARD), int(CAP)),
-            then_blk: block_of(vec![exit]),
-            else_blk: None,
-            span: Span::dummy(),
-        };
+        let guard = guard_check(rethrow.then(|| &file[catch.binding]));
         let indent = format!("{}    ", line_indent(&file.source, catch.span.start as usize));
         let text = format!(
             "\n{}{}",
-            indent_block(&print_stmt(&bump), &indent),
-            indent_block(&print_stmt(&guard), &indent)
+            indent_block(&guard_bump(), &indent),
+            indent_block(&guard, &indent)
         );
         edits.push(Edit {
             start: catch.body.span.start as usize + 1,
@@ -351,42 +328,33 @@ fn cap_patch(project: &Project, site: &PatchSite, rethrow: bool) -> Result<Patch
 /// `for`-counter when it has one (`sleep(50 + 50 * i)` at catch end);
 /// the constant variant sleeps `250` virtual ms at catch entry.
 fn sleep_patch(project: &Project, site: &PatchSite, backoff: bool) -> Result<PatchedFile, String> {
-    let file = &project.files[site.file.0 as usize];
-    let loop_stmt = find_loop(project, site)?;
+    let (file, loop_stmt) = find_loop(project, site)?;
     let body = loop_body(loop_stmt)?;
     let mut catches = Vec::new();
-    retrying_catches(body, &mut catches);
+    retrying_catches(file, &body, &mut catches);
     if catches.is_empty() {
         return Err("no retrying catch clause to delay".to_string());
     }
 
-    let counter = match loop_stmt {
+    let counter = match *loop_stmt {
         Stmt::For {
             init: Some(init), ..
-        } => match init.as_ref() {
-            Stmt::Var { name, .. } => Some(name.clone()),
+        } => match file[init] {
+            Stmt::Var { name, .. } => Some(&file[name]),
             _ => None,
         },
         _ => None,
     };
-    let ms = match (&counter, backoff) {
-        (Some(counter), true) => binary(
-            BinOp::Add,
-            int(50),
-            binary(BinOp::Mul, int(50), ident(counter)),
-        ),
-        (None, true) => int(100),
-        (_, false) => int(250),
-    };
-    let sleep = Stmt::Sleep {
-        ms,
-        span: Span::dummy(),
+    let sleep = match (counter, backoff) {
+        (Some(counter), true) => sleep_stmt(&format!("50 + 50 * {counter}")),
+        (None, true) => sleep_stmt("100"),
+        (_, false) => sleep_stmt("250"),
     };
 
     let mut edits = Vec::new();
     for catch in &catches {
         let indent = format!("{}    ", line_indent(&file.source, catch.span.start as usize));
-        let text = format!("\n{}", indent_block(&print_stmt(&sleep), &indent));
+        let text = format!("\n{}", indent_block(&sleep, &indent));
         // Backoff reads better after the handler's own work; the constant
         // delay guards even handlers that exit early down a branch.
         let at = if backoff {
@@ -410,15 +378,14 @@ fn sleep_patch(project: &Project, site: &PatchSite, backoff: bool) -> Result<Pat
 /// Whether the loop body transfers control out of the loop at a level
 /// that would escape once the loop statement is removed (`break` /
 /// `continue` outside any nested loop or switch).
-fn has_loop_control(block: &Block) -> bool {
-    for stmt in &block.stmts {
+fn has_loop_control(ast: &Ast, block: &Block) -> bool {
+    let control = |block: &Block| has_loop_control(ast, block);
+    for stmt in ast.stmts_in(block) {
         match stmt {
             Stmt::Break { .. } | Stmt::Continue { .. } => return true,
             Stmt::If {
                 then_blk, else_blk, ..
-            } if has_loop_control(then_blk)
-                || else_blk.as_ref().map(has_loop_control).unwrap_or(false) =>
-            {
+            } if control(then_blk) || else_blk.as_ref().is_some_and(control) => {
                 return true;
             }
             Stmt::Try {
@@ -426,9 +393,9 @@ fn has_loop_control(block: &Block) -> bool {
                 catches,
                 finally,
                 ..
-            } if has_loop_control(body)
-                || catches.iter().any(|c| has_loop_control(&c.body))
-                || finally.as_ref().map(has_loop_control).unwrap_or(false) =>
+            } if control(body)
+                || ast[*catches].iter().any(|c| control(&c.body))
+                || finally.as_ref().is_some_and(control) =>
             {
                 return true;
             }
@@ -446,14 +413,13 @@ fn has_loop_control(block: &Block) -> bool {
 /// corpus seeds end amplified loops with a `throw`) is untouched, so a
 /// failed single attempt still propagates to the caller.
 fn flatten_patch(project: &Project, site: &PatchSite) -> Result<PatchedFile, String> {
-    let file = &project.files[site.file.0 as usize];
-    let loop_stmt = find_loop(project, site)?;
+    let (file, loop_stmt) = find_loop(project, site)?;
     let body = loop_body(loop_stmt)?;
-    if has_loop_control(body) {
+    if has_loop_control(file, &body) {
         return Err("loop body breaks or continues; flattening would strand the jump".to_string());
     }
-    let init = match loop_stmt {
-        Stmt::For { init, .. } => init.as_deref(),
+    let init = match *loop_stmt {
+        Stmt::For { init, .. } => init.map(|init| &file[init]),
         _ => None,
     };
 
@@ -461,7 +427,7 @@ fn flatten_patch(project: &Project, site: &PatchSite) -> Result<PatchedFile, Str
     if let Some(init) = init {
         // First line lands where `for` began, so no indent prefix; the
         // body text below keeps its original (one level deeper) indent.
-        text.push_str(print_stmt(init).trim_end());
+        text.push_str(print_stmt(file, init).trim_end());
     }
     let inner =
         &file.source[body.span.start as usize + 1..body.span.end as usize - 1];
@@ -520,6 +486,27 @@ mod tests {
             .iter()
             .map(|d| d.code.to_string())
             .collect()
+    }
+
+    #[test]
+    fn synthesized_snippets_are_printer_fixed_points() {
+        for snippet in [
+            guard_decl(),
+            guard_bump(),
+            guard_check(Some("e")),
+            guard_check(None),
+            sleep_stmt("50 + 50 * retry"),
+            sleep_stmt("100"),
+            sleep_stmt("250"),
+        ] {
+            let src = format!("class C {{ method m(e) {{ {snippet} }} }}");
+            let file = SourceFile::parse("t.jav", src).expect("snippet parses");
+            let class = file.classes().next().expect("class");
+            let body = &file[class.methods][0].body;
+            assert_eq!(body.stmts.len(), 1, "{snippet}");
+            let stmt = file.stmts_in(body).next().expect("statement");
+            assert_eq!(print_stmt(&file, stmt), snippet);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   and the seed-corpus report digest. Fails fast on the first failing
 //!   stage.
 //! - `ci`    — the release build and test suite, then the resilience
-//!   smoke, the report digest, the lint gate and the paper gate.
+//!   smoke, the report digest, the front-end gate, the lint gate and the
+//!   paper gate.
 //! - `smoke` — the resilience smoke on its own: a chaos campaign
 //!   (10% injected run panics, `--jobs 4`) whose `--json` report must be
 //!   byte-identical to the serial run's, and a kill-and-resume round-trip
@@ -57,6 +58,14 @@
 //!   rewritten with `lint-gate --record`). Writes `BENCH_PR10.json` with
 //!   per-app diagnostic counts and the per-code score table. Wired into
 //!   `ci`.
+//! - `frontend-gate` — the front-end gate: in release, the printer's
+//!   output over all 20,747 files of the eight paper-scale apps (with the
+//!   amplification and policy seeds) and a canonical dump of each app's
+//!   `ProgramIndex` (interner strings in symbol order, then the lowered
+//!   classes, methods, exceptions and configs) must hash to the values
+//!   pinned in `tests/frontend_pins.rs`, so a front-end change can move
+//!   neither a parsed tree nor a symbol number. The default test suite
+//!   runs the same check at small scale. Wired into `ci`.
 //! - `paper-gate` — the paper-numbers gate: the stdout of `repro --scale
 //!   paper all` must equal `repro_paper_output.txt` byte for byte, which
 //!   pins the §4.3 cost table (calls, data, tokens, cost) and Tables 3–6
@@ -76,7 +85,7 @@ use wasabi_util::Json;
 
 fn main() {
     let task = env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: cargo xtask <tier1|ci|smoke|digest|serve-smoke|chaos-shard-smoke|adaptive-gate|repair-gate|lint-gate|paper-gate>");
+        eprintln!("usage: cargo xtask <tier1|ci|smoke|digest|serve-smoke|chaos-shard-smoke|adaptive-gate|repair-gate|lint-gate|frontend-gate|paper-gate>");
         exit(2);
     });
     let flags: Vec<String> = env::args().skip(2).collect();
@@ -93,6 +102,7 @@ fn main() {
             run_stage("test -q --workspace", &["test", "-q", "--workspace"]);
             smoke();
             digest(false);
+            frontend_gate();
             lint_gate(false);
             run_stage(
                 "build --release -p wasabi-bench",
@@ -129,6 +139,7 @@ fn main() {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
             lint_gate(flags.iter().any(|f| f == "--record"));
         }
+        "frontend-gate" => frontend_gate(),
         "paper-gate" => {
             run_stage(
                 "build --release -p wasabi-bench",
@@ -138,7 +149,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown task `{other}`; expected tier1, ci, smoke, digest, serve-smoke, chaos-shard-smoke, adaptive-gate, repair-gate, lint-gate, or paper-gate"
+                "unknown task `{other}`; expected tier1, ci, smoke, digest, serve-smoke, chaos-shard-smoke, adaptive-gate, repair-gate, lint-gate, frontend-gate, or paper-gate"
             );
             exit(2);
         }
@@ -1185,6 +1196,17 @@ fn lint_gate(record: bool) {
     fs::write(POLICY_BENCH_OUT, doc)
         .unwrap_or_else(|e| fail(&format!("write {POLICY_BENCH_OUT}: {e}")));
     eprintln!("lint gate: OK (wrote {POLICY_BENCH_OUT})");
+}
+
+/// The paper-scale front-end pins: the `#[ignore]`d test in
+/// `tests/frontend_pins.rs`, built and run in release.
+fn frontend_gate() {
+    eprintln!("==> frontend gate: paper-scale printer and ProgramIndex digests");
+    run_stage(
+        "test --release --test frontend_pins -- --ignored",
+        &["test", "--release", "-q", "--test", "frontend_pins", "--", "--ignored"],
+    );
+    eprintln!("frontend gate: OK");
 }
 
 /// Compares the stdout of `repro --scale paper all` with (or, with

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point. Stages 1, 3-4 and 6-11: the workspace has no cargo
+# CI entry point. Stages 1, 3-4 and 6-12: the workspace has no cargo
 # features, so there is no all-features stage 2, and the lint-baseline
 # check that was stage 5 runs inside stage 10.
 #
@@ -51,6 +51,11 @@
 #      repro_paper_output.txt byte for byte, so the paper numbers that
 #      EXPERIMENTS.md quotes (Tables 3-6, the section 4.3 cost table)
 #      cannot drift.
+#  12. front-end gate: in release, the printer's output over every file
+#      of the eight paper-scale apps (amplification and policy seeds
+#      included) and a canonical dump of each app's ProgramIndex must hash
+#      to the values pinned in tests/frontend_pins.rs (the default test
+#      suite checks the same at small scale).
 #
 # Everything resolves offline: the workspace has no registry dependencies.
 set -euo pipefail
@@ -85,5 +90,8 @@ cargo xtask lint-gate
 
 echo "== stage 11: paper gate (repro --scale paper all vs repro_paper_output.txt) =="
 cargo xtask paper-gate
+
+echo "== stage 12: front-end gate (paper-scale printer and ProgramIndex digests) =="
+cargo xtask frontend-gate
 
 echo "== ci: all stages passed =="

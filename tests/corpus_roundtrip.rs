@@ -13,8 +13,8 @@ fn printer_is_a_fixed_point_over_the_whole_corpus() {
     let spec = paper_apps().into_iter().find(|s| s.short == "MA").expect("MA");
     let app = generate_app(&spec, Scale::Tiny);
     for (path, source) in &app.files {
-        let items = parse_file(source).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let printed = print_items(&items);
+        let ast = parse_file(source).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let printed = print_items(&ast);
         let reparsed =
             parse_file(&printed).unwrap_or_else(|e| panic!("{path} (printed): {e}"));
         assert_eq!(

@@ -67,7 +67,7 @@ fn dispatch_tables_match_method_resolution_on_corpus() {
         let project = compile_app(&app);
         let method_names: BTreeSet<String> = project
             .all_methods()
-            .map(|(_, _, m)| m.name.clone())
+            .map(|(_, file, _, m)| file[m.name].to_string())
             .collect();
         for class in project.symbols.class_names() {
             let class_id = project.index.class_by_name(class).unwrap();
@@ -80,7 +80,7 @@ fn dispatch_tables_match_method_resolution_on_corpus() {
                     .and_then(|sym| project.index.resolve_dispatch(class_id, sym));
                 match (walked, indexed) {
                     (None, None) => {}
-                    (Some((_, decl)), Some(midx)) => {
+                    (Some((_, _, decl)), Some(midx)) => {
                         let compiled = &project.index.methods[midx as usize];
                         assert_eq!(
                             decl.params.len() as u32,

@@ -222,45 +222,36 @@ fn cross_check_matrix_is_byte_identical_across_jobs() {
 /// predecessor and is reachable from its method's entry.
 #[test]
 fn cfg_exceptional_invariants_hold_corpus_wide() {
-    use wasabi::lang::ast::Item;
     let (_, project) = amp_app("HB");
     let mut methods_seen = 0usize;
     let mut catch_entries = 0usize;
-    for file in &project.files {
-        for item in &file.items {
-            let Item::Class(class) = item else { continue };
-            for method in &class.methods {
-                methods_seen += 1;
-                let cfg = Cfg::build(&method.body);
-                let n = cfg.blocks.len();
-                let mut preds = vec![0usize; n];
-                for block in &cfg.blocks {
-                    for succ in &block.succs {
-                        assert!((succ.0 as usize) < n, "edge out of bounds");
-                        preds[succ.0 as usize] += 1;
-                    }
-                }
-                let reachable: std::collections::HashSet<BlockId> =
-                    cfg.reachable_from(cfg.entry()).into_iter().collect();
-                for (i, block) in cfg.blocks.iter().enumerate() {
-                    if block.catch_entry.is_none() {
-                        continue;
-                    }
-                    catch_entries += 1;
-                    assert!(
-                        preds[i] > 0,
-                        "{}.{}: catch entry without predecessor",
-                        class.name,
-                        method.name
-                    );
-                    assert!(
-                        reachable.contains(&BlockId(i as u32)),
-                        "{}.{}: unreachable catch entry",
-                        class.name,
-                        method.name
-                    );
-                }
+    for (_, file, class, method) in project.all_methods() {
+        let (class_name, method_name) = (&file[class.name], &file[method.name]);
+        methods_seen += 1;
+        let cfg = Cfg::build(file, &method.body);
+        let n = cfg.blocks.len();
+        let mut preds = vec![0usize; n];
+        for block in &cfg.blocks {
+            for succ in &block.succs {
+                assert!((succ.0 as usize) < n, "edge out of bounds");
+                preds[succ.0 as usize] += 1;
             }
+        }
+        let reachable: std::collections::HashSet<BlockId> =
+            cfg.reachable_from(cfg.entry()).into_iter().collect();
+        for (i, block) in cfg.blocks.iter().enumerate() {
+            if block.catch_entry.is_none() {
+                continue;
+            }
+            catch_entries += 1;
+            assert!(
+                preds[i] > 0,
+                "{class_name}.{method_name}: catch entry without predecessor"
+            );
+            assert!(
+                reachable.contains(&BlockId(i as u32)),
+                "{class_name}.{method_name}: unreachable catch entry"
+            );
         }
     }
     assert!(methods_seen > 100, "sweep covered the whole app");

@@ -118,25 +118,50 @@ fn gen_garbage(rng: &mut Rng, max_len: usize) -> String {
 
 // ---- Front-end properties --------------------------------------------------
 
-/// The lexer never panics and either tokenizes or reports an error.
+/// The lexer never panics: its stream either reaches the end or reports
+/// an error, making progress on every token.
 #[test]
 fn lexer_total_on_arbitrary_input() {
     use wasabi::lang::lexer::Lexer;
+    use wasabi::lang::token::TokenKind;
     for case in 0..128u64 {
         let mut rng = Rng::new(0x1_e7e5_0000 + case);
         let input = gen_garbage(&mut rng, 200);
-        let _ = Lexer::tokenize(&input);
+        let mut lexer = Lexer::new(&input);
+        let mut last_end = 0;
+        while let Ok(token) = lexer.next_token() {
+            if token.kind == TokenKind::Eof {
+                break;
+            }
+            assert!(token.span.end > last_end, "[case {case}] no progress");
+            last_end = token.span.end;
+        }
     }
 }
 
-/// The parser never panics on arbitrary input.
+/// The parser never panics on arbitrary input, including input nested far
+/// past the nesting bound and very long operator and receiver chains,
+/// which get a diagnostic instead of overflowing the stack.
 #[test]
 fn parser_total_on_arbitrary_input() {
-    use wasabi::lang::parser::parse_file;
+    use wasabi::lang::parser::{parse_file, MAX_DEPTH};
     for case in 0..128u64 {
         let mut rng = Rng::new(0x9_a25e_0000 + case);
         let input = gen_garbage(&mut rng, 300);
         let _ = parse_file(&input);
+    }
+    let max = MAX_DEPTH as usize;
+    let units = [
+        "(", "!", "-", "{ ", "if (x) { ", "while (x) { ", "try { ", "x.", "f(", "1 + ", "a && ",
+        "x instanceof T || ", "new T(", "if (x) { } else ",
+    ];
+    for (case, unit) in units.into_iter().enumerate() {
+        let mut rng = Rng::new(0xdee9_0000 + case as u64);
+        for depth in [max - 1, max, max + 1, 50_000] {
+            let tail = gen_garbage(&mut rng, 40);
+            let input = format!("class C {{ method m() {{ {}x{tail} }} }}", unit.repeat(depth));
+            let _ = parse_file(&input);
+        }
     }
 }
 
@@ -149,14 +174,199 @@ fn printer_roundtrip_fixed_point() {
     for case in 0..128u64 {
         let mut rng = Rng::new(0x9021_0000 + case);
         let source = gen_file(&mut rng);
-        let items = parse_file(&source)
+        let ast = parse_file(&source)
             .unwrap_or_else(|e| panic!("[case {case}] generated source failed to parse: {e}"));
-        let printed = print_items(&items);
+        let printed = print_items(&ast);
         let reparsed = parse_file(&printed).unwrap_or_else(|e| {
             panic!("[case {case}] printed source failed to parse: {e}\n{printed}")
         });
         let reprinted = print_items(&reparsed);
         assert_eq!(printed, reprinted, "[case {case}] printer not a fixed point");
+    }
+}
+
+/// Walks a parsed file from its items by id and counts how often each
+/// statement and expression is reached. Independent of the AST's own
+/// walkers: it follows every id a node holds, `for` headers and
+/// assignment-target receivers included.
+struct LayoutCheck<'a> {
+    ast: &'a wasabi::lang::ast::Ast,
+    stmts: Vec<u32>,
+    exprs: Vec<u32>,
+}
+
+impl LayoutCheck<'_> {
+    fn block(&mut self, block: &wasabi::lang::ast::Block) {
+        for &id in &self.ast[block.stmts] {
+            self.stmt(id);
+        }
+    }
+
+    fn stmt(&mut self, id: wasabi::lang::ast::StmtId) {
+        use wasabi::lang::ast::{LValue, Stmt};
+        assert!((id.0 as usize) < self.ast.stmt_count(), "statement {id:?} out of range");
+        self.stmts[id.0 as usize] += 1;
+        let ast = self.ast;
+        match ast[id] {
+            Stmt::Var { init, .. } => self.expr(init),
+            Stmt::Assign { target, value, .. } => {
+                if let LValue::Field { recv, .. } = target {
+                    self.expr(recv);
+                }
+                self.expr(value);
+            }
+            Stmt::If {
+                cond,
+                then_blk,
+                else_blk,
+                ..
+            } => {
+                self.expr(cond);
+                self.block(&then_blk);
+                if let Some(else_blk) = else_blk {
+                    self.block(&else_blk);
+                }
+            }
+            Stmt::While { cond, body, .. } => {
+                self.expr(cond);
+                self.block(&body);
+            }
+            Stmt::For {
+                init,
+                cond,
+                update,
+                body,
+                ..
+            } => {
+                init.into_iter().for_each(|s| self.stmt(s));
+                cond.into_iter().for_each(|e| self.expr(e));
+                update.into_iter().for_each(|s| self.stmt(s));
+                self.block(&body);
+            }
+            Stmt::Switch {
+                scrutinee,
+                cases,
+                default,
+                ..
+            } => {
+                self.expr(scrutinee);
+                for case in &ast[cases] {
+                    self.block(&case.body);
+                }
+                if let Some(default) = default {
+                    self.block(&default);
+                }
+            }
+            Stmt::Try {
+                body,
+                catches,
+                finally,
+                ..
+            } => {
+                self.block(&body);
+                for catch in &ast[catches] {
+                    self.block(&catch.body);
+                }
+                if let Some(finally) = finally {
+                    self.block(&finally);
+                }
+            }
+            Stmt::Throw { expr, .. } | Stmt::Log { expr, .. } | Stmt::Expr { expr, .. } => {
+                self.expr(expr)
+            }
+            Stmt::Return { expr, .. } => expr.into_iter().for_each(|e| self.expr(e)),
+            Stmt::Sleep { ms, .. } => self.expr(ms),
+            Stmt::Assert { cond, msg, .. } => {
+                self.expr(cond);
+                msg.into_iter().for_each(|e| self.expr(e));
+            }
+            Stmt::Break { .. } | Stmt::Continue { .. } => {}
+        }
+    }
+
+    fn expr(&mut self, id: wasabi::lang::ast::ExprId) {
+        use wasabi::lang::ast::{Expr, Lit};
+        assert!((id.0 as usize) < self.ast.expr_count(), "expression {id:?} out of range");
+        self.exprs[id.0 as usize] += 1;
+        let ast = self.ast;
+        match ast[id] {
+            Expr::Literal(Lit::Str(name), _) | Expr::Ident(name, _) => {
+                assert!((name.0 as usize) < ast.names().len(), "name {name:?} out of range");
+            }
+            Expr::Literal(..) | Expr::This(_) => {}
+            Expr::Field { recv, .. } => self.expr(recv),
+            Expr::Call { recv, args, .. } => {
+                recv.into_iter().for_each(|e| self.expr(e));
+                for &arg in &ast[args] {
+                    self.expr(arg);
+                }
+            }
+            Expr::New { args, .. } => {
+                for &arg in &ast[args] {
+                    self.expr(arg);
+                }
+            }
+            Expr::Binary { lhs, rhs, .. } => {
+                self.expr(lhs);
+                self.expr(rhs);
+            }
+            Expr::Unary { expr, .. } | Expr::InstanceOf { expr, .. } => self.expr(expr),
+        }
+    }
+}
+
+/// Every id and child run of a parsed file is in range, and every
+/// statement and expression is reachable exactly once from the items:
+/// no node is shared, and none is left dead (an expression turned into an
+/// assignment target leaves nothing behind).
+fn check_layout(ast: &wasabi::lang::ast::Ast, what: &str) {
+    let mut check = LayoutCheck {
+        ast,
+        stmts: vec![0; ast.stmt_count()],
+        exprs: vec![0; ast.expr_count()],
+    };
+    for class in ast.classes() {
+        for field in &ast[class.fields] {
+            field.init.into_iter().for_each(|e| check.expr(e));
+        }
+        for method in &ast[class.methods] {
+            for &name in ast[method.params].iter().chain(&ast[method.throws]) {
+                assert!((name.0 as usize) < ast.names().len(), "{what}: name out of range");
+            }
+            check.block(&method.body);
+        }
+    }
+    let bad_stmt = check.stmts.iter().position(|&n| n != 1);
+    let bad_expr = check.exprs.iter().position(|&n| n != 1);
+    assert_eq!(bad_stmt, None, "{what}: a statement is not reached exactly once");
+    assert_eq!(bad_expr, None, "{what}: an expression is not reached exactly once");
+}
+
+#[test]
+fn flat_ast_nodes_are_in_range_and_reachable_once() {
+    use wasabi::corpus::spec::{paper_apps, Scale};
+    use wasabi::corpus::synth::{append_policy_seeds, generate_app_with_amp};
+    use wasabi::lang::parser::parse_file;
+    for case in 0..128u64 {
+        let mut rng = Rng::new(0x1a_7000 + case);
+        let source = gen_file(&mut rng);
+        let ast = parse_file(&source).expect("generated source parses");
+        check_layout(&ast, &format!("case {case}"));
+    }
+    // Assignments to fields and locals in every header position.
+    let ast = parse_file(
+        "class C { field f = this.g(1).h; method m(o) { this.f = 1; (o.p).q = (2); x = 3; \
+         for (i = 0; i < 3; o.n = i) { } for (var j = 0; ; j = j + 1) { break; } } }",
+    )
+    .expect("parses");
+    check_layout(&ast, "assignment targets");
+    for spec in paper_apps() {
+        let mut app = generate_app_with_amp(&spec, Scale::Small);
+        append_policy_seeds(&mut app);
+        for (path, source) in &app.files {
+            let ast = parse_file(source).unwrap_or_else(|e| panic!("{path}: {e}"));
+            check_layout(&ast, path);
+        }
     }
 }
 
@@ -178,14 +388,16 @@ fn gen_literal(rng: &mut Rng) -> String {
 fn string_literals(source: &str) -> Vec<String> {
     use wasabi::lang::lexer::Lexer;
     use wasabi::lang::token::TokenKind;
-    Lexer::tokenize(source)
-        .unwrap_or_else(|e| panic!("{e}\n{source}"))
-        .into_iter()
-        .filter_map(|token| match token.kind {
-            TokenKind::Str(value) => Some(value),
-            _ => None,
-        })
-        .collect()
+    let mut lexer = Lexer::new(source);
+    let mut values = Vec::new();
+    loop {
+        let token = lexer.next_token().unwrap_or_else(|e| panic!("{e}\n{source}"));
+        match token.kind {
+            TokenKind::Str(value) => values.push(lexer.names().get(value).to_string()),
+            TokenKind::Eof => return values,
+            _ => {}
+        }
+    }
 }
 
 /// A literal holding arbitrary UTF-8 lexes to exactly its value, and
@@ -212,8 +424,8 @@ fn string_literals_survive_print_and_parse() {
         );
         let expected = vec![value.clone(); 3];
         assert_eq!(string_literals(&source), expected, "[case {case}] lexed {value:?}");
-        let items = parse_file(&source).unwrap_or_else(|e| panic!("[case {case}] {e}"));
-        let printed = print_items(&items);
+        let ast = parse_file(&source).unwrap_or_else(|e| panic!("[case {case}] {e}"));
+        let printed = print_items(&ast);
         assert_eq!(string_literals(&printed), expected, "[case {case}] printed:\n{printed}");
         let reparsed = parse_file(&printed).unwrap_or_else(|e| panic!("[case {case}] {e}"));
         assert_eq!(print_items(&reparsed), printed, "[case {case}] printer not a fixed point");
@@ -225,16 +437,14 @@ fn string_literals_survive_print_and_parse() {
 #[test]
 fn cfg_structural_invariants() {
     use wasabi::analysis::cfg::Cfg;
-    use wasabi::lang::ast::Item;
     use wasabi::lang::parser::parse_file;
     for case in 0..128u64 {
         let mut rng = Rng::new(0xcf9_0000 + case);
         let source = gen_file(&mut rng);
-        let items = parse_file(&source).expect("generated source parses");
-        for item in &items {
-            let Item::Class(class) = item else { continue };
-            for method in &class.methods {
-                let cfg = Cfg::build(&method.body);
+        let ast = parse_file(&source).expect("generated source parses");
+        for class in ast.classes() {
+            for method in &ast[class.methods] {
+                let cfg = Cfg::build(&ast, &method.body);
                 let blocks = cfg.blocks.len();
                 let mut headers = std::collections::HashSet::new();
                 for block in &cfg.blocks {
@@ -333,19 +543,19 @@ fn interner_roundtrip_and_idempotence() {
 // assignment, if/while, and wrapping arithmetic.
 mod reference {
     use std::collections::HashMap;
-    use wasabi::lang::ast::{BinOp, Block, Expr, Literal, Stmt};
+    use wasabi::lang::ast::{Ast, BinOp, Block, ExprId, Expr, LValue, Lit, Stmt, UnOp};
 
-    pub fn eval(env: &mut HashMap<String, i64>, expr: &Expr) -> i64 {
-        match expr {
-            Expr::Literal(Literal::Int(v), _) => *v,
+    pub fn eval(ast: &Ast, env: &mut HashMap<String, i64>, expr: ExprId) -> i64 {
+        match ast[expr] {
+            Expr::Literal(Lit::Int(v), _) => v,
             Expr::Unary {
-                op: wasabi::lang::ast::UnOp::Neg,
+                op: UnOp::Neg,
                 expr,
                 ..
-            } => eval(env, expr).wrapping_neg(),
-            Expr::Ident(name, _) => env[name.as_str()],
+            } => eval(ast, env, expr).wrapping_neg(),
+            Expr::Ident(name, _) => env[&ast[name]],
             Expr::Binary { op, lhs, rhs, .. } => {
-                let (a, b) = (eval(env, lhs), eval(env, rhs));
+                let (a, b) = (eval(ast, env, lhs), eval(ast, env, rhs));
                 match op {
                     BinOp::Add => a.wrapping_add(b),
                     BinOp::Sub => a.wrapping_sub(b),
@@ -357,10 +567,10 @@ mod reference {
         }
     }
 
-    pub fn eval_cond(env: &mut HashMap<String, i64>, expr: &Expr) -> bool {
-        match expr {
+    pub fn eval_cond(ast: &Ast, env: &mut HashMap<String, i64>, expr: ExprId) -> bool {
+        match ast[expr] {
             Expr::Binary { op, lhs, rhs, .. } => {
-                let (a, b) = (eval(env, lhs), eval(env, rhs));
+                let (a, b) = (eval(ast, env, lhs), eval(ast, env, rhs));
                 match op {
                     BinOp::Lt => a < b,
                     BinOp::LtEq => a <= b,
@@ -376,18 +586,18 @@ mod reference {
     }
 
     /// Executes a block; returns `Some(value)` when a `return` fired.
-    pub fn exec(env: &mut HashMap<String, i64>, block: &Block) -> Option<i64> {
-        for stmt in &block.stmts {
-            match stmt {
+    pub fn exec(ast: &Ast, env: &mut HashMap<String, i64>, block: &Block) -> Option<i64> {
+        for stmt in ast.stmts_in(block) {
+            match *stmt {
                 Stmt::Var { name, init, .. } => {
-                    let value = eval(env, init);
-                    env.insert(name.clone(), value);
+                    let value = eval(ast, env, init);
+                    env.insert(ast[name].to_string(), value);
                 }
                 Stmt::Assign { target, value, .. } => {
-                    let value = eval(env, value);
+                    let value = eval(ast, env, value);
                     match target {
-                        wasabi::lang::ast::LValue::Var(name, _) => {
-                            env.insert(name.clone(), value);
+                        LValue::Var(name, _) => {
+                            env.insert(ast[name].to_string(), value);
                         }
                         other => panic!("reference: unexpected lvalue {other:?}"),
                     }
@@ -398,24 +608,24 @@ mod reference {
                     else_blk,
                     ..
                 } => {
-                    if eval_cond(env, cond) {
-                        if let Some(v) = exec(env, then_blk) {
+                    if eval_cond(ast, env, cond) {
+                        if let Some(v) = exec(ast, env, &then_blk) {
                             return Some(v);
                         }
                     } else if let Some(else_blk) = else_blk {
-                        if let Some(v) = exec(env, else_blk) {
+                        if let Some(v) = exec(ast, env, &else_blk) {
                             return Some(v);
                         }
                     }
                 }
                 Stmt::While { cond, body, .. } => {
-                    while eval_cond(env, cond) {
-                        if let Some(v) = exec(env, body) {
+                    while eval_cond(ast, env, cond) {
+                        if let Some(v) = exec(ast, env, &body) {
                             return Some(v);
                         }
                     }
                 }
-                Stmt::Return { expr: Some(expr), .. } => return Some(eval(env, expr)),
+                Stmt::Return { expr: Some(expr), .. } => return Some(eval(ast, env, expr)),
                 other => panic!("reference: unexpected stmt {other:?}"),
             }
         }
@@ -503,7 +713,6 @@ fn gen_int_body(rng: &mut Rng, vars: &mut Vec<String>, loops: &mut u32, depth: u
 #[test]
 fn slot_env_matches_reference_hashmap_env() {
     use std::collections::HashMap;
-    use wasabi::lang::ast::Item;
     use wasabi::lang::parser::parse_file;
     use wasabi::lang::project::Project;
     use wasabi::vm::interp::{Interp, InvokeResult, RunLimits};
@@ -526,17 +735,18 @@ fn slot_env_matches_reference_hashmap_env() {
         let source = format!("class P {{\n method run(p0, p1) {{\n{body}return {sum};\n }}\n}}\n");
 
         // Reference: string-keyed environment over the parsed AST.
-        let items = parse_file(&source)
+        let ast = parse_file(&source)
             .unwrap_or_else(|e| panic!("[case {case}] generated source failed to parse: {e}"));
-        let Item::Class(class) = &items[0] else {
-            panic!("[case {case}] expected a class");
-        };
-        let method = &class.methods[0];
+        let class = ast
+            .classes()
+            .next()
+            .unwrap_or_else(|| panic!("[case {case}] expected a class"));
+        let method = &ast[class.methods][0];
         let (a0, a1) = (rng.below(100) as i64, rng.below(100) as i64);
         let mut env: HashMap<String, i64> = HashMap::new();
         env.insert("p0".to_string(), a0);
         env.insert("p1".to_string(), a1);
-        let expected = reference::exec(&mut env, &method.body)
+        let expected = reference::exec(&ast, &mut env, &method.body)
             .unwrap_or_else(|| panic!("[case {case}] reference did not return"));
 
         // Subject: the slot-compiled interpreter.
@@ -665,15 +875,15 @@ fn attempt_interval_over_approximates_vm_attempts() {
         let project = Project::compile("prop", vec![("c.jav", source.clone())])
             .unwrap_or_else(|e| panic!("[case {case}] compile failed: {e:?}\n{source}"));
 
-        let Item::Class(class) = &project.files[0].items[1] else {
+        let file = &project.files[0];
+        let Item::Class(class) = &file.items()[1] else {
             panic!("[case {case}] expected the class item");
         };
-        let method = class
-            .methods
+        let method = file[class.methods]
             .iter()
-            .find(|m| m.name == "run")
+            .find(|m| &file[m.name] == "run")
             .unwrap_or_else(|| panic!("[case {case}] C.run missing"));
-        let abs = analyze_method(&project.index, "C", method);
+        let abs = analyze_method(&project.index, "C", file, method);
         let obs = abs
             .loops
             .values()
@@ -706,7 +916,6 @@ fn absint_is_total_and_well_formed_corpus_wide() {
     use wasabi::analysis::absint::{analyze_method, POS_INF};
     use wasabi::corpus::spec::{paper_apps, Scale};
     use wasabi::corpus::synth::{append_policy_seeds, compile_app, generate_app_with_amp};
-    use wasabi::lang::ast::Item;
 
     let mut loops_seen = 0usize;
     let mut finite_bounds = 0usize;
@@ -714,31 +923,23 @@ fn absint_is_total_and_well_formed_corpus_wide() {
         let mut app = generate_app_with_amp(&spec, Scale::Tiny);
         append_policy_seeds(&mut app);
         let project = compile_app(&app);
-        for file in &project.files {
-            for item in &file.items {
-                let Item::Class(class) = item else { continue };
-                for method in &class.methods {
-                    let abs = analyze_method(&project.index, &class.name, method);
-                    for obs in abs.loops.values() {
-                        loops_seen += 1;
-                        assert!(
-                            obs.attempts.lo <= obs.attempts.hi,
-                            "{}.{}: malformed attempts interval {}",
-                            class.name,
-                            method.name,
-                            obs.attempts
-                        );
-                        if obs.attempts.hi < POS_INF {
-                            finite_bounds += 1;
-                            assert!(
-                                obs.attempts.lo >= 0,
-                                "{}.{}: negative attempt bound {}",
-                                class.name,
-                                method.name,
-                                obs.attempts
-                            );
-                        }
-                    }
+        for (_, file, class, method) in project.all_methods() {
+            let (class, name) = (&file[class.name], &file[method.name]);
+            let abs = analyze_method(&project.index, class, file, method);
+            for obs in abs.loops.values() {
+                loops_seen += 1;
+                assert!(
+                    obs.attempts.lo <= obs.attempts.hi,
+                    "{class}.{name}: malformed attempts interval {}",
+                    obs.attempts
+                );
+                if obs.attempts.hi < POS_INF {
+                    finite_bounds += 1;
+                    assert!(
+                        obs.attempts.lo >= 0,
+                        "{class}.{name}: negative attempt bound {}",
+                        obs.attempts
+                    );
                 }
             }
         }
