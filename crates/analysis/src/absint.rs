@@ -965,20 +965,18 @@ fn additive_step(
     }
 }
 
-/// The literal integer initialiser of a field, if any (the same
-/// convention as the checkers' `static_int`).
-fn field_init_int(index: &ProgramIndex, class: ClassId, name: &str) -> Option<i64> {
+/// The literal integer initialiser of a field, if any: the last
+/// initialiser of its slot along the chain wins (a subclass redeclaration
+/// overrides). Shared with the checkers' `static_int`.
+pub(crate) fn field_init_int(index: &ProgramIndex, class: ClassId, name: &str) -> Option<i64> {
     let def = &index.classes[class.0 as usize];
     let sym = index.interner.lookup(name)?;
     let slot = def.layout.slot(sym)?;
-    def.inits
-        .iter()
-        .rev()
-        .find(|i| i.slot == slot as u32)
-        .and_then(|i| match &i.expr {
-            LExpr::Literal(Literal::Int(n)) => Some(*n),
-            _ => None,
-        })
+    let init = def.inits.iter().rev().find(|i| i.slot == slot as u32)?;
+    match index[init.expr] {
+        LExpr::Literal(Lit::Int(n)) => Some(n),
+        _ => None,
+    }
 }
 
 fn join_env(a: Env, b: Env) -> Env {

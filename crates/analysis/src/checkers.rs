@@ -39,7 +39,7 @@
 //! chain; may-facts (throws, sleeps) use the full may-target sets.
 
 use crate::absint::{self, MethodAbs};
-use crate::callgraph::CallGraph;
+use crate::callgraph::{sort_dedup_tail, CallGraph};
 use crate::cfg::{Atom, Cfg};
 use crate::diag::{sort_diagnostics, Diagnostic, Severity};
 use crate::idx;
@@ -50,7 +50,7 @@ use crate::resolve::{LoopSite, ProjectIndex};
 use crate::summaries::{AttemptBound, MethodSummary, Summaries};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use wasabi_lang::ast::{Ast, BinOp, Block, Expr, ExprId, Lit, Literal, Stmt};
-use wasabi_lang::index::{ClassId, ExcId, LExpr, ProgramIndex};
+use wasabi_lang::index::{ExcId, ProgramIndex};
 use wasabi_lang::project::{CallSite, Project};
 
 /// Options for a lint run.
@@ -129,21 +129,7 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
     local_retry.sort_by_key(|&(m, _)| m);
     let summaries = Summaries::compute(project, &cg, &local_retry, options.jobs);
 
-    // Unique-target adjacency for amplification chains.
-    let precise: Vec<Vec<u32>> = cg
-        .calls
-        .iter()
-        .map(|calls| {
-            let mut out: Vec<u32> = calls
-                .iter()
-                .filter(|c| c.targets.len() == 1)
-                .map(|c| c.targets[0])
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            out
-        })
-        .collect();
+    let precise = Precise::build(&cg);
 
     let lattice = ExcLattice::build(index);
     let mut diags = Vec::new();
@@ -163,11 +149,6 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
         let cfg = cfgs
             .entry(key)
             .or_insert_with(|| Cfg::build(site.ast, &site.method.body));
-        let site_targets: HashMap<CallSite, &[u32]> = cg.calls[idx(midx, "coordinator method")]
-            .iter()
-            .map(|c| (c.site, c.targets.as_slice()))
-            .collect();
-
         // Atoms inside the loop: delay evidence, retried-call targets.
         let mut has_delay = false;
         let mut loop_calls: Vec<CallSite> = Vec::new();
@@ -180,7 +161,7 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
                             file: rl.file,
                             call: *id,
                         };
-                        if let Some(targets) = site_targets.get(&call_site) {
+                        if let Some(targets) = cg.targets_at(midx, call_site) {
                             if targets
                                 .iter()
                                 .any(|&t| summaries.methods[idx(t, "callee method")].may_sleep)
@@ -195,7 +176,13 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
             }
         }
         let has_cap = loop_has_cap(site.ast, site.stmt)
-            || helper_cap(site.ast, site.stmt, rl.file, &site_targets, &summaries);
+            || helper_cap(
+                site.ast,
+                site.stmt,
+                rl.file,
+                |site| cg.targets_at(midx, site),
+                &summaries,
+            );
         let anchor = || anchor_at(project, rl);
 
         if !has_cap {
@@ -312,11 +299,11 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
             .filter_map(|(_, ty)| index.exc_by_name(ty))
             .collect();
         let mut reported: BTreeSet<ExcId> = BTreeSet::new();
-        for call_site in &loop_calls {
-            let Some(targets) = site_targets.get(call_site) else {
+        for &call_site in &loop_calls {
+            let Some(targets) = cg.targets_at(midx, call_site) else {
                 continue;
             };
-            for &t in *targets {
+            for &t in targets {
                 for &exc in &summaries.methods[idx(t, "callee method")].may_throw {
                     let covered = catch_ids.iter().any(|&c| {
                         index.is_exc_subtype(exc, c) || index.is_exc_subtype(c, exc)
@@ -338,8 +325,8 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
         // A001 (cross-method): a call inside the loop reaches a method
         // with its own retry loop.
         let mut amplified: BTreeSet<u32> = BTreeSet::new();
-        for call_site in &loop_calls {
-            let Some(targets) = site_targets.get(call_site) else {
+        for &call_site in &loop_calls {
+            let Some(targets) = cg.targets_at(midx, call_site) else {
                 continue;
             };
             // Chains demand unique resolution at every hop, including
@@ -529,6 +516,35 @@ fn anchor_at(project: &Project, rl: &RetryLoop) -> (String, u32, u32) {
     (file.path.clone(), pos.line, pos.col)
 }
 
+/// Unique-target adjacency for amplification chains: per method, the
+/// targets of its calls that resolve to exactly one method, sorted and
+/// deduped.
+struct Precise {
+    /// `targets[start[m]..start[m + 1]]`.
+    start: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Precise {
+    fn build(cg: &CallGraph) -> Precise {
+        let mut start = Vec::with_capacity(cg.len() + 1);
+        let mut targets = Vec::new();
+        start.push(0);
+        for m in 0..cg.len() as u32 {
+            let first = targets.len();
+            targets.extend(cg.calls(m).filter(|c| c.targets.len() == 1).map(|c| c.targets[0]));
+            sort_dedup_tail(&mut targets, first);
+            start.push(targets.len() as u32);
+        }
+        Precise { start, targets }
+    }
+
+    fn of(&self, m: u32) -> &[u32] {
+        let m = idx(m, "method");
+        &self.targets[self.start[m] as usize..self.start[m + 1] as usize]
+    }
+}
+
 /// Breadth-first search for retrying methods reachable from `start`
 /// through unique-target calls, stopping at the first retrying method on
 /// each path. Returns `(method, chain-from-start)` pairs in ascending
@@ -536,7 +552,7 @@ fn anchor_at(project: &Project, rl: &RetryLoop) -> (String, u32, u32) {
 fn reachable_retries(
     start: u32,
     origin: u32,
-    precise: &[Vec<u32>],
+    precise: &Precise,
     summaries: &[MethodSummary],
 ) -> Vec<(u32, Vec<u32>)> {
     let mut out = Vec::new();
@@ -550,7 +566,7 @@ fn reachable_retries(
             // Deeper nesting is that method's own finding.
             continue;
         }
-        for &next in &precise[idx(m, "method summary")] {
+        for &next in precise.of(m) {
             if next == origin || !seen.insert(next) {
                 continue;
             }
@@ -566,11 +582,11 @@ fn reachable_retries(
 /// Whether the loop's exit test delegates the cap comparison to a helper:
 /// `if (this.policy.exceeded(n)) { throw ... }` counts when the helper's
 /// body contains a comparison.
-fn helper_cap(
+fn helper_cap<'g>(
     ast: &Ast,
     loop_stmt: &Stmt,
     file: wasabi_lang::project::FileId,
-    site_targets: &HashMap<CallSite, &[u32]>,
+    site_targets: impl Fn(CallSite) -> Option<&'g [u32]>,
     summaries: &Summaries,
 ) -> bool {
     let body = match loop_stmt {
@@ -586,7 +602,7 @@ fn helper_cap(
                 ast.walk_expr(*cond, &mut |e| {
                     if let Expr::Call { id, .. } = e {
                         let call_site = CallSite { file, call: *id };
-                        if let Some(targets) = site_targets.get(&call_site) {
+                        if let Some(targets) = site_targets(call_site) {
                             if targets
                                 .iter()
                                 .any(|&t| summaries.methods[idx(t, "callee method")].has_comparison)
@@ -714,7 +730,7 @@ fn static_int(index: &ProgramIndex, class: &str, ast: &Ast, expr: ExprId) -> Opt
     match ast[expr] {
         Expr::Literal(Lit::Int(n), _) => Some(n),
         Expr::Field { recv, name, .. } if matches!(ast[recv], Expr::This(_)) => {
-            field_int(index, index.class_by_name(class)?, &ast[name])
+            absint::field_init_int(index, index.class_by_name(class)?, &ast[name])
         }
         Expr::Call { method, args, .. } if &ast[method] == "getConfig" && args.len() == 1 => {
             let Expr::Literal(Lit::Str(key), _) = ast[ast[args][0]] else {
@@ -728,22 +744,6 @@ fn static_int(index: &ProgramIndex, class: &str, ast: &Ast, expr: ExprId) -> Opt
         }
         _ => None,
     }
-}
-
-/// The literal integer initialiser of a field, if any.
-fn field_int(index: &ProgramIndex, class: ClassId, name: &str) -> Option<i64> {
-    let def = &index.classes[idx(class.0, "class")];
-    let sym = index.interner.lookup(name)?;
-    let slot = def.layout.slot(sym)?;
-    // Last initialiser for the slot wins (subclass overrides).
-    def.inits
-        .iter()
-        .rev()
-        .find(|i| i.slot == slot as u32)
-        .and_then(|i| match &i.expr {
-            LExpr::Literal(Literal::Int(n)) => Some(*n),
-            _ => None,
-        })
 }
 
 #[cfg(test)]

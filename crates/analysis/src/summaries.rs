@@ -17,6 +17,12 @@
 //!   transitively calls) contains a retry loop, and the local loop's
 //!   attempt bound when it does.
 //!
+//! Each transfer walks the lowered body once, with a cursor over the
+//! method's calls in the [`CallGraph`]: the graph lists them in the order
+//! this walk meets them, so every call expression finds its targets
+//! without a lookup. A component of one method that does not call itself
+//! reads no summary of its own component, so one transfer is final for it.
+//!
 //! # Determinism
 //!
 //! Components are processed level by level over the condensation DAG
@@ -28,12 +34,12 @@
 //! therefore compute identical values in any interleaving — `--jobs 1`
 //! and `--jobs 4` produce byte-identical summaries.
 
-use crate::callgraph::{sccs, CallGraph, ResolvedCall};
+use crate::callgraph::{sccs, CallGraph, Calls, Sccs};
 use crate::idx;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use wasabi_lang::ast::BinOp;
-use wasabi_lang::index::{ExcId, LExpr, LStmt, ProgramIndex, Slot};
-use wasabi_lang::project::{CallSite, Project};
+use wasabi_lang::index::{ExcId, LBlock, LExpr, LExprId, LStmt, ProgramIndex, Slot};
+use wasabi_lang::project::Project;
 
 /// Worst-case attempt bound of a retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,15 +125,15 @@ impl Summaries {
             });
         }
 
-        let scc = sccs(&cg.callees);
+        let scc = sccs(cg);
         // Level = longest path to a leaf component. Components arrive in
         // reverse topological order, so every callee component has a
         // smaller index and its level is already final.
-        let mut levels = vec![0u32; scc.components.len()];
-        for (ci, members) in scc.components.iter().enumerate() {
+        let mut levels = vec![0u32; scc.len()];
+        for ci in 0..scc.len() {
             let mut level = 0;
-            for &m in members {
-                for &callee in &cg.callees[idx(m, "scc member")] {
+            for &m in scc.component(ci) {
+                for &callee in cg.callees(m) {
                     let cc = idx(scc.component_of[idx(callee, "callee method")], "component");
                     if cc != ci {
                         level = level.max(levels[cc] + 1);
@@ -136,39 +142,34 @@ impl Summaries {
             }
             levels[ci] = level;
         }
-        let max_level = levels.iter().copied().max().unwrap_or(0);
-        let mut by_level: Vec<Vec<usize>> = vec![Vec::new(); idx(max_level, "scc level") + 1];
-        for (ci, &level) in levels.iter().enumerate() {
-            by_level[idx(level, "scc level")].push(ci);
-        }
+        // Components by level, ascending within each.
+        let mut by_level: Vec<u32> = (0..scc.len() as u32).collect();
+        by_level.sort_by_key(|&ci| levels[idx(ci, "component")]);
 
+        let solver = Solver {
+            index,
+            cg,
+            scc: &scc,
+            retry_bounds: &retry_bounds,
+            // The top exception type, for rethrown values that cannot be
+            // typed.
+            throwable: index.exc_by_name("Throwable"),
+        };
         let mut methods: Vec<MethodSummary> = vec![MethodSummary::default(); n];
         let jobs = jobs.max(1);
-        for level in &by_level {
-            if level.is_empty() {
-                continue;
-            }
+        let level_of = |ci: u32| levels[idx(ci, "component")];
+        for level in by_level.chunk_by(|&a, &b| level_of(a) == level_of(b)) {
             let chunk = level.len().div_ceil(jobs);
             let results: Vec<(u32, MethodSummary)> = if jobs == 1 || level.len() == 1 {
-                solve_components(index, cg, &scc.components, level, &retry_bounds, &methods)
+                solver.solve(level, &methods)
             } else {
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = level
                         .chunks(chunk)
                         .map(|part| {
                             let methods = &methods;
-                            let retry_bounds = &retry_bounds;
-                            let components = &scc.components;
-                            scope.spawn(move || {
-                                solve_components(
-                                    index,
-                                    cg,
-                                    components,
-                                    part,
-                                    retry_bounds,
-                                    methods,
-                                )
-                            })
+                            let solver = &solver;
+                            scope.spawn(move || solver.solve(part, methods))
                         })
                         .collect();
                     let mut out = Vec::new();
@@ -184,15 +185,6 @@ impl Summaries {
         }
         Summaries { methods }
     }
-
-    /// Union of the may-throw sets of a call's targets.
-    pub fn targets_may_throw(&self, call: &ResolvedCall) -> BTreeSet<ExcId> {
-        let mut out = BTreeSet::new();
-        for &t in &call.targets {
-            out.extend(self.methods[idx(t, "call target")].may_throw.iter().copied());
-        }
-        out
-    }
 }
 
 impl AttemptBound {
@@ -206,159 +198,160 @@ impl AttemptBound {
     }
 }
 
-/// Solves the fixpoint for a slice of same-level components. Only reads
-/// `finalized` entries from strictly lower levels (plus the local overlay
-/// for in-component recursion), so the result is independent of how
-/// components are distributed across workers.
-fn solve_components(
-    index: &ProgramIndex,
-    cg: &CallGraph,
-    components: &[Vec<u32>],
-    which: &[usize],
-    retry_bounds: &[Option<AttemptBound>],
-    finalized: &[MethodSummary],
-) -> Vec<(u32, MethodSummary)> {
-    let mut out = Vec::new();
-    for &ci in which {
-        let members = &components[ci];
-        let mut overlay: HashMap<u32, MethodSummary> = members
-            .iter()
-            .map(|&m| (m, MethodSummary::default()))
-            .collect();
-        loop {
-            let mut changed = false;
-            for &m in members {
-                let next = transfer(index, cg, m, retry_bounds, finalized, &overlay);
-                let current = overlay.get_mut(&m).expect("overlay member");
-                if *current != next {
-                    *current = next;
-                    changed = true;
+/// What every transfer reads besides the summaries.
+struct Solver<'a> {
+    index: &'a ProgramIndex,
+    cg: &'a CallGraph,
+    scc: &'a Sccs,
+    retry_bounds: &'a [Option<AttemptBound>],
+    throwable: Option<ExcId>,
+}
+
+/// The walker's stacks, reused from one transfer to the next.
+#[derive(Default)]
+struct Scratch {
+    /// Catch-clause types protecting the current position, innermost
+    /// last.
+    handlers: Vec<ExcId>,
+    /// Catch-binding slots in scope, innermost last, for typing `throw e;`
+    /// rethrows.
+    bindings: Vec<(Slot, ExcId)>,
+}
+
+impl Solver<'_> {
+    /// Solves the fixpoint for a slice of same-level components. Only
+    /// reads `finalized` entries from strictly lower levels (plus the
+    /// component's own summaries for in-component recursion), so the result
+    /// is independent of how components are distributed across workers.
+    fn solve(&self, which: &[u32], finalized: &[MethodSummary]) -> Vec<(u32, MethodSummary)> {
+        let mut out: Vec<(u32, MethodSummary)> = Vec::new();
+        let mut scratch = Scratch::default();
+        for &ci in which {
+            let members = self.scc.component(idx(ci, "component"));
+            let first = out.len();
+            out.extend(members.iter().map(|&m| (m, MethodSummary::default())));
+            let recursive =
+                members.len() > 1 || self.cg.callees(members[0]).binary_search(&members[0]).is_ok();
+            loop {
+                let mut changed = false;
+                for (i, &m) in members.iter().enumerate() {
+                    let next = self.transfer(m, finalized, &out[first..], &mut scratch);
+                    if out[first + i].1 != next {
+                        out[first + i].1 = next;
+                        changed = true;
+                    }
+                }
+                if !changed || !recursive {
+                    break;
                 }
             }
-            if !changed {
-                break;
-            }
         }
-        for &m in members {
-            out.push((m, overlay.remove(&m).expect("overlay member")));
-        }
+        out
     }
-    out
-}
 
-/// One application of the summary transfer function for method `midx`.
-fn transfer(
-    index: &ProgramIndex,
-    cg: &CallGraph,
-    midx: u32,
-    retry_bounds: &[Option<AttemptBound>],
-    finalized: &[MethodSummary],
-    overlay: &HashMap<u32, MethodSummary>,
-) -> MethodSummary {
-    let method = &index.methods[idx(midx, "method")];
-    let call_targets: HashMap<CallSite, &[u32]> = cg.calls[idx(midx, "method")]
-        .iter()
-        .map(|c| (c.site, c.targets.as_slice()))
-        .collect();
-    let mut walker = BodyWalker {
-        index,
-        overlay,
-        finalized,
-        call_targets: &call_targets,
-        handlers: Vec::new(),
-        bindings: HashMap::new(),
-        may_throw: method.throws.iter().copied().collect(),
-        may_sleep: false,
-        may_retry: false,
-        has_comparison: false,
-    };
-    walker.stmts(&method.body);
-    let attempts = retry_bounds[idx(midx, "method")];
-    MethodSummary {
-        may_throw: walker.may_throw,
-        may_sleep: walker.may_sleep,
-        has_retry_loop: attempts.is_some(),
-        may_retry: attempts.is_some() || walker.may_retry,
-        attempts,
-        has_comparison: walker.has_comparison,
+    /// One application of the summary transfer function for method `midx`.
+    /// `component` holds the current summaries of its component, sorted by
+    /// method.
+    fn transfer(
+        &self,
+        midx: u32,
+        finalized: &[MethodSummary],
+        component: &[(u32, MethodSummary)],
+        scratch: &mut Scratch,
+    ) -> MethodSummary {
+        let method = &self.index.methods[idx(midx, "method")];
+        let mut walker = BodyWalker {
+            index: self.index,
+            component,
+            finalized,
+            calls: self.cg.calls(midx),
+            throwable: self.throwable,
+            scratch,
+            may_throw: method.throws.iter().copied().collect(),
+            may_sleep: false,
+            may_retry: false,
+            has_comparison: false,
+        };
+        walker.block(method.body);
+        debug_assert!(walker.calls.next().is_none(), "the walk met every call");
+        let attempts = self.retry_bounds[idx(midx, "method")];
+        MethodSummary {
+            may_throw: walker.may_throw,
+            may_sleep: walker.may_sleep,
+            has_retry_loop: attempts.is_some(),
+            may_retry: attempts.is_some() || walker.may_retry,
+            attempts,
+            has_comparison: walker.has_comparison,
+        }
     }
 }
 
-struct BodyWalker<'a> {
+struct BodyWalker<'a, 's> {
     index: &'a ProgramIndex,
-    overlay: &'a HashMap<u32, MethodSummary>,
+    component: &'a [(u32, MethodSummary)],
     finalized: &'a [MethodSummary],
-    call_targets: &'a HashMap<CallSite, &'a [u32]>,
-    /// Stack of enclosing catch-clause type lists (innermost last); only
-    /// the clauses protecting the *current* position are on the stack.
-    handlers: Vec<Vec<ExcId>>,
-    /// Catch-binding slots in scope, for typing `throw e;` rethrows.
-    bindings: HashMap<Slot, ExcId>,
+    /// The method's calls not yet met, in walk order.
+    calls: Calls<'a>,
+    throwable: Option<ExcId>,
+    scratch: &'s mut Scratch,
     may_throw: BTreeSet<ExcId>,
     may_sleep: bool,
     may_retry: bool,
     has_comparison: bool,
 }
 
-impl<'a> BodyWalker<'a> {
-    /// The current summary of method `m`: in-component overlay first,
-    /// else the finalized lower-level result.
-    fn summary_of(&self, m: u32) -> &MethodSummary {
-        self.overlay.get(&m).unwrap_or(&self.finalized[idx(m, "method")])
+impl<'a> BodyWalker<'a, '_> {
+    /// The current summary of method `m`: its component's first, else the
+    /// finalized lower-level result.
+    fn summary_of(&self, m: u32) -> &'a MethodSummary {
+        let component = self.component;
+        match component.binary_search_by_key(&m, |&(member, _)| member) {
+            Ok(i) => &component[i].1,
+            Err(_) => &self.finalized[idx(m, "method")],
+        }
     }
 
     /// Records that exception `exc` is raised at the current position; it
     /// escapes unless an enclosing catch clause covers it.
     fn raise(&mut self, exc: ExcId) {
         let handled = self
+            .scratch
             .handlers
             .iter()
-            .flatten()
             .any(|&h| self.index.is_exc_subtype(exc, h));
         if !handled {
             self.may_throw.insert(exc);
         }
     }
 
-    /// The top exception type, used when a rethrown value cannot be typed.
-    fn throwable(&self) -> Option<ExcId> {
-        self.index.exc_by_name("Throwable")
-    }
-
-    fn expr(&mut self, expr: &LExpr) {
-        match expr {
+    fn expr(&mut self, expr: LExprId) {
+        let index = self.index;
+        match index[expr] {
             LExpr::Call {
                 site, recv, args, ..
             } => {
                 if let Some(r) = recv {
                     self.expr(r);
                 }
-                for a in args {
+                for &a in &index[args] {
                     self.expr(a);
                 }
-                if let Some(targets) = self.call_targets.get(site) {
-                    let mut thrown: Vec<ExcId> = Vec::new();
-                    let mut sleeps = false;
-                    let mut retries = false;
-                    for &t in *targets {
-                        let summary = self.summary_of(t);
-                        sleeps |= summary.may_sleep;
-                        retries |= summary.may_retry;
-                        thrown.extend(summary.may_throw.iter().copied());
-                    }
-                    self.may_sleep |= sleeps;
-                    self.may_retry |= retries;
-                    for exc in thrown {
+                let call = self.calls.next().expect("the call graph lists every call");
+                debug_assert_eq!(call.site, site, "calls are met in graph order");
+                for &t in call.targets {
+                    let summary = self.summary_of(t);
+                    self.may_sleep |= summary.may_sleep;
+                    self.may_retry |= summary.may_retry;
+                    for &exc in &summary.may_throw {
                         self.raise(exc);
                     }
                 }
             }
-            LExpr::Field { recv, .. } => self.expr(recv),
             LExpr::GlobalCall { args, .. }
             | LExpr::NewExc { args, .. }
             | LExpr::NewObj { args, .. }
             | LExpr::NewUnknown { args, .. } => {
-                for a in args {
+                for &a in &index[args] {
                     self.expr(a);
                 }
             }
@@ -369,127 +362,134 @@ impl<'a> BodyWalker<'a> {
                 self.expr(lhs);
                 self.expr(rhs);
             }
-            LExpr::Unary { expr, .. } | LExpr::InstanceOf { expr, .. } => self.expr(expr),
+            LExpr::Field { recv: expr, .. }
+            | LExpr::Unary { expr, .. }
+            | LExpr::InstanceOf { expr, .. } => self.expr(expr),
             LExpr::Literal(_) | LExpr::Local { .. } | LExpr::ImplicitField { .. } | LExpr::This => {
             }
         }
     }
 
-    fn stmts(&mut self, stmts: &[LStmt]) {
-        for stmt in stmts {
-            match stmt {
-                LStmt::Var { init, .. } => self.expr(init),
-                LStmt::AssignLocal { value, .. } => self.expr(value),
-                LStmt::AssignField { recv, value, .. } => {
-                    self.expr(recv);
-                    self.expr(value);
-                }
-                LStmt::If {
-                    cond,
-                    then_blk,
-                    else_blk,
-                } => {
-                    self.expr(cond);
-                    self.stmts(then_blk);
-                    if let Some(e) = else_blk {
-                        self.stmts(e);
-                    }
-                }
-                LStmt::While { cond, body } => {
-                    self.expr(cond);
-                    self.stmts(body);
-                }
-                LStmt::For {
-                    init,
-                    cond,
-                    update,
-                    body,
-                } => {
-                    if let Some(i) = init {
-                        self.stmts(std::slice::from_ref(i));
-                    }
-                    if let Some(c) = cond {
-                        self.expr(c);
-                    }
-                    if let Some(u) = update {
-                        self.stmts(std::slice::from_ref(u));
-                    }
-                    self.stmts(body);
-                }
-                LStmt::Switch {
-                    scrutinee,
-                    cases,
-                    default,
-                } => {
-                    self.expr(scrutinee);
-                    for (_, body) in cases {
-                        self.stmts(body);
-                    }
-                    if let Some(d) = default {
-                        self.stmts(d);
-                    }
-                }
-                LStmt::Try {
-                    body,
-                    catches,
-                    finally,
-                } => {
-                    // The protected body runs under this try's clauses.
-                    self.handlers
-                        .push(catches.iter().map(|c| c.exc).collect());
-                    self.stmts(body);
-                    self.handlers.pop();
-                    // Catch bodies run under the *outer* context only; the
-                    // binding slot types rethrows inside the body.
-                    for c in catches {
-                        let shadowed = self.bindings.insert(c.binding, c.exc);
-                        self.stmts(&c.body);
-                        match shadowed {
-                            Some(prev) => {
-                                self.bindings.insert(c.binding, prev);
-                            }
-                            None => {
-                                self.bindings.remove(&c.binding);
-                            }
-                        }
-                    }
-                    if let Some(f) = finally {
-                        self.stmts(f);
-                    }
-                }
-                LStmt::Throw { expr } => {
-                    self.expr(expr);
-                    let raised = match expr {
-                        LExpr::NewExc { exc, .. } => Some(*exc),
-                        LExpr::Local { slot, .. } => self
-                            .bindings
-                            .get(slot)
-                            .copied()
-                            .or_else(|| self.throwable()),
-                        _ => self.throwable(),
-                    };
-                    if let Some(exc) = raised {
-                        self.raise(exc);
-                    }
-                }
-                LStmt::Return { expr } => {
-                    if let Some(e) = expr {
-                        self.expr(e);
-                    }
-                }
-                LStmt::Sleep { ms } => {
-                    self.expr(ms);
-                    self.may_sleep = true;
-                }
-                LStmt::Log { expr } | LStmt::Expr { expr } => self.expr(expr),
-                LStmt::Assert { cond, msg } => {
-                    self.expr(cond);
-                    if let Some(m) = msg {
-                        self.expr(m);
-                    }
-                }
-                LStmt::Break | LStmt::Continue => {}
+    fn block(&mut self, block: LBlock) {
+        let index = self.index;
+        for &stmt in &index[block] {
+            self.stmt(index[stmt]);
+        }
+    }
+
+    fn stmt(&mut self, stmt: LStmt) {
+        let index = self.index;
+        match stmt {
+            LStmt::Var { init: e, .. }
+            | LStmt::AssignLocal { value: e, .. }
+            | LStmt::Log { expr: e }
+            | LStmt::Expr { expr: e } => self.expr(e),
+            LStmt::AssignField { recv, value, .. } => {
+                self.expr(recv);
+                self.expr(value);
             }
+            LStmt::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                self.expr(cond);
+                self.block(then_blk);
+                if let Some(e) = else_blk {
+                    self.block(e);
+                }
+            }
+            LStmt::While { cond, body } => {
+                self.expr(cond);
+                self.block(body);
+            }
+            LStmt::For {
+                init,
+                cond,
+                update,
+                body,
+            } => {
+                if let Some(i) = init {
+                    self.stmt(index[i]);
+                }
+                if let Some(c) = cond {
+                    self.expr(c);
+                }
+                if let Some(u) = update {
+                    self.stmt(index[u]);
+                }
+                self.block(body);
+            }
+            LStmt::Switch {
+                scrutinee,
+                cases,
+                default,
+            } => {
+                self.expr(scrutinee);
+                for case in &index[cases] {
+                    self.block(case.body);
+                }
+                if let Some(d) = default {
+                    self.block(d);
+                }
+            }
+            LStmt::Try {
+                body,
+                catches,
+                finally,
+            } => {
+                // The protected body runs under this try's clauses.
+                let outer = self.scratch.handlers.len();
+                self.scratch
+                    .handlers
+                    .extend(index[catches].iter().map(|c| c.exc));
+                self.block(body);
+                self.scratch.handlers.truncate(outer);
+                // Catch bodies run under the *outer* context only; the
+                // binding slot types rethrows inside the body.
+                for c in &index[catches] {
+                    self.scratch.bindings.push((c.binding, c.exc));
+                    self.block(c.body);
+                    self.scratch.bindings.pop();
+                }
+                if let Some(f) = finally {
+                    self.block(f);
+                }
+            }
+            LStmt::Throw { expr } => {
+                self.expr(expr);
+                let raised = match index[expr] {
+                    LExpr::NewExc { exc, .. } => Some(exc),
+                    LExpr::Local { slot, .. } => self
+                        .scratch
+                        .bindings
+                        .iter()
+                        .rev()
+                        .find(|&&(binding, _)| binding == slot)
+                        .map(|&(_, exc)| exc)
+                        .or(self.throwable),
+                    _ => self.throwable,
+                };
+                if let Some(exc) = raised {
+                    self.raise(exc);
+                }
+            }
+            LStmt::Return { expr } => {
+                if let Some(e) = expr {
+                    self.expr(e);
+                }
+            }
+            LStmt::Sleep { ms } => {
+                self.expr(ms);
+                self.may_sleep = true;
+            }
+            LStmt::Assert { cond, msg } => {
+                self.expr(cond);
+                if let Some(m) = msg {
+                    self.expr(m);
+                }
+            }
+            LStmt::Break | LStmt::Continue => {}
         }
     }
 }
@@ -590,6 +590,30 @@ mod tests {
         assert!(s.methods[midx(&p, "C", "b")]
             .may_throw
             .contains(&exc(&p, "NetError")));
+    }
+
+    /// The walk meets a call after its receiver and arguments, in the
+    /// call graph's order (the cursor asserts it in debug builds); each
+    /// call's throws then land under the handlers at its own position.
+    #[test]
+    fn the_call_cursor_follows_receivers_and_arguments() {
+        let p = project(
+            "exception NetError;\n\
+             exception DiskError;\n\
+             class C {\n\
+               method a() { throw new NetError(\"a\"); }\n\
+               method b(x) { return x; }\n\
+               method c(y) { throw new DiskError(\"c\"); }\n\
+               method run() {\n\
+                 try { this.a().b(this.c(1)); } catch (NetError e) { log(e); }\n\
+                 return this.a();\n\
+               }\n\
+             }",
+        );
+        let s = summaries(&p, 1);
+        let run = &s.methods[midx(&p, "C", "run")];
+        assert!(run.may_throw.contains(&exc(&p, "DiskError")));
+        assert!(run.may_throw.contains(&exc(&p, "NetError")), "the unprotected call");
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl<T> List<T> {
     }
 
     /// The half-open index range of the run in its list vector.
-    fn range(&self) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
     }
 }

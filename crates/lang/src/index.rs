@@ -25,16 +25,33 @@
 //! (fault messages, traces, fuel accounting) is byte-identical to the
 //! pre-index tree walker.
 //!
+//! The lowered IR is flat, like the AST it comes from: the index owns one
+//! vector per node kind (statements, expressions, the statement and
+//! expression lists that blocks and argument lists are runs of, switch
+//! cases, catch clauses), and the `Copy` nodes refer to one another by
+//! `u32` ids ([`LStmtId`], [`LExprId`], [`List`]); index the
+//! [`ProgramIndex`] with an id to get its node. A method body and a field
+//! initializer are ids too. Every vector is reserved at its exact size up
+//! front — each AST statement and expression lowers to exactly one node,
+//! and a field initializer is lowered once and shared by every subclass
+//! that inherits it — so a whole program's IR is a handful of allocations,
+//! and frees in as many. String literals and the names of undeclared
+//! classes keep their text in one index-wide arena ([`ProgramIndex::text`]),
+//! not in the interner, so they cannot move a symbol's number.
+//!
 //! Each file's names were interned once, per file, when it was lexed. The
 //! builder maps them into the global interner through a per-file
 //! `Name → Symbol` memo, interning a name the first time the walk below
 //! needs it. The walk is the one that used to intern every AST string, in
-//! the same order, so every symbol keeps its number.
+//! the same order, so every symbol keeps its number. Locals resolve through
+//! a dense `Name → Slot` table over the file's names, reset after each
+//! method from the list of names the method touched.
 
-use crate::ast::{Block, Expr, LValue, Literal, MethodDecl, Name, Stmt, UnOp};
+use crate::ast::{Block, Expr, LValue, Lit, List, Literal, MethodDecl, Name, Names, Stmt, UnOp};
 use crate::intern::{Interner, Symbol};
 use crate::project::{CallSite, FileId, SourceFile, SymbolTable};
 use std::collections::HashMap;
+use std::ops::Index;
 use std::sync::Arc;
 
 pub use crate::ast::BinOp;
@@ -93,12 +110,13 @@ impl FieldLayout {
 
 /// A lowered field initializer: evaluated in superclass-chain order during
 /// instantiation, writing into `slot`.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct FieldInit {
     /// Destination field slot.
     pub slot: u32,
-    /// Initializer expression (call sites carry the declaring class's file).
-    pub expr: LExpr,
+    /// Initializer expression (call sites carry the declaring class's
+    /// file); every class in the chain shares the declaring class's node.
+    pub expr: LExprId,
 }
 
 /// One compiled (lowered) method body.
@@ -111,7 +129,7 @@ pub struct CompiledMethod {
     /// Total local slots (parameters included).
     pub n_slots: u32,
     /// Lowered body.
-    pub body: Vec<LStmt>,
+    pub body: LBlock,
     /// Whether this is a `test` method.
     pub is_test: bool,
     /// Declaring class (the class whose `methods` list this body came
@@ -218,6 +236,20 @@ pub struct ProgramIndex {
     class_matrix: Vec<bool>,
     /// Well-known symbols and exception ids.
     pub wk: WellKnown,
+    /// Every lowered statement (`LStmtId` indexes this).
+    stmts: Vec<LStmt>,
+    /// Every lowered expression (`LExprId` indexes this).
+    exprs: Vec<LExpr>,
+    /// Runs of statement ids: blocks.
+    stmt_lists: Vec<LStmtId>,
+    /// Runs of expression ids: argument lists.
+    expr_lists: Vec<LExprId>,
+    /// Runs of switch arms.
+    cases: Vec<LCase>,
+    /// Runs of catch clauses.
+    catches: Vec<LCatch>,
+    /// Text of string literals and of undeclared class names.
+    text: Names,
 }
 
 impl ProgramIndex {
@@ -291,6 +323,148 @@ impl ProgramIndex {
         )
     }
 
+    /// The text of a string literal or undeclared class name in the IR.
+    pub fn text(&self, name: Name) -> &str {
+        self.text.get(name)
+    }
+
+    /// Number of lowered statements.
+    pub fn stmt_count(&self) -> usize {
+        self.stmts.len()
+    }
+
+    /// Number of lowered expressions.
+    pub fn expr_count(&self) -> usize {
+        self.exprs.len()
+    }
+
+    /// Visits every expression of `block` in pre-order: statements in
+    /// order, `for` headers and nested blocks included.
+    pub fn walk_exprs<'a>(&'a self, block: LBlock, visit: &mut dyn FnMut(&'a LExpr)) {
+        for &id in &self[block] {
+            self.stmt_exprs(id, visit);
+        }
+    }
+
+    fn stmt_exprs<'a>(&'a self, stmt: LStmtId, visit: &mut dyn FnMut(&'a LExpr)) {
+        match self[stmt] {
+            LStmt::Var { init: expr, .. }
+            | LStmt::AssignLocal { value: expr, .. }
+            | LStmt::Throw { expr }
+            | LStmt::Log { expr }
+            | LStmt::Expr { expr }
+            | LStmt::Sleep { ms: expr } => self.walk_expr(expr, visit),
+            LStmt::AssignField { recv, value, .. } => {
+                self.walk_expr(recv, visit);
+                self.walk_expr(value, visit);
+            }
+            LStmt::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                self.walk_expr(cond, visit);
+                self.walk_exprs(then_blk, visit);
+                if let Some(else_blk) = else_blk {
+                    self.walk_exprs(else_blk, visit);
+                }
+            }
+            LStmt::While { cond, body } => {
+                self.walk_expr(cond, visit);
+                self.walk_exprs(body, visit);
+            }
+            LStmt::For {
+                init,
+                cond,
+                update,
+                body,
+            } => {
+                if let Some(init) = init {
+                    self.stmt_exprs(init, visit);
+                }
+                if let Some(cond) = cond {
+                    self.walk_expr(cond, visit);
+                }
+                if let Some(update) = update {
+                    self.stmt_exprs(update, visit);
+                }
+                self.walk_exprs(body, visit);
+            }
+            LStmt::Switch {
+                scrutinee,
+                cases,
+                default,
+            } => {
+                self.walk_expr(scrutinee, visit);
+                for case in &self[cases] {
+                    self.walk_exprs(case.body, visit);
+                }
+                if let Some(default) = default {
+                    self.walk_exprs(default, visit);
+                }
+            }
+            LStmt::Try {
+                body,
+                catches,
+                finally,
+            } => {
+                self.walk_exprs(body, visit);
+                for catch in &self[catches] {
+                    self.walk_exprs(catch.body, visit);
+                }
+                if let Some(finally) = finally {
+                    self.walk_exprs(finally, visit);
+                }
+            }
+            LStmt::Return { expr } => {
+                if let Some(expr) = expr {
+                    self.walk_expr(expr, visit);
+                }
+            }
+            LStmt::Assert { cond, msg } => {
+                self.walk_expr(cond, visit);
+                if let Some(msg) = msg {
+                    self.walk_expr(msg, visit);
+                }
+            }
+            LStmt::Break | LStmt::Continue => {}
+        }
+    }
+
+    /// Visits `expr` and all its sub-expressions in pre-order (a call's
+    /// receiver before its arguments).
+    pub fn walk_expr<'a>(&'a self, expr: LExprId, visit: &mut dyn FnMut(&'a LExpr)) {
+        let node = &self[expr];
+        visit(node);
+        match *node {
+            LExpr::Call { recv, args, .. } => {
+                if let Some(recv) = recv {
+                    self.walk_expr(recv, visit);
+                }
+                for &arg in &self[args] {
+                    self.walk_expr(arg, visit);
+                }
+            }
+            LExpr::GlobalCall { args, .. }
+            | LExpr::NewExc { args, .. }
+            | LExpr::NewObj { args, .. }
+            | LExpr::NewUnknown { args, .. } => {
+                for &arg in &self[args] {
+                    self.walk_expr(arg, visit);
+                }
+            }
+            LExpr::Binary { lhs, rhs, .. } => {
+                self.walk_expr(lhs, visit);
+                self.walk_expr(rhs, visit);
+            }
+            LExpr::Field { recv: expr, .. }
+            | LExpr::Unary { expr, .. }
+            | LExpr::InstanceOf { expr, .. } => self.walk_expr(expr, visit),
+            LExpr::Literal(_) | LExpr::Local { .. } | LExpr::ImplicitField { .. } | LExpr::This => {
+            }
+        }
+    }
+
     /// Builds the index for a validated project. Must only be called after
     /// validation succeeded: lowering relies on its invariants (catch and
     /// instanceof types declared, no duplicate methods, known parents).
@@ -308,16 +482,27 @@ fn lookup_sorted<T: Copy>(table: &[(Symbol, T)], sym: Symbol) -> Option<T> {
 
 // ---- Lowered IR ------------------------------------------------------------
 
+/// A lowered statement: an index into the program's statement vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LStmtId(pub u32);
+
+/// A lowered expression: an index into the program's expression vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LExprId(pub u32);
+
+/// A lowered block: a run of statement ids.
+pub type LBlock = List<LStmtId>;
+
 /// A lowered statement. Mirrors [`Stmt`] one-for-one so the interpreter's
 /// control flow (and fuel accounting) is unchanged.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LStmt {
     /// `var name = init;` — always writes the local slot.
     Var {
         /// Destination slot.
         slot: Slot,
         /// Initializer.
-        init: LExpr,
+        init: LExprId,
     },
     /// `name = value;` — dynamic local-or-field resolution (a slot that is
     /// set wins; else an existing `this` field; else first write creates
@@ -328,71 +513,71 @@ pub enum LStmt {
         /// The name, for the `this`-field fallback and messages.
         name: Symbol,
         /// Right-hand side.
-        value: LExpr,
+        value: LExprId,
     },
     /// `recv.name = value;`
     AssignField {
         /// Receiver expression.
-        recv: LExpr,
+        recv: LExprId,
         /// Field name.
         name: Symbol,
         /// Right-hand side.
-        value: LExpr,
+        value: LExprId,
     },
     /// `if (cond) { .. } else { .. }`
     If {
         /// Condition (must evaluate to a bool).
-        cond: LExpr,
+        cond: LExprId,
         /// Then branch.
-        then_blk: Vec<LStmt>,
+        then_blk: LBlock,
         /// Else branch, if present.
-        else_blk: Option<Vec<LStmt>>,
+        else_blk: Option<LBlock>,
     },
     /// `while (cond) { .. }`
     While {
         /// Loop condition.
-        cond: LExpr,
+        cond: LExprId,
         /// Loop body.
-        body: Vec<LStmt>,
+        body: LBlock,
     },
     /// `for (init; cond; update) { .. }`
     For {
         /// Init statement, if present.
-        init: Option<Box<LStmt>>,
+        init: Option<LStmtId>,
         /// Condition, if present.
-        cond: Option<LExpr>,
+        cond: Option<LExprId>,
         /// Update statement, if present.
-        update: Option<Box<LStmt>>,
+        update: Option<LStmtId>,
         /// Loop body.
-        body: Vec<LStmt>,
+        body: LBlock,
     },
     /// `switch (scrutinee) { case lit: { .. } default: { .. } }`
     Switch {
         /// Scrutinee expression.
-        scrutinee: LExpr,
-        /// `(literal, body)` arms, in source order; no fallthrough.
-        cases: Vec<(Literal, Vec<LStmt>)>,
+        scrutinee: LExprId,
+        /// Arms, in source order; no fallthrough.
+        cases: List<LCase>,
         /// Default arm, if present.
-        default: Option<Vec<LStmt>>,
+        default: Option<LBlock>,
     },
     /// `try { .. } catch (E e) { .. } finally { .. }`
     Try {
         /// Protected body.
-        body: Vec<LStmt>,
+        body: LBlock,
         /// Catch clauses in source order.
-        catches: Vec<LCatch>,
+        catches: List<LCatch>,
         /// Finally block, if present.
-        finally: Option<Vec<LStmt>>,
+        finally: Option<LBlock>,
     },
     /// `throw expr;`
     Throw {
         /// The thrown expression (must evaluate to an exception).
-        expr: LExpr,
+        expr: LExprId,
     },
     /// `return;` / `return expr;`
     Return {
         /// Returned expression, if present.
-        expr: Option<LExpr>,
+        expr: Option<LExprId>,
     },
     /// `break;`
     Break,
@@ -401,44 +586,53 @@ pub enum LStmt {
     /// `sleep(ms);`
     Sleep {
         /// Milliseconds (must evaluate to a non-negative int).
-        ms: LExpr,
+        ms: LExprId,
     },
     /// `log(expr);`
     Log {
         /// Logged expression.
-        expr: LExpr,
+        expr: LExprId,
     },
     /// `assert(cond);` / `assert(cond, msg);`
     Assert {
         /// Asserted condition.
-        cond: LExpr,
+        cond: LExprId,
         /// Failure message, if present.
-        msg: Option<LExpr>,
+        msg: Option<LExprId>,
     },
     /// An expression statement.
     Expr {
         /// The expression.
-        expr: LExpr,
+        expr: LExprId,
     },
+}
+
+/// One lowered `case lit: { .. }` arm of a switch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LCase {
+    /// The matched literal (a string's text is in [`ProgramIndex::text`]).
+    pub lit: Lit,
+    /// Arm body.
+    pub body: LBlock,
 }
 
 /// A lowered catch clause. The exception type is always declared (the
 /// validator guarantees it), so matching is a pure table lookup.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LCatch {
     /// Caught exception type.
     pub exc: ExcId,
     /// Slot the binding is written to.
     pub binding: Slot,
     /// Handler body.
-    pub body: Vec<LStmt>,
+    pub body: LBlock,
 }
 
 /// A lowered expression.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LExpr {
-    /// A literal.
-    Literal(Literal),
+    /// A literal (a string's text is in [`ProgramIndex::text`]).
+    Literal(Lit),
     /// A name with a local slot: reads the slot if set, else falls back to
     /// a `this` field, else faults (`unknown variable`).
     Local {
@@ -458,7 +652,7 @@ pub enum LExpr {
     /// `recv.name`
     Field {
         /// Receiver expression.
-        recv: Box<LExpr>,
+        recv: LExprId,
         /// Field name.
         name: Symbol,
     },
@@ -468,62 +662,62 @@ pub enum LExpr {
         /// Builtin name.
         name: Symbol,
         /// Arguments.
-        args: Vec<LExpr>,
+        args: List<LExprId>,
     },
     /// A (possibly implicit-`this`) method call: the interception point.
     Call {
         /// The static call site (file baked in at lowering).
         site: CallSite,
         /// Receiver, or `None` for implicit `this`.
-        recv: Option<Box<LExpr>>,
+        recv: Option<LExprId>,
         /// Method name.
         method: Symbol,
         /// Arguments.
-        args: Vec<LExpr>,
+        args: List<LExprId>,
     },
     /// `new E(..)` where `E` is a declared exception type.
     NewExc {
         /// The exception type.
         exc: ExcId,
         /// Constructor arguments.
-        args: Vec<LExpr>,
+        args: List<LExprId>,
     },
     /// `new C(..)` where `C` is a declared class.
     NewObj {
         /// The class.
         class: ClassId,
         /// Constructor arguments.
-        args: Vec<LExpr>,
+        args: List<LExprId>,
     },
     /// `new X(..)` where `X` is neither: arguments still evaluate, then
     /// the run faults (`cannot instantiate unknown class`).
     NewUnknown {
-        /// The undeclared name.
-        class: String,
+        /// The undeclared name (its text is in [`ProgramIndex::text`]).
+        class: Name,
         /// Arguments (evaluated before the fault, as the tree walker did).
-        args: Vec<LExpr>,
+        args: List<LExprId>,
     },
     /// A binary operation (`&&`/`||` short-circuit at eval).
     Binary {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<LExpr>,
+        lhs: LExprId,
         /// Right operand.
-        rhs: Box<LExpr>,
+        rhs: LExprId,
     },
     /// A unary operation.
     Unary {
         /// Operator.
         op: UnOp,
         /// Operand.
-        expr: Box<LExpr>,
+        expr: LExprId,
     },
     /// `expr instanceof Ty` — `Ty` resolved at compile time against both
     /// namespaces (a name may be a class *and* an exception type).
     InstanceOf {
         /// Tested expression.
-        expr: Box<LExpr>,
+        expr: LExprId,
         /// The type name (for the undeclared-exception string fallback).
         ty: Symbol,
         /// `Ty` as an exception type, if declared as one.
@@ -531,6 +725,38 @@ pub enum LExpr {
         /// `Ty` as a class, if declared as one.
         class: Option<ClassId>,
     },
+}
+
+impl Index<LStmtId> for ProgramIndex {
+    type Output = LStmt;
+    fn index(&self, id: LStmtId) -> &LStmt {
+        &self.stmts[id.0 as usize]
+    }
+}
+
+impl Index<LExprId> for ProgramIndex {
+    type Output = LExpr;
+    fn index(&self, id: LExprId) -> &LExpr {
+        &self.exprs[id.0 as usize]
+    }
+}
+
+macro_rules! list_index {
+    ($($elem:ty => $field:ident),* $(,)?) => {$(
+        impl Index<List<$elem>> for ProgramIndex {
+            type Output = [$elem];
+            fn index(&self, list: List<$elem>) -> &[$elem] {
+                &self.$field[list.range()]
+            }
+        }
+    )*};
+}
+
+list_index! {
+    LStmtId => stmt_lists,
+    LExprId => expr_lists,
+    LCase => cases,
+    LCatch => catches,
 }
 
 /// Names reserved for global builtins. A receiver-less call to one of
@@ -549,38 +775,88 @@ struct Builder<'a> {
     symbols: &'a SymbolTable,
     files: &'a [Arc<SourceFile>],
     interner: Interner,
-    /// Per file, the symbol of each of its names, or [`UNMAPPED`].
-    memo: Vec<Vec<u32>>,
+    /// `memo[memo_start[f] + name]`: the symbol of each name of file `f`,
+    /// or [`UNMAPPED`].
+    memo: Vec<u32>,
+    memo_start: Vec<usize>,
+    /// `inits[field_start[f] + i]`: the lowered initializer of field
+    /// declaration `i` of file `f`, or [`UNMAPPED`] until it is lowered.
+    inits: Vec<u32>,
+    field_start: Vec<usize>,
     exc_ids: HashMap<String, ExcId>,
     class_ids: HashMap<String, ClassId>,
+    /// The local slot of each name of the file being lowered, or
+    /// [`UNMAPPED`]; sized for the file with the most names.
+    scope: Vec<Slot>,
+    /// The names `scope` gave a slot in the method being lowered.
+    touched: Vec<Name>,
+    stmts: Vec<LStmt>,
+    exprs: Vec<LExpr>,
+    stmt_lists: Vec<LStmtId>,
+    expr_lists: Vec<LExprId>,
+    cases: Vec<LCase>,
+    catches: Vec<LCatch>,
+    text: Names,
 }
 
 const UNMAPPED: u32 = u32::MAX;
 
+/// Start offsets of each file's run in a vector laid out file after file,
+/// and the total length.
+fn file_runs(files: &[Arc<SourceFile>], len: impl Fn(&SourceFile) -> usize) -> (Vec<usize>, usize) {
+    let mut total = 0;
+    let starts = files
+        .iter()
+        .map(|file| {
+            let start = total;
+            total += len(file);
+            start
+        })
+        .collect();
+    (starts, total)
+}
+
 impl<'a> Builder<'a> {
     /// The global symbol of `name` from `file`, interned on first use.
     fn sym(&mut self, file: FileId, name: Name) -> Symbol {
-        let slot = &mut self.memo[file.0 as usize][name.0 as usize];
-        if *slot == UNMAPPED {
-            *slot = self
+        let at = self.memo_start[file.0 as usize] + name.0 as usize;
+        if self.memo[at] == UNMAPPED {
+            self.memo[at] = self
                 .interner
                 .intern(&self.files[file.0 as usize][name])
                 .0;
         }
-        Symbol(*slot)
+        Symbol(self.memo[at])
     }
 
     fn run(files: &'a [Arc<SourceFile>], symbols: &'a SymbolTable) -> ProgramIndex {
+        let (memo_start, names) = file_runs(files, |file| file.names().len());
+        let (field_start, fields) = file_runs(files, |file| file.fields.len());
+        // Every AST node lowers to exactly one node (field initializers
+        // once, however many subclasses share them), so the files' counts
+        // are the IR's exact sizes.
+        let total = |len: fn(&SourceFile) -> usize| files.iter().map(|file| len(file)).sum();
+        let n_stmts: usize = total(|f| f.stmts.len());
+        let n_exprs: usize = total(|f| f.exprs.len());
         let mut b = Builder {
             symbols,
             files,
             interner: Interner::new(),
-            memo: files
-                .iter()
-                .map(|file| vec![UNMAPPED; file.names().len()])
-                .collect(),
+            memo: vec![UNMAPPED; names],
+            memo_start,
+            inits: vec![UNMAPPED; fields],
+            field_start,
             exc_ids: HashMap::new(),
             class_ids: HashMap::new(),
+            scope: vec![UNMAPPED; files.iter().map(|file| file.names().len()).max().unwrap_or(0)],
+            touched: Vec::new(),
+            stmts: Vec::with_capacity(n_stmts),
+            exprs: Vec::with_capacity(n_exprs),
+            stmt_lists: Vec::with_capacity(total(|f| f.stmt_lists.len())),
+            expr_lists: Vec::with_capacity(total(|f| f.expr_lists.len())),
+            cases: Vec::with_capacity(total(|f| f.cases.len())),
+            catches: Vec::with_capacity(total(|f| f.catches.len())),
+            text: Names::default(),
         };
         let entry = b.interner.intern("<entry>");
         let init = b.interner.intern("init");
@@ -625,11 +901,17 @@ impl<'a> Builder<'a> {
 
         // Layouts, field initializers, and method bodies.
         let mut classes: Vec<ClassDef> = Vec::with_capacity(decls.len());
-        let mut methods: Vec<CompiledMethod> = Vec::new();
-        let mut own_methods: Vec<Vec<(Symbol, u32)>> = Vec::with_capacity(decls.len());
+        let mut methods: Vec<CompiledMethod> =
+            Vec::with_capacity(decls.iter().map(|(_, _, class)| class.methods.len()).sum());
+        // `own[own_start[c]..own_start[c + 1]]`: class `c`'s own methods.
+        let mut own: Vec<(Symbol, u32)> = Vec::with_capacity(methods.capacity());
+        let mut own_start: Vec<usize> = Vec::with_capacity(decls.len() + 1);
+        let mut chain: Vec<usize> = Vec::new();
+        let mut by_name: HashMap<Symbol, u32> = HashMap::new();
         for (idx, &(file_id, file, class)) in decls.iter().enumerate() {
             // Superclass chain, base first.
-            let mut chain = vec![idx];
+            chain.clear();
+            chain.push(idx);
             let mut cursor = parents[idx];
             while let Some(p) = cursor {
                 chain.push(p.0 as usize);
@@ -641,7 +923,7 @@ impl<'a> Builder<'a> {
             // a shadowing redeclaration reuses it (matching the HashMap
             // the tree walker kept per object).
             let mut slots: Vec<(Symbol, u32)> = Vec::new();
-            let mut by_name: HashMap<Symbol, u32> = HashMap::new();
+            by_name.clear();
             for &ci in &chain {
                 let (decl_file, decl_ast, decl) = decls[ci];
                 for field in &decl_ast[decl.fields] {
@@ -666,23 +948,32 @@ impl<'a> Builder<'a> {
 
             // Initializers in chain order; call sites inside carry the
             // declaring class's file. Initializer expressions cannot touch
-            // locals, so they lower with an empty scope.
+            // locals, so they lower with an empty scope, and the lowered
+            // node is shared by every class that inherits the field.
             let mut inits = Vec::new();
             for &ci in &chain {
                 let (decl_file, decl_ast, decl) = decls[ci];
-                for field in &decl_ast[decl.fields] {
+                for at in decl.fields.range() {
+                    let field = &decl_ast.fields[at];
                     if let Some(expr) = field.init {
                         let sym = b.sym(decl_file, field.name);
                         let slot = by_name[&sym];
-                        let mut lower = Lowerer::new(&mut b, decl_file, decl_ast);
-                        let expr = lower.expr(expr);
+                        let memo = b.field_start[decl_file.0 as usize] + at;
+                        let expr = match b.inits[memo] {
+                            UNMAPPED => {
+                                let id = Lowerer::new(&mut b, decl_file, decl_ast).expr(expr);
+                                b.inits[memo] = id.0;
+                                id
+                            }
+                            id => LExprId(id),
+                        };
                         inits.push(FieldInit { slot, expr });
                     }
                 }
             }
 
             // This class's own methods.
-            let mut own: Vec<(Symbol, u32)> = Vec::new();
+            own_start.push(own.len());
             for method in &file[class.methods] {
                 let midx = methods.len() as u32;
                 let compiled =
@@ -690,7 +981,6 @@ impl<'a> Builder<'a> {
                 own.push((compiled.name, midx));
                 methods.push(compiled);
             }
-            own_methods.push(own);
 
             classes.push(ClassDef {
                 name: class_sym,
@@ -703,22 +993,21 @@ impl<'a> Builder<'a> {
                 dispatch: Vec::new(),
             });
         }
+        own_start.push(own.len());
+        debug_assert_eq!(b.stmts.len(), n_stmts, "one lowered statement per AST statement");
+        debug_assert_eq!(b.exprs.len(), n_exprs, "one lowered expression per AST expression");
 
-        // Flatten dispatch: walk derived → base, first definition wins.
+        // Flatten dispatch: walk derived → base; a stable sort by name then
+        // keeps the first (most derived) definition of each.
         for idx in 0..classes.len() {
             let mut dispatch: Vec<(Symbol, u32)> = Vec::new();
-            let mut seen: HashMap<Symbol, ()> = HashMap::new();
             let mut cursor = Some(idx);
             while let Some(ci) = cursor {
-                for &(name, midx) in &own_methods[ci] {
-                    if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(name) {
-                        e.insert(());
-                        dispatch.push((name, midx));
-                    }
-                }
+                dispatch.extend_from_slice(&own[own_start[ci]..own_start[ci + 1]]);
                 cursor = classes[ci].parent.map(|p| p.0 as usize);
             }
-            dispatch.sort_unstable_by_key(|&(sym, _)| sym);
+            dispatch.sort_by_key(|&(sym, _)| sym);
+            dispatch.dedup_by_key(|&mut (sym, _)| sym);
             classes[idx].has_init = lookup_sorted(&dispatch, init).is_some();
             classes[idx].dispatch = dispatch;
         }
@@ -774,6 +1063,13 @@ impl<'a> Builder<'a> {
             exc_matrix,
             class_matrix,
             wk,
+            stmts: b.stmts,
+            exprs: b.exprs,
+            stmt_lists: b.stmt_lists,
+            expr_lists: b.expr_lists,
+            cases: b.cases,
+            catches: b.catches,
+            text: b.text,
         }
     }
 }
@@ -816,10 +1112,15 @@ fn compile_method<'a>(
     lower.collect_locals(&method.body);
     let body = lower.block(&method.body);
     let name = lower.b.sym(file, method.name);
+    let n_slots = lower.n_slots;
+    // Clear the scope for the next method.
+    for name in b.touched.drain(..) {
+        b.scope[name.0 as usize] = UNMAPPED;
+    }
     CompiledMethod {
         name,
         params: method.params.len() as u32,
-        n_slots: lower.n_slots,
+        n_slots,
         body,
         is_test: method.is_test,
         owner,
@@ -832,8 +1133,6 @@ struct Lowerer<'b, 'a> {
     b: &'b mut Builder<'a>,
     file: FileId,
     ast: &'a SourceFile,
-    /// Local slots by name; names of one file compare by id.
-    scope: HashMap<Name, Slot>,
     n_slots: u32,
 }
 
@@ -843,7 +1142,6 @@ impl<'b, 'a> Lowerer<'b, 'a> {
             b,
             file,
             ast,
-            scope: HashMap::new(),
             n_slots: 0,
         }
     }
@@ -852,14 +1150,25 @@ impl<'b, 'a> Lowerer<'b, 'a> {
         self.b.sym(self.file, name)
     }
 
-    fn slot_for(&mut self, name: Name) -> Slot {
-        if let Some(&slot) = self.scope.get(&name) {
-            return slot;
+    /// The local slot of `name`, if the method has one.
+    fn local(&self, name: Name) -> Option<Slot> {
+        match self.b.scope[name.0 as usize] {
+            UNMAPPED => None,
+            slot => Some(slot),
         }
-        let slot = self.n_slots;
-        self.n_slots += 1;
-        self.scope.insert(name, slot);
-        slot
+    }
+
+    /// The local slot of a name `collect_locals` gave one.
+    fn slot(&self, name: Name) -> Slot {
+        self.local(name).expect("locals are collected before lowering")
+    }
+
+    fn slot_for(&mut self, name: Name) {
+        if self.local(name).is_none() {
+            self.b.scope[name.0 as usize] = self.n_slots;
+            self.b.touched.push(name);
+            self.n_slots += 1;
+        }
     }
 
     fn collect_locals(&mut self, block: &Block) {
@@ -872,15 +1181,11 @@ impl<'b, 'a> Lowerer<'b, 'a> {
     fn collect_stmt(&mut self, stmt: &Stmt) {
         let ast = self.ast;
         match stmt {
-            Stmt::Var { name, .. } => {
-                self.slot_for(*name);
-            }
+            Stmt::Var { name, .. } => self.slot_for(*name),
             Stmt::Assign {
                 target: LValue::Var(name, _),
                 ..
-            } => {
-                self.slot_for(*name);
-            }
+            } => self.slot_for(*name),
             Stmt::Assign { .. } => {}
             Stmt::If {
                 then_blk, else_blk, ..
@@ -929,29 +1234,60 @@ impl<'b, 'a> Lowerer<'b, 'a> {
         }
     }
 
-    fn block(&mut self, block: &Block) -> Vec<LStmt> {
-        let ast = self.ast;
-        ast.stmts_in(block).map(|s| self.stmt(s)).collect()
+    /// A literal, its string text copied into the index's arena.
+    fn lit(&mut self, lit: Lit) -> Lit {
+        match lit {
+            Lit::Str(name) => Lit::Str(self.b.text.push(&self.ast[name])),
+            other => other,
+        }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) -> LStmt {
+    /// Lowers a block into a run of the statement-list vector. The run is
+    /// reserved first and filled as each statement is lowered, so nested
+    /// blocks take the runs after it.
+    fn block(&mut self, block: &Block) -> LBlock {
         let ast = self.ast;
-        match stmt {
+        let ids = &ast[block.stmts];
+        let start = self.b.stmt_lists.len();
+        self.b.stmt_lists.resize(start + ids.len(), LStmtId(UNMAPPED));
+        for (i, &id) in ids.iter().enumerate() {
+            let lowered = self.stmt(&ast[id]);
+            self.b.stmt_lists[start + i] = lowered;
+        }
+        List::new(start, ids.len())
+    }
+
+    /// Lowers an argument list into a run of the expression-list vector.
+    fn args(&mut self, args: List<crate::ast::ExprId>) -> List<LExprId> {
+        let ast = self.ast;
+        let ids = &ast[args];
+        let start = self.b.expr_lists.len();
+        self.b.expr_lists.resize(start + ids.len(), LExprId(UNMAPPED));
+        for (i, &id) in ids.iter().enumerate() {
+            let lowered = self.expr(id);
+            self.b.expr_lists[start + i] = lowered;
+        }
+        List::new(start, ids.len())
+    }
+
+    fn stmt(&mut self, stmt: &Stmt) -> LStmtId {
+        let ast = self.ast;
+        let lowered = match *stmt {
             Stmt::Var { name, init, .. } => LStmt::Var {
-                slot: self.scope[name],
-                init: self.expr(*init),
+                slot: self.slot(name),
+                init: self.expr(init),
             },
             Stmt::Assign { target, value, .. } => {
-                let value = self.expr(*value);
+                let value = self.expr(value);
                 match target {
                     LValue::Var(name, _) => LStmt::AssignLocal {
-                        slot: self.scope[name],
-                        name: self.sym(*name),
+                        slot: self.slot(name),
+                        name: self.sym(name),
                         value,
                     },
                     LValue::Field { recv, name, .. } => LStmt::AssignField {
-                        recv: self.expr(*recv),
-                        name: self.sym(*name),
+                        recv: self.expr(recv),
+                        name: self.sym(name),
                         value,
                     },
                 }
@@ -962,13 +1298,13 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 else_blk,
                 ..
             } => LStmt::If {
-                cond: self.expr(*cond),
-                then_blk: self.block(then_blk),
-                else_blk: else_blk.as_ref().map(|blk| self.block(blk)),
+                cond: self.expr(cond),
+                then_blk: self.block(&then_blk),
+                else_blk: else_blk.map(|blk| self.block(&blk)),
             },
             Stmt::While { cond, body, .. } => LStmt::While {
-                cond: self.expr(*cond),
-                body: self.block(body),
+                cond: self.expr(cond),
+                body: self.block(&body),
             },
             Stmt::For {
                 init,
@@ -977,80 +1313,107 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 body,
                 ..
             } => LStmt::For {
-                init: init.map(|s| Box::new(self.stmt(&ast[s]))),
+                init: init.map(|s| self.stmt(&ast[s])),
                 cond: cond.map(|e| self.expr(e)),
-                update: update.map(|s| Box::new(self.stmt(&ast[s]))),
-                body: self.block(body),
+                update: update.map(|s| self.stmt(&ast[s])),
+                body: self.block(&body),
             },
             Stmt::Switch {
                 scrutinee,
                 cases,
                 default,
                 ..
-            } => LStmt::Switch {
-                scrutinee: self.expr(*scrutinee),
-                cases: ast[*cases]
-                    .iter()
-                    .map(|case| (ast.literal(case.lit), self.block(&case.body)))
-                    .collect(),
-                default: default.as_ref().map(|blk| self.block(blk)),
-            },
+            } => {
+                let scrutinee = self.expr(scrutinee);
+                let arms = &ast[cases];
+                let start = self.b.cases.len();
+                let unfilled = LCase {
+                    lit: Lit::Null,
+                    body: List::new(0, 0),
+                };
+                self.b.cases.resize(start + arms.len(), unfilled);
+                for (i, case) in arms.iter().enumerate() {
+                    let lit = self.lit(case.lit);
+                    let body = self.block(&case.body);
+                    self.b.cases[start + i] = LCase { lit, body };
+                }
+                LStmt::Switch {
+                    scrutinee,
+                    cases: List::new(start, arms.len()),
+                    default: default.map(|blk| self.block(&blk)),
+                }
+            }
             Stmt::Try {
                 body,
                 catches,
                 finally,
                 ..
-            } => LStmt::Try {
-                body: self.block(body),
-                catches: ast[*catches]
-                    .iter()
-                    .map(|catch| LCatch {
+            } => {
+                let body = self.block(&body);
+                let clauses = &ast[catches];
+                let start = self.b.catches.len();
+                let unfilled = LCatch {
+                    exc: ExcId(UNMAPPED),
+                    binding: UNMAPPED,
+                    body: List::new(0, 0),
+                };
+                self.b.catches.resize(start + clauses.len(), unfilled);
+                for (i, catch) in clauses.iter().enumerate() {
+                    let lowered = LCatch {
                         exc: self.b.exc_ids[&ast[catch.exc_type]],
-                        binding: self.scope[&catch.binding],
+                        binding: self.slot(catch.binding),
                         body: self.block(&catch.body),
-                    })
-                    .collect(),
-                finally: finally.as_ref().map(|blk| self.block(blk)),
-            },
+                    };
+                    self.b.catches[start + i] = lowered;
+                }
+                LStmt::Try {
+                    body,
+                    catches: List::new(start, clauses.len()),
+                    finally: finally.map(|blk| self.block(&blk)),
+                }
+            }
             Stmt::Throw { expr, .. } => LStmt::Throw {
-                expr: self.expr(*expr),
+                expr: self.expr(expr),
             },
             Stmt::Return { expr, .. } => LStmt::Return {
                 expr: expr.map(|e| self.expr(e)),
             },
             Stmt::Break { .. } => LStmt::Break,
             Stmt::Continue { .. } => LStmt::Continue,
-            Stmt::Sleep { ms, .. } => LStmt::Sleep { ms: self.expr(*ms) },
+            Stmt::Sleep { ms, .. } => LStmt::Sleep { ms: self.expr(ms) },
             Stmt::Log { expr, .. } => LStmt::Log {
-                expr: self.expr(*expr),
+                expr: self.expr(expr),
             },
             Stmt::Assert { cond, msg, .. } => LStmt::Assert {
-                cond: self.expr(*cond),
+                cond: self.expr(cond),
                 msg: msg.map(|e| self.expr(e)),
             },
             Stmt::Expr { expr, .. } => LStmt::Expr {
-                expr: self.expr(*expr),
+                expr: self.expr(expr),
             },
-        }
+        };
+        let id = LStmtId(self.b.stmts.len() as u32);
+        self.b.stmts.push(lowered);
+        id
     }
 
-    fn expr(&mut self, expr: crate::ast::ExprId) -> LExpr {
+    fn expr(&mut self, expr: crate::ast::ExprId) -> LExprId {
         let ast = self.ast;
-        match &ast[expr] {
-            Expr::Literal(lit, _) => LExpr::Literal(ast.literal(*lit)),
-            Expr::Ident(name, _) => match self.scope.get(name) {
-                Some(&slot) => LExpr::Local {
+        let lowered = match ast[expr] {
+            Expr::Literal(lit, _) => LExpr::Literal(self.lit(lit)),
+            Expr::Ident(name, _) => match self.local(name) {
+                Some(slot) => LExpr::Local {
                     slot,
-                    name: self.sym(*name),
+                    name: self.sym(name),
                 },
                 None => LExpr::ImplicitField {
-                    name: self.sym(*name),
+                    name: self.sym(name),
                 },
             },
             Expr::This(_) => LExpr::This,
             Expr::Field { recv, name, .. } => LExpr::Field {
-                recv: Box::new(self.expr(*recv)),
-                name: self.sym(*name),
+                recv: self.expr(recv),
+                name: self.sym(name),
             },
             Expr::Call {
                 id,
@@ -1059,56 +1422,59 @@ impl<'b, 'a> Lowerer<'b, 'a> {
                 args,
                 ..
             } => {
-                let args: Vec<LExpr> = ast[*args].iter().map(|&a| self.expr(a)).collect();
-                if recv.is_none() && is_global_builtin(&ast[*method]) {
+                let args = self.args(args);
+                if recv.is_none() && is_global_builtin(&ast[method]) {
                     LExpr::GlobalCall {
-                        name: self.sym(*method),
+                        name: self.sym(method),
                         args,
                     }
                 } else {
                     LExpr::Call {
                         site: CallSite {
                             file: self.file,
-                            call: *id,
+                            call: id,
                         },
-                        recv: recv.map(|r| Box::new(self.expr(r))),
-                        method: self.sym(*method),
+                        recv: recv.map(|r| self.expr(r)),
+                        method: self.sym(method),
                         args,
                     }
                 }
             }
             Expr::New { class, args, .. } => {
-                let args: Vec<LExpr> = ast[*args].iter().map(|&a| self.expr(a)).collect();
-                let class = &ast[*class];
+                let args = self.args(args);
+                let class = &ast[class];
                 // Exception types take precedence over classes, matching the
                 // tree walker's `symbols.exception(..)`-first resolution.
                 if let Some(&exc) = self.b.exc_ids.get(class) {
-                    return LExpr::NewExc { exc, args };
-                }
-                match self.b.class_ids.get(class) {
-                    Some(&class) => LExpr::NewObj { class, args },
-                    None => LExpr::NewUnknown {
-                        class: class.to_string(),
+                    LExpr::NewExc { exc, args }
+                } else if let Some(&class) = self.b.class_ids.get(class) {
+                    LExpr::NewObj { class, args }
+                } else {
+                    LExpr::NewUnknown {
+                        class: self.b.text.push(class),
                         args,
-                    },
+                    }
                 }
             }
             Expr::Binary { op, lhs, rhs, .. } => LExpr::Binary {
-                op: *op,
-                lhs: Box::new(self.expr(*lhs)),
-                rhs: Box::new(self.expr(*rhs)),
+                op,
+                lhs: self.expr(lhs),
+                rhs: self.expr(rhs),
             },
             Expr::Unary { op, expr, .. } => LExpr::Unary {
-                op: *op,
-                expr: Box::new(self.expr(*expr)),
+                op,
+                expr: self.expr(expr),
             },
             Expr::InstanceOf { expr, ty, .. } => LExpr::InstanceOf {
-                expr: Box::new(self.expr(*expr)),
-                ty: self.sym(*ty),
-                exc: self.b.exc_ids.get(&ast[*ty]).copied(),
-                class: self.b.class_ids.get(&ast[*ty]).copied(),
+                expr: self.expr(expr),
+                ty: self.sym(ty),
+                exc: self.b.exc_ids.get(&ast[ty]).copied(),
+                class: self.b.class_ids.get(&ast[ty]).copied(),
             },
-        }
+        };
+        let id = LExprId(self.b.exprs.len() as u32);
+        self.b.exprs.push(lowered);
+        id
     }
 }
 
@@ -1205,9 +1571,15 @@ mod tests {
         assert_eq!(method.params, 2);
         assert_eq!(method.n_slots, 3, "a, b, x");
         // `return f;` must lower to the implicit-field fallback, not a slot.
-        let LStmt::Return { expr: Some(LExpr::ImplicitField { .. }) } = &method.body[2] else {
-            panic!("expected implicit-field read, got {:?}", method.body[2]);
+        let ret = index[index[method.body][2]];
+        let LStmt::Return { expr: Some(expr) } = ret else {
+            panic!("expected a return, got {ret:?}");
         };
+        assert!(
+            matches!(index[expr], LExpr::ImplicitField { .. }),
+            "expected implicit-field read, got {:?}",
+            index[expr]
+        );
     }
 
     #[test]

@@ -11,10 +11,18 @@
 //! campaign workers. Names that only exist at run time (e.g. an unknown
 //! method name passed to `Interp::invoke`) get ids *past* the frozen range
 //! from a small per-run overlay; [`NameTable`] resolves both.
+//!
+//! One interning structure serves the whole front end: `NameSet`, an
+//! open-addressing set of ids over a [`Names`] arena. The lexer interns each
+//! file's names into one; the [`Interner`] is one over the program's
+//! symbols. Either way a new string is copied once, onto the end of the
+//! arena's text, and a repeat costs one hash probe.
 
+use crate::ast::{Name, Names};
 use crate::project::MethodId;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// An interned string. Dense, starting at 0, in compilation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,11 +46,87 @@ pub struct MethodSym {
     pub name: Symbol,
 }
 
-/// A string interner: bidirectional `String` ↔ [`Symbol`] map.
+/// An open-addressing set of the names in a [`Names`] arena, keyed by
+/// their text: interning a new text appends it to the arena, and a repeat
+/// finds its id. Names come from outside the program, so they hash with
+/// the standard library's randomly keyed hasher: input crafted to collide
+/// cannot make interning quadratic.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameSet {
+    table: Names,
+    /// `slot = id + 1`, 0 when empty; the length is a power of two at
+    /// least twice the name count.
+    slots: Vec<u32>,
+    state: RandomState,
+}
+
+impl NameSet {
+    /// The id of `text`, appending it to the arena if it is new.
+    pub(crate) fn intern(&mut self, text: &str) -> Name {
+        if self.slots.len() < 2 * (self.table.len() + 1) {
+            self.grow();
+        }
+        match self.probe(text) {
+            Ok(name) => name,
+            Err(i) => {
+                let name = self.table.push(text);
+                self.slots[i] = name.0 + 1;
+                name
+            }
+        }
+    }
+
+    /// The id of `text`, if it was interned.
+    pub(crate) fn lookup(&self, text: &str) -> Option<Name> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(text).ok()
+    }
+
+    /// The arena of interned texts.
+    pub(crate) fn names(&self) -> &Names {
+        &self.table
+    }
+
+    /// Drops the set and keeps the arena.
+    pub(crate) fn into_names(self) -> Names {
+        self.table
+    }
+
+    /// `Ok(id)` of `text`, or `Err(slot)` of the empty slot it would take.
+    /// The table must have at least one empty slot.
+    fn probe(&self, text: &str) -> Result<Name, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.state.hash_one(text) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                slot if self.table.get(Name(slot - 1)) == text => return Ok(Name(slot - 1)),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(256);
+        self.slots = vec![0; len];
+        let mask = len - 1;
+        for id in 0..self.table.len() as u32 {
+            let mut i = self.state.hash_one(self.table.get(Name(id))) as usize & mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id + 1;
+        }
+    }
+}
+
+/// A string interner: bidirectional `String` ↔ [`Symbol`] map. A
+/// `NameSet` whose names are the symbols: every string is stored once.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    strings: Vec<String>,
-    map: HashMap<String, u32>,
+    set: NameSet,
 }
 
 impl Interner {
@@ -53,35 +137,29 @@ impl Interner {
 
     /// Interns `s`, returning its symbol (existing or fresh).
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&id) = self.map.get(s) {
-            return Symbol(id);
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.map.insert(s.to_string(), id);
-        Symbol(id)
+        Symbol(self.set.intern(s).0)
     }
 
     /// Looks up `s` without interning it.
     pub fn lookup(&self, s: &str) -> Option<Symbol> {
-        self.map.get(s).copied().map(Symbol)
+        self.set.lookup(s).map(|name| Symbol(name.0))
     }
 
     /// Resolves a symbol back to its string.
     ///
     /// Panics if `sym` was not produced by this interner.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
+        self.set.names().get(Name(sym.0))
     }
 
     /// Number of interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.set.names().len()
     }
 
     /// Whether the interner is empty.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.set.names().is_empty()
     }
 }
 

@@ -12,19 +12,18 @@
 //! and identifier names are the clearest evidence of retry logic. Line
 //! comments are skipped eight bytes at a time.
 
-use crate::ast::{Name, Names};
+use crate::ast::Names;
 use crate::error::Diagnostic;
+use crate::intern::NameSet;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
-use std::collections::hash_map::RandomState;
-use std::hash::BuildHasher;
 
 /// Streaming lexer over a source string.
 pub struct Lexer<'a> {
     text: &'a str,
     src: &'a [u8],
     pos: usize,
-    names: Interner,
+    names: NameSet,
     /// Reused buffer for string literals with escapes.
     unescaped: String,
 }
@@ -36,7 +35,7 @@ impl<'a> Lexer<'a> {
             text: source,
             src: source.as_bytes(),
             pos: 0,
-            names: Interner::default(),
+            names: NameSet::default(),
             unescaped: String::new(),
         }
     }
@@ -44,12 +43,12 @@ impl<'a> Lexer<'a> {
     /// The names interned so far; resolves the [`Name`]s of the tokens
     /// returned.
     pub fn names(&self) -> &Names {
-        &self.names.table
+        self.names.names()
     }
 
     /// Ends lexing and hands over the name table.
     pub fn into_names(self) -> Names {
-        self.names.table
+        self.names.into_names()
     }
 
     fn peek(&self) -> u8 {
@@ -295,57 +294,10 @@ fn line_end(src: &[u8], from: usize) -> usize {
     at
 }
 
-/// The lexer's side of a file's name table: an open-addressing set of
-/// name ids keyed by their text. Dropped when lexing ends; the file keeps
-/// only the [`Names`]. Names come from outside the program, so they hash
-/// with the standard library's randomly keyed hasher: a file crafted to
-/// collide cannot make lexing quadratic.
-#[derive(Default)]
-struct Interner {
-    table: Names,
-    /// `slot = id + 1`, 0 when empty; the length is a power of two at
-    /// least twice the name count.
-    slots: Vec<u32>,
-    state: RandomState,
-}
-
-impl Interner {
-    fn intern(&mut self, text: &str) -> Name {
-        if self.slots.len() < 2 * (self.table.len() + 1) {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.state.hash_one(text) as usize & mask;
-        loop {
-            match self.slots[i] {
-                0 => {
-                    let name = self.table.push(text);
-                    self.slots[i] = name.0 + 1;
-                    return name;
-                }
-                slot if self.table.get(Name(slot - 1)) == text => return Name(slot - 1),
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(256);
-        self.slots = vec![0; len];
-        let mask = len - 1;
-        for id in 0..self.table.len() as u32 {
-            let mut i = self.state.hash_one(self.table.get(Name(id))) as usize & mask;
-            while self.slots[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = id + 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Name;
 
     /// Drives the stream to the end; the first error ends it.
     fn lex(src: &str) -> Result<(Vec<Token>, Names), Diagnostic> {

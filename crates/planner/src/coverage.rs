@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use wasabi_analysis::loops::RetryLocation;
 use wasabi_inject::CoverageRecorder;
-use wasabi_lang::index::{ClassId, LExpr, LStmt};
+use wasabi_lang::index::{ClassId, LExpr};
 use wasabi_lang::project::{CallSite, FileId, MethodId, Project};
 use wasabi_vm::runner::{run_test, RunOptions};
 
@@ -185,12 +185,19 @@ fn reachable_test_mask(
     tests: &[(FileId, MethodId)],
 ) -> Option<Vec<bool>> {
     let index = &project.index;
+    // A dispatchable call or an instantiation runs user code (whose
+    // constructor and field initialisers run more); builtin `GlobalCall`s
+    // and exception constructions are benign, their arguments walked.
+    let mut user_call = false;
     for class in &index.classes {
         for init in &class.inits {
-            if expr_contains_user_call(&init.expr) {
-                return None;
-            }
+            index.walk_expr(init.expr, &mut |e| {
+                user_call |= matches!(e, LExpr::Call { .. } | LExpr::NewObj { .. });
+            });
         }
+    }
+    if user_call {
+        return None;
     }
 
     // One body walk collects, per called name and per instantiated class,
@@ -207,7 +214,7 @@ fn reachable_test_mask(
         }
     };
     for (m, method) in index.methods.iter().enumerate() {
-        walk_stmts(&method.body, &mut |expr| match expr {
+        index.walk_exprs(method.body, &mut |expr| match expr {
             LExpr::Call { site, method, .. } => {
                 push_caller(&mut name_callers[method.index()], m as u32);
                 if sites.contains(site) {
@@ -275,138 +282,6 @@ fn reachable_test_mask(
             })
             .collect(),
     )
-}
-
-/// Whether an expression contains user-code invocation (a dispatchable
-/// call or an instantiation, whose constructor and field initialisers run
-/// user code). Builtin `GlobalCall`s and exception constructions are
-/// benign in themselves; their argument expressions still recurse.
-fn expr_contains_user_call(expr: &LExpr) -> bool {
-    let mut found = false;
-    walk_expr(expr, &mut |e| {
-        if matches!(e, LExpr::Call { .. } | LExpr::NewObj { .. }) {
-            found = true;
-        }
-    });
-    found
-}
-
-/// Pre-order visit of every expression node in a body.
-fn walk_stmts<'a>(stmts: &'a [LStmt], visit: &mut dyn FnMut(&'a LExpr)) {
-    for stmt in stmts {
-        match stmt {
-            LStmt::Var { init, .. } => walk_expr(init, visit),
-            LStmt::AssignLocal { value, .. } => walk_expr(value, visit),
-            LStmt::AssignField { recv, value, .. } => {
-                walk_expr(recv, visit);
-                walk_expr(value, visit);
-            }
-            LStmt::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                walk_expr(cond, visit);
-                walk_stmts(then_blk, visit);
-                if let Some(e) = else_blk {
-                    walk_stmts(e, visit);
-                }
-            }
-            LStmt::While { cond, body } => {
-                walk_expr(cond, visit);
-                walk_stmts(body, visit);
-            }
-            LStmt::For {
-                init,
-                cond,
-                update,
-                body,
-            } => {
-                if let Some(i) = init {
-                    walk_stmts(std::slice::from_ref(i), visit);
-                }
-                if let Some(c) = cond {
-                    walk_expr(c, visit);
-                }
-                if let Some(u) = update {
-                    walk_stmts(std::slice::from_ref(u), visit);
-                }
-                walk_stmts(body, visit);
-            }
-            LStmt::Switch {
-                scrutinee,
-                cases,
-                default,
-            } => {
-                walk_expr(scrutinee, visit);
-                for (_, body) in cases {
-                    walk_stmts(body, visit);
-                }
-                if let Some(d) = default {
-                    walk_stmts(d, visit);
-                }
-            }
-            LStmt::Try {
-                body,
-                catches,
-                finally,
-            } => {
-                walk_stmts(body, visit);
-                for c in catches {
-                    walk_stmts(&c.body, visit);
-                }
-                if let Some(f) = finally {
-                    walk_stmts(f, visit);
-                }
-            }
-            LStmt::Throw { expr } | LStmt::Log { expr } | LStmt::Expr { expr } => {
-                walk_expr(expr, visit)
-            }
-            LStmt::Return { expr } => {
-                if let Some(e) = expr {
-                    walk_expr(e, visit);
-                }
-            }
-            LStmt::Sleep { ms } => walk_expr(ms, visit),
-            LStmt::Assert { cond, msg } => {
-                walk_expr(cond, visit);
-                if let Some(m) = msg {
-                    walk_expr(m, visit);
-                }
-            }
-            LStmt::Break | LStmt::Continue => {}
-        }
-    }
-}
-
-fn walk_expr<'a>(expr: &'a LExpr, visit: &mut dyn FnMut(&'a LExpr)) {
-    visit(expr);
-    match expr {
-        LExpr::Call { recv, args, .. } => {
-            if let Some(r) = recv {
-                walk_expr(r, visit);
-            }
-            for a in args {
-                walk_expr(a, visit);
-            }
-        }
-        LExpr::Field { recv, .. } => walk_expr(recv, visit),
-        LExpr::GlobalCall { args, .. }
-        | LExpr::NewExc { args, .. }
-        | LExpr::NewObj { args, .. }
-        | LExpr::NewUnknown { args, .. } => {
-            for a in args {
-                walk_expr(a, visit);
-            }
-        }
-        LExpr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, visit);
-            walk_expr(rhs, visit);
-        }
-        LExpr::Unary { expr, .. } => walk_expr(expr, visit),
-        LExpr::InstanceOf { expr, .. } => walk_expr(expr, visit),
-        LExpr::Literal(_) | LExpr::Local { .. } | LExpr::ImplicitField { .. } | LExpr::This => {}
-    }
 }
 
 #[cfg(test)]
@@ -569,7 +444,7 @@ mod tests {
         let mut reverse: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
         let mut reach = vec![false; n];
         for (m, method) in index.methods.iter().enumerate() {
-            walk_stmts(&method.body, &mut |expr| match expr {
+            index.walk_exprs(method.body, &mut |expr| match expr {
                 LExpr::Call { site, method, .. } => {
                     reach[m] |= sites.contains(site);
                     for (t, target) in index.methods.iter().enumerate() {

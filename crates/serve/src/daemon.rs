@@ -15,7 +15,10 @@
 //! Admission has one path, `offer`: a v1 `submit` frame stages all its
 //! files as a `put` would and then offers them. Each session stages its
 //! own uploads, under one bound on the bytes staged by all sessions
-//! together; the compiled-app cache is keyed by
+//! together. A session holding staged uploads that sends no frame for
+//! [`STAGED_IDLE_LIMIT`] is closed and its uploads released, so an idle
+//! client cannot keep every other client's `put` refused. The
+//! compiled-app cache is keyed by
 //! [`app_key`](crate::protocol::app_key), so a cached app is admitted
 //! with its `Arc<AppJob>` in the queued payload and the runner neither
 //! re-hashes nor recompiles it.
@@ -53,6 +56,13 @@ pub enum Bind {
     #[cfg(unix)]
     Unix(PathBuf),
 }
+
+/// How long a session holding staged uploads may go without sending a
+/// frame before the daemon closes it and releases what it staged. A
+/// client offers right after its puts, so only a stalled or abandoned
+/// upload waits this long; a session with nothing staged may idle for as
+/// long as it likes.
+pub const STAGED_IDLE_LIMIT: Duration = Duration::from_secs(2);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -619,14 +629,44 @@ fn write_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
     writer.flush()
 }
 
-fn run_session<S: Read + Write>(stream: S, shared: &Arc<Shared>, addr: &str) {
+/// A stream the daemon serves a session on.
+trait SessionStream: Read + Write {
+    /// Bounds how long one read may wait for data; `None` lifts the bound.
+    fn set_read_limit(&self, limit: Option<Duration>) -> io::Result<()>;
+}
+
+impl SessionStream for TcpStream {
+    fn set_read_limit(&self, limit: Option<Duration>) -> io::Result<()> {
+        self.set_read_timeout(limit)
+    }
+}
+
+#[cfg(unix)]
+impl SessionStream for UnixStream {
+    fn set_read_limit(&self, limit: Option<Duration>) -> io::Result<()> {
+        self.set_read_timeout(limit)
+    }
+}
+
+fn run_session<S: SessionStream>(stream: S, shared: &Arc<Shared>, addr: &str) {
     let max_frame = shared.max_frame;
     let mut reader = BufReader::new(stream);
     let mut staging = Staging {
         staged: &shared.staged,
         files: HashMap::new(),
     };
+    let mut limited = false;
     loop {
+        // While uploads are staged, a read that waits past the limit ends
+        // the session (and `Drop for Staging` releases them).
+        let holding = !staging.files.is_empty();
+        if limited != holding {
+            limited = holding;
+            let limit = holding.then_some(STAGED_IDLE_LIMIT);
+            if reader.get_ref().set_read_limit(limit).is_err() {
+                return;
+            }
+        }
         let frame = match read_frame(&mut reader, max_frame) {
             Ok(Some(Ok(frame))) => frame,
             Ok(Some(Err(()))) => {

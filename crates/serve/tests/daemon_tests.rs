@@ -13,7 +13,7 @@ use std::sync::mpsc;
 use std::thread;
 use wasabi_core::{compile_app, report_json, run_app_job, DynamicOptions};
 use wasabi_engine::NullObserver;
-use wasabi_serve::daemon::{spawn, Bind, DaemonHandle, ServeOptions};
+use wasabi_serve::daemon::{spawn, Bind, DaemonHandle, ServeOptions, STAGED_IDLE_LIMIT};
 use wasabi_serve::protocol::{render_request, Request, DEFAULT_MAX_FRAME_BYTES};
 use wasabi_serve::scheduler::SchedulerConfig;
 use wasabi_serve::Connection;
@@ -693,5 +693,49 @@ fn puts_past_the_daemon_wide_staging_bound_are_errors() {
         false
     });
     assert!(stored, "a closed connection's staged bytes were never freed");
+    shutdown(handle);
+}
+
+/// A session that holds staged uploads and then sends no frame for
+/// `STAGED_IDLE_LIMIT` is closed and its staged bytes are released, so
+/// other clients' puts go through again; a session with nothing staged may
+/// idle as long as it likes.
+#[test]
+fn an_idle_session_holding_staged_uploads_is_closed_and_releases_them() {
+    let handle = start(ServeOptions {
+        max_frame_bytes: 4096,
+        cache_capacity: 1,
+        ..ServeOptions::default()
+    });
+    let mut idle = Connection::connect(&handle.addr).expect("connect");
+    let mut stalled = Connection::connect(&handle.addr).expect("connect");
+    let mut other = Connection::connect(&handle.addr).expect("connect");
+    let a = format!("{APP_X}// {}\n", "a".repeat(3000));
+    let b = format!("{APP_Y}// {}\n", "b".repeat(3000));
+    let started = std::time::Instant::now();
+    assert_eq!(put(&mut stalled, &a).get("stored").and_then(Json::as_u64), Some(1));
+    let refused = put(&mut other, &b);
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false), "{refused:?}");
+
+    // `stalled` now sends nothing; once it has been silent for the limit,
+    // the daemon closes it and `other`'s put fits under the bound.
+    let stored = (0..200).any(|_| {
+        thread::sleep(std::time::Duration::from_millis(50));
+        put(&mut other, &b).get("ok").and_then(Json::as_bool) == Some(true)
+    });
+    assert!(stored, "an idle session's staged bytes were never freed");
+    let waited = started.elapsed();
+    assert!(
+        waited + std::time::Duration::from_millis(50) >= STAGED_IDLE_LIMIT,
+        "released after {waited:?}, before the idle limit"
+    );
+    let _ = stalled.send_line(&render_request(&Request::Stats));
+    assert!(
+        !matches!(stalled.read_line(), Ok(Some(_))),
+        "the idle session was not closed"
+    );
+
+    // `idle` staged nothing and was silent even longer: it still answers.
+    assert_eq!(stat(&mut idle, "uploaded_files"), 2);
     shutdown(handle);
 }

@@ -4,7 +4,8 @@
 //!
 //! - **Compile-once hot path.** The interpreter executes the
 //!   [`ProgramIndex`] built at [`Project::compile`] time: method bodies are
-//!   lowered to slot-addressed [`LStmt`]/[`LExpr`] trees, locals live in a
+//!   lowered to slot-addressed [`LStmt`]/[`LExpr`] nodes in the index's
+//!   flat vectors, locals live in a
 //!   `Vec<Option<Value>>`, object fields in a slot vector, and every name
 //!   comparison is an interned `u32`. Method resolution, exception-subtype
 //!   checks, and config-key lookups are table lookups — no string hashing
@@ -40,8 +41,8 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
-use wasabi_lang::ast::{BinOp, Literal, UnOp};
-use wasabi_lang::index::{ClassId, ExcId, LExpr, LStmt, ProgramIndex};
+use wasabi_lang::ast::{BinOp, Lit, UnOp};
+use wasabi_lang::index::{ClassId, ExcId, LBlock, LExpr, LExprId, LStmt, LStmtId, ProgramIndex};
 use wasabi_lang::intern::{MethodSym, NameTable, Symbol};
 use wasabi_lang::project::{MethodId, Project};
 
@@ -349,7 +350,7 @@ impl<'p, 'i> Interp<'p, 'i> {
         // Initializer expressions cannot reference locals, so the
         // environment is empty.
         for init in &cdef.inits {
-            let value = self.eval(&mut [], &this, &init.expr)?;
+            let value = self.eval(&mut [], &this, init.expr)?;
             object.borrow_mut().fields[init.slot as usize] = value;
         }
         // Run the constructor, if declared.
@@ -410,7 +411,7 @@ impl<'p, 'i> Interp<'p, 'i> {
             class: class_sym,
             name: method,
         });
-        let result = self.exec_block(&mut env, &this, &compiled.body);
+        let result = self.exec_block(&mut env, &this, compiled.body);
         self.stack.pop();
         match result {
             Ok(()) => Ok(Value::Null),
@@ -425,9 +426,9 @@ impl<'p, 'i> Interp<'p, 'i> {
         env: &mut Env,
         this: &Value,
         site: CallSite,
-        recv: Option<&LExpr>,
+        recv: Option<LExprId>,
         method: Symbol,
-        arg_exprs: &[LExpr],
+        arg_exprs: &[LExprId],
     ) -> Eval {
         self.tick()?;
         let index = self.index;
@@ -444,7 +445,7 @@ impl<'p, 'i> Interp<'p, 'i> {
             Value::Object(_) => {}
             _ => {
                 let mut args = Vec::with_capacity(arg_exprs.len());
-                for arg in arg_exprs {
+                for &arg in arg_exprs {
                     args.push(self.eval(env, this, arg)?);
                 }
                 return self.value_builtin(&recv_value, index.interner.resolve(method), args);
@@ -458,7 +459,7 @@ impl<'p, 'i> Interp<'p, 'i> {
             _ => unreachable!("receiver checked above"),
         };
         let mut args = Vec::with_capacity(arg_exprs.len());
-        for arg in arg_exprs {
+        for &arg in arg_exprs {
             args.push(self.eval(env, this, arg)?);
         }
         // Consult the interceptor before entering the callee.
@@ -516,37 +517,39 @@ impl<'p, 'i> Interp<'p, 'i> {
 
     // ---- Statements ---------------------------------------------------------
 
-    fn exec_block(&mut self, env: &mut Env, this: &Value, block: &[LStmt]) -> Exec {
-        for stmt in block {
+    fn exec_block(&mut self, env: &mut Env, this: &Value, block: LBlock) -> Exec {
+        let index = self.index;
+        for &stmt in &index[block] {
             self.exec_stmt(env, this, stmt)?;
         }
         Ok(())
     }
 
-    fn exec_stmt(&mut self, env: &mut Env, this: &Value, stmt: &LStmt) -> Exec {
+    fn exec_stmt(&mut self, env: &mut Env, this: &Value, stmt: LStmtId) -> Exec {
         self.tick()?;
-        match stmt {
+        let index = self.index;
+        match index[stmt] {
             LStmt::Var { slot, init } => {
                 let value = self.eval(env, this, init)?;
-                env[*slot as usize] = Some(value);
+                env[slot as usize] = Some(value);
                 Ok(())
             }
             LStmt::AssignLocal { slot, name, value } => {
                 let value = self.eval(env, this, value)?;
-                if env[*slot as usize].is_some() {
-                    env[*slot as usize] = Some(value);
+                if env[slot as usize].is_some() {
+                    env[slot as usize] = Some(value);
                     return Ok(());
                 }
                 // Fall back to an implicit `this` field, like Java.
                 if let Value::Object(obj) = this {
-                    let field_slot = obj.borrow().layout.slot(*name);
+                    let field_slot = obj.borrow().layout.slot(name);
                     if let Some(field_slot) = field_slot {
                         obj.borrow_mut().fields[field_slot] = value;
                         return Ok(());
                     }
                 }
                 // First write introduces a local (function-scoped).
-                env[*slot as usize] = Some(value);
+                env[slot as usize] = Some(value);
                 Ok(())
             }
             LStmt::AssignField { recv, name, value } => {
@@ -554,7 +557,7 @@ impl<'p, 'i> Interp<'p, 'i> {
                 let recv = self.eval(env, this, recv)?;
                 match recv {
                     Value::Object(obj) => {
-                        let field_slot = obj.borrow().layout.slot(*name);
+                        let field_slot = obj.borrow().layout.slot(name);
                         match field_slot {
                             Some(field_slot) => {
                                 obj.borrow_mut().fields[field_slot] = value;
@@ -562,7 +565,7 @@ impl<'p, 'i> Interp<'p, 'i> {
                             }
                             None => Err(self.fault(format!(
                                 "no field `{}` on class `{}`",
-                                self.index.interner.resolve(*name),
+                                self.index.interner.resolve(name),
                                 obj.borrow().layout.class_name
                             ))),
                         }
@@ -570,7 +573,7 @@ impl<'p, 'i> Interp<'p, 'i> {
                     Value::Null => {
                         let msg = format!(
                             "field write `{}` on null",
-                            self.index.interner.resolve(*name)
+                            self.index.interner.resolve(name)
                         );
                         Err(self.raise(self.index.wk.npe, msg))
                     }
@@ -637,9 +640,9 @@ impl<'p, 'i> Interp<'p, 'i> {
                 default,
             } => {
                 let value = self.eval(env, this, scrutinee)?;
-                for (lit, body) in cases {
-                    if literal_matches(&value, lit) {
-                        return self.exec_block(env, this, body);
+                for case in &index[cases] {
+                    if literal_matches(index, &value, case.lit) {
+                        return self.exec_block(env, this, case.body);
                     }
                 }
                 if let Some(default) = default {
@@ -655,11 +658,11 @@ impl<'p, 'i> Interp<'p, 'i> {
                 let mut result = self.exec_block(env, this, body);
                 if let Err(Control::Throw(exc)) = &result {
                     let exc = Rc::clone(exc);
-                    for catch in catches {
+                    for catch in &index[catches] {
                         if self.exc_matches(&exc, catch.exc) {
                             env[catch.binding as usize] =
                                 Some(Value::Exception(Rc::clone(&exc)));
-                            result = self.exec_block(env, this, &catch.body);
+                            result = self.exec_block(env, this, catch.body);
                             break;
                         }
                     }
@@ -735,7 +738,7 @@ impl<'p, 'i> Interp<'p, 'i> {
 
     // ---- Expressions ---------------------------------------------------------
 
-    fn eval_bool(&mut self, env: &mut Env, this: &Value, expr: &LExpr) -> Result<bool, Control> {
+    fn eval_bool(&mut self, env: &mut Env, this: &Value, expr: LExprId) -> Result<bool, Control> {
         match self.eval(env, this, expr)? {
             Value::Bool(b) => Ok(b),
             other => Err(self.fault(format!(
@@ -745,34 +748,35 @@ impl<'p, 'i> Interp<'p, 'i> {
         }
     }
 
-    fn eval_int(&mut self, env: &mut Env, this: &Value, expr: &LExpr) -> Result<i64, Control> {
+    fn eval_int(&mut self, env: &mut Env, this: &Value, expr: LExprId) -> Result<i64, Control> {
         match self.eval(env, this, expr)? {
             Value::Int(v) => Ok(v),
             other => Err(self.fault(format!("expected an int, got {}", other.type_name()))),
         }
     }
 
-    fn eval(&mut self, env: &mut Env, this: &Value, expr: &LExpr) -> Eval {
-        match expr {
-            LExpr::Literal(lit) => Ok(literal_to_value(lit)),
+    fn eval(&mut self, env: &mut Env, this: &Value, expr: LExprId) -> Eval {
+        let index = self.index;
+        match index[expr] {
+            LExpr::Literal(lit) => Ok(literal_to_value(index, lit)),
             LExpr::Local { slot, name } => {
-                if let Some(value) = &env[*slot as usize] {
+                if let Some(value) = &env[slot as usize] {
                     return Ok(value.clone());
                 }
-                self.read_this_field(this, *name)
+                self.read_this_field(this, name)
             }
-            LExpr::ImplicitField { name } => self.read_this_field(this, *name),
+            LExpr::ImplicitField { name } => self.read_this_field(this, name),
             LExpr::This => Ok(this.clone()),
             LExpr::Field { recv, name } => {
                 let recv = self.eval(env, this, recv)?;
                 match recv {
                     Value::Object(obj) => {
                         let borrowed = obj.borrow();
-                        match borrowed.layout.slot(*name) {
+                        match borrowed.layout.slot(name) {
                             Some(field_slot) => Ok(borrowed.fields[field_slot].clone()),
                             None => Err(self.fault(format!(
                                 "no field `{}` on class `{}`",
-                                self.index.interner.resolve(*name),
+                                self.index.interner.resolve(name),
                                 borrowed.layout.class_name
                             ))),
                         }
@@ -780,7 +784,7 @@ impl<'p, 'i> Interp<'p, 'i> {
                     Value::Null => {
                         let msg = format!(
                             "field read `{}` on null",
-                            self.index.interner.resolve(*name)
+                            self.index.interner.resolve(name)
                         );
                         Err(self.raise(self.index.wk.npe, msg))
                     }
@@ -793,41 +797,44 @@ impl<'p, 'i> Interp<'p, 'i> {
             LExpr::GlobalCall { name, args } => {
                 self.tick()?;
                 let mut arg_values = Vec::with_capacity(args.len());
-                for arg in args {
+                for &arg in &index[args] {
                     arg_values.push(self.eval(env, this, arg)?);
                 }
-                self.global_builtin(self.index.interner.resolve(*name), arg_values)
+                self.global_builtin(index.interner.resolve(name), arg_values)
             }
             LExpr::Call {
                 site,
                 recv,
                 method,
                 args,
-            } => self.call_expr(env, this, *site, recv.as_deref(), *method, args),
+            } => self.call_expr(env, this, site, recv, method, &index[args]),
             LExpr::NewExc { exc, args } => {
                 self.tick()?;
                 let mut arg_values = Vec::with_capacity(args.len());
-                for arg in args {
+                for &arg in &index[args] {
                     arg_values.push(self.eval(env, this, arg)?);
                 }
-                self.new_exception(*exc, arg_values)
+                self.new_exception(exc, arg_values)
             }
             LExpr::NewObj { class, args } => {
                 self.tick()?;
                 let mut arg_values = Vec::with_capacity(args.len());
-                for arg in args {
+                for &arg in &index[args] {
                     arg_values.push(self.eval(env, this, arg)?);
                 }
-                self.instantiate(*class, arg_values)
+                self.instantiate(class, arg_values)
             }
             LExpr::NewUnknown { class, args } => {
                 self.tick()?;
                 // Arguments still evaluate (for their side effects) before
                 // the fault, exactly like the original instantiate path.
-                for arg in args {
+                for &arg in &index[args] {
                     self.eval(env, this, arg)?;
                 }
-                Err(self.fault(format!("cannot instantiate unknown class `{class}`")))
+                Err(self.fault(format!(
+                    "cannot instantiate unknown class `{}`",
+                    index.text(class)
+                )))
             }
             LExpr::Binary { op, lhs, rhs } => {
                 // Short-circuit logical operators.
@@ -846,7 +853,7 @@ impl<'p, 'i> Interp<'p, 'i> {
                 }
                 let lhs = self.eval(env, this, lhs)?;
                 let rhs = self.eval(env, this, rhs)?;
-                self.binary(*op, lhs, rhs)
+                self.binary(op, lhs, rhs)
             }
             LExpr::Unary { op, expr } => {
                 let value = self.eval(env, this, expr)?;
@@ -870,15 +877,15 @@ impl<'p, 'i> Interp<'p, 'i> {
                 let result = match value {
                     Value::Exception(e) => match e.exc_id {
                         Some(sub) => match exc {
-                            Some(sup) => self.index.is_exc_subtype(sub, *sup),
+                            Some(sup) => self.index.is_exc_subtype(sub, sup),
                             None => false,
                         },
                         // Undeclared (injected) exception type: the original
                         // string walk still matched on direct name equality.
-                        None => self.index.interner.resolve(*ty) == e.ty,
+                        None => self.index.interner.resolve(ty) == e.ty,
                     },
                     Value::Object(obj) => match class {
-                        Some(sup) => self.index.is_class_subtype(obj.borrow().layout.class_id, *sup),
+                        Some(sup) => self.index.is_class_subtype(obj.borrow().layout.class_id, sup),
                         None => false,
                     },
                     _ => false,
@@ -1337,22 +1344,22 @@ impl<'p, 'i> Interp<'p, 'i> {
 
 /// Whether a switch scrutinee matches a case literal, without allocating a
 /// value for the literal. Semantically identical to
-/// `value.value_eq(&literal_to_value(lit))`.
-fn literal_matches(value: &Value, lit: &Literal) -> bool {
+/// `value.value_eq(&literal_to_value(index, lit))`.
+fn literal_matches(index: &ProgramIndex, value: &Value, lit: Lit) -> bool {
     match (value, lit) {
-        (Value::Int(a), Literal::Int(b)) => a == b,
-        (Value::Str(a), Literal::Str(b)) => a.as_ref() == b,
-        (Value::Bool(a), Literal::Bool(b)) => a == b,
-        (Value::Null, Literal::Null) => true,
+        (Value::Int(a), Lit::Int(b)) => *a == b,
+        (Value::Str(a), Lit::Str(b)) => a.as_str() == index.text(b),
+        (Value::Bool(a), Lit::Bool(b)) => *a == b,
+        (Value::Null, Lit::Null) => true,
         _ => false,
     }
 }
 
-fn literal_to_value(lit: &Literal) -> Value {
+fn literal_to_value(index: &ProgramIndex, lit: Lit) -> Value {
     match lit {
-        Literal::Int(v) => Value::Int(*v),
-        Literal::Str(s) => Value::str(s.clone()),
-        Literal::Bool(b) => Value::Bool(*b),
-        Literal::Null => Value::Null,
+        Lit::Int(v) => Value::Int(v),
+        Lit::Str(s) => Value::str(index.text(s)),
+        Lit::Bool(b) => Value::Bool(b),
+        Lit::Null => Value::Null,
     }
 }

@@ -62,10 +62,12 @@
 //!   output over all 20,747 files of the eight paper-scale apps (with the
 //!   amplification and policy seeds) and a canonical dump of each app's
 //!   `ProgramIndex` (interner strings in symbol order, then the lowered
-//!   classes, methods, exceptions and configs) must hash to the values
-//!   pinned in `tests/frontend_pins.rs`, so a front-end change can move
-//!   neither a parsed tree nor a symbol number. The default test suite
-//!   runs the same check at small scale. Wired into `ci`.
+//!   classes, methods, exceptions and configs), and per app the call
+//!   graph, every method summary and the `lint --cross-check` output,
+//!   must hash to the values pinned in `tests/frontend_pins.rs`, so a
+//!   front-end or IR change can move neither a parsed tree, a symbol
+//!   number, a call target nor a lint byte. The default test suite runs
+//!   the same check at small scale. Wired into `ci`.
 //! - `paper-gate` — the paper-numbers gate: the stdout of `repro --scale
 //!   paper all` must equal `repro_paper_output.txt` byte for byte, which
 //!   pins the §4.3 cost table (calls, data, tokens, cost) and Tables 3–6
@@ -1201,7 +1203,7 @@ fn lint_gate(record: bool) {
 /// The paper-scale front-end pins: the `#[ignore]`d test in
 /// `tests/frontend_pins.rs`, built and run in release.
 fn frontend_gate() {
-    eprintln!("==> frontend gate: paper-scale printer and ProgramIndex digests");
+    eprintln!("==> frontend gate: paper-scale printer, ProgramIndex and analysis digests");
     run_stage(
         "test --release --test frontend_pins -- --ignored",
         &["test", "--release", "-q", "--test", "frontend_pins", "--", "--ignored"],

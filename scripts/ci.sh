@@ -53,7 +53,8 @@
 #      cannot drift.
 #  12. front-end gate: in release, the printer's output over every file
 #      of the eight paper-scale apps (amplification and policy seeds
-#      included) and a canonical dump of each app's ProgramIndex must hash
+#      included), a canonical dump of each app's ProgramIndex, and per app
+#      the call graph, the method summaries and the lint output must hash
 #      to the values pinned in tests/frontend_pins.rs (the default test
 #      suite checks the same at small scale).
 #
@@ -91,7 +92,7 @@ cargo xtask lint-gate
 echo "== stage 11: paper gate (repro --scale paper all vs repro_paper_output.txt) =="
 cargo xtask paper-gate
 
-echo "== stage 12: front-end gate (paper-scale printer and ProgramIndex digests) =="
+echo "== stage 12: front-end gate (paper-scale printer, ProgramIndex and analysis digests) =="
 cargo xtask frontend-gate
 
 echo "== ci: all stages passed =="

@@ -6,6 +6,8 @@
 //! so agreement over *every pair* here is strong evidence the precomputed
 //! ancestry matrices encode exactly the declaration-time subtype relation.
 
+mod common;
+
 use wasabi::corpus::spec::Scale;
 use wasabi::corpus::synth::{compile_app, generate_all};
 use wasabi::lang::project::Project;
@@ -128,11 +130,11 @@ fn index_build_is_deterministic() {
         }
         for method in &index.methods {
             out.push_str(&format!(
-                "method {} params={} slots={} body={:?}\n",
+                "method {} params={} slots={} body={}\n",
                 index.interner.resolve(method.name),
                 method.params,
                 method.n_slots,
-                method.body
+                common::ir_debug::body(index, method)
             ));
         }
         out

@@ -370,6 +370,289 @@ fn flat_ast_nodes_are_in_range_and_reachable_once() {
     }
 }
 
+/// Walks a compiled program's lowered IR by id from every method body and
+/// every distinct field initializer (subclasses share their base's), and
+/// counts how often each lowered statement and expression is reached.
+/// Independent of the index's own walkers: it follows every id a node
+/// holds, `for` headers included, and checks every id it meets against
+/// the table it indexes.
+struct IrLayoutCheck<'a> {
+    project: &'a wasabi::lang::project::Project,
+    stmts: Vec<u32>,
+    exprs: Vec<u32>,
+    /// Local slots of the body being walked (none in an initializer).
+    slots: u32,
+}
+
+impl IrLayoutCheck<'_> {
+    fn block(&mut self, block: wasabi::lang::index::LBlock) {
+        let index = &self.project.index;
+        for &id in &index[block] {
+            self.stmt(id);
+        }
+    }
+
+    fn slot(&self, slot: u32) {
+        assert!(slot < self.slots, "slot {slot} out of range ({})", self.slots);
+    }
+
+    fn sym(&self, sym: wasabi::lang::intern::Symbol) {
+        let n = self.project.index.interner.len();
+        assert!(sym.index() < n, "symbol {sym:?} out of range");
+    }
+
+    fn exc(&self, exc: wasabi::lang::index::ExcId) {
+        let n = self.project.index.exceptions.len();
+        assert!((exc.0 as usize) < n, "exception {exc:?} out of range");
+    }
+
+    fn class(&self, class: wasabi::lang::index::ClassId) {
+        let n = self.project.index.classes.len();
+        assert!((class.0 as usize) < n, "class {class:?} out of range");
+    }
+
+    fn stmt(&mut self, id: wasabi::lang::index::LStmtId) {
+        use wasabi::lang::index::LStmt;
+        let index = &self.project.index;
+        assert!((id.0 as usize) < index.stmt_count(), "statement {id:?} out of range");
+        self.stmts[id.0 as usize] += 1;
+        match index[id] {
+            LStmt::Var { slot, init } => {
+                self.slot(slot);
+                self.expr(init);
+            }
+            LStmt::AssignLocal { slot, name, value } => {
+                self.slot(slot);
+                self.sym(name);
+                self.expr(value);
+            }
+            LStmt::AssignField { recv, name, value } => {
+                self.expr(recv);
+                self.sym(name);
+                self.expr(value);
+            }
+            LStmt::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                self.expr(cond);
+                self.block(then_blk);
+                else_blk.into_iter().for_each(|b| self.block(b));
+            }
+            LStmt::While { cond, body } => {
+                self.expr(cond);
+                self.block(body);
+            }
+            LStmt::For {
+                init,
+                cond,
+                update,
+                body,
+            } => {
+                init.into_iter().for_each(|s| self.stmt(s));
+                cond.into_iter().for_each(|e| self.expr(e));
+                update.into_iter().for_each(|s| self.stmt(s));
+                self.block(body);
+            }
+            LStmt::Switch {
+                scrutinee,
+                cases,
+                default,
+            } => {
+                self.expr(scrutinee);
+                for case in &index[cases] {
+                    self.lit(case.lit);
+                    self.block(case.body);
+                }
+                default.into_iter().for_each(|b| self.block(b));
+            }
+            LStmt::Try {
+                body,
+                catches,
+                finally,
+            } => {
+                self.block(body);
+                for catch in &index[catches] {
+                    self.exc(catch.exc);
+                    self.slot(catch.binding);
+                    self.block(catch.body);
+                }
+                finally.into_iter().for_each(|b| self.block(b));
+            }
+            LStmt::Throw { expr } | LStmt::Log { expr } | LStmt::Expr { expr } => self.expr(expr),
+            LStmt::Sleep { ms } => self.expr(ms),
+            LStmt::Return { expr } => expr.into_iter().for_each(|e| self.expr(e)),
+            LStmt::Assert { cond, msg } => {
+                self.expr(cond);
+                msg.into_iter().for_each(|e| self.expr(e));
+            }
+            LStmt::Break | LStmt::Continue => {}
+        }
+    }
+
+    fn lit(&self, lit: wasabi::lang::ast::Lit) {
+        if let wasabi::lang::ast::Lit::Str(text) = lit {
+            let _ = self.project.index.text(text);
+        }
+    }
+
+    fn args(&mut self, args: wasabi::lang::ast::List<wasabi::lang::index::LExprId>) {
+        let index = &self.project.index;
+        for &arg in &index[args] {
+            self.expr(arg);
+        }
+    }
+
+    fn expr(&mut self, id: wasabi::lang::index::LExprId) {
+        use wasabi::lang::index::LExpr;
+        let index = &self.project.index;
+        assert!((id.0 as usize) < index.expr_count(), "expression {id:?} out of range");
+        self.exprs[id.0 as usize] += 1;
+        match index[id] {
+            LExpr::Literal(lit) => self.lit(lit),
+            LExpr::Local { slot, name } => {
+                self.slot(slot);
+                self.sym(name);
+            }
+            LExpr::ImplicitField { name } => self.sym(name),
+            LExpr::This => {}
+            LExpr::Field { recv, name } => {
+                self.expr(recv);
+                self.sym(name);
+            }
+            LExpr::GlobalCall { name, args } => {
+                self.sym(name);
+                self.args(args);
+            }
+            LExpr::Call {
+                site,
+                recv,
+                method,
+                args,
+            } => {
+                assert!((site.file.0 as usize) < self.project.files.len(), "file out of range");
+                recv.into_iter().for_each(|e| self.expr(e));
+                self.sym(method);
+                self.args(args);
+            }
+            LExpr::NewExc { exc, args } => {
+                self.exc(exc);
+                self.args(args);
+            }
+            LExpr::NewObj { class, args } => {
+                self.class(class);
+                self.args(args);
+            }
+            LExpr::NewUnknown { class, args } => {
+                let _ = index.text(class);
+                self.args(args);
+            }
+            LExpr::Binary { lhs, rhs, .. } => {
+                self.expr(lhs);
+                self.expr(rhs);
+            }
+            LExpr::Unary { expr, .. } => self.expr(expr),
+            LExpr::InstanceOf {
+                expr,
+                ty,
+                exc,
+                class,
+            } => {
+                self.expr(expr);
+                self.sym(ty);
+                exc.into_iter().for_each(|e| self.exc(e));
+                class.into_iter().for_each(|c| self.class(c));
+            }
+        }
+    }
+}
+
+/// Every id of a program's lowered IR is in range, the IR has exactly one
+/// node per AST statement and expression, and every lowered node is
+/// reachable exactly once from the method bodies and the distinct field
+/// initializers: no node is shared between bodies, none is left dead, and
+/// an inherited initializer is lowered once.
+fn check_ir_layout(project: &wasabi::lang::project::Project, what: &str) {
+    let index = &project.index;
+    let ast_stmts: usize = project.files.iter().map(|f| f.stmt_count()).sum();
+    let ast_exprs: usize = project.files.iter().map(|f| f.expr_count()).sum();
+    assert_eq!(index.stmt_count(), ast_stmts, "{what}: one lowered statement per AST statement");
+    assert_eq!(index.expr_count(), ast_exprs, "{what}: one lowered expression per AST expression");
+    let mut check = IrLayoutCheck {
+        project,
+        stmts: vec![0; index.stmt_count()],
+        exprs: vec![0; index.expr_count()],
+        slots: 0,
+    };
+    for method in &index.methods {
+        check.slots = method.n_slots;
+        check.block(method.body);
+    }
+    let mut inits: Vec<_> = index
+        .classes
+        .iter()
+        .flat_map(|class| class.inits.iter().map(|init| init.expr))
+        .collect();
+    inits.sort_unstable();
+    inits.dedup();
+    check.slots = 0;
+    for init in inits {
+        check.expr(init);
+    }
+    let bad_stmt = check.stmts.iter().position(|&n| n != 1);
+    let bad_expr = check.exprs.iter().position(|&n| n != 1);
+    assert_eq!(bad_stmt, None, "{what}: a lowered statement is not reached exactly once");
+    assert_eq!(bad_expr, None, "{what}: a lowered expression is not reached exactly once");
+}
+
+#[test]
+fn flat_ir_nodes_are_in_range_and_reachable_once() {
+    use wasabi::corpus::spec::{paper_apps, Scale};
+    use wasabi::corpus::synth::{append_policy_seeds, compile_app, generate_app_with_amp};
+    use wasabi::lang::project::Project;
+    let mut compiled = 0;
+    for case in 0..128u64 {
+        let mut rng = Rng::new(0x1f_7000 + case);
+        let source = gen_file(&mut rng);
+        if let Ok(project) = Project::compile("p", vec![("f.jav", source)]) {
+            check_ir_layout(&project, &format!("case {case}"));
+            compiled += 1;
+        }
+    }
+    assert!(compiled > 64, "only {compiled} of 128 generated programs compiled");
+    // Every node kind, inherited and shadowed initializers, `for` headers,
+    // string switches, and classes declared before their parents.
+    let project = Project::compile(
+        "kinds",
+        vec![
+            (
+                "a.jav",
+                "exception E;\n\
+                 class D extends B { field d = new B(); field b = \"s\"; \
+                   method m(o) { var x = 1; for (i = 0; i < 3; i = i + 1) { x = x + i; } \
+                     for (var j = o; ; o.n = j) { break; } \
+                     switch (o) { case \"k\": { log(o); } case 2: { continue; } default: { sleep(1); } } \
+                     try { this.f(x, -x); } catch (E e) { throw e; } finally { assert(!false, \"m\"); } \
+                     if (o instanceof E || o instanceof B) { return new Missing(1); } \
+                     while (x > 0) { x = max(x - 1, 0); } y = null; this.b = y; return this.d.b; } }",
+            ),
+            (
+                "b.jav",
+                "class B { field b = 1; field c = this.g(now()); method g(t) { return t; } \
+                 method f(a, b) { return a; } }",
+            ),
+        ],
+    )
+    .expect("compiles");
+    check_ir_layout(&project, "kinds");
+    for spec in paper_apps() {
+        let mut app = generate_app_with_amp(&spec, Scale::Small);
+        append_policy_seeds(&mut app);
+        check_ir_layout(&compile_app(&app), spec.short);
+    }
+}
+
 /// A string literal's value: any Unicode scalar, weighted towards quotes,
 /// backslashes, control characters, combining marks and multi-byte text.
 fn gen_literal(rng: &mut Rng) -> String {
