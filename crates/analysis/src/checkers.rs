@@ -56,9 +56,6 @@ use wasabi_lang::project::{CallSite, Project};
 /// Options for a lint run.
 #[derive(Debug, Clone)]
 pub struct LintOptions {
-    /// Worker threads for the summary fixpoint (output is identical for
-    /// any value).
-    pub jobs: usize,
     /// Retry-loop query options.
     pub loops: LoopQueryOptions,
     /// Emit `I001` IF-ratio outlier diagnostics (on by default; the
@@ -69,7 +66,6 @@ pub struct LintOptions {
 impl Default for LintOptions {
     fn default() -> Self {
         LintOptions {
-            jobs: 1,
             loops: LoopQueryOptions::default(),
             ifratio: true,
         }
@@ -127,7 +123,7 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
         local_retry.push((midx, bound));
     }
     local_retry.sort_by_key(|&(m, _)| m);
-    let summaries = Summaries::compute(project, &cg, &local_retry, options.jobs);
+    let summaries = Summaries::compute(project, &cg, &local_retry);
 
     let precise = Precise::build(&cg);
 
@@ -1303,33 +1299,5 @@ mod tests {
             diags.iter().all(|d| d.code != "I001"),
             "W004 must subsume the retried-fatal outlier: {diags:?}"
         );
-    }
-
-    #[test]
-    fn output_is_identical_across_jobs() {
-        let src = "exception E;\n\
-             class C {\n\
-               method op() throws E { return 1; }\n\
-               method inner() throws E {\n\
-                 while (true) { try { return this.op(); } catch (E e) { log(\"retry\"); } }\n\
-               }\n\
-               method run() {\n\
-                 for (var retries = 0; retries < 3; retries = retries + 1) {\n\
-                   try { return this.inner(); } catch (E e) { }\n\
-                 }\n\
-                 return null;\n\
-               }\n\
-             }";
-        let p = Project::compile("t", vec![("t.jav", src)]).expect("compile");
-        let render = |jobs: usize| {
-            let opts = LintOptions {
-                jobs,
-                ..LintOptions::default()
-            };
-            crate::diag::render_text(&lint_project(&p, &opts).diagnostics)
-        };
-        let one = render(1);
-        assert_eq!(one, render(4));
-        assert_eq!(one, render(1), "two consecutive runs");
     }
 }

@@ -23,16 +23,14 @@
 //! without a lookup. A component of one method that does not call itself
 //! reads no summary of its own component, so one transfer is final for it.
 //!
-//! # Determinism
+//! # Order
 //!
-//! Components are processed level by level over the condensation DAG
-//! (level = longest path to a leaf). Two components on the same level
-//! cannot call each other, so every cross-component read touches a
-//! finalized summary from a strictly lower level; within a component the
-//! fixpoint iterates members in ascending method order until stable. The
-//! worker threads that split a level's components among themselves
-//! therefore compute identical values in any interleaving — `--jobs 1`
-//! and `--jobs 4` produce byte-identical summaries.
+//! Components are solved one at a time in the order [`sccs`] returns
+//! them, which is reverse topological: every component a member calls
+//! is already final when its caller's component is solved. Within a
+//! component the fixpoint iterates members in ascending method order until
+//! stable. The components are not split among threads: per-level
+//! workers measured no faster than this serial pass.
 
 use crate::callgraph::{sccs, CallGraph, Calls, Sccs};
 use crate::idx;
@@ -105,13 +103,11 @@ pub struct Summaries {
 impl Summaries {
     /// Computes all summaries. `local_retry` carries, per method index,
     /// the attempt bound of the retry loops found in that method by the
-    /// loop query (empty slice when only throw/sleep facts are needed);
-    /// `jobs` bounds the worker threads used per condensation level.
+    /// loop query (empty slice when only throw/sleep facts are needed).
     pub fn compute(
         project: &Project,
         cg: &CallGraph,
         local_retry: &[(u32, AttemptBound)],
-        jobs: usize,
     ) -> Summaries {
         let index = &project.index;
         let n = index.methods.len();
@@ -126,26 +122,6 @@ impl Summaries {
         }
 
         let scc = sccs(cg);
-        // Level = longest path to a leaf component. Components arrive in
-        // reverse topological order, so every callee component has a
-        // smaller index and its level is already final.
-        let mut levels = vec![0u32; scc.len()];
-        for ci in 0..scc.len() {
-            let mut level = 0;
-            for &m in scc.component(ci) {
-                for &callee in cg.callees(m) {
-                    let cc = idx(scc.component_of[idx(callee, "callee method")], "component");
-                    if cc != ci {
-                        level = level.max(levels[cc] + 1);
-                    }
-                }
-            }
-            levels[ci] = level;
-        }
-        // Components by level, ascending within each.
-        let mut by_level: Vec<u32> = (0..scc.len() as u32).collect();
-        by_level.sort_by_key(|&ci| levels[idx(ci, "component")]);
-
         let solver = Solver {
             index,
             cg,
@@ -156,30 +132,11 @@ impl Summaries {
             throwable: index.exc_by_name("Throwable"),
         };
         let mut methods: Vec<MethodSummary> = vec![MethodSummary::default(); n];
-        let jobs = jobs.max(1);
-        let level_of = |ci: u32| levels[idx(ci, "component")];
-        for level in by_level.chunk_by(|&a, &b| level_of(a) == level_of(b)) {
-            let chunk = level.len().div_ceil(jobs);
-            let results: Vec<(u32, MethodSummary)> = if jobs == 1 || level.len() == 1 {
-                solver.solve(level, &methods)
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = level
-                        .chunks(chunk)
-                        .map(|part| {
-                            let methods = &methods;
-                            let solver = &solver;
-                            scope.spawn(move || solver.solve(part, methods))
-                        })
-                        .collect();
-                    let mut out = Vec::new();
-                    for handle in handles {
-                        out.extend(handle.join().expect("summary worker panicked"));
-                    }
-                    out
-                })
-            };
-            for (midx, summary) in results {
+        let mut scratch = Scratch::default();
+        let mut current = Vec::new();
+        for ci in 0..scc.len() {
+            solver.solve(ci, &methods, &mut current, &mut scratch);
+            for (midx, summary) in current.drain(..) {
                 methods[idx(midx, "solved method")] = summary;
             }
         }
@@ -219,34 +176,33 @@ struct Scratch {
 }
 
 impl Solver<'_> {
-    /// Solves the fixpoint for a slice of same-level components. Only
-    /// reads `finalized` entries from strictly lower levels (plus the
-    /// component's own summaries for in-component recursion), so the result
-    /// is independent of how components are distributed across workers.
-    fn solve(&self, which: &[u32], finalized: &[MethodSummary]) -> Vec<(u32, MethodSummary)> {
-        let mut out: Vec<(u32, MethodSummary)> = Vec::new();
-        let mut scratch = Scratch::default();
-        for &ci in which {
-            let members = self.scc.component(idx(ci, "component"));
-            let first = out.len();
-            out.extend(members.iter().map(|&m| (m, MethodSummary::default())));
-            let recursive =
-                members.len() > 1 || self.cg.callees(members[0]).binary_search(&members[0]).is_ok();
-            loop {
-                let mut changed = false;
-                for (i, &m) in members.iter().enumerate() {
-                    let next = self.transfer(m, finalized, &out[first..], &mut scratch);
-                    if out[first + i].1 != next {
-                        out[first + i].1 = next;
-                        changed = true;
-                    }
-                }
-                if !changed || !recursive {
-                    break;
+    /// Solves the fixpoint of component `ci` into `out`, one entry per
+    /// member in ascending method order. Reads `finalized` only for the
+    /// components it calls, which are solved before it.
+    fn solve(
+        &self,
+        ci: usize,
+        finalized: &[MethodSummary],
+        out: &mut Vec<(u32, MethodSummary)>,
+        scratch: &mut Scratch,
+    ) {
+        let members = self.scc.component(ci);
+        out.extend(members.iter().map(|&m| (m, MethodSummary::default())));
+        let recursive =
+            members.len() > 1 || self.cg.callees(members[0]).binary_search(&members[0]).is_ok();
+        loop {
+            let mut changed = false;
+            for (i, &m) in members.iter().enumerate() {
+                let next = self.transfer(m, finalized, out, scratch);
+                if out[i].1 != next {
+                    out[i].1 = next;
+                    changed = true;
                 }
             }
+            if !changed || !recursive {
+                break;
+            }
         }
-        out
     }
 
     /// One application of the summary transfer function for method `midx`.
@@ -302,7 +258,7 @@ struct BodyWalker<'a, 's> {
 
 impl<'a> BodyWalker<'a, '_> {
     /// The current summary of method `m`: its component's first, else the
-    /// finalized lower-level result.
+    /// final result of a component solved earlier.
     fn summary_of(&self, m: u32) -> &'a MethodSummary {
         let component = self.component;
         match component.binary_search_by_key(&m, |&(member, _)| member) {
@@ -503,9 +459,9 @@ mod tests {
         Project::compile("t", vec![("t.jav", src)]).expect("compile")
     }
 
-    fn summaries(p: &Project, jobs: usize) -> Summaries {
+    fn summaries(p: &Project) -> Summaries {
         let cg = CallGraph::build(p);
-        Summaries::compute(p, &cg, &[], jobs)
+        Summaries::compute(p, &cg, &[])
     }
 
     fn midx(p: &Project, class: &str, name: &str) -> usize {
@@ -533,7 +489,7 @@ mod tests {
                }\n\
              }",
         );
-        let s = summaries(&p, 1);
+        let s = summaries(&p);
         let both = &s.methods[midx(&p, "C", "both")];
         assert!(both.may_throw.contains(&exc(&p, "NetError")));
         assert!(both.may_throw.contains(&exc(&p, "DiskError")));
@@ -554,7 +510,7 @@ mod tests {
                }\n\
              }",
         );
-        let s = summaries(&p, 1);
+        let s = summaries(&p);
         let wrap = &s.methods[midx(&p, "C", "wrap")];
         assert!(wrap.may_throw.contains(&exc(&p, "NetError")));
     }
@@ -569,7 +525,7 @@ mod tests {
                method quiet() { return 1; }\n\
              }",
         );
-        let s = summaries(&p, 1);
+        let s = summaries(&p);
         assert!(s.methods[midx(&p, "C", "run")].may_sleep);
         assert!(!s.methods[midx(&p, "C", "quiet")].may_sleep);
     }
@@ -583,7 +539,7 @@ mod tests {
                method b(n) { if (n > 2) { throw new NetError(\"x\"); } this.a(n); return 2; }\n\
              }",
         );
-        let s = summaries(&p, 1);
+        let s = summaries(&p);
         assert!(s.methods[midx(&p, "C", "a")]
             .may_throw
             .contains(&exc(&p, "NetError")));
@@ -610,14 +566,16 @@ mod tests {
                }\n\
              }",
         );
-        let s = summaries(&p, 1);
+        let s = summaries(&p);
         let run = &s.methods[midx(&p, "C", "run")];
         assert!(run.may_throw.contains(&exc(&p, "DiskError")));
         assert!(run.may_throw.contains(&exc(&p, "NetError")), "the unprotected call");
     }
 
+    /// Components are solved callee first: the cycle sees what `B.y` and,
+    /// through it, `A.x` were finally found to do.
     #[test]
-    fn jobs_do_not_change_summaries() {
+    fn a_cycle_reads_the_final_summaries_of_the_components_it_calls() {
         let src = "exception NetError;\n\
              exception DiskError;\n\
              class A { method x() { throw new NetError(\"a\"); } }\n\
@@ -627,8 +585,16 @@ mod tests {
                method r2() { if (true) { return this.r1(); } throw new DiskError(\"c\"); }\n\
              }";
         let p = project(src);
-        let s1 = summaries(&p, 1);
-        let s4 = summaries(&p, 4);
-        assert_eq!(s1.methods, s4.methods);
+        let s = summaries(&p);
+        for method in ["r1", "r2"] {
+            let summary = &s.methods[midx(&p, "C", method)];
+            assert!(summary.may_sleep, "{method} reaches B.y's sleep");
+            for thrown in ["NetError", "DiskError"] {
+                assert!(
+                    summary.may_throw.contains(&exc(&p, thrown)),
+                    "{method} may throw {thrown}"
+                );
+            }
+        }
     }
 }

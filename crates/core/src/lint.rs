@@ -104,7 +104,7 @@ pub struct CrossCheckCell {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrossCheck {
     /// All cells, sorted by `(file, method, code, tier)` — byte-identical
-    /// across `--jobs` values (both inputs are already deterministic).
+    /// on any number of cores (both inputs are already deterministic).
     pub cells: Vec<CrossCheckCell>,
     /// Findings both detectors agree on.
     pub both: usize,

@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
+use wasabi_util::fanout;
 
 /// Index of a source file within a [`Project`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -247,17 +248,32 @@ pub struct Project {
 impl Project {
     /// Parses and links a set of `(path, source)` files into a project.
     ///
-    /// All files are parsed even if earlier ones fail, so the returned error
-    /// list covers the whole input.
+    /// The files are parsed on [`fanout::width`] workers, largest first.
+    /// The sources become `String`s on the caller's thread first: a worker
+    /// thread allocates from an allocator arena of its own, and text that
+    /// lives as long as the project is cheaper kept in the caller's, where
+    /// the next project reuses it. All files are parsed even if earlier
+    /// ones fail, so the returned error list covers the whole input, in
+    /// file order.
     pub fn compile(
         name: impl Into<String>,
         sources: Vec<(impl Into<String>, impl Into<String>)>,
     ) -> Result<Project, Vec<Diagnostic>> {
-        let mut files = Vec::new();
+        let sources: Vec<(String, String)> = sources
+            .into_iter()
+            .map(|(path, source)| (path.into(), source.into()))
+            .collect();
+        let parsed = fanout::map_with(
+            vec![(); fanout::width()],
+            sources,
+            |(_, source)| source.len(),
+            |(), (path, source)| SourceFile::parse(path, source).map(Arc::new),
+        );
+        let mut files = Vec::with_capacity(parsed.len());
         let mut errors = Vec::new();
-        for (path, source) in sources {
-            match SourceFile::parse(path, source) {
-                Ok(file) => files.push(Arc::new(file)),
+        for file in parsed {
+            match file {
+                Ok(file) => files.push(file),
                 Err(err) => errors.push(err),
             }
         }

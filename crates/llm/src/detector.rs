@@ -5,15 +5,18 @@
 //! exclusion) → Q1 follow-up (which methods) → Q2 (delay?) → Q3 (cap?). A
 //! flagged retry method in a file answering No to Q2 yields a
 //! missing-delay finding; No to Q3 yields a missing-cap finding.
-//! [`sweep_project`] is a fold of [`sweep_file`] over the files in order.
-//! Every prompt about a file names that file, so a model whose answers
-//! depend only on the file's own path and text (as
-//! [`SimulatedLlm`](crate::simulated::SimulatedLlm)'s do) answers a file
-//! the same way whether it sweeps the whole project or that file alone.
+//! [`sweep_files`] sweeps every file on [`fanout::width`] workers, each
+//! with its own [`LanguageModel::fork`], and returns the files' answers in
+//! file order; [`sweep_project`] folds them. Every prompt about a file
+//! names that file, so a model whose answers depend only on the file's own
+//! path and text (as [`SimulatedLlm`](crate::simulated::SimulatedLlm)'s
+//! do) answers a file the same way whether it sweeps the whole project,
+//! a share of it on one worker, or that file alone.
 
 use crate::model::{LanguageModel, Usage};
 use crate::prompts;
 use wasabi_lang::project::{FileId, Project, SourceFile};
+use wasabi_util::fanout;
 
 /// WHEN-bug categories the LLM detector reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,7 +75,9 @@ pub struct LlmSweep {
     pub retry_files: Vec<FileReport>,
     /// WHEN-bug findings.
     pub findings: Vec<LlmWhenFinding>,
-    /// API usage for the whole sweep.
+    /// API usage for the whole sweep: the account of the sweep's calls.
+    /// The sweep's prompts go to forks of the caller's model, so the
+    /// caller's own [`LanguageModel::usage`] does not count them.
     pub usage: Usage,
 }
 
@@ -179,15 +184,23 @@ fn ask_file(
     })
 }
 
-/// Runs the full LLM static-checking workflow over every file: a fold of
-/// [`sweep_file`] in file order with one model.
+/// Runs [`sweep_file`] over every file of the project, largest first, on
+/// [`fanout::width`] workers with one fork of `llm` each, and returns the
+/// answers in file order.
+pub fn sweep_files(project: &Project, llm: &dyn LanguageModel) -> Vec<FileSweep> {
+    let forks = (0..fanout::width()).map(|_| llm.fork()).collect();
+    fanout::map_with(
+        forks,
+        project.files.iter().enumerate().collect(),
+        |(_, file)| file.source.len(),
+        |llm, (fidx, file)| sweep_file(FileId(fidx as u32), file, &mut **llm),
+    )
+}
+
+/// Runs the full LLM static-checking workflow over every file: the fold of
+/// [`sweep_files`]. The sweep asks forks of `llm`, not `llm` itself.
 pub fn sweep_project(project: &Project, llm: &mut dyn LanguageModel) -> LlmSweep {
-    project
-        .files
-        .iter()
-        .enumerate()
-        .map(|(fidx, file)| sweep_file(FileId(fidx as u32), file, llm))
-        .collect()
+    sweep_files(project, llm).into_iter().collect()
 }
 
 #[cfg(test)]

@@ -43,7 +43,9 @@ pub mod model;
 pub mod prompts;
 pub mod simulated;
 
-pub use detector::{sweep_file, sweep_project, FileSweep, LlmSweep, LlmWhenFinding, LlmWhenKind};
+pub use detector::{
+    sweep_file, sweep_files, sweep_project, FileSweep, LlmSweep, LlmWhenFinding, LlmWhenKind,
+};
 pub use model::{Answer, LanguageModel, Usage};
 pub use prompts::{Prompt, Question};
 pub use simulated::{SimProfile, SimulatedLlm, TextSignals};

@@ -71,6 +71,15 @@ pub trait LanguageModel {
 
     /// Cumulative usage so far.
     fn usage(&self) -> Usage;
+
+    /// A fresh model for another worker of a sweep: the same seed and
+    /// configuration, with no memory of earlier prompts and no usage.
+    ///
+    /// The sweep asks each worker's fork about whole files, Q1 first, so a
+    /// model whose answers about a file depend only on that file's prompts
+    /// (as [`SimulatedLlm`](crate::simulated::SimulatedLlm)'s do) answers
+    /// through its forks exactly as it would alone.
+    fn fork(&self) -> Box<dyn LanguageModel + Send>;
 }
 
 #[cfg(test)]

@@ -660,6 +660,10 @@ impl LanguageModel for SimulatedLlm {
     fn usage(&self) -> Usage {
         self.usage
     }
+
+    fn fork(&self) -> Box<dyn LanguageModel + Send> {
+        Box::new(SimulatedLlm::new(self.seed, self.profile.clone()))
+    }
 }
 
 #[cfg(test)]

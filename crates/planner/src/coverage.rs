@@ -9,6 +9,7 @@ use wasabi_analysis::loops::RetryLocation;
 use wasabi_inject::CoverageRecorder;
 use wasabi_lang::index::{ClassId, LExpr};
 use wasabi_lang::project::{CallSite, FileId, MethodId, Project};
+use wasabi_util::fanout;
 use wasabi_vm::runner::{run_test, RunOptions};
 
 /// The result of the profiling pass.
@@ -80,12 +81,12 @@ pub fn prefilter_suite(
 }
 
 /// Executes `tests` once each with coverage instrumentation on `sites`,
-/// on `jobs` worker threads. Baseline executions are independent (each
-/// test runs in its own interpreter with its own recorder), so the tests
-/// are split into contiguous chunks and the per-chunk results
-/// concatenated back in suite order — the resulting profile is
-/// byte-identical to the serial one for any `jobs` value. `tests_total`
-/// is the size of the whole suite, before any prefilter.
+/// on `jobs` workers through [`fanout::map_with`], each with its own
+/// recorder. Baseline executions are independent (each test runs in its
+/// own interpreter), and the fan-out returns the results in suite order,
+/// so the profile is byte-identical to the serial one for any `jobs`
+/// value. `tests_total` is the size of the whole suite, before any
+/// prefilter.
 pub fn profile_tests(
     project: &Project,
     sites: &BTreeSet<CallSite>,
@@ -98,23 +99,19 @@ pub fn profile_tests(
         tests_total,
         ..CoverageProfile::default()
     };
-    let jobs = jobs.max(1).min(tests.len().max(1));
-    let per_test: Vec<(MethodId, Vec<CallSite>)> = if jobs == 1 {
-        profile_chunk(project, sites, tests, options)
-    } else {
-        let chunk_len = tests.len().div_ceil(jobs);
-        let mut merged = Vec::with_capacity(tests.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = tests
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || profile_chunk(project, sites, chunk, options)))
-                .collect();
-            for handle in handles {
-                merged.extend(handle.join().expect("profile worker panicked"));
-            }
-        });
-        merged
-    };
+    let recorders = (0..jobs.clamp(1, tests.len().max(1)))
+        .map(|_| CoverageRecorder::new(sites.iter().copied()))
+        .collect();
+    let per_test = fanout::map_with(
+        recorders,
+        tests.iter().collect(),
+        |_| 0,
+        |recorder, (_, test)| {
+            recorder.reset();
+            run_test(project, test, recorder, options);
+            (test, recorder.covered())
+        },
+    );
     for (test, covered) in per_test {
         if covered.is_empty() {
             continue;
@@ -126,28 +123,9 @@ pub fn profile_tests(
                 .or_default()
                 .push(test.clone());
         }
-        profile.per_test.insert(test, covered);
+        profile.per_test.insert(test.clone(), covered);
     }
     profile
-}
-
-/// Profiles one contiguous chunk of the suite, returning `(test, covered
-/// sites, virtual ms)` in chunk order.
-fn profile_chunk(
-    project: &Project,
-    sites: &BTreeSet<CallSite>,
-    tests: &[(FileId, MethodId)],
-    options: &RunOptions,
-) -> Vec<(MethodId, Vec<CallSite>)> {
-    let mut recorder = CoverageRecorder::new(sites.iter().copied());
-    tests
-        .iter()
-        .map(|(_, test)| {
-            recorder.reset();
-            run_test(project, test, &mut recorder, options);
-            (test.clone(), recorder.covered())
-        })
-        .collect()
 }
 
 /// Which suite tests can possibly reach one of the instrumented sites,

@@ -49,7 +49,7 @@ use wasabi_engine::campaign::{run_campaign, CampaignOptions, RunRecord};
 use wasabi_engine::observer::outcome_kind;
 use wasabi_engine::NullObserver;
 use wasabi_lang::project::{FileId, Project, SourceFile};
-use wasabi_llm::detector::{sweep_file, FileSweep};
+use wasabi_llm::detector::{sweep_file, sweep_files, FileSweep};
 use wasabi_llm::simulated::SimulatedLlm;
 use wasabi_oracles::OracleConfig;
 use wasabi_planner::plan::{targeted_runs, RunKey};
@@ -201,13 +201,7 @@ impl Compiled {
         lint_opts: &LintOptions,
     ) -> Result<Compiled, String> {
         let project = Project::compile(name, sources).map_err(compile_error)?;
-        let mut llm = SimulatedLlm::with_seed(llm_seed);
-        let sweeps = project
-            .files
-            .iter()
-            .enumerate()
-            .map(|(fidx, file)| sweep_file(FileId(fidx as u32), file, &mut llm))
-            .collect();
+        let sweeps = sweep_files(&project, &SimulatedLlm::with_seed(llm_seed));
         Ok(Compiled::identify_and_lint(project, sweeps, lint_opts))
     }
 
@@ -457,7 +451,6 @@ pub fn repair(
     options: &RepairOptions,
 ) -> Result<RepairOutcome, String> {
     let lint_opts = LintOptions {
-        jobs: options.jobs,
         loops: options.loops.clone(),
         // Repair only targets retry codes; IF-ratio info findings would
         // just be recomputed on every candidate for nothing.

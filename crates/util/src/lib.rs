@@ -24,8 +24,13 @@
 //! - [`atomic`] — temp-then-rename file replacement for the shard
 //!   manifest, traces, the repair report and lint baselines.
 
+//! - [`fanout`] — the one ordered fan-out ([`fanout::map_with`]): the
+//!   parse, the LLM sweep and the coverage profile map their files or
+//!   tests on scoped workers and get the results back in input order.
+
 pub mod atomic;
 pub mod backoff;
+pub mod fanout;
 pub mod json;
 pub mod metrics;
 pub mod rng;

@@ -50,8 +50,10 @@
 //!   per-app and per-class fix rates and the attempts-vs-fix-rate curve.
 //! - `lint-gate` — the static-analysis gate: over all eight corpus apps
 //!   (small scale, amplification AND policy seeds included), `wasabi
-//!   lint --json --cross-check` must be byte-identical between `--jobs 1`
-//!   and `--jobs 4`, and the W004/W005/W006 findings must score at least
+//!   lint --json --cross-check` must be byte-identical on one core
+//!   (`taskset -c 0`, which must be installed) and on all of the
+//!   machine's cores, so the front half's fan-out cannot change a byte,
+//!   and the W004/W005/W006 findings must score at least
 //!   0.9 precision and recall per code against the `policy_truth.json`
 //!   sidecars; HD and MA with the amplification seeds alone must report
 //!   nothing outside the checked-in baseline (`scripts/lint_baseline.txt`,
@@ -381,19 +383,37 @@ fn check_lint_baseline(wasabi: &Path, work: &Path, record: bool) {
 
 /// Runs `wasabi lint <flags> <files>` in `cwd` and returns (exit code,
 /// stdout). Exit code 1 (diagnostics found) is an expected outcome — only
-/// codes ≥ 2 abort.
+/// codes ≥ 2, or no output at all, abort.
 fn run_wasabi_lint_in(wasabi: &Path, cwd: &Path, flags: &[&str], files: &[PathBuf]) -> (i32, String) {
-    let output = Command::new(wasabi)
-        .current_dir(cwd)
-        .arg("lint")
-        .args(flags)
-        .args(files)
+    let mut command = Command::new(wasabi);
+    command.current_dir(cwd).arg("lint").args(flags).args(files);
+    lint_output(command, "wasabi lint")
+}
+
+/// [`run_wasabi_lint_in`] under `taskset -c 0`: the process may use one
+/// core, so its front half parses and sweeps on one worker.
+fn run_wasabi_lint_on_one_core(
+    wasabi: &Path,
+    cwd: &Path,
+    flags: &[&str],
+    files: &[PathBuf],
+) -> (i32, String) {
+    let mut command = Command::new("taskset");
+    command.current_dir(cwd).args(["-c", "0"]).arg(wasabi).arg("lint").args(flags).args(files);
+    lint_output(command, "taskset -c 0 wasabi lint")
+}
+
+/// Runs a lint `command` and returns (exit code, stdout); `what` names the
+/// command in failures. `wasabi lint` always prints something, and a
+/// `taskset` that cannot pin the process exits 1 with nothing on stdout.
+fn lint_output(mut command: Command, what: &str) -> (i32, String) {
+    let output = command
         .output()
-        .unwrap_or_else(|e| fail(&format!("spawn wasabi lint: {e}")));
+        .unwrap_or_else(|e| fail(&format!("spawn {what}: {e}")));
     let code = output.status.code().unwrap_or(-1);
-    if code != 0 && code != 1 {
+    if code != 0 && code != 1 || output.stdout.is_empty() {
         eprintln!("{}", String::from_utf8_lossy(&output.stderr));
-        fail(&format!("wasabi lint exited with code {code}"));
+        fail(&format!("{what} exited with code {code}"));
     }
     (code, String::from_utf8_lossy(&output.stdout).into_owned())
 }
@@ -1038,14 +1058,15 @@ fn repair_gate(record: bool) {
 
 /// The lint gate (CI stage 10): regenerate all eight corpus apps with
 /// the amplification *and* policy seeds, require the `wasabi lint --json
-/// --cross-check` report to be byte-identical between `--jobs 1` and
-/// `--jobs 4`, and score the W004/W005/W006 diagnostics against the
-/// `policy_truth.json` sidecars — at least 0.9 precision and recall per
-/// code, the same bar the A001 test gate sets. Then check the `--amp`
-/// baseline apps against `scripts/lint_baseline.txt` (see
-/// [`check_lint_baseline`]; `record` rewrites it). Writes
-/// `BENCH_PR10.json` with per-app diagnostic counts and the per-code
-/// score table.
+/// --cross-check` report to be byte-identical on one core (`taskset -c
+/// 0`, so the parse and the sweep run on one worker) and on every core
+/// the machine gives the process, and score the W004/W005/W006
+/// diagnostics against the `policy_truth.json` sidecars — at least 0.9
+/// precision and recall per code, the same bar the A001 test gate sets.
+/// Then check the `--amp` baseline apps against
+/// `scripts/lint_baseline.txt` (see [`check_lint_baseline`]; `record`
+/// rewrites it). Writes `BENCH_PR10.json` with per-app diagnostic counts
+/// and the per-code score table.
 fn lint_gate(record: bool) {
     eprintln!("==> lint gate: W004-W006 precision/recall over the policy-seeded corpus");
     let wasabi = release_wasabi()
@@ -1053,6 +1074,10 @@ fn lint_gate(record: bool) {
         .unwrap_or_else(|e| fail(&format!("canonicalize wasabi path: {e}")));
     let work = env::temp_dir().join(format!("wasabi-lint-gate-{}", std::process::id()));
     let _ = fs::remove_dir_all(&work);
+    let cores = match std::thread::available_parallelism() {
+        Ok(n) => format!("{n} cores"),
+        Err(_) => "all cores".to_string(),
+    };
 
     // `(code, true_positives, genuine, reported)` per new checker.
     let mut scores: Vec<(&str, u64, u64, u64)> =
@@ -1076,13 +1101,13 @@ fn lint_gate(record: bool) {
             .map(|f| f.strip_prefix(&work).expect("file under work dir").to_path_buf())
             .collect();
 
-        let serial =
-            run_wasabi_lint_in(&wasabi, &work, &["--json", "--cross-check", "--jobs", "1"], &rel);
-        let parallel =
-            run_wasabi_lint_in(&wasabi, &work, &["--json", "--cross-check", "--jobs", "4"], &rel);
+        let flags = ["--json", "--cross-check"];
+        let serial = run_wasabi_lint_on_one_core(&wasabi, &work, &flags, &rel);
+        let parallel = run_wasabi_lint_in(&wasabi, &work, &flags, &rel);
         if serial.1 != parallel.1 {
             fail(&format!(
-                "lint gate: {app} cross-check report differs between --jobs 1 and --jobs 4"
+                "lint gate: {app} cross-check report differs between one core \
+                 (taskset -c 0) and {cores}"
             ));
         }
         let what = format!("lint gate: {app} report");
@@ -1151,7 +1176,7 @@ fn lint_gate(record: bool) {
             }
         }
         eprintln!(
-            "    {app}: {} files, {app_diags} policy diagnostics, identical across jobs=1/4",
+            "    {app}: {} files, {app_diags} policy diagnostics, identical on 1 core and {cores}",
             rel.len()
         );
         app_rows.push(format!(
@@ -1189,9 +1214,9 @@ fn lint_gate(record: bool) {
     }
     let doc = format!(
         "{{\n  \"harness\": \"cargo xtask lint-gate (wasabi lint --json --cross-check over all \
-         8 corpus apps with --amp --policy seeds, --jobs 1 vs --jobs 4 byte-compared, scored \
-         against policy_truth.json)\",\n  \"apps\": [\n    {}\n  ],\n  \"codes\": [\n    {}\n  ],\n  \
-         \"floor\": {{\"precision\": 0.9, \"recall\": 0.9}}\n}}\n",
+         8 corpus apps with --amp --policy seeds, one core (taskset -c 0) vs all cores \
+         byte-compared, scored against policy_truth.json)\",\n  \"apps\": [\n    {}\n  ],\n  \
+         \"codes\": [\n    {}\n  ],\n  \"floor\": {{\"precision\": 0.9, \"recall\": 0.9}}\n}}\n",
         app_rows.join(",\n    "),
         code_rows.join(",\n    ")
     );

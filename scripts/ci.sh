@@ -41,7 +41,8 @@
 #      --jobs 1 and --jobs 4 (writes BENCH_PR9.json).
 #  10. lint gate: `wasabi lint --json --cross-check` over all eight
 #      corpus apps (small scale, amplification and policy seeds included)
-#      must be byte-identical between --jobs 1 and --jobs 4, the
+#      must be byte-identical on one core (`taskset -c 0`, so the parse
+#      and the LLM sweep run on one worker) and on all cores, the
 #      W004/W005/W006 findings must score at least 0.9 precision and
 #      recall per code against the policy_truth.json sidecars, and HD and
 #      MA with the amplification seeds alone must report nothing outside

@@ -4,7 +4,7 @@
 //! ```text
 //! wasabi analyze [--json] <file.jav>...            # retry loops, locations, IF outliers
 //! wasabi sweep   [--json] <file.jav>...            # LLM static sweep (WHEN findings)
-//! wasabi lint    [--json] [--jobs N] [--baseline PATH] [--write-baseline PATH]
+//! wasabi lint    [--json] [--baseline PATH] [--write-baseline PATH]
 //!                [--cross-check] [--no-ifratio]    # interprocedural retry diagnostics
 //!                <file.jav>...                     # (+ static↔LLM agreement matrix)
 
@@ -58,7 +58,7 @@ use wasabi::util::Json;
 const USAGE: &str = "usage:
   wasabi analyze [--json] <file.jav>...
   wasabi sweep   [--json] <file.jav>...
-  wasabi lint    [--json] [--jobs N] [--baseline PATH] [--write-baseline PATH]
+  wasabi lint    [--json] [--baseline PATH] [--write-baseline PATH]
                  [--cross-check] [--no-ifratio] <file.jav>...
   wasabi test    [--json] [--jobs N] [--max-attempts N] [--journal PATH]
                  [--resume PATH] [--quiet] [--chaos-panic RATE]
@@ -141,7 +141,7 @@ fn main() -> ExitCode {
     match command.as_str() {
         "analyze" => with_project(&args, |project| analyze(project, json)),
         "sweep" => with_project(&args, |project| sweep(project, json)),
-        "lint" => lint(&mut args, json, &flags),
+        "lint" => lint(&mut args, json),
         "test" if flags.shards.is_some() => test_sharded(&args, json, &flags),
         "test" => with_project(&args, |project| test(project, json, &flags)),
         "merge" => merge(&args, json),
@@ -445,9 +445,9 @@ fn sweep(project: &Project, json: bool) -> ExitCode {
 
 /// `wasabi lint`: run the interprocedural checkers and the LLM overlap
 /// accounting. Exit code 0 with no (non-suppressed) diagnostics, 1 when
-/// any remain, 2 on usage errors. Output is byte-identical for any
-/// `--jobs` value.
-fn lint(args: &mut Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode {
+/// any remain, 2 on usage errors. Output is byte-identical whatever the
+/// number of cores.
+fn lint(args: &mut Vec<String>, json: bool) -> ExitCode {
     let (baseline_path, write_baseline) = match (
         take_value_flag(args, "--baseline"),
         take_value_flag(args, "--write-baseline"),
@@ -473,11 +473,9 @@ fn lint(args: &mut Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode {
         },
         None => None,
     };
-    let jobs = flags.jobs;
     with_project(args, move |project| {
         let mut llm = SimulatedLlm::with_seed(0);
         let options = LintOptions {
-            jobs,
             ifratio: !no_ifratio,
             ..LintOptions::default()
         };

@@ -14,6 +14,7 @@ pub mod ir_debug {
     use wasabi::lang::index::{
         ClassDef, ClassId, CompiledMethod, LBlock, LExpr, LExprId, LStmt, LStmtId, ProgramIndex,
     };
+    use wasabi::lang::intern::Symbol;
 
     /// `{:?}` of the index's classes, as `Vec<ClassDef>` printed.
     pub fn classes(index: &ProgramIndex) -> String {
@@ -27,6 +28,25 @@ pub mod ir_debug {
     pub fn methods(index: &ProgramIndex) -> String {
         let methods: Vec<Method<'_>> = index.methods.iter().map(|m| Method(index, m)).collect();
         format!("{methods:?}")
+    }
+
+    /// The index's interner strings in symbol order, one per line, then
+    /// its lowered classes, methods, exceptions and configs: what the
+    /// front-end pins hash. The interner's hash table is left out (its
+    /// layout is random).
+    pub fn dump(index: &ProgramIndex) -> String {
+        let mut out = String::new();
+        for i in 0..index.interner.len() {
+            out.push_str(index.interner.resolve(Symbol(i as u32)));
+            out.push('\n');
+        }
+        out + &format!(
+            "{}{}{:?}{:?}",
+            classes(index),
+            methods(index),
+            index.exceptions,
+            index.configs
+        )
     }
 
     /// `{:?}` of one method body, as `Vec<LStmt>` printed.
@@ -306,5 +326,58 @@ pub mod ir_debug {
                     .finish(),
             }
         }
+    }
+}
+
+pub mod widths {
+    //! The front half fanned out to a chosen number of workers, for tests
+    //! that compare every width with `Project::compile` and
+    //! `sweep_project`, which use the machine's.
+
+    use std::sync::Arc;
+    use wasabi::lang::error::Diagnostic;
+    use wasabi::lang::project::{FileId, Project, SourceFile};
+    use wasabi::llm::detector::{sweep_file, LlmSweep};
+    use wasabi::llm::model::LanguageModel;
+    use wasabi::util::fanout::map_with;
+
+    /// Parses `sources` on `width` workers, then links: errors come back
+    /// in file order, as `Project::compile` reports them.
+    pub fn compile(
+        name: &str,
+        sources: &[(String, String)],
+        width: usize,
+    ) -> Result<Project, Vec<Diagnostic>> {
+        let parsed = map_with(
+            vec![(); width],
+            sources.iter().collect(),
+            |(_, source)| source.len(),
+            |(), (path, source)| SourceFile::parse(path.as_str(), source.as_str()),
+        );
+        let mut files = Vec::new();
+        let mut errors = Vec::new();
+        for file in parsed {
+            match file {
+                Ok(file) => files.push(Arc::new(file)),
+                Err(err) => errors.push(err),
+            }
+        }
+        if !errors.is_empty() {
+            return Err(errors);
+        }
+        Project::link(name, files)
+    }
+
+    /// Sweeps every file on `width` forks of `llm` and folds the answers in
+    /// file order.
+    pub fn sweep(project: &Project, llm: &dyn LanguageModel, width: usize) -> LlmSweep {
+        map_with(
+            (0..width).map(|_| llm.fork()).collect(),
+            project.files.iter().enumerate().collect(),
+            |(_, file)| file.source.len(),
+            |llm, (fidx, file)| sweep_file(FileId(fidx as u32), file, &mut **llm),
+        )
+        .into_iter()
+        .collect()
     }
 }

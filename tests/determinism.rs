@@ -1,13 +1,23 @@
 //! Campaign determinism: the dynamic workflow must produce byte-identical
 //! results for every `--jobs` value. This is the engine's central contract
 //! — parallelism is an implementation detail that must never leak into
-//! reports, bug lists, or statistics.
+//! reports, bug lists, or statistics. The front half (parse and LLM sweep)
+//! fans out to the machine's cores, and must equally read the same at
+//! every width.
 
+mod common;
+
+use common::{ir_debug, widths};
+use wasabi::analysis::checkers::{lint_project, LintOptions};
+use wasabi::analysis::diag::render_json;
 use wasabi::analysis::loops::RetryLocation;
 use wasabi::core::dynamic::{run_dynamic, DynamicOptions, DynamicResult};
 use wasabi::core::identify::identify;
+use wasabi::core::lint::{cross_check, lint_with_overlap};
 use wasabi::corpus::spec::{paper_apps, Scale};
-use wasabi::corpus::synth::{compile_app, generate_app};
+use wasabi::corpus::synth::{
+    append_policy_seeds, compile_app, generate_app, generate_app_with_amp, GeneratedApp,
+};
 use wasabi::engine::campaign::ChaosConfig;
 use wasabi::util::backoff::Policy;
 use wasabi::engine::journal;
@@ -230,4 +240,85 @@ fn resumed_campaign_matches_uninterrupted_run_byte_for_byte() {
         "resumed campaign diverged from the uninterrupted one"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// A small-scale app with the amplification and policy seeds, one of whose
+/// middle files is padded with comments to at least 100 times the median
+/// file size, so that the largest-first claim order differs from file
+/// order.
+fn lopsided_app() -> GeneratedApp {
+    let spec = paper_apps().into_iter().find(|s| s.short == "HB").expect("HB");
+    let mut app = generate_app_with_amp(&spec, Scale::Small);
+    append_policy_seeds(&mut app);
+    let mut sizes: Vec<usize> = app.files.iter().map(|(_, source)| source.len()).collect();
+    sizes.sort_unstable();
+    let target = 100 * sizes[sizes.len() / 2];
+    let middle = app.files.len() / 2;
+    let source = &mut app.files[middle].1;
+    while source.len() < target {
+        source.push_str("// padding that the parser skips and the model reads\n");
+    }
+    app
+}
+
+/// At widths 1, 2 and 3, the parse and the sweep fanned out equal
+/// `Project::compile` and `sweep_project`: the linked index, the lint
+/// with its cross-check matrix, and the LLM sweep.
+#[test]
+fn front_half_is_byte_identical_at_every_width() {
+    let app = lopsided_app();
+    let reference = compile_app(&app);
+    let index = ir_debug::dump(&reference.index);
+    let llm = SimulatedLlm::with_seed(0);
+    // `lint_with_overlap` sweeps with `sweep_project`.
+    let report = lint_with_overlap(
+        &reference,
+        &mut SimulatedLlm::with_seed(0),
+        &LintOptions::default(),
+    );
+    assert!(!report.sweep.retry_files.is_empty(), "the sweep finds retry");
+    let lint = render_json(&report.lint.diagnostics)
+        + &cross_check(&report.lint, &report.sweep).render_text();
+    for width in 1..=3 {
+        let project = widths::compile(app.spec.name, &app.files, width).expect("compiles");
+        // Not `assert_eq!`: a failure would print both dumps in full.
+        assert!(index == ir_debug::dump(&project.index), "index at width {width}");
+        let swept = widths::sweep(&project, &llm, width);
+        assert_eq!(swept, report.sweep, "sweep at width {width}");
+        let linted = lint_project(&project, &LintOptions::default());
+        assert_eq!(
+            render_json(&linted.diagnostics) + &cross_check(&linted, &swept).render_text(),
+            lint,
+            "lint at width {width}"
+        );
+    }
+}
+
+/// Two files that fail to parse report both errors in file order, at
+/// every width, though the second file is the larger and is claimed
+/// first.
+#[test]
+fn parse_errors_keep_file_order_at_every_width() {
+    let d = format!("{}class D {{ method m( }}", "// pad\n".repeat(100));
+    let sources: Vec<(String, String)> = [
+        ("a.jav", "class A { method m() { return 1; } }"),
+        ("b.jav", "class {"),
+        ("c.jav", "class C { }"),
+        ("d.jav", d.as_str()),
+    ]
+    .map(|(path, source)| (path.to_string(), source.to_string()))
+    .into();
+    let render = |errors: Vec<wasabi::lang::error::Diagnostic>| -> Vec<String> {
+        errors.iter().map(ToString::to_string).collect()
+    };
+    let expected = render(Project::compile("t", sources.clone()).expect_err("two bad files"));
+    assert_eq!(expected.len(), 2, "{expected:?}");
+    assert!(
+        expected[0].contains("b.jav") && expected[1].contains("d.jav"),
+        "{expected:?}"
+    );
+    for width in 1..=3 {
+        let errors = widths::compile("t", &sources, width).expect_err("two bad files");
+        assert_eq!(render(errors), expected, "width {width}");
+    }
 }

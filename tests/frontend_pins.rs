@@ -27,7 +27,6 @@ use wasabi::analysis::summaries::Summaries;
 use wasabi::core::lint::{cross_check, lint_with_overlap};
 use wasabi::corpus::spec::{paper_apps, Scale};
 use wasabi::corpus::synth::{append_policy_seeds, generate_app_with_amp};
-use wasabi::lang::intern::Symbol;
 use wasabi::lang::printer::print_items;
 use wasabi::lang::project::{Project, SourceFile};
 use wasabi::llm::simulated::SimulatedLlm;
@@ -66,22 +65,8 @@ fn digests(scale: Scale) -> (usize, u64, Vec<(&'static str, [u64; 4])>) {
             files += 1;
         }
         let project = Project::link(spec.name, parsed).expect("links");
-        // Interner strings in symbol order, then the lowered program; the
-        // interner's hash table is left out (its layout is random).
-        let index = &project.index;
         let mut dump = Fnv(FNV_OFFSET);
-        for i in 0..index.interner.len() {
-            writeln!(dump, "{}", index.interner.resolve(Symbol(i as u32))).expect("hashing");
-        }
-        write!(
-            dump,
-            "{}{}{:?}{:?}",
-            ir_debug::classes(index),
-            ir_debug::methods(index),
-            index.exceptions,
-            index.configs
-        )
-        .expect("hashing");
+        dump.write_str(&ir_debug::dump(&project.index)).expect("hashing");
 
         // The call graph: each call's site, method and sorted targets, per
         // method in walk order, then the callee lists.
@@ -113,7 +98,7 @@ fn digests(scale: Scale) -> (usize, u64, Vec<(&'static str, [u64; 4])>) {
         let mut local_retry: Vec<_> = report.lint.loops.iter().map(|f| (f.midx, f.bound)).collect();
         local_retry.sort_by_key(|&(m, _)| m);
         let mut summaries = Fnv(FNV_OFFSET);
-        for (m, s) in Summaries::compute(&project, &cg, &local_retry, 1)
+        for (m, s) in Summaries::compute(&project, &cg, &local_retry)
             .methods
             .iter()
             .enumerate()

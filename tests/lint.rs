@@ -1,8 +1,11 @@
 //! Integration tests for the interprocedural lint: determinism across
-//! worker counts and runs, amplification precision/recall against the
-//! seeded corpus ground truth, and CFG exceptional-edge invariants swept
-//! across every generated method.
+//! front-half worker counts and runs, amplification precision/recall
+//! against the seeded corpus ground truth, and CFG exceptional-edge
+//! invariants swept across every generated method.
 
+mod common;
+
+use common::widths;
 use wasabi::analysis::cfg::{BlockId, Cfg};
 use wasabi::analysis::checkers::{lint_project, LintOptions};
 use wasabi::analysis::diag::render_text;
@@ -35,26 +38,23 @@ fn policy_app(short: &str) -> (GeneratedApp, Project) {
     (app, project)
 }
 
-fn lint_text(project: &Project, jobs: usize) -> String {
-    let options = LintOptions {
-        jobs,
-        ..LintOptions::default()
-    };
-    render_text(&lint_project(project, &options).diagnostics)
+fn lint_text(project: &Project) -> String {
+    render_text(&lint_project(project, &LintOptions::default()).diagnostics)
 }
 
-/// The rendered diagnostics are byte-identical whatever the worker count,
-/// and across consecutive runs of the same configuration.
+/// The rendered diagnostics are byte-identical across consecutive runs,
+/// a fresh compile, and a fresh parse on three workers.
 #[test]
 fn lint_output_is_byte_identical_across_jobs_and_runs() {
-    let (_, project) = amp_app("HD");
-    let serial = lint_text(&project, 1);
+    let (app, project) = amp_app("HD");
+    let serial = lint_text(&project);
     assert!(!serial.is_empty(), "corpus app produces diagnostics");
-    assert_eq!(serial, lint_text(&project, 4), "jobs 1 vs 4");
-    assert_eq!(serial, lint_text(&project, 1), "consecutive runs");
+    assert_eq!(serial, lint_text(&project), "consecutive runs");
     // A fresh compile of the same sources also agrees: no hidden state.
     let (_, again) = amp_app("HD");
-    assert_eq!(serial, lint_text(&again, 4), "fresh compile, jobs 4");
+    assert_eq!(serial, lint_text(&again), "fresh compile");
+    let three = widths::compile(app.spec.name, &app.files, 3).expect("compiles");
+    assert_eq!(serial, lint_text(&three), "fresh parse on 3 workers");
 }
 
 /// The amplification detector scores at least 0.9 precision AND recall
@@ -195,26 +195,32 @@ fn policy_checkers_meet_the_precision_recall_bar_per_code() {
     }
 }
 
-/// The cross-check agreement matrix is byte-identical across worker
-/// counts: both detectors are deterministic and the cells are sorted.
+/// The cross-check agreement matrix is byte-identical across sweep
+/// worker counts and runs: both detectors are deterministic and the cells
+/// are sorted.
 #[test]
 fn cross_check_matrix_is_byte_identical_across_jobs() {
     let (_, project) = policy_app("HB");
-    let render = |jobs: usize| {
-        let options = LintOptions {
-            jobs,
-            ..LintOptions::default()
-        };
-        let report = lint_with_overlap(&project, &mut SimulatedLlm::with_seed(0), &options);
+    let render = || {
+        let report = lint_with_overlap(
+            &project,
+            &mut SimulatedLlm::with_seed(0),
+            &LintOptions::default(),
+        );
         cross_check(&report.lint, &report.sweep).render_text()
     };
-    let serial = render(1);
+    let serial = render();
     assert!(
         serial.contains("static-only"),
         "policy seeds must surface static-only tiers:\n{serial}"
     );
-    assert_eq!(serial, render(4), "jobs 1 vs 4");
-    assert_eq!(serial, render(1), "consecutive runs");
+    assert_eq!(serial, render(), "consecutive runs");
+    let lint = lint_project(&project, &LintOptions::default());
+    for width in [1, 3] {
+        let sweep = widths::sweep(&project, &SimulatedLlm::with_seed(0), width);
+        let matrix = cross_check(&lint, &sweep).render_text();
+        assert_eq!(serial, matrix, "sweep on {width} workers");
+    }
 }
 
 /// Exceptional-edge invariants hold for every method of a generated

@@ -1310,7 +1310,7 @@ fn may_throw_over_approximates_vm_exceptions() {
         let project = Project::compile("prop", vec![("c.jav", source.clone())])
             .unwrap_or_else(|e| panic!("[case {case}] compile failed: {e:?}\n{source}"));
         let cg = CallGraph::build(&project);
-        let summaries = Summaries::compute(&project, &cg, &[], 1);
+        let summaries = Summaries::compute(&project, &cg, &[]);
         let index = &project.index;
 
         for i in 0..methods {
@@ -1450,6 +1450,71 @@ fn reader_is_total_on_arbitrary_utf8() {
             assert_eq!(method.signals.bytes, method.span.len(), "[case {case}] {text:?}");
             let end = reading.methods.get(k + 1).map_or(text.len(), |next| next.span.start);
             assert_eq!(method.span.end, end, "[case {case}] regions tile the text");
+        }
+    }
+}
+
+// ---- The ordered fan-out -----------------------------------------------------
+
+/// `fanout::map_with` is the serial map at every width: for 0 to 40 items
+/// with random, tied or zero weights, on 1 to 4 workers, it returns the
+/// serial results in input order and maps each item exactly once; at
+/// widths 1 and 3 a panic in one item reaches the caller.
+#[test]
+fn fanout_equals_the_serial_map_at_every_width() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use wasabi::util::fanout::map_with;
+
+    let value = |(i, weight): (usize, usize)| (i as u64) * 1_000_003 + weight as u64;
+    for case in 0..123u64 {
+        let mut rng = Rng::new(0xfa40_0000 + case);
+        let count = (case % 41) as usize;
+        let weights: Vec<usize> = match case % 3 {
+            0 => (0..count).map(|_| rng.below(1 << 20) as usize).collect(),
+            1 => (0..count).map(|_| rng.below(3) as usize).collect(),
+            _ => vec![0; count],
+        };
+        let items: Vec<(usize, usize)> = weights.into_iter().enumerate().collect();
+        let serial: Vec<u64> = items.iter().copied().map(value).collect();
+        for width in 1..=4 {
+            let mapped: Vec<AtomicUsize> = (0..count).map(|_| AtomicUsize::new(0)).collect();
+            let out = map_with(
+                vec![(); width],
+                items.clone(),
+                |&(_, w)| w,
+                |(), item| {
+                    mapped[item.0].fetch_add(1, Ordering::Relaxed);
+                    value(item)
+                },
+            );
+            assert_eq!(out, serial, "[case {case}, width {width}]");
+            for (i, times) in mapped.iter().enumerate() {
+                let times = times.load(Ordering::Relaxed);
+                assert_eq!(times, 1, "[case {case}, width {width}] item {i}");
+            }
+        }
+    }
+
+    for width in [1, 3] {
+        for bad in [0, 7, 19] {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                map_with(
+                    vec![(); width],
+                    (0..20).collect(),
+                    |&i: &usize| i,
+                    |(), i| {
+                        assert_ne!(i, bad, "item {bad} fails");
+                        i
+                    },
+                )
+            }));
+            let panic = outcome.expect_err("the panic reaches the caller");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.contains(&format!("item {bad} fails")),
+                "width {width}: {message}"
+            );
         }
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! - re-sweeping one file with a fresh simulated model must give the
 //!   answers (and usage) the shared model gives that file in a whole
-//!   project sweep, so `sweep_project` equals the fold of `sweep_file`
-//!   with one fresh model per file;
+//!   project sweep, so `sweep_project` (which sweeps on the machine's
+//!   cores, one fork of the model per worker) equals the serial fold of
+//!   `sweep_file`, both with one fresh model per file and with one model
+//!   for every file;
 //! - `patch_site_for` and `amp_sites_for` query only the diagnostic's own
 //!   methods, and must resolve the loops a match against the whole
 //!   project's strict and relaxed loop lists resolves.
@@ -50,6 +52,14 @@ fn per_file_sweeps_with_fresh_models_equal_the_shared_model_sweep() {
                 )
             })
             .collect();
+        let mut one = SimulatedLlm::with_seed(seed);
+        let serial: LlmSweep = project
+            .files
+            .iter()
+            .enumerate()
+            .map(|(fidx, file)| sweep_file(FileId(fidx as u32), file, &mut one))
+            .collect();
+        assert_eq!(shared, serial, "{}: serial one-model sweep differs", app.spec.short);
         assert!(
             !shared.retry_files.is_empty(),
             "{}: the sweep flags retry",
