@@ -3,8 +3,8 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--scale tiny|small|paper] [--jobs N] [--max-attempts N]
-//!       [--journal DIR] [--resume DIR] [--trace-out DIR] [--quiet] <artifact>...
+//! repro [--scale tiny|small|paper] [--jobs N] [--journal DIR]
+//!       [--resume DIR] [--trace-out DIR] [--quiet] <artifact>...
 //! repro --scale paper --jobs 8 --journal runs/ all
 //! ```
 //!
@@ -40,7 +40,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Small;
     let mut jobs = 1usize;
-    let mut max_attempts: Option<u8> = None;
     let mut journal_dir: Option<PathBuf> = None;
     let mut resume_dir: Option<PathBuf> = None;
     let mut trace_dir: Option<PathBuf> = None;
@@ -67,16 +66,6 @@ fn main() {
                     Ok(n) if n >= 1 => n,
                     _ => {
                         eprintln!("--jobs expects a positive integer, got `{value}`");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--max-attempts" => {
-                let value = iter.next().unwrap_or_default();
-                max_attempts = match value.parse::<u8>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!("--max-attempts expects a positive integer, got `{value}`");
                         std::process::exit(2);
                     }
                 };
@@ -132,13 +121,10 @@ fn main() {
                 }
             }
         }
-        let mut base_options = DynamicOptions {
+        let base_options = DynamicOptions {
             jobs,
             ..DynamicOptions::default()
         };
-        if let Some(attempts) = max_attempts {
-            base_options.retry.attempts = u32::from(attempts);
-        }
         let mut aggregate = Aggregate::default();
         for spec in paper_apps() {
             if !quiet {

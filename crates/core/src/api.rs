@@ -117,9 +117,12 @@ pub fn report_json_with(
         ),
         ("runs_planned", Json::from(result.runs_planned)),
         ("runs_naive", Json::from(result.runs_naive)),
-        ("timed_out", Json::from(result.campaign.timed_out)),
+        // `timed_out` and `quarantined` stay in the schema: no run has a
+        // wall-clock budget to time out on, and a crash is final, so every
+        // crashed run counts as quarantined.
+        ("timed_out", Json::from(0usize)),
         ("crashed", Json::from(result.campaign.crashed)),
-        ("quarantined", Json::from(result.campaign.quarantined)),
+        ("quarantined", Json::from(result.campaign.crashed)),
         ("dead_lettered", Json::from(dead_lettered)),
         (
             "pinned_configs",
@@ -217,6 +220,74 @@ class C {\n\
             report_json(&job.identified, &result)
         };
         assert_eq!(timed, untimed, "timing is never report-bearing");
+    }
+
+    /// A v2 journal whose lines carry a completion recovered by a retry
+    /// (`"attempts":2`) and a crash that used up three attempts
+    /// (`"attempts":3,"quarantined":true`) still resumes, and the report
+    /// counts the crash once as crashed and once as quarantined.
+    #[test]
+    fn a_journal_with_retried_attempts_resumes_with_the_same_counts() {
+        use wasabi_engine::campaign::{RunOutcome, RunRecord};
+        let job = compile_app("cli", sources(), 0).expect("compile");
+        let path =
+            std::env::temp_dir().join(format!("wasabi-api-retried-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let journaled = DynamicOptions {
+            journal: Some(path.clone()),
+            ..DynamicOptions::default()
+        };
+        run_app_job(&job, &journaled, &mut NullObserver);
+        let records = journal::load(&path).expect("load").records;
+        assert_eq!(records.len(), 2, "one location at K = 1 and K = 100");
+        let recovered = journal::record_to_json(&records[0])
+            .to_string()
+            .replace("\"attempts\":1", "\"attempts\":2");
+        let crashed = RunRecord {
+            key: records[1].key.clone(),
+            outcome: RunOutcome::Crashed {
+                message: "interpreter bug".to_string(),
+            },
+            reports: Vec::new(),
+            rethrow_filtered: false,
+            not_a_trigger: false,
+            virtual_ms: 0,
+            steps: 0,
+            injections: 0,
+        };
+        let exhausted = journal::record_to_json(&crashed)
+            .to_string()
+            .replace("\"attempts\":1", "\"attempts\":3");
+        assert!(
+            exhausted.contains("\"attempts\":3,\"quarantined\":true"),
+            "{exhausted}"
+        );
+        std::fs::write(
+            &path,
+            format!(
+                "{{\"kind\":\"wasabi-journal\",\"schema_version\":2}}\n{recovered}\n{exhausted}\n"
+            ),
+        )
+        .expect("write journal");
+
+        let loaded = journal::load(&path).expect("load").records;
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(loaded[0].outcome, RunOutcome::Completed(_)));
+        assert!(matches!(loaded[1].outcome, RunOutcome::Crashed { .. }));
+        let resumed = DynamicOptions {
+            resume_records: loaded,
+            ..DynamicOptions::default()
+        };
+        let result = run_app_job(&job, &resumed, &mut NullObserver);
+        assert_eq!(result.campaign.resumed, 2);
+        let report = report_json(&job.identified, &result);
+        for line in [
+            "\"timed_out\": 0,",
+            "\"crashed\": 1,",
+            "\"quarantined\": 1,",
+        ] {
+            assert!(report.contains(line), "report lacks `{line}`:\n{report}");
+        }
     }
 
     #[test]

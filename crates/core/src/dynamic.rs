@@ -8,11 +8,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::time::Duration;
 use wasabi_analysis::loops::RetryLocation;
 use wasabi_engine::campaign::{
-    run_campaign, CampaignOptions, CampaignResult, CampaignStats, ChaosConfig, RunOutcome,
-    RunRecord,
+    run_campaign, CampaignOptions, CampaignResult, CampaignStats, RunOutcome, RunRecord,
 };
 use wasabi_engine::observer::{outcome_kind, EngineEvent, EngineObserver, NullObserver};
 use wasabi_lang::project::Project;
@@ -22,7 +20,6 @@ use wasabi_planner::adaptive::{self, ProbeSignal};
 use wasabi_planner::configfix::{restore_retry_configs, ConfigRestoration};
 use wasabi_planner::coverage::{prefilter_suite, profile_tests, site_set, CoverageProfile};
 use wasabi_planner::plan::{expand_plan, naive_run_count, plan, InjectionRun, RunKey, TestPlan};
-use wasabi_util::backoff::Policy;
 use wasabi_vm::runner::RunOptions;
 use wasabi_vm::trace::TestOutcome;
 
@@ -38,23 +35,16 @@ pub struct DynamicOptions {
     pub oracle: OracleConfig,
     /// Campaign worker count; 1 (the default) runs serially.
     pub jobs: usize,
-    /// Optional wall-clock budget per injected run, in milliseconds. Runs
-    /// exceeding it are cancelled and counted in
-    /// [`DynamicStats::timed_out`].
-    pub run_budget_ms: Option<u64>,
-    /// Retry policy for transient run failures (crashes, timeouts); see
-    /// [`wasabi_engine::campaign::retry_delay`]. The default,
-    /// [`Policy::ENGINE`], retries twice with jittered backoff.
-    pub retry: Policy,
     /// Journal completed runs to this path for checkpoint/resume.
     pub journal: Option<PathBuf>,
     /// Records recovered from a previous journal (`--resume`); their keys
     /// are skipped and the old records merged back in key order.
     pub resume_records: Vec<RunRecord>,
-    /// Chaos self-test configuration: seeded, deterministic fault
-    /// injection into the engine itself (panics/delays in a fraction of
-    /// runs). Used by the CI chaos smoke; `None` in normal operation.
-    pub chaos: Option<ChaosConfig>,
+    /// Exit the process after this many journal appends (see
+    /// [`CampaignOptions::chaos_exit_after`]): the crash point the shard
+    /// supervisor's tests and CI stage kill a child at. `None` in normal
+    /// operation.
+    pub chaos_exit_after: Option<u64>,
     /// Capture per-run host timings (see
     /// [`CampaignOptions::capture_timing`]). On by default; callers that
     /// do not record traces turn it off to keep the hot loop clock-free.
@@ -89,11 +79,9 @@ impl Default for DynamicOptions {
             run_options: RunOptions::default(),
             oracle: OracleConfig::default(),
             jobs: 1,
-            run_budget_ms: None,
-            retry: Policy::ENGINE,
             journal: None,
             resume_records: Vec::new(),
-            chaos: None,
+            chaos_exit_after: None,
             capture_timing: true,
             stream: false,
             shard_range: None,
@@ -146,10 +134,20 @@ pub struct DynamicStats {
     /// failure, escaped exception, exhausted limits). Engine-level panics
     /// are counted separately in [`CampaignStats::crashed`].
     pub crashed: usize,
-    /// Runs cancelled by the per-run wall-clock budget.
-    pub timed_out: usize,
     /// Total virtual milliseconds across injected runs.
     pub virtual_ms: u64,
+}
+
+impl From<&CampaignStats> for DynamicStats {
+    fn from(campaign: &CampaignStats) -> Self {
+        DynamicStats {
+            runs_executed: campaign.runs_total,
+            rethrow_filtered: campaign.rethrow_filtered,
+            not_a_trigger: campaign.not_a_trigger,
+            crashed: campaign.failed,
+            virtual_ms: campaign.virtual_ms,
+        }
+    }
 }
 
 /// The result of the dynamic workflow on one project.
@@ -332,17 +330,15 @@ pub fn run_dynamic_with_observer(
         runs = runs[start..end].to_vec();
     }
 
-    // 4. Hand the campaign to the engine: workers, isolation, budget, and
-    //    the deterministic key-ordered merge all live there.
+    // 4. Hand the campaign to the engine: workers, isolation, and the
+    //    deterministic key-ordered merge all live there.
     let campaign_options = CampaignOptions {
         jobs: options.jobs,
         run_options,
         oracle: options.oracle,
-        run_budget: options.run_budget_ms.map(Duration::from_millis),
-        retry: options.retry.clone(),
+        chaos_exit_after: options.chaos_exit_after,
         journal: options.journal.clone(),
         resume: options.resume_records.clone(),
-        chaos: options.chaos.clone(),
         capture_timing: options.capture_timing,
         stream: options.stream,
     };
@@ -371,14 +367,7 @@ pub fn run_dynamic_with_observer(
         .iter()
         .map(|run| run.spec.location.structure_key())
         .collect();
-    let stats = DynamicStats {
-        runs_executed: campaign.stats.runs_total,
-        rethrow_filtered: campaign.stats.rethrow_filtered,
-        not_a_trigger: campaign.stats.not_a_trigger,
-        crashed: campaign.stats.failed,
-        timed_out: campaign.stats.timed_out,
-        virtual_ms: campaign.stats.virtual_ms,
-    };
+    let stats = DynamicStats::from(&campaign.stats);
     // Collect oracle reports. A streaming campaign spilled its records to
     // the journal, so the report phase re-reads it one record at a time —
     // keyed and flattened in key order, which is exactly the order the
@@ -389,10 +378,7 @@ pub fn run_dynamic_with_observer(
         let mut by_key: std::collections::BTreeMap<_, Vec<OracleReport>> =
             std::collections::BTreeMap::new();
         let mut insert = |record: &RunRecord| {
-            if matches!(
-                record.outcome,
-                RunOutcome::TimedOut | RunOutcome::Crashed { .. }
-            ) {
+            if matches!(record.outcome, RunOutcome::Crashed { .. }) {
                 return;
             }
             by_key
@@ -424,10 +410,7 @@ pub fn run_dynamic_with_observer(
         reports = by_key.into_values().flatten().collect();
     } else {
         for record in &campaign.records {
-            if matches!(
-                record.outcome,
-                RunOutcome::TimedOut | RunOutcome::Crashed { .. }
-            ) {
+            if matches!(record.outcome, RunOutcome::Crashed { .. }) {
                 continue;
             }
             reports.extend(record.reports.iter().cloned());
@@ -469,7 +452,6 @@ fn probe_signal(record: &RunRecord) -> ProbeSignal {
         crash_detail,
         rethrow_filtered: record.rethrow_filtered,
         not_a_trigger: record.not_a_trigger,
-        quarantined: record.quarantined,
         injections: record.injections,
         reports: record
             .reports
@@ -509,11 +491,8 @@ fn merge_stats(first: CampaignStats, second: &CampaignStats) -> CampaignStats {
     let mut stats = first;
     stats.runs_total += second.runs_total;
     stats.completed += second.completed;
-    stats.timed_out += second.timed_out;
     stats.failed += second.failed;
     stats.crashed += second.crashed;
-    stats.retried += second.retried;
-    stats.quarantined += second.quarantined;
     stats.rethrow_filtered += second.rethrow_filtered;
     stats.not_a_trigger += second.not_a_trigger;
     stats.reports += second.reports;

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::Mutex;
 use std::time::Duration;
-use wasabi_engine::campaign::{CampaignStats, RunOutcome, RunRecord};
+use wasabi_engine::campaign::{CampaignStats, RunOutcome};
 use wasabi_engine::journal::{self, DeadLetter};
 use wasabi_engine::observer::NullObserver;
 use wasabi_engine::shard::{
@@ -50,8 +50,6 @@ pub struct ShardedOptions {
     pub cwd: Option<PathBuf>,
     /// Engine workers *per child*.
     pub jobs: usize,
-    /// `--max-attempts` forwarded to children (None = default policy).
-    pub max_attempts: Option<u8>,
     /// Restart/backoff/bisection policy.
     pub policy: Policy,
     /// Chaos: pass `--chaos-exit-after` to the *first* spawn of this
@@ -72,7 +70,6 @@ impl Default for ShardedOptions {
             exe: PathBuf::new(),
             cwd: None,
             jobs: 1,
-            max_attempts: None,
             policy: Policy::SUPERVISOR,
             chaos_kill_shard: None,
             chaos_exit_after: 3,
@@ -159,9 +156,6 @@ impl ShardRunner for ProcessShardRunner<'_> {
             .arg(format!("{}:{}", segment.0, segment.1))
             .arg("--jobs")
             .arg(self.options.jobs.to_string());
-        if let Some(max) = self.options.max_attempts {
-            command.arg("--max-attempts").arg(max.to_string());
-        }
         if journal.exists() {
             command.arg("--resume").arg(&journal);
         }
@@ -361,7 +355,6 @@ fn merge_records(
     let mut merge = ShardMerge::open(&paths)?;
 
     let mut campaign = CampaignStats::default();
-    let mut stats = DynamicStats::default();
     let mut reports = Vec::new();
     let mut merged_runs = 0usize;
     for run in &prepared.runs {
@@ -375,15 +368,14 @@ fn merge_records(
             ));
         };
         merged_runs += 1;
-        absorb(&mut campaign, &mut stats, &record);
-        if !matches!(record.outcome, RunOutcome::TimedOut | RunOutcome::Crashed { .. }) {
+        campaign.absorb(&record);
+        if !matches!(record.outcome, RunOutcome::Crashed { .. }) {
             reports.extend(record.reports);
         }
     }
     merge.finish()?;
 
     campaign.runs_total = merged_runs;
-    stats.runs_executed = merged_runs;
     let bugs = dedup_reports(reports.clone());
     let tested_structures: BTreeSet<String> = prepared
         .runs
@@ -399,7 +391,7 @@ fn merge_records(
         runs_naive: prepared.runs_naive,
         reports,
         bugs,
-        stats,
+        stats: DynamicStats::from(&campaign),
         tested_structures,
         campaign,
         adaptive: None,
@@ -412,34 +404,4 @@ fn merge_records(
         restarts: 0,
         merged_runs,
     })
-}
-
-/// The merge-side equivalent of the engine's per-record stat fold, over
-/// the fields the report and CLI summary read.
-fn absorb(campaign: &mut CampaignStats, stats: &mut DynamicStats, record: &RunRecord) {
-    match &record.outcome {
-        RunOutcome::TimedOut => {
-            campaign.timed_out += 1;
-            stats.timed_out += 1;
-        }
-        RunOutcome::Crashed { .. } => campaign.crashed += 1,
-        RunOutcome::Completed(outcome) => {
-            campaign.completed += 1;
-            if !outcome.is_pass() {
-                campaign.failed += 1;
-                stats.crashed += 1;
-            }
-        }
-    }
-    campaign.retried += usize::from(record.attempts.saturating_sub(1));
-    campaign.quarantined += usize::from(record.quarantined);
-    campaign.rethrow_filtered += usize::from(record.rethrow_filtered);
-    campaign.not_a_trigger += usize::from(record.not_a_trigger);
-    campaign.reports += record.reports.len();
-    campaign.injections += u64::from(record.injections);
-    campaign.virtual_ms += record.virtual_ms;
-    campaign.steps += record.steps;
-    stats.rethrow_filtered += usize::from(record.rethrow_filtered);
-    stats.not_a_trigger += usize::from(record.not_a_trigger);
-    stats.virtual_ms += record.virtual_ms;
 }

@@ -1,5 +1,5 @@
 //! Campaign execution: a fixed-size worker pool that claims runs in key
-//! order from one shared cursor, with panic containment, bounded retries,
+//! order from one shared cursor, with per-run panic containment,
 //! checkpoint/resume, and a deterministic merge of results.
 //!
 //! # Determinism contract
@@ -9,37 +9,28 @@
 //! the OS schedules the workers, and of whether the campaign ran in one
 //! piece or was resumed from a journal:
 //!
-//! - runs execute in **isolated interpreters**: each worker constructs its
+//! - runs execute in **isolated interpreters**: each run constructs its
 //!   own `Interp` (own virtual clock, config store, trace buffer) and its
-//!   own `InjectionHandler` per attempt, so no state crosses runs or
-//!   attempts;
+//!   own `InjectionHandler`, so no state crosses runs;
 //! - results land in **key-addressed slots**: the engine orders runs by
 //!   [`RunKey`] up front, workers claim the pending slots in that order
 //!   from one shared cursor, and each worker writes its record into the
 //!   slot for that key, so the merged vector has the same order no matter
 //!   which worker finished first;
-//! - **timed-out runs are normalized**: a run aborted by the wall-clock
-//!   budget records a bare [`RunOutcome::TimedOut`] with zeroed
-//!   nondeterministic fields (virtual time, steps, injections) and is never
-//!   judged by the oracles, because *where* the abort landed depends on
-//!   host speed;
-//! - **panicking runs are contained**: each attempt executes under
-//!   [`std::panic::catch_unwind`], and a panic becomes a
-//!   [`RunOutcome::Crashed`] record with zeroed measurements instead of
-//!   poisoning the worker pool — nothing from the broken attempt reaches
-//!   the report because every attempt rebuilds its interpreter from
-//!   scratch (per-run isolation is what makes the unwind safe);
-//! - **retries are seeded**: the retry [`Policy`] re-executes
-//!   `Crashed`/`TimedOut` runs with exponential backoff whose jitter is
-//!   drawn from a SplitMix64 stream keyed on `(jitter_seed, RunKey,
-//!   attempt)`, so the attempt count and final outcome of every run are
-//!   reproducible; runs that exhaust the policy are *quarantined*
-//!   ([`RunRecord::quarantined`]), never dropped.
+//! - **every run ends**: the interpreter's fuel and virtual-time limits
+//!   ([`wasabi_vm::RunLimits`]) bound a stuck run deterministically;
+//! - **panicking runs are contained**: each run executes under
+//!   [`std::panic::catch_unwind`] ([`contain_run`]), and a panic becomes
+//!   exactly one [`RunOutcome::Crashed`] record with zeroed measurements
+//!   instead of poisoning the worker pool. The panic still prints: the
+//!   interpreter is deterministic, so a panic is a bug in it, and running
+//!   the run again would only repeat it.
 //!
 //! A panic *outside* per-run containment is an engine bug, not a run
 //! outcome: it propagates out of the worker pool and ends the process.
 //! Recovering from a dead process is the shard supervisor's job
-//! ([`crate::shard`]), which restarts the child from its journal.
+//! ([`crate::shard`]), which restarts the child from its journal — the
+//! engine's one retry layer.
 //!
 //! Scheduling-dependent observations (per-worker run counts, wall time,
 //! resumed-run count) are confined to [`CampaignStats::worker_runs`] /
@@ -49,110 +40,20 @@
 use crate::journal::Journal;
 use crate::metrics::RunTiming;
 use crate::observer::{EngineEvent, EngineObserver};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Once};
+use std::sync::mpsc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wasabi_inject::InjectionHandler;
 use wasabi_lang::project::Project;
 use wasabi_oracles::judge::{judge_run, judge_run_timed, OracleConfig, OracleReport};
 use wasabi_planner::plan::{InjectionRun, RunKey};
-use wasabi_util::backoff::Policy;
-use wasabi_util::rng::{fnv1a64, Rng};
 use wasabi_util::{saturating_ms, saturating_us};
 use wasabi_vm::runner::{run_test, RunOptions};
 use wasabi_vm::trace::TestOutcome;
-
-/// A stable 64-bit digest of a run key, used to seed per-run deterministic
-/// decisions (backoff jitter, chaos draws) independently of scheduling.
-pub(crate) fn key_hash(key: &RunKey, salt: u64) -> u64 {
-    fnv1a64([
-        key.test.class.as_bytes(),
-        b"\0",
-        key.test.name.as_bytes(),
-        b"\0",
-        key.site.file.0.to_le_bytes().as_slice(),
-        key.site.call.0.to_le_bytes().as_slice(),
-        key.exception.as_bytes(),
-        b"\0",
-        key.k.to_le_bytes().as_slice(),
-        salt.to_le_bytes().as_slice(),
-    ])
-}
-
-/// The backoff delay after `failed_attempt` (1-based) of `key` failed
-/// under `policy` — the paper's §2 *HOW* best practice (exponential
-/// backoff with a cap) applied to the engine's own transient failures
-/// (`Crashed` and `TimedOut` outcomes).
-///
-/// Only the jitter stream is ours: it is keyed on `(jitter_seed, RunKey,
-/// attempt)`, so the delay sequence of a run — and therefore a rerun of
-/// the whole campaign — is deterministic regardless of which worker
-/// executes it.
-pub fn retry_delay(policy: &Policy, key: &RunKey, failed_attempt: u8) -> Duration {
-    policy.delay(
-        u32::from(failed_attempt),
-        key_hash(key, policy.jitter_seed ^ u64::from(failed_attempt)),
-    )
-}
-
-/// Deterministic fault injection into the engine itself — the chaos
-/// self-test hook behind the resilience test suite and the `cargo xtask
-/// smoke` CI stage.
-///
-/// Every decision is a pure function of `(seed, RunKey, attempt)`, so a
-/// chaos campaign produces byte-identical records for any worker count —
-/// which is exactly what the self-tests assert. Production campaigns
-/// leave this `None`.
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// Probability that an attempt panics mid-run.
-    pub panic_rate: f64,
-    /// Maximum extra pre-run delay, in milliseconds (uniformly drawn;
-    /// shakes worker scheduling without touching results). Zero disables.
-    pub max_delay_ms: u64,
-    /// Seed for the decision stream.
-    pub seed: u64,
-    /// If set, the whole *process* exits (code 86) once this many records
-    /// have been appended to the journal — the crash point the shard
-    /// supervisor's chaos CI stage uses to kill a child mid-flight at a
-    /// deterministic, journal-aligned spot. Count-based, not time-based,
-    /// so recovery is byte-reproducible.
-    pub exit_after_appends: Option<u64>,
-}
-
-impl ChaosConfig {
-    /// Chaos that only injects panics at `panic_rate`, seeded.
-    pub fn panics(panic_rate: f64, seed: u64) -> Self {
-        ChaosConfig {
-            panic_rate,
-            max_delay_ms: 0,
-            seed,
-            exit_after_appends: None,
-        }
-    }
-
-    fn draw(&self, key: &RunKey, attempt: u8) -> ChaosDraw {
-        let mut rng = Rng::new(key_hash(key, self.seed ^ (u64::from(attempt) << 32)));
-        ChaosDraw {
-            panic: rng.chance(self.panic_rate),
-            delay_ms: if self.max_delay_ms == 0 {
-                0
-            } else {
-                rng.below(self.max_delay_ms + 1)
-            },
-        }
-    }
-}
-
-struct ChaosDraw {
-    panic: bool,
-    delay_ms: u64,
-}
 
 /// Options for one campaign.
 #[derive(Debug, Clone)]
@@ -164,16 +65,12 @@ pub struct CampaignOptions {
     pub run_options: RunOptions,
     /// Oracle thresholds for judging completed runs.
     pub oracle: OracleConfig,
-    /// Optional wall-clock budget per run. A run that exceeds it is
-    /// cancelled cooperatively (the interpreter checks the deadline every
-    /// few thousand steps) and recorded as [`RunOutcome::TimedOut`];
-    /// the campaign itself never hangs on one stuck run.
-    pub run_budget: Option<Duration>,
-    /// Retry policy for transient failures (`Crashed`/`TimedOut`); see
-    /// [`retry_delay`]. Attempts beyond 255 clamp to 255.
-    pub retry: Policy,
-    /// Chaos self-test hook; `None` in production campaigns.
-    pub chaos: Option<ChaosConfig>,
+    /// Chaos crash point for the shard supervisor's tests and CI stage:
+    /// the whole *process* exits (code 86) once this many records have
+    /// been appended to the journal, so a child dies mid-flight at a
+    /// deterministic, journal-aligned spot. Count-based, not time-based,
+    /// so recovery is byte-reproducible. `None` in production campaigns.
+    pub chaos_exit_after: Option<u64>,
     /// Durable journal path: every finished record is appended as one
     /// JSON line, with fsync'd epoch markers, so an interrupted campaign
     /// can resume without re-running completed work.
@@ -210,9 +107,7 @@ impl Default for CampaignOptions {
             jobs: 1,
             run_options: RunOptions::default(),
             oracle: OracleConfig::default(),
-            run_budget: None,
-            retry: Policy::ENGINE,
-            chaos: None,
+            chaos_exit_after: None,
             journal: None,
             resume: Vec::new(),
             capture_timing: true,
@@ -224,11 +119,10 @@ impl Default for CampaignOptions {
 /// How one campaign run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
-    /// The interpreter ran the test to an outcome within budget.
+    /// The interpreter ran the test to an outcome (the interpreter's own
+    /// fuel and virtual-time limits included).
     Completed(TestOutcome),
-    /// The wall-clock budget expired; the partial run was discarded.
-    TimedOut,
-    /// The attempt panicked; the panic was contained and the partial run
+    /// The run panicked; the panic was contained and the partial run
     /// discarded (all measurements zeroed).
     Crashed {
         /// The panic payload, if it was a string.
@@ -236,23 +130,14 @@ pub enum RunOutcome {
     },
 }
 
-impl RunOutcome {
-    /// Whether this outcome is a transient engine-level failure that the
-    /// retry policy may re-execute.
-    pub fn is_transient_failure(&self) -> bool {
-        matches!(self, RunOutcome::TimedOut | RunOutcome::Crashed { .. })
-    }
-}
-
 /// The merged result of one injection run.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
     /// The run's identity; records are sorted by this key.
     pub key: RunKey,
-    /// How the run ended (final attempt).
+    /// How the run ended.
     pub outcome: RunOutcome,
-    /// Oracle findings (empty for timed-out and crashed runs, which are
-    /// not judged).
+    /// Oracle findings (empty for crashed runs, which are not judged).
     pub reports: Vec<OracleReport>,
     /// The run crashed by re-throwing the injected exception (correct
     /// give-up behaviour, filtered by the different-exception oracle).
@@ -260,18 +145,12 @@ pub struct RunRecord {
     /// The injected exception escaped without any retry (the location was
     /// not actually a retry trigger).
     pub not_a_trigger: bool,
-    /// Virtual milliseconds the run consumed (0 if timed out or crashed).
+    /// Virtual milliseconds the run consumed (0 if crashed).
     pub virtual_ms: u64,
-    /// Interpreter steps the run consumed (0 if timed out or crashed).
+    /// Interpreter steps the run consumed (0 if crashed).
     pub steps: u64,
-    /// Faults injected during the run (0 if timed out or crashed).
+    /// Faults injected during the run (0 if crashed).
     pub injections: u32,
-    /// Attempts executed (1 = no retries were needed).
-    pub attempts: u8,
-    /// The run still ended in a transient failure after exhausting the
-    /// retry policy; it is reported here and in the report's quarantine
-    /// section instead of aborting the campaign.
-    pub quarantined: bool,
 }
 
 /// Aggregate campaign statistics.
@@ -282,19 +161,16 @@ pub struct RunRecord {
 pub struct CampaignStats {
     /// Total runs reported (executed + resumed).
     pub runs_total: usize,
-    /// Runs that completed within budget.
+    /// Runs that completed (the test reached an outcome).
     pub completed: usize,
-    /// Runs cancelled by the wall-clock budget.
-    pub timed_out: usize,
     /// Completed runs that did not pass.
     pub failed: usize,
-    /// Runs whose final attempt panicked (contained as
-    /// [`RunOutcome::Crashed`]).
+    /// Runs that panicked (contained as [`RunOutcome::Crashed`]). The
+    /// report counts them as quarantined too.
     pub crashed: usize,
-    /// Extra attempts spent re-executing transient failures.
+    /// Always 0: the engine runs each run once. It stays until the
+    /// benchmark stops reading it as `engine.retried` (ROADMAP item 3).
     pub retried: usize,
-    /// Runs quarantined after exhausting the retry policy.
-    pub quarantined: usize,
     /// Runs filtered as correct give-up rethrows.
     pub rethrow_filtered: usize,
     /// Runs evidencing a misidentified trigger.
@@ -305,8 +181,8 @@ pub struct CampaignStats {
     pub injections: u64,
     /// Total virtual milliseconds across completed runs.
     pub virtual_ms: u64,
-    /// Total interpreter steps across completed runs (final attempts
-    /// only; timed-out and crashed runs record zero).
+    /// Total interpreter steps across completed runs (crashed runs
+    /// record zero).
     pub steps: u64,
     /// Worker count used.
     pub jobs: usize,
@@ -324,6 +200,29 @@ pub struct CampaignStats {
     pub peak_resident_records: usize,
 }
 
+impl CampaignStats {
+    /// Folds one record into the deterministic half of the stats. Every
+    /// field it touches is a commutative sum or count, so folding records
+    /// as they land (execution order) equals a key-order fold.
+    pub fn absorb(&mut self, record: &RunRecord) {
+        match &record.outcome {
+            RunOutcome::Crashed { .. } => self.crashed += 1,
+            RunOutcome::Completed(outcome) => {
+                self.completed += 1;
+                if !outcome.is_pass() {
+                    self.failed += 1;
+                }
+            }
+        }
+        self.rethrow_filtered += usize::from(record.rethrow_filtered);
+        self.not_a_trigger += usize::from(record.not_a_trigger);
+        self.reports += record.reports.len();
+        self.injections += u64::from(record.injections);
+        self.virtual_ms += record.virtual_ms;
+        self.steps += record.steps;
+    }
+}
+
 /// A finished campaign: records in [`RunKey`] order plus statistics.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
@@ -333,15 +232,6 @@ pub struct CampaignResult {
     pub stats: CampaignStats,
 }
 
-impl CampaignResult {
-    /// The quarantined subset of [`CampaignResult::records`], in key
-    /// order — runs that still ended in a transient failure after
-    /// exhausting the retry policy.
-    pub fn quarantine(&self) -> impl Iterator<Item = &RunRecord> {
-        self.records.iter().filter(|r| r.quarantined)
-    }
-}
-
 /// What a worker sends back to the coordinator.
 enum Message {
     Started {
@@ -349,60 +239,12 @@ enum Message {
         worker: usize,
         key: RunKey,
     },
-    Retried {
-        slot: usize,
-        worker: usize,
-        key: RunKey,
-        /// The attempt (1-based) that just failed.
-        attempt: u8,
-        delay_ms: u64,
-    },
     Finished {
         slot: usize,
         worker: usize,
         record: RunRecord,
         timing: RunTiming,
     },
-}
-
-thread_local! {
-    /// Set while a run attempt executes under `catch_unwind`, so the
-    /// process-wide panic hook knows the panic is contained and skips the
-    /// default stderr backtrace (a 10%-panic-rate chaos campaign would
-    /// otherwise spend its wall clock printing traces).
-    static PANIC_CONTAINED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Installs (once, process-wide) a panic hook that suppresses output for
-/// panics the engine is about to contain and chains to the previous hook
-/// for everything else.
-fn install_contained_panic_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if PANIC_CONTAINED.with(Cell::get) {
-                return;
-            }
-            previous(info);
-        }));
-    });
-}
-
-/// RAII flag for [`PANIC_CONTAINED`]; unsets on drop (including unwind).
-struct ContainGuard;
-
-impl ContainGuard {
-    fn new() -> Self {
-        PANIC_CONTAINED.with(|c| c.set(true));
-        ContainGuard
-    }
-}
-
-impl Drop for ContainGuard {
-    fn drop(&mut self) {
-        PANIC_CONTAINED.with(|c| c.set(false));
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -424,7 +266,6 @@ pub fn run_campaign(
     observer: &mut dyn EngineObserver,
 ) -> CampaignResult {
     let started_at = Instant::now();
-    install_contained_panic_hook();
 
     // The engine re-derives key order itself rather than trusting the
     // caller to have sorted: slot i of the output always holds the i-th
@@ -458,7 +299,7 @@ pub fn run_campaign(
                 pending.push(slot);
                 continue;
             };
-            absorb_record_stats(&mut det_stats, record);
+            det_stats.absorb(record);
             resumed += 1;
             if !options.stream {
                 slots[slot] = Some((*record).clone());
@@ -486,7 +327,6 @@ pub fn run_campaign(
             .ok()
     });
 
-    let chaos_exit_after = options.chaos.as_ref().and_then(|c| c.exit_after_appends);
     let mut worker_runs = vec![0usize; jobs];
 
     if !pending.is_empty() {
@@ -517,21 +357,6 @@ pub fn run_campaign(
                             worker,
                         });
                     }
-                    Message::Retried {
-                        slot,
-                        worker,
-                        key,
-                        attempt,
-                        delay_ms,
-                    } => {
-                        observer.on_event(&EngineEvent::RunRetried {
-                            index: slot,
-                            key: &key,
-                            worker,
-                            attempt,
-                            delay_ms,
-                        });
-                    }
                     Message::Finished {
                         slot,
                         worker,
@@ -551,7 +376,6 @@ pub fn run_campaign(
                             outcome: &record.outcome,
                             injections: record.injections,
                             reports: record.reports.len(),
-                            attempts: record.attempts,
                             steps: record.steps,
                             timing: &timing,
                         });
@@ -561,14 +385,6 @@ pub fn run_campaign(
                                 key: &record.key,
                                 worker,
                                 message,
-                            });
-                        }
-                        if record.quarantined {
-                            observer.on_event(&EngineEvent::RunQuarantined {
-                                index: slot,
-                                key: &record.key,
-                                attempts: record.attempts,
-                                outcome: &record.outcome,
                             });
                         }
                         // Full-record feedback for planners, emitted before any
@@ -587,7 +403,7 @@ pub fn run_campaign(
                             // journal holds exactly `limit` records — the shard
                             // supervisor must observe progress and plain-restart,
                             // never bisect.
-                            if let Some(limit) = chaos_exit_after {
+                            if let Some(limit) = options.chaos_exit_after {
                                 if journal.appended() as u64 >= limit {
                                     eprintln!(
                                         "[engine] chaos: exiting after {limit} journal append(s)"
@@ -601,7 +417,7 @@ pub fn run_campaign(
                             // slot — bounded memory degrades, data does not.
                             spilled = options.stream && journal.active();
                         }
-                        absorb_record_stats(&mut det_stats, &record);
+                        det_stats.absorb(&record);
                         if spilled {
                             resident -= 1;
                         } else {
@@ -660,27 +476,17 @@ fn worker_loop(
             0
         };
         let run = &runs[order[slot]];
-        let key = run.key();
         if sender
             .send(Message::Started {
                 slot,
                 worker,
-                key: key.clone(),
+                key: run.key(),
             })
             .is_err()
         {
             return;
         }
-        let mut notify = |attempt: u8, delay: Duration| {
-            let _ = sender.send(Message::Retried {
-                slot,
-                worker,
-                key: key.clone(),
-                attempt,
-                delay_ms: saturating_ms(delay),
-            });
-        };
-        let (record, mut timing) = execute_run(project, run, options, &mut notify);
+        let (record, mut timing) = execute_run(project, run, options);
         timing.queue_wait_us = queue_wait_us;
         if sender
             .send(Message::Finished {
@@ -696,157 +502,64 @@ fn worker_loop(
     }
 }
 
-/// Folds one record into the deterministic half of the campaign stats.
-/// Called as records land (execution order) — every field is a commutative
-/// sum or count, so the result is identical to a key-order fold.
-fn absorb_record_stats(stats: &mut CampaignStats, record: &RunRecord) {
-    match &record.outcome {
-        RunOutcome::TimedOut => stats.timed_out += 1,
-        RunOutcome::Crashed { .. } => stats.crashed += 1,
-        RunOutcome::Completed(outcome) => {
-            stats.completed += 1;
-            if !outcome.is_pass() {
-                stats.failed += 1;
-            }
-        }
-    }
-    stats.retried += usize::from(record.attempts.saturating_sub(1));
-    stats.quarantined += usize::from(record.quarantined);
-    stats.rethrow_filtered += usize::from(record.rethrow_filtered);
-    stats.not_a_trigger += usize::from(record.not_a_trigger);
-    stats.reports += record.reports.len();
-    stats.injections += u64::from(record.injections);
-    stats.virtual_ms += record.virtual_ms;
-    stats.steps += record.steps;
-}
-
-/// Executes one run under the retry policy. Each attempt runs in a fresh,
-/// fully isolated interpreter under `catch_unwind`; transient failures
-/// (`Crashed`, `TimedOut`) are retried with deterministic backoff until
-/// the policy is exhausted, at which point the record is quarantined.
+/// Executes one run in a fresh, fully isolated interpreter under
+/// [`contain_run`] and judges it.
 fn execute_run(
     project: &Project,
     run: &InjectionRun,
     options: &CampaignOptions,
-    notify_retry: &mut dyn FnMut(u8, Duration),
 ) -> (RunRecord, RunTiming) {
     let run_started = options.capture_timing.then(Instant::now);
-    // Clamped into the `u8` attempt counter a record carries.
-    let max_attempts = u8::try_from(options.retry.attempts.max(1)).unwrap_or(u8::MAX);
-    // Clone the run options (pinned-config list included) once per run, not
-    // once per attempt; only the wall-clock deadline varies between attempts.
-    let mut run_options = options.run_options.clone();
     let mut timing = RunTiming::default();
-    let mut attempt = 1u8;
-    loop {
-        let caught = {
-            let _guard = ContainGuard::new();
-            let timing = &mut timing;
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                execute_attempt(project, run, options, &mut run_options, attempt, timing)
-            }))
-        };
-        let mut record = match caught {
-            Ok(record) => record,
-            // Per-run isolation makes the unwind safe: the broken
-            // interpreter, handler, and trace died with the attempt, and
-            // the next attempt (or the report) only sees this fresh
-            // record. (A panicking attempt's interpreter time is lost to
-            // the timing breakdown — run_wall_us still covers it.)
-            Err(payload) => crashed_record(run.key(), panic_message(payload)),
-        };
-        record.attempts = attempt;
-        let transient = record.outcome.is_transient_failure();
-        if transient && attempt < max_attempts {
-            let delay = retry_delay(&options.retry, &record.key, attempt);
-            timing.backoff_ms = timing.backoff_ms.saturating_add(saturating_ms(delay));
-            notify_retry(attempt, delay);
-            if !delay.is_zero() {
-                thread::sleep(delay);
-            }
-            attempt += 1;
-            continue;
-        }
-        record.quarantined = transient;
-        if let Some(started) = run_started {
-            timing.run_wall_us = saturating_us(started.elapsed());
-        }
-        return (record, timing);
+    let record = contain_run(run, || judged_run(project, run, options, &mut timing));
+    if let Some(started) = run_started {
+        timing.run_wall_us = saturating_us(started.elapsed());
     }
+    (record, timing)
 }
 
-/// A contained panic, normalized: nothing from the partial attempt may
-/// reach the report (measurements are scheduling- and progress-dependent).
-fn crashed_record(key: RunKey, message: String) -> RunRecord {
-    RunRecord {
-        key,
-        outcome: RunOutcome::Crashed { message },
+/// Runs `execute` under `catch_unwind`. A panic becomes one
+/// [`RunOutcome::Crashed`] record for `run` whose message is the panic
+/// payload and whose measurements are zero: where the panic landed says
+/// nothing about the run, so nothing from the partial run may reach the
+/// report. Per-run isolation makes the unwind safe — the broken
+/// interpreter, handler and trace die with it. (A panicking run's
+/// interpreter time is lost to the timing breakdown; `run_wall_us` still
+/// covers it.)
+fn contain_run(run: &InjectionRun, execute: impl FnOnce() -> RunRecord) -> RunRecord {
+    panic::catch_unwind(AssertUnwindSafe(execute)).unwrap_or_else(|payload| RunRecord {
+        key: run.key(),
+        outcome: RunOutcome::Crashed {
+            message: panic_message(payload),
+        },
         reports: Vec::new(),
         rethrow_filtered: false,
         not_a_trigger: false,
         virtual_ms: 0,
         steps: 0,
         injections: 0,
-        attempts: 1,
-        quarantined: false,
-    }
+    })
 }
 
-/// Executes one attempt in a fresh, fully isolated interpreter and judges
-/// it. Chaos (if configured) may delay or panic the attempt first — both
-/// decisions are pure functions of `(seed, key, attempt)`.
-fn execute_attempt(
+/// Executes one run in a fresh, fully isolated interpreter and judges it.
+fn judged_run(
     project: &Project,
     run: &InjectionRun,
     options: &CampaignOptions,
-    run_options: &mut RunOptions,
-    attempt: u8,
     timing: &mut RunTiming,
 ) -> RunRecord {
-    let key = run.key();
-    if let Some(chaos) = &options.chaos {
-        let draw = chaos.draw(&key, attempt);
-        if draw.delay_ms > 0 {
-            thread::sleep(Duration::from_millis(draw.delay_ms));
-        }
-        if draw.panic {
-            panic!(
-                "chaos: injected panic ({}.{} @ {} {} K={}, attempt {attempt})",
-                key.test.class, key.test.name, key.site, key.exception, key.k
-            );
-        }
-    }
-    if let Some(budget) = options.run_budget {
-        run_options.limits.wall_deadline = Some(Instant::now() + budget);
-    }
     let mut handler = InjectionHandler::single(run.spec.location.clone(), run.spec.k);
-    let test_run = run_test(project, &run.test, &mut handler, run_options);
-    timing.interp_us = timing.interp_us.saturating_add(test_run.wall_us);
-    if matches!(test_run.outcome, TestOutcome::WallClockExceeded) {
-        // Normalize: where the abort landed is host-dependent, so nothing
-        // from the partial run may reach the report.
-        return RunRecord {
-            key,
-            outcome: RunOutcome::TimedOut,
-            reports: Vec::new(),
-            rethrow_filtered: false,
-            not_a_trigger: false,
-            virtual_ms: 0,
-            steps: 0,
-            injections: 0,
-            attempts: 1,
-            quarantined: false,
-        };
-    }
+    let test_run = run_test(project, &run.test, &mut handler, &options.run_options);
+    timing.interp_us = test_run.wall_us;
     let verdict = if options.capture_timing {
         let (verdict, judge_elapsed) = judge_run_timed(&test_run, &run.spec, &options.oracle);
-        timing.judge_us = timing.judge_us.saturating_add(saturating_us(judge_elapsed));
+        timing.judge_us = saturating_us(judge_elapsed);
         verdict
     } else {
         judge_run(&test_run, &run.spec, &options.oracle)
     };
     RunRecord {
-        key,
+        key: run.key(),
         outcome: RunOutcome::Completed(test_run.outcome.clone()),
         reports: verdict.reports,
         rethrow_filtered: verdict.rethrow_filtered,
@@ -854,8 +567,6 @@ fn execute_attempt(
         virtual_ms: test_run.virtual_ms,
         steps: test_run.steps,
         injections: handler.total_injected(),
-        attempts: 1,
-        quarantined: false,
     }
 }
 
@@ -869,25 +580,19 @@ mod tests {
     use wasabi_planner::coverage::profile_coverage;
     use wasabi_planner::plan::{expand_plan, plan};
 
-    // Both tests burn >4096 interpreter steps up front (`spin`), so a
-    // zero wall-clock budget is guaranteed to hit a deadline check —
-    // the interpreter only polls the deadline every WALL_CHECK_INTERVAL
-    // steps.
     const SOURCE: &str = "\
 exception ConnectException;\nexception SocketException;\n\
 class Flaky {\n\
-  method spin() { var i = 0; while (i < 6000) { i = i + 1; } return i; }\n\
   method op() throws ConnectException { return \"ok\"; }\n\
   method run() {\n\
     while (true) {\n\
       try { return this.op(); } catch (ConnectException e) { log(\"retrying\"); }\n\
     }\n\
   }\n\
-  test tFlaky() { this.spin(); assert(this.run() == \"ok\"); }\n\
+  test tFlaky() { assert(this.run() == \"ok\"); }\n\
 }\n\
 class Solid {\n\
   field maxAttempts = 4;\n\
-  method spin() { var i = 0; while (i < 6000) { i = i + 1; } return i; }\n\
   method fetch() throws SocketException { return \"ok\"; }\n\
   method run() {\n\
     for (var retry = 0; retry < this.maxAttempts; retry = retry + 1) {\n\
@@ -895,7 +600,7 @@ class Solid {\n\
     }\n\
     throw new SocketException(\"giving up\");\n\
   }\n\
-  test tSolid() { this.spin(); assert(this.run() == \"ok\"); }\n\
+  test tSolid() { assert(this.run() == \"ok\"); }\n\
 }\n";
 
     fn campaign_runs(project: &Project) -> Vec<InjectionRun> {
@@ -917,15 +622,6 @@ class Solid {\n\
 
     fn render(records: &[RunRecord]) -> Vec<String> {
         records.iter().map(|r| format!("{r:?}")).collect()
-    }
-
-    /// Fast-backoff options so retry-heavy tests don't sleep.
-    fn fast_retry(attempts: u32) -> Policy {
-        Policy {
-            attempts,
-            base: Duration::ZERO,
-            ..Policy::ENGINE
-        }
     }
 
     #[test]
@@ -980,43 +676,6 @@ class Solid {\n\
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "records must be in key order");
-    }
-
-    #[test]
-    fn zero_budget_times_every_run_out_identically() {
-        let project = Project::compile("t", vec![("t.jav", SOURCE)]).expect("compile");
-        let runs = campaign_runs(&project);
-        let options = CampaignOptions {
-            run_budget: Some(Duration::ZERO),
-            retry: fast_retry(3),
-            ..CampaignOptions::default()
-        };
-        let serial = run_campaign(&project, &runs, &options, &mut NullObserver);
-        assert_eq!(serial.stats.timed_out, runs.len());
-        assert_eq!(serial.stats.reports, 0, "timed-out runs are not judged");
-        assert_eq!(
-            serial.stats.quarantined,
-            runs.len(),
-            "exhausted timed-out runs are quarantined"
-        );
-        assert_eq!(serial.stats.retried, runs.len() * 2, "3 attempts per run");
-        let parallel = run_campaign(
-            &project,
-            &runs,
-            &CampaignOptions { jobs: 8, ..options },
-            &mut NullObserver,
-        );
-        assert_eq!(
-            render(&serial.records),
-            render(&parallel.records),
-            "timed-out runs must be reported identically regardless of worker"
-        );
-        for record in &serial.records {
-            assert_eq!(record.outcome, RunOutcome::TimedOut);
-            assert_eq!((record.virtual_ms, record.steps, record.injections), (0, 0, 0));
-            assert_eq!(record.attempts, 3);
-            assert!(record.quarantined);
-        }
     }
 
     #[test]
@@ -1090,128 +749,48 @@ class Solid {\n\
         }
     }
 
-    // ---- Resilience: chaos self-tests --------------------------------------
-
-    /// The chaos matrix of the resilience acceptance criteria: campaigns
-    /// with injected panics must complete, report every key exactly once,
-    /// and produce byte-identical records across panic rates and worker
-    /// counts.
+    /// A run that panics becomes exactly one `Crashed` record carrying
+    /// the panic payload, with nothing judged and every measurement zero;
+    /// a run that does not panic passes through untouched.
     #[test]
-    fn chaos_panics_are_contained_and_deterministic_across_jobs() {
+    fn a_panicking_run_is_one_crashed_record_with_zeroed_measurements() {
         let project = Project::compile("t", vec![("t.jav", SOURCE)]).expect("compile");
         let runs = campaign_runs(&project);
-        let expected_keys: Vec<RunKey> = {
-            let mut keys: Vec<RunKey> = runs.iter().map(InjectionRun::key).collect();
-            keys.sort();
-            keys
+        let run = &runs[0];
+        let crashed = |message: &str| RunOutcome::Crashed {
+            message: message.to_string(),
         };
-        for panic_rate in [0.1, 0.5, 1.0] {
-            let options = |jobs: usize| CampaignOptions {
-                jobs,
-                retry: fast_retry(2),
-                chaos: Some(ChaosConfig::panics(panic_rate, 0xC0FFEE)),
-                ..CampaignOptions::default()
-            };
-            let baseline = run_campaign(&project, &runs, &options(1), &mut NullObserver);
-            let keys: Vec<RunKey> = baseline.records.iter().map(|r| r.key.clone()).collect();
-            assert_eq!(keys, expected_keys, "every planned key exactly once");
-            if panic_rate >= 1.0 {
-                assert_eq!(
-                    baseline.stats.crashed,
-                    runs.len(),
-                    "rate 1.0 crashes every run"
-                );
-                assert_eq!(baseline.stats.quarantined, runs.len());
-            }
-            for record in &baseline.records {
-                if let RunOutcome::Crashed { message } = &record.outcome {
-                    assert!(message.starts_with("chaos: injected panic"));
-                    assert!(record.quarantined, "exhausted crashes are quarantined");
-                    assert_eq!(
-                        (record.virtual_ms, record.steps, record.injections),
-                        (0, 0, 0),
-                        "crashed runs have zeroed measurements"
-                    );
-                }
-            }
-            for jobs in [2, 8] {
-                let parallel = run_campaign(&project, &runs, &options(jobs), &mut NullObserver);
-                assert_eq!(
-                    render(&baseline.records),
-                    render(&parallel.records),
-                    "chaos campaign diverged at panic_rate={panic_rate} jobs={jobs}"
-                );
-            }
+        for (record, message) in [
+            (
+                contain_run(run, || panic!("interpreter bug at step {}", 7)),
+                "interpreter bug at step 7",
+            ),
+            (
+                contain_run(run, || panic!("static payload")),
+                "static payload",
+            ),
+            (
+                contain_run(run, || panic::panic_any(7u32)),
+                "non-string panic payload",
+            ),
+        ] {
+            assert_eq!(record.key, run.key());
+            assert_eq!(record.outcome, crashed(message));
+            assert!(record.reports.is_empty(), "a crashed run is not judged");
+            assert!(!record.rethrow_filtered && !record.not_a_trigger);
+            assert_eq!(
+                (record.virtual_ms, record.steps, record.injections),
+                (0, 0, 0)
+            );
         }
-    }
 
-    #[test]
-    fn retry_policy_recovers_single_attempt_panics() {
-        let project = Project::compile("t", vec![("t.jav", SOURCE)]).expect("compile");
-        let runs = campaign_runs(&project);
-        // Rate 1.0 on attempt 1 only: chaos draws are per-attempt, so with
-        // enough attempts every run eventually gets a panic-free draw.
-        // A rate this high needs a couple of retries; 1.0 would never
-        // recover, and the matrix test covers that case.
-        let options = CampaignOptions {
-            jobs: 4,
-            retry: fast_retry(8),
-            chaos: Some(ChaosConfig::panics(0.5, 7)),
-            ..CampaignOptions::default()
-        };
-        let result = run_campaign(&project, &runs, &options, &mut NullObserver);
-        assert!(
-            result.stats.retried > 0,
-            "a 50% panic rate must trigger retries"
-        );
-        assert_eq!(
-            result.stats.crashed, 0,
-            "8 attempts recover every 50%-rate run: {:?}",
-            result
-                .records
-                .iter()
-                .map(|r| (&r.outcome, r.attempts))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(result.stats.quarantined, 0);
-        // Recovered runs judge identically to a chaos-free campaign.
-        let clean = run_campaign(
-            &project,
-            &runs,
-            &CampaignOptions::default(),
-            &mut NullObserver,
-        );
-        assert_eq!(result.stats.reports, clean.stats.reports);
-        assert_eq!(result.stats.failed, clean.stats.failed);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_grows() {
-        let policy = Policy::ENGINE;
-        let runs_key = RunKey {
-            test: wasabi_lang::project::MethodId::new("C", "t"),
-            site: wasabi_lang::project::CallSite {
-                file: wasabi_lang::project::FileId(0),
-                call: wasabi_lang::ast::CallId(1),
-            },
-            exception: "E".to_string(),
-            k: 1,
-        };
-        let d1 = retry_delay(&policy, &runs_key, 1);
-        let d2 = retry_delay(&policy, &runs_key, 2);
-        assert_eq!(d1, retry_delay(&policy, &runs_key, 1), "jitter is seeded");
-        // Equal jitter keeps each delay in [d/2, d).
-        assert!(d1 >= policy.base / 2 && d1 < policy.base);
-        assert!(d2 >= policy.base, "attempt 2 backs off further");
-        // A huge attempt number stays under the cap.
-        let capped = retry_delay(&policy, &runs_key, 40);
-        assert!(capped < policy.cap);
-        // Zero base delay disables sleeping regardless of attempt.
-        let zero = Policy {
-            base: Duration::ZERO,
-            ..Policy::ENGINE
-        };
-        assert_eq!(retry_delay(&zero, &runs_key, 3), Duration::ZERO);
+        let options = CampaignOptions::default();
+        let direct = judged_run(&project, run, &options, &mut RunTiming::default());
+        let contained = contain_run(run, || {
+            judged_run(&project, run, &options, &mut RunTiming::default())
+        });
+        assert!(matches!(direct.outcome, RunOutcome::Completed(_)));
+        assert_eq!(format!("{direct:?}"), format!("{contained:?}"));
     }
 
     #[test]

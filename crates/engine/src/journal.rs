@@ -22,6 +22,13 @@
 //! what makes a resumed campaign's final report byte-identical to an
 //! uninterrupted one (see `tests/determinism.rs`). Keys are written in a
 //! fixed order so journal bytes are stable across runs too.
+//!
+//! Two fields of a record line are derived, not stored: `"attempts"` is
+//! always 1 (the engine runs each run once) and `"quarantined"` is whether
+//! the run crashed. The reader checks their shape and discards their
+//! values, so a journal whose lines carry other values still resumes. It
+//! refuses the outcome kinds `timed_out` and `wall_clock_exceeded`, which
+//! only a per-run wall-clock budget could produce.
 
 use crate::campaign::{RunOutcome, RunRecord};
 use std::fs::{File, OpenOptions};
@@ -142,7 +149,7 @@ impl Journal {
     }
 
     /// Records appended by this process so far (not counting recovered
-    /// lines). Drives the chaos `exit_after_appends` crash point and the
+    /// lines). Drives the `chaos_exit_after` crash point and the
     /// streaming engine's spill decision.
     pub fn appended(&self) -> usize {
         self.appended
@@ -512,7 +519,6 @@ fn exc_from_json(value: &Json) -> Result<ExcSummary, String> {
 fn outcome_to_json(outcome: &RunOutcome) -> Json {
     let kind = |k: &str| ("kind", Json::from(k));
     match outcome {
-        RunOutcome::TimedOut => Json::obj([kind("timed_out")]),
         RunOutcome::Crashed { message } => {
             Json::obj([kind("crashed"), ("message", Json::from(message.as_str()))])
         }
@@ -529,7 +535,6 @@ fn outcome_to_json(outcome: &RunOutcome) -> Json {
                 Json::obj([kind("timeout"), ("virtual_ms", Json::from(*virtual_ms))])
             }
             TestOutcome::FuelExhausted => Json::obj([kind("fuel_exhausted")]),
-            TestOutcome::WallClockExceeded => Json::obj([kind("wall_clock_exceeded")]),
             TestOutcome::VmFault { message } => Json::obj([
                 kind("vm_fault"),
                 ("message", Json::from(message.as_str())),
@@ -551,7 +556,6 @@ fn outcome_from_json(value: &Json) -> Result<RunOutcome, String> {
             .to_string())
     };
     Ok(match kind {
-        "timed_out" => RunOutcome::TimedOut,
         "crashed" => RunOutcome::Crashed { message: message()? },
         "passed" => RunOutcome::Completed(TestOutcome::Passed),
         "assertion_failed" => {
@@ -567,7 +571,6 @@ fn outcome_from_json(value: &Json) -> Result<RunOutcome, String> {
                 .ok_or("outcome: missing virtual_ms")?,
         }),
         "fuel_exhausted" => RunOutcome::Completed(TestOutcome::FuelExhausted),
-        "wall_clock_exceeded" => RunOutcome::Completed(TestOutcome::WallClockExceeded),
         "vm_fault" => RunOutcome::Completed(TestOutcome::VmFault { message: message()? }),
         other => return Err(format!("outcome: unknown kind `{other}`")),
     })
@@ -678,14 +681,17 @@ pub fn record_to_json(record: &RunRecord) -> Json {
         ("virtual_ms", Json::from(record.virtual_ms)),
         ("steps", Json::from(record.steps)),
         ("injections", Json::from(record.injections)),
-        ("attempts", Json::from(u32::from(record.attempts))),
-        ("quarantined", Json::from(record.quarantined)),
+        ("attempts", Json::from(1u32)),
+        (
+            "quarantined",
+            Json::from(matches!(record.outcome, RunOutcome::Crashed { .. })),
+        ),
     ])
 }
 
 /// Parses a record back; exact inverse of [`record_to_json`].
 pub fn record_from_json(value: &Json) -> Result<RunRecord, String> {
-    Ok(RunRecord {
+    let record = RunRecord {
         key: key_from_json(value.get("key").ok_or("record: missing key")?)?,
         outcome: outcome_from_json(value.get("outcome").ok_or("record: missing outcome")?)?,
         reports: value
@@ -715,15 +721,17 @@ pub fn record_from_json(value: &Json) -> Result<RunRecord, String> {
             value.get("injections").ok_or("record: missing injections")?,
             "record injections",
         )?,
-        attempts: u8_field(
-            value.get("attempts").ok_or("record: missing attempts")?,
-            "record attempts",
-        )?,
-        quarantined: value
-            .get("quarantined")
-            .and_then(Json::as_bool)
-            .ok_or("record: missing quarantined")?,
-    })
+    };
+    // The derived fields: their shape is checked, their values dropped.
+    u8_field(
+        value.get("attempts").ok_or("record: missing attempts")?,
+        "record attempts",
+    )?;
+    value
+        .get("quarantined")
+        .and_then(Json::as_bool)
+        .ok_or("record: missing quarantined")?;
+    Ok(record)
 }
 
 /// Scans a journal's text and returns the byte length of its longest
@@ -932,11 +940,9 @@ pub fn load_dead_letters(path: &Path) -> Result<Vec<DeadLetter>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignOptions, ChaosConfig};
-    use wasabi_util::backoff::Policy;
+    use crate::campaign::{run_campaign, CampaignOptions};
     use crate::observer::NullObserver;
     use std::collections::BTreeSet;
-    use std::time::Duration;
     use wasabi_analysis::loops::{all_retry_locations, LoopQueryOptions};
     use wasabi_analysis::resolve::ProjectIndex;
     use wasabi_lang::project::Project;
@@ -988,23 +994,36 @@ class Solid {\n\
         path
     }
 
+    /// A contained panic's record, as the engine builds it.
+    fn crashed(key: RunKey) -> RunRecord {
+        RunRecord {
+            key,
+            outcome: RunOutcome::Crashed {
+                message: "interpreter bug: \"quoted\"\n".to_string(),
+            },
+            reports: Vec::new(),
+            rethrow_filtered: false,
+            not_a_trigger: false,
+            virtual_ms: 0,
+            steps: 0,
+            injections: 0,
+        }
+    }
+
     #[test]
     fn records_round_trip_through_json_lines() {
         let (project, runs) = campaign_fixture();
-        // Chaos at 30% so the fixture covers Crashed, quarantined, and
-        // retried records, not just clean completions.
-        let options = CampaignOptions {
-            retry: Policy {
-                attempts: 2,
-                base: Duration::ZERO,
-                ..Policy::ENGINE
-            },
-            chaos: Some(ChaosConfig::panics(0.3, 99)),
-            ..CampaignOptions::default()
-        };
-        let result = run_campaign(&project, &runs, &options, &mut NullObserver);
-        assert!(!result.records.is_empty());
-        for record in &result.records {
+        let mut records = run_campaign(
+            &project,
+            &runs,
+            &CampaignOptions::default(),
+            &mut NullObserver,
+        )
+        .records;
+        assert!(records.iter().any(|record| !record.reports.is_empty()));
+        // A crashed record too, not just clean completions.
+        records.push(crashed(records[0].key.clone()));
+        for record in &records {
             let line = record_to_json(record).to_string();
             let back = record_from_json(&Json::parse(&line).expect("parse")).expect("decode");
             assert_eq!(
@@ -1284,7 +1303,7 @@ class Solid {\n\
         let ok = parse(&line(u64::from(u32::MAX), 100, u64::from(u32::MAX), 255))
             .expect("maxima must parse");
         assert_eq!(ok.key.site.file.0, u32::MAX);
-        assert_eq!(ok.attempts, 255);
+        assert_eq!(ok.injections, u32::MAX);
 
         // One-past-the-end (and far past) each fail with a field-named error.
         let big = 1u64 << 40;
@@ -1308,6 +1327,80 @@ class Solid {\n\
         let err = location_from_json(&Json::parse(loc).expect("json"))
             .expect_err("negative loop id must fail");
         assert!(err.contains("out of range"), "got: {err}");
+    }
+
+    /// Lines written while a crashed run was retried carry other
+    /// `"attempts"` and `"quarantined"` values: a completed run recovered
+    /// by a retry (`"attempts":2`) and a crash that used up three attempts
+    /// (`"attempts":3,"quarantined":true`). Both still load, as one
+    /// completed and one crashed record, and are written back with
+    /// `"attempts":1` and `"quarantined"` equal to whether the run crashed.
+    #[test]
+    fn lines_with_retried_attempts_still_load() {
+        let recovered = record_line(1).replace("\"attempts\":1", "\"attempts\":2");
+        let exhausted = record_to_json(&crashed(parse_key(&record_line(100))))
+            .to_string()
+            .replace("\"attempts\":1", "\"attempts\":3");
+        assert!(
+            exhausted.contains("\"attempts\":3,\"quarantined\":true"),
+            "{exhausted}"
+        );
+        let path = temp_path("retried.jsonl");
+        std::fs::write(&path, format!("{HEADER_LINE}\n{recovered}\n{exhausted}\n")).expect("write");
+        let loaded = load(&path).expect("load");
+        assert!(!loaded.dropped_tail);
+        let outcomes: Vec<&RunOutcome> = loaded.records.iter().map(|r| &r.outcome).collect();
+        assert!(
+            matches!(
+                outcomes[..],
+                [
+                    RunOutcome::Completed(TestOutcome::Passed),
+                    RunOutcome::Crashed { .. }
+                ]
+            ),
+            "{outcomes:?}"
+        );
+        let rewritten: Vec<String> = loaded
+            .records
+            .iter()
+            .map(|record| record_to_json(record).to_string())
+            .collect();
+        assert_eq!(
+            rewritten,
+            [
+                record_line(1),
+                exhausted.replace("\"attempts\":3", "\"attempts\":1")
+            ]
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn parse_key(line: &str) -> RunKey {
+        record_from_json(&Json::parse(line).expect("json"))
+            .expect("record")
+            .key
+    }
+
+    /// The two outcome kinds only a per-run wall-clock budget could write
+    /// are refused with an error that names the line.
+    #[test]
+    fn budget_outcome_kinds_are_errors_that_name_the_line() {
+        let path = temp_path("budget.jsonl");
+        for kind in ["timed_out", "wall_clock_exceeded"] {
+            let line =
+                record_line(1).replace("\"kind\":\"passed\"", &format!("\"kind\":\"{kind}\""));
+            std::fs::write(
+                &path,
+                format!("{HEADER_LINE}\n{line}\n{}\n", record_line(2)),
+            )
+            .expect("write");
+            let err = load(&path).expect_err("a budget outcome must not load");
+            assert!(
+                err.contains("corrupt line 2") && err.contains(kind),
+                "{kind}: {err}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

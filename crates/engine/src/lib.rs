@@ -8,17 +8,15 @@
 //!
 //! - [`campaign::run_campaign`] — a fixed-size `std::thread` worker pool
 //!   whose workers claim runs in [`wasabi_planner::plan::RunKey`] order
-//!   from one shared cursor, with per-run interpreter isolation, an
-//!   optional per-run wall-clock budget (graceful cancellation →
-//!   [`RunOutcome::TimedOut`]), and a merge that orders results by key so
-//!   reports are byte-identical for any `jobs` value;
-//! - a **resilience layer**: per-run panic containment
-//!   ([`RunOutcome::Crashed`]), deterministic retries under a
-//!   [`wasabi_util::backoff::Policy`] (see [`campaign::retry_delay`])
-//!   with quarantine for runs that exhaust it, and a durable [`journal`]
-//!   for checkpoint/resume — a resumed campaign's report is
-//!   byte-identical to an uninterrupted one. Whole-process crashes are
-//!   the [`shard`] supervisor's to recover;
+//!   from one shared cursor, with per-run interpreter isolation and a
+//!   merge that orders results by key so reports are byte-identical for
+//!   any `jobs` value;
+//! - a **resilience layer**: per-run panic containment (a panic is one
+//!   [`RunOutcome::Crashed`] record; a run is never re-executed, since the
+//!   interpreter would only repeat it) and a durable [`journal`] for
+//!   checkpoint/resume — a resumed campaign's report is byte-identical to
+//!   an uninterrupted one. Whole-process crashes are the [`shard`]
+//!   supervisor's to recover; it is the engine's one retry layer;
 //! - [`observer::EngineObserver`] — structured progress events, with a
 //!   stderr reporter ([`StderrProgress`]);
 //! - an **observability layer**: per-run host timings ([`RunTiming`]),
@@ -37,8 +35,7 @@ pub mod shard;
 pub mod spans;
 
 pub use campaign::{
-    run_campaign, CampaignOptions, CampaignResult, CampaignStats, ChaosConfig, RunOutcome,
-    RunRecord,
+    run_campaign, CampaignOptions, CampaignResult, CampaignStats, RunOutcome, RunRecord,
 };
 pub use metrics::{MetricsObserver, RunTiming};
 pub use observer::{EngineEvent, EngineObserver, NullObserver, StderrProgress, Tee};

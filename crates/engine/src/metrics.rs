@@ -1,35 +1,30 @@
 //! Campaign metrics: per-run host timing, and an [`EngineObserver`] that
 //! turns the event stream into spans.
 //!
-//! A run span's key, outcome, counters and `timing.backoff_ms` are a pure
-//! function of the run (the backoff jitter is seeded on the run key), so
-//! they agree for any `jobs` value. Its worker, start/end times and the
-//! other [`RunTiming`] fields measure the host and depend on scheduling;
-//! the trace records them and `wasabi stats` renders them.
+//! A run span's key, outcome and counters are a pure function of the run,
+//! so they agree for any `jobs` value. Its worker, start/end times and
+//! [`RunTiming`] fields measure the host and depend on scheduling; the
+//! trace records them and `wasabi stats` renders them.
 
 use crate::observer::{outcome_kind, EngineEvent, EngineObserver};
 use crate::spans::{PhaseSpan, RunSpan};
 use std::collections::HashMap;
 use wasabi_util::metrics::{Clock, WallClock};
 
-/// Host-time measurements for one run (summed over all its attempts).
-/// Carried alongside the record in `RunFinished` events; never part of
-/// the record itself (it is scheduling-dependent).
+/// Host-time measurements for one run. Carried alongside the record in
+/// `RunFinished` events; never part of the record itself (it is
+/// scheduling-dependent).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunTiming {
     /// Campaign-relative time at which a worker claimed this run, in
     /// microseconds — how long the run sat behind others in key order.
     pub queue_wait_us: u64,
-    /// Wall time of the whole run: every attempt plus backoff sleeps.
+    /// Wall time of the whole run.
     pub run_wall_us: u64,
-    /// Interpreter wall time, summed over attempts.
+    /// Interpreter wall time.
     pub interp_us: u64,
-    /// Oracle-judgement wall time, summed over attempts.
+    /// Oracle-judgement wall time.
     pub judge_us: u64,
-    /// Backoff sleep issued between attempts, in milliseconds. Unlike the
-    /// other fields this one is *deterministic* (the policy's jitter is
-    /// seeded on the run key).
-    pub backoff_ms: u64,
 }
 
 /// An [`EngineObserver`] that turns the event stream into phase spans and
@@ -128,7 +123,6 @@ impl EngineObserver for MetricsObserver {
                 outcome,
                 injections,
                 reports,
-                attempts,
                 steps,
                 timing,
             } => {
@@ -141,7 +135,6 @@ impl EngineObserver for MetricsObserver {
                     k: key.k,
                     worker: *worker,
                     outcome: outcome_kind(outcome).to_string(),
-                    attempts: *attempts,
                     injections: *injections,
                     steps: *steps,
                     reports: *reports,

@@ -58,20 +58,6 @@ pub enum EngineEvent<'a> {
         /// The worker executing it.
         worker: usize,
     },
-    /// An attempt crashed or timed out and the retry policy scheduled
-    /// another one.
-    RunRetried {
-        /// Index of the run in campaign (key) order.
-        index: usize,
-        /// The run's identity.
-        key: &'a RunKey,
-        /// The worker executing it.
-        worker: usize,
-        /// The attempt that just failed (1-based).
-        attempt: u8,
-        /// Backoff delay before the next attempt, in milliseconds.
-        delay_ms: u64,
-    },
     /// A worker finished a run.
     RunFinished {
         /// Index of the run in campaign (key) order.
@@ -86,16 +72,14 @@ pub enum EngineEvent<'a> {
         injections: u32,
         /// Number of oracle reports the run produced.
         reports: usize,
-        /// Attempts consumed (1 = no retries).
-        attempts: u8,
         /// Interpreter steps the run consumed.
         steps: u64,
         /// Host-time breakdown for the run (scheduling-dependent).
         timing: &'a RunTiming,
     },
-    /// A run's final attempt panicked; the panic was contained and the run
-    /// recorded as [`RunOutcome::Crashed`]. Always paired with a
-    /// `RunFinished` for the same index.
+    /// A run panicked; the panic was contained and the run recorded as
+    /// [`RunOutcome::Crashed`]. Always paired with a `RunFinished` for the
+    /// same index.
     RunCrashed {
         /// Index of the run in campaign (key) order.
         index: usize,
@@ -106,22 +90,8 @@ pub enum EngineEvent<'a> {
         /// The contained panic payload.
         message: &'a str,
     },
-    /// A run exhausted the retry policy on a transient failure and was
-    /// quarantined (kept in the report, flagged). Paired with
-    /// `RunFinished`.
-    RunQuarantined {
-        /// Index of the run in campaign (key) order.
-        index: usize,
-        /// The run's identity.
-        key: &'a RunKey,
-        /// Attempts consumed before giving up.
-        attempts: u8,
-        /// The final (still-failing) outcome.
-        outcome: &'a RunOutcome,
-    },
     /// A run's full [`RunRecord`](crate::campaign::RunRecord) was merged
-    /// into the campaign, after retries/quarantine resolved and before any
-    /// streaming spill. Unlike `RunFinished` (a progress signal), this
+    /// into the campaign, before any streaming spill. Unlike `RunFinished` (a progress signal), this
     /// event carries the complete record — oracle reports, filter flags,
     /// injection counts — so observers can feed results back into
     /// planning (the adaptive planner's fingerprint registry). Arrival
@@ -167,17 +137,14 @@ impl EngineObserver for NullObserver {
 
 /// Prints campaign progress to stderr, rate-limited by *completed-run
 /// count* rather than per-event: a million-run campaign prints a bounded
-/// number of progress lines, not a million. Per-run noise (timeouts,
-/// crashes, retries) is only counted and folded into the periodic line
-/// and the final summary.
+/// number of progress lines, not a million. Crashes are only counted and
+/// folded into the periodic line and the final summary.
 #[derive(Debug)]
 pub struct StderrProgress {
     every: usize,
     completed: usize,
     reports: usize,
     crashed: usize,
-    retried: usize,
-    quarantined: usize,
 }
 
 impl StderrProgress {
@@ -190,8 +157,6 @@ impl StderrProgress {
             completed: 0,
             reports: 0,
             crashed: 0,
-            retried: 0,
-            quarantined: 0,
         }
     }
 }
@@ -228,9 +193,7 @@ impl EngineObserver for StderrProgress {
             }
             EngineEvent::RunStarted { .. } => {}
             EngineEvent::RunRecorded { .. } => {}
-            EngineEvent::RunRetried { .. } => self.retried += 1,
             EngineEvent::RunCrashed { .. } => self.crashed += 1,
-            EngineEvent::RunQuarantined { .. } => self.quarantined += 1,
             EngineEvent::CheckpointWritten { .. } => {}
             EngineEvent::RunFinished { key, reports, .. } => {
                 self.completed += 1;
@@ -240,12 +203,6 @@ impl EngineObserver for StderrProgress {
                     if self.crashed > 0 {
                         notes.push_str(&format!(", {} crashed", self.crashed));
                     }
-                    if self.retried > 0 {
-                        notes.push_str(&format!(", {} retried", self.retried));
-                    }
-                    if self.quarantined > 0 {
-                        notes.push_str(&format!(", {} quarantined", self.quarantined));
-                    }
                     eprintln!(
                         "[engine] {} runs done ({} report(s){}) — last: {} @ {} K={}",
                         self.completed, self.reports, notes, key.test, key.site, key.k
@@ -254,14 +211,11 @@ impl EngineObserver for StderrProgress {
             }
             EngineEvent::Finished { stats, .. } => {
                 eprintln!(
-                    "[engine] done: {} runs ({} resumed), {} timed out, {} failed, {} crashed, {} retried, {} quarantined, {} report(s), {} injections, {} ms wall",
+                    "[engine] done: {} runs ({} resumed), {} failed, {} crashed, {} report(s), {} injections, {} ms wall",
                     stats.runs_total,
                     stats.resumed,
-                    stats.timed_out,
                     stats.failed,
                     stats.crashed,
-                    stats.retried,
-                    stats.quarantined,
                     stats.reports,
                     stats.injections,
                     stats.wall_ms
@@ -278,14 +232,12 @@ impl EngineObserver for StderrProgress {
 pub fn outcome_kind(outcome: &RunOutcome) -> &'static str {
     use wasabi_vm::trace::TestOutcome;
     match outcome {
-        RunOutcome::TimedOut => "timed_out",
         RunOutcome::Crashed { .. } => "crashed",
         RunOutcome::Completed(TestOutcome::Passed) => "passed",
         RunOutcome::Completed(TestOutcome::AssertionFailed { .. }) => "assertion_failed",
         RunOutcome::Completed(TestOutcome::ExceptionEscaped { .. }) => "exception_escaped",
         RunOutcome::Completed(TestOutcome::Timeout { .. }) => "timeout",
         RunOutcome::Completed(TestOutcome::FuelExhausted) => "fuel_exhausted",
-        RunOutcome::Completed(TestOutcome::WallClockExceeded) => "wall_clock_exceeded",
         RunOutcome::Completed(TestOutcome::VmFault { .. }) => "vm_fault",
     }
 }

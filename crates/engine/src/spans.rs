@@ -15,7 +15,12 @@
 //! Spans are written only after they close, so a well-formed trace never
 //! contains a dangling open span; `wasabi stats` re-reads the file and
 //! [`validate_trace`] cross-checks run spans against a campaign journal
-//! (same keys, same attempt counts) — the CI smoke stage runs both.
+//! (same keys, same injection counts) — the CI smoke stage runs both.
+//!
+//! Every run span carries `"attempts":1` and `"backoff_ms":0`: the engine
+//! runs each run once. The reader still requires both fields and discards
+//! their values, so older traces with other values still load; dropping
+//! the fields is a schema bump.
 
 use crate::campaign::RunRecord;
 use crate::metrics::RunTiming;
@@ -62,8 +67,6 @@ pub struct RunSpan {
     pub worker: usize,
     /// Outcome kind (the journal's outcome vocabulary).
     pub outcome: String,
-    /// Attempts consumed.
-    pub attempts: u8,
     /// Faults injected.
     pub injections: u32,
     /// Interpreter steps.
@@ -115,7 +118,7 @@ fn run_to_json(span: &RunSpan) -> Json {
         ("k", Json::from(span.k)),
         ("worker", Json::from(span.worker)),
         ("outcome", Json::from(span.outcome.as_str())),
-        ("attempts", Json::from(u32::from(span.attempts))),
+        ("attempts", Json::from(1u32)),
         ("injections", Json::from(span.injections)),
         ("steps", Json::from(span.steps)),
         ("reports", Json::from(span.reports)),
@@ -125,7 +128,7 @@ fn run_to_json(span: &RunSpan) -> Json {
         ("run_wall_us", Json::from(span.timing.run_wall_us)),
         ("interp_us", Json::from(span.timing.interp_us)),
         ("judge_us", Json::from(span.timing.judge_us)),
-        ("backoff_ms", Json::from(span.timing.backoff_ms)),
+        ("backoff_ms", Json::from(0u64)),
     ])
 }
 
@@ -199,7 +202,9 @@ fn run_from_json(value: &Json, line: usize) -> Result<RunSpan, String> {
         let n = num_field(value, name, &what)?;
         u32::try_from(n).map_err(|_| format!("{what}: {name} {n} out of range"))
     };
-    let attempts_raw = num_field(value, "attempts", &what)?;
+    let attempts = num_field(value, "attempts", &what)?;
+    u8::try_from(attempts).map_err(|_| format!("{what}: attempts {attempts} out of range"))?;
+    num_field(value, "backoff_ms", &what)?;
     let span = RunSpan {
         test: str_field(value, "test", &what)?,
         site: str_field(value, "site", &what)?,
@@ -207,8 +212,6 @@ fn run_from_json(value: &Json, line: usize) -> Result<RunSpan, String> {
         k: narrow_u32("k")?,
         worker: num_field(value, "worker", &what)? as usize,
         outcome: str_field(value, "outcome", &what)?,
-        attempts: u8::try_from(attempts_raw)
-            .map_err(|_| format!("{what}: attempts {attempts_raw} out of range"))?,
         injections: narrow_u32("injections")?,
         steps: num_field(value, "steps", &what)?,
         reports: num_field(value, "reports", &what)? as usize,
@@ -219,7 +222,6 @@ fn run_from_json(value: &Json, line: usize) -> Result<RunSpan, String> {
             run_wall_us: num_field(value, "run_wall_us", &what)?,
             interp_us: num_field(value, "interp_us", &what)?,
             judge_us: num_field(value, "judge_us", &what)?,
-            backoff_ms: num_field(value, "backoff_ms", &what)?,
         },
     };
     if span.end_us < span.start_us {
@@ -278,8 +280,8 @@ pub fn load_trace(path: &Path) -> Result<TraceFile, String> {
 
 /// Validates a trace's internal consistency and, when a journal's records
 /// are given, cross-checks every run span against its record: same key
-/// set, same attempt counts, same injection counts. Returns a list of
-/// problems (empty = valid).
+/// set, same injection counts. Returns a list of problems (empty =
+/// valid).
 pub fn validate_trace(trace: &TraceFile, journal: Option<&[RunRecord]>) -> Vec<String> {
     let mut problems = Vec::new();
     // Parsing already rejects end < start; here we check cross-span facts.
@@ -312,12 +314,6 @@ pub fn validate_trace(trace: &TraceFile, journal: Option<&[RunRecord]>) -> Vec<S
             match seen.remove(&key) {
                 None => problems.push(format!("journal record has no run span: {key}")),
                 Some(span) => {
-                    if span.attempts != record.attempts {
-                        problems.push(format!(
-                            "{key}: span says {} attempt(s), journal says {}",
-                            span.attempts, record.attempts
-                        ));
-                    }
                     if span.injections != record.injections {
                         problems.push(format!(
                             "{key}: span says {} injection(s), journal says {}",
@@ -390,20 +386,18 @@ pub fn render_stats(traces: &[TraceFile]) -> String {
         if !trace.runs.is_empty() {
             let runs = trace.runs.len() as u64;
             let sum = |f: fn(&RunSpan) -> u64| trace.runs.iter().map(f).sum::<u64>();
-            let attempts: u64 = trace.runs.iter().map(|r| u64::from(r.attempts)).sum();
             let injections: u64 = trace.runs.iter().map(|r| u64::from(r.injections)).sum();
             let _ = writeln!(
                 out,
-                "  runs: {runs}, attempts: {attempts}, injections: {injections}, steps: {}",
+                "  runs: {runs}, injections: {injections}, steps: {}",
                 sum(|r| r.steps)
             );
             let _ = writeln!(
                 out,
-                "  per-run mean: interp {} ms, judge {} ms, queue wait {} ms, backoff {} ms",
+                "  per-run mean: interp {} ms, judge {} ms, queue wait {} ms",
                 us_to_ms_str(sum(|r| r.timing.interp_us) / runs),
                 us_to_ms_str(sum(|r| r.timing.judge_us) / runs),
                 us_to_ms_str(sum(|r| r.timing.queue_wait_us) / runs),
-                sum(|r| r.timing.backoff_ms) / runs
             );
         }
     }
@@ -423,7 +417,7 @@ mod tests {
         }
     }
 
-    fn run_span(test: &str, attempts: u8) -> RunSpan {
+    fn run_span(test: &str) -> RunSpan {
         RunSpan {
             test: test.to_string(),
             site: "f0:c3".to_string(),
@@ -431,7 +425,6 @@ mod tests {
             k: 1,
             worker: 0,
             outcome: "passed".to_string(),
-            attempts,
             injections: 1,
             steps: 42,
             reports: 0,
@@ -442,7 +435,6 @@ mod tests {
                 run_wall_us: 50,
                 interp_us: 30,
                 judge_us: 4,
-                backoff_ms: 0,
             },
         }
     }
@@ -450,13 +442,26 @@ mod tests {
     #[test]
     fn trace_round_trips_through_text() {
         let phases = vec![phase("plan", 0, 100), phase("run", 100, 900)];
-        let runs = vec![run_span("C.t", 1), run_span("C.u", 2)];
+        let runs = vec![run_span("C.t"), run_span("C.u")];
         let text = render_trace("HD", &phases, &runs);
         let back = parse_trace(&text).expect("parse");
         assert_eq!(back.app, "HD");
         assert_eq!(back.phases, phases);
         assert_eq!(back.runs, runs);
         assert!(validate_trace(&back, None).is_empty());
+    }
+
+    /// Older traces carry other `attempts` and `backoff_ms` values; their
+    /// spans still parse and validate.
+    #[test]
+    fn spans_with_retried_attempts_still_parse() {
+        let text = render_trace("HD", &[], &[run_span("C.t")])
+            .replace("\"attempts\":1", "\"attempts\":3")
+            .replace("\"backoff_ms\":0", "\"backoff_ms\":17");
+        assert!(text.contains("\"attempts\":3") && text.contains("\"backoff_ms\":17"));
+        let trace = parse_trace(&text).expect("parse");
+        assert_eq!(trace.runs, vec![run_span("C.t")]);
+        assert!(validate_trace(&trace, None).is_empty());
     }
 
     #[test]
@@ -485,7 +490,7 @@ mod tests {
         use wasabi_planner::plan::RunKey;
         use wasabi_vm::trace::TestOutcome;
 
-        let span = run_span("C.t", 2);
+        let span = run_span("C.t");
         let record = RunRecord {
             key: RunKey {
                 test: MethodId::new("C", "t"),
@@ -503,8 +508,6 @@ mod tests {
             virtual_ms: 0,
             steps: 42,
             injections: 1,
-            attempts: 2,
-            quarantined: false,
         };
         // Site rendering must agree with the span's; check the fixture.
         assert_eq!(record.key.site.to_string(), span.site);
@@ -515,11 +518,14 @@ mod tests {
         };
         assert!(validate_trace(&trace, Some(std::slice::from_ref(&record))).is_empty());
 
-        // Attempt mismatch is caught.
+        // Injection mismatch is caught.
         let mut bad = record.clone();
-        bad.attempts = 1;
+        bad.injections = 2;
         let problems = validate_trace(&trace, Some(std::slice::from_ref(&bad)));
-        assert!(problems.iter().any(|p| p.contains("attempt")), "{problems:?}");
+        assert!(
+            problems.iter().any(|p| p.contains("injection")),
+            "{problems:?}"
+        );
 
         // Missing span / missing record are caught.
         let empty = TraceFile::default();
@@ -551,7 +557,7 @@ mod tests {
     #[test]
     fn parse_trace_is_total_on_garbage_truncation_and_bit_flips() {
         let phases = vec![phase("plan", 0, 100), phase("run", 100, 900)];
-        let runs = vec![run_span("C.t", 1), run_span("C.u", 255)];
+        let runs = vec![run_span("C.t"), run_span("C.u")];
         let valid = render_trace("HD", &phases, &runs);
         let exercise = |text: &str| {
             if let Ok(trace) = parse_trace(text) {
@@ -609,7 +615,7 @@ mod tests {
         let trace = TraceFile {
             app: "HD".into(),
             phases: vec![phase("plan", 0, 2000), phase("run", 2000, 10_000)],
-            runs: vec![run_span("C.t", 1)],
+            runs: vec![run_span("C.t")],
         };
         let table = render_stats(std::slice::from_ref(&trace));
         assert!(table.contains("app HD"));

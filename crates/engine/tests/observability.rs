@@ -4,16 +4,16 @@
 //! sees).
 
 use std::collections::BTreeSet;
-use std::time::Duration;
 use wasabi_analysis::loops::{all_retry_locations, LoopQueryOptions};
 use wasabi_analysis::resolve::ProjectIndex;
-use wasabi_engine::campaign::{run_campaign, CampaignOptions, CampaignResult, ChaosConfig};
+use wasabi_engine::campaign::{
+    run_campaign, CampaignOptions, CampaignResult, RunOutcome, RunRecord,
+};
 use wasabi_engine::journal::record_to_json;
 use wasabi_engine::{MetricsObserver, StderrProgress, Tee};
 use wasabi_lang::project::Project;
 use wasabi_planner::coverage::profile_coverage;
 use wasabi_planner::plan::{expand_plan, plan, InjectionRun};
-use wasabi_util::backoff::Policy;
 use wasabi_vm::runner::RunOptions;
 
 const SOURCE: &str = "\
@@ -54,27 +54,32 @@ fn campaign_fixture() -> (Project, Vec<InjectionRun>) {
     (project, runs)
 }
 
-/// Chaos at 30% (seeded, so identical draws at any worker count) makes
-/// the fixture cover crashes, retries, and quarantine — the records and
-/// spans that must agree across worker counts.
-fn options(jobs: usize) -> CampaignOptions {
+/// Every third run resumes from a crashed record built here, so the
+/// merged records hold crashes next to the executed runs' completions.
+fn options(jobs: usize, runs: &[InjectionRun]) -> CampaignOptions {
+    let crashed = |run: &InjectionRun| RunRecord {
+        key: run.key(),
+        outcome: RunOutcome::Crashed {
+            message: "interpreter bug".to_string(),
+        },
+        reports: Vec::new(),
+        rethrow_filtered: false,
+        not_a_trigger: false,
+        virtual_ms: 0,
+        steps: 0,
+        injections: 0,
+    };
     CampaignOptions {
         jobs,
-        retry: Policy {
-            attempts: 3,
-            base: Duration::from_millis(1),
-            ..Policy::ENGINE
-        },
-        chaos: Some(ChaosConfig::panics(0.3, 99)),
+        resume: runs.iter().step_by(3).map(crashed).collect(),
         ..CampaignOptions::default()
     }
 }
 
 /// A run span with its scheduling-dependent fields (host timing, worker,
 /// clock-relative edges) stripped — the part of the span set that must
-/// be identical across worker counts. The backoff is seeded on the run
-/// key, so it stays.
-fn stripped_spans(recorder: &MetricsObserver) -> Vec<(String, String, u8, u32, u64, usize, u64)> {
+/// be identical across worker counts.
+fn stripped_spans(recorder: &MetricsObserver) -> Vec<(String, String, u32, u64, usize)> {
     let mut spans: Vec<_> = recorder
         .runs()
         .iter()
@@ -82,11 +87,9 @@ fn stripped_spans(recorder: &MetricsObserver) -> Vec<(String, String, u8, u32, u
             (
                 span.key_string(),
                 span.outcome.clone(),
-                span.attempts,
                 span.injections,
                 span.steps,
                 span.reports,
-                span.timing.backoff_ms,
             )
         })
         .collect();
@@ -104,18 +107,19 @@ fn metrics_and_spans_identical_across_worker_counts() {
     let (project, runs) = campaign_fixture();
     assert!(runs.len() >= 4, "fixture plans 2 locations x 2 K values");
     let mut serial_recorder = MetricsObserver::new();
-    let serial = run_campaign(&project, &runs, &options(1), &mut serial_recorder);
+    let serial = run_campaign(&project, &runs, &options(1, &runs), &mut serial_recorder);
     let mut parallel_recorder = MetricsObserver::new();
-    let parallel = run_campaign(&project, &runs, &options(4), &mut parallel_recorder);
+    let parallel = run_campaign(&project, &runs, &options(4, &runs), &mut parallel_recorder);
 
     // The merged records are identical, field for field.
+    assert!(serial.stats.crashed > 0 && serial.stats.completed > 0);
     assert_eq!(record_lines(&serial), record_lines(&parallel));
     // The span sets agree modulo timing fields and worker assignment.
     assert_eq!(stripped_spans(&serial_recorder), stripped_spans(&parallel_recorder));
     assert_eq!(
         serial_recorder.runs().len(),
-        runs.len(),
-        "one closed span per planned run"
+        runs.len() - serial.stats.resumed,
+        "one closed span per executed run"
     );
 }
 
@@ -128,7 +132,7 @@ fn metrics_observer_composes_with_stderr_progress() {
         first: &mut progress,
         second: &mut recorder,
     };
-    let result = run_campaign(&project, &runs, &options(2), &mut tee);
+    let result = run_campaign(&project, &runs, &options(2, &[]), &mut tee);
     // The recorder saw the full event stream: every record's span closed.
     assert_eq!(recorder.runs().len(), result.records.len());
 }

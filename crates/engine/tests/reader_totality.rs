@@ -11,15 +11,14 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use wasabi_analysis::loops::{all_retry_locations, LoopQueryOptions};
 use wasabi_analysis::resolve::ProjectIndex;
-use wasabi_engine::campaign::{run_campaign, CampaignOptions, ChaosConfig, RunRecord};
-use wasabi_engine::journal::{self, append_dead_letters, load_dead_letters, DeadLetter};
+use wasabi_engine::campaign::{run_campaign, CampaignOptions, RunOutcome, RunRecord};
+use wasabi_engine::journal::{self, append_dead_letters, load_dead_letters, DeadLetter, Journal};
 use wasabi_engine::shard::{load_manifest, manifest_path, write_manifest, ShardManifest};
 use wasabi_engine::NullObserver;
 use wasabi_lang::ast::CallId;
 use wasabi_lang::project::{CallSite, FileId, MethodId, Project};
 use wasabi_planner::coverage::profile_coverage;
 use wasabi_planner::plan::{expand_plan, plan, RunKey};
-use wasabi_util::backoff::Policy;
 use wasabi_util::Rng;
 use wasabi_vm::runner::RunOptions;
 
@@ -126,8 +125,9 @@ fn rendered(records: &[RunRecord]) -> Vec<String> {
 
 #[test]
 fn journal_load_is_total_on_garbage_truncation_and_bit_flips() {
-    // A real campaign's journal: chaos crashes, quarantine and oracle
-    // reports put every record shape on disk.
+    // A real campaign's records, every third one turned into the crashed
+    // record a contained panic leaves, so completions with oracle reports
+    // and crashes are both on disk.
     let project = Project::compile("t", vec![("t.jav", SOURCE)]).expect("compile");
     let index = ProjectIndex::build(&project);
     let locations: Vec<_> = all_retry_locations(&index, &LoopQueryOptions::default())
@@ -139,28 +139,43 @@ fn journal_load_is_total_on_garbage_truncation_and_bit_flips() {
     let runs = expand_plan(&plan(&profile, &sites), &locations, &[1, 100]);
     let dir = scratch_dir("journal");
     let path = dir.join("journal.jsonl");
-    let result = run_campaign(
+    let mut records = run_campaign(
         &project,
         &runs,
-        &CampaignOptions {
-            retry: Policy {
-                attempts: 1,
-                ..Policy::ENGINE
-            },
-            chaos: Some(ChaosConfig::panics(0.5, 99)),
-            journal: Some(path.clone()),
-            ..CampaignOptions::default()
-        },
+        &CampaignOptions::default(),
         &mut NullObserver,
-    );
+    )
+    .records;
+    for record in records.iter_mut().step_by(3) {
+        *record = RunRecord {
+            key: record.key.clone(),
+            outcome: RunOutcome::Crashed {
+                message: "interpreter bug".to_string(),
+            },
+            reports: Vec::new(),
+            rethrow_filtered: false,
+            not_a_trigger: false,
+            virtual_ms: 0,
+            steps: 0,
+            injections: 0,
+        };
+    }
+    let mut journal = Journal::open(&path).expect("open journal");
+    for record in &records {
+        journal.append(record);
+    }
+    journal.finish();
+    drop(journal);
     let valid = std::fs::read(&path).expect("read journal");
-    // Journal order is completion order, which at one worker is key order.
-    let written = rendered(&result.records);
+    let written = rendered(&records);
     assert!(
         written.iter().any(|line| line.contains("\"crashed\"")),
         "fixture has a crash"
     );
-    assert!(result.stats.reports > 0, "fixture has oracle reports");
+    assert!(
+        records.iter().any(|record| !record.reports.is_empty()),
+        "fixture has oracle reports"
+    );
     assert_eq!(
         rendered(&journal::load(&path).expect("valid journal loads").records),
         written

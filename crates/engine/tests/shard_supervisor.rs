@@ -38,8 +38,6 @@ fn record(k: u32, virtual_ms: u64) -> RunRecord {
         virtual_ms,
         steps: 10,
         injections: 1,
-        attempts: 1,
-        quarantined: false,
     }
 }
 

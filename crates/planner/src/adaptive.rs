@@ -79,7 +79,7 @@ pub fn site_structures(locations: &[RetryLocation]) -> BTreeMap<CallSite, String
 #[derive(Debug, Clone, Default)]
 pub struct ProbeSignal {
     /// Stable outcome kind string (`"passed"`, `"exception_escaped"`,
-    /// `"timed_out"`, ... — the journal/trace vocabulary).
+    /// `"crashed"`, ... — the journal/trace vocabulary).
     pub outcome_kind: String,
     /// The escaped exception's crash key (`type@frame>frame`), or the
     /// assertion/fault message; empty when neither applies.
@@ -88,8 +88,6 @@ pub struct ProbeSignal {
     pub rethrow_filtered: bool,
     /// The run evidenced a misidentified trigger.
     pub not_a_trigger: bool,
-    /// The run exhausted the engine retry policy.
-    pub quarantined: bool,
     /// Faults injected.
     pub injections: u32,
     /// `(kind, dedup_key)` of every oracle report the run produced, in
@@ -113,11 +111,12 @@ impl ProbeSignal {
     ///   are byte-identical baseline runs.
     ///
     /// Everything else (a different exception type escaped, an assertion
-    /// failed, virtual/host timeout, engine crash, quarantine) is
-    /// inconclusive: the HOW oracle may still speak at K=1, so the widen
-    /// wave runs.
+    /// failed, virtual timeout, engine crash) is inconclusive: the HOW
+    /// oracle may still speak at K=1, so the widen wave runs. A crash is
+    /// inconclusive even though it records zero injections: the run never
+    /// got far enough to show what injection does.
     pub fn conclusive(&self) -> bool {
-        !self.quarantined
+        self.outcome_kind != "crashed"
             && (self.outcome_kind == "passed"
                 || self.rethrow_filtered
                 || self.not_a_trigger
@@ -137,7 +136,6 @@ impl ProbeSignal {
         buf.push(0);
         buf.push(u8::from(self.rethrow_filtered));
         buf.push(u8::from(self.not_a_trigger));
-        buf.push(u8::from(self.quarantined));
         buf.extend_from_slice(&self.injections.to_le_bytes());
         let mut reports: Vec<&(String, String)> = self.reports.iter().collect();
         reports.sort();
@@ -286,10 +284,10 @@ mod tests {
 
     #[test]
     fn conclusive_signals() {
-        let mut s = signal("passed", "");
-        assert!(s.conclusive());
-        s.quarantined = true;
-        assert!(!s.conclusive(), "quarantine always re-probes");
+        assert!(signal("passed", "").conclusive());
+        let mut s = signal("crashed", "interpreter bug");
+        s.injections = 0;
+        assert!(!s.conclusive(), "a crash always re-probes");
         let mut s = signal("exception_escaped", "E@C.run");
         assert!(!s.conclusive());
         s.rethrow_filtered = true;

@@ -45,7 +45,7 @@ use wasabi_analysis::loops::LoopQueryOptions;
 use wasabi_analysis::patchsite::{amp_sites_for, patch_site_for, PatchSite};
 use wasabi_core::dynamic::{prepare_campaign, DynamicOptions, PreparedCampaign};
 use wasabi_core::identify::{identify_with_sweep, Identified};
-use wasabi_engine::campaign::{run_campaign, CampaignOptions, RunRecord};
+use wasabi_engine::campaign::{run_campaign, CampaignOptions, RunOutcome, RunRecord};
 use wasabi_engine::observer::outcome_kind;
 use wasabi_engine::NullObserver;
 use wasabi_lang::project::{FileId, Project, SourceFile};
@@ -283,7 +283,7 @@ fn describe_record(record: &RunRecord) -> String {
         record.key.k,
         outcome_kind(&record.outcome),
     );
-    if let wasabi_engine::campaign::RunOutcome::Completed(test_outcome) = &record.outcome {
+    if let RunOutcome::Completed(test_outcome) = &record.outcome {
         out.push_str(&format!(" ({test_outcome:?})"));
     }
     for report in &record.reports {
@@ -406,7 +406,7 @@ fn validate_candidate(
     for record in &result.records {
         let kind = outcome_kind(&record.outcome);
         let trace = describe_record(record);
-        if matches!(kind, "timed_out" | "crashed") || record.quarantined {
+        if matches!(record.outcome, RunOutcome::Crashed { .. }) {
             return Err(("validation run did not complete".to_string(), trace));
         }
         if let Some(bug) = target_kind {

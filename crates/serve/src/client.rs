@@ -84,15 +84,14 @@ impl Connection {
         match request {
             Request::Submit {
                 name,
-                priority,
                 files,
                 jobs,
                 shards,
+                ..
             } if !self.v1_only => {
                 let digests = file_digests(files.iter().map(|(_, contents)| contents.as_str()));
                 let offer = render_request(&Request::Offer {
                     name: name.clone(),
-                    priority: *priority,
                     files: files
                         .iter()
                         .map(|(path, _)| path.clone())

@@ -6,6 +6,12 @@
 //! lives behind one mutex; campaigns themselves run outside it, so a
 //! slow campaign never blocks submissions, status queries, or cancels.
 //!
+//! At most `max_queued + max_inflight` sessions are live at once — one
+//! per job the scheduler can hold, so every admitted job can have a
+//! client waiting on it. A connection past the cap is answered with one
+//! rejection frame (backpressure, like a full queue) and closed, so no
+//! number of clients can make the daemon spawn threads without bound.
+//!
 //! Determinism contract: a job's report is produced by the same
 //! [`compile_app`] → [`run_app_job`] → [`report_json`] pipeline as
 //! `wasabi test --json`, so daemon output is byte-identical to batch
@@ -181,6 +187,10 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
+    /// Live sessions, each counted by its [`SessionSlot`].
+    sessions: AtomicUsize,
+    /// The most sessions that may be live at once.
+    max_sessions: usize,
     /// Signalled when queued work or a free runner slot appears.
     work: Condvar,
     /// Signalled when any job reaches a terminal state.
@@ -266,17 +276,14 @@ impl EngineObserver for SubscriberBridge<'_> {
                 ("total_runs", Json::from(*total_runs)),
                 ("jobs", Json::from(*jobs)),
             ]),
-            EngineEvent::RunFinished {
-                index,
-                reports,
-                attempts,
-                ..
-            } => Json::obj([
+            // `attempts` is always 1 (a run is never re-executed); it stays
+            // so the event keeps its fields.
+            EngineEvent::RunFinished { index, reports, .. } => Json::obj([
                 ("event", Json::from("run_finished")),
                 ("id", Json::from(id)),
                 ("index", Json::from(*index)),
                 ("reports", Json::from(*reports)),
-                ("attempts", Json::from(u32::from(*attempts))),
+                ("attempts", Json::from(1u32)),
             ]),
             EngineEvent::Finished { stats, .. } => Json::obj([
                 ("event", Json::from("campaign_finished")),
@@ -284,8 +291,8 @@ impl EngineObserver for SubscriberBridge<'_> {
                 ("runs_total", Json::from(stats.runs_total)),
                 ("reports", Json::from(stats.reports)),
             ]),
-            // Per-attempt noise (retries, crashes, checkpoints) stays
-            // local; subscribers get phase edges and run completions.
+            // Per-run noise (crashes, checkpoints) stays local;
+            // subscribers get phase edges and run completions.
             _ => return,
         };
         self.broadcast(line.to_string());
@@ -352,6 +359,8 @@ pub fn spawn(options: ServeOptions) -> io::Result<DaemonHandle> {
 
     let max_inflight = options.scheduler.max_inflight.max(1);
     let shared = Arc::new(Shared {
+        sessions: AtomicUsize::new(0),
+        max_sessions: options.scheduler.max_queued.saturating_add(max_inflight),
         state: Mutex::new(State {
             scheduler: Scheduler::new(options.scheduler.clone()),
             cache: IndexCache::new(options.cache_capacity),
@@ -378,37 +387,88 @@ pub fn spawn(options: ServeOptions) -> io::Result<DaemonHandle> {
         threads.push(thread::spawn(move || runner_loop(&shared)));
     }
 
-    let accept_shared = Arc::clone(&shared);
     let accept_addr = addr.clone();
     threads.push(thread::spawn(move || match listener {
-        ListenerKind::Tcp(listener) => {
-            for stream in listener.incoming() {
-                if accept_shared.state.lock().expect("serve state lock").shutdown {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(&accept_shared);
-                let addr = accept_addr.clone();
-                // Detached: a lingering connection must not block shutdown.
-                thread::spawn(move || run_session(stream, &shared, &addr));
-            }
-        }
+        ListenerKind::Tcp(listener) => accept_loop(&listener, &shared, &accept_addr),
         #[cfg(unix)]
-        ListenerKind::Unix(listener) => {
-            for stream in listener.incoming() {
-                if accept_shared.state.lock().expect("serve state lock").shutdown {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let shared = Arc::clone(&accept_shared);
-                let addr = accept_addr.clone();
-                thread::spawn(move || run_session(stream, &shared, &addr));
-            }
-        }
+        ListenerKind::Unix(listener) => accept_loop(&listener, &shared, &accept_addr),
     }));
 
     Ok(DaemonHandle { addr, threads })
+}
+
+/// A listener the daemon accepts sessions on.
+trait SessionListener {
+    /// The stream of one accepted connection.
+    type Stream: SessionStream + Send + 'static;
+    /// Blocks until the next connection arrives.
+    fn accept_stream(&self) -> io::Result<Self::Stream>;
+}
+
+impl SessionListener for TcpListener {
+    type Stream = TcpStream;
+
+    fn accept_stream(&self) -> io::Result<TcpStream> {
+        let (stream, _) = self.accept()?;
+        let _ = stream.set_nodelay(true);
+        Ok(stream)
+    }
+}
+
+#[cfg(unix)]
+impl SessionListener for UnixListener {
+    type Stream = UnixStream;
+
+    fn accept_stream(&self) -> io::Result<UnixStream> {
+        self.accept().map(|(stream, _)| stream)
+    }
+}
+
+/// A live session's claim on one of the daemon's `max_sessions` slots;
+/// dropping it, when the session ends, frees the slot.
+struct SessionSlot(Arc<Shared>);
+
+impl SessionSlot {
+    /// Claims a free slot, or `None` when every slot is taken.
+    fn claim(shared: &Arc<Shared>) -> Option<SessionSlot> {
+        shared
+            .sessions
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+                (live < shared.max_sessions).then_some(live + 1)
+            })
+            .ok()
+            .map(|_| SessionSlot(Arc::clone(shared)))
+    }
+}
+
+impl Drop for SessionSlot {
+    fn drop(&mut self) {
+        self.0.sessions.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Accepts connections until shutdown. Each gets a detached session
+/// thread while a session slot is free, and one rejection frame and a
+/// close otherwise.
+fn accept_loop<L: SessionListener>(listener: &L, shared: &Arc<Shared>, addr: &str) {
+    loop {
+        let accepted = listener.accept_stream();
+        if shared.state.lock().expect("serve state lock").shutdown {
+            break;
+        }
+        let Ok(mut stream) = accepted else { continue };
+        let Some(slot) = SessionSlot::claim(shared) else {
+            let reason = format!(
+                "too many sessions: the daemon serves at most {} connections at once (max queued plus max in-flight jobs)",
+                shared.max_sessions
+            );
+            let _ = write_line(&mut stream, &rejected_response(&reason));
+            continue;
+        };
+        let addr = addr.to_string();
+        // Detached: a lingering connection must not block shutdown.
+        thread::spawn(move || run_session(stream, slot, &addr));
+    }
 }
 
 /// Connects to the daemon's own listener; used after setting the
@@ -648,7 +708,8 @@ impl SessionStream for UnixStream {
     }
 }
 
-fn run_session<S: SessionStream>(stream: S, shared: &Arc<Shared>, addr: &str) {
+fn run_session<S: SessionStream>(stream: S, slot: SessionSlot, addr: &str) {
+    let shared = &slot.0;
     let max_frame = shared.max_frame;
     let mut reader = BufReader::new(stream);
     let mut staging = Staging {
@@ -713,16 +774,16 @@ fn handle_request<S: Read + Write>(
     match request {
         Request::Submit {
             name,
-            priority,
             files,
             jobs,
             shards,
+            ..
         } => {
             let (paths, contents): (Vec<String>, Vec<String>) = files.into_iter().unzip();
             let response = match stage(shared, staging, contents) {
                 Ok(digests) => {
                     let files = paths.into_iter().zip(digests).collect();
-                    offer(shared, staging, name, priority, files, jobs, shards)
+                    offer(shared, staging, name, files, jobs, shards)
                 }
                 Err(message) => error_response(&message),
             };
@@ -730,12 +791,11 @@ fn handle_request<S: Read + Write>(
         }
         Request::Offer {
             name,
-            priority,
             files,
             jobs,
             shards,
         } => {
-            let response = offer(shared, staging, name, priority, files, jobs, shards);
+            let response = offer(shared, staging, name, files, jobs, shards);
             write_line(reader.get_mut(), &response).is_ok()
         }
         Request::Put { files } => {
@@ -844,6 +904,10 @@ fn handle_request<S: Read + Write>(
                 ok_response([
                     ("queued", Json::from(state.scheduler.queued_len())),
                     ("running", Json::from(state.scheduler.running_len())),
+                    (
+                        "sessions",
+                        Json::from(shared.sessions.load(Ordering::Relaxed)),
+                    ),
                     ("submitted", Json::from(c.submitted)),
                     ("rejected", Json::from(c.rejected)),
                     ("expired", Json::from(c.expired)),
@@ -942,7 +1006,6 @@ fn offer(
     shared: &Shared,
     staging: &mut Staging,
     name: String,
-    priority: u8,
     files: Vec<(String, u64)>,
     jobs: Option<usize>,
     shards: Option<usize>,
@@ -987,7 +1050,7 @@ fn offer(
         jobs,
         shards,
     };
-    match state.scheduler.submit(now, priority, payload) {
+    match state.scheduler.submit(now, payload) {
         Admission::Queued { id, position } => {
             state.uploads.reused += reused as u64;
             shared.work.notify_all();

@@ -4,14 +4,13 @@
 //! The batch CLI recompiles an app for every invocation; the daemon
 //! keeps a process warm, caches compiled [`wasabi_core::AppJob`]s by
 //! the digests of their files, and schedules submitted campaigns across
-//! a bounded runner pool with per-client priorities and explicit
-//! backpressure. Clients speak a schema-versioned JSON-lines protocol
+//! a bounded runner pool in arrival order, with explicit backpressure. Clients speak a schema-versioned JSON-lines protocol
 //! over TCP or a unix socket: submit sources by digest (uploading only
 //! the files the daemon lacks), poll status, cancel, wait for the
 //! report, or subscribe to a live span/progress event stream.
 //!
 //! Layering:
-//! - [`scheduler`]: the pure admission/priority/timeout state machine,
+//! - [`scheduler`]: the pure FIFO admission/timeout state machine,
 //!   driven by an external clock and deterministic under `ManualClock`;
 //! - [`cache`]: the compiled-app LRU;
 //! - [`protocol`]: wire frames (requests, responses, events);

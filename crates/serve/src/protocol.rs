@@ -11,7 +11,7 @@
 //! frame cap bounds (a paper-scale app does not fit in the default one):
 //!
 //! ```text
-//! {"kind":"wasabi-serve","v":1,"op":"submit","name":"cli","priority":5,
+//! {"kind":"wasabi-serve","v":1,"op":"submit","name":"cli",
 //!  "files":[["app.jav","<source>"]]}
 //! ```
 //!
@@ -20,7 +20,7 @@
 //! contents ([`file_digests`]) as 16 hex digits:
 //!
 //! ```text
-//! {"kind":"wasabi-serve","v":2,"op":"offer","name":"cli","priority":5,
+//! {"kind":"wasabi-serve","v":2,"op":"offer","name":"cli",
 //!  "files":[["app.jav","af63bd4c8601b7df"]]}
 //! ```
 //!
@@ -45,6 +45,9 @@
 //! `unsupported protocol version 2` for its offer and falls back to one
 //! v1 frame.
 //!
+//! Older clients send an integer `"priority"` with `submit` and `offer`.
+//! The parser accepts and ignores it: the daemon's queue is FIFO.
+//!
 //! Digests are cache keys, not credentials: a 64-bit FNV digest is
 //! neither secret nor collision-resistant, so a client that knows a
 //! file's path and digest but not its bytes can still obtain the report
@@ -56,6 +59,7 @@
 //! Campaign reports travel as a single JSON string field; the writer's
 //! exact escape round-trip keeps them byte-identical to batch output.
 
+use crate::scheduler::DEFAULT_PRIORITY;
 use wasabi_util::json::write_escaped;
 use wasabi_util::rng::{fnv1a64, fnv1a64_each};
 use wasabi_util::Json;
@@ -78,7 +82,10 @@ pub enum Request {
     Submit {
         /// Project name (reports depend on it; the CLI uses `"cli"`).
         name: String,
-        /// Scheduling priority, 0 (highest) ..= 9; default 5.
+        /// Ignored: the queue is FIFO. A parsed frame carries
+        /// [`DEFAULT_PRIORITY`] and a rendered one omits it; the field stays
+        /// until the benchmark stops building submissions with it (ROADMAP
+        /// item 3).
         priority: u8,
         /// `(relative path, contents)` pairs.
         files: Vec<(String, String)>,
@@ -93,8 +100,6 @@ pub enum Request {
     Offer {
         /// Project name, as in `Submit`.
         name: String,
-        /// Scheduling priority, as in `Submit`.
-        priority: u8,
         /// `(relative path, digest of the contents)` pairs; see
         /// [`file_digests`].
         files: Vec<(String, u64)>,
@@ -203,19 +208,6 @@ fn count_field(value: &Json, key: &str) -> Result<Option<usize>, String> {
     }
 }
 
-fn priority_field(value: &Json) -> Result<u8, String> {
-    match value.get("priority") {
-        None => Ok(crate::scheduler::DEFAULT_PRIORITY),
-        Some(p) => {
-            let p = p.as_u64().ok_or("non-integer field \"priority\"")?;
-            Ok(
-                u8::try_from(p.min(u64::from(crate::scheduler::MAX_PRIORITY)))
-                    .expect("clamped to u8 range"),
-            )
-        }
-    }
-}
-
 /// Moves the non-empty `"files"` array out of the frame, so that file
 /// contents are not copied again.
 fn take_files(value: &mut Json, op: &str) -> Result<Vec<Json>, String> {
@@ -265,21 +257,21 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .to_string();
     match op.as_str() {
         "submit" => {
-            let (name, priority) = (str_field(&value, "name")?, priority_field(&value)?);
+            let name = str_field(&value, "name")?;
             let files = take_files(&mut value, "submit")?
                 .into_iter()
                 .map(|entry| string_pair(entry).ok_or("each file must be [path, contents]"))
                 .collect::<Result<_, _>>()?;
             Ok(Request::Submit {
                 name,
-                priority,
+                priority: DEFAULT_PRIORITY,
                 files,
                 jobs: count_field(&value, "jobs")?,
                 shards: count_field(&value, "shards")?,
             })
         }
         "offer" => {
-            let (name, priority) = (str_field(&value, "name")?, priority_field(&value)?);
+            let name = str_field(&value, "name")?;
             let files = take_files(&mut value, "offer")?
                 .into_iter()
                 .map(|entry| {
@@ -290,7 +282,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .collect::<Result<_, _>>()?;
             Ok(Request::Offer {
                 name,
-                priority,
                 files,
                 jobs: count_field(&value, "jobs")?,
                 shards: count_field(&value, "shards")?,
@@ -380,10 +371,9 @@ pub fn render_request(request: &Request) -> String {
         ("kind".to_string(), Json::from(PROTOCOL_KIND)),
         ("v".to_string(), Json::from(version)),
     ];
-    let mut job = |op: &str, name: &str, priority: u8, files: Json, jobs, shards| {
+    let mut job = |op: &str, name: &str, files: Json, jobs, shards| {
         fields.push(("op".to_string(), Json::from(op)));
         fields.push(("name".to_string(), Json::from(name)));
-        fields.push(("priority".to_string(), Json::from(u32::from(priority))));
         fields.push(("files".to_string(), files));
         for (key, count) in [("jobs", jobs), ("shards", shards)] {
             if let Some(count) = count {
@@ -394,14 +384,13 @@ pub fn render_request(request: &Request) -> String {
     match request {
         Request::Submit {
             name,
-            priority,
             files,
             jobs,
             shards,
+            ..
         } => job(
             "submit",
             name,
-            *priority,
             Json::arr(files.iter().map(|(path, contents)| {
                 Json::arr([Json::from(path.as_str()), Json::from(contents.as_str())])
             })),
@@ -410,14 +399,12 @@ pub fn render_request(request: &Request) -> String {
         ),
         Request::Offer {
             name,
-            priority,
             files,
             jobs,
             shards,
         } => job(
             "offer",
             name,
-            *priority,
             Json::arr(files.iter().map(|(path, digest)| {
                 Json::arr([Json::from(path.as_str()), Json::from(digest_hex(*digest))])
             })),
@@ -486,7 +473,7 @@ mod tests {
     fn submit_round_trips_through_render_and_parse() {
         let request = Request::Submit {
             name: "cli".to_string(),
-            priority: 2,
+            priority: DEFAULT_PRIORITY,
             files: vec![("a.jav".to_string(), "class A {}\nline \"two\"".to_string())],
             jobs: Some(4),
             shards: Some(3),
@@ -498,7 +485,6 @@ mod tests {
     fn offer_and_put_round_trip_as_v2_frames() {
         let offer = Request::Offer {
             name: "cli".to_string(),
-            priority: 0,
             files: vec![
                 ("a.jav".to_string(), u64::MAX),
                 ("b/b.jav".to_string(), 0x0123),
@@ -671,7 +657,7 @@ mod tests {
         let valid_frames = [
             render_request(&Request::Submit {
                 name: "cli".to_string(),
-                priority: 3,
+                priority: DEFAULT_PRIORITY,
                 files: vec![
                     ("a.jav".to_string(), contents[0].to_string()),
                     ("b/b.jav".to_string(), contents[1].to_string()),
@@ -681,7 +667,6 @@ mod tests {
             }),
             render_request(&Request::Offer {
                 name: "cli".to_string(),
-                priority: 3,
                 files: ["a.jav", "b/b.jav"]
                     .iter()
                     .map(|path| path.to_string())
@@ -720,14 +705,22 @@ mod tests {
         }
     }
 
+    /// Old clients' `priority` field parses to the same request as a frame
+    /// without it, whatever its value.
     #[test]
-    fn default_priority_applies_when_absent() {
-        let line = "{\"kind\":\"wasabi-serve\",\"v\":1,\"op\":\"submit\",\"name\":\"x\",\"files\":[[\"a.jav\",\"c\"]]}";
-        match parse_request(line).expect("parses") {
-            Request::Submit { priority, .. } => {
-                assert_eq!(priority, crate::scheduler::DEFAULT_PRIORITY)
+    fn priority_from_old_clients_is_accepted_and_ignored() {
+        let frame = |op: &str, v: u64, file: &str, priority: &str| {
+            format!(
+                "{{\"kind\":\"wasabi-serve\",\"v\":{v},\"op\":\"{op}\",\"name\":\"x\",{priority}\"files\":[[\"a.jav\",\"{file}\"]]}}"
+            )
+        };
+        for (op, v, file) in [("submit", 1, "c"), ("offer", 2, "0123456789abcdef")] {
+            let plain = parse_request(&frame(op, v, file, "")).expect("parses");
+            assert!(!render_request(&plain).contains("priority"));
+            for priority in ["0", "5", "9", "200"] {
+                let old = frame(op, v, file, &format!("\"priority\":{priority},"));
+                assert_eq!(parse_request(&old), Ok(plain.clone()), "{old}");
             }
-            other => panic!("unexpected request {other:?}"),
         }
     }
 }

@@ -1,10 +1,10 @@
-//! Job scheduling for the serve daemon: per-client priorities, admission
-//! control, and queue-wait deadlines.
+//! Job scheduling for the serve daemon: a FIFO queue, admission control,
+//! and queue-wait deadlines.
 //!
 //! The scheduler is a pure state machine — no threads, no sockets, no
 //! clock of its own. Every mutating call takes `now_us` from the caller's
 //! [`Clock`](wasabi_util::metrics::Clock), so the whole policy (admission,
-//! priority order, timeouts) is unit-testable on a `ManualClock` with
+//! dispatch order, timeouts) is unit-testable on a `ManualClock` with
 //! zero real sleeps. The daemon wraps one of these in a `Mutex` and feeds
 //! it wall-clock readings.
 //!
@@ -12,7 +12,7 @@
 //! [`SchedulerConfig::max_queued`] is *rejected with a reason* — the
 //! daemon turns that into an explicit `Rejected` response instead of
 //! buffering without bound. At most [`SchedulerConfig::max_inflight`]
-//! jobs run concurrently; the rest wait in priority order.
+//! jobs run concurrently; the rest wait in arrival order.
 //!
 //! Queue-wait deadlines are exact: a job submitted at `t` with timeout `d`
 //! expires on the first [`Scheduler::tick`] at or after `t + d`, if it is
@@ -45,16 +45,15 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Lowest-numbered priority runs first; submissions at equal priority run
-/// in arrival order. The protocol default.
+/// The priority every [`Request::Submit`](crate::protocol::Request::Submit)
+/// carries. The queue is FIFO and ignores it; it stays until the
+/// benchmark stops building submissions with it (ROADMAP item 3).
 pub const DEFAULT_PRIORITY: u8 = 5;
-/// Highest accepted priority value (0..=MAX_PRIORITY).
-pub const MAX_PRIORITY: u8 = 9;
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// Waiting in the priority queue.
+    /// Waiting in the queue.
     Queued,
     /// Handed to a runner.
     Running,
@@ -122,21 +121,19 @@ pub enum CancelOutcome {
 
 #[derive(Debug)]
 struct JobEntry<T> {
-    priority: u8,
-    seq: u64,
     state: JobState,
     payload: Option<T>,
 }
 
-/// The priority scheduler; generic over the job payload so tests can
-/// drive it with plain values.
+/// The FIFO scheduler; generic over the job payload so tests can drive it
+/// with plain values.
 #[derive(Debug)]
 pub struct Scheduler<T> {
     config: SchedulerConfig,
     next_id: u64,
-    next_seq: u64,
-    /// `(priority, seq) -> id`: BTreeMap order *is* dispatch order.
-    queue: BTreeMap<(u8, u64), u64>,
+    /// Queued job ids. Ids grow in submission order, so set order *is*
+    /// dispatch order.
+    queue: BTreeSet<u64>,
     jobs: BTreeMap<u64, JobEntry<T>>,
     running: usize,
     /// `(deadline_us, id)`: ids grow in submission order, so equal
@@ -167,8 +164,7 @@ impl<T> Scheduler<T> {
         Scheduler {
             config,
             next_id: 1,
-            next_seq: 0,
-            queue: BTreeMap::new(),
+            queue: BTreeSet::new(),
             jobs: BTreeMap::new(),
             running: 0,
             deadlines: BTreeSet::new(),
@@ -186,9 +182,9 @@ impl<T> Scheduler<T> {
         self.running
     }
 
-    /// Submits a job at `priority` (clamped to [`MAX_PRIORITY`]).
-    /// Rejects with a reason when the queue is full.
-    pub fn submit(&mut self, now_us: u64, priority: u8, payload: T) -> Admission {
+    /// Submits a job at the back of the queue. Rejects with a reason when
+    /// the queue is full.
+    pub fn submit(&mut self, now_us: u64, payload: T) -> Admission {
         if self.queue.len() >= self.config.max_queued {
             self.counters.rejected += 1;
             return Admission::Rejected {
@@ -203,16 +199,11 @@ impl<T> Scheduler<T> {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let priority = priority.min(MAX_PRIORITY);
-        let position = self.queue.range(..(priority, seq)).count();
-        self.queue.insert((priority, seq), id);
+        let position = self.queue.len();
+        self.queue.insert(id);
         self.jobs.insert(
             id,
             JobEntry {
-                priority,
-                seq,
                 state: JobState::Queued,
                 payload: Some(payload),
             },
@@ -224,14 +215,13 @@ impl<T> Scheduler<T> {
         Admission::Queued { id, position }
     }
 
-    /// Hands the highest-priority queued job to a runner, if the in-flight
-    /// cap allows another.
+    /// Hands the longest-queued job to a runner, if the in-flight cap
+    /// allows another.
     pub fn start_next(&mut self) -> Option<(u64, T)> {
         if self.running >= self.config.max_inflight {
             return None;
         }
-        let (&slot, &id) = self.queue.iter().next()?;
-        self.queue.remove(&slot);
+        let id = self.queue.pop_first()?;
         let entry = self.jobs.get_mut(&id).expect("queued job has an entry");
         entry.state = JobState::Running;
         self.running += 1;
@@ -258,10 +248,9 @@ impl<T> Scheduler<T> {
         };
         match entry.state {
             JobState::Queued => {
-                let key = (entry.priority, entry.seq);
                 entry.state = JobState::Cancelled;
                 entry.payload = None;
-                self.queue.remove(&key);
+                self.queue.remove(&id);
                 self.counters.cancelled += 1;
                 CancelOutcome::CancelledQueued
             }
@@ -290,10 +279,9 @@ impl<T> Scheduler<T> {
                 continue;
             };
             if entry.state == JobState::Queued {
-                let key = (entry.priority, entry.seq);
                 entry.state = JobState::Expired;
                 entry.payload = None;
-                self.queue.remove(&key);
+                self.queue.remove(&id);
                 self.counters.expired += 1;
                 expired.push(id);
             }
@@ -308,12 +296,9 @@ impl<T> Scheduler<T> {
 
     /// 0-based queue position of a queued job.
     pub fn queue_position(&self, id: u64) -> Option<usize> {
-        let entry = self.jobs.get(&id)?;
-        if entry.state != JobState::Queued {
-            return None;
-        }
-        let key = (entry.priority, entry.seq);
-        Some(self.queue.range(..key).count())
+        self.queue
+            .contains(&id)
+            .then(|| self.queue.range(..id).count())
     }
 }
 
@@ -338,22 +323,22 @@ mod tests {
     }
 
     #[test]
-    fn priority_then_fifo_dispatch_order() {
+    fn fifo_dispatch_order() {
         let mut s = sched(16, 16, None);
-        let low = id_of(s.submit(0, 7, "low"));
-        let first_high = id_of(s.submit(0, 2, "h1"));
-        let second_high = id_of(s.submit(0, 2, "h2"));
-        let urgent = id_of(s.submit(0, 0, "urgent"));
+        let ids: Vec<u64> = ["a", "b", "c", "d"]
+            .into_iter()
+            .map(|name| id_of(s.submit(0, name)))
+            .collect();
         let order: Vec<u64> = std::iter::from_fn(|| s.start_next().map(|(id, _)| id)).collect();
-        assert_eq!(order, vec![urgent, first_high, second_high, low]);
+        assert_eq!(order, ids);
     }
 
     #[test]
     fn admission_rejects_beyond_max_queued_with_reason() {
         let mut s = sched(2, 1, None);
-        id_of(s.submit(0, 5, "a"));
-        id_of(s.submit(0, 5, "b"));
-        match s.submit(0, 5, "c") {
+        id_of(s.submit(0, "a"));
+        id_of(s.submit(0, "b"));
+        match s.submit(0, "c") {
             Admission::Rejected { reason } => {
                 assert!(reason.contains("queue full"), "reason: {reason}");
                 assert!(reason.contains("max 2"), "reason: {reason}");
@@ -363,15 +348,15 @@ mod tests {
         assert_eq!(s.counters.rejected, 1);
         // Draining one slot re-opens admission.
         assert!(s.start_next().is_some());
-        assert!(matches!(s.submit(0, 5, "c"), Admission::Queued { .. }));
+        assert!(matches!(s.submit(0, "c"), Admission::Queued { .. }));
     }
 
     #[test]
     fn max_inflight_caps_concurrency() {
         let mut s = sched(16, 2, None);
-        let a = id_of(s.submit(0, 5, "a"));
-        id_of(s.submit(0, 5, "b"));
-        id_of(s.submit(0, 5, "c"));
+        let a = id_of(s.submit(0, "a"));
+        id_of(s.submit(0, "b"));
+        id_of(s.submit(0, "c"));
         assert!(s.start_next().is_some());
         assert!(s.start_next().is_some());
         assert!(s.start_next().is_none(), "cap of 2 holds the third back");
@@ -384,12 +369,12 @@ mod tests {
     fn queue_timeout_expires_only_still_queued_jobs() {
         let clock = ManualClock::with_step(0);
         let mut s = sched(16, 1, Some(50_000));
-        let started = id_of(s.submit(clock.now_us(), 5, "started"));
-        let waiting = id_of(s.submit(clock.now_us(), 5, "waiting"));
+        let started = id_of(s.submit(clock.now_us(), "started"));
+        let waiting = id_of(s.submit(clock.now_us(), "waiting"));
         let (id, _) = s.start_next().expect("one slot free");
         assert_eq!(id, started);
-        // Same deadline, higher priority: expiry still follows submission.
-        let urgent = id_of(s.submit(clock.now_us(), 0, "urgent"));
+        // Same deadline as `waiting`: expiry follows submission.
+        let later = id_of(s.submit(clock.now_us(), "later"));
         clock.advance(49_999);
         assert!(
             s.tick(clock.now_us()).is_empty(),
@@ -398,7 +383,11 @@ mod tests {
         assert_eq!(s.state(waiting), Some(JobState::Queued));
         clock.advance(1);
         let expired = s.tick(clock.now_us());
-        assert_eq!(expired, vec![waiting, urgent], "only queued jobs expire, FIFO");
+        assert_eq!(
+            expired,
+            vec![waiting, later],
+            "only queued jobs expire, FIFO"
+        );
         assert_eq!(s.state(waiting), Some(JobState::Expired));
         assert_eq!(s.state(started), Some(JobState::Running));
         assert_eq!(s.counters.expired, 2);
@@ -408,8 +397,8 @@ mod tests {
     #[test]
     fn cancel_semantics_including_double_cancel() {
         let mut s = sched(16, 1, None);
-        let running = id_of(s.submit(0, 5, "running"));
-        let queued = id_of(s.submit(0, 5, "queued"));
+        let running = id_of(s.submit(0, "running"));
+        let queued = id_of(s.submit(0, "queued"));
         s.start_next();
         assert_eq!(s.cancel(queued), CancelOutcome::CancelledQueued);
         assert_eq!(s.cancel(queued), CancelOutcome::AlreadyCancelled);
@@ -419,23 +408,35 @@ mod tests {
         s.finish(running, true);
         assert_eq!(s.state(running), Some(JobState::Cancelled));
         assert_eq!(s.cancel(999), CancelOutcome::Unknown);
-        let done = id_of(s.submit(0, 5, "done"));
+        let done = id_of(s.submit(0, "done"));
         s.start_next();
         s.finish(done, true);
         assert_eq!(s.cancel(done), CancelOutcome::AlreadyFinished);
         assert_eq!(s.counters.cancelled, 2);
         // The scheduler is not poisoned: submissions still flow.
-        let next = id_of(s.submit(0, 5, "next"));
+        let next = id_of(s.submit(0, "next"));
         assert_eq!(s.start_next().map(|(id, _)| id), Some(next));
     }
 
     #[test]
-    fn queue_position_reflects_priority_order() {
+    fn queue_position_reflects_fifo_order() {
         let mut s = sched(16, 1, None);
-        let low = id_of(s.submit(0, 8, "low"));
-        assert_eq!(s.queue_position(low), Some(0));
-        let high = id_of(s.submit(0, 1, "high"));
-        assert_eq!(s.queue_position(high), Some(0), "jumps the queue");
-        assert_eq!(s.queue_position(low), Some(1));
+        let first = id_of(s.submit(0, "first"));
+        let second = id_of(s.submit(0, "second"));
+        let third = id_of(s.submit(0, "third"));
+        assert_eq!(s.queue_position(first), Some(0));
+        assert_eq!(s.queue_position(third), Some(2));
+        assert_eq!(s.cancel(first), CancelOutcome::CancelledQueued);
+        assert_eq!(s.queue_position(first), None);
+        assert_eq!(
+            s.queue_position(second),
+            Some(0),
+            "moves up as the queue drains"
+        );
+        assert_eq!(s.queue_position(third), Some(1));
+        assert!(matches!(
+            s.submit(0, "fourth"),
+            Admission::Queued { position: 2, .. }
+        ));
     }
 }

@@ -739,3 +739,57 @@ fn an_idle_session_holding_staged_uploads_is_closed_and_releases_them() {
     assert_eq!(stat(&mut idle, "uploaded_files"), 2);
     shutdown(handle);
 }
+
+/// At most `max_queued + max_inflight` sessions are live at once: the
+/// connection past the cap gets one rejection frame and is closed, and
+/// once a session ends a new connection is served.
+#[test]
+fn connections_past_the_session_cap_are_refused_until_a_session_ends() {
+    let handle = start(ServeOptions {
+        scheduler: SchedulerConfig {
+            max_queued: 1,
+            max_inflight: 1,
+            queue_timeout_us: None,
+        },
+        ..ServeOptions::default()
+    });
+    let mut first = Connection::connect(&handle.addr).expect("connect");
+    let mut second = Connection::connect(&handle.addr).expect("connect");
+    assert_eq!(stat(&mut first, "sessions"), 2);
+    assert_eq!(stat(&mut second, "sessions"), 2);
+
+    let mut third = Connection::connect(&handle.addr).expect("connect");
+    let line = third.read_line().expect("read").expect("a refusal frame");
+    let refusal = Json::parse(&line).expect("json refusal");
+    assert_eq!(
+        refusal.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{line}"
+    );
+    let reason = refusal.get("rejected").and_then(Json::as_str).unwrap_or("");
+    assert!(reason.contains("at most 2 connections"), "{line}");
+    assert!(
+        !matches!(third.read_line(), Ok(Some(_))),
+        "the refused connection was not closed"
+    );
+
+    // The session thread notices the close on its own schedule, so poll.
+    drop(second);
+    let freed = (0..500).any(|_| {
+        if stat(&mut first, "sessions") == 1 {
+            return true;
+        }
+        thread::sleep(std::time::Duration::from_millis(10));
+        false
+    });
+    assert!(freed, "a closed session never freed its slot");
+    let mut fourth = Connection::connect(&handle.addr).expect("connect");
+    assert_eq!(stat(&mut fourth, "sessions"), 2);
+    // Stop over a live session: a new connection might find no free slot
+    // until the daemon notices these close.
+    let _ = fourth.request(&Request::Shutdown {
+        drain: false,
+        deadline_ms: None,
+    });
+    handle.join();
+}

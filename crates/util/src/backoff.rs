@@ -1,18 +1,16 @@
 //! Capped exponential backoff with equal jitter — the one retry policy
 //! the whole workspace speaks.
 //!
-//! Three subsystems retry with the same schedule shape: the campaign
-//! engine (transient run failures), the shard supervisor (crashed shard
-//! children), and the submit client (daemon backpressure). Each used to
-//! carry its own policy struct and its own copy of the math, and the
-//! copies drifted: the submit client's lost the exponent clamp, the
-//! non-negative guard, and the zero-base early return, so extreme
-//! `retry`/`multiplier` values could feed a negative or NaN duration into
-//! `Duration::from_secs_f64` — which panics. Both the policy and the math
-//! now live here; each caller keeps only its own *jitter-stream*
-//! derivation (each keys the stream differently, and those streams are
-//! pinned by determinism tests and report digests) and passes the result
-//! to [`Policy::delay`].
+//! Two callers retry with it: the shard supervisor (crashed shard child
+//! processes) and the submit client (daemon backpressure). The campaign
+//! engine does not retry a run: its interpreter is deterministic, so a
+//! run that panicked would panic again. Each caller keeps only its own
+//! *jitter-stream* derivation (each keys the stream differently, and
+//! those streams are pinned by `tests/backoff_schedules.rs`) and passes
+//! the result to [`Policy::delay`], so the math — with its guards against
+//! extreme `retry`/`multiplier` values, which could otherwise feed a
+//! negative or NaN duration into `Duration::from_secs_f64` and panic —
+//! exists once.
 //!
 //! The schedule: `base * multiplier^(retry-1)`, capped, then drawn
 //! uniformly from `[d/2, d)` — *equal jitter* — using a [`Rng`] stream
@@ -39,16 +37,6 @@ pub struct Policy {
 }
 
 impl Policy {
-    /// Campaign engine: transient run failures (`Crashed`/`TimedOut`)
-    /// get three attempts, 5 ms doubling to a 100 ms cap.
-    pub const ENGINE: Policy = Policy {
-        attempts: 3,
-        base: Duration::from_millis(5),
-        multiplier: 2.0,
-        cap: Duration::from_millis(100),
-        jitter_seed: 0x5741_5341_4249, // "WASABI"
-    };
-
     /// Shard supervisor: a crashed shard child gets 16 restarts (17
     /// attempts), 25 ms doubling to a 1 s cap.
     pub const SUPERVISOR: Policy = Policy {

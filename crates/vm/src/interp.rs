@@ -40,7 +40,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
 use wasabi_lang::ast::{BinOp, Lit, UnOp};
 use wasabi_lang::index::{ClassId, ExcId, LBlock, LExpr, LExprId, LStmt, LStmtId, ProgramIndex};
 use wasabi_lang::intern::{MethodSym, NameTable, Symbol};
@@ -58,14 +57,6 @@ pub enum VmError {
         /// Virtual time at abort.
         virtual_ms: u64,
     },
-    /// The real (wall-clock) per-run budget expired. Unlike [`Timeout`],
-    /// which is deterministic virtual time, this depends on host speed and
-    /// scheduling — callers that need reproducible reports must not leak
-    /// the abort point into their output (the campaign engine records a
-    /// bare `TimedOut` and discards the partial trace).
-    ///
-    /// [`Timeout`]: VmError::Timeout
-    WallClockExceeded,
     /// The program is malformed (unknown method, type error, ...).
     Fault(String),
 }
@@ -77,7 +68,6 @@ impl fmt::Display for VmError {
             VmError::Timeout { virtual_ms } => {
                 write!(f, "virtual time limit exceeded at {virtual_ms} ms")
             }
-            VmError::WallClockExceeded => write!(f, "wall-clock budget exceeded"),
             VmError::Fault(msg) => write!(f, "vm fault: {msg}"),
         }
     }
@@ -95,16 +85,7 @@ pub struct RunLimits {
     pub virtual_time_limit_ms: u64,
     /// Maximum call-stack depth.
     pub max_call_depth: usize,
-    /// Optional real-time deadline. The interpreter checks it every
-    /// [`WALL_CHECK_INTERVAL`] steps (an `Instant::now()` call per statement
-    /// would dominate the run) and aborts with
-    /// [`VmError::WallClockExceeded`] once passed. `None` (the default)
-    /// disables the check entirely — plain serial runs pay nothing.
-    pub wall_deadline: Option<Instant>,
 }
-
-/// How many interpreter steps elapse between wall-clock deadline checks.
-pub const WALL_CHECK_INTERVAL: u64 = 4096;
 
 impl Default for RunLimits {
     fn default() -> Self {
@@ -112,7 +93,6 @@ impl Default for RunLimits {
             fuel: 5_000_000,
             virtual_time_limit_ms: 15 * 60 * 1000,
             max_call_depth: 64,
-            wall_deadline: None,
         }
     }
 }
@@ -247,13 +227,6 @@ impl<'p, 'i> Interp<'p, 'i> {
         self.fuel_used += 1;
         if self.fuel_used > self.limits.fuel {
             return Err(Control::Err(VmError::FuelExhausted));
-        }
-        if self.fuel_used.is_multiple_of(WALL_CHECK_INTERVAL) {
-            if let Some(deadline) = self.limits.wall_deadline {
-                if Instant::now() >= deadline {
-                    return Err(Control::Err(VmError::WallClockExceeded));
-                }
-            }
         }
         Ok(())
     }

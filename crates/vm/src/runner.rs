@@ -43,7 +43,6 @@ pub fn run_test(
             }
         }
         InvokeResult::Vm(VmError::Timeout { virtual_ms }) => TestOutcome::Timeout { virtual_ms },
-        InvokeResult::Vm(VmError::WallClockExceeded) => TestOutcome::WallClockExceeded,
         InvokeResult::Vm(VmError::FuelExhausted) => TestOutcome::FuelExhausted,
         InvokeResult::Vm(VmError::Fault(message)) => TestOutcome::VmFault { message },
     };

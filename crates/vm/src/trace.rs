@@ -154,10 +154,6 @@ pub enum TestOutcome {
     },
     /// The interpreter step budget was exhausted (runaway loop).
     FuelExhausted,
-    /// The real (wall-clock) per-run budget expired. Host-dependent, so the
-    /// oracles ignore it and the campaign engine normalizes the whole run
-    /// record before reporting.
-    WallClockExceeded,
     /// The interpreter itself faulted (malformed program).
     VmFault {
         /// Description of the fault.

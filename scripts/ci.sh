@@ -7,13 +7,12 @@
 #      suite, exactly what `cargo tier1` runs. Also runs `cargo clippy
 #      --workspace --all-targets -- -D warnings`: every crate of the
 #      workspace is lint-clean and stays that way.
-#   3. resilience smoke: a chaos campaign (10% injected run panics,
-#      --jobs 4) must report byte-identically to the serial run, a
-#      kill-and-resume round-trip (journal cut mid-line, then --resume)
-#      must report byte-identically to the uninterrupted baseline, and a
-#      campaign recorded with --trace-out must pass `wasabi stats`
-#      validation against its journal (schema, closed spans, attempt and
-#      injection counts).
+#   3. resilience smoke: a --jobs 4 campaign must report
+#      byte-identically to the serial run, a kill-and-resume round-trip
+#      (journal cut mid-line, then --resume) must report byte-identically
+#      to the uninterrupted baseline, and a campaign recorded with
+#      --trace-out must pass `wasabi stats` validation against its
+#      journal (schema, closed spans, injection counts).
 #   4. digest + benchmark smoke: the seed-corpus `wasabi test --json`
 #      reports must match the recorded digest
 #      (scripts/seed_report_digest.txt) — the compile-once

@@ -8,9 +8,8 @@
 //!                [--cross-check] [--no-ifratio]    # interprocedural retry diagnostics
 //!                <file.jav>...                     # (+ static↔LLM agreement matrix)
 
-//! wasabi test    [--json] [--jobs N] [--max-attempts N] [--journal PATH]
-//!                [--resume PATH] [--quiet] [--chaos-panic RATE]
-//!                [--trace-out PATH] <file.jav>...
+//! wasabi test    [--json] [--jobs N] [--journal PATH] [--resume PATH]
+//!                [--quiet] [--trace-out PATH] <file.jav>...
 //! wasabi test    --shards N [--shard-dir DIR] [--chaos-kill-shard I] ...
 //!                                                  # multi-process sharded campaign
 //! wasabi merge   [--json] <shard-dir>              # merge shard journals into a report
@@ -21,7 +20,7 @@
 //! wasabi serve   [--addr HOST:PORT] [--unix PATH] [--max-queued N] [--max-inflight N]
 //!                [--queue-timeout-ms N] [--cache N] [--jobs N]
 //!                                                  # campaign-as-a-service daemon
-//! wasabi submit  --addr ADDR [--priority N] [--jobs N] [--subscribe] <file.jav>...
+//! wasabi submit  --addr ADDR [--jobs N] [--subscribe] <file.jav>...
 //! wasabi submit  --addr ADDR (--stats | --shutdown | --cancel ID | --status ID)
 //! ```
 //!
@@ -40,7 +39,6 @@ use wasabi::core::dynamic::{run_dynamic_with_observer, DynamicOptions};
 use wasabi::core::identify::identify;
 use wasabi::core::lint::{cross_check, lint_with_overlap};
 use wasabi::core::report_json;
-use wasabi::engine::campaign::ChaosConfig;
 use wasabi::engine::{
     journal, load_trace, render_stats, validate_trace, write_trace, EngineEvent, EngineObserver,
     MetricsObserver, NullObserver, StderrProgress, Tee,
@@ -60,9 +58,8 @@ const USAGE: &str = "usage:
   wasabi sweep   [--json] <file.jav>...
   wasabi lint    [--json] [--baseline PATH] [--write-baseline PATH]
                  [--cross-check] [--no-ifratio] <file.jav>...
-  wasabi test    [--json] [--jobs N] [--max-attempts N] [--journal PATH]
-                 [--resume PATH] [--quiet] [--chaos-panic RATE]
-                 [--trace-out PATH] [--adaptive] <file.jav>...
+  wasabi test    [--json] [--jobs N] [--journal PATH] [--resume PATH]
+                 [--quiet] [--trace-out PATH] [--adaptive] <file.jav>...
   wasabi test    --shards N [--shard-dir DIR] [--chaos-kill-shard I]
                  [--chaos-exit-after N] <file.jav>...
   wasabi merge   [--json] <shard-dir>
@@ -72,7 +69,7 @@ const USAGE: &str = "usage:
                  [--out DIR] (--corpus APP [--amp] [--scale tiny|small|paper] | <file.jav>...)
   wasabi serve   [--addr HOST:PORT] [--unix PATH] [--max-queued N] [--max-inflight N]
                  [--queue-timeout-ms N] [--cache N] [--jobs N]
-  wasabi submit  --addr ADDR [--priority N] [--jobs N] [--shards N] [--subscribe]
+  wasabi submit  --addr ADDR [--jobs N] [--shards N] [--subscribe]
                  [--retry-attempts N] [--retry-base-ms MS] <file.jav>...
   wasabi submit  --addr ADDR (--stats | --shutdown [--drain [--drain-deadline-ms MS]]
                  | --cancel ID | --status ID)";
@@ -86,11 +83,9 @@ struct CampaignFlags {
     /// `wasabi submit` forwards the override only when explicit, so the
     /// daemon's own worker-count default wins otherwise.
     jobs_explicit: bool,
-    max_attempts: Option<u8>,
     journal: Option<PathBuf>,
     resume: Option<PathBuf>,
     quiet: bool,
-    chaos_panic: Option<f64>,
     trace_out: Option<PathBuf>,
     /// Parent side of a sharded campaign: child-process count.
     shards: Option<usize>,
@@ -199,8 +194,8 @@ fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>,
 }
 
 /// Extracts every campaign flag from the argument list; what remains is
-/// input files. Defaults: serial (`--jobs 1`), engine-default retry
-/// policy, no journal, progress on stderr.
+/// input files. Defaults: serial (`--jobs 1`), no journal, progress on
+/// stderr.
 fn take_campaign_flags(args: &mut Vec<String>) -> Result<CampaignFlags, String> {
     let mut flags = CampaignFlags {
         jobs: 1,
@@ -214,15 +209,6 @@ fn take_campaign_flags(args: &mut Vec<String>) -> Result<CampaignFlags, String> 
             return Err("--jobs must be at least 1".to_string());
         }
         flags.jobs_explicit = true;
-    }
-    if let Some(value) = take_value_flag(args, "--max-attempts")? {
-        let attempts = value
-            .parse::<u8>()
-            .map_err(|_| format!("invalid --max-attempts value `{value}`"))?;
-        if attempts == 0 {
-            return Err("--max-attempts must be at least 1".to_string());
-        }
-        flags.max_attempts = Some(attempts);
     }
     flags.journal = take_value_flag(args, "--journal")?.map(PathBuf::from);
     flags.resume = take_value_flag(args, "--resume")?.map(PathBuf::from);
@@ -258,15 +244,6 @@ fn take_campaign_flags(args: &mut Vec<String>) -> Result<CampaignFlags, String> 
             .parse::<usize>()
             .map_err(|_| format!("invalid --chaos-kill-shard value `{value}`"))?;
         flags.chaos_kill_shard = Some(shard);
-    }
-    if let Some(value) = take_value_flag(args, "--chaos-panic")? {
-        let rate = value
-            .parse::<f64>()
-            .map_err(|_| format!("invalid --chaos-panic value `{value}`"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err("--chaos-panic must be in [0, 1]".to_string());
-        }
-        flags.chaos_panic = Some(rate);
     }
     flags.adaptive = take_flag(args, "--adaptive");
     // Shard slices index the *fixed* key-sorted grid; an adaptive child
@@ -599,19 +576,11 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
         },
         None => Vec::new(),
     };
-    // Fixed seed: the chaos smoke relies on identical draws across
-    // reruns and worker counts.
-    let mut chaos = flags.chaos_panic.map(|rate| ChaosConfig::panics(rate, 0xC4A05));
-    if let Some(appends) = flags.chaos_exit_after {
-        let mut config = chaos.unwrap_or_else(|| ChaosConfig::panics(0.0, 0xC4A05));
-        config.exit_after_appends = Some(appends);
-        chaos = Some(config);
-    }
-    let mut options = DynamicOptions {
+    let options = DynamicOptions {
         jobs: flags.jobs,
         journal: flags.journal.clone(),
         resume_records,
-        chaos,
+        chaos_exit_after: flags.chaos_exit_after,
         // Shard children stream by construction: their journal is the
         // hand-off to the parent, so records need not stay resident.
         stream: flags.stream || flags.shard_range.is_some(),
@@ -623,9 +592,6 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
         adaptive: flags.adaptive,
         ..DynamicOptions::default()
     };
-    if let Some(attempts) = flags.max_attempts {
-        options.retry.attempts = u32::from(attempts);
-    }
     // Progress goes to stderr, so `--json` output on stdout stays clean.
     let mut progress: Box<dyn EngineObserver> = if flags.quiet {
         Box::new(NullObserver)
@@ -725,7 +691,6 @@ fn test_sharded(files: &[String], json: bool, flags: &CampaignFlags) -> ExitCode
         exe,
         cwd: None,
         jobs: flags.jobs,
-        max_attempts: flags.max_attempts,
         policy: Policy::SUPERVISOR,
         chaos_kill_shard: flags.chaos_kill_shard,
         chaos_exit_after: flags.chaos_exit_after.unwrap_or(3),
@@ -782,7 +747,7 @@ fn print_sharded_outcome(
 /// `wasabi stats`: renders the per-phase/per-run tables from recorded
 /// trace files and validates them — internal consistency always, and,
 /// with `--journal PATH`, a cross-check of every run span against the
-/// campaign journal (same keys, attempts, injections). Validation
+/// campaign journal (same keys, same injections). Validation
 /// problems go to stderr and fail the command, so CI can gate on it.
 fn stats(paths: &[String], flags: &CampaignFlags) -> ExitCode {
     if paths.is_empty() {
@@ -920,19 +885,11 @@ fn submit(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
     let stats_op = take_flag(&mut args, "--stats");
     let shutdown_op = take_flag(&mut args, "--shutdown");
     let drain = take_flag(&mut args, "--drain");
-    // (addr, priority, cancel, status, retry, drain_deadline).
-    type SubmitArgs = (String, u8, Option<u64>, Option<u64>, Policy, Option<u64>);
+    // (addr, cancel, status, retry, drain_deadline).
+    type SubmitArgs = (String, Option<u64>, Option<u64>, Policy, Option<u64>);
     let parsed = (|| -> Result<SubmitArgs, String> {
         let addr = take_value_flag(&mut args, "--addr")?
             .ok_or("submit requires --addr (from the serve banner)")?;
-        let priority = match take_value_flag(&mut args, "--priority")? {
-            None => wasabi::serve::scheduler::DEFAULT_PRIORITY,
-            Some(value) => value
-                .parse::<u8>()
-                .ok()
-                .filter(|&p| p <= wasabi::serve::scheduler::MAX_PRIORITY)
-                .ok_or_else(|| format!("invalid --priority value `{value}` (0-9)"))?,
-        };
         let cancel = match take_value_flag(&mut args, "--cancel")? {
             None => None,
             Some(value) => Some(
@@ -973,9 +930,9 @@ fn submit(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
                     .map_err(|_| format!("invalid --drain-deadline-ms value `{value}`"))?,
             ),
         };
-        Ok((addr, priority, cancel, status, retry, drain_deadline))
+        Ok((addr, cancel, status, retry, drain_deadline))
     })();
-    let (addr, priority, cancel, status, retry, drain_deadline) = match parsed {
+    let (addr, cancel, status, retry, drain_deadline) = match parsed {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}\n{USAGE}");
@@ -1039,7 +996,7 @@ fn submit(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
     }
     let request = Request::Submit {
         name: "cli".to_string(),
-        priority,
+        priority: wasabi::serve::scheduler::DEFAULT_PRIORITY,
         files,
         jobs: flags.jobs_explicit.then_some(flags.jobs),
         shards: flags.shards,

@@ -8,30 +8,48 @@
 mod common;
 
 use common::{ir_debug, widths};
+use std::collections::{BTreeMap, BTreeSet};
 use wasabi::analysis::checkers::{lint_project, LintOptions};
 use wasabi::analysis::diag::render_json;
-use wasabi::analysis::loops::RetryLocation;
-use wasabi::core::dynamic::{run_dynamic, DynamicOptions, DynamicResult};
-use wasabi::core::identify::identify;
+use wasabi::core::dynamic::{
+    run_dynamic, run_dynamic_with_observer, DynamicOptions, DynamicResult,
+};
+use wasabi::core::identify::{identify, Identified};
 use wasabi::core::lint::{cross_check, lint_with_overlap};
+use wasabi::core::report_json;
 use wasabi::corpus::spec::{paper_apps, Scale};
 use wasabi::corpus::synth::{
     append_policy_seeds, compile_app, generate_app, generate_app_with_amp, GeneratedApp,
 };
-use wasabi::engine::campaign::ChaosConfig;
-use wasabi::util::backoff::Policy;
+use wasabi::engine::campaign::{RunOutcome, RunRecord};
 use wasabi::engine::journal;
+use wasabi::engine::{EngineEvent, EngineObserver};
 use wasabi::lang::project::Project;
 use wasabi::llm::simulated::SimulatedLlm;
+use wasabi::planner::plan::RunKey;
+use wasabi::vm::trace::TestOutcome;
 
-fn hdfs_small() -> (Project, Vec<RetryLocation>) {
+fn hdfs_small() -> (Project, Identified) {
     let spec = paper_apps().into_iter().find(|s| s.short == "HD").expect("HD");
     let app = generate_app(&spec, Scale::Small);
     let project = compile_app(&app);
     let mut llm = SimulatedLlm::with_seed(app.spec.seed);
     let identified = identify(&project, &mut llm);
     assert!(!identified.locations.is_empty(), "HDFS has retry locations");
-    (project, identified.locations)
+    (project, identified)
+}
+
+/// Every executed run's record, by key, from the campaign's
+/// `RunRecorded` events.
+#[derive(Default)]
+struct Records(BTreeMap<RunKey, RunRecord>);
+
+impl EngineObserver for Records {
+    fn on_event(&mut self, event: &EngineEvent<'_>) {
+        if let EngineEvent::RunRecorded { record, .. } = event {
+            self.0.insert(record.key.clone(), (*record).clone());
+        }
+    }
 }
 
 /// Everything in the result that callers consume, rendered to one string.
@@ -41,8 +59,8 @@ fn hdfs_small() -> (Project, Vec<RetryLocation>) {
 fn render(result: &DynamicResult) -> String {
     format!(
         "reports: {:#?}\nbugs: {:#?}\nstats: {:?}\nplanned: {} naive: {}\ntested: {:?}\n\
-         campaign: runs={} completed={} timed_out={} failed={} crashed={} retried={} \
-         quarantined={} rethrow={} not_trigger={} reports={} injections={} virtual_ms={}",
+         campaign: runs={} completed={} failed={} crashed={} retried={} \
+         rethrow={} not_trigger={} reports={} injections={} virtual_ms={}",
         result.reports,
         result.bugs,
         result.stats,
@@ -51,11 +69,9 @@ fn render(result: &DynamicResult) -> String {
         result.tested_structures,
         result.campaign.runs_total,
         result.campaign.completed,
-        result.campaign.timed_out,
         result.campaign.failed,
         result.campaign.crashed,
         result.campaign.retried,
-        result.campaign.quarantined,
         result.campaign.rethrow_filtered,
         result.campaign.not_a_trigger,
         result.campaign.reports,
@@ -66,13 +82,13 @@ fn render(result: &DynamicResult) -> String {
 
 #[test]
 fn reports_are_byte_identical_for_any_job_count() {
-    let (project, locations) = hdfs_small();
+    let (project, identified) = hdfs_small();
     let run = |jobs: usize| {
         let options = DynamicOptions {
             jobs,
             ..DynamicOptions::default()
         };
-        render(&run_dynamic(&project, &locations, &options))
+        render(&run_dynamic(&project, &identified.locations, &options))
     };
     let serial = run(1);
     assert!(serial.contains("reports:"), "sanity: non-empty render");
@@ -87,115 +103,157 @@ fn reports_are_byte_identical_for_any_job_count() {
 
 #[test]
 fn timed_out_runs_are_reported_identically_on_every_worker_count() {
-    // Corpus tests finish well under WALL_CHECK_INTERVAL steps, so they
-    // never reach a deadline check; this project spins >4096 steps before
-    // retrying, guaranteeing a zero budget cancels its runs. The quick
-    // class stays under the interval and must keep completing.
+    // A virtual-time limit of one second ends the sleepy structure's K=100
+    // runs (fifty failed attempts, 100 virtual ms of backoff each) in the
+    // VM's deterministic `Timeout`; its K=1 runs, and every run of the
+    // spinning structure, which never sleeps, complete.
     let src = "exception ConnectException;\nexception SocketException;\n\
-         class Slow {\n\
-           method spin() { var i = 0; while (i < 6000) { i = i + 1; } return i; }\n\
+         class Spinning {\n\
            method op() throws ConnectException { return \"ok\"; }\n\
            method run() {\n\
              while (true) {\n\
                try { return this.op(); } catch (ConnectException e) { log(\"retrying\"); }\n\
              }\n\
            }\n\
-           test tSlow() { this.spin(); assert(this.run() == \"ok\"); }\n\
+           test tSpinning() { assert(this.run() == \"ok\"); }\n\
          }\n\
-         class Quick {\n\
-           field maxAttempts = 4;\n\
+         class Sleepy {\n\
+           field maxAttempts = 50;\n\
            method fetch() throws SocketException { return \"ok\"; }\n\
            method run() {\n\
              for (var retry = 0; retry < this.maxAttempts; retry = retry + 1) {\n\
-               try { return this.fetch(); } catch (SocketException e) { sleep(25); }\n\
+               try { return this.fetch(); } catch (SocketException e) { sleep(100); }\n\
              }\n\
              throw new SocketException(\"giving up\");\n\
            }\n\
-           test tQuick() { assert(this.run() == \"ok\"); }\n\
+           test tSleepy() { assert(this.run() == \"ok\"); }\n\
          }";
     let project = Project::compile("t", vec![("t.jav", src)]).expect("compile");
     let mut llm = SimulatedLlm::with_seed(5);
     let identified = identify(&project, &mut llm);
     assert!(identified.locations.len() >= 2);
     let run = |jobs: usize| {
-        let options = DynamicOptions {
+        let mut options = DynamicOptions {
             jobs,
-            // A zero budget cancels every run that reaches a deadline
-            // check; the resulting timed-out/completed mix must not
-            // depend on which worker executed which run.
-            run_budget_ms: Some(0),
             ..DynamicOptions::default()
         };
-        run_dynamic(&project, &identified.locations, &options)
+        options.run_options.limits.virtual_time_limit_ms = 1_000;
+        let mut records = Records::default();
+        let result =
+            run_dynamic_with_observer(&project, &identified.locations, &options, &mut records);
+        let timeouts = records
+            .0
+            .values()
+            .filter(|r| {
+                matches!(
+                    r.outcome,
+                    RunOutcome::Completed(TestOutcome::Timeout { .. })
+                )
+            })
+            .count();
+        (render(&result), timeouts, result.stats.runs_executed)
     };
-    let serial = run(1);
+    let (serial, timeouts, runs) = run(1);
     assert!(
-        serial.stats.timed_out > 0,
-        "zero budget must cancel at least one run (got {:?})",
-        serial.stats
+        timeouts > 0 && timeouts < runs,
+        "{timeouts} of {runs} runs timed out; some must, not all"
     );
-    assert!(
-        serial.stats.timed_out < serial.stats.runs_executed,
-        "short runs still complete (got {:?})",
-        serial.stats
-    );
-    let parallel = run(8);
     assert_eq!(
-        render(&serial),
-        render(&parallel),
+        (serial, timeouts),
+        {
+            let (parallel, timeouts, _) = run(8);
+            (parallel, timeouts)
+        },
         "timed-out campaign diverged between jobs=1 and jobs=8"
     );
 }
 
 #[test]
 fn quarantined_chaos_campaign_is_byte_identical_for_any_job_count() {
-    // Chaos panics are drawn per (key, attempt), so with a panic rate
-    // this high and only two attempts some runs must exhaust the policy
-    // and be quarantined. Containment, retry accounting, and quarantine
-    // must all merge deterministically regardless of worker count.
-    let (project, locations) = hdfs_small();
+    // A crashed record — the engine's record of a run that panicked — is
+    // final: resumed from a journal, it counts once as crashed and once
+    // as quarantined, adds no oracle report, and merges the same at every
+    // worker count. A run panics only through an interpreter bug, so the
+    // records are built here.
+    let (project, identified) = hdfs_small();
+    let mut full = Records::default();
+    run_dynamic_with_observer(
+        &project,
+        &identified.locations,
+        &DynamicOptions::default(),
+        &mut full,
+    );
+    let crashed: Vec<RunRecord> = full
+        .0
+        .keys()
+        .step_by(5)
+        .map(|key| RunRecord {
+            key: key.clone(),
+            outcome: RunOutcome::Crashed {
+                message: "interpreter bug".to_string(),
+            },
+            reports: Vec::new(),
+            rethrow_filtered: false,
+            not_a_trigger: false,
+            virtual_ms: 0,
+            steps: 0,
+            injections: 0,
+        })
+        .collect();
+    let crashed_keys: BTreeSet<&RunKey> = crashed.iter().map(|record| &record.key).collect();
+    let surviving_reports: Vec<String> = full
+        .0
+        .values()
+        .filter(|record| !crashed_keys.contains(&record.key))
+        .flat_map(|record| record.reports.iter().map(|report| format!("{report:?}")))
+        .collect();
+    assert!(
+        full.0
+            .values()
+            .any(|record| crashed_keys.contains(&record.key) && !record.reports.is_empty()),
+        "some crashed key had oracle reports to lose"
+    );
+
     let run = |jobs: usize| {
         let options = DynamicOptions {
             jobs,
-            retry: Policy {
-                attempts: 2,
-                base: std::time::Duration::ZERO,
-                ..Policy::ENGINE
-            },
-            chaos: Some(ChaosConfig::panics(0.6, 7)),
+            resume_records: crashed.clone(),
             ..DynamicOptions::default()
         };
-        run_dynamic(&project, &locations, &options)
+        run_dynamic(&project, &identified.locations, &options)
     };
     let serial = run(1);
-    assert!(
-        serial.campaign.crashed > 0 && serial.campaign.quarantined > 0,
-        "chaos at 60% with 2 attempts must quarantine something (got {:?})",
-        serial.campaign
-    );
-    assert!(
-        serial.campaign.retried > 0,
-        "first-attempt panics must be retried"
+    let report = report_json(&identified, &serial);
+    for field in ["crashed", "quarantined"] {
+        let line = format!("\"{field}\": {},", crashed.len());
+        assert!(report.contains(&line), "report lacks `{line}`:\n{report}");
+    }
+    let reports: Vec<String> = serial.reports.iter().map(|r| format!("{r:?}")).collect();
+    assert_eq!(
+        reports, surviving_reports,
+        "crashed runs add no oracle reports"
     );
     for jobs in [2, 8] {
+        let parallel = run(jobs);
         assert_eq!(
-            render(&serial),
-            render(&run(jobs)),
-            "chaos campaign diverged between jobs=1 and jobs={jobs}"
+            (render(&serial), report.clone()),
+            (render(&parallel), report_json(&identified, &parallel)),
+            "campaign with crashed records diverged between jobs=1 and jobs={jobs}"
         );
     }
 }
 
 #[test]
 fn resumed_campaign_matches_uninterrupted_run_byte_for_byte() {
-    let (project, locations) = hdfs_small();
+    let (project, identified) = hdfs_small();
+    let locations = &identified.locations;
     let mut path = std::env::temp_dir();
     path.push(format!("wasabi-determinism-resume-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
 
     let uninterrupted = run_dynamic(
         &project,
-        &locations,
+        locations,
         &DynamicOptions {
             journal: Some(path.clone()),
             ..DynamicOptions::default()
@@ -221,7 +279,7 @@ fn resumed_campaign_matches_uninterrupted_run_byte_for_byte() {
     let resumed_from = recovered.len();
     let resumed = run_dynamic(
         &project,
-        &locations,
+        locations,
         &DynamicOptions {
             jobs: 4,
             resume_records: recovered,
