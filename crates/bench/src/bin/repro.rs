@@ -36,6 +36,36 @@ use wasabi_core::dynamic::DynamicOptions;
 use wasabi_core::score::{evaluate_app, evaluate_app_with_observer, Aggregate};
 use wasabi_engine::{write_trace, MetricsObserver};
 
+/// Every artifact `repro` prints; `all` is all of them.
+const ARTIFACTS: &[&str] = &[
+    "table1",
+    "table2",
+    "study-stats",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "fig3",
+    "fig4",
+    "if-bugs",
+    "cost",
+    "fp-taxonomy",
+    "ablation-keyword",
+    "ablation-oracles",
+    "all",
+];
+
+/// Prints `problem` and the usage line, and exits 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("repro: {problem}");
+    eprintln!(
+        "usage: repro [--scale tiny|small|paper] [--jobs N] [--journal DIR] [--resume DIR] \
+         [--trace-out DIR] [--quiet] <artifact>... (artifacts: {})",
+        ARTIFACTS.join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Small;
@@ -47,40 +77,33 @@ fn main() {
     let mut artifacts: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        let mut value = |flag: &str| {
+            iter.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} expects a value")))
+        };
         match arg.as_str() {
             "--scale" => {
-                let value = iter.next().unwrap_or_default();
-                scale = match value.as_str() {
+                scale = match value("--scale").as_str() {
                     "tiny" => Scale::Tiny,
                     "small" => Scale::Small,
                     "paper" => Scale::Paper,
-                    other => {
-                        eprintln!("unknown scale `{other}` (tiny|small|paper)");
-                        std::process::exit(2);
-                    }
+                    other => usage_error(&format!("unknown scale `{other}` (tiny|small|paper)")),
                 };
             }
             "--jobs" => {
-                let value = iter.next().unwrap_or_default();
+                let value = value("--jobs");
                 jobs = match value.parse() {
                     Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--jobs expects a positive integer, got `{value}`");
-                        std::process::exit(2);
-                    }
+                    _ => usage_error(&format!("--jobs expects a positive integer, got `{value}`")),
                 };
             }
-            "--journal" => {
-                journal_dir = Some(PathBuf::from(iter.next().unwrap_or_default()));
-            }
-            "--resume" => {
-                resume_dir = Some(PathBuf::from(iter.next().unwrap_or_default()));
-            }
-            "--trace-out" => {
-                trace_dir = Some(PathBuf::from(iter.next().unwrap_or_default()));
-            }
+            "--journal" => journal_dir = Some(PathBuf::from(value("--journal"))),
+            "--resume" => resume_dir = Some(PathBuf::from(value("--resume"))),
+            "--trace-out" => trace_dir = Some(PathBuf::from(value("--trace-out"))),
             "--quiet" => quiet = true,
-            other => artifacts.push(other.to_string()),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
+            name if ARTIFACTS.contains(&name) => artifacts.push(name.to_string()),
+            name => usage_error(&format!("unknown artifact `{name}`")),
         }
     }
     if artifacts.is_empty() {

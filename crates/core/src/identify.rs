@@ -1,14 +1,21 @@
 //! Retry-location identification: the union of the control-flow query and
 //! the LLM technique (§3.1.1).
+//!
+//! The two techniques read the same compiled project independently, so
+//! [`identify`] runs the control-flow query ([`ProjectIndex::build`] and
+//! [`all_retry_locations`]) on the caller's thread while the sweep's
+//! other workers start on the files ([`sweep_files_beside`]); the caller
+//! then joins the sweep. The follow-up query for the LLM-flagged methods
+//! needs both, so it runs after them, on the caller.
 
+use std::collections::BTreeMap;
 use wasabi_analysis::loops::{
     all_retry_locations, LoopQueryOptions, Mechanism, RetryLocation, RetryLoop,
 };
 use wasabi_analysis::resolve::{MethodRef, ProjectIndex};
-use wasabi_lang::project::{FileId, MethodId, Project};
-use wasabi_llm::detector::{sweep_project, LlmSweep};
+use wasabi_lang::project::{CallSite, FileId, MethodId, Project};
+use wasabi_llm::detector::{sweep_files_beside, LlmSweep};
 use wasabi_llm::model::LanguageModel;
-use std::collections::BTreeMap;
 
 /// Everything the identification stage produces.
 #[derive(Debug, Clone)]
@@ -24,26 +31,45 @@ pub struct Identified {
     pub locations: Vec<RetryLocation>,
 }
 
-/// Runs both identification techniques and merges their locations.
+/// The control-flow query's retry loops, each with its locations.
+type LoopQuery = Vec<(RetryLoop, Vec<RetryLocation>)>;
+
+/// Runs both identification techniques, the control-flow query beside the
+/// LLM sweep, and merges their locations.
 pub fn identify(project: &Project, llm: &mut dyn LanguageModel) -> Identified {
-    identify_with_sweep(project, sweep_project(project, llm))
+    let (files, (index, loops)) = sweep_files_beside(project, llm, || {
+        let index = ProjectIndex::build(project);
+        let loops = all_retry_locations(&index, &LoopQueryOptions::default());
+        (index, loops)
+    });
+    merge(project, &index, loops, files.into_iter().collect())
 }
 
 /// [`identify`] with the LLM sweep already run: the control-flow query,
 /// then the merge with `llm_sweep`'s flagged methods.
 pub fn identify_with_sweep(project: &Project, llm_sweep: LlmSweep) -> Identified {
     let index = ProjectIndex::build(project);
+    let loops = all_retry_locations(&index, &LoopQueryOptions::default());
+    merge(project, &index, loops, llm_sweep)
+}
 
+/// Merges the control-flow query's locations with those of the methods
+/// the LLM flagged, found by a follow-up query for their callees and the
+/// exceptions those declare.
+fn merge(
+    project: &Project,
+    index: &ProjectIndex<'_>,
+    loops: LoopQuery,
+    llm_sweep: LlmSweep,
+) -> Identified {
     // Technique 1: control-flow analysis + naming conventions.
-    let with_locations = all_retry_locations(&index, &LoopQueryOptions::default());
-    let codeql_loops: Vec<RetryLoop> = with_locations.iter().map(|(l, _)| l.clone()).collect();
-    let mut merged: BTreeMap<(wasabi_lang::project::CallSite, String), RetryLocation> =
-        BTreeMap::new();
-    for (_, locations) in &with_locations {
+    let mut merged: BTreeMap<(CallSite, String), RetryLocation> = BTreeMap::new();
+    for (_, locations) in &loops {
         for location in locations {
             merged.insert((location.site, location.exception.clone()), location.clone());
         }
     }
+    let codeql_loops: Vec<RetryLoop> = loops.into_iter().map(|(l, _)| l).collect();
 
     // Technique 2: LLM identification, then a follow-up query for callees
     // and their exceptions.

@@ -8,6 +8,12 @@
 //! delay) and the LLM side is the sweep's WHEN findings; a finding is
 //! *shared* when both techniques flag the same `(file, method, kind)`.
 //!
+//! The two techniques are independent reads of one compiled project, so
+//! [`lint_with_overlap`] runs the checkers on the caller's thread while
+//! the sweep's other workers start on the files
+//! ([`sweep_files_beside`]); the caller then joins the sweep. Neither
+//! result depends on the number of workers.
+//!
 //! On top of the counts, [`cross_check`] runs the two techniques as
 //! mutually-checking detectors (the CERBERUS arbitration idea: when two
 //! imperfect detectors agree, confidence rises; when they disagree, that
@@ -20,7 +26,7 @@
 use std::collections::BTreeSet;
 use wasabi_analysis::checkers::{lint_project, LintOptions, LintResult};
 use wasabi_lang::project::Project;
-use wasabi_llm::detector::{sweep_project, LlmSweep, LlmWhenKind};
+use wasabi_llm::detector::{sweep_files_beside, LlmSweep, LlmWhenKind};
 use wasabi_llm::model::LanguageModel;
 
 /// Overlap counts between the static checkers and the LLM sweep, for WHEN
@@ -205,13 +211,15 @@ pub fn cross_check(lint: &LintResult, sweep: &LlmSweep) -> CrossCheck {
 }
 
 /// Runs the static checkers and the LLM sweep and accounts their overlap.
+/// The checkers run on the caller's thread beside the sweep's other
+/// workers, and then the caller joins the sweep.
 pub fn lint_with_overlap(
     project: &Project,
     llm: &mut dyn LanguageModel,
     options: &LintOptions,
 ) -> LintReport {
-    let lint = lint_project(project, options);
-    let sweep = sweep_project(project, llm);
+    let (files, lint) = sweep_files_beside(project, llm, || lint_project(project, options));
+    let sweep: LlmSweep = files.into_iter().collect();
 
     let static_found: BTreeSet<(String, String, &'static str)> = lint
         .diagnostics

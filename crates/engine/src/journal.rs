@@ -68,17 +68,15 @@ pub struct Journal {
 
 impl Journal {
     /// Opens `path` for appending, creating it (with a header line) if
-    /// absent. An existing file is first *repaired*: it is truncated to
-    /// its longest valid prefix (complete, parseable lines), so a tail
-    /// half-written by a killed process never corrupts the next session's
-    /// appends. Returns an error only for I/O failures or a schema/header
-    /// mismatch — a repaired-to-empty file is recreated fresh.
+    /// absent. An existing file is first *repaired*: the torn tail that
+    /// [`load`] drops (a half-written final line, or a torn line followed
+    /// only by epoch markers) is cut, so a killed process never corrupts
+    /// the next session's appends. A file that [`load`] refuses, for a bad
+    /// header or a corrupt line with data after it, is refused with the
+    /// same `corrupt line N` error and left as it is. An empty file, or
+    /// one whose only line is a torn header, is recreated fresh.
     pub fn open(path: &Path) -> Result<Journal, String> {
-        let valid_len = match std::fs::read_to_string(path) {
-            Ok(text) => scan_valid_prefix(&text)?,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => 0,
-            Err(err) => return Err(format!("read {}: {err}", path.display())),
-        };
+        let valid_len = kept_len(path)?;
         let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
@@ -86,7 +84,7 @@ impl Journal {
             .write(true)
             .open(path)
             .map_err(|err| format!("open {}: {err}", path.display()))?;
-        file.set_len(valid_len as u64)
+        file.set_len(valid_len)
             .map_err(|err| format!("truncate {}: {err}", path.display()))?;
         file.seek(SeekFrom::End(0))
             .map_err(|err| format!("seek {}: {err}", path.display()))?;
@@ -230,6 +228,9 @@ pub struct JournalReader {
     line_offset: u64,
     /// Byte offset where the last record returned by `next_record` starts.
     record_offset: u64,
+    /// Bytes through the last complete line that parsed: what a session
+    /// appending to the journal keeps of it.
+    kept: u64,
 }
 
 impl JournalReader {
@@ -246,14 +247,18 @@ impl JournalReader {
             offset: 0,
             line_offset: 0,
             record_offset: 0,
+            kept: 0,
         };
-        let Some((line, _complete)) = reader.read_raw_line()? else {
+        let Some((line, complete)) = reader.read_raw_line()? else {
             return Err(format!("journal {}: empty file", path.display()));
         };
         // The header is never torn-tail material — a journal whose first
         // line is unreadable or wrong-schema is unusable.
         match Json::parse(&line).and_then(|value| classify(&value, 0)) {
-            Ok(Line::Header) => Ok(reader),
+            Ok(Line::Header) => {
+                reader.keep(complete);
+                Ok(reader)
+            }
             Ok(_) => Err(format!("journal {}: missing header line", path.display())),
             Err(err) => Err(format!("journal {}: corrupt line 1: {err}", path.display())),
         }
@@ -305,8 +310,9 @@ impl JournalReader {
                         self.line
                     ))
                 }
-                Ok(Line::Epoch) => continue,
+                Ok(Line::Epoch) => self.keep(complete),
                 Ok(Line::Record(record)) => {
+                    self.keep(complete);
                     self.record_offset = self.line_offset;
                     return Ok(Some(*record));
                 }
@@ -331,6 +337,13 @@ impl JournalReader {
                     ));
                 }
             }
+        }
+    }
+
+    /// Counts the line just read into the kept prefix when it is whole.
+    fn keep(&mut self, complete: bool) {
+        if complete {
+            self.kept = self.offset;
         }
     }
 
@@ -734,25 +747,26 @@ pub fn record_from_json(value: &Json) -> Result<RunRecord, String> {
     Ok(record)
 }
 
-/// Scans a journal's text and returns the byte length of its longest
-/// valid prefix: whole lines, each parseable and classifiable. Appending
-/// resumes after that prefix; everything beyond (a torn tail) is cut.
-fn scan_valid_prefix(text: &str) -> Result<usize, String> {
-    let mut valid = 0usize;
-    for (index, raw) in text.split_inclusive('\n').enumerate() {
-        if !raw.ends_with('\n') {
-            break; // torn tail: no trailing newline
-        }
-        let line = raw.trim_end_matches('\n');
-        if !line.is_empty() {
-            let ok = Json::parse(line).and_then(|v| classify(&v, index)).is_ok();
-            if !ok {
-                break;
-            }
-        }
-        valid += raw.len();
+/// How many bytes of the journal at `path` [`Journal::open`] keeps: every
+/// complete line [`load`] reads, less the torn tail it drops. `Ok(0)` for
+/// a missing or empty file, or one whose only line is a torn header (no
+/// record was ever written). Fails as [`load`] does.
+fn kept_len(path: &Path) -> Result<u64, String> {
+    match std::fs::metadata(path) {
+        Ok(meta) if meta.len() == 0 => return Ok(0),
+        Ok(_) => {}
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(err) => return Err(format!("read {}: {err}", path.display())),
     }
-    Ok(valid)
+    let mut reader = match JournalReader::open(path) {
+        Ok(reader) => reader,
+        Err(err) => {
+            let text = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+            return if text.contains(&b'\n') { Err(err) } else { Ok(0) };
+        }
+    };
+    while reader.next_record()?.is_some() {}
+    Ok(reader.kept)
 }
 
 /// Reads the journal for `--resume`, reporting recovery as one stderr
@@ -1418,6 +1432,31 @@ class Solid {\n\
         let loaded = load(&path).expect("load repaired");
         assert!(loaded.records.is_empty());
         assert!(!loaded.dropped_tail);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `open` cuts only what `load` drops: a journal whose bad line has a
+    /// record after it is refused with `load`'s error, byte for byte
+    /// untouched, and a torn line followed only by epoch markers is cut.
+    #[test]
+    fn open_refuses_what_load_refuses_and_cuts_what_load_drops() {
+        let path = temp_path("open-mid-corrupt.jsonl");
+        let text = format!("{HEADER_LINE}\n{{garbage}}\n{}\n{{\"epoch\":1,\"completed\":1}}\n", record_line(3));
+        std::fs::write(&path, &text).expect("write");
+        let load_err = load(&path).expect_err("load refuses mid-file corruption");
+        let open_err = Journal::open(&path).expect_err("open refuses it too");
+        assert!(open_err.contains("corrupt line 2"), "got: {open_err}");
+        assert_eq!(open_err, load_err);
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), text, "left as it was");
+
+        let kept = format!("{HEADER_LINE}\n{}\n", record_line(1));
+        std::fs::write(
+            &path,
+            format!("{kept}{{\"key\":{{\"te\n{{\"epoch\":1,\"completed\":2}}\n"),
+        )
+        .expect("write");
+        drop(Journal::open(&path).expect("open cuts the torn tail"));
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), kept);
         let _ = std::fs::remove_file(&path);
     }
 

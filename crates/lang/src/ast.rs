@@ -149,6 +149,22 @@ impl Names {
         self.ends.push(self.text.len() as u32);
         name
     }
+
+    /// Concatenates `tables` into one allocated at its exact size: name
+    /// `i` of `tables[t]` becomes name `i` plus the number of names in the
+    /// tables before `t`.
+    pub(crate) fn concat<'t>(tables: impl Iterator<Item = &'t Names> + Clone) -> Names {
+        let mut all = Names {
+            text: String::with_capacity(tables.clone().map(|t| t.text.len()).sum()),
+            ends: Vec::with_capacity(tables.clone().map(Names::len).sum()),
+        };
+        for table in tables {
+            let base = all.text.len() as u32;
+            all.text.push_str(&table.text);
+            all.ends.extend(table.ends.iter().map(|&end| base + end));
+        }
+        all
+    }
 }
 
 /// A parsed file: its items plus the vectors every node lives in.

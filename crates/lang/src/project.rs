@@ -229,6 +229,13 @@ impl SymbolTable {
     }
 }
 
+/// How many AST statements and expressions a link worker must have to
+/// earn its thread. Checking and lowering take about 60 ns a node on the
+/// 2-core reference box, so this is about 2 ms of work, several times
+/// what starting a thread costs there. Every small corpus app links on
+/// one thread; every paper-scale app fans out.
+pub const NODES_PER_WORKER: usize = 32_768;
+
 /// A compiled multi-file Javelin program.
 #[derive(Debug, Clone)]
 pub struct Project {
@@ -248,13 +255,13 @@ pub struct Project {
 impl Project {
     /// Parses and links a set of `(path, source)` files into a project.
     ///
-    /// The files are parsed on [`fanout::width`] workers, largest first.
-    /// The sources become `String`s on the caller's thread first: a worker
-    /// thread allocates from an allocator arena of its own, and text that
-    /// lives as long as the project is cheaper kept in the caller's, where
-    /// the next project reuses it. All files are parsed even if earlier
-    /// ones fail, so the returned error list covers the whole input, in
-    /// file order.
+    /// The files are parsed and linked on [`fanout::width`] workers,
+    /// largest first. The sources become `String`s on the caller's thread
+    /// first: a worker thread allocates from an allocator arena of its
+    /// own, and text that lives as long as the project is cheaper kept in
+    /// the caller's, where the next project reuses it. All files are
+    /// parsed even if earlier ones fail, so the returned error list covers
+    /// the whole input, in file order.
     pub fn compile(
         name: impl Into<String>,
         sources: Vec<(impl Into<String>, impl Into<String>)>,
@@ -280,35 +287,49 @@ impl Project {
         if !errors.is_empty() {
             return Err(errors);
         }
-        Project::link(name, files)
+        Project::link(name, files, fanout::width())
     }
 
-    /// Links parsed files into a project: the symbol table, validation,
-    /// then the execution index.
+    /// Links parsed files into a project on up to `width` workers: the
+    /// symbol table, validation, then the execution index. The result,
+    /// and the errors in their order, are the same at every width.
+    ///
+    /// Validation checks the symbol table (duplicate declarations,
+    /// unknown parent exceptions, `extends` cycles), then each file on the
+    /// fan-out, beside the index build's serial walk; errors come back in
+    /// file order. A project of fewer than [`NODES_PER_WORKER`] statements
+    /// and expressions per worker gets fewer workers.
     pub fn link(
         name: impl Into<String>,
         files: Vec<Arc<SourceFile>>,
+        width: usize,
     ) -> Result<Project, Vec<Diagnostic>> {
+        let nodes: usize = files.iter().map(|file| file.stmts.len() + file.exprs.len()).sum();
+        let width = width.min(nodes / NODES_PER_WORKER).max(1);
         let mut errors = Vec::new();
         let symbols = build_symbols(&files, &mut errors);
-        let mut project = Project {
+        reject_cycles(&files, &symbols, &mut errors);
+        if !errors.is_empty() {
+            // No index can be built over this symbol table: check the
+            // files for the rest of the errors.
+            let per_file = fanout::map_with(
+                vec![(); width],
+                files.iter().collect(),
+                |file| file.stmts.len() + file.exprs.len(),
+                |(), file| validate_file(file, &symbols),
+            );
+            errors.extend(per_file.into_iter().flatten());
+            return Err(errors);
+        }
+        let index = crate::index::ProgramIndex::build(&files, &symbols, width, |file| {
+            validate_file(file, &symbols)
+        })?;
+        Ok(Project {
             name: name.into(),
             files,
             symbols,
-            index: Arc::new(crate::index::ProgramIndex::default()),
-        };
-        project.validate(&mut errors);
-        if errors.is_empty() {
-            // The index builder relies on validation invariants (declared
-            // catch/instanceof types, unique methods), so build it last.
-            project.index = Arc::new(crate::index::ProgramIndex::build(
-                &project.files,
-                &project.symbols,
-            ));
-            Ok(project)
-        } else {
-            Err(errors)
-        }
+            index: Arc::new(index),
+        })
     }
 
     /// Returns the class declaration for `name`, if declared, with the
@@ -376,84 +397,174 @@ impl Project {
         let pos = f.line_map().line_col(span.start);
         format!("{}:{pos}", f.path)
     }
+}
 
-    fn validate(&self, errors: &mut Vec<Diagnostic>) {
-        for file in &self.files {
-            for class in file.classes() {
-                let class_name = &file[class.name];
-                if let Some(parent) = class.parent {
-                    let parent = &file[parent];
-                    if self.symbols.class(parent).is_none() {
-                        errors.push(
-                            Diagnostic::new(
-                                class.span,
-                                format!("unknown superclass `{parent}`"),
-                            )
-                            .with_path(&file.path),
-                        );
-                    }
-                }
-                let mut seen = HashMap::new();
-                for method in &file[class.methods] {
-                    if let Some(_prev) = seen.insert(method.name, method.span) {
-                        errors.push(
-                            Diagnostic::new(
-                                method.span,
-                                format!(
-                                    "duplicate method `{}` in class `{class_name}`",
-                                    &file[method.name]
-                                ),
-                            )
-                            .with_path(&file.path),
-                        );
-                    }
-                    for &thrown in &file[method.throws] {
-                        let thrown = &file[thrown];
-                        if self.symbols.exception(thrown).is_none() {
-                            errors.push(
-                                Diagnostic::new(
-                                    method.span,
-                                    format!("unknown exception `{thrown}` in throws clause"),
-                                )
-                                .with_path(&file.path),
-                            );
-                        }
-                    }
-                    self.validate_body(file, method, errors);
-                }
+/// One file's validation errors, in source order: unknown superclasses,
+/// duplicate methods, and unknown types in `throws`, `catch` and
+/// `instanceof`.
+fn validate_file(file: &SourceFile, symbols: &SymbolTable) -> Vec<Diagnostic> {
+    let mut errors = Vec::new();
+    for class in file.classes() {
+        let class_name = &file[class.name];
+        if let Some(parent) = class.parent {
+            let parent = &file[parent];
+            if symbols.class(parent).is_none() {
+                errors.push(
+                    Diagnostic::new(class.span, format!("unknown superclass `{parent}`"))
+                        .with_path(&file.path),
+                );
             }
         }
-    }
-
-    fn validate_body(&self, file: &SourceFile, method: &MethodDecl, errors: &mut Vec<Diagnostic>) {
-        file.walk_stmts(&method.body, &mut |stmt| {
-            if let Stmt::Try { catches, .. } = stmt {
-                for catch in &file[*catches] {
-                    let exc_type = &file[catch.exc_type];
-                    if self.symbols.exception(exc_type).is_none() {
-                        errors.push(
-                            Diagnostic::new(
-                                catch.span,
-                                format!("unknown exception `{exc_type}` in catch"),
-                            )
-                            .with_path(&file.path),
-                        );
-                    }
-                }
+        let mut seen = HashMap::new();
+        for method in &file[class.methods] {
+            if let Some(_prev) = seen.insert(method.name, method.span) {
+                errors.push(
+                    Diagnostic::new(
+                        method.span,
+                        format!(
+                            "duplicate method `{}` in class `{class_name}`",
+                            &file[method.name]
+                        ),
+                    )
+                    .with_path(&file.path),
+                );
             }
-            true
-        });
-        file.walk_exprs(&method.body, &mut |expr| {
-            if let Expr::InstanceOf { ty, span, .. } = expr {
-                let ty = &file[*ty];
-                if self.symbols.exception(ty).is_none() && self.symbols.class(ty).is_none() {
+            for &thrown in &file[method.throws] {
+                let thrown = &file[thrown];
+                if symbols.exception(thrown).is_none() {
                     errors.push(
-                        Diagnostic::new(*span, format!("unknown type `{ty}` in instanceof"))
-                            .with_path(&file.path),
+                        Diagnostic::new(
+                            method.span,
+                            format!("unknown exception `{thrown}` in throws clause"),
+                        )
+                        .with_path(&file.path),
                     );
                 }
             }
-        });
+            validate_body(file, symbols, method, &mut errors);
+        }
+    }
+    errors
+}
+
+fn validate_body(
+    file: &SourceFile,
+    symbols: &SymbolTable,
+    method: &MethodDecl,
+    errors: &mut Vec<Diagnostic>,
+) {
+    file.walk_stmts(&method.body, &mut |stmt| {
+        if let Stmt::Try { catches, .. } = stmt {
+            for catch in &file[*catches] {
+                let exc_type = &file[catch.exc_type];
+                if symbols.exception(exc_type).is_none() {
+                    errors.push(
+                        Diagnostic::new(
+                            catch.span,
+                            format!("unknown exception `{exc_type}` in catch"),
+                        )
+                        .with_path(&file.path),
+                    );
+                }
+            }
+        }
+        true
+    });
+    file.walk_exprs(&method.body, &mut |expr| {
+        if let Expr::InstanceOf { ty, span, .. } = expr {
+            let ty = &file[*ty];
+            if symbols.exception(ty).is_none() && symbols.class(ty).is_none() {
+                errors.push(
+                    Diagnostic::new(*span, format!("unknown type `{ty}` in instanceof"))
+                        .with_path(&file.path),
+                );
+            }
+        }
+    });
+}
+
+/// Rejects every `extends` cycle, among classes and among exception
+/// types: one diagnostic per cycle, at the first declaration of its
+/// members in file order, and the cycles in that order. Everything after
+/// validation walks `parent` links up to a root, so a cycle would never
+/// end.
+fn reject_cycles(files: &[Arc<SourceFile>], symbols: &SymbolTable, errors: &mut Vec<Diagnostic>) {
+    // Every class and exception declaration in file order.
+    let mut decls: Vec<(bool, &str, &SourceFile, Span)> = Vec::new();
+    for file in files {
+        for item in file.items() {
+            match item {
+                Item::Class(decl) => decls.push((true, &file[decl.name], file, decl.span)),
+                Item::ExceptionDecl(decl) => decls.push((false, &file[decl.name], file, decl.span)),
+                Item::ConfigDecl(_) => {}
+            }
+        }
+    }
+    // Each name's first declaration; a name's parent is the symbol
+    // table's, as the later walks see it, and a builtin parent that is
+    // not redeclared ends the walk.
+    let mut first: [HashMap<&str, usize>; 2] = Default::default();
+    for (at, &(class, name, _, _)) in decls.iter().enumerate() {
+        first[usize::from(class)].entry(name).or_insert(at);
+    }
+    let parent: Vec<Option<usize>> = decls
+        .iter()
+        .map(|&(class, name, _, _)| {
+            let parent = match class {
+                true => symbols.class(name)?.parent.as_deref(),
+                false => symbols.exception(name)?.parent.as_deref(),
+            };
+            first[usize::from(class)].get(parent?).copied()
+        })
+        .collect();
+    // 0: not walked yet, 1: on the walk in progress, 2: done.
+    let mut mark = vec![0u8; decls.len()];
+    let mut path = Vec::new();
+    let mut cycles = Vec::new();
+    for start in 0..decls.len() {
+        let mut cursor = Some(start);
+        while let Some(at) = cursor {
+            match mark[at] {
+                2 => break,
+                1 => {
+                    let from = path.iter().position(|&p| p == at).expect("on the path");
+                    cycles.push(path[from..].to_vec());
+                    break;
+                }
+                _ => {
+                    mark[at] = 1;
+                    path.push(at);
+                    cursor = parent[at];
+                }
+            }
+        }
+        for at in path.drain(..) {
+            mark[at] = 2;
+        }
+    }
+    // Each cycle starts at its first declaration; cycles in that order.
+    for members in &mut cycles {
+        let lead = (0..members.len())
+            .min_by_key(|&i| members[i])
+            .expect("a cycle has members");
+        members.rotate_left(lead);
+    }
+    cycles.sort_unstable_by_key(|members| members[0]);
+    for members in cycles {
+        let (class, _, file, span) = decls[members[0]];
+        let chain: Vec<String> = members
+            .iter()
+            .chain(&members[..1])
+            .map(|&at| format!("`{}`", decls[at].1))
+            .collect();
+        let kind = if class { "class" } else { "exception" };
+        errors.push(
+            Diagnostic::new(
+                span,
+                format!("inheritance cycle: {kind} {}", chain.join(" extends ")),
+            )
+            .with_path(&file.path),
+        );
     }
 }
 
@@ -659,6 +770,22 @@ mod tests {
         )
         .unwrap_err();
         assert!(err[0].message.contains("duplicate method"));
+    }
+
+    #[test]
+    fn a_cycle_is_reported_once_at_its_first_declaration_in_file_order() {
+        let err = Project::compile(
+            "t",
+            vec![
+                ("a.jav", "class W extends Y { }\nclass Z extends Y { }"),
+                ("b.jav", "class Y extends Z { }"),
+            ],
+        )
+        .unwrap_err();
+        assert_eq!(err.len(), 1, "{err:?}");
+        assert_eq!(err[0].path, "a.jav");
+        assert_eq!(err[0].span.start, 22, "at `class Z`");
+        assert_eq!(err[0].message, "inheritance cycle: class `Z` extends `Y` extends `Z`");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! missing-delay finding; No to Q3 yields a missing-cap finding.
 //! [`sweep_files`] sweeps every file on [`fanout::width`] workers, each
 //! with its own [`LanguageModel::fork`], and returns the files' answers in
-//! file order; [`sweep_project`] folds them. Every prompt about a file
+//! file order; [`sweep_project`] folds them, and [`sweep_files_beside`]
+//! runs an independent task on the caller's thread beside the sweep. Every prompt about a file
 //! names that file, so a model whose answers depend only on the file's own
 //! path and text (as [`SimulatedLlm`](crate::simulated::SimulatedLlm)'s
 //! do) answers a file the same way whether it sweeps the whole project,
@@ -188,12 +189,25 @@ fn ask_file(
 /// [`fanout::width`] workers with one fork of `llm` each, and returns the
 /// answers in file order.
 pub fn sweep_files(project: &Project, llm: &dyn LanguageModel) -> Vec<FileSweep> {
+    sweep_files_beside(project, llm, || ()).0
+}
+
+/// [`sweep_files`] with `beside` run on the caller's thread first (see
+/// [`fanout::map_beside`]): the other workers start sweeping at once, so
+/// a task that reads the same project, such as the static checkers,
+/// overlaps the sweep without a thread of its own.
+pub fn sweep_files_beside<B>(
+    project: &Project,
+    llm: &dyn LanguageModel,
+    beside: impl FnOnce() -> B,
+) -> (Vec<FileSweep>, B) {
     let forks = (0..fanout::width()).map(|_| llm.fork()).collect();
-    fanout::map_with(
+    fanout::map_beside(
         forks,
         project.files.iter().enumerate().collect(),
         |(_, file)| file.source.len(),
         |llm, (fidx, file)| sweep_file(FileId(fidx as u32), file, &mut **llm),
+        beside,
     )
 }
 

@@ -44,7 +44,8 @@ pub mod prompts;
 pub mod simulated;
 
 pub use detector::{
-    sweep_file, sweep_files, sweep_project, FileSweep, LlmSweep, LlmWhenFinding, LlmWhenKind,
+    sweep_file, sweep_files, sweep_files_beside, sweep_project, FileSweep, LlmSweep,
+    LlmWhenFinding, LlmWhenKind,
 };
 pub use model::{Answer, LanguageModel, Usage};
 pub use prompts::{Prompt, Question};

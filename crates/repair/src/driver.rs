@@ -53,6 +53,7 @@ use wasabi_llm::detector::{sweep_file, sweep_files, FileSweep};
 use wasabi_llm::simulated::SimulatedLlm;
 use wasabi_oracles::OracleConfig;
 use wasabi_planner::plan::{targeted_runs, RunKey};
+use wasabi_util::fanout;
 
 /// Configuration for one repair session.
 #[derive(Debug, Clone)]
@@ -225,7 +226,8 @@ impl Compiled {
             .map_err(|err| compile_error(vec![err]))?;
         let mut files = self.project.files.clone();
         files[fidx] = Arc::new(file);
-        let project = Project::link(self.project.name.as_str(), files).map_err(compile_error)?;
+        let project = Project::link(self.project.name.as_str(), files, fanout::width())
+            .map_err(compile_error)?;
         let mut sweeps = self.sweeps.clone();
         sweeps[fidx] = sweep_file(
             FileId(fidx as u32),

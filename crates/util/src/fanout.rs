@@ -1,11 +1,15 @@
 //! The one ordered fan-out: map independent items on a few scoped
 //! workers and get the results back in input order.
 //!
-//! Parsing and the LLM sweep map files, and the coverage profile maps
-//! tests; each item is independent of the others, and every report must
-//! be byte-identical whatever the number of workers. [`map_with`] is the
-//! worker pool for all three, and [`width`] is the number of workers the
-//! front half uses.
+//! Parsing, validation, lowering and the LLM sweep map files, and the
+//! coverage profile maps tests; each item is independent of the others,
+//! and every report must be byte-identical whatever the number of
+//! workers. [`map_beside`] is the worker pool for all of them: it also
+//! runs one independent task on the caller's thread before the caller
+//! joins the map, so `wasabi lint`'s checkers and `identify`'s
+//! control-flow query run beside the sweep without a thread of their
+//! own. [`map_with`] is the map with nothing beside it, and [`width`] is
+//! the number of workers the front half uses.
 
 use std::cmp::Reverse;
 use std::num::NonZeroUsize;
@@ -13,49 +17,81 @@ use std::panic::resume_unwind;
 use std::sync::{Mutex, OnceLock};
 use std::thread;
 
-/// How many workers the front half (parse and sweep) fans out to: the
-/// machine's available parallelism, which follows `taskset` and cgroup
-/// CPU quotas. Read once per process. The output never depends on it.
+/// How many workers the front half (parse, link and sweep) fans out to:
+/// the machine's available parallelism, which follows `taskset` and
+/// cgroup CPU quotas. Read once per process. The output never depends on
+/// it.
 pub fn width() -> usize {
     static WIDTH: OnceLock<usize> = OnceLock::new();
     *WIDTH.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// Maps `items` with `f` on one worker per state and returns the results
-/// in input order.
-///
-/// Each worker owns one state (a model, a recorder, or `()`), and the
-/// caller's thread is the first worker: `n` states spawn `n - 1` threads,
-/// and never more workers than items. Workers claim items from one shared
-/// cursor, heaviest `weight` first and ties in input order, so a large
-/// item starts early rather than finishing last. A panic in any worker
-/// resumes on the caller once every worker has stopped. With one state,
-/// or at most one item, the map is a plain loop on the caller's thread.
+/// [`map_beside`] with nothing beside the map.
 ///
 /// # Panics
 ///
 /// When `f` panics, or when `states` is empty and `items` is not.
 pub fn map_with<S: Send, T: Send, R: Send>(
-    mut states: Vec<S>,
+    states: Vec<S>,
     items: Vec<T>,
     weight: impl Fn(&T) -> usize,
     f: impl Fn(&mut S, T) -> R + Sync,
 ) -> Vec<R> {
+    map_beside(states, items, weight, f, || ()).0
+}
+
+/// Maps `items` with `f` on one worker per state and returns the results
+/// in input order, together with what `beside` returned.
+///
+/// Each worker owns one state (a model, a scratch buffer, or `()`), and
+/// the caller's thread is the first worker: `n` states spawn `n - 1`
+/// threads, and never more workers than items. The caller runs `beside`
+/// first, once, and then joins the map, so an independent task overlaps
+/// the map without a thread of its own. Workers claim items from one
+/// shared cursor, heaviest `weight` first and ties in input order, so a
+/// large item starts early rather than finishing last. A panic in any
+/// worker, or in `beside`, resumes on the caller with its own payload
+/// once every worker has stopped. With one state, or at most one item,
+/// the caller runs `beside` and then the map as a plain loop.
+///
+/// # Panics
+///
+/// When `f` or `beside` panics, or when `states` is empty and `items` is
+/// not.
+pub fn map_beside<S: Send, T: Send, R: Send, B>(
+    mut states: Vec<S>,
+    items: Vec<T>,
+    weight: impl Fn(&T) -> usize,
+    f: impl Fn(&mut S, T) -> R + Sync,
+    beside: impl FnOnce() -> B,
+) -> (Vec<R>, B) {
     let workers = states.len().min(items.len());
     if workers <= 1 {
-        let Some(state) = states.first_mut() else {
-            assert!(items.is_empty(), "map_with needs at least one state");
-            return Vec::new();
+        assert!(
+            !states.is_empty() || items.is_empty(),
+            "map_beside needs at least one state"
+        );
+        let beside = beside();
+        let mapped = match states.first_mut() {
+            Some(state) => items.into_iter().map(|item| f(state, item)).collect(),
+            None => Vec::new(),
         };
-        return items.into_iter().map(|item| f(state, item)).collect();
+        return (mapped, beside);
     }
     let len = items.len();
-    let mut queue: Vec<(usize, usize, T)> = items
-        .into_iter()
+    // Heaviest first, ties in input order. The keys are sorted and each
+    // item moved into its place once: an item can be large.
+    let mut order: Vec<(Reverse<usize>, usize)> = items
+        .iter()
         .enumerate()
-        .map(|(i, item)| (weight(&item), i, item))
+        .map(|(i, item)| (Reverse(weight(item)), i))
         .collect();
-    queue.sort_unstable_by_key(|&(weight, i, _)| (Reverse(weight), i));
+    order.sort_unstable();
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    let queue: Vec<(usize, T)> = order
+        .into_iter()
+        .map(|(_, i)| (i, slots[i].take().expect("each index is in the order once")))
+        .collect();
     let cursor = Mutex::new(queue.into_iter());
     let work = |state: &mut S| {
         let mut done = Vec::new();
@@ -66,7 +102,7 @@ pub fn map_with<S: Send, T: Send, R: Send>(
                 .lock()
                 .expect("the cursor is never held across a panic")
                 .next();
-            let Some((_, i, item)) = claimed else {
+            let Some((i, item)) = claimed else {
                 return done;
             };
             done.push((i, f(state, item)));
@@ -76,10 +112,11 @@ pub fn map_with<S: Send, T: Send, R: Send>(
     states.truncate(workers);
     let mut states = states.into_iter();
     let mut first = states.next().expect("two or more workers");
-    let mut done = thread::scope(|scope| {
+    let (done, beside) = thread::scope(|scope| {
         let spawned: Vec<_> = states
             .map(|mut state| scope.spawn(move || work(&mut state)))
             .collect();
+        let beside = beside();
         let mut done = work(&mut first);
         for handle in spawned {
             match handle.join() {
@@ -87,11 +124,17 @@ pub fn map_with<S: Send, T: Send, R: Send>(
                 Err(panic) => resume_unwind(panic),
             }
         }
-        done
+        (done, beside)
     });
-    debug_assert_eq!(done.len(), len, "every item is claimed once");
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, result)| result).collect()
+    let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    for (i, result) in done {
+        results[i] = Some(result);
+    }
+    let results = results
+        .into_iter()
+        .map(|result| result.expect("every item is claimed once"))
+        .collect();
+    (results, beside)
 }
 
 #[cfg(test)]
@@ -136,9 +179,43 @@ mod tests {
     }
 
     #[test]
+    fn beside_runs_once_on_the_callers_thread_before_it_joins_the_map() {
+        let caller = thread::current().id();
+        let claimed = Mutex::new(Vec::new());
+        let (out, beside) = map_beside(
+            vec![(); 3],
+            (0..12).collect(),
+            |&i| i,
+            |(), i: usize| {
+                claimed.lock().unwrap().push(thread::current().id());
+                i + 1
+            },
+            || {
+                assert_eq!(thread::current().id(), caller);
+                claimed.lock().unwrap().len()
+            },
+        );
+        assert_eq!(out, (1..13).collect::<Vec<_>>());
+        let claimed = claimed.into_inner().unwrap();
+        let by_caller = claimed
+            .iter()
+            .skip(beside)
+            .filter(|&&id| id == caller)
+            .count();
+        assert_eq!(
+            by_caller,
+            claimed.iter().filter(|&&id| id == caller).count(),
+            "the caller maps only after `beside` returns"
+        );
+    }
+
+    #[test]
     fn no_items_need_no_state() {
         let out: Vec<u8> = map_with(Vec::<()>::new(), Vec::<u8>::new(), |_| 0, |(), x| x);
         assert!(out.is_empty());
+        let (out, beside) = map_beside(Vec::<()>::new(), Vec::<u8>::new(), |_| 0, |(), x| x, || 7);
+        assert!(out.is_empty());
+        assert_eq!(beside, 7);
         assert!(width() >= 1);
     }
 }

@@ -24,9 +24,11 @@
 //! - [`atomic`] — temp-then-rename file replacement for the shard
 //!   manifest, traces, the repair report and lint baselines.
 
-//! - [`fanout`] — the one ordered fan-out ([`fanout::map_with`]): the
-//!   parse, the LLM sweep and the coverage profile map their files or
-//!   tests on scoped workers and get the results back in input order.
+//! - [`fanout`] — the one ordered fan-out ([`fanout::map_beside`]): the
+//!   parse, the link, the LLM sweep and the coverage profile map their
+//!   files or tests on scoped workers and get the results back in input
+//!   order, and the checkers or the control-flow query run on the
+//!   caller's thread beside the sweep.
 
 pub mod atomic;
 pub mod backoff;

@@ -68,8 +68,11 @@
 //!   graph, every method summary and the `lint --cross-check` output,
 //!   must hash to the values pinned in `tests/frontend_pins.rs`, so a
 //!   front-end or IR change can move neither a parsed tree, a symbol
-//!   number, a call target nor a lint byte. The default test suite runs
-//!   the same check at small scale. Wired into `ci`.
+//!   number, a call target nor a lint byte. It runs twice, on all of the
+//!   machine's cores and on one (`taskset -c 0`, which must be
+//!   installed), so the fan-out of the parse, the link and the sweep
+//!   cannot change a byte. The default test suite runs the same check at
+//!   small scale. Wired into `ci`.
 //! - `paper-gate` — the paper-numbers gate: the stdout of `repro --scale
 //!   paper all` must equal `repro_paper_output.txt` byte for byte, which
 //!   pins the §4.3 cost table (calls, data, tokens, cost) and Tables 3–6
@@ -161,17 +164,31 @@ fn main() {
 }
 
 fn run_stage(label: &str, args: &[&str]) {
-    eprintln!("==> cargo {label}");
+    run_stage_under(&[], label, args);
+}
+
+/// [`run_stage`] with cargo started by `wrapper` (`taskset -c 0`, say),
+/// which must be installed.
+fn run_stage_under(wrapper: &[&str], label: &str, args: &[&str]) {
     let cargo = env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let status = Command::new(cargo)
-        .args(args)
-        .status()
-        .unwrap_or_else(|e| {
-            eprintln!("failed to spawn cargo: {e}");
-            exit(1);
-        });
+    let stage: Vec<&str> = wrapper.iter().copied().chain(["cargo", label]).collect();
+    let stage = stage.join(" ");
+    eprintln!("==> {stage}");
+    let mut command = match wrapper.split_first() {
+        Some((program, wrapper_args)) => {
+            let mut command = Command::new(program);
+            command.args(wrapper_args).arg(&cargo);
+            command
+        }
+        None => Command::new(&cargo),
+    };
+    let status = command.args(args).status().unwrap_or_else(|e| {
+        let program = wrapper.first().copied().unwrap_or("cargo");
+        eprintln!("failed to spawn `{program}` for `{stage}`: {e}");
+        exit(1);
+    });
     if !status.success() {
-        eprintln!("stage `cargo {label}` failed");
+        eprintln!("stage `{stage}` failed");
         exit(status.code().unwrap_or(1));
     }
 }
@@ -1223,13 +1240,15 @@ fn lint_gate(record: bool) {
 }
 
 /// The paper-scale front-end pins: the `#[ignore]`d test in
-/// `tests/frontend_pins.rs`, built and run in release.
+/// `tests/frontend_pins.rs`, built and run in release, on every core the
+/// machine gives the process and then on one (`taskset -c 0`, so the
+/// parse, the link and the sweep fan out to one worker).
 fn frontend_gate() {
     eprintln!("==> frontend gate: paper-scale printer, ProgramIndex and analysis digests");
-    run_stage(
-        "test --release --test frontend_pins -- --ignored",
-        &["test", "--release", "-q", "--test", "frontend_pins", "--", "--ignored"],
-    );
+    let label = "test --release --test frontend_pins -- --ignored";
+    let args = ["test", "--release", "-q", "--test", "frontend_pins", "--", "--ignored"];
+    run_stage(label, &args);
+    run_stage_under(&["taskset", "-c", "0"], label, &args);
     eprintln!("frontend gate: OK");
 }
 

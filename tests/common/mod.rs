@@ -365,7 +365,7 @@ pub mod widths {
         if !errors.is_empty() {
             return Err(errors);
         }
-        Project::link(name, files)
+        Project::link(name, files, width)
     }
 
     /// Sweeps every file on `width` forks of `llm` and folds the answers in

@@ -30,6 +30,7 @@ use wasabi::corpus::synth::{append_policy_seeds, generate_app_with_amp};
 use wasabi::lang::printer::print_items;
 use wasabi::lang::project::{Project, SourceFile};
 use wasabi::llm::simulated::SimulatedLlm;
+use wasabi::util::fanout;
 
 /// FNV-1a 64 over everything written to it.
 struct Fnv(u64);
@@ -64,7 +65,7 @@ fn digests(scale: Scale) -> (usize, u64, Vec<(&'static str, [u64; 4])>) {
             parsed.push(std::sync::Arc::new(file));
             files += 1;
         }
-        let project = Project::link(spec.name, parsed).expect("links");
+        let project = Project::link(spec.name, parsed, fanout::width()).expect("links");
         let mut dump = Fnv(FNV_OFFSET);
         dump.write_str(&ir_debug::dump(&project.index)).expect("hashing");
 

@@ -38,24 +38,77 @@ fn exception_matrix_matches_symbol_table_on_corpus() {
     }
 }
 
-/// Same agreement for the class-ancestry matrix.
+/// Same agreement for the class ancestry (pre-order intervals), and
+/// `subtypes_of_class` lists exactly the subtypes, in ascending id order.
 #[test]
 fn class_matrix_matches_symbol_table_on_corpus() {
     for app in generate_all(Scale::Tiny) {
         let project = compile_app(&app);
         let names: Vec<&String> = project.symbols.class_names().collect();
-        for sub in &names {
-            let sub_id = project.index.class_by_name(sub).unwrap();
-            for sup in &names {
-                let sup_id = project.index.class_by_name(sup).unwrap();
+        for sup in &names {
+            let sup_id = project.index.class_by_name(sup).unwrap();
+            let mut subtypes = Vec::new();
+            for sub in &names {
+                let sub_id = project.index.class_by_name(sub).unwrap();
+                let walked = project.symbols.is_class_subtype(sub, sup);
                 assert_eq!(
                     project.index.is_class_subtype(sub_id, sup_id),
-                    project.symbols.is_class_subtype(sub, sup),
-                    "{}: matrix disagrees on {sub} <: {sup}",
+                    walked,
+                    "{}: ancestry disagrees on {sub} <: {sup}",
                     app.spec.name
                 );
+                if walked {
+                    subtypes.push(sub_id);
+                }
             }
+            subtypes.sort_unstable();
+            let listed: Vec<_> = project.index.subtypes_of_class(sup_id).collect();
+            assert_eq!(listed, subtypes, "{}: subtypes of {sup}", app.spec.name);
         }
+    }
+}
+
+/// An `extends` cycle, of classes or of exception types, is a link error
+/// naming the cycle at its first declaration, not a compile that never
+/// returns. Each compile runs on its own thread, so a regression fails
+/// the test instead of hanging it.
+#[test]
+fn inheritance_cycles_are_link_errors() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let cases = [
+        (
+            "class A extends A { }",
+            vec!["inheritance cycle: class `A` extends `A`"],
+        ),
+        (
+            "exception E1 extends E2; exception E2 extends E1;",
+            vec!["inheritance cycle: exception `E1` extends `E2` extends `E1`"],
+        ),
+        (
+            "class X extends B { }\nclass B extends C { }\nclass C extends B { }\n\
+             exception Exception extends IOException; exception IOException;",
+            vec![
+                "duplicate exception declaration `Exception`",
+                "inheritance cycle: class `B` extends `C` extends `B`",
+                "inheritance cycle: exception `Exception` extends `IOException` extends \
+                 `Exception`",
+            ],
+        ),
+    ];
+    for (source, expected) in cases {
+        let (send, receive) = mpsc::channel();
+        std::thread::spawn(move || {
+            let errors = Project::compile("cycle", vec![("a.jav", source)])
+                .map(|_| ())
+                .map_err(|errors| errors.into_iter().map(|e| e.message).collect::<Vec<_>>());
+            let _ = send.send(errors);
+        });
+        let errors = receive
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("compiling `{source}` did not return"))
+            .expect_err("a cycle is a link error");
+        assert_eq!(errors, expected, "{source}");
     }
 }
 

@@ -1518,3 +1518,139 @@ fn fanout_equals_the_serial_map_at_every_width() {
         }
     }
 }
+
+/// `fanout::map_beside` is the serial map plus one call of `beside`: for
+/// 0 to 40 items with random, tied or zero weights, on 1 to 4 workers, it
+/// returns the serial results in input order, maps each item once, and
+/// runs `beside` once, on the caller's thread. A panic in `beside`, or in
+/// item 0, 7 or 19, reaches the caller with its own payload.
+#[test]
+fn map_beside_is_the_serial_map_plus_one_beside_call() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread;
+    use wasabi::util::fanout::map_beside;
+
+    let value = |(i, weight): (usize, usize)| (i as u64) * 1_000_003 + weight as u64;
+    let caller = thread::current().id();
+    for case in 0..123u64 {
+        let mut rng = Rng::new(0xbe51_0000 + case);
+        let count = (case % 41) as usize;
+        let weights: Vec<usize> = match case % 3 {
+            0 => (0..count).map(|_| rng.below(1 << 20) as usize).collect(),
+            1 => (0..count).map(|_| rng.below(3) as usize).collect(),
+            _ => vec![0; count],
+        };
+        let items: Vec<(usize, usize)> = weights.into_iter().enumerate().collect();
+        let serial: Vec<u64> = items.iter().copied().map(value).collect();
+        for width in 1..=4 {
+            let mapped: Vec<AtomicUsize> = (0..count).map(|_| AtomicUsize::new(0)).collect();
+            let besides = AtomicUsize::new(0);
+            let (out, beside) = map_beside(
+                vec![(); width],
+                items.clone(),
+                |&(_, w)| w,
+                |(), item| {
+                    mapped[item.0].fetch_add(1, Ordering::Relaxed);
+                    value(item)
+                },
+                || {
+                    besides.fetch_add(1, Ordering::Relaxed);
+                    (thread::current().id(), case * 10 + width as u64)
+                },
+            );
+            assert_eq!(out, serial, "[case {case}, width {width}]");
+            assert_eq!(beside, (caller, case * 10 + width as u64), "[case {case}, width {width}]");
+            assert_eq!(besides.load(Ordering::Relaxed), 1, "[case {case}, width {width}]");
+            for (i, times) in mapped.iter().enumerate() {
+                let times = times.load(Ordering::Relaxed);
+                assert_eq!(times, 1, "[case {case}, width {width}] item {i}");
+            }
+        }
+    }
+
+    let payload = |outcome: thread::Result<(Vec<usize>, ())>| -> String {
+        let panic = outcome.expect_err("the panic reaches the caller");
+        panic.downcast_ref::<String>().expect("a formatted message").clone()
+    };
+    for width in 1..=4 {
+        for bad in [0, 7, 19] {
+            let message = payload(catch_unwind(AssertUnwindSafe(|| {
+                map_beside(
+                    vec![(); width],
+                    (0..20).collect(),
+                    |&i: &usize| i,
+                    |(), i| {
+                        assert_ne!(i, bad, "item {bad} fails");
+                        i
+                    },
+                    || (),
+                )
+            })));
+            assert!(message.contains(&format!("item {bad} fails")), "width {width}: {message}");
+        }
+        let message = payload(catch_unwind(AssertUnwindSafe(|| {
+            map_beside(
+                vec![(); width],
+                (0..20).collect(),
+                |&i: &usize| i,
+                |(), i| i,
+                || panic!("{}", format!("beside fails at width {width}")),
+            )
+        })));
+        assert_eq!(message, format!("beside fails at width {width}"));
+    }
+}
+
+/// The index's interval ancestry is the parent walk: for random class
+/// forests whose classes extend classes declared before or after them,
+/// `is_class_subtype` agrees with `SymbolTable::is_class_subtype` on every
+/// pair, and `subtypes_of_class` lists exactly the subtypes, ascending.
+#[test]
+fn class_ancestry_intervals_match_the_parent_walk() {
+    use wasabi::lang::index::ClassId;
+    use wasabi::lang::project::Project;
+    for case in 0..64u64 {
+        let mut rng = Rng::new(0xa5ce_0000 + case);
+        let n = 1 + rng.below(40) as usize;
+        // A random rank order keeps the forest acyclic: a class extends
+        // only a class of lower rank, declared anywhere.
+        let mut rank: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut rank);
+        let mut by_rank = vec![0; n];
+        for (class, &r) in rank.iter().enumerate() {
+            by_rank[r] = class;
+        }
+        let files: Vec<(String, String)> = (0..n)
+            .map(|class| {
+                let parent = match rank[class] {
+                    0 => None,
+                    _ if rng.below(4) == 0 => None,
+                    r => Some(by_rank[rng.below(r as u64) as usize]),
+                };
+                let extends = parent.map_or(String::new(), |p| format!(" extends C{p}"));
+                (format!("c{class}.jav"), format!("class C{class}{extends} {{ }}"))
+            })
+            .collect();
+        let project = Project::compile("forest", files).expect("an acyclic forest compiles");
+        let (index, symbols) = (&project.index, &project.symbols);
+        for sup in 0..n as u32 {
+            let sup_name = &index.classes[sup as usize].name_str;
+            let mut walked = Vec::new();
+            for sub in 0..n as u32 {
+                let sub_name = &index.classes[sub as usize].name_str;
+                let expected = symbols.is_class_subtype(sub_name, sup_name);
+                assert_eq!(
+                    index.is_class_subtype(ClassId(sub), ClassId(sup)),
+                    expected,
+                    "[case {case}] {sub_name} <: {sup_name}"
+                );
+                if expected {
+                    walked.push(ClassId(sub));
+                }
+            }
+            let listed: Vec<ClassId> = index.subtypes_of_class(ClassId(sup)).collect();
+            assert_eq!(listed, walked, "[case {case}] subtypes of {sup_name}");
+        }
+    }
+}
