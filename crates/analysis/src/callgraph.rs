@@ -1,5 +1,5 @@
 //! Deterministic whole-program call graph over the compile-once
-//! [`ProgramIndex`](wasabi_lang::index::ProgramIndex).
+//! [`ProgramIndex`].
 //!
 //! Calls are resolved through the same flattened dispatch tables the
 //! interpreter executes, so static reasoning and dynamic dispatch can no

@@ -21,7 +21,7 @@
 //!   header retries an exception the [`lattice`](crate::lattice)
 //!   classifies fatal; retrying re-runs the same doomed operation.
 //! - **W005 unbounded backoff growth** — the
-//!   [`absint`](crate::absint) interval of a slept-on delay variable
+//!   [`absint`] interval of a slept-on delay variable
 //!   diverges under a multiplicative self-update with no cap, or an
 //!   `i64` overflow is reachable within the attempt bound.
 //! - **W006 ineffective cap** — the interval fixpoint proves the

@@ -4,7 +4,7 @@
 //! This crate implements the query side of WASABI (§3.1.1 first technique and
 //! §3.2.2 of the paper) over Javelin ASTs:
 //!
-//! - [`cfg`] — per-method control-flow graphs with deliberately
+//! - [`cfg`](mod@cfg) — per-method control-flow graphs with deliberately
 //!   over-approximate, syntactic edges;
 //! - [`loops`] — the retry-loop query (catch-reaches-header + naming
 //!   conventions) and retry-location triplet extraction;

@@ -15,7 +15,7 @@ use wasabi_engine::campaign::{
 use wasabi_engine::observer::{outcome_kind, EngineEvent, EngineObserver, NullObserver};
 use wasabi_lang::project::Project;
 use wasabi_oracles::dedup::{dedup_reports, DistinctBug};
-use wasabi_oracles::judge::{OracleConfig, OracleReport};
+use wasabi_oracles::judge::OracleReport;
 use wasabi_planner::adaptive::{self, ProbeSignal};
 use wasabi_planner::configfix::{restore_retry_configs, ConfigRestoration};
 use wasabi_planner::coverage::{prefilter_suite, profile_tests, site_set, CoverageProfile};
@@ -23,16 +23,16 @@ use wasabi_planner::plan::{expand_plan, naive_run_count, plan, InjectionRun, Run
 use wasabi_vm::runner::RunOptions;
 use wasabi_vm::trace::TestOutcome;
 
+/// The injection budgets every campaign expands its plan with: the
+/// paper's K = 1 and K = 100.
+const KS: [u32; 2] = [1, 100];
+
 /// Options for the dynamic workflow.
 #[derive(Debug, Clone)]
 pub struct DynamicOptions {
-    /// Injection budgets; the paper uses K = 1 and K = 100.
-    pub ks: Vec<u32>,
     /// Per-test run options (limits; pinned configs are filled in by the
     /// restoration pass).
     pub run_options: RunOptions,
-    /// Oracle thresholds.
-    pub oracle: OracleConfig,
     /// Campaign worker count; 1 (the default) runs serially.
     pub jobs: usize,
     /// Journal completed runs to this path for checkpoint/resume.
@@ -75,9 +75,7 @@ pub struct DynamicOptions {
 impl Default for DynamicOptions {
     fn default() -> Self {
         DynamicOptions {
-            ks: vec![1, 100],
             run_options: RunOptions::default(),
-            oracle: OracleConfig::default(),
             jobs: 1,
             journal: None,
             resume_records: Vec::new(),
@@ -243,9 +241,9 @@ pub fn prepare_campaign(
     let name = phase("plan", observer);
     let all_sites: BTreeSet<_> = locations.iter().map(|l| l.site).collect();
     let test_plan = plan(&profile, &all_sites);
-    let mut runs = expand_plan(&test_plan, locations, &options.ks);
+    let mut runs = expand_plan(&test_plan, locations, &KS);
     runs.sort_by_key(|run| run.key());
-    let runs_naive = naive_run_count(&profile, locations, &options.ks);
+    let runs_naive = naive_run_count(&profile, locations, &KS);
     close(name, observer);
 
     PreparedCampaign {
@@ -335,7 +333,6 @@ pub fn run_dynamic_with_observer(
     let campaign_options = CampaignOptions {
         jobs: options.jobs,
         run_options,
-        oracle: options.oracle,
         chaos_exit_after: options.chaos_exit_after,
         journal: options.journal.clone(),
         resume: options.resume_records.clone(),
@@ -348,7 +345,6 @@ pub fn run_dynamic_with_observer(
             project,
             &runs,
             locations,
-            &options.ks,
             &campaign_options,
             &options.resume_records,
             observer,
@@ -530,12 +526,11 @@ fn run_adaptive_campaign(
     project: &Project,
     runs: &[InjectionRun],
     locations: &[RetryLocation],
-    ks: &[u32],
     base: &CampaignOptions,
     resume: &[RunRecord],
     observer: &mut dyn EngineObserver,
 ) -> (CampaignResult, AdaptiveSummary) {
-    let kmax = adaptive::probe_k(ks);
+    let kmax = adaptive::probe_k(&KS);
     let plan = adaptive::split_waves(runs.to_vec(), kmax);
     let structures = adaptive::site_structures(locations);
 

@@ -2,8 +2,8 @@
 //! The WASABI orchestrator: identification, the dynamic testing workflow,
 //! static checking, and ground-truth scoring.
 //!
-//! - [`identify`] merges retry locations from the control-flow query and the
-//!   LLM technique (§3.1.1);
+//! - [`identify`](mod@identify) merges retry locations from the
+//!   control-flow query and the LLM technique (§3.1.1);
 //! - [`dynamic`] runs the repurposed-unit-testing workflow end to end
 //!   (Figure 1): config restoration, coverage profiling, planning, fault
 //!   injection, oracles, and deduplication;

@@ -3,16 +3,16 @@
 //! The parent process compiles and plans exactly like a single-process
 //! campaign, partitions the key-sorted run list into `N` contiguous
 //! ranges, writes a [`ShardManifest`] into the shard directory, and
-//! re-execs itself (`wasabi test --shard-range A:B --stream --journal
-//! <dir>/shard-i.jsonl`) once per range. Each child re-derives the same
-//! plan from the same sources and executes only its slice, streaming
-//! records to its journal with bounded memory.
+//! re-execs itself once per range as
+//! `wasabi test --shard-range A:B --stream --journal DIR/shard-i.jsonl`.
+//! Each child re-derives the same plan from the same sources and executes
+//! only its slice, streaming records to its journal with bounded memory.
 //!
 //! Crashed children are restarted by [`supervise_shard`] with the
 //! bounded, jittered backoff of [`Policy::SUPERVISOR`], resuming from the
 //! shard journal (journaled runs never re-execute); runs that repeatedly
 //! kill their child are bisected out into `dlq.jsonl`. When every shard
-//! is done, [`merge_records`] key-order-merges the journals into a report
+//! is done, `merge_records` key-order-merges the journals into a report
 //! byte-identical to a single-process run — and `wasabi merge <dir>`
 //! ([`merge_dir`]) can do the same later, standalone.
 

@@ -20,7 +20,7 @@
 //! - **every run ends**: the interpreter's fuel and virtual-time limits
 //!   ([`wasabi_vm::RunLimits`]) bound a stuck run deterministically;
 //! - **panicking runs are contained**: each run executes under
-//!   [`std::panic::catch_unwind`] ([`contain_run`]), and a panic becomes
+//!   [`std::panic::catch_unwind`] (`contain_run`), and a panic becomes
 //!   exactly one [`RunOutcome::Crashed`] record with zeroed measurements
 //!   instead of poisoning the worker pool. The panic still prints: the
 //!   interpreter is deterministic, so a panic is a bug in it, and running
@@ -49,7 +49,7 @@ use std::thread;
 use std::time::Instant;
 use wasabi_inject::InjectionHandler;
 use wasabi_lang::project::Project;
-use wasabi_oracles::judge::{judge_run, judge_run_timed, OracleConfig, OracleReport};
+use wasabi_oracles::judge::{judge_run, judge_run_timed, OracleReport};
 use wasabi_planner::plan::{InjectionRun, RunKey};
 use wasabi_util::{saturating_ms, saturating_us};
 use wasabi_vm::runner::{run_test, RunOptions};
@@ -63,8 +63,6 @@ pub struct CampaignOptions {
     pub jobs: usize,
     /// Per-run interpreter options (limits, pinned configs).
     pub run_options: RunOptions,
-    /// Oracle thresholds for judging completed runs.
-    pub oracle: OracleConfig,
     /// Chaos crash point for the shard supervisor's tests and CI stage:
     /// the whole *process* exits (code 86) once this many records have
     /// been appended to the journal, so a child dies mid-flight at a
@@ -106,7 +104,6 @@ impl Default for CampaignOptions {
         CampaignOptions {
             jobs: 1,
             run_options: RunOptions::default(),
-            oracle: OracleConfig::default(),
             chaos_exit_after: None,
             journal: None,
             resume: Vec::new(),
@@ -552,11 +549,11 @@ fn judged_run(
     let test_run = run_test(project, &run.test, &mut handler, &options.run_options);
     timing.interp_us = test_run.wall_us;
     let verdict = if options.capture_timing {
-        let (verdict, judge_elapsed) = judge_run_timed(&test_run, &run.spec, &options.oracle);
+        let (verdict, judge_elapsed) = judge_run_timed(&test_run, &run.spec);
         timing.judge_us = saturating_us(judge_elapsed);
         verdict
     } else {
-        judge_run(&test_run, &run.spec, &options.oracle)
+        judge_run(&test_run, &run.spec)
     };
     RunRecord {
         key: run.key(),

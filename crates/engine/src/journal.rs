@@ -10,9 +10,9 @@
 //! ```
 //!
 //! The writer appends a record line for every finished run and an epoch
-//! marker (followed by `fsync`) every [`EPOCH_EVERY`] records, so at most
-//! one epoch of work can be lost to an OS crash and at most one *line*
-//! to a process kill mid-write. The reader ([`load`]) accepts a journal
+//! marker (followed by `fsync`) every 32 records (`EPOCH_EVERY`), so at
+//! most one epoch of work can be lost to an OS crash and at most one
+//! *line* to a process kill mid-write. The reader ([`load`]) accepts a journal
 //! whose final line is half-written — it drops exactly that line — but
 //! rejects corruption anywhere earlier, because silent gaps would violate
 //! the engine's every-key-exactly-once guarantee.

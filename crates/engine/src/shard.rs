@@ -17,8 +17,7 @@
 //!   range split in two and each half retried, so a run that
 //!   deterministically kills its process is isolated in O(log n) restarts
 //!   and quarantined to the dead-letter journal
-//!   ([`DeadLetter`](crate::journal::DeadLetter)) instead of wedging the
-//!   campaign;
+//!   ([`DeadLetter`]) instead of wedging the campaign;
 //! - [`ShardManifest`] — the schema-versioned range manifest written next
 //!   to the shard journals, which lets `wasabi merge <dir>` rebuild the
 //!   plan and verify it is merging the campaign it thinks it is;

@@ -32,32 +32,33 @@
 //! cases, catch clauses), and the `Copy` nodes refer to one another by
 //! `u32` ids ([`LStmtId`], [`LExprId`], [`List`]); index the
 //! [`ProgramIndex`] with an id to get its node. A method body and a field
-//! initializer are ids too. Every vector is allocated once, at its exact
-//! size, on the thread that builds the index — each AST statement and
-//! expression lowers to exactly one node, and a field initializer is
-//! lowered once and shared by every subclass that inherits it — and each
-//! file's nodes fill the file's own run of it. String literals and the
-//! names of undeclared classes keep their text in one index-wide arena
-//! ([`ProgramIndex::text`]), not in the interner, so they cannot move a
-//! symbol's number.
+//! initializer are ids too. Every vector is reserved at its exact size up
+//! front — each AST statement and expression lowers to exactly one node,
+//! and a field initializer is lowered once and shared by every subclass
+//! that inherits it — so a whole program's IR is a handful of allocations,
+//! and frees in as many. String literals and the names of undeclared
+//! classes keep their text in one index-wide arena ([`ProgramIndex::text`]),
+//! not in the interner, so they cannot move a symbol's number.
 //!
-//! The files are lowered in parallel ([`fanout`]): a worker lowers a file
-//! into its runs and records, per lowered unit (a field initializer or a
-//! method body), the names of the file the unit interns, first use first. A symbol's number is its name's place in
-//! one serial walk: class by class, the chain's field names, the class
-//! name, the chain's initializers at first use, then each method's body
-//! names followed by its name. The builder replays the recorded names in
-//! that walk, mapping each file's names into the global interner through
-//! a per-file `Name → Symbol` memo, so a symbol's number is the same at
-//! every width; one pass then replaces the file's names in its nodes by
-//! their symbols. The walk runs on the caller while the workers validate
-//! the files, and its result is dropped if one is not valid. Locals resolve through a dense `Name → Slot`
-//! table over the file's names, reset after each method from the list of
-//! names the method touched.
+//! The index is built in one walk on the caller's thread, class by class
+//! in declaration order: the superclass chain's field names, the class
+//! name, the chain's initializers (each lowered at its first use), then
+//! each method's body followed by its name. The walk lowers each unit as
+//! it reaches it and interns each name as it meets it, so a symbol's
+//! number is its name's first place in the walk. Each file's names were
+//! interned once, per file, when it was lexed; the builder maps them into
+//! the global interner through a per-file `Name → Symbol` memo. Locals
+//! resolve through a dense `Name → Slot` table over the file's names,
+//! reset after each method from the list of names the method touched.
 //!
+//! [`Project::link`](crate::project::Project::link) validates the files
+//! beside the build and drops the index when one is not valid, so
+//! lowering tolerates an invalid file: an unknown superclass makes its
+//! class a root, and an undeclared catch type lowers to no exception.
 //! Class ancestry is a pre-order interval per class over the class forest
-//! (validation rejects `extends` cycles), so `is_class_subtype` is two
-//! comparisons and the table is linear in the number of classes.
+//! (the link rejects `extends` cycles before it builds), so
+//! `is_class_subtype` is two comparisons and the table is linear in the
+//! number of classes.
 
 use crate::ast::{Block, Expr, LValue, Lit, List, Literal, MethodDecl, Name, Names, Stmt, UnOp};
 use crate::intern::{Interner, Symbol};
@@ -65,7 +66,6 @@ use crate::project::{CallSite, FileId, SourceFile, SymbolTable};
 use std::collections::HashMap;
 use std::ops::Index;
 use std::sync::Arc;
-use wasabi_util::fanout;
 
 pub use crate::ast::BinOp;
 
@@ -487,18 +487,11 @@ impl ProgramIndex {
 
     /// Builds the index of a project whose symbol table is valid (no
     /// duplicate declarations, known parent exceptions, no `extends`
-    /// cycle), on `width` workers, and checks each file with `check`
-    /// beside the build's serial walk. Returns every file's errors, in
-    /// file order, when there are any: an index built over a file with an
-    /// error (an undeclared catch type, say) is dropped. The index is the
-    /// same at every width.
-    pub(crate) fn build<E: Send>(
-        files: &[Arc<SourceFile>],
-        symbols: &SymbolTable,
-        width: usize,
-        check: impl Fn(&SourceFile) -> Vec<E> + Sync,
-    ) -> Result<ProgramIndex, Vec<E>> {
-        run(files, symbols, width, check)
+    /// cycle) in one walk on the caller's thread. The files need not be
+    /// valid (see the module docs): the caller validates them and drops
+    /// the index when one is not.
+    pub(crate) fn build(files: &[Arc<SourceFile>], symbols: &SymbolTable) -> ProgramIndex {
+        Builder::run(files, symbols)
     }
 }
 
@@ -817,8 +810,8 @@ fn file_runs(files: &[Arc<SourceFile>], len: impl Fn(&SourceFile) -> usize) -> (
     (starts, total)
 }
 
-/// The serial half of the build: the global interner and each file's
-/// `Name → Symbol` memo.
+/// The index under construction: the global interner with each file's
+/// `Name → Symbol` memo, the type ids, the lowering scope and the IR.
 struct Builder<'a> {
     files: &'a [Arc<SourceFile>],
     interner: Interner,
@@ -826,9 +819,27 @@ struct Builder<'a> {
     /// or [`UNMAPPED`].
     memo: Vec<u32>,
     memo_start: Vec<usize>,
+    /// `inits[field_start[f] + i]`: the lowered initializer of field
+    /// declaration `i` of file `f`, or [`UNMAPPED`] until it is lowered.
+    inits: Vec<u32>,
+    field_start: Vec<usize>,
+    exc_ids: HashMap<&'a str, ExcId>,
+    class_ids: HashMap<&'a str, ClassId>,
+    /// The local slot of each name of the file being lowered, or
+    /// [`UNMAPPED`]; sized for the file with the most names.
+    scope: Vec<Slot>,
+    /// The names `scope` gave a slot in the method being lowered.
+    touched: Vec<Name>,
+    stmts: Vec<LStmt>,
+    exprs: Vec<LExpr>,
+    stmt_lists: Vec<LStmtId>,
+    expr_lists: Vec<LExprId>,
+    cases: Vec<LCase>,
+    catches: Vec<LCatch>,
+    text: Names,
 }
 
-impl Builder<'_> {
+impl<'a> Builder<'a> {
     /// The global symbol of `name` from `file`, interned on first use.
     fn sym(&mut self, file: FileId, name: Name) -> Symbol {
         let at = self.memo_start[file.0 as usize] + name.0 as usize;
@@ -841,122 +852,81 @@ impl Builder<'_> {
         Symbol(self.memo[at])
     }
 
-    /// Interns the names a lowered unit of `file` recorded, in order.
-    fn replay(&mut self, file: FileId, names: &[Name]) {
-        for &name in names {
-            self.sym(file, name);
+    /// Builds the index in the walk that numbers the symbols (see the
+    /// module docs).
+    fn run(files: &'a [Arc<SourceFile>], symbols: &'a SymbolTable) -> ProgramIndex {
+        let (memo_start, names) = file_runs(files, |file| file.names().len());
+        let (field_start, fields) = file_runs(files, |file| file.fields.len());
+        // Every AST node lowers to exactly one node (field initializers
+        // once, however many subclasses share them), so the files' counts
+        // are the IR's exact sizes.
+        let total = |len: fn(&SourceFile) -> usize| files.iter().map(|file| len(file)).sum();
+        let n_stmts: usize = total(|f| f.stmts.len());
+        let n_exprs: usize = total(|f| f.exprs.len());
+        let mut b = Builder {
+            files,
+            interner: Interner::new(),
+            memo: vec![UNMAPPED; names],
+            memo_start,
+            inits: vec![UNMAPPED; fields],
+            field_start,
+            exc_ids: HashMap::new(),
+            class_ids: HashMap::new(),
+            scope: vec![UNMAPPED; files.iter().map(|file| file.names().len()).max().unwrap_or(0)],
+            touched: Vec::new(),
+            stmts: Vec::with_capacity(n_stmts),
+            exprs: Vec::with_capacity(n_exprs),
+            stmt_lists: Vec::with_capacity(total(|f| f.stmt_lists.len())),
+            expr_lists: Vec::with_capacity(total(|f| f.expr_lists.len())),
+            cases: Vec::with_capacity(total(|f| f.cases.len())),
+            catches: Vec::with_capacity(total(|f| f.catches.len())),
+            text: Names::default(),
+        };
+        let entry = b.interner.intern("<entry>");
+        let init = b.interner.intern("init");
+
+        // Exceptions, sorted by name for deterministic dense ids.
+        let mut exc_names: Vec<&String> = symbols.exception_names().collect();
+        exc_names.sort_unstable();
+        for (i, name) in exc_names.iter().enumerate() {
+            b.exc_ids.insert(name.as_str(), ExcId(i as u32));
         }
-    }
-}
+        let exceptions: Vec<ExcDef> = exc_names
+            .iter()
+            .map(|name| ExcDef {
+                name: b.interner.intern(name),
+                name_str: (*name).clone(),
+                parent: symbols
+                    .exception(name)
+                    .and_then(|info| info.parent.as_deref())
+                    .map(|p| b.exc_ids[p]),
+            })
+            .collect();
+        let exc_matrix = ancestry_matrix(exceptions.len(), |i| {
+            exceptions[i].parent.map(|p| p.0 as usize)
+        });
 
-/// The dense ids of declared types, which every lowering worker reads.
-struct Types<'n> {
-    exc_ids: HashMap<&'n str, ExcId>,
-    class_ids: HashMap<&'n str, ClassId>,
-}
-
-/// Builds the index in four steps: the type ids and the class forest;
-/// each file lowered on `width` workers; the serial walk that interns
-/// every name in the order that numbers the symbols and puts the symbols
-/// into the lowered nodes, on the caller while the workers check each
-/// file with `check`; and the index, unless a check found an error.
-fn run<E: Send>(
-    files: &[Arc<SourceFile>],
-    symbols: &SymbolTable,
-    width: usize,
-    check: impl Fn(&SourceFile) -> Vec<E> + Sync,
-) -> Result<ProgramIndex, Vec<E>> {
-    let (memo_start, names) = file_runs(files, |file| file.names().len());
-    let (field_start, fields) = file_runs(files, |file| file.fields.len());
-    let mut b = Builder {
-        files,
-        interner: Interner::new(),
-        memo: vec![UNMAPPED; names],
-        memo_start,
-    };
-    let entry = b.interner.intern("<entry>");
-    let init = b.interner.intern("init");
-
-    // Exceptions, sorted by name for deterministic dense ids.
-    let mut exc_names: Vec<&String> = symbols.exception_names().collect();
-    exc_names.sort_unstable();
-    let exc_ids: HashMap<&str, ExcId> = exc_names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| (name.as_str(), ExcId(i as u32)))
-        .collect();
-    let exceptions: Vec<ExcDef> = exc_names
-        .iter()
-        .map(|name| ExcDef {
-            name: b.interner.intern(name),
-            name_str: (*name).clone(),
-            parent: symbols
-                .exception(name)
-                .and_then(|info| info.parent.as_deref())
-                .map(|p| exc_ids[p]),
-        })
-        .collect();
-    let exc_matrix = ancestry_matrix(exceptions.len(), |i| {
-        exceptions[i].parent.map(|p| p.0 as usize)
-    });
-
-    // Classes in declaration order, with their decls kept at hand, and
-    // each file's first class.
-    let mut decls = Vec::new();
-    let mut class_ids = HashMap::new();
-    let mut first_class = Vec::with_capacity(files.len());
-    for (fidx, file) in files.iter().enumerate() {
-        first_class.push(ClassId(decls.len() as u32));
-        for class in file.classes() {
-            let id = ClassId(decls.len() as u32);
-            class_ids.insert(&file[class.name], id);
-            decls.push((FileId(fidx as u32), &**file, class));
+        // Classes in declaration order, with their decls kept at hand.
+        let mut decls = Vec::new();
+        for (fidx, file) in files.iter().enumerate() {
+            for class in file.classes() {
+                b.class_ids.insert(&file[class.name], ClassId(decls.len() as u32));
+                decls.push((FileId(fidx as u32), &**file, class));
+            }
         }
-    }
-    // An unknown superclass is a `check` error; until it is reported the
-    // class counts as a root.
-    let parents: Vec<Option<ClassId>> = decls
-        .iter()
-        .map(|(_, file, class)| class_ids.get(&file[class.parent?]).copied())
-        .collect();
-    let (class_spans, class_order) = preorder(&parents);
-    let types = Types { exc_ids, class_ids };
+        // An unknown superclass is a validation error; until it is
+        // reported the class counts as a root.
+        let parents: Vec<Option<ClassId>> = decls
+            .iter()
+            .map(|(_, file, class)| b.class_ids.get(&file[class.parent?]).copied())
+            .collect();
+        let (class_spans, class_order) = preorder(&parents);
 
-    // Every file's initializers and bodies, lowered into the file's own
-    // runs of the IR and unit vectors on `width` workers. Lowering does
-    // not rely on the files being valid (an undeclared catch type lowers
-    // to no exception): they are checked beside the walk below, and the
-    // index is dropped if any is not.
-    let mut ir = Ir::sized_for(files);
-    let mut units = Units::sized_for(files);
-    let items: Vec<_> = files.iter().zip(ir.runs(files)).zip(units.runs(files)).collect();
-    let texts = fanout::map_with(
-        (0..width).map(|_| Scratch::default()).collect(),
-        items.into_iter().enumerate().collect(),
-        |(_, ((file, _), _))| file.stmts.len() + file.exprs.len(),
-        |scratch, (fidx, ((file, runs), unit_runs))| {
-            let at = (FileId(fidx as u32), first_class[fidx]);
-            Lowerer::lower_file(&types, scratch, at, file, runs, unit_runs)
-        },
-    );
-
-    // The walk that interns every name, in the order that numbers the
-    // symbols: class by class, the chain's field names, the class name,
-    // the chain's initializers at first use, then each method's body names
-    // followed by its name. Layouts and initializer lists are built on the
-    // way, and each method record gets its name. It runs on the caller
-    // while the workers check the files.
-    let walk = move || {
+        // Layouts, field initializers, and method bodies.
         let mut classes: Vec<ClassDef> = Vec::with_capacity(decls.len());
-        let Units {
-            mut methods,
-            method_names,
-            inits: init_units,
-            names: unit_names,
-        } = units;
-        let mut init_replayed = vec![false; fields];
+        let mut methods: Vec<CompiledMethod> = Vec::with_capacity(total(|f| f.methods.len()));
         // `own[own_start[c]..own_start[c + 1]]`: class `c`'s own methods.
-        let mut own: Vec<(Symbol, u32)> = Vec::with_capacity(methods.len());
+        let mut own: Vec<(Symbol, u32)> = Vec::with_capacity(methods.capacity());
         let mut own_start: Vec<usize> = Vec::with_capacity(decls.len() + 1);
         let mut chain: Vec<usize> = Vec::new();
         let mut by_name: HashMap<Symbol, u32> = HashMap::new();
@@ -999,35 +969,39 @@ fn run<E: Send>(
             });
 
             // Initializers in chain order; call sites inside carry the
-            // declaring class's file, and the lowered node is shared by every
-            // class that inherits the field.
+            // declaring class's file. Initializer expressions cannot touch
+            // locals, so they lower with an empty scope, and the lowered
+            // node is shared by every class that inherits the field.
             let mut inits = Vec::new();
             for &ci in &chain {
                 let (decl_file, decl_ast, decl) = decls[ci];
                 for at in decl.fields.range() {
-                    let field = field_start[decl_file.0 as usize] + at;
-                    let (expr, names) = init_units[field];
-                    if expr.0 == UNMAPPED {
-                        continue;
+                    let field = &decl_ast.fields[at];
+                    if let Some(expr) = field.init {
+                        let sym = b.sym(decl_file, field.name);
+                        let slot = by_name[&sym];
+                        let memo = b.field_start[decl_file.0 as usize] + at;
+                        let expr = match b.inits[memo] {
+                            UNMAPPED => {
+                                let id = Lowerer::new(&mut b, decl_file, decl_ast).expr(expr);
+                                b.inits[memo] = id.0;
+                                id
+                            }
+                            id => LExprId(id),
+                        };
+                        inits.push(FieldInit { slot, expr });
                     }
-                    if !init_replayed[field] {
-                        init_replayed[field] = true;
-                        b.replay(decl_file, &unit_names[names.0 as usize..names.1 as usize]);
-                    }
-                    let slot = by_name[&b.sym(decl_file, decl_ast.fields[at].name)];
-                    inits.push(FieldInit { slot, expr });
                 }
             }
 
-            // This class's own methods, whose records the workers made.
+            // This class's own methods.
             own_start.push(own.len());
-            for _ in 0..class.methods.len() {
-                let midx = own.len();
-                let (start, end) = method_names[midx];
-                b.replay(file_id, &unit_names[start as usize..end as usize]);
-                let method = &mut methods[midx];
-                method.name = b.sym(file_id, Name(method.name.0));
-                own.push((method.name, midx as u32));
+            for method in &file[class.methods] {
+                let midx = methods.len() as u32;
+                let compiled =
+                    compile_method(&mut b, file_id, file, ClassId(idx as u32), method);
+                own.push((compiled.name, midx));
+                methods.push(compiled);
             }
 
             classes.push(ClassDef {
@@ -1042,20 +1016,8 @@ fn run<E: Send>(
             });
         }
         own_start.push(own.len());
-
-        // Every name is interned now: map each file's lowered names to their
-        // symbols, and its text past the earlier files' text. One pass over
-        // the nodes on the caller; it moves little but memory, so a fan-out
-        // does not shorten it.
-        drop((method_names, init_units, unit_names));
-        let mut text_base = 0;
-        for ((fidx, runs), text) in ir.runs(files).into_iter().enumerate().zip(&texts) {
-            let start = b.memo_start[fidx];
-            runs.remap(&b.memo[start..start + files[fidx].names().len()], text_base);
-            text_base += text.len() as u32;
-        }
-        let text = Names::concat(texts.iter());
-        drop(texts);
+        debug_assert_eq!(b.stmts.len(), n_stmts, "one lowered statement per AST statement");
+        debug_assert_eq!(b.exprs.len(), n_exprs, "one lowered expression per AST expression");
 
         // Flatten dispatch: walk derived → base; a stable sort by name then
         // keeps the first (most derived) definition of each.
@@ -1087,9 +1049,9 @@ fn run<E: Send>(
         let wk = WellKnown {
             entry,
             init,
-            npe: types.exc_ids["NullPointerException"],
-            arithmetic: types.exc_ids["ArithmeticException"],
-            assertion: types.exc_ids["AssertionError"],
+            npe: b.exc_ids["NullPointerException"],
+            arithmetic: b.exc_ids["ArithmeticException"],
+            assertion: b.exc_ids["AssertionError"],
         };
 
         let mut class_by_sym: Vec<(Symbol, ClassId)> = classes
@@ -1124,27 +1086,14 @@ fn run<E: Send>(
             class_spans,
             class_order,
             wk,
-            stmts: ir.stmts,
-            exprs: ir.exprs,
-            stmt_lists: ir.stmt_lists,
-            expr_lists: ir.expr_lists,
-            cases: ir.cases,
-            catches: ir.catches,
-            text,
+            stmts: b.stmts,
+            exprs: b.exprs,
+            stmt_lists: b.stmt_lists,
+            expr_lists: b.expr_lists,
+            cases: b.cases,
+            catches: b.catches,
+            text: b.text,
         }
-    };
-    let (checked, index) = fanout::map_beside(
-        vec![(); width],
-        files.iter().collect(),
-        |file| file.stmts.len() + file.exprs.len(),
-        |(), file| check(file),
-        walk,
-    );
-    let errors: Vec<E> = checked.into_iter().flatten().collect();
-    if errors.is_empty() {
-        Ok(index)
-    } else {
-        Err(errors)
     }
 }
 
@@ -1209,400 +1158,72 @@ fn preorder(parents: &[Option<ClassId>]) -> (Vec<(u32, u32)>, Vec<ClassId>) {
     (spans, order)
 }
 
-/// The index's IR vectors, allocated once, at their exact sizes, on the
-/// thread that builds the index, and filled in per-file runs.
-struct Ir {
-    stmts: Vec<LStmt>,
-    exprs: Vec<LExpr>,
-    stmt_lists: Vec<LStmtId>,
-    expr_lists: Vec<LExprId>,
-    cases: Vec<LCase>,
-    catches: Vec<LCatch>,
-}
-
-impl Ir {
-    /// Every AST node lowers to exactly one node (field initializers
-    /// once, however many subclasses share them), so the files' counts
-    /// are the IR's exact sizes. The nodes start as placeholders.
-    fn sized_for(files: &[Arc<SourceFile>]) -> Ir {
-        let total = |len: fn(&SourceFile) -> usize| files.iter().map(|file| len(file)).sum();
-        let empty = List::new(0, 0);
-        Ir {
-            stmts: vec![LStmt::Break; total(|f| f.stmts.len())],
-            exprs: vec![LExpr::This; total(|f| f.exprs.len())],
-            stmt_lists: vec![LStmtId(UNMAPPED); total(|f| f.stmt_lists.len())],
-            expr_lists: vec![LExprId(UNMAPPED); total(|f| f.expr_lists.len())],
-            cases: vec![
-                LCase {
-                    lit: Lit::Null,
-                    body: empty
-                };
-                total(|f| f.cases.len())
-            ],
-            catches: vec![
-                LCatch {
-                    exc: ExcId(UNMAPPED),
-                    binding: UNMAPPED,
-                    body: empty
-                };
-                total(|f| f.catches.len())
-            ],
-        }
-    }
-
-    /// Each file's runs of every vector, file after file.
-    fn runs(&mut self, files: &[Arc<SourceFile>]) -> Vec<FileRuns<'_>> {
-        let stmts = Run::split(&mut self.stmts, files, |f| f.stmts.len());
-        let exprs = Run::split(&mut self.exprs, files, |f| f.exprs.len());
-        let stmt_lists = Run::split(&mut self.stmt_lists, files, |f| f.stmt_lists.len());
-        let expr_lists = Run::split(&mut self.expr_lists, files, |f| f.expr_lists.len());
-        let cases = Run::split(&mut self.cases, files, |f| f.cases.len());
-        let catches = Run::split(&mut self.catches, files, |f| f.catches.len());
-        stmts
-            .into_iter()
-            .zip(exprs)
-            .zip(stmt_lists)
-            .zip(expr_lists)
-            .zip(cases)
-            .zip(catches)
-            .map(
-                |(((((stmts, exprs), stmt_lists), expr_lists), cases), catches)| FileRuns {
-                    stmts,
-                    exprs,
-                    stmt_lists,
-                    expr_lists,
-                    cases,
-                    catches,
-                },
-            )
-            .collect()
-    }
-}
-
-/// One file's run of an IR vector: its slots, filled front to back, and
-/// the id of the first.
-struct Run<'v, T> {
-    slots: &'v mut [T],
-    base: usize,
-    len: usize,
-}
-
-impl<'v, T> Run<'v, T> {
-    /// Splits `all` into one run per file, `len(file)` slots each.
-    fn split(
-        all: &'v mut [T],
-        files: &[Arc<SourceFile>],
-        len: impl Fn(&SourceFile) -> usize,
-    ) -> Vec<Run<'v, T>> {
-        let mut rest = all;
-        let mut base = 0;
-        files
-            .iter()
-            .map(|file| {
-                let (slots, tail) = std::mem::take(&mut rest).split_at_mut(len(file));
-                rest = tail;
-                let run = Run {
-                    slots,
-                    base,
-                    len: 0,
-                };
-                base += run.slots.len();
-                run
-            })
-            .collect()
-    }
-
-    /// Takes the next `n` slots and returns the id of the first.
-    fn reserve(&mut self, n: usize) -> usize {
-        let id = self.base + self.len;
-        self.len += n;
-        id
-    }
-
-    fn set(&mut self, id: usize, value: T) {
-        self.slots[id - self.base] = value;
-    }
-
-    fn push(&mut self, value: T) -> usize {
-        let id = self.reserve(1);
-        self.set(id, value);
-        id
-    }
-
-    fn is_full(&self) -> bool {
-        self.len == self.slots.len()
-    }
-}
-
-/// One file's runs of the IR vectors.
-struct FileRuns<'v> {
-    stmts: Run<'v, LStmt>,
-    exprs: Run<'v, LExpr>,
-    stmt_lists: Run<'v, LStmtId>,
-    expr_lists: Run<'v, LExprId>,
-    cases: Run<'v, LCase>,
-    catches: Run<'v, LCatch>,
-}
-
-impl FileRuns<'_> {
-    /// Replaces the file's names in its lowered nodes with their symbols
-    /// (`memo` is the file's `Name → Symbol` memo) and moves its text ids
-    /// past the `text_base` names of the earlier files.
-    fn remap(self, memo: &[u32], text_base: u32) {
-        let sym = |name: &mut Symbol| {
-            name.0 = memo[name.0 as usize];
-            debug_assert_ne!(name.0, UNMAPPED, "every lowered name is interned");
-        };
-        let text = |name: &mut Name| name.0 += text_base;
-        for stmt in self.stmts.slots {
-            if let LStmt::AssignLocal { name, .. } | LStmt::AssignField { name, .. } = stmt {
-                sym(name);
-            }
-        }
-        for expr in self.exprs.slots {
-            match expr {
-                LExpr::Literal(Lit::Str(name)) | LExpr::NewUnknown { class: name, .. } => {
-                    text(name);
-                }
-                LExpr::Local { name, .. }
-                | LExpr::ImplicitField { name }
-                | LExpr::Field { name, .. }
-                | LExpr::GlobalCall { name, .. }
-                | LExpr::Call { method: name, .. }
-                | LExpr::InstanceOf { ty: name, .. } => sym(name),
-                _ => {}
-            }
-        }
-        for case in self.cases.slots {
-            if let Lit::Str(name) = &mut case.lit {
-                text(name);
-            }
-        }
-    }
-}
-
-/// A lowering worker's scratch, reused from file to file.
-#[derive(Default)]
-struct Scratch {
-    /// The local slot of each name of the file being lowered, or
-    /// [`UNMAPPED`]; sized for the largest file so far.
-    scope: Vec<Slot>,
-    /// The names `scope` gave a slot in the method being lowered.
-    touched: Vec<Name>,
-    /// `seen[name] == unit` once the unit being lowered recorded `name`.
-    seen: Vec<u32>,
-    /// The number of the unit being lowered; counts up across files.
-    unit: u32,
-}
-
-/// What the workers record for the serial walk, per lowered unit (a
-/// field initializer or a method body), in per-file runs allocated once
-/// on the thread that builds the index. A run of `(u32, u32)` is a range
-/// of `names`.
-struct Units {
-    /// Every method's record, in declaration order: the index's
-    /// `methods`. A worker leaves each `name` as the file's [`Name`].
-    methods: Vec<CompiledMethod>,
-    /// Per method, the names its body interns.
-    method_names: Vec<(u32, u32)>,
-    /// Per field declaration, its lowered initializer (`UNMAPPED` when it
-    /// has none) and the names that interns.
-    inits: Vec<(LExprId, (u32, u32))>,
-    /// The names each unit interns, first use first, unit after unit. A
-    /// unit records a name once, and each name is a statement's or an
-    /// expression's, so a file's statement and expression counts bound
-    /// its run.
-    names: Vec<Name>,
-}
-
-impl Units {
-    fn sized_for(files: &[Arc<SourceFile>]) -> Units {
-        let total = |len: fn(&SourceFile) -> usize| files.iter().map(|file| len(file)).sum();
-        let n_methods = total(|f| f.methods.len());
-        Units {
-            methods: (0..n_methods)
-                .map(|_| CompiledMethod {
-                    name: Symbol(UNMAPPED),
-                    params: 0,
-                    n_slots: 0,
-                    body: List::new(0, 0),
-                    is_test: false,
-                    owner: ClassId(UNMAPPED),
-                    file: FileId(UNMAPPED),
-                    throws: Vec::new(),
-                })
-                .collect(),
-            method_names: vec![(0, 0); n_methods],
-            inits: vec![(LExprId(UNMAPPED), (0, 0)); total(|f| f.fields.len())],
-            names: vec![Name(UNMAPPED); total(|f| f.stmts.len() + f.exprs.len())],
-        }
-    }
-
-    /// Each file's runs of every vector, file after file.
-    fn runs(&mut self, files: &[Arc<SourceFile>]) -> Vec<UnitRuns<'_>> {
-        let methods = Run::split(&mut self.methods, files, |f| f.methods.len());
-        let method_names = Run::split(&mut self.method_names, files, |f| f.methods.len());
-        let inits = Run::split(&mut self.inits, files, |f| f.fields.len());
-        let names = Run::split(&mut self.names, files, |f| f.stmts.len() + f.exprs.len());
-        methods
-            .into_iter()
-            .zip(method_names)
-            .zip(inits)
-            .zip(names)
-            .map(|(((methods, method_names), inits), names)| UnitRuns {
-                methods,
-                method_names,
-                inits,
-                names,
-            })
-            .collect()
-    }
-}
-
-/// One file's runs of the unit vectors.
-struct UnitRuns<'v> {
-    methods: Run<'v, CompiledMethod>,
-    method_names: Run<'v, (u32, u32)>,
-    inits: Run<'v, (LExprId, (u32, u32))>,
-    names: Run<'v, Name>,
-}
-
-/// Lowers one file. Its nodes name things by the file's own [`Name`]s,
-/// and by text ids of its own, until [`FileRuns::remap`] maps them.
-struct Lowerer<'l, 'a, 'v> {
-    types: &'l Types<'a>,
-    scratch: &'l mut Scratch,
+fn compile_method<'a>(
+    b: &mut Builder<'a>,
     file: FileId,
     ast: &'a SourceFile,
-    runs: FileRuns<'v>,
-    units: UnitRuns<'v>,
-    /// The file's string literals and undeclared class names.
-    text: Names,
+    owner: ClassId,
+    method: &MethodDecl,
+) -> CompiledMethod {
+    let mut throws: Vec<ExcId> = ast[method.throws]
+        .iter()
+        .filter_map(|&t| b.exc_ids.get(&ast[t]).copied())
+        .collect();
+    throws.sort_unstable();
+    throws.dedup();
+    let mut lower = Lowerer::new(b, file, ast);
+    for &param in &ast[method.params] {
+        lower.slot_for(param);
+    }
+    // Pass 1: collect every name that can become a local anywhere in the
+    // body (var declarations, bare-assignment targets, catch bindings).
+    // Reads resolve against the full set so a read that dynamically
+    // precedes the write still falls through to the `this`-field lookup at
+    // run time, exactly like the HashMap environment did.
+    lower.collect_locals(&method.body);
+    let body = lower.block(&method.body);
+    let name = lower.b.sym(file, method.name);
+    let n_slots = lower.n_slots;
+    // Clear the scope for the next method.
+    for name in b.touched.drain(..) {
+        b.scope[name.0 as usize] = UNMAPPED;
+    }
+    CompiledMethod {
+        name,
+        params: method.params.len() as u32,
+        n_slots,
+        body,
+        is_test: method.is_test,
+        owner,
+        file,
+        throws,
+    }
+}
+
+struct Lowerer<'b, 'a> {
+    b: &'b mut Builder<'a>,
+    file: FileId,
+    ast: &'a SourceFile,
     n_slots: u32,
 }
 
-impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
-    /// Lowers every field initializer and method body of `ast`, whose
-    /// first class is `first_class`, into `runs`, and records each
-    /// method's record and the names each unit interns in `units`.
-    /// Returns the file's text.
-    fn lower_file(
-        types: &'l Types<'a>,
-        scratch: &'l mut Scratch,
-        (file, first_class): (FileId, ClassId),
-        ast: &'a SourceFile,
-        runs: FileRuns<'v>,
-        units: UnitRuns<'v>,
-    ) -> Names {
-        let names = ast.names().len();
-        if scratch.scope.len() < names {
-            scratch.scope.resize(names, UNMAPPED);
-            scratch.seen.resize(names, 0);
-        }
-        let mut lower = Lowerer {
-            types,
-            scratch,
+impl<'b, 'a> Lowerer<'b, 'a> {
+    fn new(b: &'b mut Builder<'a>, file: FileId, ast: &'a SourceFile) -> Self {
+        Lowerer {
+            b,
             file,
             ast,
-            runs,
-            units,
-            text: Names::default(),
             n_slots: 0,
-        };
-        for (owner, class) in (first_class.0..).map(ClassId).zip(ast.classes()) {
-            // Initializer expressions cannot touch locals, so they lower
-            // with an empty scope.
-            for at in class.fields.range() {
-                if let Some(expr) = ast.fields[at].init {
-                    let start = lower.begin_unit();
-                    let expr = lower.expr(expr);
-                    let names = (start, lower.end_unit());
-                    let id = lower.units.inits.base + at;
-                    lower.units.inits.set(id, (expr, names));
-                }
-            }
-            for method in &ast[class.methods] {
-                lower.method(owner, method);
-            }
         }
-        let runs = &lower.runs;
-        assert!(
-            runs.stmts.is_full()
-                && runs.exprs.is_full()
-                && runs.stmt_lists.is_full()
-                && runs.expr_lists.is_full()
-                && runs.cases.is_full()
-                && runs.catches.is_full()
-                && lower.units.methods.is_full(),
-            "{}: one lowered node per AST node",
-            ast.path
-        );
-        lower.text
     }
 
-    /// Starts recording a unit's names; returns the id of the first.
-    fn begin_unit(&mut self) -> u32 {
-        self.scratch.unit += 1;
-        self.end_unit()
-    }
-
-    /// The id after the last name the unit recorded.
-    fn end_unit(&self) -> u32 {
-        (self.units.names.base + self.units.names.len) as u32
-    }
-
-    fn method(&mut self, owner: ClassId, method: &MethodDecl) {
-        let start = self.begin_unit();
-        self.n_slots = 0;
-        let ast = self.ast;
-        for &param in &ast[method.params] {
-            self.slot_for(param);
-        }
-        // Pass 1: collect every name that can become a local anywhere in
-        // the body (var declarations, bare-assignment targets, catch
-        // bindings). Reads resolve against the full set so a read that
-        // dynamically precedes the write still falls through to the
-        // `this`-field lookup at run time, exactly like the HashMap
-        // environment did.
-        self.collect_locals(&method.body);
-        let body = self.block(&method.body);
-        // Clear the scope for the next method.
-        for name in self.scratch.touched.drain(..) {
-            self.scratch.scope[name.0 as usize] = UNMAPPED;
-        }
-        let mut throws: Vec<ExcId> = ast[method.throws]
-            .iter()
-            .filter_map(|&t| self.types.exc_ids.get(&ast[t]).copied())
-            .collect();
-        throws.sort_unstable();
-        throws.dedup();
-        self.units.method_names.push((start, self.end_unit()));
-        self.units.methods.push(CompiledMethod {
-            name: Symbol(method.name.0),
-            params: method.params.len() as u32,
-            n_slots: self.n_slots,
-            body,
-            is_test: method.is_test,
-            owner,
-            file: self.file,
-            throws,
-        });
-    }
-
-    /// Records `name` as interned by the unit being lowered and returns
-    /// the file's name in its place, for [`FileRuns::remap`] to map.
     fn sym(&mut self, name: Name) -> Symbol {
-        let seen = &mut self.scratch.seen[name.0 as usize];
-        if *seen != self.scratch.unit {
-            *seen = self.scratch.unit;
-            self.units.names.push(name);
-        }
-        Symbol(name.0)
+        self.b.sym(self.file, name)
     }
 
     /// The local slot of `name`, if the method has one.
     fn local(&self, name: Name) -> Option<Slot> {
-        match self.scratch.scope[name.0 as usize] {
+        match self.b.scope[name.0 as usize] {
             UNMAPPED => None,
             slot => Some(slot),
         }
@@ -1615,8 +1236,8 @@ impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
 
     fn slot_for(&mut self, name: Name) {
         if self.local(name).is_none() {
-            self.scratch.scope[name.0 as usize] = self.n_slots;
-            self.scratch.touched.push(name);
+            self.b.scope[name.0 as usize] = self.n_slots;
+            self.b.touched.push(name);
             self.n_slots += 1;
         }
     }
@@ -1687,7 +1308,7 @@ impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
     /// A literal, its string text copied into the index's arena.
     fn lit(&mut self, lit: Lit) -> Lit {
         match lit {
-            Lit::Str(name) => Lit::Str(self.text.push(&self.ast[name])),
+            Lit::Str(name) => Lit::Str(self.b.text.push(&self.ast[name])),
             other => other,
         }
     }
@@ -1698,10 +1319,11 @@ impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
     fn block(&mut self, block: &Block) -> LBlock {
         let ast = self.ast;
         let ids = &ast[block.stmts];
-        let start = self.runs.stmt_lists.reserve(ids.len());
+        let start = self.b.stmt_lists.len();
+        self.b.stmt_lists.resize(start + ids.len(), LStmtId(UNMAPPED));
         for (i, &id) in ids.iter().enumerate() {
             let lowered = self.stmt(&ast[id]);
-            self.runs.stmt_lists.set(start + i, lowered);
+            self.b.stmt_lists[start + i] = lowered;
         }
         List::new(start, ids.len())
     }
@@ -1710,10 +1332,11 @@ impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
     fn args(&mut self, args: List<crate::ast::ExprId>) -> List<LExprId> {
         let ast = self.ast;
         let ids = &ast[args];
-        let start = self.runs.expr_lists.reserve(ids.len());
+        let start = self.b.expr_lists.len();
+        self.b.expr_lists.resize(start + ids.len(), LExprId(UNMAPPED));
         for (i, &id) in ids.iter().enumerate() {
             let lowered = self.expr(id);
-            self.runs.expr_lists.set(start + i, lowered);
+            self.b.expr_lists[start + i] = lowered;
         }
         List::new(start, ids.len())
     }
@@ -1774,11 +1397,16 @@ impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
             } => {
                 let scrutinee = self.expr(scrutinee);
                 let arms = &ast[cases];
-                let start = self.runs.cases.reserve(arms.len());
+                let start = self.b.cases.len();
+                let unfilled = LCase {
+                    lit: Lit::Null,
+                    body: List::new(0, 0),
+                };
+                self.b.cases.resize(start + arms.len(), unfilled);
                 for (i, case) in arms.iter().enumerate() {
                     let lit = self.lit(case.lit);
                     let body = self.block(&case.body);
-                    self.runs.cases.set(start + i, LCase { lit, body });
+                    self.b.cases[start + i] = LCase { lit, body };
                 }
                 LStmt::Switch {
                     scrutinee,
@@ -1794,15 +1422,21 @@ impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
             } => {
                 let body = self.block(&body);
                 let clauses = &ast[catches];
-                let start = self.runs.catches.reserve(clauses.len());
+                let start = self.b.catches.len();
+                let unfilled = LCatch {
+                    exc: ExcId(UNMAPPED),
+                    binding: UNMAPPED,
+                    body: List::new(0, 0),
+                };
+                self.b.catches.resize(start + clauses.len(), unfilled);
                 for (i, catch) in clauses.iter().enumerate() {
                     let lowered = LCatch {
-                        exc: (self.types.exc_ids.get(&ast[catch.exc_type]).copied())
+                        exc: (self.b.exc_ids.get(&ast[catch.exc_type]).copied())
                             .unwrap_or(ExcId(UNMAPPED)),
                         binding: self.slot(catch.binding),
                         body: self.block(&catch.body),
                     };
-                    self.runs.catches.set(start + i, lowered);
+                    self.b.catches[start + i] = lowered;
                 }
                 LStmt::Try {
                     body,
@@ -1830,7 +1464,9 @@ impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
                 expr: self.expr(expr),
             },
         };
-        LStmtId(self.runs.stmts.push(lowered) as u32)
+        let id = LStmtId(self.b.stmts.len() as u32);
+        self.b.stmts.push(lowered);
+        id
     }
 
     fn expr(&mut self, expr: crate::ast::ExprId) -> LExprId {
@@ -1881,13 +1517,13 @@ impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
                 let class = &ast[class];
                 // Exception types take precedence over classes, matching the
                 // tree walker's `symbols.exception(..)`-first resolution.
-                if let Some(&exc) = self.types.exc_ids.get(class) {
+                if let Some(&exc) = self.b.exc_ids.get(class) {
                     LExpr::NewExc { exc, args }
-                } else if let Some(&class) = self.types.class_ids.get(class) {
+                } else if let Some(&class) = self.b.class_ids.get(class) {
                     LExpr::NewObj { class, args }
                 } else {
                     LExpr::NewUnknown {
-                        class: self.text.push(class),
+                        class: self.b.text.push(class),
                         args,
                     }
                 }
@@ -1904,11 +1540,13 @@ impl<'l, 'a, 'v> Lowerer<'l, 'a, 'v> {
             Expr::InstanceOf { expr, ty, .. } => LExpr::InstanceOf {
                 expr: self.expr(expr),
                 ty: self.sym(ty),
-                exc: self.types.exc_ids.get(&ast[ty]).copied(),
-                class: self.types.class_ids.get(&ast[ty]).copied(),
+                exc: self.b.exc_ids.get(&ast[ty]).copied(),
+                class: self.b.class_ids.get(&ast[ty]).copied(),
             },
         };
-        LExprId(self.runs.exprs.push(lowered) as u32)
+        let id = LExprId(self.b.exprs.len() as u32);
+        self.b.exprs.push(lowered);
+        id
     }
 }
 

@@ -40,7 +40,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// The names interned so far; resolves the [`Name`]s of the tokens
+    /// The names interned so far; resolves the [`Name`](crate::ast::Name)s of the tokens
     /// returned.
     pub fn names(&self) -> &Names {
         self.names.names()

@@ -5,11 +5,12 @@
 //! of vectors, with names interned per file. Everything that reads the
 //! AST resolves ids and names through the file ([`SourceFile`] derefs to
 //! its [`Ast`]). Linking builds the [`SymbolTable`] with owned names, then
-//! the [`ProgramIndex`](crate::index::ProgramIndex), which maps each
-//! file's names into the global interner.
+//! the [`ProgramIndex`], which maps each file's names into the global
+//! interner.
 
 use crate::ast::{Ast, CallId, ClassDecl, Expr, Item, Literal, MethodDecl, Stmt};
 use crate::error::Diagnostic;
+use crate::index::ProgramIndex;
 use crate::parser::parse_file;
 use crate::span::{LineMap, Span};
 use std::collections::HashMap;
@@ -229,11 +230,16 @@ impl SymbolTable {
     }
 }
 
-/// How many AST statements and expressions a link worker must have to
-/// earn its thread. Checking and lowering take about 60 ns a node on the
-/// 2-core reference box, so this is about 2 ms of work, several times
-/// what starting a thread costs there. Every small corpus app links on
-/// one thread; every paper-scale app fans out.
+/// How many AST statements and expressions each worker of the link must
+/// have. The caller is the first worker and builds the index, so a
+/// project validates files on a thread beside the build only from
+/// `2 * NODES_PER_WORKER` nodes. On the 2-core reference box validation
+/// takes about 13 ns a node and starting and joining a scoped thread
+/// about 25 µs, so a worker's share is some 0.4 ms of validation, over
+/// ten times what its thread costs, and the build beside it takes longer
+/// still. Every small corpus app (at most 35,709 nodes) links on one
+/// thread, so repair's relinks start none; every paper-scale app (at
+/// least 84,722) validates beside the build.
 pub const NODES_PER_WORKER: usize = 32_768;
 
 /// A compiled multi-file Javelin program.
@@ -249,19 +255,19 @@ pub struct Project {
     pub symbols: SymbolTable,
     /// The compile-once execution index (interned names, lowered bodies,
     /// resolution tables). Built after validation; shared across workers.
-    pub index: Arc<crate::index::ProgramIndex>,
+    pub index: Arc<ProgramIndex>,
 }
 
 impl Project {
     /// Parses and links a set of `(path, source)` files into a project.
     ///
-    /// The files are parsed and linked on [`fanout::width`] workers,
-    /// largest first. The sources become `String`s on the caller's thread
-    /// first: a worker thread allocates from an allocator arena of its
-    /// own, and text that lives as long as the project is cheaper kept in
-    /// the caller's, where the next project reuses it. All files are
-    /// parsed even if earlier ones fail, so the returned error list covers
-    /// the whole input, in file order.
+    /// The files are parsed on [`fanout::width`] workers, largest first.
+    /// The sources become `String`s on the caller's thread first: a worker
+    /// thread allocates from an allocator arena of its own, and text that
+    /// lives as long as the project is cheaper kept in the caller's, where
+    /// the next project reuses it. All files are parsed even if earlier
+    /// ones fail, so the returned error list covers the whole input, in
+    /// file order.
     pub fn compile(
         name: impl Into<String>,
         sources: Vec<(impl Into<String>, impl Into<String>)>,
@@ -287,49 +293,47 @@ impl Project {
         if !errors.is_empty() {
             return Err(errors);
         }
-        Project::link(name, files, fanout::width())
+        Project::link(name, files)
     }
 
-    /// Links parsed files into a project on up to `width` workers: the
-    /// symbol table, validation, then the execution index. The result,
-    /// and the errors in their order, are the same at every width.
+    /// Links parsed files into a project: the symbol table, validation,
+    /// and the execution index.
     ///
-    /// Validation checks the symbol table (duplicate declarations,
-    /// unknown parent exceptions, `extends` cycles), then each file on the
-    /// fan-out, beside the index build's serial walk; errors come back in
-    /// file order. A project of fewer than [`NODES_PER_WORKER`] statements
-    /// and expressions per worker gets fewer workers.
+    /// The symbol table is checked first (duplicate declarations, unknown
+    /// parent exceptions, `extends` cycles), then each file; the errors
+    /// come back in that order, the files' in file order. The index is
+    /// built in one walk on the caller's thread, while up to
+    /// [`fanout::width`] workers validate the files beside it: a project
+    /// gets one worker per [`NODES_PER_WORKER`] statements and
+    /// expressions, and with one the caller validates after the build.
+    /// The build is skipped when the symbol table has an error, and its
+    /// index is dropped when a file has one.
     pub fn link(
         name: impl Into<String>,
         files: Vec<Arc<SourceFile>>,
-        width: usize,
     ) -> Result<Project, Vec<Diagnostic>> {
         let nodes: usize = files.iter().map(|file| file.stmts.len() + file.exprs.len()).sum();
-        let width = width.min(nodes / NODES_PER_WORKER).max(1);
+        let width = fanout::width().min(nodes / NODES_PER_WORKER).max(1);
         let mut errors = Vec::new();
         let symbols = build_symbols(&files, &mut errors);
         reject_cycles(&files, &symbols, &mut errors);
-        if !errors.is_empty() {
-            // No index can be built over this symbol table: check the
-            // files for the rest of the errors.
-            let per_file = fanout::map_with(
-                vec![(); width],
-                files.iter().collect(),
-                |file| file.stmts.len() + file.exprs.len(),
-                |(), file| validate_file(file, &symbols),
-            );
-            errors.extend(per_file.into_iter().flatten());
-            return Err(errors);
+        let (per_file, index) = fanout::map_beside(
+            vec![(); width],
+            files.iter().collect(),
+            |file| file.stmts.len() + file.exprs.len(),
+            |(), file| validate_file(file, &symbols),
+            || errors.is_empty().then(|| ProgramIndex::build(&files, &symbols)),
+        );
+        errors.extend(per_file.into_iter().flatten());
+        match index {
+            Some(index) if errors.is_empty() => Ok(Project {
+                name: name.into(),
+                files,
+                symbols,
+                index: Arc::new(index),
+            }),
+            _ => Err(errors),
         }
-        let index = crate::index::ProgramIndex::build(&files, &symbols, width, |file| {
-            validate_file(file, &symbols)
-        })?;
-        Ok(Project {
-            name: name.into(),
-            files,
-            symbols,
-            index: Arc::new(index),
-        })
     }
 
     /// Returns the class declaration for `name`, if declared, with the
@@ -383,12 +387,6 @@ impl Project {
             .filter(|(_, _, _, m)| m.is_test)
             .map(|(fid, file, class, m)| (fid, MethodId::new(&file[class.name], &file[m.name])))
             .collect()
-    }
-
-    /// Total source size in bytes (the paper tracks per-file sizes for the
-    /// LLM cost model).
-    pub fn source_bytes(&self) -> usize {
-        self.files.iter().map(|f| f.source.len()).sum()
     }
 
     /// Renders a span in file `file` as `path:line:col`.

@@ -75,27 +75,15 @@ pub struct RunVerdict {
     pub not_a_trigger: bool,
 }
 
-/// Oracle thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct OracleConfig {
-    /// Injection count at one site considered "unbounded". The paper uses
-    /// 100 (real caps are ≤ 20 attempts).
-    pub cap_threshold: u32,
-    /// Virtual-time limit treated as a hang. The paper uses 15 minutes.
-    pub time_limit_ms: u64,
-}
+/// Injection count at one site considered "unbounded". The paper uses 100
+/// (real caps are ≤ 20 attempts).
+const CAP_THRESHOLD: u32 = 100;
 
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            cap_threshold: 100,
-            time_limit_ms: 15 * 60 * 1000,
-        }
-    }
-}
+/// Virtual-time limit treated as a hang. The paper uses 15 minutes.
+const TIME_LIMIT_MS: u64 = 15 * 60 * 1000;
 
 /// Judges one injected test run against all applicable oracles.
-pub fn judge_run(run: &TestRun, spec: &InjectionSpec, config: &OracleConfig) -> RunVerdict {
+pub fn judge_run(run: &TestRun, spec: &InjectionSpec) -> RunVerdict {
     let mut verdict = RunVerdict::default();
     let location = &spec.location;
 
@@ -113,8 +101,8 @@ pub fn judge_run(run: &TestRun, spec: &InjectionSpec, config: &OracleConfig) -> 
 
     // ---- Missing-cap oracle ------------------------------------------------
     let timed_out = matches!(run.outcome, TestOutcome::Timeout { .. })
-        || run.virtual_ms > config.time_limit_ms;
-    if max_count >= config.cap_threshold || (timed_out && max_count > 0) {
+        || run.virtual_ms > TIME_LIMIT_MS;
+    if max_count >= CAP_THRESHOLD || (timed_out && max_count > 0) {
         verdict.reports.push(OracleReport {
             kind: BugKind::MissingCap,
             test: run.test.clone(),
@@ -122,7 +110,7 @@ pub fn judge_run(run: &TestRun, spec: &InjectionSpec, config: &OracleConfig) -> 
             detail: if timed_out {
                 format!(
                     "test exceeded the {} ms virtual-time limit after {} injections",
-                    config.time_limit_ms, max_count
+                    TIME_LIMIT_MS, max_count
                 )
             } else {
                 format!(
@@ -227,13 +215,9 @@ pub fn judge_run(run: &TestRun, spec: &InjectionSpec, config: &OracleConfig) -> 
 /// [`judge_run`] plus the wall time the judgement took — the campaign's
 /// metrics layer attributes oracle time separately from interpreter time,
 /// and measuring here keeps the two attribution points symmetrical.
-pub fn judge_run_timed(
-    run: &TestRun,
-    spec: &InjectionSpec,
-    config: &OracleConfig,
-) -> (RunVerdict, std::time::Duration) {
+pub fn judge_run_timed(run: &TestRun, spec: &InjectionSpec) -> (RunVerdict, std::time::Duration) {
     let started = std::time::Instant::now();
-    let verdict = judge_run(run, spec, config);
+    let verdict = judge_run(run, spec);
     (verdict, started.elapsed())
 }
 
@@ -308,7 +292,7 @@ mod tests {
     fn missing_cap_fires_at_threshold() {
         let events = (1..=100).map(|i| injected_event(i, i as u64)).collect();
         let run = run_with(events, TestOutcome::Passed, 100);
-        let verdict = judge_run(&run, &spec(100), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(100));
         // 100 injections with no sleeps: both cap and delay oracles fire.
         let kinds: Vec<BugKind> = verdict.reports.iter().map(|r| r.kind).collect();
         assert!(kinds.contains(&BugKind::MissingCap));
@@ -323,7 +307,7 @@ mod tests {
             events.push(slept_event("run", i as u64 * 1000 + 1));
         }
         let run = run_with(events, TestOutcome::Passed, 5000);
-        let verdict = judge_run(&run, &spec(100), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(100));
         assert!(verdict.reports.is_empty(), "reports: {:?}", verdict.reports);
     }
 
@@ -337,7 +321,7 @@ mod tests {
             },
             1_000_000,
         );
-        let verdict = judge_run(&run, &spec(100), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(100));
         assert!(verdict
             .reports
             .iter()
@@ -356,7 +340,7 @@ mod tests {
             injected_event(3, 4),
         ];
         let run = run_with(events, TestOutcome::Passed, 10);
-        let verdict = judge_run(&run, &spec(100), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(100));
         assert!(verdict
             .reports
             .iter()
@@ -373,7 +357,7 @@ mod tests {
             injected_event(3, 202),
         ];
         let run = run_with(events, TestOutcome::Passed, 300);
-        let verdict = judge_run(&run, &spec(100), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(100));
         assert!(!verdict
             .reports
             .iter()
@@ -394,7 +378,7 @@ mod tests {
             TestOutcome::ExceptionEscaped { exc },
             5,
         );
-        let verdict = judge_run(&run, &spec(1), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(1));
         assert_eq!(verdict.reports.len(), 1);
         assert_eq!(verdict.reports[0].kind, BugKind::DifferentException);
         assert!(verdict.reports[0].dedup_key.contains("NullPointerException"));
@@ -414,7 +398,7 @@ mod tests {
             TestOutcome::ExceptionEscaped { exc },
             5,
         );
-        let verdict = judge_run(&run, &spec(1), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(1));
         assert!(verdict.reports.is_empty());
         assert!(verdict.rethrow_filtered);
     }
@@ -433,7 +417,7 @@ mod tests {
             TestOutcome::ExceptionEscaped { exc },
             1,
         );
-        let verdict = judge_run(&run, &spec(1), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(1));
         assert!(verdict.reports.is_empty());
         assert!(verdict.not_a_trigger);
     }
@@ -447,7 +431,7 @@ mod tests {
             },
             5,
         );
-        let verdict = judge_run(&run, &spec(1), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(1));
         assert_eq!(verdict.reports.len(), 1);
         assert_eq!(verdict.reports[0].kind, BugKind::DifferentException);
     }
@@ -469,7 +453,7 @@ mod tests {
             TestOutcome::ExceptionEscaped { exc },
             5,
         );
-        let verdict = judge_run(&run, &spec(1), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(1));
         assert_eq!(verdict.reports.len(), 1);
         assert!(verdict.reports[0]
             .exc_chain
@@ -490,7 +474,7 @@ mod tests {
             TestOutcome::ExceptionEscaped { exc },
             5,
         );
-        let verdict = judge_run(&run, &spec(100), &OracleConfig::default());
+        let verdict = judge_run(&run, &spec(100));
         assert!(verdict.reports.is_empty());
     }
 }

@@ -11,4 +11,4 @@ pub mod dedup;
 pub mod judge;
 
 pub use dedup::{count_by_kind, dedup_reports, DistinctBug};
-pub use judge::{judge_run, BugKind, OracleConfig, OracleReport, RunVerdict};
+pub use judge::{judge_run, BugKind, OracleReport, RunVerdict};

@@ -64,7 +64,7 @@ pub fn site_set(locations: &[RetryLocation]) -> BTreeSet<CallSite> {
 /// mostly such filler (app HI at paper scale: 35k tests, 1.5k of them
 /// covering), so skipping it is most of what keeps the profile phase
 /// cheap. When the walk cannot model the program (see
-/// [`reachable_test_mask`]) the whole suite is kept.
+/// `reachable_test_mask`) the whole suite is kept.
 pub fn prefilter_suite(
     project: &Project,
     sites: &BTreeSet<CallSite>,

@@ -8,7 +8,7 @@
 //!    overrides and pin those keys back to their declared defaults;
 //! 2. [`coverage`] — run the whole suite once with instrumented retry
 //!    locations to learn which test covers which location;
-//! 3. [`plan`] — pair every coverable location with exactly one test
+//! 3. [`plan`](mod@plan) — pair every coverable location with exactly one test
 //!    (spreading across distinct tests), then expand each pair into concrete
 //!    injection runs (one per trigger exception and K value).
 

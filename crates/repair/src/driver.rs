@@ -21,7 +21,7 @@
 //!    must no longer fire at the patched coordinator.
 //!
 //! A rejected candidate's failing-run trace is fed into the next
-//! template choice ([`select_template`]); run keys are splice-stable
+//! template choice (`select_template`); run keys are splice-stable
 //! (insertions add no calls, and flattening removes none), so baseline
 //! outcomes stay addressable across candidates.
 //!
@@ -31,7 +31,7 @@
 //! fixed with zero attempts.
 //!
 //! Every candidate splices exactly one file, so validation re-parses and
-//! re-sweeps only that file ([`Compiled::patched`]): the other files'
+//! re-sweeps only that file (`Compiled::patched`): the other files'
 //! parses and LLM answers carry over from the current state, and linking,
 //! identification and lint then run over the whole patched project as a
 //! full compile would.
@@ -51,9 +51,7 @@ use wasabi_engine::NullObserver;
 use wasabi_lang::project::{FileId, Project, SourceFile};
 use wasabi_llm::detector::{sweep_file, sweep_files, FileSweep};
 use wasabi_llm::simulated::SimulatedLlm;
-use wasabi_oracles::OracleConfig;
 use wasabi_planner::plan::{targeted_runs, RunKey};
-use wasabi_util::fanout;
 
 /// Configuration for one repair session.
 #[derive(Debug, Clone)]
@@ -66,12 +64,6 @@ pub struct RepairOptions {
     /// Seed for the simulated LLM's identification pass (corpus mode
     /// uses the app spec's seed, file mode 0 — same as `wasabi test`).
     pub llm_seed: u64,
-    /// Oracle thresholds for baseline and validation campaigns.
-    pub oracle: OracleConfig,
-    /// Injection budgets (the paper's K = 1 and K = 100).
-    pub ks: Vec<u32>,
-    /// Retry-loop query options for lint and site resolution.
-    pub loops: LoopQueryOptions,
 }
 
 impl Default for RepairOptions {
@@ -80,9 +72,6 @@ impl Default for RepairOptions {
             jobs: 1,
             max_fix_attempts: 3,
             llm_seed: 0,
-            oracle: OracleConfig::default(),
-            ks: vec![1, 100],
-            loops: LoopQueryOptions::default(),
         }
     }
 }
@@ -226,8 +215,7 @@ impl Compiled {
             .map_err(|err| compile_error(vec![err]))?;
         let mut files = self.project.files.clone();
         files[fidx] = Arc::new(file);
-        let project = Project::link(self.project.name.as_str(), files, fanout::width())
-            .map_err(compile_error)?;
+        let project = Project::link(self.project.name.as_str(), files).map_err(compile_error)?;
         let mut sweeps = self.sweeps.clone();
         sweeps[fidx] = sweep_file(
             FileId(fidx as u32),
@@ -255,9 +243,7 @@ impl Compiled {
 
 fn dynamic_options(options: &RepairOptions) -> DynamicOptions {
     DynamicOptions {
-        ks: options.ks.clone(),
         jobs: options.jobs,
-        oracle: options.oracle,
         capture_timing: false,
         ..DynamicOptions::default()
     }
@@ -267,7 +253,6 @@ fn campaign_options(prepared: &PreparedCampaign, options: &RepairOptions) -> Cam
     CampaignOptions {
         jobs: options.jobs,
         run_options: prepared.run_options.clone(),
-        oracle: options.oracle,
         capture_timing: false,
         ..CampaignOptions::default()
     }
@@ -453,10 +438,10 @@ pub fn repair(
     options: &RepairOptions,
 ) -> Result<RepairOutcome, String> {
     let lint_opts = LintOptions {
-        loops: options.loops.clone(),
         // Repair only targets retry codes; IF-ratio info findings would
         // just be recomputed on every candidate for nothing.
         ifratio: false,
+        ..LintOptions::default()
     };
     let mut compiled = Compiled::full(name, sources, options.llm_seed, &lint_opts)
         .map_err(|e| e.replace("candidate does not compile", "sources do not compile"))?;
@@ -550,7 +535,7 @@ pub fn repair(
 
             // Resolve the patch site(s) against the *current* sources —
             // positions move as earlier fixes land.
-            let Some((site, inner)) = patch_sites(&compiled.project, &diag, &options.loops) else {
+            let Some((site, inner)) = patch_sites(&compiled.project, &diag, &lint_opts.loops) else {
                 reason = "could not resolve the diagnostic to a loop".to_string();
                 break;
             };
@@ -692,7 +677,7 @@ mod tests {
                 .iter()
                 .filter(|d| is_retry_code(d.code))
             {
-                let Some((site, inner)) = patch_sites(&baseline.project, diag, &options.loops)
+                let Some((site, inner)) = patch_sites(&baseline.project, diag, &lint_opts.loops)
                 else {
                     continue;
                 };

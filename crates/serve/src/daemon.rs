@@ -2,7 +2,7 @@
 //!
 //! One accept loop hands each connection to a detached session thread; a
 //! fixed pool of runner threads executes jobs in the order the
-//! [`Scheduler`](crate::scheduler::Scheduler) dictates. All shared state
+//! [`Scheduler`] dictates. All shared state
 //! lives behind one mutex; campaigns themselves run outside it, so a
 //! slow campaign never blocks submissions, status queries, or cancels.
 //!
@@ -25,7 +25,7 @@
 //! [`STAGED_IDLE_LIMIT`] is closed and its uploads released, so an idle
 //! client cannot keep every other client's `put` refused. The
 //! compiled-app cache is keyed by
-//! [`app_key`](crate::protocol::app_key), so a cached app is admitted
+//! [`app_key`], so a cached app is admitted
 //! with its `Arc<AppJob>` in the queued payload and the runner neither
 //! re-hashes nor recompiles it.
 

@@ -1,15 +1,15 @@
 //! The one ordered fan-out: map independent items on a few scoped
 //! workers and get the results back in input order.
 //!
-//! Parsing, validation, lowering and the LLM sweep map files, and the
-//! coverage profile maps tests; each item is independent of the others,
-//! and every report must be byte-identical whatever the number of
-//! workers. [`map_beside`] is the worker pool for all of them: it also
-//! runs one independent task on the caller's thread before the caller
-//! joins the map, so `wasabi lint`'s checkers and `identify`'s
-//! control-flow query run beside the sweep without a thread of their
-//! own. [`map_with`] is the map with nothing beside it, and [`width`] is
-//! the number of workers the front half uses.
+//! Parsing, validation and the LLM sweep map files, and the coverage
+//! profile maps tests; each item is independent of the others, and every
+//! report must be byte-identical whatever the number of workers.
+//! [`map_beside`] is the worker pool for all of them: it also runs one
+//! independent task on the caller's thread before the caller joins the
+//! map, so the link's index build, `wasabi lint`'s checkers and
+//! `identify`'s control-flow query run beside the validation or the sweep
+//! without a thread of their own. [`map_with`] is the map with nothing
+//! beside it, and [`width`] is the number of workers the front half uses.
 
 use std::cmp::Reverse;
 use std::num::NonZeroUsize;

@@ -25,10 +25,11 @@
 //!   manifest, traces, the repair report and lint baselines.
 
 //! - [`fanout`] — the one ordered fan-out ([`fanout::map_beside`]): the
-//!   parse, the link, the LLM sweep and the coverage profile map their
-//!   files or tests on scoped workers and get the results back in input
-//!   order, and the checkers or the control-flow query run on the
-//!   caller's thread beside the sweep.
+//!   parse, the link's validation, the LLM sweep and the coverage profile
+//!   map their files or tests on scoped workers and get the results back
+//!   in input order, while the index build beside the validation, or the
+//!   checkers or the control-flow query beside the sweep, run on the
+//!   caller's thread.
 
 pub mod atomic;
 pub mod backoff;

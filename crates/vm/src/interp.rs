@@ -16,7 +16,7 @@
 //!   clock instead of blocking, so the paper's 15-minute test timeout and the
 //!   missing-delay oracle are deterministic and fast.
 //! - **Interception.** Right before every user-method call, the configured
-//!   [`Interceptor`](crate::interceptor::Interceptor) is consulted with full
+//!   [`Interceptor`] is consulted with full
 //!   static (call site) and dynamic (stack, clock) context — this is the
 //!   AspectJ pointcut substitute. An [`InterceptAction::Throw`] makes the
 //!   call site raise the given exception as if the callee had failed, and

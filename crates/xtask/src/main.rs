@@ -70,8 +70,8 @@
 //!   front-end or IR change can move neither a parsed tree, a symbol
 //!   number, a call target nor a lint byte. It runs twice, on all of the
 //!   machine's cores and on one (`taskset -c 0`, which must be
-//!   installed), so the fan-out of the parse, the link and the sweep
-//!   cannot change a byte. The default test suite runs the same check at
+//!   installed), so the fan-out of the parse, the link's validation and
+//!   the sweep cannot change a byte. The default test suite runs the same check at
 //!   small scale. Wired into `ci`.
 //! - `paper-gate` — the paper-numbers gate: the stdout of `repro --scale
 //!   paper all` must equal `repro_paper_output.txt` byte for byte, which
@@ -1242,7 +1242,7 @@ fn lint_gate(record: bool) {
 /// The paper-scale front-end pins: the `#[ignore]`d test in
 /// `tests/frontend_pins.rs`, built and run in release, on every core the
 /// machine gives the process and then on one (`taskset -c 0`, so the
-/// parse, the link and the sweep fan out to one worker).
+/// parse, the link's validation and the sweep run on one worker).
 fn frontend_gate() {
     eprintln!("==> frontend gate: paper-scale printer, ProgramIndex and analysis digests");
     let label = "test --release --test frontend_pins -- --ignored";

@@ -5,8 +5,9 @@
 #
 #   1. tier-1: the gate every change must pass — release build + full test
 #      suite, exactly what `cargo tier1` runs. Also runs `cargo clippy
-#      --workspace --all-targets -- -D warnings`: every crate of the
-#      workspace is lint-clean and stays that way.
+#      --workspace --all-targets -- -D warnings` and `cargo doc` with
+#      rustdoc warnings denied: every crate of the workspace is lint-clean,
+#      and no doc link dangles or points at a private item.
 #   3. resilience smoke: a --jobs 4 campaign must report
 #      byte-identically to the serial run, a kill-and-resume round-trip
 #      (journal cut mid-line, then --resume) must report byte-identically
@@ -40,8 +41,9 @@
 #      --jobs 1 and --jobs 4 (writes BENCH_PR9.json).
 #  10. lint gate: `wasabi lint --json --cross-check` over all eight
 #      corpus apps (small scale, amplification and policy seeds included)
-#      must be byte-identical on one core (`taskset -c 0`, so the parse
-#      and the LLM sweep run on one worker) and on all cores, the
+#      must be byte-identical on one core (`taskset -c 0`, so the parse,
+#      the LLM sweep and the link's validation run on the caller's thread
+#      alone) and on all cores, the
 #      W004/W005/W006 findings must score at least 0.9 precision and
 #      recall per code against the policy_truth.json sidecars, and HD and
 #      MA with the amplification seeds alone must report nothing outside
@@ -56,16 +58,21 @@
 #      included), a canonical dump of each app's ProgramIndex, and per app
 #      the call graph, the method summaries and the lint output must hash
 #      to the values pinned in tests/frontend_pins.rs (the default test
-#      suite checks the same at small scale).
+#      suite checks the same at small scale). It runs on all cores and
+#      again under `taskset -c 0`, so neither the fan-out of the parse and
+#      the sweep nor the validation beside the index build moves a byte;
+#      and every paper app must be large enough to validate beside the
+#      build, every small app small enough to link on one thread.
 #
 # Everything resolves offline: the workspace has no registry dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== stage 1: tier-1 (build, tests, clippy) =="
+echo "== stage 1: tier-1 (build, tests, clippy, rustdoc) =="
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== stage 3: resilience smoke =="
 cargo xtask smoke

@@ -576,6 +576,15 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
         },
         None => Vec::new(),
     };
+    // The campaign runs on with journaling disabled when its journal dies
+    // to an I/O error; a journal that cannot be opened, or that `--resume`
+    // would refuse, is refused here, before any run, and left as it is.
+    if let Some(path) = &flags.journal {
+        if let Err(err) = journal::Journal::open(path) {
+            eprintln!("{err}");
+            return ExitCode::from(2);
+        }
+    }
     let options = DynamicOptions {
         jobs: flags.jobs,
         journal: flags.journal.clone(),
@@ -1290,7 +1299,6 @@ fn repair(mut args: Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode 
         jobs: flags.jobs,
         max_fix_attempts,
         llm_seed,
-        ..wasabi::repair::RepairOptions::default()
     };
     let outcome = match wasabi::repair::repair(&name, sources, &options) {
         Ok(outcome) => outcome,

@@ -190,6 +190,43 @@ fn lint_baseline_counts_written_fingerprints_and_suppresses_all_diagnostics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `test --journal` refuses a journal that `--resume` refuses (line 2
+/// garbled, records after it) before any run: exit 2 with the same
+/// message, the file left byte for byte. A torn tail is still cut, and
+/// the campaign appends after it.
+#[test]
+fn a_journal_that_resume_refuses_is_refused_before_any_run() {
+    let dir = temp_dir("journal");
+    let buggy = write_app(&dir, "buggy.jav", BUGGY_APP);
+    let journal = dir.join("j.jsonl");
+    let path = journal.to_string_lossy().into_owned();
+    let test = |flag: &str| run(&["test", "--quiet", flag, &path, &buggy]);
+    assert_eq!(code(&test("--journal")), 1, "retry bugs found");
+    let written = std::fs::read_to_string(&journal).expect("journal written");
+    let mut lines: Vec<&str> = written.lines().collect();
+    assert!(lines.len() >= 4, "a header, records and a marker: {written}");
+    lines[1] = "{\"garbled\"";
+    let corrupt = lines.join("\n") + "\n";
+    std::fs::write(&journal, &corrupt).expect("garble line 2");
+
+    let resumed = test("--resume");
+    let journaled = test("--journal");
+    assert_eq!(code(&resumed), 2);
+    assert_eq!(code(&journaled), 2, "a journal --resume refuses is refused");
+    let stderr = |output: &Output| String::from_utf8_lossy(&output.stderr).into_owned();
+    assert!(stderr(&journaled).contains("corrupt line 2"), "{}", stderr(&journaled));
+    assert_eq!(stderr(&journaled), stderr(&resumed));
+    assert_eq!(std::fs::read_to_string(&journal).expect("journal"), corrupt, "left as it is");
+
+    std::fs::write(&journal, written.clone() + "{\"key\":{").expect("tear the tail");
+    assert_eq!(code(&test("--journal")), 1, "a torn tail is cut");
+    let appended = std::fs::read_to_string(&journal).expect("journal");
+    assert!(appended.starts_with(&written) && appended.len() > written.len());
+    let loaded = wasabi::engine::journal::load(&journal).expect("the journal loads");
+    assert!(!loaded.dropped_tail, "no torn line is left");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn non_ascii_text_is_a_normal_exit() {
     let dir = temp_dir("utf8");

@@ -330,8 +330,8 @@ pub mod ir_debug {
 }
 
 pub mod widths {
-    //! The front half fanned out to a chosen number of workers, for tests
-    //! that compare every width with `Project::compile` and
+    //! The parse and the sweep fanned out to a chosen number of workers,
+    //! for tests that compare every width with `Project::compile` and
     //! `sweep_project`, which use the machine's.
 
     use std::sync::Arc;
@@ -341,8 +341,8 @@ pub mod widths {
     use wasabi::llm::model::LanguageModel;
     use wasabi::util::fanout::map_with;
 
-    /// Parses `sources` on `width` workers, then links: errors come back
-    /// in file order, as `Project::compile` reports them.
+    /// Parses `sources` on `width` workers, then links them as
+    /// `Project::compile` does: errors come back in file order.
     pub fn compile(
         name: &str,
         sources: &[(String, String)],
@@ -365,7 +365,7 @@ pub mod widths {
         if !errors.is_empty() {
             return Err(errors);
         }
-        Project::link(name, files, width)
+        Project::link(name, files)
     }
 
     /// Sweeps every file on `width` forks of `llm` and folds the answers in

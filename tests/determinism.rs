@@ -9,6 +9,7 @@ mod common;
 
 use common::{ir_debug, widths};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use wasabi::analysis::checkers::{lint_project, LintOptions};
 use wasabi::analysis::diag::render_json;
 use wasabi::core::dynamic::{
@@ -24,7 +25,7 @@ use wasabi::corpus::synth::{
 use wasabi::engine::campaign::{RunOutcome, RunRecord};
 use wasabi::engine::journal;
 use wasabi::engine::{EngineEvent, EngineObserver};
-use wasabi::lang::project::{Project, NODES_PER_WORKER};
+use wasabi::lang::project::{Project, SourceFile, NODES_PER_WORKER};
 use wasabi::llm::simulated::SimulatedLlm;
 use wasabi::planner::plan::RunKey;
 use wasabi::vm::trace::TestOutcome;
@@ -303,7 +304,7 @@ fn resumed_campaign_matches_uninterrupted_run_byte_for_byte() {
 /// A paper-scale app with the amplification and policy seeds, one of
 /// whose middle files is padded with comments to at least 100 times the
 /// median file size, so that the largest-first claim order differs from
-/// file order. At paper scale it has enough nodes for three link workers.
+/// file order.
 fn lopsided_app() -> GeneratedApp {
     let spec = paper_apps().into_iter().find(|s| s.short == "CA").expect("CA");
     let mut app = generate_app_with_amp(&spec, Scale::Paper);
@@ -319,18 +320,14 @@ fn lopsided_app() -> GeneratedApp {
     app
 }
 
-/// At widths 1, 2 and 3, the parse, the link (validation and lowering)
-/// and the sweep fanned out equal `Project::compile` and
-/// `lint_with_overlap`, which use the machine's width: the linked index,
-/// the lint with its cross-check matrix, and the LLM sweep.
+/// At widths 1, 2 and 3, the parse and the sweep fanned out equal
+/// `Project::compile` and `lint_with_overlap`, which use the machine's
+/// width: the linked index, the lint with its cross-check matrix, and the
+/// LLM sweep.
 #[test]
 fn front_half_is_byte_identical_at_every_width() {
     let app = lopsided_app();
     let reference = compile_app(&app);
-    let nodes: usize = (reference.files.iter())
-        .map(|file| file.stmt_count() + file.expr_count())
-        .sum();
-    assert!(nodes >= 3 * NODES_PER_WORKER, "{nodes} nodes link on fewer than 3 workers");
     let index = ir_debug::dump(&reference.index);
     let llm = SimulatedLlm::with_seed(0);
     // `lint_with_overlap` sweeps with `sweep_project`.
@@ -386,9 +383,11 @@ fn parse_errors_keep_file_order_at_every_width() {
     }
 }
 
-/// Link errors in two files, the later one the larger and so lowered and
-/// checked first, come back in file order at every width. The larger file
-/// has enough nodes for three link workers.
+/// Link errors in two files come back in file order, though the later
+/// file is the larger and so validated first, and after the symbol
+/// table's errors. The later file has enough nodes that its validation
+/// runs on a worker beside the index build wherever the machine has two
+/// cores.
 #[test]
 fn link_errors_keep_file_order_at_every_width() {
     let b = format!(
@@ -396,26 +395,33 @@ fn link_errors_keep_file_order_at_every_width() {
          method big() {{ {} }} }}",
         "x = 1;\n".repeat(3 * NODES_PER_WORKER / 2)
     );
-    let sources: Vec<(String, String)> = [
-        ("a.jav", "class A { method m() { } method m() { } }"),
-        ("b.jav", b.as_str()),
-    ]
-    .map(|(path, source)| (path.to_string(), source.to_string()))
-    .into();
-    let render = |errors: Vec<wasabi::lang::error::Diagnostic>| -> Vec<String> {
-        errors.iter().map(ToString::to_string).collect()
-    };
-    let expected = render(Project::compile("t", sources.clone()).expect_err("three link errors"));
-    assert_eq!(expected.len(), 3, "{expected:?}");
-    for (error, (file, what)) in expected.iter().zip([
+    let b = Arc::new(SourceFile::parse("b.jav", b).expect("parses"));
+    assert!(
+        b.stmt_count() + b.expr_count() >= 2 * NODES_PER_WORKER,
+        "b.jav validates on the caller"
+    );
+    let in_files = [
         ("a.jav", "duplicate method `m`"),
         ("b.jav", "unknown superclass `Missing`"),
         ("b.jav", "unknown exception `Nope` in catch"),
-    ]) {
-        assert!(error.contains(file) && error.contains(what), "{expected:?}");
-    }
-    for width in 1..=3 {
-        let errors = widths::compile("t", &sources, width).expect_err("three link errors");
-        assert_eq!(render(errors), expected, "width {width}");
+    ];
+    let in_table = ("a.jav", "duplicate exception declaration `E`");
+    for (a, expected) in [
+        ("class A { method m() { } method m() { } }", in_files.to_vec()),
+        (
+            "exception E;\nexception E;\nclass A { method m() { } method m() { } }",
+            [[in_table].as_slice(), &in_files].concat(),
+        ),
+    ] {
+        let a = SourceFile::parse("a.jav", a).expect("parses");
+        let errors: Vec<String> = (Project::link("t", vec![Arc::new(a), Arc::clone(&b)]))
+            .expect_err("link errors")
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(errors.len(), expected.len(), "{errors:?}");
+        for (error, (file, what)) in errors.iter().zip(expected) {
+            assert!(error.contains(file) && error.contains(what), "{errors:?}");
+        }
     }
 }

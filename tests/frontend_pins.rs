@@ -15,6 +15,14 @@
 //! seeds. The small scale runs in the default suite; the paper scale
 //! (20,747 files) is `#[ignore]`d here and run in release by
 //! `cargo xtask frontend-gate`.
+//!
+//! Each scale also stays on its side of the link's validation gate: a
+//! project validates on a worker beside the index build only from
+//! `2 * NODES_PER_WORKER` statements and expressions. Every small app is
+//! below it, so repair-small's relinks start no thread, and every paper
+//! app is above it, so lint-paper and test-paper validate beside the
+//! build. The benchmark's apps are these, or these less the seeds (about
+//! 420 nodes).
 
 mod common;
 
@@ -28,9 +36,8 @@ use wasabi::core::lint::{cross_check, lint_with_overlap};
 use wasabi::corpus::spec::{paper_apps, Scale};
 use wasabi::corpus::synth::{append_policy_seeds, generate_app_with_amp};
 use wasabi::lang::printer::print_items;
-use wasabi::lang::project::{Project, SourceFile};
+use wasabi::lang::project::{Project, SourceFile, NODES_PER_WORKER};
 use wasabi::llm::simulated::SimulatedLlm;
-use wasabi::util::fanout;
 
 /// FNV-1a 64 over everything written to it.
 struct Fnv(u64);
@@ -65,7 +72,14 @@ fn digests(scale: Scale) -> (usize, u64, Vec<(&'static str, [u64; 4])>) {
             parsed.push(std::sync::Arc::new(file));
             files += 1;
         }
-        let project = Project::link(spec.name, parsed, fanout::width()).expect("links");
+        let nodes: usize = parsed.iter().map(|f| f.stmt_count() + f.expr_count()).sum();
+        let gate = 2 * NODES_PER_WORKER;
+        match scale {
+            Scale::Small => assert!(nodes < gate, "{}: {nodes} nodes validate beside", spec.short),
+            Scale::Paper => assert!(nodes >= gate, "{}: {nodes} nodes validate after", spec.short),
+            _ => {}
+        }
+        let project = Project::link(spec.name, parsed).expect("links");
         let mut dump = Fnv(FNV_OFFSET);
         dump.write_str(&ir_debug::dump(&project.index)).expect("hashing");
 
