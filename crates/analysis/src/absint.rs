@@ -1142,7 +1142,7 @@ mod tests {
     fn analyze(src: &str) -> MethodAbs {
         let p = Project::compile("t", vec![("t.jav", src)]).expect("compile");
         let (_, file, method) = p.resolve_method("C", "run").expect("C.run");
-        analyze_method(&p.index, "C", file, method)
+        analyze_method(p.index(), "C", file, method)
     }
 
     fn only_loop(abs: &MethodAbs) -> &LoopObs {

@@ -95,7 +95,7 @@ fn run(start: &[u32], i: usize) -> Range<usize> {
 impl CallGraph {
     /// Builds the call graph for a compiled project.
     pub fn build(project: &Project) -> CallGraph {
-        let index = &project.index;
+        let index = project.index();
         let n = index.methods.len();
         let mut graph = CallGraph {
             call_start: Vec::with_capacity(n + 1),
@@ -728,9 +728,9 @@ mod tests {
     }
 
     fn method_idx(p: &Project, class: &str, name: &str) -> u32 {
-        let cid = p.index.class_by_name(class).expect("class");
-        let sym = p.index.interner.lookup(name).expect("name");
-        p.index.resolve_dispatch(cid, sym).expect("dispatch")
+        let cid = p.index().class_by_name(class).expect("class");
+        let sym = p.index().interner.lookup(name).expect("name");
+        p.index().resolve_dispatch(cid, sym).expect("dispatch")
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
     let pindex = ProjectIndex::build(project);
     let retry_loops = find_retry_loops(&pindex, &options.loops);
     let cg = CallGraph::build(project);
-    let index = &project.index;
+    let index = project.index();
 
     // Coordinator method indices and local attempt bounds feed the
     // summary fixpoint (may-retry / attempt facts).

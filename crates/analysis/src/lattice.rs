@@ -135,9 +135,9 @@ mod tests {
 
     fn lattice(src: &str) -> (Project, Vec<(String, Transience)>) {
         let p = Project::compile("t", vec![("t.jav", src)]).expect("compile");
-        let lat = ExcLattice::build(&p.index);
+        let lat = ExcLattice::build(p.index());
         let classes = p
-            .index
+            .index()
             .exceptions
             .iter()
             .enumerate()
@@ -212,17 +212,17 @@ mod tests {
     #[test]
     fn unknown_names_fall_back_to_seed_tables() {
         let (p, _) = lattice("exception MetaException;\n");
-        let lat = ExcLattice::build(&p.index);
+        let lat = ExcLattice::build(p.index());
         assert_eq!(
-            lat.classify_name(&p.index, "SocketTimeoutException"),
+            lat.classify_name(p.index(), "SocketTimeoutException"),
             Transience::Transient
         );
         assert_eq!(
-            lat.classify_name(&p.index, "NullPointerException"),
+            lat.classify_name(p.index(), "NullPointerException"),
             Transience::Fatal
         );
         assert_eq!(
-            lat.classify_name(&p.index, "NoSuchThing"),
+            lat.classify_name(p.index(), "NoSuchThing"),
             Transience::Unknown
         );
     }

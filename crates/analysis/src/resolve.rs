@@ -123,7 +123,7 @@ impl<'p> ProjectIndex<'p> {
 
     /// Maps a compiled method index back to its AST declaration.
     fn compiled_target(&self, midx: u32) -> Option<(MethodId, MethodRef<'p>)> {
-        let index: &ProgramIndex = &self.project.index;
+        let index: &ProgramIndex = self.project.index();
         let compiled = &index.methods[midx as usize];
         let owner = index.classes[compiled.owner.0 as usize].name_str.as_str();
         let name = index.interner.resolve(compiled.name);
@@ -137,7 +137,7 @@ impl<'p> ProjectIndex<'p> {
     /// The single dispatch target for `method` anywhere in the program, if
     /// exactly one class hierarchy defines it.
     fn unique_foreign_target(&self, method: &str) -> Option<u32> {
-        let index: &ProgramIndex = &self.project.index;
+        let index: &ProgramIndex = self.project.index();
         let sym = index.interner.lookup(method)?;
         let mut target = None;
         for cid in (0..index.classes.len() as u32).map(ClassId) {
@@ -167,7 +167,7 @@ impl<'p> ProjectIndex<'p> {
         method: &str,
         recv_this: bool,
     ) -> Option<(MethodId, MethodRef<'p>)> {
-        let index: &ProgramIndex = &self.project.index;
+        let index: &ProgramIndex = self.project.index();
         if recv_this {
             let cid = index.class_by_name(enclosing_class)?;
             let sym = index.interner.lookup(method)?;
@@ -188,7 +188,7 @@ impl<'p> ProjectIndex<'p> {
         method: &str,
         recv_this: bool,
     ) -> Vec<(MethodId, MethodRef<'p>)> {
-        let index: &ProgramIndex = &self.project.index;
+        let index: &ProgramIndex = self.project.index();
         let mut mids: Vec<u32> = Vec::new();
         if recv_this {
             let (Some(cid), Some(sym)) = (

@@ -109,7 +109,7 @@ impl Summaries {
         cg: &CallGraph,
         local_retry: &[(u32, AttemptBound)],
     ) -> Summaries {
-        let index = &project.index;
+        let index = project.index();
         let n = index.methods.len();
         let mut retry_bounds: Vec<Option<AttemptBound>> = vec![None; n];
         for &(midx, bound) in local_retry {
@@ -465,13 +465,13 @@ mod tests {
     }
 
     fn midx(p: &Project, class: &str, name: &str) -> usize {
-        let cid = p.index.class_by_name(class).expect("class");
-        let sym = p.index.interner.lookup(name).expect("name");
-        idx(p.index.resolve_dispatch(cid, sym).expect("dispatch"), "dispatch")
+        let cid = p.index().class_by_name(class).expect("class");
+        let sym = p.index().interner.lookup(name).expect("name");
+        idx(p.index().resolve_dispatch(cid, sym).expect("dispatch"), "dispatch")
     }
 
     fn exc(p: &Project, name: &str) -> ExcId {
-        p.index.exc_by_name(name).expect("exception")
+        p.index().exc_by_name(name).expect("exception")
     }
 
     #[test]

@@ -207,13 +207,16 @@ pub struct PreparedCampaign {
 }
 
 /// Restores configs, profiles coverage, and expands the key-sorted plan,
-/// bracketing each step with phase events.
+/// bracketing each step with phase events. The project's index is built
+/// here, on the caller, if nothing has built it yet: the profile and the
+/// campaign read it from their workers.
 pub fn prepare_campaign(
     project: &Project,
     locations: &[RetryLocation],
     options: &DynamicOptions,
     observer: &mut dyn EngineObserver,
 ) -> PreparedCampaign {
+    project.index();
     let phase = |name: &'static str, observer: &mut dyn EngineObserver| {
         observer.on_event(&EngineEvent::PhaseStarted { name });
         name

@@ -5,8 +5,11 @@
 //! [`identify`] runs the control-flow query ([`ProjectIndex::build`] and
 //! [`all_retry_locations`]) on the caller's thread while the sweep's
 //! other workers start on the files ([`sweep_files_beside`]); the caller
-//! then joins the sweep. The follow-up query for the LLM-flagged methods
-//! needs both, so it runs after them, on the caller.
+//! then joins the sweep. The query starts by building the project's index
+//! ([`Project::index`]) if nothing has yet, so on a freshly compiled
+//! project the build, too, overlaps the sweep; no sweep worker reads the
+//! index. The follow-up query for the LLM-flagged methods needs both, so
+//! it runs after them, on the caller.
 
 use std::collections::BTreeMap;
 use wasabi_analysis::loops::{
@@ -38,6 +41,7 @@ type LoopQuery = Vec<(RetryLoop, Vec<RetryLocation>)>;
 /// LLM sweep, and merges their locations.
 pub fn identify(project: &Project, llm: &mut dyn LanguageModel) -> Identified {
     let (files, (index, loops)) = sweep_files_beside(project, llm, || {
+        project.index();
         let index = ProjectIndex::build(project);
         let loops = all_retry_locations(&index, &LoopQueryOptions::default());
         (index, loops)
@@ -48,6 +52,7 @@ pub fn identify(project: &Project, llm: &mut dyn LanguageModel) -> Identified {
 /// [`identify`] with the LLM sweep already run: the control-flow query,
 /// then the merge with `llm_sweep`'s flagged methods.
 pub fn identify_with_sweep(project: &Project, llm_sweep: LlmSweep) -> Identified {
+    project.index();
     let index = ProjectIndex::build(project);
     let loops = all_retry_locations(&index, &LoopQueryOptions::default());
     merge(project, &index, loops, llm_sweep)

@@ -11,8 +11,11 @@
 //! The two techniques are independent reads of one compiled project, so
 //! [`lint_with_overlap`] runs the checkers on the caller's thread while
 //! the sweep's other workers start on the files
-//! ([`sweep_files_beside`]); the caller then joins the sweep. Neither
-//! result depends on the number of workers.
+//! ([`sweep_files_beside`]); the caller then joins the sweep. The
+//! checkers start by building the project's index ([`Project::index`])
+//! if nothing has yet, so on a freshly compiled project the build, too,
+//! overlaps the sweep; no sweep worker reads the index. Neither result
+//! depends on the number of workers.
 //!
 //! On top of the counts, [`cross_check`] runs the two techniques as
 //! mutually-checking detectors (the CERBERUS arbitration idea: when two
@@ -212,13 +215,16 @@ pub fn cross_check(lint: &LintResult, sweep: &LlmSweep) -> CrossCheck {
 
 /// Runs the static checkers and the LLM sweep and accounts their overlap.
 /// The checkers run on the caller's thread beside the sweep's other
-/// workers, and then the caller joins the sweep.
+/// workers, index build first, and then the caller joins the sweep.
 pub fn lint_with_overlap(
     project: &Project,
     llm: &mut dyn LanguageModel,
     options: &LintOptions,
 ) -> LintReport {
-    let (files, lint) = sweep_files_beside(project, llm, || lint_project(project, options));
+    let (files, lint) = sweep_files_beside(project, llm, || {
+        project.index();
+        lint_project(project, options)
+    });
     let sweep: LlmSweep = files.into_iter().collect();
 
     let static_found: BTreeSet<(String, String, &'static str)> = lint

@@ -142,6 +142,12 @@ impl Names {
         self.ends.is_empty()
     }
 
+    /// Empties the table and keeps its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
     /// Appends `text` as a new name (the caller has checked it is new).
     pub(crate) fn push(&mut self, text: &str) -> Name {
         let name = Name(self.ends.len() as u32);
@@ -168,21 +174,20 @@ pub struct Ast {
 }
 
 impl Ast {
-    /// Drops the vectors' growth slack: a parsed file lives as long as its
-    /// project.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.items.shrink_to_fit();
-        self.fields.shrink_to_fit();
-        self.methods.shrink_to_fit();
-        self.stmts.shrink_to_fit();
-        self.exprs.shrink_to_fit();
-        self.stmt_lists.shrink_to_fit();
-        self.expr_lists.shrink_to_fit();
-        self.name_lists.shrink_to_fit();
-        self.catches.shrink_to_fit();
-        self.cases.shrink_to_fit();
-        self.names.text.shrink_to_fit();
-        self.names.ends.shrink_to_fit();
+    /// Empties every vector and keeps its allocation, for the next file
+    /// a [`ParseScratch`](crate::parser::ParseScratch) parses.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.fields.clear();
+        self.methods.clear();
+        self.stmts.clear();
+        self.exprs.clear();
+        self.stmt_lists.clear();
+        self.expr_lists.clear();
+        self.name_lists.clear();
+        self.catches.clear();
+        self.cases.clear();
+        self.names.clear();
     }
 
     /// Top-level items in source order.

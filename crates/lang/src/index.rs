@@ -1,8 +1,8 @@
 //! The compile-once program index: lowered bodies, resolution tables, and
 //! layouts the interpreter executes against.
 //!
-//! A [`ProgramIndex`] is built exactly once, at the end of
-//! [`Project::compile`](crate::project::Project::compile), and shared
+//! A [`ProgramIndex`] is built exactly once per project, by the first
+//! call to [`Project::index`](crate::project::Project::index), and shared
 //! immutably (`Arc`) across every campaign worker. It precomputes all the
 //! work the tree-walking interpreter used to redo on every run:
 //!
@@ -40,7 +40,7 @@
 //! classes keep their text in one index-wide arena ([`ProgramIndex::text`]),
 //! not in the interner, so they cannot move a symbol's number.
 //!
-//! The index is built in one walk on the caller's thread, class by class
+//! The index is built in one walk on the calling thread, class by class
 //! in declaration order: the superclass chain's field names, the class
 //! name, the chain's initializers (each lowered at its first use), then
 //! each method's body followed by its name. The walk lowers each unit as
@@ -51,14 +51,13 @@
 //! resolve through a dense `Name → Slot` table over the file's names,
 //! reset after each method from the list of names the method touched.
 //!
-//! [`Project::link`](crate::project::Project::link) validates the files
-//! beside the build and drops the index when one is not valid, so
-//! lowering tolerates an invalid file: an unknown superclass makes its
-//! class a root, and an undeclared catch type lowers to no exception.
-//! Class ancestry is a pre-order interval per class over the class forest
-//! (the link rejects `extends` cycles before it builds), so
-//! `is_class_subtype` is two comparisons and the table is linear in the
-//! number of classes.
+//! Only a project that [`Project::link`](crate::project::Project::link)
+//! accepted has an index, so the build walks valid files only. Lowering
+//! does not rely on that: an unknown superclass makes its class a root,
+//! and an undeclared catch type lowers to no exception. Class ancestry is
+//! a pre-order interval per class over the class forest (the link rejects
+//! `extends` cycles), so `is_class_subtype` is two comparisons and the
+//! table is linear in the number of classes.
 
 use crate::ast::{Block, Expr, LValue, Lit, List, Literal, MethodDecl, Name, Names, Stmt, UnOp};
 use crate::intern::{Interner, Symbol};
@@ -485,11 +484,9 @@ impl ProgramIndex {
         }
     }
 
-    /// Builds the index of a project whose symbol table is valid (no
-    /// duplicate declarations, known parent exceptions, no `extends`
-    /// cycle) in one walk on the caller's thread. The files need not be
-    /// valid (see the module docs): the caller validates them and drops
-    /// the index when one is not.
+    /// Builds the index of a linked project (no duplicate declarations,
+    /// known parent exceptions, no `extends` cycle, every file valid) in
+    /// one walk on the calling thread.
     pub(crate) fn build(files: &[Arc<SourceFile>], symbols: &SymbolTable) -> ProgramIndex {
         Builder::run(files, symbols)
     }
@@ -914,8 +911,8 @@ impl<'a> Builder<'a> {
                 decls.push((FileId(fidx as u32), &**file, class));
             }
         }
-        // An unknown superclass is a validation error; until it is
-        // reported the class counts as a root.
+        // An unknown superclass is a validation error; lowered anyway,
+        // the class counts as a root.
         let parents: Vec<Option<ClassId>> = decls
             .iter()
             .map(|(_, file, class)| b.class_ids.get(&file[class.parent?]).copied())
@@ -1565,7 +1562,7 @@ mod tests {
             "class Base { method greet() { return 1; } method shared() { return 2; } }\n\
              class Derived extends Base { method shared() { return 3; } }",
         );
-        let index = &p.index;
+        let index = p.index();
         let base = index.class_by_name("Base").expect("Base");
         let derived = index.class_by_name("Derived").expect("Derived");
         let greet = index.interner.lookup("greet").expect("greet interned");
@@ -1584,7 +1581,7 @@ mod tests {
             "class Base { field a = 1; field b = 2; }\n\
              class Derived extends Base { field c = 3; field b = 4; }",
         );
-        let index = &p.index;
+        let index = p.index();
         let derived = index.class_by_name("Derived").expect("Derived");
         let layout = &index.classes[derived.0 as usize].layout;
         assert_eq!(layout.len(), 3, "shadowed field shares its slot");
@@ -1610,7 +1607,7 @@ mod tests {
              exception ConnectException extends IOException;\n\
              class A { }",
         );
-        let index = &p.index;
+        let index = p.index();
         for sub in index.exceptions.iter() {
             for sup in index.exceptions.iter() {
                 let sub_id = index.exc_by_name(&sub.name_str).unwrap();
@@ -1634,7 +1631,7 @@ mod tests {
                method m(a, b) { var x = a; x = x + b; return f; }\n\
              }",
         );
-        let index = &p.index;
+        let index = p.index();
         let c = index.class_by_name("C").unwrap();
         let m = index
             .resolve_dispatch(c, index.interner.lookup("m").unwrap())
@@ -1659,7 +1656,7 @@ mod tests {
         let p = compile(
             "config \"b.key\" default 2;\nconfig \"a.key\" default 1;\nclass A { }",
         );
-        let index = &p.index;
+        let index = p.index();
         assert_eq!(index.configs.len(), 2);
         assert_eq!(index.configs[0].key, "a.key");
         assert_eq!(index.config_by_name("a.key"), Some(0));

@@ -89,9 +89,11 @@ impl NameSet {
         &self.table
     }
 
-    /// Drops the set and keeps the arena.
-    pub(crate) fn into_names(self) -> Names {
-        self.table
+    /// Empties the set and keeps its buffers: the slots keep their
+    /// length, all of them empty.
+    pub(crate) fn clear(&mut self) {
+        self.table.clear();
+        self.slots.fill(0);
     }
 
     /// `Ok(id)` of `text`, or `Err(slot)` of the empty slot it would take.

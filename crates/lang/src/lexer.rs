@@ -31,11 +31,17 @@ pub struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     /// Creates a lexer over `source`.
     pub fn new(source: &'a str) -> Self {
+        Lexer::with_names(source, NameSet::default())
+    }
+
+    /// A lexer that interns into `names`, which must be empty; its slots
+    /// may be grown already.
+    pub(crate) fn with_names(source: &'a str, names: NameSet) -> Self {
         Lexer {
             text: source,
             src: source.as_bytes(),
             pos: 0,
-            names: NameSet::default(),
+            names,
             unescaped: String::new(),
         }
     }
@@ -46,9 +52,9 @@ impl<'a> Lexer<'a> {
         self.names.names()
     }
 
-    /// Ends lexing and hands over the name table.
-    pub fn into_names(self) -> Names {
-        self.names.into_names()
+    /// Ends lexing and hands over the name set.
+    pub(crate) fn into_name_set(self) -> NameSet {
+        self.names
     }
 
     fn peek(&self) -> u8 {
@@ -307,7 +313,7 @@ mod tests {
             let tok = lexer.next_token()?;
             tokens.push(tok);
             if tok.kind == TokenKind::Eof {
-                return Ok((tokens, lexer.into_names()));
+                return Ok((tokens, lexer.names().clone()));
             }
         }
     }

@@ -23,6 +23,7 @@
 
 use crate::ast::*;
 use crate::error::Diagnostic;
+use crate::intern::NameSet;
 use crate::lexer::Lexer;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
@@ -37,21 +38,63 @@ pub const MAX_DEPTH: u32 = 256;
 /// Call ids and loop ids are assigned in source order, so they are stable for
 /// a given source text.
 pub fn parse_file(source: &str) -> Result<Ast, Diagnostic> {
-    let mut parser = Parser::new(source);
+    parse_file_in(&mut ParseScratch::default(), source)
+}
+
+/// [`parse_file`] through `scratch`: the file's nodes and names collect in
+/// the scratch's buffers, which keep what earlier files grew them to, and
+/// are copied out into an [`Ast`] whose vectors have their exact lengths.
+/// The scratch is cleared before the file, so the result is the same
+/// whatever it parsed before, a file that failed included.
+pub fn parse_file_in(scratch: &mut ParseScratch, source: &str) -> Result<Ast, Diagnostic> {
+    scratch.clear();
+    let mut parser = Parser::new(source, std::mem::take(scratch));
     let parsed = parser.file();
     if parsed.is_err() {
         while parser.next.kind != TokenKind::Eof {
             parser.next = parser.pull();
         }
     }
-    if let Some(err) = parser.lex_error.take() {
+    let lex_error = parser.lex_error.take();
+    *scratch = parser.into_scratch();
+    if let Some(err) = lex_error {
         return Err(err);
     }
     parsed?;
-    let mut ast = parser.ast;
-    ast.names = parser.lexer.into_names();
-    ast.shrink_to_fit();
+    // A clone allocates each vector at its length.
+    let mut ast = scratch.ast.clone();
+    ast.names = scratch.names.names().clone();
     Ok(ast)
+}
+
+/// The buffers one parse grows: the node and list vectors, the parser's
+/// list and height stacks, and the lexer's name set. A worker that parses
+/// many files keeps one and passes it to every [`parse_file_in`], so the
+/// buffers grow to the largest file once instead of from empty per file.
+#[derive(Debug, Default)]
+pub struct ParseScratch {
+    ast: Ast,
+    stmt_stack: Vec<StmtId>,
+    expr_stack: Vec<ExprId>,
+    catch_stack: Vec<CatchClause>,
+    case_stack: Vec<Case>,
+    stmt_height: Vec<u16>,
+    expr_height: Vec<u16>,
+    names: NameSet,
+}
+
+impl ParseScratch {
+    /// Empties every buffer and keeps its allocation.
+    fn clear(&mut self) {
+        self.ast.clear();
+        self.stmt_stack.clear();
+        self.expr_stack.clear();
+        self.catch_stack.clear();
+        self.case_stack.clear();
+        self.stmt_height.clear();
+        self.expr_height.clear();
+        self.names.clear();
+    }
 }
 
 /// The three builtins that parse as statements.
@@ -86,26 +129,27 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(source: &'a str) -> Self {
+    /// A parser over `source` whose buffers are `scratch`'s, emptied.
+    fn new(source: &'a str, scratch: ParseScratch) -> Self {
         let end = source.len() as u32;
         let eof = Token {
             kind: TokenKind::Eof,
             span: Span::new(end, end),
         };
         let mut parser = Parser {
-            lexer: Lexer::new(source),
+            lexer: Lexer::with_names(source, scratch.names),
             end,
             cur: eof,
             next: eof,
             prev: Span::dummy(),
             lex_error: None,
-            ast: Ast::default(),
-            stmt_stack: Vec::new(),
-            expr_stack: Vec::new(),
-            catch_stack: Vec::new(),
-            case_stack: Vec::new(),
-            stmt_height: Vec::new(),
-            expr_height: Vec::new(),
+            ast: scratch.ast,
+            stmt_stack: scratch.stmt_stack,
+            expr_stack: scratch.expr_stack,
+            catch_stack: scratch.catch_stack,
+            case_stack: scratch.case_stack,
+            stmt_height: scratch.stmt_height,
+            expr_height: scratch.expr_height,
             depth: 0,
             next_call_id: 0,
             next_loop_id: 0,
@@ -113,6 +157,20 @@ impl<'a> Parser<'a> {
         parser.cur = parser.pull();
         parser.next = parser.pull();
         parser
+    }
+
+    /// Ends the parse and hands its buffers back.
+    fn into_scratch(self) -> ParseScratch {
+        ParseScratch {
+            ast: self.ast,
+            stmt_stack: self.stmt_stack,
+            expr_stack: self.expr_stack,
+            catch_stack: self.catch_stack,
+            case_stack: self.case_stack,
+            stmt_height: self.stmt_height,
+            expr_height: self.expr_height,
+            names: self.lexer.into_name_set(),
+        }
     }
 
     /// The next token from the lexer, or `Eof` once it has failed.

@@ -4,19 +4,20 @@
 //! A [`SourceFile`] is its path, its text and its flat [`Ast`]: a handful
 //! of vectors, with names interned per file. Everything that reads the
 //! AST resolves ids and names through the file ([`SourceFile`] derefs to
-//! its [`Ast`]). Linking builds the [`SymbolTable`] with owned names, then
-//! the [`ProgramIndex`], which maps each file's names into the global
-//! interner.
+//! its [`Ast`]). Linking builds the [`SymbolTable`] with owned names and
+//! validates the files. The [`ProgramIndex`], which maps each file's
+//! names into the global interner, is built on the first call to
+//! [`Project::index`], by whichever static analysis needs it first.
 
 use crate::ast::{Ast, CallId, ClassDecl, Expr, Item, Literal, MethodDecl, Stmt};
 use crate::error::Diagnostic;
 use crate::index::ProgramIndex;
-use crate::parser::parse_file;
+use crate::parser::{parse_file_in, ParseScratch};
 use crate::span::{LineMap, Span};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wasabi_util::fanout;
 
 /// Index of a source file within a [`Project`].
@@ -73,9 +74,21 @@ impl SourceFile {
         path: impl Into<String>,
         source: impl Into<String>,
     ) -> Result<SourceFile, Diagnostic> {
+        SourceFile::parse_in(&mut ParseScratch::default(), path, source)
+    }
+
+    /// [`SourceFile::parse`] through `scratch`, whose buffers the previous
+    /// file left grown: the file's vectors are allocated once, at their
+    /// exact lengths. The result does not depend on what `scratch` parsed
+    /// before.
+    pub fn parse_in(
+        scratch: &mut ParseScratch,
+        path: impl Into<String>,
+        source: impl Into<String>,
+    ) -> Result<SourceFile, Diagnostic> {
         let path = path.into();
         let source = source.into();
-        match parse_file(&source) {
+        match parse_file_in(scratch, &source) {
             Ok(ast) => Ok(SourceFile { path, source, ast }),
             Err(err) => Err(err.with_path(&path)),
         }
@@ -230,16 +243,15 @@ impl SymbolTable {
     }
 }
 
-/// How many AST statements and expressions each worker of the link must
-/// have. The caller is the first worker and builds the index, so a
-/// project validates files on a thread beside the build only from
-/// `2 * NODES_PER_WORKER` nodes. On the 2-core reference box validation
-/// takes about 13 ns a node and starting and joining a scoped thread
-/// about 25 µs, so a worker's share is some 0.4 ms of validation, over
-/// ten times what its thread costs, and the build beside it takes longer
-/// still. Every small corpus app (at most 35,709 nodes) links on one
-/// thread, so repair's relinks start none; every paper-scale app (at
-/// least 84,722) validates beside the build.
+/// How many AST statements and expressions each worker of the link's
+/// validation must have: a project validates its files on more than one
+/// thread only from `2 * NODES_PER_WORKER` nodes. On the 2-core reference
+/// box validation alone takes 17–45 ns a node (warm, one thread) and
+/// starting and joining a scoped thread 19–41 µs, so a worker's share is
+/// 0.6–1.5 ms, over ten times what its thread costs. Every small corpus
+/// app (at most 35,709 nodes) validates on one thread, so repair's
+/// relinks start none; every paper-scale app (at least 84,722) validates
+/// on two.
 pub const NODES_PER_WORKER: usize = 32_768;
 
 /// A compiled multi-file Javelin program.
@@ -253,21 +265,22 @@ pub struct Project {
     pub files: Vec<Arc<SourceFile>>,
     /// Project-wide symbol table.
     pub symbols: SymbolTable,
-    /// The compile-once execution index (interned names, lowered bodies,
-    /// resolution tables). Built after validation; shared across workers.
-    pub index: Arc<ProgramIndex>,
+    /// The compile-once execution index, built by the first
+    /// [`Project::index`] call.
+    index: OnceLock<Arc<ProgramIndex>>,
 }
 
 impl Project {
     /// Parses and links a set of `(path, source)` files into a project.
     ///
-    /// The files are parsed on [`fanout::width`] workers, largest first.
-    /// The sources become `String`s on the caller's thread first: a worker
-    /// thread allocates from an allocator arena of its own, and text that
-    /// lives as long as the project is cheaper kept in the caller's, where
-    /// the next project reuses it. All files are parsed even if earlier
-    /// ones fail, so the returned error list covers the whole input, in
-    /// file order.
+    /// The files are parsed on [`fanout::width`] workers, largest first,
+    /// each worker through one [`ParseScratch`] of its own. The sources
+    /// become `String`s on the caller's thread first: a worker thread
+    /// allocates from an allocator arena of its own, and text that lives
+    /// as long as the project is cheaper kept in the caller's, where the
+    /// next project reuses it. All files are parsed even if earlier ones
+    /// fail, so the returned error list covers the whole input, in file
+    /// order.
     pub fn compile(
         name: impl Into<String>,
         sources: Vec<(impl Into<String>, impl Into<String>)>,
@@ -277,10 +290,10 @@ impl Project {
             .map(|(path, source)| (path.into(), source.into()))
             .collect();
         let parsed = fanout::map_with(
-            vec![(); fanout::width()],
+            (0..fanout::width()).map(|_| ParseScratch::default()).collect(),
             sources,
             |(_, source)| source.len(),
-            |(), (path, source)| SourceFile::parse(path, source).map(Arc::new),
+            |scratch, (path, source)| SourceFile::parse_in(scratch, path, source).map(Arc::new),
         );
         let mut files = Vec::with_capacity(parsed.len());
         let mut errors = Vec::new();
@@ -296,18 +309,14 @@ impl Project {
         Project::link(name, files)
     }
 
-    /// Links parsed files into a project: the symbol table, validation,
-    /// and the execution index.
+    /// Links parsed files into a project: the symbol table and validation.
     ///
     /// The symbol table is checked first (duplicate declarations, unknown
     /// parent exceptions, `extends` cycles), then each file; the errors
-    /// come back in that order, the files' in file order. The index is
-    /// built in one walk on the caller's thread, while up to
-    /// [`fanout::width`] workers validate the files beside it: a project
-    /// gets one worker per [`NODES_PER_WORKER`] statements and
-    /// expressions, and with one the caller validates after the build.
-    /// The build is skipped when the symbol table has an error, and its
-    /// index is dropped when a file has one.
+    /// come back in that order, the files' in file order. Up to
+    /// [`fanout::width`] workers validate the files: a project gets one
+    /// worker per [`NODES_PER_WORKER`] statements and expressions. The
+    /// link builds no index; [`Project::index`] builds it on first use.
     pub fn link(
         name: impl Into<String>,
         files: Vec<Arc<SourceFile>>,
@@ -317,23 +326,36 @@ impl Project {
         let mut errors = Vec::new();
         let symbols = build_symbols(&files, &mut errors);
         reject_cycles(&files, &symbols, &mut errors);
-        let (per_file, index) = fanout::map_beside(
+        let per_file = fanout::map_with(
             vec![(); width],
             files.iter().collect(),
             |file| file.stmts.len() + file.exprs.len(),
             |(), file| validate_file(file, &symbols),
-            || errors.is_empty().then(|| ProgramIndex::build(&files, &symbols)),
         );
         errors.extend(per_file.into_iter().flatten());
-        match index {
-            Some(index) if errors.is_empty() => Ok(Project {
-                name: name.into(),
-                files,
-                symbols,
-                index: Arc::new(index),
-            }),
-            _ => Err(errors),
+        if !errors.is_empty() {
+            return Err(errors);
         }
+        Ok(Project {
+            name: name.into(),
+            files,
+            symbols,
+            index: OnceLock::new(),
+        })
+    }
+
+    /// The compile-once execution index (interned names, lowered bodies,
+    /// resolution tables), shared across workers.
+    ///
+    /// The first call builds it, in one walk on the calling thread; every
+    /// later call, and every call racing the first, returns the same
+    /// `Arc`. The index lives as long as the project, so the first call
+    /// belongs on the thread that owns the project: the IR is then
+    /// allocated from that thread's allocator arena, as the project's
+    /// sources are. The static analyses call it before they fan out.
+    pub fn index(&self) -> &Arc<ProgramIndex> {
+        self.index
+            .get_or_init(|| Arc::new(ProgramIndex::build(&self.files, &self.symbols)))
     }
 
     /// Returns the class declaration for `name`, if declared, with the

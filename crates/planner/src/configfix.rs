@@ -29,14 +29,15 @@ pub fn is_retry_key(key: &str) -> bool {
     RETRY_KEY_MARKERS.iter().any(|m| lower.contains(m))
 }
 
-/// Scans every test method for `setConfig("<retry key>", ...)` writes.
+/// Scans every test method for `setConfig("<retry key>", ...)` writes. A
+/// test's [`MethodId`] is built only for a write that matches, once per
+/// write: most tests write no retry key.
 pub fn restore_retry_configs(project: &Project) -> ConfigRestoration {
     let mut restoration = ConfigRestoration::default();
     for (_, file, class, method) in project.all_methods() {
         if !method.is_test {
             continue;
         }
-        let test = MethodId::new(&file[class.name], &file[method.name]);
         file.walk_exprs(&method.body, &mut |expr| {
             let Expr::Call { recv, method: name, args, .. } = *expr else {
                 return;
@@ -54,7 +55,7 @@ pub fn restore_retry_configs(project: &Project) -> ConfigRestoration {
                     .altered_by
                     .entry(key.to_string())
                     .or_default()
-                    .push(test.clone());
+                    .push(MethodId::new(&file[class.name], &file[method.name]));
             }
         });
     }
@@ -88,6 +89,19 @@ mod tests {
         assert_eq!(restoration.pinned, vec!["rpc.retry.max"]);
         let writers = &restoration.altered_by["rpc.retry.max"];
         assert_eq!(writers, &vec![MethodId::new("T", "tRestricts")]);
+    }
+
+    #[test]
+    fn each_write_lists_its_test_in_scan_order() {
+        let src = "config \"rpc.retry.max\" default 10;\n\
+             class T {\n\
+               test tB() { setConfig(\"rpc.retry.max\", 0); setConfig(\"rpc.retry.max\", 1); }\n\
+               test tA() { setConfig(\"rpc.retry.max\", 2); }\n\
+             }";
+        let p = Project::compile("t", vec![("t.jav", src)]).unwrap();
+        let writers = &restore_retry_configs(&p).altered_by["rpc.retry.max"];
+        let tb = MethodId::new("T", "tB");
+        assert_eq!(writers, &vec![tb.clone(), tb, MethodId::new("T", "tA")]);
     }
 
     #[test]

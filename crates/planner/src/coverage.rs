@@ -162,7 +162,7 @@ fn reachable_test_mask(
     sites: &BTreeSet<CallSite>,
     tests: &[(FileId, MethodId)],
 ) -> Option<Vec<bool>> {
-    let index = &project.index;
+    let index = project.index();
     // A dispatchable call or an instantiation runs user code (whose
     // constructor and field initialisers run more); builtin `GlobalCall`s
     // and exception constructions are benign, their arguments walked.
@@ -417,7 +417,7 @@ mod tests {
         sites: &BTreeSet<CallSite>,
         tests: &[(FileId, MethodId)],
     ) -> Vec<bool> {
-        let index = &p.index;
+        let index = p.index();
         let n = index.methods.len();
         let mut reverse: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
         let mut reach = vec![false; n];

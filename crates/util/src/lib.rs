@@ -27,9 +27,9 @@
 //! - [`fanout`] — the one ordered fan-out ([`fanout::map_beside`]): the
 //!   parse, the link's validation, the LLM sweep and the coverage profile
 //!   map their files or tests on scoped workers and get the results back
-//!   in input order, while the index build beside the validation, or the
-//!   checkers or the control-flow query beside the sweep, run on the
-//!   caller's thread.
+//!   in input order, while the checkers or the control-flow query, each
+//!   starting with the program index's build on first use, run beside
+//!   the sweep on the caller's thread.
 
 pub mod atomic;
 pub mod backoff;

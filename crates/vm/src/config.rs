@@ -128,8 +128,8 @@ mod tests {
             vec![("c.jav", "config \"retry.max\" default 5;\nclass A { }")],
         )
         .unwrap();
-        let id = p.index.config_by_name("retry.max").unwrap();
-        (ConfigStore::from_index(&p.index), id)
+        let id = p.index().config_by_name("retry.max").unwrap();
+        (ConfigStore::from_index(p.index()), id)
     }
 
     #[test]

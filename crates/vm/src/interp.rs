@@ -150,7 +150,7 @@ impl<'p, 'i> Interp<'p, 'i> {
         interceptor: &'i mut dyn Interceptor,
         limits: RunLimits,
     ) -> Self {
-        let index: &'p ProgramIndex = &project.index;
+        let index: &'p ProgramIndex = project.index();
         Interp {
             index,
             config: ConfigStore::from_index(index),

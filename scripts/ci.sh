@@ -20,7 +20,11 @@
 #      interning/index layer must never change observable output — and a
 #      short traced run of the outside-in benchmark (examples/perf, the
 #      command BENCHMARK.json names) must pass: every workload's verdict
-#      checks hold and each job's spans tile at least 90% of the job.
+#      checks hold and each job's spans tile at least 90% of the job. A
+#      second short run at seed 7 permutes the job order and every file
+#      list, so the parse workers' reused scratch buffers and the index
+#      built on first use meet orders seed 0 never gives them, under the
+#      same verdict checks.
 #   6. serve smoke: a `wasabi serve` daemon on a loopback port must
 #      answer two submissions of the seed app with byte-identical
 #      reports whose digest equals the batch value pinned in
@@ -43,7 +47,8 @@
 #      corpus apps (small scale, amplification and policy seeds included)
 #      must be byte-identical on one core (`taskset -c 0`, so the parse,
 #      the LLM sweep and the link's validation run on the caller's thread
-#      alone) and on all cores, the
+#      alone, and the checkers, index build first, run before the sweep
+#      rather than beside it) and on all cores, the
 #      W004/W005/W006 findings must score at least 0.9 precision and
 #      recall per code against the policy_truth.json sidecars, and HD and
 #      MA with the amplification seeds alone must report nothing outside
@@ -59,10 +64,11 @@
 #      the call graph, the method summaries and the lint output must hash
 #      to the values pinned in tests/frontend_pins.rs (the default test
 #      suite checks the same at small scale). It runs on all cores and
-#      again under `taskset -c 0`, so neither the fan-out of the parse and
-#      the sweep nor the validation beside the index build moves a byte;
-#      and every paper app must be large enough to validate beside the
-#      build, every small app small enough to link on one thread.
+#      again under `taskset -c 0`, so neither the fan-out of the parse
+#      (each worker through its own reused scratch), the validation and
+#      the sweep nor the index built on first use moves a byte; and every
+#      paper app must be large enough to validate on two threads, every
+#      small app small enough to validate on one.
 #
 # Everything resolves offline: the workspace has no registry dependencies.
 set -euo pipefail
@@ -80,6 +86,7 @@ cargo xtask smoke
 echo "== stage 4: report digest + short traced benchmark run =="
 cargo xtask digest
 cargo run --release --offline --quiet --manifest-path examples/perf/Cargo.toml -- --seconds 1 --trace 1
+cargo run --release --offline --quiet --manifest-path examples/perf/Cargo.toml -- --seconds 1 --seed 7
 
 echo "== stage 6: serve smoke (daemon vs batch digest, cache hit) =="
 cargo xtask serve-smoke

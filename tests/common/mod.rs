@@ -336,23 +336,27 @@ pub mod widths {
 
     use std::sync::Arc;
     use wasabi::lang::error::Diagnostic;
+    use wasabi::lang::parser::ParseScratch;
     use wasabi::lang::project::{FileId, Project, SourceFile};
     use wasabi::llm::detector::{sweep_file, LlmSweep};
     use wasabi::llm::model::LanguageModel;
     use wasabi::util::fanout::map_with;
 
-    /// Parses `sources` on `width` workers, then links them as
-    /// `Project::compile` does: errors come back in file order.
+    /// Parses `sources` on `width` workers, each through a scratch of its
+    /// own, then links them as `Project::compile` does: errors come back in
+    /// file order.
     pub fn compile(
         name: &str,
         sources: &[(String, String)],
         width: usize,
     ) -> Result<Project, Vec<Diagnostic>> {
         let parsed = map_with(
-            vec![(); width],
+            (0..width).map(|_| ParseScratch::default()).collect(),
             sources.iter().collect(),
             |(_, source)| source.len(),
-            |(), (path, source)| SourceFile::parse(path.as_str(), source.as_str()),
+            |scratch, (path, source)| {
+                SourceFile::parse_in(scratch, path.as_str(), source.as_str())
+            },
         );
         let mut files = Vec::new();
         let mut errors = Vec::new();

@@ -328,7 +328,7 @@ fn lopsided_app() -> GeneratedApp {
 fn front_half_is_byte_identical_at_every_width() {
     let app = lopsided_app();
     let reference = compile_app(&app);
-    let index = ir_debug::dump(&reference.index);
+    let index = ir_debug::dump(reference.index());
     let llm = SimulatedLlm::with_seed(0);
     // `lint_with_overlap` sweeps with `sweep_project`.
     let report = lint_with_overlap(
@@ -342,7 +342,7 @@ fn front_half_is_byte_identical_at_every_width() {
     for width in 1..=3 {
         let project = widths::compile(app.spec.name, &app.files, width).expect("compiles");
         // Not `assert_eq!`: a failure would print both dumps in full.
-        assert!(index == ir_debug::dump(&project.index), "index at width {width}");
+        assert!(index == ir_debug::dump(project.index()), "index at width {width}");
         let swept = widths::sweep(&project, &llm, width);
         assert_eq!(swept, report.sweep, "sweep at width {width}");
         let linted = lint_project(&project, &LintOptions::default());
@@ -385,9 +385,8 @@ fn parse_errors_keep_file_order_at_every_width() {
 
 /// Link errors in two files come back in file order, though the later
 /// file is the larger and so validated first, and after the symbol
-/// table's errors. The later file has enough nodes that its validation
-/// runs on a worker beside the index build wherever the machine has two
-/// cores.
+/// table's errors. The files have enough nodes to validate on two
+/// workers wherever the machine has two cores.
 #[test]
 fn link_errors_keep_file_order_at_every_width() {
     let b = format!(
@@ -398,7 +397,7 @@ fn link_errors_keep_file_order_at_every_width() {
     let b = Arc::new(SourceFile::parse("b.jav", b).expect("parses"));
     assert!(
         b.stmt_count() + b.expr_count() >= 2 * NODES_PER_WORKER,
-        "b.jav validates on the caller"
+        "b.jav validates on one worker"
     );
     let in_files = [
         ("a.jav", "duplicate method `m`"),

@@ -1,8 +1,9 @@
 //! Front-end pins: the printer's output over every corpus file, and a
 //! canonical dump of each app's `ProgramIndex`, must hash to the values
 //! recorded from the tree-of-boxes front end this one replaced. The
-//! printer pin shows every file still parses to the same tree; the index
-//! pin shows linking interns every name to the same symbol and lowers
+//! printer pin shows every file still parses to the same tree, though all
+//! of them are parsed through one reused `ParseScratch`; the index pin
+//! shows the index build interns every name to the same symbol and lowers
 //! every body to the same IR (rendered as the boxed IR's `Debug` was).
 //!
 //! Analysis pins: per app, the call graph as its public API renders it,
@@ -17,12 +18,11 @@
 //! `cargo xtask frontend-gate`.
 //!
 //! Each scale also stays on its side of the link's validation gate: a
-//! project validates on a worker beside the index build only from
+//! project validates its files on two workers only from
 //! `2 * NODES_PER_WORKER` statements and expressions. Every small app is
 //! below it, so repair-small's relinks start no thread, and every paper
-//! app is above it, so lint-paper and test-paper validate beside the
-//! build. The benchmark's apps are these, or these less the seeds (about
-//! 420 nodes).
+//! app is above it, so lint-paper and test-paper validate on two. The
+//! benchmark's apps are these, or these less the seeds (about 420 nodes).
 
 mod common;
 
@@ -35,6 +35,7 @@ use wasabi::analysis::summaries::Summaries;
 use wasabi::core::lint::{cross_check, lint_with_overlap};
 use wasabi::corpus::spec::{paper_apps, Scale};
 use wasabi::corpus::synth::{append_policy_seeds, generate_app_with_amp};
+use wasabi::lang::parser::ParseScratch;
 use wasabi::lang::printer::print_items;
 use wasabi::lang::project::{Project, SourceFile, NODES_PER_WORKER};
 use wasabi::llm::simulated::SimulatedLlm;
@@ -61,13 +62,14 @@ fn digests(scale: Scale) -> (usize, u64, Vec<(&'static str, [u64; 4])>) {
     let mut printer = Fnv(FNV_OFFSET);
     let mut files = 0;
     let mut apps = Vec::new();
+    let mut scratch = ParseScratch::default();
     for spec in paper_apps() {
         let mut app = generate_app_with_amp(&spec, scale);
         append_policy_seeds(&mut app);
         let mut parsed = Vec::new();
         for (path, source) in &app.files {
-            let file =
-                SourceFile::parse(path.as_str(), source.as_str()).unwrap_or_else(|e| panic!("{e}"));
+            let file = SourceFile::parse_in(&mut scratch, path.as_str(), source.as_str())
+                .unwrap_or_else(|e| panic!("{e}"));
             printer.write_str(&print_items(&file)).expect("hashing");
             parsed.push(std::sync::Arc::new(file));
             files += 1;
@@ -75,13 +77,13 @@ fn digests(scale: Scale) -> (usize, u64, Vec<(&'static str, [u64; 4])>) {
         let nodes: usize = parsed.iter().map(|f| f.stmt_count() + f.expr_count()).sum();
         let gate = 2 * NODES_PER_WORKER;
         match scale {
-            Scale::Small => assert!(nodes < gate, "{}: {nodes} nodes validate beside", spec.short),
-            Scale::Paper => assert!(nodes >= gate, "{}: {nodes} nodes validate after", spec.short),
+            Scale::Small => assert!(nodes < gate, "{}: {nodes} nodes validate on two", spec.short),
+            Scale::Paper => assert!(nodes >= gate, "{}: {nodes} nodes validate on one", spec.short),
             _ => {}
         }
         let project = Project::link(spec.name, parsed).expect("links");
         let mut dump = Fnv(FNV_OFFSET);
-        dump.write_str(&ir_debug::dump(&project.index)).expect("hashing");
+        dump.write_str(&ir_debug::dump(project.index())).expect("hashing");
 
         // The call graph: each call's site, method and sorted targets, per
         // method in walk order, then the callee lists.

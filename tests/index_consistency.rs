@@ -8,6 +8,8 @@
 
 mod common;
 
+use std::sync::{Arc, Barrier};
+use std::thread;
 use wasabi::corpus::spec::Scale;
 use wasabi::corpus::synth::{compile_app, generate_all};
 use wasabi::lang::project::Project;
@@ -22,13 +24,13 @@ fn exception_matrix_matches_symbol_table_on_corpus() {
         assert!(!names.is_empty(), "{}: no exceptions declared", app.spec.name);
         for sub in &names {
             let sub_id = project
-                .index
+                .index()
                 .exc_by_name(sub)
                 .unwrap_or_else(|| panic!("{}: `{sub}` missing from index", app.spec.name));
             for sup in &names {
-                let sup_id = project.index.exc_by_name(sup).unwrap();
+                let sup_id = project.index().exc_by_name(sup).unwrap();
                 assert_eq!(
-                    project.index.is_exc_subtype(sub_id, sup_id),
+                    project.index().is_exc_subtype(sub_id, sup_id),
                     project.symbols.is_exception_subtype(sub, sup),
                     "{}: matrix disagrees on {sub} <: {sup}",
                     app.spec.name
@@ -46,13 +48,13 @@ fn class_matrix_matches_symbol_table_on_corpus() {
         let project = compile_app(&app);
         let names: Vec<&String> = project.symbols.class_names().collect();
         for sup in &names {
-            let sup_id = project.index.class_by_name(sup).unwrap();
+            let sup_id = project.index().class_by_name(sup).unwrap();
             let mut subtypes = Vec::new();
             for sub in &names {
-                let sub_id = project.index.class_by_name(sub).unwrap();
+                let sub_id = project.index().class_by_name(sub).unwrap();
                 let walked = project.symbols.is_class_subtype(sub, sup);
                 assert_eq!(
-                    project.index.is_class_subtype(sub_id, sup_id),
+                    project.index().is_class_subtype(sub_id, sup_id),
                     walked,
                     "{}: ancestry disagrees on {sub} <: {sup}",
                     app.spec.name
@@ -62,7 +64,7 @@ fn class_matrix_matches_symbol_table_on_corpus() {
                 }
             }
             subtypes.sort_unstable();
-            let listed: Vec<_> = project.index.subtypes_of_class(sup_id).collect();
+            let listed: Vec<_> = project.index().subtypes_of_class(sup_id).collect();
             assert_eq!(listed, subtypes, "{}: subtypes of {sup}", app.spec.name);
         }
     }
@@ -125,18 +127,18 @@ fn dispatch_tables_match_method_resolution_on_corpus() {
             .map(|(_, file, _, m)| file[m.name].to_string())
             .collect();
         for class in project.symbols.class_names() {
-            let class_id = project.index.class_by_name(class).unwrap();
+            let class_id = project.index().class_by_name(class).unwrap();
             for method in &method_names {
                 let walked = project.resolve_method(class, method);
                 let indexed = project
-                    .index
+                    .index()
                     .interner
                     .lookup(method)
-                    .and_then(|sym| project.index.resolve_dispatch(class_id, sym));
+                    .and_then(|sym| project.index().resolve_dispatch(class_id, sym));
                 match (walked, indexed) {
                     (None, None) => {}
                     (Some((_, _, decl)), Some(midx)) => {
-                        let compiled = &project.index.methods[midx as usize];
+                        let compiled = &project.index().methods[midx as usize];
                         assert_eq!(
                             decl.params.len() as u32,
                             compiled.params,
@@ -162,7 +164,7 @@ fn dispatch_tables_match_method_resolution_on_corpus() {
 fn index_build_is_deterministic() {
     let app = &generate_all(Scale::Tiny)[0];
     let fingerprint = |project: &Project| {
-        let index = &project.index;
+        let index = project.index();
         let mut out = String::new();
         for class in &index.classes {
             out.push_str(&format!(
@@ -195,4 +197,55 @@ fn index_build_is_deterministic() {
     let first = compile_app(app);
     let second = compile_app(app);
     assert_eq!(fingerprint(&first), fingerprint(&second));
+}
+
+/// The index is built on first use: on each of the eight small apps,
+/// `identify` and `lint_with_overlap` give the same bytes on a fresh
+/// project, where they build the index beside the LLM sweep, as on one
+/// whose `index()` was called before them, which keeps its index.
+#[test]
+fn index_on_first_use_leaves_identify_and_lint_unchanged() {
+    use wasabi::analysis::checkers::LintOptions;
+    use wasabi::core::identify::identify;
+    use wasabi::core::lint::lint_with_overlap;
+    use wasabi::llm::simulated::SimulatedLlm;
+    let identified = |project: &Project| {
+        format!("{:?}", identify(project, &mut SimulatedLlm::with_seed(11)))
+    };
+    let linted = |project: &Project| {
+        let llm = &mut SimulatedLlm::with_seed(11);
+        format!("{:?}", lint_with_overlap(project, llm, &LintOptions::default()))
+    };
+    for app in generate_all(Scale::Small) {
+        let name = app.spec.name;
+        let fresh = compile_app(&app);
+        let warm = fresh.clone();
+        let built = Arc::clone(warm.index());
+        let (cold_identify, cold_lint) = (fresh.clone(), fresh);
+        assert_eq!(identified(&cold_identify), identified(&warm), "{name}: identify");
+        assert_eq!(linted(&cold_lint), linted(&warm), "{name}: lint");
+        assert!(Arc::ptr_eq(warm.index(), &built), "{name}: the warm index was rebuilt");
+        for cold in [&cold_identify, &cold_lint] {
+            assert!(!Arc::ptr_eq(cold.index(), &built), "{name}: a fresh clone shares the index");
+        }
+    }
+}
+
+/// Two threads racing on a fresh project's first `index()` call get the
+/// same `Arc`: the index is built once.
+#[test]
+fn racing_first_index_calls_get_one_index() {
+    let project = compile_app(&generate_all(Scale::Tiny)[0]);
+    let start = Barrier::new(2);
+    let race = || {
+        start.wait();
+        Arc::clone(project.index())
+    };
+    let (first, second) = thread::scope(|scope| {
+        let first = scope.spawn(race);
+        let second = scope.spawn(race);
+        (first.join().expect("first"), second.join().expect("second"))
+    });
+    assert!(Arc::ptr_eq(&first, &second));
+    assert!(Arc::ptr_eq(&first, project.index()));
 }

@@ -185,6 +185,77 @@ fn printer_roundtrip_fixed_point() {
     }
 }
 
+/// One parse scratch, fed a random sequence of corpus files mixed with
+/// broken ones, gives for every file exactly what a fresh parse gives:
+/// the same AST (printed, and its `Debug`), or the same error. The broken
+/// files fail after the scratch has taken nodes and names from them: an
+/// error in the middle of a block, an unterminated string at the end (a
+/// lexer error), and a method nested past `MAX_DEPTH`; the empty file has
+/// nothing to take.
+#[test]
+fn a_parse_scratch_carries_nothing_from_one_file_to_the_next() {
+    use wasabi::corpus::spec::{paper_apps, Scale};
+    use wasabi::corpus::synth::{append_policy_seeds, generate_app_with_amp};
+    use wasabi::lang::parser::{ParseScratch, MAX_DEPTH};
+    use wasabi::lang::printer::print_items;
+    use wasabi::lang::project::SourceFile;
+    let mut pool: Vec<(String, String)> = Vec::new();
+    for spec in paper_apps() {
+        let mut app = generate_app_with_amp(&spec, Scale::Small);
+        append_policy_seeds(&mut app);
+        let step = (app.files.len() / 4).max(1);
+        pool.extend(app.files.iter().step_by(step).cloned());
+    }
+    let deep = "(".repeat(MAX_DEPTH as usize);
+    for at in 0..pool.len() {
+        let (path, source) = pool[at].clone();
+        let mid = source.len() / 2;
+        let block = source.as_bytes()[mid..].iter().position(|&b| b == b'{');
+        let block = block.map(|open| mid + open);
+        let broken = match (at % 3, block) {
+            (0, Some(open)) => format!("{}{{ x = ; {}", &source[..open], &source[open + 1..]),
+            (0 | 1, _) => format!("{source}\nconfig \"k\" default \"open"),
+            _ => format!("{source}\nclass Deep {{ method m() {{ return {deep}1; }} }}"),
+        };
+        pool.push((format!("broken-{path}"), broken));
+    }
+    pool.push(("empty.jav".to_string(), String::new()));
+    let mut scratch = ParseScratch::default();
+    let mut rng = Rng::new(0x5c7a_7c40);
+    let mut errors = std::collections::BTreeSet::new();
+    for case in 0..300 {
+        let (path, source) = &pool[rng.below(pool.len() as u64) as usize];
+        let reused = SourceFile::parse_in(&mut scratch, path.as_str(), source.as_str());
+        let fresh = SourceFile::parse(path.as_str(), source.as_str());
+        match (reused, fresh) {
+            (Ok(reused), Ok(fresh)) => {
+                assert_eq!(print_items(&reused), print_items(&fresh), "[case {case}] {path}");
+                assert_eq!(
+                    format!("{:?}", reused.ast),
+                    format!("{:?}", fresh.ast),
+                    "[case {case}] {path}"
+                );
+            }
+            (Err(reused), Err(fresh)) => {
+                assert_eq!(reused, fresh, "[case {case}] {path}");
+                errors.insert(reused.message);
+            }
+            (reused, fresh) => panic!(
+                "[case {case}] {path}: reused {:?}, fresh {:?}",
+                reused.map(|_| ()),
+                fresh.map(|_| ())
+            ),
+        }
+    }
+    for message in [
+        "expected expression, found `;`",
+        "unterminated string literal",
+        "nesting deeper than 256 levels",
+    ] {
+        assert!(errors.contains(message), "no `{message}` in {errors:?}");
+    }
+}
+
 /// Walks a parsed file from its items by id and counts how often each
 /// statement and expression is reached. Independent of the AST's own
 /// walkers: it follows every id a node holds, `for` headers and
@@ -386,7 +457,7 @@ struct IrLayoutCheck<'a> {
 
 impl IrLayoutCheck<'_> {
     fn block(&mut self, block: wasabi::lang::index::LBlock) {
-        let index = &self.project.index;
+        let index = self.project.index();
         for &id in &index[block] {
             self.stmt(id);
         }
@@ -397,23 +468,23 @@ impl IrLayoutCheck<'_> {
     }
 
     fn sym(&self, sym: wasabi::lang::intern::Symbol) {
-        let n = self.project.index.interner.len();
+        let n = self.project.index().interner.len();
         assert!(sym.index() < n, "symbol {sym:?} out of range");
     }
 
     fn exc(&self, exc: wasabi::lang::index::ExcId) {
-        let n = self.project.index.exceptions.len();
+        let n = self.project.index().exceptions.len();
         assert!((exc.0 as usize) < n, "exception {exc:?} out of range");
     }
 
     fn class(&self, class: wasabi::lang::index::ClassId) {
-        let n = self.project.index.classes.len();
+        let n = self.project.index().classes.len();
         assert!((class.0 as usize) < n, "class {class:?} out of range");
     }
 
     fn stmt(&mut self, id: wasabi::lang::index::LStmtId) {
         use wasabi::lang::index::LStmt;
-        let index = &self.project.index;
+        let index = self.project.index();
         assert!((id.0 as usize) < index.stmt_count(), "statement {id:?} out of range");
         self.stmts[id.0 as usize] += 1;
         match index[id] {
@@ -493,12 +564,12 @@ impl IrLayoutCheck<'_> {
 
     fn lit(&self, lit: wasabi::lang::ast::Lit) {
         if let wasabi::lang::ast::Lit::Str(text) = lit {
-            let _ = self.project.index.text(text);
+            let _ = self.project.index().text(text);
         }
     }
 
     fn args(&mut self, args: wasabi::lang::ast::List<wasabi::lang::index::LExprId>) {
-        let index = &self.project.index;
+        let index = self.project.index();
         for &arg in &index[args] {
             self.expr(arg);
         }
@@ -506,7 +577,7 @@ impl IrLayoutCheck<'_> {
 
     fn expr(&mut self, id: wasabi::lang::index::LExprId) {
         use wasabi::lang::index::LExpr;
-        let index = &self.project.index;
+        let index = self.project.index();
         assert!((id.0 as usize) < index.expr_count(), "expression {id:?} out of range");
         self.exprs[id.0 as usize] += 1;
         match index[id] {
@@ -574,7 +645,7 @@ impl IrLayoutCheck<'_> {
 /// initializers: no node is shared between bodies, none is left dead, and
 /// an inherited initializer is lowered once.
 fn check_ir_layout(project: &wasabi::lang::project::Project, what: &str) {
-    let index = &project.index;
+    let index = project.index();
     let ast_stmts: usize = project.files.iter().map(|f| f.stmt_count()).sum();
     let ast_exprs: usize = project.files.iter().map(|f| f.expr_count()).sum();
     assert_eq!(index.stmt_count(), ast_stmts, "{what}: one lowered statement per AST statement");
@@ -1166,7 +1237,7 @@ fn attempt_interval_over_approximates_vm_attempts() {
             .iter()
             .find(|m| &file[m.name] == "run")
             .unwrap_or_else(|| panic!("[case {case}] C.run missing"));
-        let abs = analyze_method(&project.index, "C", file, method);
+        let abs = analyze_method(project.index(), "C", file, method);
         let obs = abs
             .loops
             .values()
@@ -1208,7 +1279,7 @@ fn absint_is_total_and_well_formed_corpus_wide() {
         let project = compile_app(&app);
         for (_, file, class, method) in project.all_methods() {
             let (class, name) = (&file[class.name], &file[method.name]);
-            let abs = analyze_method(&project.index, class, file, method);
+            let abs = analyze_method(project.index(), class, file, method);
             for obs in abs.loops.values() {
                 loops_seen += 1;
                 assert!(
@@ -1311,7 +1382,7 @@ fn may_throw_over_approximates_vm_exceptions() {
             .unwrap_or_else(|e| panic!("[case {case}] compile failed: {e:?}\n{source}"));
         let cg = CallGraph::build(&project);
         let summaries = Summaries::compute(&project, &cg, &[]);
-        let index = &project.index;
+        let index = project.index();
 
         for i in 0..methods {
             let name = format!("m{i}");
@@ -1633,7 +1704,7 @@ fn class_ancestry_intervals_match_the_parent_walk() {
             })
             .collect();
         let project = Project::compile("forest", files).expect("an acyclic forest compiles");
-        let (index, symbols) = (&project.index, &project.symbols);
+        let (index, symbols) = (project.index(), &project.symbols);
         for sup in 0..n as u32 {
             let sup_name = &index.classes[sup as usize].name_str;
             let mut walked = Vec::new();
