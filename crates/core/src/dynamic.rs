@@ -49,12 +49,6 @@ pub struct DynamicOptions {
     /// [`CampaignOptions::capture_timing`]). On by default; callers that
     /// do not record traces turn it off to keep the hot loop clock-free.
     pub capture_timing: bool,
-    /// Bounded-memory streaming (see [`CampaignOptions::stream`]):
-    /// finished records spill to the journal and drop from RAM, and the
-    /// report phase re-reads the journal instead of a record vector.
-    /// Requires `journal` to actually bound memory; reports stay
-    /// byte-identical (the re-read is keyed and merged in key order).
-    pub stream: bool,
     /// Execute only the runs whose *sorted-key index* falls in
     /// `[start, end)` of the full plan — a shard child's slice. The plan
     /// itself is derived identically in every process (same sources, same
@@ -81,7 +75,6 @@ impl Default for DynamicOptions {
             resume_records: Vec::new(),
             chaos_exit_after: None,
             capture_timing: true,
-            stream: false,
             shard_range: None,
             adaptive: false,
         }
@@ -292,7 +285,7 @@ fn profile_suite(
     profile
 }
 
-/// Runs the full dynamic workflow, streaming campaign progress into
+/// Runs the full dynamic workflow, sending campaign progress events to
 /// `observer` (e.g. [`wasabi_engine::StderrProgress`]).
 pub fn run_dynamic_with_observer(
     project: &Project,
@@ -340,7 +333,6 @@ pub fn run_dynamic_with_observer(
         journal: options.journal.clone(),
         resume: options.resume_records.clone(),
         capture_timing: options.capture_timing,
-        stream: options.stream,
     };
     let name = phase("run", observer);
     let (campaign, adaptive_summary) = if options.adaptive && options.shard_range.is_none() {
@@ -367,53 +359,13 @@ pub fn run_dynamic_with_observer(
         .map(|run| run.spec.location.structure_key())
         .collect();
     let stats = DynamicStats::from(&campaign.stats);
-    // Collect oracle reports. A streaming campaign spilled its records to
-    // the journal, so the report phase re-reads it one record at a time —
-    // keyed and flattened in key order, which is exactly the order the
-    // in-memory path sees, so reports (and therefore dedup and the JSON
-    // document) stay byte-identical.
+    // Collect oracle reports in key order, the order of the records.
     let mut reports = Vec::new();
-    if options.stream {
-        let mut by_key: std::collections::BTreeMap<_, Vec<OracleReport>> =
-            std::collections::BTreeMap::new();
-        let mut insert = |record: &RunRecord| {
-            if matches!(record.outcome, RunOutcome::Crashed { .. }) {
-                return;
-            }
-            by_key
-                .entry(record.key.clone())
-                .or_insert_with(|| record.reports.clone());
-        };
-        // First-wins across the same sources the engine merged: resumed
-        // records, spill-failure leftovers, then the journal itself.
-        for record in &options.resume_records {
-            insert(record);
+    for record in &campaign.records {
+        if matches!(record.outcome, RunOutcome::Crashed { .. }) {
+            continue;
         }
-        for record in &campaign.records {
-            insert(record);
-        }
-        if let Some(path) = &options.journal {
-            let stream_journal = wasabi_engine::journal::JournalReader::open(path)
-                .and_then(|mut reader| {
-                    while let Some(record) = reader.next_record()? {
-                        insert(&record);
-                    }
-                    Ok(())
-                });
-            if let Err(err) = stream_journal {
-                // Degrade, don't die: the campaign completed; worst case
-                // the report undercounts bugs from unreadable records.
-                eprintln!("[core] streaming report phase: {err}");
-            }
-        }
-        reports = by_key.into_values().flatten().collect();
-    } else {
-        for record in &campaign.records {
-            if matches!(record.outcome, RunOutcome::Crashed { .. }) {
-                continue;
-            }
-            reports.extend(record.reports.iter().cloned());
-        }
+        reports.extend(record.reports.iter().cloned());
     }
 
     let bugs = dedup_reports(reports.clone());
@@ -460,7 +412,7 @@ fn probe_signal(record: &RunRecord) -> ProbeSignal {
     }
 }
 
-/// Per-wave observer shim: collects `RunRecorded` feedback into the
+/// Per-wave observer shim: collects `RunFinished` feedback into the
 /// signal registry (re-merged by key — arrival order is
 /// scheduling-dependent) and swallows each wave's `Finished` event so the
 /// caller can emit a single merged one.
@@ -472,7 +424,7 @@ struct AdaptiveWaveObserver<'a> {
 impl EngineObserver for AdaptiveWaveObserver<'_> {
     fn on_event(&mut self, event: &EngineEvent<'_>) {
         match event {
-            EngineEvent::RunRecorded { record, .. } => {
+            EngineEvent::RunFinished { record, .. } => {
                 self.signals
                     .insert(record.key.clone(), probe_signal(record));
                 self.inner.on_event(event);
@@ -485,7 +437,7 @@ impl EngineObserver for AdaptiveWaveObserver<'_> {
 
 /// Elementwise merge of two waves' campaign statistics into one
 /// campaign's worth: counters add, worker utilization adds slot-wise,
-/// peaks take the max.
+/// the worker count takes the max.
 fn merge_stats(first: CampaignStats, second: &CampaignStats) -> CampaignStats {
     let mut stats = first;
     stats.runs_total += second.runs_total;
@@ -507,7 +459,6 @@ fn merge_stats(first: CampaignStats, second: &CampaignStats) -> CampaignStats {
     }
     stats.resumed += second.resumed;
     stats.wall_ms += second.wall_ms;
-    stats.peak_resident_records = stats.peak_resident_records.max(second.peak_resident_records);
     stats
 }
 
@@ -519,7 +470,7 @@ fn merge_stats(first: CampaignStats, second: &CampaignStats) -> CampaignStats {
 ///
 /// Resume records are split by K: probe-wave records (`k == probe_k`)
 /// prefill wave 1 *and* feed the signal registry directly — prefilled
-/// records never re-execute, so no `RunRecorded` event ever fires for
+/// records never re-execute, so no `RunFinished` event ever fires for
 /// them — while the rest prefill wave 2 (keys outside the selected widen
 /// set are ignored by the engine, exactly like any other stale resume
 /// key). Since resumed records are byte-identical to the executed runs
@@ -550,8 +501,8 @@ fn run_adaptive_campaign(
     }
 
     // Wave 1: probe every group at max K. Both waves share the journal
-    // path (`Journal::open` appends), so checkpoint/resume and the
-    // streaming report phase see one campaign.
+    // path (`Journal::open` appends), so checkpoint/resume sees one
+    // campaign.
     let mut probe_options = base.clone();
     probe_options.resume = probe_resume;
     let probe_runs = plan.probe.len();

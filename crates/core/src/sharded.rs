@@ -4,9 +4,10 @@
 //! campaign, partitions the key-sorted run list into `N` contiguous
 //! ranges, writes a [`ShardManifest`] into the shard directory, and
 //! re-execs itself once per range as
-//! `wasabi test --shard-range A:B --stream --journal DIR/shard-i.jsonl`.
-//! Each child re-derives the same plan from the same sources and executes
-//! only its slice, streaming records to its journal with bounded memory.
+//! `wasabi test --shard-range A:B --journal DIR/shard-i.jsonl`.
+//! Each child re-derives the same plan from the same sources, executes
+//! only its slice and journals each record as it finishes; the journal is
+//! its hand-off to the parent.
 //!
 //! Crashed children are restarted by [`supervise_shard`] with the
 //! bounded, jittered backoff of [`Policy::SUPERVISOR`], resuming from the
@@ -149,7 +150,6 @@ impl ShardRunner for ProcessShardRunner<'_> {
         command
             .arg("test")
             .arg("--quiet")
-            .arg("--stream")
             .arg("--journal")
             .arg(&journal)
             .arg("--shard-range")
@@ -193,20 +193,18 @@ impl ShardRunner for ProcessShardRunner<'_> {
         if !journal.exists() {
             return Ok(Vec::new());
         }
-        let mut reader = journal::JournalReader::open(&journal)?;
-        let mut indexes = Vec::new();
-        while let Some(record) = reader.next_record()? {
-            match self.index_of.get(&record.key) {
-                Some(&index) => indexes.push(index),
-                None => {
-                    return Err(format!(
+        journal::load(&journal)?
+            .records
+            .iter()
+            .map(|record| {
+                self.index_of.get(&record.key).copied().ok_or_else(|| {
+                    format!(
                         "shard {shard} journal holds a record outside the plan: {:?}",
                         record.key
-                    ))
-                }
-            }
-        }
-        Ok(indexes)
+                    )
+                })
+            })
+            .collect()
     }
 
     fn sleep(&mut self, delay: Duration) {
@@ -341,8 +339,7 @@ pub fn merge_dir(dir: &Path, cwd: Option<&Path>) -> Result<ShardedOutcome, Strin
 
 /// Key-order-merges the shard journals under `dir` into a report document
 /// byte-identical to a single-process campaign (modulo `dead_lettered`,
-/// which single-process pins to 0). Streaming: at most one record per
-/// shard is resident during the walk.
+/// which single-process pins to 0).
 fn merge_records(
     job: &AppJob,
     prepared: PreparedCampaign,

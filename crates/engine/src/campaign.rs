@@ -87,16 +87,6 @@ pub struct CampaignOptions {
     /// Never affects [`CampaignResult::records`] — timings live only in
     /// the observer layer.
     pub capture_timing: bool,
-    /// Bounded-memory streaming: finished records are appended to the
-    /// journal and **dropped from RAM** instead of accumulating in
-    /// [`CampaignResult::records`] (which comes back empty); the caller's
-    /// report phase re-reads the journal. Requires `journal`; if the
-    /// journal cannot be opened (or dies to an I/O error mid-campaign),
-    /// records are kept in memory after all — losing the memory bound, not
-    /// the data. Stats are accumulated incrementally either way, and
-    /// [`CampaignStats::peak_resident_records`] reports the high-water
-    /// mark this option exists to bound.
-    pub stream: bool,
 }
 
 impl Default for CampaignOptions {
@@ -108,7 +98,6 @@ impl Default for CampaignOptions {
             journal: None,
             resume: Vec::new(),
             capture_timing: true,
-            stream: false,
         }
     }
 }
@@ -189,12 +178,6 @@ pub struct CampaignStats {
     pub resumed: usize,
     /// Campaign wall time in milliseconds (scheduling-dependent).
     pub wall_ms: u64,
-    /// High-water mark of run records resident in the coordinator's
-    /// memory. With [`CampaignOptions::stream`] this stays O(1) — each
-    /// record is spilled to the journal and dropped as it lands — while a
-    /// non-streaming campaign ends holding every record. Observational,
-    /// like `wall_ms`: nothing in `records` derives from it.
-    pub peak_resident_records: usize,
 }
 
 impl CampaignStats {
@@ -223,7 +206,11 @@ impl CampaignStats {
 /// A finished campaign: records in [`RunKey`] order plus statistics.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
-    /// One record per input run, sorted by key.
+    /// One record per input run, sorted by key: the executed runs' and
+    /// the resumed ones alike. Every record stays in memory until the
+    /// campaign returns (a planned campaign is tens to a few hundred
+    /// runs); the journal, when there is one, is a copy for resuming, and
+    /// nothing reads records back from it.
     pub records: Vec<RunRecord>,
     /// Aggregate statistics.
     pub stats: CampaignStats,
@@ -273,15 +260,11 @@ pub fn run_campaign(
     let mut slots: Vec<Option<RunRecord>> = Vec::new();
     slots.resize_with(runs.len(), || None);
     let mut det_stats = CampaignStats::default();
-    let mut resident = 0usize;
-    let mut peak_resident = 0usize;
 
     // Resume: pre-fill slots from recovered records (first record wins on
     // duplicate journal keys; records are deterministic, so duplicates
-    // are identical anyway). Keys outside the plan are ignored. In
-    // streaming mode the record's stats are absorbed and the record
-    // dropped — the journal it was recovered from still holds it for the
-    // caller's report phase. Every other slot is pending, in key order.
+    // are identical anyway). Keys outside the plan are ignored. Every
+    // other slot is pending, in key order.
     let mut resumed = 0usize;
     let mut pending: Vec<usize> = Vec::with_capacity(runs.len());
     if options.resume.is_empty() {
@@ -298,11 +281,7 @@ pub fn run_campaign(
             };
             det_stats.absorb(record);
             resumed += 1;
-            if !options.stream {
-                slots[slot] = Some((*record).clone());
-                resident += 1;
-                peak_resident = peak_resident.max(resident);
-            }
+            slots[slot] = Some((*record).clone());
         }
     }
 
@@ -361,41 +340,14 @@ pub fn run_campaign(
                         timing,
                     } => {
                         worker_runs[worker] += 1;
-                        // The record in hand is resident until spilled or the
-                        // campaign ends — this counter is the memory bound the
-                        // streaming test pins.
-                        resident += 1;
-                        peak_resident = peak_resident.max(resident);
                         observer.on_event(&EngineEvent::RunFinished {
                             index: slot,
-                            key: &record.key,
                             worker,
-                            outcome: &record.outcome,
-                            injections: record.injections,
-                            reports: record.reports.len(),
-                            steps: record.steps,
+                            record: &record,
                             timing: &timing,
                         });
-                        if let RunOutcome::Crashed { message } = &record.outcome {
-                            observer.on_event(&EngineEvent::RunCrashed {
-                                index: slot,
-                                key: &record.key,
-                                worker,
-                                message,
-                            });
-                        }
-                        // Full-record feedback for planners, emitted before any
-                        // streaming spill so it fires even when the record never
-                        // reaches RAM.
-                        observer.on_event(&EngineEvent::RunRecorded {
-                            index: slot,
-                            record: &record,
-                        });
-                        let mut spilled = false;
                         if let Some(journal) = journal.as_mut() {
-                            if let Some(completed) = journal.append(&record) {
-                                observer.on_event(&EngineEvent::CheckpointWritten { completed });
-                            }
+                            journal.append(&record);
                             // Chaos crash point: die *after* the append, so the
                             // journal holds exactly `limit` records — the shard
                             // supervisor must observe progress and plain-restart,
@@ -408,18 +360,9 @@ pub fn run_campaign(
                                     std::process::exit(86);
                                 }
                             }
-                            // Streaming spill: the journal write went through (the
-                            // journal is still active), so the record is durable
-                            // and RAM can drop it. A dead journal falls back to the
-                            // slot — bounded memory degrades, data does not.
-                            spilled = options.stream && journal.active();
                         }
                         det_stats.absorb(&record);
-                        if spilled {
-                            resident -= 1;
-                        } else {
-                            slots[slot] = Some(record);
-                        }
+                        slots[slot] = Some(record);
                     }
                 }
             }
@@ -427,21 +370,13 @@ pub fn run_campaign(
     }
 
     if let Some(journal) = journal.as_mut() {
-        if let Some(completed) = journal.finish() {
-            observer.on_event(&EngineEvent::CheckpointWritten { completed });
-        }
+        journal.finish();
     }
 
-    // Non-streaming campaigns hold every record; streaming ones only keep
-    // what could not be spilled (journal missing or dead), normally none.
-    let records: Vec<RunRecord> = if options.stream {
-        slots.into_iter().flatten().collect()
-    } else {
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every planned run produces a record"))
-            .collect()
-    };
+    let records: Vec<RunRecord> = slots
+        .into_iter()
+        .map(|slot| slot.expect("every planned run produces a record"))
+        .collect();
 
     let mut stats = det_stats;
     stats.runs_total = runs.len();
@@ -449,7 +384,6 @@ pub fn run_campaign(
     stats.worker_runs = worker_runs;
     stats.resumed = resumed;
     stats.wall_ms = saturating_ms(started_at.elapsed());
-    stats.peak_resident_records = peak_resident;
     observer.on_event(&EngineEvent::Finished { stats: &stats });
     CampaignResult { records, stats }
 }

@@ -106,30 +106,26 @@ impl Journal {
         Ok(journal)
     }
 
-    /// Appends one record. Returns `Some(total appended)` when this
-    /// append completed an epoch (marker written and fsync'd) — the
-    /// campaign surfaces that as a `CheckpointWritten` event.
-    pub fn append(&mut self, record: &RunRecord) -> Option<usize> {
+    /// Appends one record; every `EPOCH_EVERY`-th append also writes an
+    /// epoch marker and fsyncs.
+    pub fn append(&mut self, record: &RunRecord) {
         self.write_line(&record_to_json(record));
         self.appended += 1;
         self.since_epoch += 1;
         if self.since_epoch >= EPOCH_EVERY {
-            return self.checkpoint();
+            self.checkpoint();
         }
-        None
     }
 
-    /// Writes a final epoch marker and fsyncs. Returns the total record
-    /// count if a marker was written.
-    pub fn finish(&mut self) -> Option<usize> {
+    /// Writes a final epoch marker and fsyncs, unless the last append
+    /// already closed an epoch.
+    pub fn finish(&mut self) {
         if self.since_epoch > 0 {
-            self.checkpoint()
-        } else {
-            None
+            self.checkpoint();
         }
     }
 
-    fn checkpoint(&mut self) -> Option<usize> {
+    fn checkpoint(&mut self) {
         self.epochs += 1;
         self.since_epoch = 0;
         let marker = Json::obj([
@@ -140,23 +136,14 @@ impl Journal {
         if !self.disabled {
             if let Err(err) = self.file.sync_data() {
                 self.report_io_error(&err);
-                return None;
             }
         }
-        (!self.disabled).then_some(self.appended)
     }
 
     /// Records appended by this process so far (not counting recovered
-    /// lines). Drives the `chaos_exit_after` crash point and the
-    /// streaming engine's spill decision.
+    /// lines). Drives the `chaos_exit_after` crash point.
     pub fn appended(&self) -> usize {
         self.appended
-    }
-
-    /// False once an I/O error has permanently disabled writes — the
-    /// streaming engine falls back to keeping records in memory.
-    pub fn active(&self) -> bool {
-        !self.disabled
     }
 
     fn write_line(&mut self, value: &Json) {
@@ -207,27 +194,21 @@ pub fn load(path: &Path) -> Result<JournalLoad, String> {
     Ok(result)
 }
 
-/// A streaming journal reader: yields records one line at a time without
-/// materializing the file, so `wasabi merge` holds at most one record per
-/// shard and the streaming report phase holds at most one record total.
-/// Applies the same header validation and torn-tail repair as [`load`]
-/// (which is implemented on top of it).
+/// Reads a journal one line at a time, validating the header and
+/// dropping a torn tail: the one reader behind [`load`] and
+/// [`Journal::open`]'s repair (`kept_len`).
 #[derive(Debug)]
-pub struct JournalReader {
+struct JournalReader {
     reader: std::io::BufReader<File>,
     path: PathBuf,
     /// 1-based number of the last line read (for error messages).
     line: usize,
     /// A torn tail was dropped (half-written final line, or a half-written
     /// record line followed only by epoch markers).
-    pub dropped_tail: bool,
+    dropped_tail: bool,
     finished: bool,
-    /// Bytes consumed so far (tracked for [`JournalReader::record_offset`]).
+    /// Bytes consumed so far.
     offset: u64,
-    /// Byte offset where the most recently read line starts.
-    line_offset: u64,
-    /// Byte offset where the last record returned by `next_record` starts.
-    record_offset: u64,
     /// Bytes through the last complete line that parsed: what a session
     /// appending to the journal keeps of it.
     kept: u64,
@@ -235,7 +216,7 @@ pub struct JournalReader {
 
 impl JournalReader {
     /// Opens `path` and validates its header line.
-    pub fn open(path: &Path) -> Result<JournalReader, String> {
+    fn open(path: &Path) -> Result<JournalReader, String> {
         let file = File::open(path)
             .map_err(|err| format!("read journal {}: {err}", path.display()))?;
         let mut reader = JournalReader {
@@ -245,8 +226,6 @@ impl JournalReader {
             dropped_tail: false,
             finished: false,
             offset: 0,
-            line_offset: 0,
-            record_offset: 0,
             kept: 0,
         };
         let Some((line, complete)) = reader.read_raw_line()? else {
@@ -278,7 +257,6 @@ impl JournalReader {
                 return Ok(None);
             }
             self.line += 1;
-            self.line_offset = self.offset;
             self.offset += n as u64;
             let complete = buf.ends_with('\n');
             let text = buf.trim_end_matches('\n').to_string();
@@ -291,8 +269,8 @@ impl JournalReader {
 
     /// Returns the next record, skipping epoch markers. `Ok(None)` means a
     /// clean end of journal (possibly after dropping a torn tail — check
-    /// [`JournalReader::dropped_tail`]).
-    pub fn next_record(&mut self) -> Result<Option<RunRecord>, String> {
+    /// `dropped_tail`).
+    fn next_record(&mut self) -> Result<Option<RunRecord>, String> {
         if self.finished {
             return Ok(None);
         }
@@ -313,7 +291,6 @@ impl JournalReader {
                 Ok(Line::Epoch) => self.keep(complete),
                 Ok(Line::Record(record)) => {
                     self.keep(complete);
-                    self.record_offset = self.line_offset;
                     return Ok(Some(*record));
                 }
                 Err(err) => {
@@ -345,14 +322,6 @@ impl JournalReader {
         if complete {
             self.kept = self.offset;
         }
-    }
-
-    /// Byte offset where the line of the last record returned by
-    /// [`JournalReader::next_record`] starts — the handle `wasabi merge`
-    /// uses to random-access records by key without keeping them resident
-    /// (shard journals append in *completion* order, not key order).
-    pub fn record_offset(&self) -> u64 {
-        self.record_offset
     }
 
     /// After a corrupt (complete) line: is everything that follows a valid
@@ -703,7 +672,7 @@ pub fn record_to_json(record: &RunRecord) -> Json {
 }
 
 /// Parses a record back; exact inverse of [`record_to_json`].
-pub fn record_from_json(value: &Json) -> Result<RunRecord, String> {
+fn record_from_json(value: &Json) -> Result<RunRecord, String> {
     let record = RunRecord {
         key: key_from_json(value.get("key").ok_or("record: missing key")?)?,
         outcome: outcome_from_json(value.get("outcome").ok_or("record: missing outcome")?)?,
@@ -863,29 +832,43 @@ fn dlq_header() -> Json {
 /// Appends dead letters to `path`, creating the file (with its header) on
 /// first use, and fsyncs — a quarantine decision must survive a subsequent
 /// supervisor crash. Appending nothing is a no-op (no empty file appears).
+/// An existing file is first cut to what [`load_dead_letters`] reads of
+/// it, as [`Journal::open`] cuts a journal: a torn final line goes, and an
+/// empty file or a lone torn header gets a fresh header. A file that
+/// [`load_dead_letters`] refuses is refused with its error and left as it
+/// is.
 pub fn append_dead_letters(path: &Path, letters: &[DeadLetter]) -> Result<(), String> {
-    use std::io::Write;
     if letters.is_empty() {
         return Ok(());
     }
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|err| format!("open dlq {}: {err}", path.display()))?;
-    let len = file
-        .metadata()
-        .map_err(|err| format!("stat dlq {}: {err}", path.display()))?
-        .len();
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(err) => return Err(format!("read dlq {}: {err}", path.display())),
+    };
+    let (_, kept) = parse_dead_letters(path, &bytes)?;
     let mut text = String::new();
-    if len == 0 {
+    if kept == 0 {
         text.push_str(&dlq_header().to_string());
+        text.push('\n');
+    } else if bytes[kept - 1] != b'\n' {
+        // The last line parsed whole but lost its newline to the tear.
         text.push('\n');
     }
     for letter in letters {
         text.push_str(&dead_letter_to_json(letter).to_string());
         text.push('\n');
     }
+    let mut file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(path)
+        .map_err(|err| format!("open dlq {}: {err}", path.display()))?;
+    file.set_len(kept as u64)
+        .map_err(|err| format!("truncate dlq {}: {err}", path.display()))?;
+    file.seek(SeekFrom::End(0))
+        .map_err(|err| format!("seek dlq {}: {err}", path.display()))?;
     file.write_all(text.as_bytes())
         .map_err(|err| format!("write dlq {}: {err}", path.display()))?;
     file.sync_all()
@@ -896,28 +879,40 @@ pub fn append_dead_letters(path: &Path, letters: &[DeadLetter]) -> Result<(), St
 /// Loads the dead-letter journal. A missing file means no runs were
 /// quarantined (the common case) and yields an empty list. Tolerates a
 /// torn final line — the supervisor fsyncs after every batch, but the
-/// batch itself can be cut by a crash; anything else corrupt is an error
-/// (a silently dropped dead letter would resurrect a poison run as a
+/// batch itself can be cut by a crash, and so can the header of a file
+/// that was being created: an empty file, or one whose only line is a
+/// torn header, holds no letters. Anything else corrupt is an error (a
+/// silently dropped dead letter would resurrect a poison run as a
 /// merge-phase gap).
 pub fn load_dead_letters(path: &Path) -> Result<Vec<DeadLetter>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(err) => return Err(format!("read dlq {}: {err}", path.display())),
     };
-    if text.is_empty() {
-        return Err(format!("dlq {}: empty file", path.display()));
-    }
+    parse_dead_letters(path, &bytes).map(|(letters, _)| letters)
+}
+
+/// The letters in a dead-letter journal's bytes, and how many of its
+/// bytes hold them: through the last line that parsed, header included.
+/// The first non-empty line is the header.
+fn parse_dead_letters(path: &Path, bytes: &[u8]) -> Result<(Vec<DeadLetter>, usize), String> {
     let mut letters = Vec::new();
-    let lines: Vec<&str> = text.split_inclusive('\n').collect();
-    for (index, raw) in lines.iter().enumerate() {
-        let is_last = index + 1 == lines.len();
-        let line = raw.trim_end_matches('\n');
+    let (mut kept, mut end, mut header_seen) = (0, 0, false);
+    for (index, raw) in bytes.split_inclusive(|&byte| byte == b'\n').enumerate() {
+        end += raw.len();
+        let complete = raw.ends_with(b"\n");
+        let line = &raw[..raw.len() - usize::from(complete)];
         if line.is_empty() {
             continue;
         }
-        let parsed = Json::parse(line).and_then(|value| {
-            if index == 0 {
+        let parsed = std::str::from_utf8(line)
+            .map_err(|err| err.to_string())
+            .and_then(Json::parse)
+            .and_then(|value| {
+                if header_seen {
+                    return dead_letter_from_json(&value).map(Some);
+                }
                 let kind = value.get("kind").and_then(Json::as_str);
                 if kind != Some("wasabi-dlq") {
                     return Err("missing dlq header".to_string());
@@ -929,26 +924,26 @@ pub fn load_dead_letters(path: &Path) -> Result<Vec<DeadLetter>, String> {
                     ));
                 }
                 Ok(None)
-            } else {
-                dead_letter_from_json(&value).map(Some)
-            }
-        });
+            });
         match parsed {
-            Ok(Some(letter)) => letters.push(letter),
-            Ok(None) => {}
+            Ok(letter) => {
+                header_seen = true;
+                letters.extend(letter);
+                kept = end;
+            }
+            // Only the final line can lack its newline.
+            Err(_) if !complete => {
+                eprintln!(
+                    "[engine] dlq {}: dropped a half-written final line",
+                    path.display()
+                );
+            }
             Err(err) => {
-                if is_last && index > 0 && !raw.ends_with('\n') {
-                    eprintln!(
-                        "[engine] dlq {}: dropped a half-written final line",
-                        path.display()
-                    );
-                    break;
-                }
                 return Err(format!("dlq {}: corrupt line {}: {err}", path.display(), index + 1));
             }
         }
     }
-    Ok(letters)
+    Ok((letters, kept))
 }
 
 #[cfg(test)]
@@ -1196,8 +1191,9 @@ class Solid {\n\
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The streaming reader is the same machine `load` runs on; spot-check
-    /// it yields records one at a time with identical repair behavior.
+    /// The line reader is the machine `load` and `Journal::open` run on;
+    /// spot-check it yields records one at a time with identical repair
+    /// behavior.
     #[test]
     fn journal_reader_streams_records_and_repairs_tails() {
         let path = temp_path("reader.jsonl");
@@ -1248,20 +1244,60 @@ class Solid {\n\
         assert_eq!(loaded, vec![letter(1, "bisected"), letter(100, "restart cap exhausted")]);
 
         // Torn final line (supervisor killed mid-batch): dropped, earlier
-        // letters survive.
+        // letters survive, and the next append cuts it before writing.
         let text = std::fs::read_to_string(&path).expect("read");
         std::fs::write(&path, &text[..text.len() - 10]).expect("tear");
         let loaded = load_dead_letters(&path).expect("load torn");
         assert_eq!(loaded, vec![letter(1, "bisected")]);
+        append_dead_letters(&path, &[letter(7, "bisected")]).expect("append after a tear");
+        let loaded = load_dead_letters(&path).expect("load repaired");
+        assert_eq!(loaded, vec![letter(1, "bisected"), letter(7, "bisected")]);
 
-        // Mid-file corruption: hard error.
-        std::fs::write(
-            &path,
-            "{\"kind\":\"wasabi-dlq\",\"schema_version\":1}\n{gar\n{\"key\":{}}\n",
-        )
-        .expect("write");
+        // A last line that parsed whole but lost its newline is kept, and
+        // the next append starts a line of its own.
+        let text = std::fs::read_to_string(&path).expect("read");
+        std::fs::write(&path, text.trim_end_matches('\n')).expect("drop the newline");
+        append_dead_letters(&path, &[letter(9, "bisected")]).expect("append");
+        let loaded = load_dead_letters(&path).expect("load");
+        assert_eq!(
+            loaded,
+            vec![
+                letter(1, "bisected"),
+                letter(7, "bisected"),
+                letter(9, "bisected")
+            ]
+        );
+
+        // A supervisor killed while creating the file leaves it empty or
+        // with a torn header: no letters, and the next append writes a
+        // fresh header.
+        let header = "{\"kind\":\"wasabi-dlq\",\"schema_version\":1}\n";
+        for torn in ["", &header[..10], &header[..header.len() - 1]] {
+            std::fs::write(&path, torn).expect("write torn header");
+            assert_eq!(
+                load_dead_letters(&path).expect("torn header"),
+                Vec::new(),
+                "{torn:?}"
+            );
+            append_dead_letters(&path, &[letter(1, "bisected")]).expect("append");
+            let written = std::fs::read_to_string(&path).expect("read");
+            assert!(written.starts_with(header), "{torn:?}: {written}");
+            assert_eq!(
+                load_dead_letters(&path).expect("load"),
+                vec![letter(1, "bisected")]
+            );
+        }
+
+        // Mid-file corruption: hard error, and an append refuses the file
+        // and leaves it as it is.
+        let corrupt = "{\"kind\":\"wasabi-dlq\",\"schema_version\":1}\n{gar\n{\"key\":{}}\n";
+        std::fs::write(&path, corrupt).expect("write");
         let err = load_dead_letters(&path).expect_err("mid-file corruption");
         assert!(err.contains("corrupt line 2"), "got: {err}");
+        let append_err = append_dead_letters(&path, &[letter(1, "bisected")])
+            .expect_err("append refuses what load refuses");
+        assert_eq!(append_err, err);
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), corrupt);
 
         // Oversized / malformed shard values must parse-error, never
         // truncate into a bogus shard index (the old `u64 as usize` cast

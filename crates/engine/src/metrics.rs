@@ -118,26 +118,23 @@ impl EngineObserver for MetricsObserver {
             }
             EngineEvent::RunFinished {
                 index,
-                key,
                 worker,
-                outcome,
-                injections,
-                reports,
-                steps,
+                record,
                 timing,
             } => {
                 let end_us = self.clock.now_us();
                 let start_us = self.open_runs.remove(index).unwrap_or(end_us);
+                let key = &record.key;
                 self.runs.push(RunSpan {
                     test: key.test.to_string(),
                     site: key.site.to_string(),
                     exception: key.exception.clone(),
                     k: key.k,
                     worker: *worker,
-                    outcome: outcome_kind(outcome).to_string(),
-                    injections: *injections,
-                    steps: *steps,
-                    reports: *reports,
+                    outcome: outcome_kind(&record.outcome).to_string(),
+                    injections: record.injections,
+                    steps: record.steps,
+                    reports: record.reports.len(),
                     start_us,
                     end_us,
                     timing: (*timing).clone(),

@@ -5,7 +5,7 @@
 //! the observer in arrival order. Observers therefore need no internal
 //! locking and may hold mutable state (`&mut self` methods).
 
-use crate::campaign::{CampaignStats, RunOutcome};
+use crate::campaign::{CampaignStats, RunOutcome, RunRecord};
 use crate::metrics::RunTiming;
 use wasabi_planner::plan::RunKey;
 
@@ -58,56 +58,22 @@ pub enum EngineEvent<'a> {
         /// The worker executing it.
         worker: usize,
     },
-    /// A worker finished a run.
+    /// A worker finished a run. The event carries the complete record —
+    /// outcome (a contained panic is [`RunOutcome::Crashed`]), oracle
+    /// reports, filter flags, injection and step counts — once per
+    /// executed run, so observers can feed results back into planning (the
+    /// adaptive planner's fingerprint registry) as well as count progress.
+    /// Arrival order is scheduling-dependent; observers deriving campaign
+    /// inputs from these events must re-merge by key.
     RunFinished {
         /// Index of the run in campaign (key) order.
         index: usize,
-        /// The run's identity.
-        key: &'a RunKey,
         /// The worker that executed it.
         worker: usize,
-        /// How the run ended.
-        outcome: &'a RunOutcome,
-        /// Number of faults injected during the run.
-        injections: u32,
-        /// Number of oracle reports the run produced.
-        reports: usize,
-        /// Interpreter steps the run consumed.
-        steps: u64,
+        /// The finished run's record.
+        record: &'a RunRecord,
         /// Host-time breakdown for the run (scheduling-dependent).
         timing: &'a RunTiming,
-    },
-    /// A run panicked; the panic was contained and the run recorded as
-    /// [`RunOutcome::Crashed`]. Always paired with a `RunFinished` for the
-    /// same index.
-    RunCrashed {
-        /// Index of the run in campaign (key) order.
-        index: usize,
-        /// The run's identity.
-        key: &'a RunKey,
-        /// The worker that executed it.
-        worker: usize,
-        /// The contained panic payload.
-        message: &'a str,
-    },
-    /// A run's full [`RunRecord`](crate::campaign::RunRecord) was merged
-    /// into the campaign, before any streaming spill. Unlike `RunFinished` (a progress signal), this
-    /// event carries the complete record — oracle reports, filter flags,
-    /// injection counts — so observers can feed results back into
-    /// planning (the adaptive planner's fingerprint registry). Arrival
-    /// order is scheduling-dependent; observers deriving campaign inputs
-    /// from these events must re-merge by key.
-    RunRecorded {
-        /// Index of the run in campaign (key) order.
-        index: usize,
-        /// The completed record.
-        record: &'a crate::campaign::RunRecord,
-    },
-    /// The journal flushed an epoch marker to disk; `completed` records
-    /// are now durable.
-    CheckpointWritten {
-        /// Records made durable so far this session.
-        completed: usize,
     },
     /// All runs finished; `stats` is the final aggregate.
     Finished {
@@ -136,9 +102,10 @@ impl EngineObserver for NullObserver {
 }
 
 /// Prints campaign progress to stderr, rate-limited by *completed-run
-/// count* rather than per-event: a million-run campaign prints a bounded
-/// number of progress lines, not a million. Crashes are only counted and
-/// folded into the periodic line and the final summary.
+/// count* rather than per-event: auto-scaled ([`StderrProgress::new`]
+/// with 0, the default), about twenty progress lines per campaign,
+/// whatever its size. Crashed runs are only counted and folded into the
+/// periodic line and the final summary.
 #[derive(Debug)]
 pub struct StderrProgress {
     every: usize,
@@ -192,12 +159,10 @@ impl EngineObserver for StderrProgress {
                 eprintln!("[engine] campaign: {total_runs} runs on {jobs} worker(s){resume_note}");
             }
             EngineEvent::RunStarted { .. } => {}
-            EngineEvent::RunRecorded { .. } => {}
-            EngineEvent::RunCrashed { .. } => self.crashed += 1,
-            EngineEvent::CheckpointWritten { .. } => {}
-            EngineEvent::RunFinished { key, reports, .. } => {
+            EngineEvent::RunFinished { record, .. } => {
+                let key = &record.key;
                 self.completed += 1;
-                self.reports += reports;
+                self.reports += record.reports.len();
                 if self.completed.is_multiple_of(self.every.max(1)) {
                     let mut notes = String::new();
                     if self.crashed > 0 {
@@ -207,6 +172,11 @@ impl EngineObserver for StderrProgress {
                         "[engine] {} runs done ({} report(s){}) — last: {} @ {} K={}",
                         self.completed, self.reports, notes, key.test, key.site, key.k
                     );
+                }
+                // Counted after the line: its crash note covers the runs
+                // before this one.
+                if matches!(record.outcome, RunOutcome::Crashed { .. }) {
+                    self.crashed += 1;
                 }
             }
             EngineEvent::Finished { stats, .. } => {
@@ -227,7 +197,7 @@ impl EngineObserver for StderrProgress {
 
 /// A [`RunOutcome`]'s stable kind string — the vocabulary shared by the
 /// journal, trace run spans, and the adaptive planner's
-/// probe signals (`wasabi-core` builds `ProbeSignal`s from `RunRecorded`
+/// probe signals (`wasabi-core` builds `ProbeSignal`s from `RunFinished`
 /// events with it).
 pub fn outcome_kind(outcome: &RunOutcome) -> &'static str {
     use wasabi_vm::trace::TestOutcome;

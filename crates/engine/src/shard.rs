@@ -6,12 +6,12 @@
 //! This module owns everything above the child processes:
 //!
 //! - [`partition`] — the deterministic range split;
-//! - [`restart_delay`] — the restart backoff: the supervisor retries under
-//!   the same [`Policy`] type as the engine's own per-run retries, so it
-//!   passes the paper's WHEN/HOW rules (bounded attempts, exponential
-//!   backoff with a cap, SplitMix64 jitter): a crashed shard is restarted,
-//!   resuming from its own journal, so already-journaled runs are never
-//!   re-executed;
+//! - [`restart_delay`] — the restart backoff: the supervisor is the
+//!   engine's one retry layer (a run is never re-executed in-process) and
+//!   retries under the workspace's one [`Policy`] type, so it passes the
+//!   paper's WHEN/HOW rules (bounded attempts, exponential backoff with a
+//!   cap, SplitMix64 jitter): a crashed shard is restarted, resuming from
+//!   its own journal, so already-journaled runs are never re-executed;
 //! - [`supervise_shard`] — the restart loop with **poison-run bisection**:
 //!   a shard that crashes *without making progress* has its remaining
 //!   range split in two and each half retried, so a run that
@@ -21,19 +21,19 @@
 //! - [`ShardManifest`] — the schema-versioned range manifest written next
 //!   to the shard journals, which lets `wasabi merge <dir>` rebuild the
 //!   plan and verify it is merging the campaign it thinks it is;
-//! - [`ShardMerge`] — a key-ordered merge over shard journals that
-//!   materializes at most one record at a time (journals append in
-//!   *completion* order, so each is first indexed by key → byte offset,
-//!   then records are random-accessed in plan order), detecting gaps,
-//!   overlaps, and divergent duplicates.
+//! - [`ShardMerge`] — a key-ordered merge over shard journals (journals
+//!   append in *completion* order, so each is loaded into a key map and
+//!   records are taken out in plan order), detecting gaps, overlaps, and
+//!   divergent duplicates.
 //!
 //! The supervision loop is process-free by construction: it drives a
 //! [`ShardRunner`], and the tests script one (crashing on cue, sleeping
 //! into a recorded schedule) while production plugs in a
 //! `std::process::Command` re-exec (see `wasabi-core`'s `sharded` module).
 
-use crate::journal::{self, DeadLetter, JournalReader};
-use std::collections::VecDeque;
+use crate::campaign::RunRecord;
+use crate::journal::{self, DeadLetter};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use wasabi_planner::plan::RunKey;
@@ -382,155 +382,92 @@ pub fn load_manifest(dir: &Path) -> Result<ShardManifest, String> {
 
 // ---- Key-ordered merge -----------------------------------------------------
 
-/// One shard journal opened for merging: a key → byte-offset index (built
-/// in a single streaming pass — records are parsed and *dropped*, only
-/// their keys and offsets kept) plus the file handle for random access.
-struct ShardIndex {
-    file: std::fs::File,
-    path: PathBuf,
-    /// Plan key → byte offset of its record line.
-    offsets: std::collections::BTreeMap<RunKey, u64>,
-}
-
 /// A key-ordered merge over shard journals, driven by the *plan*: the
 /// caller walks the expected keys in sorted order and asks for each one.
 ///
 /// Shard journals append records in *completion* order (a multi-worker
-/// child finishes runs out of key order), so a sequential k-way merge
-/// cannot bound memory. Instead each journal is indexed by key → byte
-/// offset up front, and [`ShardMerge::take`] random-accesses exactly one
-/// record line per call — at most one [`RunRecord`](crate::campaign::RunRecord)
-/// is ever resident, the bound [`ShardMerge::peak_resident`] verifies.
+/// child finishes runs out of key order), so each journal is loaded whole
+/// into one key map, and [`ShardMerge::take`] moves each key's record out.
 ///
 /// Detected defects, all hard errors: a duplicate key within one journal,
-/// a cross-shard duplicate whose bytes diverge (overlapping ranges that
+/// a cross-shard duplicate whose records diverge (overlapping ranges that
 /// disagree), records for keys the plan never asks about (overlap into
 /// another campaign — surfaced by [`ShardMerge::finish`]), and — surfaced
 /// by the caller when `take` finds nothing — a gap. Exact cross-shard
 /// duplicates (the same record journaled by two overlapping ranges) are
 /// merged silently: records are keyed and deterministic, so identical
-/// bytes are one run.
+/// records are one run.
 pub struct ShardMerge {
-    shards: Vec<Option<ShardIndex>>,
-    /// Any shard journal had a torn tail repaired during indexing.
+    /// Per shard, its journal's records by key (empty for a missing
+    /// journal).
+    shards: Vec<BTreeMap<RunKey, RunRecord>>,
+    /// Any shard journal had a torn tail repaired during loading.
     pub dropped_tails: usize,
-    /// Peak number of records resident at once — the merge's memory bound
-    /// (1: records are parsed one at a time and handed straight out).
-    pub peak_resident: usize,
 }
 
 impl ShardMerge {
-    /// Opens and indexes the shard journals. A missing journal is treated
-    /// as empty — a shard whose entire range was dead-lettered may never
-    /// have started; genuine losses surface as gaps when the caller asks
-    /// for the missing keys.
+    /// Loads the shard journals. A missing journal is treated as empty — a
+    /// shard whose entire range was dead-lettered may never have started;
+    /// genuine losses surface as gaps when the caller asks for the missing
+    /// keys.
     pub fn open(paths: &[PathBuf]) -> Result<ShardMerge, String> {
         let mut shards = Vec::with_capacity(paths.len());
         let mut dropped_tails = 0;
         for (i, path) in paths.iter().enumerate() {
-            if !path.exists() {
-                shards.push(None);
-                continue;
-            }
-            let mut reader = JournalReader::open(path)?;
-            let mut offsets = std::collections::BTreeMap::new();
-            while let Some(record) = reader.next_record()? {
-                if offsets.insert(record.key.clone(), reader.record_offset()).is_some() {
-                    return Err(format!(
-                        "shard {i}: duplicate record for key {:?} within one journal",
-                        record.key
-                    ));
+            let mut records = BTreeMap::new();
+            if path.exists() {
+                let loaded = journal::load(path)?;
+                dropped_tails += usize::from(loaded.dropped_tail);
+                for record in loaded.records {
+                    if let Some(duplicate) = records.insert(record.key.clone(), record) {
+                        return Err(format!(
+                            "shard {i}: duplicate record for key {:?} within one journal",
+                            duplicate.key
+                        ));
+                    }
                 }
             }
-            dropped_tails += usize::from(reader.dropped_tail);
-            let file = std::fs::File::open(path)
-                .map_err(|err| format!("read journal {}: {err}", path.display()))?;
-            shards.push(Some(ShardIndex {
-                file,
-                path: path.clone(),
-                offsets,
-            }));
+            shards.push(records);
         }
         Ok(ShardMerge {
             shards,
             dropped_tails,
-            peak_resident: 0,
         })
-    }
-
-    /// Reads and parses the single record line at `offset` of shard `i`.
-    fn read_at(&mut self, i: usize, offset: u64) -> Result<String, String> {
-        use std::io::{BufRead, Seek, SeekFrom};
-        let shard = self.shards[i].as_mut().expect("indexed shard");
-        shard
-            .file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|err| format!("seek journal {}: {err}", shard.path.display()))?;
-        let mut line = String::new();
-        std::io::BufReader::new(&shard.file)
-            .read_line(&mut line)
-            .map_err(|err| format!("read journal {}: {err}", shard.path.display()))?;
-        Ok(line.trim_end_matches('\n').to_string())
     }
 
     /// Takes the record for the next expected plan key. Returns `None` for
     /// a gap (no shard journaled `key`) — the caller decides whether that
     /// is a dead-lettered run or an error. Errors on divergent cross-shard
     /// duplicates; exact duplicates merge silently.
-    pub fn take(&mut self, key: &RunKey) -> Result<Option<crate::campaign::RunRecord>, String> {
-        let holders: Vec<(usize, u64)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, shard)| {
-                shard
-                    .as_ref()
-                    .and_then(|s| s.offsets.get(key).copied())
-                    .map(|offset| (i, offset))
-            })
-            .collect();
-        let Some(&(first, offset)) = holders.first() else {
-            return Ok(None);
-        };
-        let line = self.read_at(first, offset)?;
-        // Cross-shard duplicates are compared as raw line bytes — no
-        // second record is ever parsed, keeping residency at one.
-        for &(i, other_offset) in &holders[1..] {
-            if self.read_at(i, other_offset)? != line {
-                return Err(format!(
-                    "shards {first} and {i}: divergent duplicate record for key {key:?}"
-                ));
+    pub fn take(&mut self, key: &RunKey) -> Result<Option<RunRecord>, String> {
+        let mut taken: Option<(usize, RunRecord)> = None;
+        for (i, records) in self.shards.iter_mut().enumerate() {
+            let Some(record) = records.remove(key) else {
+                continue;
+            };
+            match &taken {
+                None => taken = Some((i, record)),
+                Some((first, kept)) => {
+                    if journal::record_to_json(kept) != journal::record_to_json(&record) {
+                        return Err(format!(
+                            "shards {first} and {i}: divergent duplicate record for key {key:?}"
+                        ));
+                    }
+                }
             }
         }
-        for &(i, _) in &holders {
-            let shard = self.shards[i].as_mut().expect("indexed shard");
-            shard.offsets.remove(key);
-        }
-        let value = Json::parse(&line)
-            .map_err(|err| format!("shard {first}: re-read of key {key:?} failed: {err}"))?;
-        let record = journal::record_from_json(&value)
-            .map_err(|err| format!("shard {first}: re-read of key {key:?} failed: {err}"))?;
-        if record.key != *key {
-            return Err(format!(
-                "shard {first}: index pointed key {key:?} at a record for {:?}",
-                record.key
-            ));
-        }
-        self.peak_resident = self.peak_resident.max(1);
-        Ok(Some(record))
+        Ok(taken.map(|(_, record)| record))
     }
 
-    /// Finishes the merge: every indexed key must have been taken. A
+    /// Finishes the merge: every loaded key must have been taken. A
     /// leftover means the journals cover keys outside the plan (an overlap
     /// into some other campaign's key space).
     pub fn finish(self) -> Result<usize, String> {
-        for (i, shard) in self.shards.iter().enumerate() {
-            if let Some(shard) = shard {
-                if let Some(key) = shard.offsets.keys().next() {
-                    return Err(format!(
-                        "shard {i}: unexpected record for key {key:?} beyond the plan"
-                    ));
-                }
+        for (i, records) in self.shards.iter().enumerate() {
+            if let Some(key) = records.keys().next() {
+                return Err(format!(
+                    "shard {i}: unexpected record for key {key:?} beyond the plan"
+                ));
             }
         }
         Ok(self.dropped_tails)

@@ -1,7 +1,8 @@
 //! Observability integration tests: the span recorder's determinism
-//! contract across worker counts, and observer fan-out (the recorder must
-//! compose with the reporting observers without changing what either
-//! sees).
+//! contract across worker counts, run spans against the records they
+//! stand for, observer fan-out (the recorder must compose with the
+//! reporting observers without changing what either sees), and a
+//! parallel campaign's journal against its records.
 
 use std::collections::BTreeSet;
 use wasabi_analysis::loops::{all_retry_locations, LoopQueryOptions};
@@ -9,8 +10,9 @@ use wasabi_analysis::resolve::ProjectIndex;
 use wasabi_engine::campaign::{
     run_campaign, CampaignOptions, CampaignResult, RunOutcome, RunRecord,
 };
-use wasabi_engine::journal::record_to_json;
-use wasabi_engine::{MetricsObserver, StderrProgress, Tee};
+use wasabi_engine::journal::{self, record_to_json};
+use wasabi_engine::observer::outcome_kind;
+use wasabi_engine::{MetricsObserver, NullObserver, StderrProgress, Tee};
 use wasabi_lang::project::Project;
 use wasabi_planner::coverage::profile_coverage;
 use wasabi_planner::plan::{expand_plan, plan, InjectionRun};
@@ -39,7 +41,7 @@ class Solid {\n\
   test tSolid() { assert(this.run() == \"ok\"); }\n\
 }\n";
 
-fn campaign_fixture() -> (Project, Vec<InjectionRun>) {
+fn campaign_fixture(ks: &[u32]) -> (Project, Vec<InjectionRun>) {
     let project = Project::compile("t", vec![("t.jav", SOURCE)]).expect("compile");
     let index = ProjectIndex::build(&project);
     let locations: Vec<_> = all_retry_locations(&index, &LoopQueryOptions::default())
@@ -50,7 +52,7 @@ fn campaign_fixture() -> (Project, Vec<InjectionRun>) {
     let profile = profile_coverage(&project, &locations, &run_options);
     let all_sites: BTreeSet<_> = locations.iter().map(|l| l.site).collect();
     let test_plan = plan(&profile, &all_sites);
-    let runs = expand_plan(&test_plan, &locations, &[1, 100]);
+    let runs = expand_plan(&test_plan, &locations, ks);
     (project, runs)
 }
 
@@ -97,14 +99,49 @@ fn stripped_spans(recorder: &MetricsObserver) -> Vec<(String, String, u32, u64, 
     spans
 }
 
-/// A campaign's records, key-ordered, as their journal lines.
-fn record_lines(result: &CampaignResult) -> Vec<String> {
-    result.records.iter().map(|r| record_to_json(r).to_string()).collect()
+/// Records as their journal lines.
+fn record_lines(records: &[RunRecord]) -> Vec<String> {
+    records
+        .iter()
+        .map(|r| record_to_json(r).to_string())
+        .collect()
+}
+
+/// Checks every run span against the record of the run it stands for:
+/// same key, outcome kind, injections, steps and report count.
+fn assert_spans_match_records(recorder: &MetricsObserver, result: &CampaignResult) {
+    for span in recorder.runs() {
+        let record = result
+            .records
+            .iter()
+            .find(|record| {
+                let key = &record.key;
+                format!("{} @ {} {} K={}", key.test, key.site, key.exception, key.k)
+                    == span.key_string()
+            })
+            .unwrap_or_else(|| panic!("run span has no record: {}", span.key_string()));
+        assert_eq!(
+            (
+                span.outcome.as_str(),
+                span.injections,
+                span.steps,
+                span.reports
+            ),
+            (
+                outcome_kind(&record.outcome),
+                record.injections,
+                record.steps,
+                record.reports.len()
+            ),
+            "{}",
+            span.key_string()
+        );
+    }
 }
 
 #[test]
 fn metrics_and_spans_identical_across_worker_counts() {
-    let (project, runs) = campaign_fixture();
+    let (project, runs) = campaign_fixture(&[1, 100]);
     assert!(runs.len() >= 4, "fixture plans 2 locations x 2 K values");
     let mut serial_recorder = MetricsObserver::new();
     let serial = run_campaign(&project, &runs, &options(1, &runs), &mut serial_recorder);
@@ -113,7 +150,10 @@ fn metrics_and_spans_identical_across_worker_counts() {
 
     // The merged records are identical, field for field.
     assert!(serial.stats.crashed > 0 && serial.stats.completed > 0);
-    assert_eq!(record_lines(&serial), record_lines(&parallel));
+    assert_eq!(
+        record_lines(&serial.records),
+        record_lines(&parallel.records)
+    );
     // The span sets agree modulo timing fields and worker assignment.
     assert_eq!(stripped_spans(&serial_recorder), stripped_spans(&parallel_recorder));
     assert_eq!(
@@ -121,11 +161,14 @@ fn metrics_and_spans_identical_across_worker_counts() {
         runs.len() - serial.stats.resumed,
         "one closed span per executed run"
     );
+    // Each span says what its run's record says.
+    assert_spans_match_records(&serial_recorder, &serial);
+    assert_spans_match_records(&parallel_recorder, &parallel);
 }
 
 #[test]
 fn metrics_observer_composes_with_stderr_progress() {
-    let (project, runs) = campaign_fixture();
+    let (project, runs) = campaign_fixture(&[1, 100]);
     let mut recorder = MetricsObserver::new();
     let mut progress = StderrProgress::new(usize::MAX);
     let mut tee = Tee {
@@ -135,4 +178,32 @@ fn metrics_observer_composes_with_stderr_progress() {
     let result = run_campaign(&project, &runs, &options(2, &[]), &mut tee);
     // The recorder saw the full event stream: every record's span closed.
     assert_eq!(recorder.runs().len(), result.records.len());
+}
+
+/// A journaled `jobs: 2` campaign's journal holds every record, byte-equal
+/// to the records the campaign returns (the journal is in completion
+/// order, so it is sorted by key first).
+#[test]
+fn a_parallel_campaign_journals_every_record_it_returns() {
+    let (project, runs) = campaign_fixture(&[1, 2, 3, 100]);
+    assert!(runs.len() >= 8, "fixture plans 2 locations x 4 K values");
+    let path = std::env::temp_dir().join(format!(
+        "wasabi-observability-test-{}-journal.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let options = CampaignOptions {
+        jobs: 2,
+        journal: Some(path.clone()),
+        ..CampaignOptions::default()
+    };
+    let result = run_campaign(&project, &runs, &options, &mut NullObserver);
+    assert_eq!(result.records.len(), runs.len());
+
+    let load = journal::load(&path).expect("load journal");
+    assert!(!load.dropped_tail);
+    let mut journaled = load.records;
+    journaled.sort_by(|a, b| a.key.cmp(&b.key));
+    assert_eq!(record_lines(&journaled), record_lines(&result.records));
+    let _ = std::fs::remove_file(&path);
 }

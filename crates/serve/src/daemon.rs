@@ -278,11 +278,11 @@ impl EngineObserver for SubscriberBridge<'_> {
             ]),
             // `attempts` is always 1 (a run is never re-executed); it stays
             // so the event keeps its fields.
-            EngineEvent::RunFinished { index, reports, .. } => Json::obj([
+            EngineEvent::RunFinished { index, record, .. } => Json::obj([
                 ("event", Json::from("run_finished")),
                 ("id", Json::from(id)),
                 ("index", Json::from(*index)),
-                ("reports", Json::from(*reports)),
+                ("reports", Json::from(record.reports.len())),
                 ("attempts", Json::from(1u32)),
             ]),
             EngineEvent::Finished { stats, .. } => Json::obj([
@@ -291,8 +291,8 @@ impl EngineObserver for SubscriberBridge<'_> {
                 ("runs_total", Json::from(stats.runs_total)),
                 ("reports", Json::from(stats.reports)),
             ]),
-            // Per-run noise (crashes, checkpoints) stays local;
-            // subscribers get phase edges and run completions.
+            // Run starts and steps stay local; subscribers get phase
+            // edges, the campaign's edges and run completions.
             _ => return,
         };
         self.broadcast(line.to_string());

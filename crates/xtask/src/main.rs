@@ -33,7 +33,8 @@
 //!   mid-flight; the supervisor must recover it and the merged report
 //!   must equal the uninterrupted single-process report byte-for-byte
 //!   (digest-pinned), `wasabi merge` over the shard directory must
-//!   reproduce it offline, and a same-seed rerun must be byte-identical.
+//!   reproduce it offline (also with an empty `dlq.jsonl` written into
+//!   it), and a same-seed rerun must be byte-identical.
 //! - `adaptive-gate` — the adaptive-planner gate: over all eight corpus
 //!   apps, `wasabi test --adaptive` must report the exact fixed-grid bug
 //!   set (100% recall, identical order and identity) while executing at
@@ -492,8 +493,10 @@ fn digest(record: bool) {
 /// campaign with shard 1 chaos-killed mid-flight must merge to the exact
 /// bytes of the uninterrupted single-process report (whose digest is
 /// pinned in `scripts/seed_report_digest.txt`), `wasabi merge` must
-/// reproduce those bytes offline from the shard directory, and a rerun
-/// with the same chaos seed must be byte-identical.
+/// reproduce those bytes offline from the shard directory, and again
+/// after an empty `dlq.jsonl` (what a supervisor killed while creating it
+/// leaves) is written into it, and a rerun with the same chaos seed must
+/// be byte-identical.
 fn chaos_shard_smoke() {
     eprintln!("==> chaos shard smoke: 4-shard campaign, one shard killed, vs pinned digest");
     let wasabi = release_wasabi()
@@ -561,21 +564,32 @@ fn chaos_shard_smoke() {
     }
     eprintln!("    shard 1 killed and recovered; merged report matches pinned digest");
 
-    // The shard directory is durable: an offline merge reproduces the bytes.
-    let merge = Command::new(&wasabi)
-        .current_dir(&work)
-        .args(["merge", "--json", "shards-0"])
-        .output()
-        .unwrap_or_else(|e| fail(&format!("spawn wasabi merge: {e}")));
-    let code = merge.status.code().unwrap_or(-1);
-    if code != 0 && code != 1 {
-        eprintln!("{}", String::from_utf8_lossy(&merge.stderr));
-        fail(&format!("wasabi merge exited with code {code}"));
+    // The shard directory is durable: an offline merge reproduces the
+    // bytes, also after an empty `dlq.jsonl` (what a supervisor killed
+    // while creating it leaves) is written into it. The recovered report
+    // equals the single-process one, so no run was dead-lettered.
+    for empty_dlq in [false, true] {
+        if empty_dlq {
+            let dlq = work.join("shards-0").join("dlq.jsonl");
+            fs::write(&dlq, "").unwrap_or_else(|e| fail(&format!("write {}: {e}", dlq.display())));
+        }
+        let merge = Command::new(&wasabi)
+            .current_dir(&work)
+            .args(["merge", "--json", "shards-0"])
+            .output()
+            .unwrap_or_else(|e| fail(&format!("spawn wasabi merge: {e}")));
+        let code = merge.status.code().unwrap_or(-1);
+        if code != 0 && code != 1 {
+            eprintln!("{}", String::from_utf8_lossy(&merge.stderr));
+            fail(&format!("wasabi merge exited with code {code}"));
+        }
+        if String::from_utf8_lossy(&merge.stdout) != single {
+            fail(&format!(
+                "chaos shard smoke: offline `wasabi merge` report differs (empty dlq.jsonl: {empty_dlq})"
+            ));
+        }
     }
-    if String::from_utf8_lossy(&merge.stdout) != single {
-        fail("chaos shard smoke: offline `wasabi merge` report differs");
-    }
-    eprintln!("    offline merge of the shard directory reproduces the report");
+    eprintln!("    offline merge of the shard directory reproduces the report, with an empty DLQ too");
 
     let rerun_flags = shard_flags("shards-1");
     let rerun_refs: Vec<&str> = rerun_flags.iter().map(String::as_str).collect();

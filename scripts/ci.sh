@@ -34,7 +34,9 @@
 #      campaign with one shard chaos-killed mid-flight must recover and
 #      merge to the exact single-process report bytes (digest-pinned),
 #      `wasabi merge` must reproduce them offline from the shard
-#      directory, and a same-chaos-seed rerun must be byte-identical.
+#      directory, again after an empty `dlq.jsonl` (what a supervisor
+#      killed while creating it leaves) is written into it, and a
+#      same-chaos-seed rerun must be byte-identical.
 #   8. adaptive gate: `wasabi test --adaptive` over all eight corpus
 #      apps must report the exact fixed-grid bug set while executing at
 #      least 40% fewer runs in aggregate (writes BENCH_PR8.json).
@@ -91,7 +93,7 @@ cargo run --release --offline --quiet --manifest-path examples/perf/Cargo.toml -
 echo "== stage 6: serve smoke (daemon vs batch digest, cache hit) =="
 cargo xtask serve-smoke
 
-echo "== stage 7: chaos shard smoke (killed shard recovers, digest-pinned merge) =="
+echo "== stage 7: chaos shard smoke (killed shard recovers, digest-pinned merge, empty DLQ merges) =="
 cargo xtask chaos-shard-smoke
 
 echo "== stage 8: adaptive gate (fixed-grid recall at reduced budget) =="

@@ -92,11 +92,8 @@ struct CampaignFlags {
     /// Shard directory (journals, manifest, DLQ); default `wasabi-shards`.
     shard_dir: Option<PathBuf>,
     /// Child side: execute only plan slots `[a, b)` of the key-sorted run
-    /// list (implies `--stream`; prints no report — the parent merges).
+    /// list (prints no report — the parent merges the journals).
     shard_range: Option<(usize, usize)>,
-    /// Bounded-memory streaming: spill records to the journal, keep only
-    /// in-flight runs resident.
-    stream: bool,
     /// Chaos: exit(86) after N journal appends (crash injection for the
     /// supervisor's restart path).
     chaos_exit_after: Option<u64>,
@@ -230,7 +227,6 @@ fn take_campaign_flags(args: &mut Vec<String>) -> Result<CampaignFlags, String> 
             .ok_or_else(|| format!("invalid --shard-range value `{value}` (want A:B)"))?;
         flags.shard_range = Some(range);
     }
-    flags.stream = take_flag(args, "--stream");
     if let Some(value) = take_value_flag(args, "--chaos-exit-after")? {
         let appends = value
             .parse::<u64>()
@@ -251,6 +247,20 @@ fn take_campaign_flags(args: &mut Vec<String>) -> Result<CampaignFlags, String> 
     // combination is refused rather than silently ignored.
     if flags.adaptive && (flags.shards.is_some() || flags.shard_range.is_some()) {
         return Err("--adaptive cannot be combined with --shards/--shard-range".to_string());
+    }
+    // A sharded parent journals each shard into `--shard-dir` and records
+    // no trace of its own, so these would be silently ignored; a
+    // `--shard-range` child still takes `--journal` and `--resume`.
+    if flags.shards.is_some() {
+        for (flag, given) in [
+            ("--journal", flags.journal.is_some()),
+            ("--resume", flags.resume.is_some()),
+            ("--trace-out", flags.trace_out.is_some()),
+        ] {
+            if given {
+                return Err(format!("{flag} cannot be combined with --shards"));
+            }
+        }
     }
     flags.quiet = args.iter().any(|a| a == "--quiet");
     args.retain(|a| a != "--quiet");
@@ -590,9 +600,6 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
         journal: flags.journal.clone(),
         resume_records,
         chaos_exit_after: flags.chaos_exit_after,
-        // Shard children stream by construction: their journal is the
-        // hand-off to the parent, so records need not stay resident.
-        stream: flags.stream || flags.shard_range.is_some(),
         shard_range: flags.shard_range,
         // Per-run host timing feeds only the trace recorder; without
         // `--trace-out`, skip the clock reads (the report JSON never

@@ -3,6 +3,8 @@
 //! executing fewer runs, and its report must be byte-identical across
 //! worker counts and resume splits.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -266,19 +268,7 @@ fn adaptive_trace_phases_tile_the_trace() {
         .output()
         .expect("wasabi corpus runs");
     assert!(output.status.success(), "wasabi corpus HD failed");
-    fn collect_jav(dir: &Path, files: &mut Vec<String>) {
-        for entry in std::fs::read_dir(dir).expect("corpus dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                collect_jav(&path, files);
-            } else if path.extension().is_some_and(|ext| ext == "jav") {
-                files.push(path.to_string_lossy().into_owned());
-            }
-        }
-    }
-    let mut files = Vec::new();
-    collect_jav(&app, &mut files);
-    files.sort();
+    let files = common::jav_files(&app);
     assert!(!files.is_empty(), "corpus produced no sources");
     let trace_path = dir.join("trace.jsonl");
     let trace_arg = trace_path.to_string_lossy().into_owned();

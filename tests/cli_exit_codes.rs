@@ -4,6 +4,9 @@
 //! tolerates 1 and aborts on ≥ 2 — so a drift here silently corrupts
 //! every downstream gate.
 
+mod common;
+
+use common::jav_files;
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -224,6 +227,131 @@ fn a_journal_that_resume_refuses_is_refused_before_any_run() {
     assert!(appended.starts_with(&written) && appended.len() > written.len());
     let loaded = wasabi::engine::journal::load(&journal).expect("the journal loads");
     assert!(!loaded.dropped_tail, "no torn line is left");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal that already holds another app's records changes nothing in
+/// the report of the campaign appending to it: MA's `--json --journal J`
+/// report, with HD's campaign journaled to `J` first, equals MA's plain
+/// report byte for byte: a campaign never reads back the journal it
+/// appends to. `--stream` is an unknown flag (exit 2).
+#[test]
+fn a_shared_journal_leaves_the_report_unchanged_and_stream_is_gone() {
+    let dir = temp_dir("shared-journal");
+    for app in ["HD", "MA"] {
+        let out = dir.join(app).to_string_lossy().into_owned();
+        assert_eq!(code(&run(&["corpus", app, &out])), 0, "corpus {app}");
+    }
+    let (hd, ma) = (jav_files(&dir.join("HD")), jav_files(&dir.join("MA")));
+    let journal = dir.join("j.jsonl").to_string_lossy().into_owned();
+    let test = |flags: &[&str], files: &[String]| {
+        let mut args = vec!["test", "--quiet"];
+        args.extend_from_slice(flags);
+        args.extend(files.iter().map(String::as_str));
+        run(&args)
+    };
+    assert_eq!(
+        code(&test(&["--journal", &journal], &hd)),
+        1,
+        "HD has retry bugs"
+    );
+    let hd_records = wasabi::engine::journal::load(Path::new(&journal))
+        .expect("HD's journal loads")
+        .records
+        .len();
+    assert!(hd_records > 0);
+
+    let plain = test(&["--json"], &ma);
+    let journaled = test(&["--json", "--journal", &journal], &ma);
+    assert_eq!(code(&plain), 1, "MA has retry bugs");
+    assert_eq!(code(&journaled), 1);
+    assert_eq!(
+        String::from_utf8_lossy(&journaled.stdout),
+        String::from_utf8_lossy(&plain.stdout),
+        "a journal holding HD's records changed MA's report"
+    );
+    let both = wasabi::engine::journal::load(Path::new(&journal)).expect("journal loads");
+    assert!(
+        both.records.len() > hd_records,
+        "MA's records were appended"
+    );
+
+    let streamed = test(&["--json", "--stream", "--journal", &journal], &ma);
+    assert_eq!(code(&streamed), 2, "--stream is refused");
+    let stderr = String::from_utf8_lossy(&streamed.stderr);
+    assert!(stderr.contains("unknown flag `--stream`"), "{stderr}");
+    assert!(streamed.stdout.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sharded parent journals each shard into `--shard-dir` and writes no
+/// trace, so `--journal`, `--resume` and `--trace-out` are refused with
+/// it, before anything runs or is written. A `--shard-range` child still
+/// takes `--journal` and `--resume`.
+#[test]
+fn sharded_parent_refuses_journal_resume_and_trace_out() {
+    let dir = temp_dir("shards-refuse");
+    let buggy = write_app(&dir, "buggy.jav", BUGGY_APP);
+    let shard_dir = dir.join("shards").to_string_lossy().into_owned();
+    let journal = dir.join("j.jsonl").to_string_lossy().into_owned();
+    let trace = dir.join("t.jsonl").to_string_lossy().into_owned();
+    let sharded = |extra: &[&str]| {
+        let mut args = vec![
+            "test",
+            "--quiet",
+            "--shards",
+            "2",
+            "--shard-dir",
+            &shard_dir,
+        ];
+        args.extend_from_slice(extra);
+        args.push(&buggy);
+        run(&args)
+    };
+    for (extra, named) in [
+        (&["--journal", &journal][..], "--journal"),
+        (&["--resume", &journal][..], "--resume"),
+        (&["--trace-out", &trace][..], "--trace-out"),
+        (
+            &["--trace-out", &trace, "--journal", &journal][..],
+            "--journal",
+        ),
+    ] {
+        let output = sharded(extra);
+        assert_eq!(code(&output), 2, "{extra:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("{named} cannot be combined with --shards")),
+            "{extra:?}: {stderr}"
+        );
+        for path in [&journal, &trace, &shard_dir] {
+            assert!(!Path::new(path).exists(), "{extra:?} wrote {path}");
+        }
+    }
+    assert_eq!(code(&sharded(&[])), 1, "the sharded campaign itself runs");
+
+    let child = |extra: &[&str]| {
+        let mut args = vec![
+            "test",
+            "--quiet",
+            "--shard-range",
+            "0:2",
+            "--journal",
+            &journal,
+        ];
+        args.extend_from_slice(extra);
+        args.push(&buggy);
+        run(&args)
+    };
+    assert!(
+        matches!(code(&child(&[])), 0 | 1),
+        "a child takes --journal"
+    );
+    assert!(Path::new(&journal).exists(), "the child journaled");
+    assert!(
+        matches!(code(&child(&["--resume", &journal])), 0 | 1),
+        "a child takes --resume"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -3,6 +3,24 @@
 // Each test binary compiles this module and uses a part of it.
 #![allow(dead_code)]
 
+/// Every `.jav` file under `dir`, recursively, as sorted path strings.
+pub fn jav_files(dir: &std::path::Path) -> Vec<String> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "jav") {
+                files.push(path.to_string_lossy().into_owned());
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
 pub mod ir_debug {
     //! The lowered program rendered exactly as the derived `Debug` of the
     //! boxed IR it replaced rendered it (`{:?}` of `Vec<ClassDef>` and of

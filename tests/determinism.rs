@@ -41,13 +41,13 @@ fn hdfs_small() -> (Project, Identified) {
 }
 
 /// Every executed run's record, by key, from the campaign's
-/// `RunRecorded` events.
+/// `RunFinished` events.
 #[derive(Default)]
 struct Records(BTreeMap<RunKey, RunRecord>);
 
 impl EngineObserver for Records {
     fn on_event(&mut self, event: &EngineEvent<'_>) {
-        if let EngineEvent::RunRecorded { record, .. } = event {
+        if let EngineEvent::RunFinished { record, .. } = event {
             self.0.insert(record.key.clone(), (*record).clone());
         }
     }
